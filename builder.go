@@ -126,7 +126,7 @@ func (b *Builder) maybePreHull(work []Point, order []int, d int) ([]Point, []int
 	if err := geom.ValidateCloud(work, d); err != nil {
 		return nil, nil, 0, 0, err
 	}
-	if o.PreHull == PreHullAuto && !o.preHullWorthIt(work, d) {
+	if o.PreHull == PreHullAuto && !o.preHullWorthIt(work, &b.ph) {
 		return work, order, 0, 0, nil
 	}
 	red, err := prehull.Reduce(work, prehull.Config{

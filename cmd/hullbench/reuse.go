@@ -7,6 +7,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 
 	"parhull"
@@ -15,6 +16,10 @@ import (
 
 var reuseGate = flag.Int64("reuse-gate", 100,
 	"fail the reuse experiment if steady-state allocs/op on 3d-ball-100k exceeds this (<= 0 disables)")
+
+// reuseDefaultGate bounds the steady-state allocs/op on 3d-ball-100k under
+// the default options (Shuffle, PreHullAuto).
+const reuseDefaultGate = 1000
 
 var reusePeakGate = flag.Float64("reuse-peak-gate", 10,
 	"fail the reuse experiment if the steady-state live-heap peak grows by more than this percentage over the previous BENCH_parhull.json reuse-steady row (<= 0 disables)")
@@ -26,7 +31,10 @@ var reusePeakGate = flag.Float64("reuse-peak-gate", 10,
 // as the perf export's steal row), appends the two rows to
 // BENCH_parhull.json, and acts as the CI allocation gate: a steady-state
 // allocs/op above -reuse-gate fails the run, so a pooling regression (a
-// buffer silently dropped from the reuse path) cannot land quietly.
+// buffer silently dropped from the reuse path) cannot land quietly. A third
+// row repeats the steady state under the default options (Shuffle on,
+// PreHullAuto), where the pre-hull probe, cull, and block sub-hulls run too;
+// reuseDefaultGate bounds it.
 func expReuse() {
 	pts := pointgen.Shuffled(pointgen.NewRNG(41), pointgen.UniformBall(pointgen.NewRNG(41), sz(100000), 3))
 	opt := &parhull.Options{NoCounters: true, PreHull: parhull.PreHullOff}
@@ -56,6 +64,20 @@ func expReuse() {
 		}
 	})
 
+	def := parhull.NewBuilder(&parhull.Options{Shuffle: true, Seed: 1})
+	defer def.Close()
+	if _, err := def.Build(pts); err != nil {
+		log.Fatalf("reuse: default-options warm-up build: %v", err)
+	}
+	steadyDefault := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := def.Build(pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	// One counted steady-state Build (counters on, same pooled Builder state)
 	// samples the live-heap peak for the memory gate. PeakBytes needs the
 	// counter infrastructure, so it cannot come from the timed runs above.
@@ -76,10 +98,19 @@ func expReuse() {
 		float64(first.T.Nanoseconds())/float64(first.N), first.AllocsPerOp(), first.AllocedBytesPerOp())
 	fmt.Fprintf(w, "steady-state\t%.0f\t%d\t%d\t%d\n",
 		float64(steady.T.Nanoseconds())/float64(steady.N), steady.AllocsPerOp(), steady.AllocedBytesPerOp(), peak)
+	fmt.Fprintf(w, "steady-default\t%.0f\t%d\t%d\t\n",
+		float64(steadyDefault.T.Nanoseconds())/float64(steadyDefault.N), steadyDefault.AllocsPerOp(), steadyDefault.AllocedBytesPerOp())
 	w.Flush()
 
-	prevPeak := appendReuseEntries(len(pts), first, steady, peak)
+	prevPeak := appendReuseEntries(len(pts), first, steady, steadyDefault, peak)
 
+	// The default-options gate is checked first, so its verdict is reported
+	// even when the PreHullOff gate trips (that row's parallel filtering
+	// spawns grow with GOMAXPROCS).
+	if steadyDefault.AllocsPerOp() > reuseDefaultGate {
+		log.Fatalf("reuse default gate: default-options steady-state allocs/op = %d exceeds the gate of %d",
+			steadyDefault.AllocsPerOp(), reuseDefaultGate)
+	}
 	if *reuseGate > 0 && steady.AllocsPerOp() > *reuseGate {
 		log.Fatalf("reuse gate: steady-state allocs/op = %d exceeds the gate of %d",
 			steady.AllocsPerOp(), *reuseGate)
@@ -97,13 +128,13 @@ func expReuse() {
 	}
 }
 
-// appendReuseEntries merges the two reuse rows into the perf report at
+// appendReuseEntries merges the three reuse rows into the perf report at
 // -out (replacing any previous reuse rows; creating the report when the perf
 // experiment has not run), so BENCH_parhull.json carries the first-build and
-// steady-state numbers alongside the per-substrate rows. It returns the
+// both steady-state numbers alongside the per-substrate rows. It returns the
 // PeakBytes of the reuse-steady row being replaced (0 when there is none) —
 // the baseline for the relative peak gate.
-func appendReuseEntries(n int, first, steady testing.BenchmarkResult, peak int64) int64 {
+func appendReuseEntries(n int, first, steady, steadyDefault testing.BenchmarkResult, peak int64) int64 {
 	var prevPeak int64
 	report := perfReport{
 		GoVersion:  runtime.Version(),
@@ -120,7 +151,7 @@ func appendReuseEntries(n int, first, steady testing.BenchmarkResult, peak int64
 				if e.Sched == "reuse-steady" {
 					prevPeak = e.PeakBytes
 				}
-				if e.Sched != "reuse-first" && e.Sched != "reuse-steady" {
+				if !strings.HasPrefix(e.Sched, "reuse-") {
 					kept = append(kept, e)
 				}
 			}
@@ -132,7 +163,7 @@ func appendReuseEntries(n int, first, steady testing.BenchmarkResult, peak int64
 		sched string
 		r     testing.BenchmarkResult
 		peak  int64
-	}{{"reuse-first", first, 0}, {"reuse-steady", steady, peak}} {
+	}{{"reuse-first", first, 0}, {"reuse-steady", steady, peak}, {"reuse-steady-default", steadyDefault, 0}} {
 		report.Entries = append(report.Entries, perfEntry{
 			Workload:    "3d-ball-100k",
 			N:           n,

@@ -16,9 +16,6 @@ type seqGeom struct {
 	adj map[[2]int32][]*Triangle
 }
 
-// Conf implements engine.SeqGeometry.
-func (g *seqGeom) Conf(t *Triangle) []int32 { return t.Conf }
-
 // MarkVisible implements engine.SeqGeometry. The stamp is i+1: unlike the
 // hull kernels, the Delaunay loop has no base prefix (insertion starts at
 // index 0), which would collide with the zero-initialized mark.
@@ -103,9 +100,13 @@ func Seq(pts []geom.Point, opt *Options) (*Result, error) {
 	for _, o := range outers {
 		g.Register(o)
 	}
-	if _, err := eng.Seq[Triangle, []int32](opt.ctx(), opt.inject(), kernel{e: e}, g, e.rec,
-		[]*Triangle{root}, int32(e.n), nil); err != nil {
+	cfg := eng.SeqConfig[Triangle, []int32]{Kernel: kernel{e: e}, Geom: g, Rec: e.rec, Ctx: opt.ctx(), Inject: opt.inject()}
+	if _, err := seqLoop(cfg, []*Triangle{root}, int32(e.n), nil); err != nil {
 		return nil, err
 	}
 	return e.collectResult(0)
 }
+
+// seqLoop is the Algorithm 2 loop Seq runs: engine.Seq. The identity tests
+// swap in the conflict-graph oracle of internal/engine/seqref.
+var seqLoop = eng.Seq[Triangle, []int32]

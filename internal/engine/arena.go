@@ -26,7 +26,7 @@ const (
 // overwritten before it is read. Only the owning worker ever touches an
 // arena (indexed by the executor's worker id), so no synchronization is
 // needed; a nil *Arena falls back to plain heap allocation, which is what
-// the non-pooled Group, rounds, and sequential schedules use.
+// the non-pooled Group, rounds, and one-shot sequential schedules use.
 type Arena[FV any] struct {
 	facets    []FV   // remaining slots of the current facet slab
 	slabs     [][]FV // every facet slab, in allocation order
@@ -60,6 +60,15 @@ func NewArenas[FV any](n int) []Arena[FV] {
 }
 
 func (a *Arena[FV]) init() { a.Alloc = a.IntsLen }
+
+// NewArena returns one arena with its Alloc closure bound, for owners that
+// keep a single arena outside a worker pool (the retained initial hull and
+// sequential constructions).
+func NewArena[FV any]() *Arena[FV] {
+	a := new(Arena[FV])
+	a.init()
+	return a
+}
 
 // Facet returns a zeroed facet from the slab (or the heap when a == nil).
 // Whole slabs stay reachable as long as the arena does; Reset re-zeroes the
@@ -186,8 +195,7 @@ func (p *ArenaPool[FV]) Get() *Arena[FV] {
 		p.free = p.free[:n-1]
 		return a
 	}
-	a := new(Arena[FV])
-	a.init()
+	a := NewArena[FV]()
 	p.all = append(p.all, a)
 	return a
 }

@@ -99,10 +99,6 @@ func (p *Pool[FV, R]) Reset() {
 	p.chain.Reset()
 }
 
-// Chain exposes the retained Group/rounds arena pool, so kernel engines can
-// draw an arena for work outside the driver's schedules (the initial hull).
-func (p *Pool[FV, R]) Chain() *ArenaPool[FV] { return &p.chain }
-
 // Close retires the worker pool. The Pool must not be used afterwards;
 // arenas (and any Result carved from them) remain valid.
 func (p *Pool[FV, R]) Close() {

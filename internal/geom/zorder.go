@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // ZOrderPerm returns a permutation of {0, ..., len(pts)-1} that orders the
 // points along the Morton (Z-order) curve of their bounding box: each
@@ -18,24 +21,29 @@ import "sort"
 // comparison; callers that need a typed error for NaN/Inf validate the cloud
 // first (the engines do).
 func ZOrderPerm(pts []Point) []int32 {
+	perm, _ := ZOrderPermInto(nil, nil, pts)
+	return perm
+}
+
+// ZOrderPermInto is ZOrderPerm writing the permutation into perm and the
+// Morton keys into keys, reusing their backing arrays when large enough. It
+// returns both (possibly regrown) buffers so a caller can retain them.
+func ZOrderPermInto(perm []int32, keys []uint64, pts []Point) ([]int32, []uint64) {
 	n := len(pts)
-	perm := make([]int32, n)
+	perm = slices.Grow(perm[:0], n)[:n]
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	if n == 0 {
-		return perm
+	if n == 0 || len(pts[0]) == 0 {
+		return perm, keys
 	}
 	d := len(pts[0])
-	if d == 0 {
-		return perm
-	}
 	bits := 63 / d
 	if bits < 1 {
 		bits = 1
 	}
 	lo, hi := bounds(pts, d)
-	keys := make([]uint64, n)
+	keys = slices.Grow(keys[:0], n)[:n]
 	max := float64(uint64(1)<<uint(bits) - 1)
 	q := make([]uint64, d)
 	for i, p := range pts {
@@ -44,14 +52,13 @@ func ZOrderPerm(pts []Point) []int32 {
 		}
 		keys[i] = interleave(q, bits)
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		ka, kb := keys[perm[a]], keys[perm[b]]
-		if ka != kb {
-			return ka < kb
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
 		}
-		return perm[a] < perm[b]
+		return cmp.Compare(a, b)
 	})
-	return perm
+	return perm, keys
 }
 
 // bounds returns the per-dimension min and max over the cloud, ignoring

@@ -188,9 +188,9 @@ type engine struct {
 	traceMu sync.Mutex
 
 	// ru is the retained-state bundle when this engine is owned by a Reuse
-	// (nil on the one-shot paths); initialHull and collectResult draw their
-	// buffers from it.
-	ru *Reuse
+	// or SeqReuse (nil on the one-shot paths); initialHull and collectResult
+	// draw their arena and buffers from it.
+	ru *retained
 }
 
 // initRidgeIDs prepares the backing array for key1 (concurrent engines).
@@ -310,17 +310,15 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		return nil, ErrDegenerate
 	}
 	// Base-polygon scratch, edges, and conflict lists come from the retained
-	// bundle / a pooled arena when the engine is owned by a Reuse — the
-	// initial conflict lists are the largest slices of the whole run.
+	// bundle and its arena when the engine has an owner — the initial
+	// conflict lists are the largest slices of the whole run.
 	var (
 		a     *arena
 		alloc func(int) []int32
 		order []int32
 	)
 	if ru := e.ru; ru != nil {
-		ap := ru.pool.Chain()
-		a = ap.Get()
-		defer ap.Put(a)
+		a = ru.arena
 		alloc = a.Alloc
 		if cap(ru.order) < e.base {
 			ru.order = make([]int32, e.base)

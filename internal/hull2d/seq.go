@@ -10,8 +10,8 @@ import (
 )
 
 // Seq computes the convex hull by the sequential randomized incremental
-// method — Algorithm 2 of the paper — inserting points in the order given.
-// It uses the Clarkson–Shor bipartite conflict graph, so its plane-side
+// method — Algorithm 2 of the paper, run by the generic loop in
+// internal/engine — inserting points in the order given. Its plane-side
 // tests are exactly the conflict-list constructions, the same multiset of
 // tests Algorithm 3 performs (this equality is asserted by tests).
 //
@@ -19,26 +19,30 @@ import (
 // engines: the depth of a facet built on boundary ridge r between visible
 // facet t1 and surviving facet t2 is 1 + max(depth(t1), depth(t2)), which is
 // precisely the configuration dependence graph of Definition 4.1.
-func Seq(pts []geom.Point) (*Result, error) { return seqFrom(nil, nil, pts, 3, true, false) }
+func Seq(pts []geom.Point) (*Result, error) {
+	return NewSeqReuse().seqFrom(nil, nil, pts, 3, true, false)
+}
 
 // SeqCtx is Seq with cooperative cancellation (checked at insertion
 // granularity), optional fault injection (nil in production), and the
 // plane-cache ablation switch — the fully-plumbed entry the public layer
 // calls.
 func SeqCtx(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, noPlane bool) (*Result, error) {
-	return seqFrom(ctx, inj, pts, 3, true, noPlane)
+	return NewSeqReuse().seqFrom(ctx, inj, pts, 3, true, noPlane)
 }
 
 // SeqFrom is Seq starting from a pre-built convex CCW polygon on the first
 // base points (used by the Figure 1 driver and cross-engine tests).
 func SeqFrom(pts []geom.Point, base int, counters bool) (*Result, error) {
-	return seqFrom(nil, nil, pts, base, counters, false)
+	return NewSeqReuse().seqFrom(nil, nil, pts, base, counters, false)
 }
 
 // SeqNoPlaneCache is Seq with the cached-hyperplane fast path disabled, so
 // every visibility test runs the exact determinant predicate (ablation and
 // cross-engine identity tests).
-func SeqNoPlaneCache(pts []geom.Point) (*Result, error) { return seqFrom(nil, nil, pts, 3, true, true) }
+func SeqNoPlaneCache(pts []geom.Point) (*Result, error) {
+	return NewSeqReuse().seqFrom(nil, nil, pts, 3, true, true)
+}
 
 // seqGeom supplies the 2D geometry of the generic Algorithm 2 loop
 // (engine.Seq): the hull is a doubly linked cycle of directed edges indexed
@@ -51,13 +55,21 @@ type seqGeom struct {
 	next, prev []*Facet
 }
 
-// Conf implements engine.SeqGeometry.
-func (g *seqGeom) Conf(f *Facet) []int32 { return f.Conf }
+// reset sizes and empties the cycle arrays for n points, reusing their
+// backing arrays.
+func (g *seqGeom) reset(n int) {
+	if cap(g.next) < n {
+		g.next, g.prev = make([]*Facet, n), make([]*Facet, n)
+	}
+	g.next, g.prev = g.next[:n], g.prev[:n]
+	clear(g.next)
+	clear(g.prev)
+}
 
 // MarkVisible implements engine.SeqGeometry: membership in the visible set is
 // tracked by stamping the facet's scratch mark with the insertion index
-// (facets are born with mark 0 and i >= 3; a facet appears at most once in a
-// point's conflict-graph bucket, so no dedup check is needed).
+// (facets are born with mark 0 and i >= 3; a facet sits in exactly one pivot
+// bucket, so no dedup check is needed).
 func (g *seqGeom) MarkVisible(f *Facet, i int32) bool {
 	if !f.Alive() {
 		return false
@@ -94,24 +106,35 @@ func (g *seqGeom) Register(f *Facet) {
 	g.prev[f.B] = f
 }
 
-func seqFrom(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, base int, counters, noPlane bool) (*Result, error) {
+// seqLoop is the Algorithm 2 loop seqFrom runs: engine.Seq. The identity
+// tests swap in the conflict-graph oracle of internal/engine/seqref.
+var seqLoop = eng.Seq[Facet, int32]
+
+// seqFrom runs one sequential construction on sr's retained engine, arena,
+// buckets, and buffers. The one-shot entry points run it on a fresh SeqReuse.
+func (sr *SeqReuse) seqFrom(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, base int, counters, noPlane bool) (*Result, error) {
 	if err := geom.ValidateCloud(pts, 2); err != nil {
 		return nil, err
 	}
-	e := newEngine(pts, base, counters, 0, 1, noPlane, true, false)
+	e := sr.engineFor(pts, base, counters, 0, 1, noPlane, true, false)
 	e.inj = inj
+	g := &sr.geom
+	g.reset(len(pts))
+	cfg := eng.SeqConfig[Facet, int32]{
+		Ctx: ctx, Inject: inj, Kernel: kernel{e: e}, Geom: g, Rec: e.rec,
+		Arena: sr.arena, Scratch: &sr.loop,
+	}
 	facets, err := e.initialHull()
 	if err != nil {
 		return nil, err
 	}
-	g := &seqGeom{next: make([]*Facet, len(pts)), prev: make([]*Facet, len(pts))}
 	// baseSizes[i] approximates |T(Y_{i+1})| for the base prefix (the base
 	// polygon is given, not built incrementally); exact from here on.
 	baseSizes := make([]int, e.base)
 	for i := range baseSizes {
 		baseSizes[i] = min(i+1, e.base)
 	}
-	hullSizes, err := eng.Seq[Facet, int32](ctx, inj, kernel{e: e}, g, e.rec, facets, int32(len(pts)), baseSizes)
+	hullSizes, err := seqLoop(cfg, facets, int32(len(pts)), baseSizes)
 	if err != nil {
 		return nil, err
 	}

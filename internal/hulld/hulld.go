@@ -253,9 +253,9 @@ type engine struct {
 	log *facetlog.Log[*Facet] // every facet ever created
 
 	// ru is the retained-state bundle when this engine is owned by a Reuse
-	// (nil on the one-shot paths); initialHull and collectResult draw their
-	// buffers from it.
-	ru *Reuse
+	// or SeqReuse (nil on the one-shot paths); initialHull and collectResult
+	// draw their arena and buffers from it.
+	ru *retained
 }
 
 // newEngine assembles engine state. stripes sizes the facet log (1 keeps
@@ -471,7 +471,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		return nil, fmt.Errorf("%w: need at least d+1 = %d points, got %d", ErrDegenerate, d+1, n)
 	}
 	// The base-simplex facets, their vertex tuples, and their conflict lists
-	// come from a pooled arena when the engine is owned by a Reuse — the
+	// come from the retained arena when the engine has an owner — the
 	// initial conflict lists are the largest slices of the whole run, so
 	// recycling them matters as much as the per-facet arena discipline.
 	var (
@@ -481,9 +481,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		facets []*Facet
 	)
 	if ru := e.ru; ru != nil {
-		ap := ru.pool.Chain()
-		a = ap.Get()
-		defer ap.Put(a)
+		a = ru.arena
 		alloc = a.Alloc
 		if cap(ru.base) < d+1 {
 			ru.base = make([]geom.Point, d+1)

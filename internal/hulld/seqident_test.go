@@ -1,0 +1,126 @@
+package hulld
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+
+	eng "parhull/internal/engine"
+	"parhull/internal/engine/seqref"
+)
+
+// withOracle runs fn with seq driven by the conflict-graph oracle loop
+// instead of engine.Seq's pivot buckets.
+func withOracle(fn func()) {
+	saved := seqLoop
+	defer func() { seqLoop = saved }()
+	seqLoop = func(cfg eng.SeqConfig[Facet, []int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
+		return seqref.Seq(cfg, func(f *Facet) []int32 { return f.Conf }, facets, n, baseSizes)
+	}
+	fn()
+}
+
+// seqTrace is everything the identity test compares of one sequential run.
+type seqTrace struct {
+	created                     [][]int32 // vertex tuples, creation order
+	sizes                       []int
+	vtests, fallbacks, replaced int64
+	err                         error
+}
+
+func traceOf(res *Result, err error) seqTrace {
+	if err != nil {
+		return seqTrace{err: err}
+	}
+	tr := seqTrace{
+		sizes:     slices.Clone(res.HullSizes),
+		vtests:    res.Stats.VisibilityTests,
+		fallbacks: res.Stats.ExactFallbacks,
+		replaced:  res.Stats.Replaced,
+	}
+	for _, f := range res.Created {
+		tr.created = append(tr.created, slices.Clone(f.Verts))
+	}
+	return tr
+}
+
+func sameTrace(t *testing.T, label string, got, want seqTrace) {
+	t.Helper()
+	if (got.err == nil) != (want.err == nil) ||
+		(got.err != nil && (got.err.Error() != want.err.Error() ||
+			errors.Is(got.err, ErrDegenerate) != errors.Is(want.err, ErrDegenerate))) {
+		t.Fatalf("%s: err = %v, want %v", label, got.err, want.err)
+	}
+	if len(got.created) != len(want.created) {
+		t.Fatalf("%s: %d facets created, want %d", label, len(got.created), len(want.created))
+	}
+	for i := range got.created {
+		if !slices.Equal(got.created[i], want.created[i]) {
+			t.Fatalf("%s: created[%d] = %v, want %v", label, i, got.created[i], want.created[i])
+		}
+	}
+	if !slices.Equal(got.sizes, want.sizes) {
+		t.Fatalf("%s: hull sizes differ", label)
+	}
+	if got.vtests != want.vtests || got.fallbacks != want.fallbacks || got.replaced != want.replaced {
+		t.Fatalf("%s: vtests/fallbacks/replaced = %d/%d/%d, want %d/%d/%d", label,
+			got.vtests, got.fallbacks, got.replaced, want.vtests, want.fallbacks, want.replaced)
+	}
+}
+
+// TestSeqPivotBucketsMatchConflictGraph pins the pivot-bucket form of the
+// Algorithm 2 loop to the conflict-graph loop it replaced: the same created
+// facet sequence, hull sizes, counters, and error, on general-position and
+// degenerate clouds in d = 2..5 — on a fresh SeqReuse and, twice in a row, on
+// one retained SeqReuse. Only the loop is swapped; both runs share seqGeom's
+// two-slot ridge map (TestSeqGeomCrowdedRidge covers its third-facet case).
+func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
+	sizes := map[int]int{2: 400, 3: 300, 4: 120, 5: 60}
+	for d := 2; d <= 5; d++ {
+		for _, c := range seqref.Clouds(int64(d), sizes[d], d) {
+			t.Run(fmt.Sprintf("d=%d/%s", d, c.Name), func(t *testing.T) {
+				var want seqTrace
+				withOracle(func() { want = traceOf(NewSeqReuse().seq(nil, nil, c.Pts, true, false)) })
+				sameTrace(t, "fresh", traceOf(Seq(c.Pts)), want)
+				sr := NewSeqReuse()
+				for rep := 0; rep < 2; rep++ {
+					sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(sr.seq(nil, nil, c.Pts, true, false)), want)
+				}
+			})
+		}
+	}
+}
+
+// TestSeqGeomCrowdedRidge registers a third alive facet on a ridge of the
+// initial simplex: Boundary must refuse with ErrDegenerate, and so must a
+// construction whose loop ends with the crowded flag set. A retained
+// SeqReuse must clear the flag for the next construction.
+func TestSeqGeomCrowdedRidge(t *testing.T) {
+	pts := seqref.Clouds(3, 50, 3)[0].Pts
+	crowd := func(cfg eng.SeqConfig[Facet, []int32], facets []*Facet) {
+		for _, f := range facets {
+			cfg.Geom.Register(f)
+		}
+		cfg.Geom.Register(&Facet{Verts: slices.Clone(facets[0].Verts)})
+	}
+
+	sr := NewSeqReuse()
+	saved := seqLoop
+	seqLoop = func(cfg eng.SeqConfig[Facet, []int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
+		crowd(cfg, facets)
+		_, err := cfg.Geom.Boundary(facets[:1], 1, nil)
+		if !errors.Is(err, ErrDegenerate) {
+			t.Errorf("Boundary on a crowded ridge: err = %v, want ErrDegenerate", err)
+		}
+		return nil, nil
+	}
+	_, err := sr.seq(nil, nil, pts, true, false)
+	seqLoop = saved
+	if !errors.Is(err, ErrDegenerate) {
+		t.Fatalf("construction after a crowded ridge: err = %v, want ErrDegenerate", err)
+	}
+	if _, err := sr.seq(nil, nil, pts, true, false); err != nil {
+		t.Fatalf("next construction on the same SeqReuse: %v", err)
+	}
+}

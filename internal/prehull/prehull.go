@@ -42,7 +42,7 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -118,20 +118,114 @@ type Config struct {
 	// Inject arms deterministic fault injection inside the sample and block
 	// sub-hulls (tests only; nil in production).
 	Inject *faultinject.Injector
-	// Scratch, when non-nil, recycles the reduction's large transient buffers
-	// (cull mask, candidate/keep index lists, gathered survivor cloud) across
-	// Reduce calls. Each call invalidates the Reduction (and gathered cloud)
-	// of the previous call that used the same Scratch.
+	// Scratch, when non-nil, recycles the reduction's state across Reduce
+	// calls: one retained sequential engine per executor worker, the cull
+	// planes, the Z-order buffers, and every index list. Each call
+	// invalidates the Reduction (and gathered cloud) of the previous call
+	// that used the same Scratch. nil runs on a fresh Scratch.
 	Scratch *Scratch
 }
 
-// Scratch holds the pooled buffers of Config.Scratch. All slices are
+// Scratch holds the retained state of Config.Scratch. All buffers are
 // grow-only; the zero value is ready to use.
 type Scratch struct {
+	// Stage 1.
 	keepMask []bool
 	cand     []int32
-	keep     []int32
 	work     []geom.Point
+	cull     cullState
+
+	// Stage 2: Z-order buffers, the per-block survivor runs (block b writes
+	// its survivors from its first position on, and blockCnt[b] records how
+	// many), and one sequential sub-hull state per executor worker.
+	zperm    []int32
+	zkeys    []uint64
+	blockOut []int32
+	blockCnt []int32
+	workers  []seqWorker
+
+	keep []int32
+}
+
+// seqWorker is one executor worker's retained sub-hull state. Only the
+// worker with its index touches it.
+type seqWorker struct {
+	hull2   *hull2d.SeqReuse
+	hullD   *hulld.SeqReuse
+	members []int32      // a Z-order block's members, ascending
+	pts     []geom.Point // a Z-order block's points
+	verts   []int32      // 2D hull vertices, re-sorted ascending
+	fverts  []int32      // flat facet vertex tuples of the cull sample
+}
+
+// ensureWorkers sizes the per-worker states for nw executor workers. Call
+// before the executor starts: the slice must not grow under the workers.
+func (s *Scratch) ensureWorkers(nw int) {
+	for len(s.workers) < nw {
+		s.workers = append(s.workers, seqWorker{})
+	}
+}
+
+// hull2D runs the 2D sequential kernel over pts on the worker's retained
+// engine; the Result is valid until the worker's next sub-hull.
+func (w *seqWorker) hull2D(cfg Config, pts []geom.Point) (*hull2d.Result, error) {
+	if w.hull2 == nil {
+		w.hull2 = hull2d.NewSeqReuse()
+	}
+	return w.hull2.Seq(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
+}
+
+// hullND is hull2D for d >= 3.
+func (w *seqWorker) hullND(cfg Config, pts []geom.Point) (*hulld.Result, error) {
+	if w.hullD == nil {
+		w.hullD = hulld.NewSeqReuse()
+	}
+	return w.hullD.Seq(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
+}
+
+// hullVerts returns the ascending indices of the hull vertices of pts,
+// valid until the worker's next sub-hull.
+func (w *seqWorker) hullVerts(cfg Config, d int, pts []geom.Point) ([]int32, error) {
+	if d == 2 {
+		res, err := w.hull2D(cfg, pts)
+		if err != nil {
+			return nil, err
+		}
+		// 2D vertices come back in CCW hull order.
+		w.verts = append(w.verts[:0], res.Vertices...)
+		slices.Sort(w.verts)
+		return w.verts, nil
+	}
+	res, err := w.hullND(cfg, pts)
+	if err != nil {
+		return nil, err
+	}
+	return res.Vertices, nil
+}
+
+// hullFacets returns the alive facets of the hull of pts as a flat list of
+// d-index tuples, plus the hull vertex count; the list is valid until the
+// worker's next sub-hull.
+func (w *seqWorker) hullFacets(cfg Config, d int, pts []geom.Point) ([]int32, int, error) {
+	w.fverts = w.fverts[:0]
+	if d == 2 {
+		res, err := w.hull2D(cfg, pts)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, f := range res.Facets {
+			w.fverts = append(w.fverts, f.A, f.B)
+		}
+		return w.fverts, len(res.Vertices), nil
+	}
+	res, err := w.hullND(cfg, pts)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, f := range res.Facets {
+		w.fverts = append(w.fverts, f.Verts...)
+	}
+	return w.fverts, len(res.Vertices), nil
 }
 
 func (c Config) workers() int {
@@ -153,6 +247,10 @@ func (c Config) ctxErr() error {
 		return nil
 	}
 	return c.Ctx.Err()
+}
+
+func isDegenerate(err error) bool {
+	return errors.Is(err, hull2d.ErrDegenerate) || errors.Is(err, hulld.ErrDegenerate)
 }
 
 // BlockCount returns the number of blocks the block stage will use for n
@@ -214,13 +312,17 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 	if err := cfg.ctxErr(); err != nil {
 		return nil, err
 	}
+	s := cfg.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
 
 	// Stage 1: certified-interior cull. cand == nil means "all points".
 	cfg.Inject.Visit(faultinject.SitePreHullStage)
 	var cand []int32
 	if !cfg.NoCull {
 		var err error
-		cand, err = cullInterior(pts, d, cfg)
+		cand, err = cullInterior(pts, d, cfg, s)
 		if err != nil {
 			return nil, err
 		}
@@ -232,17 +334,13 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 	work := pts
 	if cand != nil {
 		culled = n - len(cand)
-		if s := cfg.Scratch; s != nil {
-			s.work = GatherInto(s.work, pts, cand)
-			work = s.work
-		} else {
-			work = Gather(pts, cand)
-		}
+		s.work = GatherInto(s.work, pts, cand)
+		work = s.work
 	}
 
 	// Stage 2: block sub-hulls over the survivors.
 	cfg.Inject.Visit(faultinject.SitePreHullStage)
-	blockKeep, nb, degen, err := blockReduce(work, d, cfg)
+	blockKeep, nb, degen, err := blockReduce(work, d, cfg, s)
 	if err != nil {
 		return nil, err
 	}
@@ -256,22 +354,42 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 	case cand == nil:
 		red.Keep = blockKeep
 	default:
-		var keep []int32
-		if s := cfg.Scratch; s != nil {
-			if cap(s.keep) < len(blockKeep) {
-				s.keep = make([]int32, len(blockKeep))
-			}
-			keep = s.keep[:len(blockKeep)]
-			s.keep = keep
-		} else {
-			keep = make([]int32, len(blockKeep))
-		}
+		s.keep = slices.Grow(s.keep[:0], len(blockKeep))[:len(blockKeep)]
 		for i, v := range blockKeep {
-			keep[i] = cand[v]
+			s.keep[i] = cand[v]
 		}
-		red.Keep = keep
+		red.Keep = s.keep
 	}
 	return red, nil
+}
+
+// HullVertexCount returns the number of hull vertices of pts (dimension
+// len(pts[0]) >= 2), built by the sequential kernel on the retained state of
+// cfg.Scratch (a fresh state when nil). Only Ctx, Inject, NoPlaneCache, and
+// Scratch are read. It is the public layer's PreHullAuto density probe.
+func HullVertexCount(pts []geom.Point, cfg Config) (int, error) {
+	s := cfg.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
+	s.ensureWorkers(1)
+	verts, err := s.workers[0].hullVerts(cfg, len(pts[0]), pts)
+	return len(verts), err
+}
+
+// cullState is stage 1's certified plane set, rebuilt per call into
+// retained buffers.
+type cullState struct {
+	maxAbs   []float64
+	centroid []float64
+	vp       []geom.Point
+	// planes are the sample hull's facet planes, oriented so the sample
+	// interior is strictly negative; rows repeats them as flat
+	// [n0 n1 n2 off] rows when d == 3, for the inlined scan3 loop.
+	planes []geom.Plane
+	rows   [][4]float64
+	eps    float64 // static certification threshold over the whole cloud
+	r2     float64 // squared certified inscribed-sphere radius (0 = none)
 }
 
 // cullInterior is stage 1: it returns the ascending index list of points
@@ -280,33 +398,77 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 // uncertifiable planes, or nothing culled). Only errors that must abort the
 // whole reduction (cancellation, injected panics, bad coordinates) are
 // returned.
-func cullInterior(pts []geom.Point, d int, cfg Config) ([]int32, error) {
+func cullInterior(pts []geom.Point, d int, cfg Config, s *Scratch) ([]int32, error) {
 	n := len(pts)
 	if n < cullMinN || d > geom.MaxPlaneDim {
 		return nil, nil
 	}
+	s.ensureWorkers(1)
+	c := &s.cull
+	if ok, err := c.build(pts, d, cfg, &s.workers[0]); !ok || err != nil {
+		return nil, err
+	}
+
+	// Scan: a point is dropped only when every plane certifies it strictly
+	// interior (Eval < -Eps) — or, cheaper, when it lies inside the
+	// certified inscribed sphere. The plane loop exits on the first plane
+	// that fails to certify, so shell points are cheap; mid-shell points
+	// pay at most h evals.
+	s.keepMask = slices.Grow(s.keepMask[:0], n)[:n]
+	keepMask := s.keepMask
+	clear(keepMask)
+	var kept atomic.Int64
+	sched.ParallelFor(n, 4096, func(lo, hi int) {
+		if cfg.ctxErr() != nil {
+			return // the post-stage ctx check in Reduce reports it
+		}
+		kept.Add(int64(c.scan(pts, lo, hi, keepMask)))
+	})
+	if err := cfg.ctxErr(); err != nil {
+		return nil, err
+	}
+	k := int(kept.Load())
+	if k == n {
+		return nil, nil
+	}
+	cand := slices.Grow(s.cand[:0], k)
+	for i, m := range keepMask {
+		if m {
+			cand = append(cand, int32(i))
+		}
+	}
+	s.cand = cand
+	return cand, nil
+}
+
+// build hulls the cull sample on worker w's retained engine and derives the
+// certified plane set. It reports false when the cull must be skipped
+// (degenerate or boundary-heavy sample, uncertifiable planes).
+func (c *cullState) build(pts []geom.Point, d int, cfg Config, w *seqWorker) (bool, error) {
 	sample := pts[:cullSample]
-	var facets [][]int32
+	var fverts []int32
 	var verts int
 	var herr error
 	if perr := sched.Recovered(func() {
-		facets, verts, herr = subHullFacets(cfg, d, sample)
+		fverts, verts, herr = w.hullFacets(cfg, d, sample)
 	}); perr != nil {
-		return nil, perr
+		return false, perr
 	}
 	if herr != nil {
-		if errors.Is(herr, hull2d.ErrDegenerate) || errors.Is(herr, hulld.ErrDegenerate) {
-			return nil, nil // flat sample: nothing certifiable, skip the cull
+		if isDegenerate(herr) {
+			return false, nil // flat sample: nothing certifiable, skip the cull
 		}
-		return nil, herr
+		return false, herr
 	}
 	if verts > cullSample/cullDense {
-		return nil, nil // boundary-heavy input: the cull would keep everything
+		return false, nil // boundary-heavy input: the cull would keep everything
 	}
 
 	// Static certification threshold over the whole cloud (the planes are
 	// evaluated against every point, so the bound must cover all of them).
-	maxAbs := make([]float64, d)
+	c.maxAbs = slices.Grow(c.maxAbs[:0], d)[:d]
+	maxAbs := c.maxAbs
+	clear(maxAbs)
 	for _, p := range pts {
 		for j := 0; j < d; j++ {
 			if a := p[j]; a > maxAbs[j] {
@@ -318,14 +480,16 @@ func cullInterior(pts []geom.Point, d int, cfg Config) ([]int32, error) {
 	}
 	eps := geom.StaticFilterEps(maxAbs)
 	if eps <= 0 {
-		return nil, nil
+		return false, nil
 	}
 
 	// Orient every sample facet so the sample interior is strictly negative,
 	// using the sample centroid as the interior witness. Any facet the
 	// filter cannot certify against the centroid disables the whole cull —
 	// dropping single facets would be unsound.
-	centroid := make([]float64, d)
+	c.centroid = slices.Grow(c.centroid[:0], d)[:d]
+	centroid := c.centroid
+	clear(centroid)
 	for _, p := range sample {
 		for j := 0; j < d; j++ {
 			centroid[j] += p[j]
@@ -342,20 +506,20 @@ func cullInterior(pts []geom.Point, d int, cfg Config) ([]int32, error) {
 	// rounding of the distance and norm computations themselves), so the
 	// common deep-interior case costs one squared distance instead of h
 	// plane evaluations.
-	planes := make([]geom.Plane, 0, len(facets))
-	vp := make([]geom.Point, d)
+	c.vp = slices.Grow(c.vp[:0], d)[:d]
+	c.planes, c.rows = c.planes[:0], c.rows[:0]
 	rIn := math.Inf(1)
-	for _, fv := range facets {
-		for i, v := range fv {
-			vp[i] = sample[v]
+	for f := 0; f+d <= len(fverts); f += d {
+		for i, v := range fverts[f : f+d] {
+			c.vp[i] = sample[v]
 		}
-		pl := geom.NewFacetPlane(vp, eps)
+		pl := geom.NewFacetPlane(c.vp, eps)
 		if !pl.Valid() {
-			return nil, nil
+			return false, nil
 		}
 		s, ok := pl.CertifiedSign(centroid)
 		if !ok {
-			return nil, nil
+			return false, nil
 		}
 		if s > 0 {
 			for j := 0; j < d; j++ {
@@ -371,91 +535,82 @@ func cullInterior(pts []geom.Point, d int, cfg Config) ([]int32, error) {
 		if clear := -pl.Eval(centroid) - eps; norm > 0 && clear/norm < rIn {
 			rIn = clear / norm
 		}
-		planes = append(planes, pl)
+		c.planes = append(c.planes, pl)
+		if d == 3 {
+			c.rows = append(c.rows, [4]float64{pl.N[0], pl.N[1], pl.N[2], pl.Off})
+		}
 	}
-	r2 := 0.0
+	c.eps, c.r2 = eps, 0
 	if rIn > 0 && !math.IsInf(rIn, 1) {
-		r2 = 0.999 * rIn * 0.999 * rIn
+		c.r2 = 0.999 * rIn * 0.999 * rIn
 	}
+	return true, nil
+}
 
-	// Scan: a point is dropped only when every plane certifies it strictly
-	// interior (Eval < -Eps) — or, cheaper, when it lies inside the
-	// certified inscribed sphere. The plane loop exits on the first plane
-	// that fails to certify, so shell points are cheap; mid-shell points
-	// pay at most h evals.
-	var keepMask []bool
-	if s := cfg.Scratch; s != nil {
-		if cap(s.keepMask) < n {
-			s.keepMask = make([]bool, n)
-		}
-		keepMask = s.keepMask[:n]
-		s.keepMask = keepMask
-		clear(keepMask)
-	} else {
-		keepMask = make([]bool, n)
+// scan marks keepMask[i] for every point i in [lo, hi) the plane set cannot
+// certify strictly interior, and returns how many it marked.
+func (c *cullState) scan(pts []geom.Point, lo, hi int, keepMask []bool) int {
+	if len(c.centroid) == 3 {
+		return c.scan3(pts, lo, hi, keepMask)
 	}
-	var kept atomic.Int64
-	sched.ParallelFor(n, 4096, func(lo, hi int) {
-		if cfg.ctxErr() != nil {
-			return // the post-stage ctx check in Reduce reports it
+	return c.scanPlanes(pts, lo, hi, keepMask)
+}
+
+// scanPlanes is the scan for any dimension, one Plane.Eval per plane.
+func (c *cullState) scanPlanes(pts []geom.Point, lo, hi int, keepMask []bool) int {
+	d, centroid, eps := len(c.centroid), c.centroid, c.eps
+	kept := 0
+	for i := lo; i < hi; i++ {
+		x := pts[i]
+		dist2 := 0.0
+		for j := 0; j < d; j++ {
+			dx := x[j] - centroid[j]
+			dist2 += dx * dx
 		}
-		local := int64(0)
-		for i := lo; i < hi; i++ {
-			x := pts[i]
-			dist2 := 0.0
-			for j := 0; j < d; j++ {
-				dx := x[j] - centroid[j]
-				dist2 += dx * dx
-			}
-			if dist2 < r2 {
-				continue // certified deep interior
-			}
-			inside := true
-			for pi := range planes {
-				if planes[pi].Eval(x) >= -eps {
-					inside = false
-					break
-				}
-			}
-			if !inside {
+		if dist2 < c.r2 {
+			continue // certified deep interior
+		}
+		for pi := range c.planes {
+			if c.planes[pi].Eval(x) >= -eps {
 				keepMask[i] = true
-				local++
+				kept++
+				break
 			}
 		}
-		kept.Add(local)
-	})
-	if err := cfg.ctxErr(); err != nil {
-		return nil, err
 	}
-	k := int(kept.Load())
-	if k == n {
-		return nil, nil
-	}
-	var cand []int32
-	if s := cfg.Scratch; s != nil {
-		if cap(s.cand) < k {
-			s.cand = make([]int32, 0, k)
+	return kept
+}
+
+// scan3 is scanPlanes for d == 3 over the flat rows, with the distance and
+// plane evaluations inlined. Both keep the summation order of the generic
+// loop and of Plane.Eval's d == 3 case, so the keep mask is bit-identical.
+func (c *cullState) scan3(pts []geom.Point, lo, hi int, keepMask []bool) int {
+	c0, c1, c2 := c.centroid[0], c.centroid[1], c.centroid[2]
+	r2, negEps := c.r2, -c.eps
+	kept := 0
+	for i := lo; i < hi; i++ {
+		x := pts[i]
+		x0, x1, x2 := x[0], x[1], x[2]
+		dx0, dx1, dx2 := x0-c0, x1-c1, x2-c2
+		if dx0*dx0+dx1*dx1+dx2*dx2 < r2 {
+			continue // certified deep interior
 		}
-		cand = s.cand[:0]
-	} else {
-		cand = make([]int32, 0, k)
-	}
-	for i, m := range keepMask {
-		if m {
-			cand = append(cand, int32(i))
+		for _, r := range c.rows {
+			if r[0]*x0+r[1]*x1+r[2]*x2-r[3] >= negEps {
+				keepMask[i] = true
+				kept++
+				break
+			}
 		}
 	}
-	if s := cfg.Scratch; s != nil {
-		s.cand = cand
-	}
-	return cand, nil
+	return kept
 }
 
 // blockReduce is stage 2: the parallel block sub-hull loop over work,
 // returning the ascending block-survivor indices (into work), the block
 // count, and the degenerate-block count. A nil keep with a nil error means
 // the input was too small to block up (run it whole).
-func blockReduce(work []geom.Point, d int, cfg Config) ([]int32, int, int, error) {
+func blockReduce(work []geom.Point, d int, cfg Config, s *Scratch) ([]int32, int, int, error) {
 	n := len(work)
 	nb := BlockCount(n, cfg)
 	if nb < 2 {
@@ -469,11 +624,15 @@ func blockReduce(work []geom.Point, d int, cfg Config) ([]int32, int, int, error
 	// subsequence of the input.
 	var zperm []int32
 	if cfg.ZOrder {
-		zperm = geom.ZOrderPerm(work)
+		s.zperm, s.zkeys = geom.ZOrderPermInto(s.zperm, s.zkeys, work)
+		zperm = s.zperm
 	}
+	s.blockOut = slices.Grow(s.blockOut[:0], n)[:n]
+	s.blockCnt = slices.Grow(s.blockCnt[:0], nb)[:nb]
+	nw := cfg.workers()
+	s.ensureWorkers(nw)
 
 	var (
-		out     = make([][]int32, nb)
 		degen   atomic.Int64
 		errOnce sync.Once
 		firstEr atomic.Pointer[error]
@@ -484,7 +643,7 @@ func blockReduce(work []geom.Point, d int, cfg Config) ([]int32, int, int, error
 		failed.Store(true)
 	}
 
-	body := func(_ int, b int) {
+	body := func(wid int, b int) {
 		if failed.Load() {
 			return
 		}
@@ -495,51 +654,54 @@ func blockReduce(work []geom.Point, d int, cfg Config) ([]int32, int, int, error
 			fail(err)
 			return
 		}
+		w := &s.workers[wid]
 		lo, hi := b*n/nb, (b+1)*n/nb
 		var members []int32 // indices into work; nil when the block is contiguous
-		var blockPts []geom.Point
+		blockPts := work[lo:hi]
 		if zperm != nil {
-			members = append([]int32(nil), zperm[lo:hi]...)
-			sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-			blockPts = make([]geom.Point, len(members))
-			for i, m := range members {
-				blockPts[i] = work[m]
+			w.members = append(w.members[:0], zperm[lo:hi]...)
+			slices.Sort(w.members)
+			members = w.members
+			w.pts = w.pts[:0]
+			for _, m := range members {
+				w.pts = append(w.pts, work[m])
 			}
-		} else {
-			blockPts = work[lo:hi]
+			blockPts = w.pts
 		}
-		verts, err := subHull(cfg, d, blockPts)
+		// The survivors are copied out of the worker's sub-hull state into
+		// this block's run before the worker moves on (its next sub-hull
+		// rewinds the arena the vertex list lives in).
+		out := s.blockOut[lo:hi]
+		verts, err := w.hullVerts(cfg, d, blockPts)
 		switch {
 		case err == nil:
-			keep := make([]int32, len(verts))
 			for i, v := range verts {
 				if members != nil {
-					keep[i] = members[v]
+					out[i] = members[v]
 				} else {
-					keep[i] = int32(lo) + v
+					out[i] = int32(lo) + v
 				}
 			}
-			out[b] = keep
-		case errors.Is(err, hull2d.ErrDegenerate) || errors.Is(err, hulld.ErrDegenerate):
+			s.blockCnt[b] = int32(len(verts))
+		case isDegenerate(err):
 			// The block cannot support a sub-hull (collinear, coplanar, too
 			// small): keep every point. Correctness never depends on a block
 			// actually reducing.
 			degen.Add(1)
 			if members != nil {
-				out[b] = members
+				copy(out, members)
 			} else {
-				keep := make([]int32, hi-lo)
-				for i := range keep {
-					keep[i] = int32(lo + i)
+				for i := range out {
+					out[i] = int32(lo + i)
 				}
-				out[b] = keep
 			}
+			s.blockCnt[b] = int32(hi - lo)
 		default:
 			fail(err)
 		}
 	}
 
-	x := sched.NewExecutor(cfg.workers(), body)
+	x := sched.NewExecutor(nw, body)
 	for b := 0; b < nb; b++ {
 		x.Fork(sched.External, b)
 	}
@@ -551,66 +713,20 @@ func blockReduce(work []geom.Point, d int, cfg Config) ([]int32, int, int, error
 		return nil, nb, int(degen.Load()), err // a contained *sched.PanicError
 	}
 
+	// Compact the block runs in place: run b starts at b*n/nb, at or after
+	// the total length of the runs before it.
 	total := 0
-	for _, part := range out {
-		total += len(part)
+	for b := 0; b < nb; b++ {
+		lo := b * n / nb
+		total += copy(s.blockOut[total:], s.blockOut[lo:lo+int(s.blockCnt[b])])
 	}
-	keep := make([]int32, 0, total)
-	for _, part := range out {
-		keep = append(keep, part...)
-	}
+	keep := s.blockOut[:total]
 	if zperm != nil {
 		// Blocks were spatial, so their survivor runs interleave in input
 		// order; restore the global subsequence.
-		sort.Slice(keep, func(i, j int) bool { return keep[i] < keep[j] })
+		slices.Sort(keep)
 	}
 	return keep, nb, int(degen.Load()), nil
-}
-
-// subHull runs the sequential kernel over one block and returns the
-// block-local indices of its hull vertices (ascending).
-func subHull(cfg Config, d int, pts []geom.Point) ([]int32, error) {
-	if d == 2 {
-		res, err := hull2d.SeqCtx(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
-		if err != nil {
-			return nil, err
-		}
-		// 2D vertices come back in CCW hull order; the caller wants the
-		// ascending index subsequence.
-		verts := append([]int32(nil), res.Vertices...)
-		sort.Slice(verts, func(i, j int) bool { return verts[i] < verts[j] })
-		return verts, nil
-	}
-	res, err := hulld.SeqCtx(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
-	if err != nil {
-		return nil, err
-	}
-	return res.Vertices, nil
-}
-
-// subHullFacets runs the sequential kernel over the cull sample and returns
-// each alive facet's sample-local vertex list plus the hull vertex count.
-func subHullFacets(cfg Config, d int, pts []geom.Point) ([][]int32, int, error) {
-	if d == 2 {
-		res, err := hull2d.SeqCtx(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
-		if err != nil {
-			return nil, 0, err
-		}
-		facets := make([][]int32, len(res.Facets))
-		for i, f := range res.Facets {
-			facets[i] = []int32{f.A, f.B}
-		}
-		return facets, len(res.Vertices), nil
-	}
-	res, err := hulld.SeqCtx(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
-	if err != nil {
-		return nil, 0, err
-	}
-	facets := make([][]int32, len(res.Facets))
-	for i, f := range res.Facets {
-		facets[i] = f.Verts
-	}
-	return facets, len(res.Vertices), nil
 }
 
 // Gather materializes the reduced cloud: out[i] = pts[keep[i]]. The point

@@ -44,6 +44,7 @@ import (
 	"parhull/internal/hulld"
 	"parhull/internal/hullstats"
 	"parhull/internal/pointgen"
+	"parhull/internal/prehull"
 	"parhull/internal/sched"
 )
 
@@ -354,28 +355,22 @@ const (
 	preHullDense  = 4
 )
 
-// preHullWorthIt is the PreHullAuto probe. The sample is a prefix of the
-// working order, so with Shuffle on (or an already-random input) it is a
-// uniform sample; a sorted unshuffled input can fool it, in which case the
-// reduction is merely skipped or wasted — never wrong.
-func (o *Options) preHullWorthIt(work []Point, d int) bool {
+// preHullWorthIt is the PreHullAuto probe, run on the pre-hull's retained
+// sequential state s. The sample is a prefix of the working order, so with
+// Shuffle on (or an already-random input) it is a uniform sample; a sorted
+// unshuffled input can fool it, in which case the reduction is merely
+// skipped or wasted — never wrong.
+func (o *Options) preHullWorthIt(work []Point, s *prehull.Scratch) bool {
 	if len(work) < preHullMinN {
 		return false
 	}
-	sample := work[:preHullSample]
-	var verts int
-	if d == 2 {
-		res, err := hull2d.SeqCtx(o.Context, nil, sample, o.NoPlaneCache)
-		if err != nil {
-			return false // degenerate or canceled sample: run direct
-		}
-		verts = len(res.Vertices)
-	} else {
-		res, err := hulld.SeqCtx(o.Context, nil, sample, o.NoPlaneCache)
-		if err != nil {
-			return false
-		}
-		verts = len(res.Vertices)
+	verts, err := prehull.HullVertexCount(work[:preHullSample], prehull.Config{
+		Ctx:          o.Context,
+		NoPlaneCache: o.NoPlaneCache,
+		Scratch:      s,
+	})
+	if err != nil {
+		return false // degenerate or canceled sample: run direct
 	}
 	return verts <= preHullSample/preHullDense
 }
