@@ -14,7 +14,6 @@ import (
 	"parhull/internal/hull2d"
 	"parhull/internal/hulld"
 	"parhull/internal/pointgen"
-	"parhull/internal/sched"
 	"parhull/internal/stats"
 )
 
@@ -192,26 +191,17 @@ func BenchmarkHull3D(b *testing.B) {
 			}
 		}
 	})
-	// A3 — the fork-join substrate head-to-head on the uniform-in-ball
-	// workload (mostly interior points, so per-facet overheads dominate).
-	// The facet output is identical (Theorem 5.5); steal should win on both
-	// allocs/op (per-worker arenas) and ns/op (no goroutine spawn or
-	// channel-semaphore round-trip per forked chain).
+	// The uniform-in-ball workload: mostly interior points, so per-facet
+	// overheads (arena carves, fork handoffs) dominate.
 	ball := pointgen.Shuffled(pointgen.NewRNG(41), pointgen.UniformBall(pointgen.NewRNG(41), 100000, 3))
-	for _, cfg := range []struct {
-		name string
-		kind sched.Kind
-	}{{"ball100k/steal", sched.KindSteal}, {"ball100k/group", sched.KindGroup}} {
-		kind := cfg.kind
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := hulld.Par(ball, &hulld.Options{Sched: kind, NoCounters: true}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("ball100k/steal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := hulld.Par(ball, &hulld.Options{NoCounters: true}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // E9 — half-space intersection via duality.

@@ -130,12 +130,11 @@ func (b *Builder) maybePreHull(work []Point, order []int, d int) ([]Point, []int
 		return work, order, 0, 0, nil
 	}
 	red, err := prehull.Reduce(work, prehull.Config{
-		Workers:      o.Workers,
-		ZOrder:       !o.NoPreHullZOrder,
-		NoPlaneCache: o.NoPlaneCache,
-		Ctx:          o.Context,
-		Inject:       o.inject,
-		Scratch:      &b.ph,
+		Workers: o.Workers,
+		ZOrder:  !o.NoPreHullZOrder,
+		Ctx:     o.Context,
+		Inject:  o.inject,
+		Scratch: &b.ph,
 	})
 	if err != nil {
 		return nil, nil, 0, 0, err
@@ -183,21 +182,16 @@ func (b *Builder) Build(pts []Point) (out *HullDResult, err error) {
 	var fellBack bool
 	switch o.Engine {
 	case EngineSequential:
-		res, err = hulld.SeqCtx(o.Context, o.inject, work, o.NoPlaneCache)
+		res, err = hulld.SeqCtx(o.Context, o.inject, work, false)
 	case EngineParallel, EngineRounds:
 		run := func(m conmap.RidgeMap[*hulld.Facet]) (*hulld.Result, error) {
 			ho := &hulld.Options{
-				Map:           m,
-				Sched:         o.schedKind(),
-				GroupLimit:    o.GroupLimit,
-				Workers:       o.Workers,
-				NoCounters:    o.NoCounters,
-				FilterGrain:   o.FilterGrain,
-				NoPlaneCache:  o.NoPlaneCache,
-				NoBatchFilter: o.NoBatchFilter,
-				NoSoALayout:   o.NoSoALayout,
-				Ctx:           o.Context,
-				Inject:        o.inject,
+				Map:         m,
+				Workers:     o.Workers,
+				NoCounters:  o.NoCounters,
+				FilterGrain: o.FilterGrain,
+				Ctx:         o.Context,
+				Inject:      o.inject,
 			}
 			if o.Engine == EngineRounds {
 				return hulld.Rounds(work, ho)
@@ -297,21 +291,16 @@ func (b *Builder) Build2D(pts []Point) (out *Hull2DResult, err error) {
 	var fellBack bool
 	switch o.Engine {
 	case EngineSequential:
-		res, err = hull2d.SeqCtx(o.Context, o.inject, work, o.NoPlaneCache)
+		res, err = hull2d.SeqCtx(o.Context, o.inject, work, false)
 	case EngineParallel, EngineRounds:
 		run := func(m conmap.RidgeMap[*hull2d.Facet]) (*hull2d.Result, error) {
 			ho := &hull2d.Options{
-				Map:           m,
-				Sched:         o.schedKind(),
-				GroupLimit:    o.GroupLimit,
-				Workers:       o.Workers,
-				NoCounters:    o.NoCounters,
-				FilterGrain:   o.FilterGrain,
-				NoPlaneCache:  o.NoPlaneCache,
-				NoBatchFilter: o.NoBatchFilter,
-				NoSoALayout:   o.NoSoALayout,
-				Ctx:           o.Context,
-				Inject:        o.inject,
+				Map:         m,
+				Workers:     o.Workers,
+				NoCounters:  o.NoCounters,
+				FilterGrain: o.FilterGrain,
+				Ctx:         o.Context,
+				Inject:      o.inject,
 			}
 			if o.Engine == EngineRounds {
 				r, _, e := hull2d.Rounds(work, ho)

@@ -27,15 +27,16 @@ func facetMultiset(fs []Facet) map[string]int {
 	return m
 }
 
-// builderConfigs spans every schedule and both pre-hull settings — the axes
-// across which Build-on-a-reused-Builder must reproduce a fresh call exactly.
+// builderConfigs spans every schedule, two executor widths, and both
+// pre-hull settings — the axes across which Build-on-a-reused-Builder must
+// reproduce a fresh call exactly.
 func builderConfigs() []Options {
 	return []Options{
 		{Engine: EngineSequential, Shuffle: true, Seed: 3, PreHull: PreHullOff},
-		{Engine: EngineParallel, Sched: SchedSteal, Shuffle: true, Seed: 3, PreHull: PreHullOff},
-		{Engine: EngineParallel, Sched: SchedGroup, Shuffle: true, Seed: 3, PreHull: PreHullOff},
+		{Engine: EngineParallel, Shuffle: true, Seed: 3, PreHull: PreHullOff},
+		{Engine: EngineParallel, Workers: 1, Shuffle: true, Seed: 3, PreHull: PreHullOff},
 		{Engine: EngineRounds, Shuffle: true, Seed: 3, PreHull: PreHullOff},
-		{Engine: EngineParallel, Sched: SchedSteal, Shuffle: true, Seed: 3, PreHull: PreHullOn},
+		{Engine: EngineParallel, Shuffle: true, Seed: 3, PreHull: PreHullOn},
 		{Engine: EngineRounds, Shuffle: true, Seed: 3, PreHull: PreHullOn},
 	}
 }

@@ -36,7 +36,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generator / shuffle seed")
 		in      = flag.String("in", "", "read points from file instead of generating")
 		engine  = flag.String("engine", "par", "engine: seq | par | rounds")
-		schedK  = flag.String("sched", "steal", "par fork-join substrate: steal | group")
 		mapKind = flag.String("map", "sharded", "ridge map: sharded | cas | tas")
 		shuffle = flag.Bool("shuffle", true, "insert in random order (Theorem 1.1 regime)")
 		facets  = flag.Bool("facets", false, "print hull facets")
@@ -81,14 +80,6 @@ func main() {
 		opt.Engine = parhull.EngineRounds
 	default:
 		log.Fatalf("unknown engine %q", *engine)
-	}
-	switch *schedK {
-	case "steal":
-		opt.Sched = parhull.SchedSteal
-	case "group":
-		opt.Sched = parhull.SchedGroup
-	default:
-		log.Fatalf("unknown sched %q", *schedK)
 	}
 	switch *mapKind {
 	case "sharded":

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"testing"
 	"time"
 
 	"parhull/internal/core"
@@ -15,12 +14,10 @@ import (
 	"parhull/internal/trapezoid"
 )
 
-// expFilter — A1 (ablation): how conflict lists are filtered. Two knobs:
-// parallel vs serial chunking (the paper's span bound needs the big
-// early-round lists filtered in parallel — approximate compaction in the
-// CRCW analysis), and the batched two-phase pipeline vs the per-point
-// closure path (the merge/filter split of DESIGN.md §4.3). Outputs and test
-// counts are identical by construction on every row.
+// expFilter — A1 (ablation): parallel vs serial chunking of conflict-list
+// filtering (the paper's span bound needs the big early-round lists filtered
+// in parallel — approximate compaction in the CRCW analysis). Outputs and
+// test counts are identical by construction on every row.
 func expFilter() {
 	n := sz(400000)
 	pts := pointgen.OnCircle(pointgen.NewRNG(12), n)
@@ -45,51 +42,6 @@ func expFilter() {
 	}
 	w.Flush()
 	fmt.Println("identical counts confirm the ablation only reshapes the schedule, not the work.")
-	fmt.Println()
-
-	// Batched pipeline vs pointwise closure, measured with testing.Benchmark
-	// so allocation behavior is visible alongside wall clock.
-	type workload struct {
-		name string
-		dim  int
-		pts  []geom.Point
-	}
-	wls := []workload{
-		{"2d-circle", 2, pointgen.OnCircle(pointgen.NewRNG(12), sz(200000))},
-		{"3d-sphere", 3, pointgen.OnSphere(pointgen.NewRNG(15), sz(20000), 3)},
-		{"3d-ball", 3, pointgen.Shuffled(pointgen.NewRNG(16), pointgen.UniformBall(pointgen.NewRNG(16), sz(100000), 3))},
-	}
-	w = table()
-	fmt.Fprintln(w, "workload\tfilter\tns/op\tallocs/op\tB/op")
-	for _, wl := range wls {
-		for _, mode := range []struct {
-			name    string
-			closure bool
-		}{{"batch", false}, {"closure", true}} {
-			closure := mode.closure
-			dim := wl.dim
-			pts := wl.pts
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if dim == 2 {
-						_, err = hull2d.Par(pts, &hull2d.Options{NoCounters: true, NoBatchFilter: closure})
-					} else {
-						_, err = hulld.Par(pts, &hulld.Options{NoCounters: true, NoBatchFilter: closure})
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			fmt.Fprintf(w, "%s\t%s\t%.0f\t%d\t%d\n", wl.name, mode.name,
-				float64(r.T.Nanoseconds())/float64(r.N), r.AllocsPerOp(), r.AllocedBytesPerOp())
-		}
-	}
-	w.Flush()
-	fmt.Println("batch = predicate-free merge + one filter call per candidate run (default);")
-	fmt.Println("closure = per-point predicate dispatch (NoBatchFilter). Same survivor lists.")
 }
 
 // expPlane — A2 (ablation): cached facet hyperplanes vs exact determinants

@@ -9,11 +9,10 @@
 // Experiments: depth (E1), tail (E2), rounds (E3), work (E4), conflicts
 // (E5), figure1 (E6), support (E7), corner (E8), halfspace (E9),
 // circles (E9), map (E10), speedup (E11), filter (A1 ablation),
-// plane (A2 ablation), sched (A3 ablation), perf (machine-readable
-// benchmark export), reuse (Builder steady-state allocation gate),
-// delaunay (extension), trapezoid (E13, the Section 4 counterexample),
-// spaces (all configuration spaces on the fast engine), scale (large-n
-// layout A/B and 1e7+ rows; add -huge for the 1e8 row).
+// plane (A2 ablation), perf (machine-readable benchmark export), reuse
+// (Builder steady-state allocation gate), delaunay (extension), trapezoid
+// (E13, the Section 4 counterexample), spaces (all configuration spaces on
+// the fast engine), scale (the 1e7 row; add -huge for the 1e8 row).
 package main
 
 import (
@@ -57,13 +56,12 @@ func main() {
 		{"speedup", "E11: parallel self-speedup of Algorithm 3", expSpeedup},
 		{"filter", "A1: ablation — parallel vs serial conflict filtering", expFilter},
 		{"plane", "A2: ablation — cached facet hyperplanes vs exact determinants", expPlane},
-		{"sched", "A3: ablation — Group fork-join vs the work-stealing executor", expSched},
 		{"perf", "PERF: machine-readable ns/op + allocs/op export (BENCH_parhull.json)", expPerf},
 		{"reuse", "REUSE: Builder first-build vs steady-state cost + CI allocation gate", expReuse},
 		{"delaunay", "EXT: dependence depth of incremental 2D Delaunay", expDelaunay},
 		{"trapezoid", "E13: the Section 4 counterexample — no constant support", expTrapezoid},
 		{"spaces", "EXT: all configuration spaces on the fast engine (BENCH_parhull.json rows)", expSpaces},
-		{"scale", "SCALE: 1e6 layout A/B + 1e7 (1e8 with -huge) large-n rows (BENCH_parhull.json)", expScale},
+		{"scale", "SCALE: 1e7 (1e8 with -huge) large-n rows (BENCH_parhull.json)", expScale},
 	}
 	if *exp == "all" {
 		for _, e := range exps {

@@ -14,21 +14,21 @@ import (
 	"parhull/internal/hull2d"
 	"parhull/internal/hulld"
 	"parhull/internal/pointgen"
-	"parhull/internal/sched"
 )
 
 var benchOut = flag.String("out", "BENCH_parhull.json", "output path for the -exp perf report")
 
-// perfEntry is one (workload, substrate) measurement. ns/op, allocs/op and
+// perfEntry is one (workload, schedule) measurement. ns/op, allocs/op and
 // B/op come from testing.Benchmark; facets, depth and rounds are structural
-// properties of the workload (identical across substrates, Theorem 5.5) from
-// one counted run each of Par and Rounds.
+// properties of the workload (identical across schedules, Theorem 5.5) from
+// one counted run each of Par and Rounds. Sched names the row's schedule or
+// phase ("steal" for the parallel engine; the reuse and spaces experiments
+// use their own labels).
 type perfEntry struct {
 	Workload    string  `json:"workload"`
 	N           int     `json:"n"`
 	Dim         int     `json:"dim"`
 	Sched       string  `json:"sched"`
-	Filter      string  `json:"filter"`
 	Procs       int     `json:"procs"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -60,9 +60,9 @@ type perfReport struct {
 	Entries    []perfEntry `json:"entries"`
 }
 
-// expPerf — machine-readable benchmark export. Runs each workload under both
-// fork-join substrates with testing.Benchmark and writes BENCH_parhull.json
-// (CI uploads it as an artifact), so regressions in ns/op or allocs/op are
+// expPerf — machine-readable benchmark export. Runs each workload on the
+// parallel engine with testing.Benchmark and writes BENCH_parhull.json (CI
+// uploads it as an artifact), so regressions in ns/op or allocs/op are
 // diffable across commits without scraping table output.
 func expPerf() {
 	type workload struct {
@@ -85,7 +85,7 @@ func expPerf() {
 		Date:       time.Now().UTC().Format(time.RFC3339),
 	}
 	w := table()
-	fmt.Fprintln(w, "workload\tsched\tfilter\tns/op\tallocs/op\tB/op\tfacets\tdepth\trounds\tpeakB")
+	fmt.Fprintln(w, "workload\tns/op\tallocs/op\tB/op\tfacets\tdepth\trounds\tpeakB")
 	for _, wl := range wls {
 		var facets, depth, rounds int
 		var peak int64
@@ -112,51 +112,38 @@ func expPerf() {
 			}
 			rounds = rres.Stats.Rounds
 		}
-		for _, c := range []struct {
-			name    string
-			kind    sched.Kind
-			filter  string
-			closure bool
-		}{
-			{"steal", sched.KindSteal, "batch", false},
-			{"group", sched.KindGroup, "batch", false},
-			{"steal", sched.KindSteal, "closure", true},
-		} {
-			kind, closure := c.kind, c.closure
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var err error
-					if wl.dim == 2 {
-						_, err = hull2d.Par(wl.pts, &hull2d.Options{Sched: kind, NoCounters: true, NoBatchFilter: closure})
-					} else {
-						_, err = hulld.Par(wl.pts, &hulld.Options{Sched: kind, NoCounters: true, NoBatchFilter: closure})
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if wl.dim == 2 {
+					_, err = hull2d.Par(wl.pts, &hull2d.Options{NoCounters: true})
+				} else {
+					_, err = hulld.Par(wl.pts, &hulld.Options{NoCounters: true})
 				}
-			})
-			e := perfEntry{
-				Workload:    wl.name,
-				N:           len(wl.pts),
-				Dim:         wl.dim,
-				Sched:       c.name,
-				Filter:      c.filter,
-				Procs:       runtime.GOMAXPROCS(0),
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-				Iterations:  r.N,
-				Facets:      facets,
-				Depth:       depth,
-				Rounds:      rounds,
-				PeakBytes:   peak,
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
-			report.Entries = append(report.Entries, e)
-			fmt.Fprintf(w, "%s\t%s\t%s\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\n", e.Workload, e.Sched,
-				e.Filter, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp, e.Facets, e.Depth, e.Rounds, e.PeakBytes)
+		})
+		e := perfEntry{
+			Workload:    wl.name,
+			N:           len(wl.pts),
+			Dim:         wl.dim,
+			Sched:       "steal",
+			Procs:       runtime.GOMAXPROCS(0),
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			Iterations:  r.N,
+			Facets:      facets,
+			Depth:       depth,
+			Rounds:      rounds,
+			PeakBytes:   peak,
 		}
+		report.Entries = append(report.Entries, e)
+		fmt.Fprintf(w, "%s\t%.0f\t%d\t%d\t%d\t%d\t%d\t%d\n", e.Workload,
+			e.NsPerOp, e.AllocsPerOp, e.BytesPerOp, e.Facets, e.Depth, e.Rounds, e.PeakBytes)
 	}
 	w.Flush()
 	data, err := json.MarshalIndent(&report, "", "  ")

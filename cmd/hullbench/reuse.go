@@ -28,17 +28,22 @@ var reusePeakGate = flag.Float64("reuse-peak-gate", 10,
 // worker pool, arenas, ridge table, and output buffers; every later Build
 // recycles them. This experiment measures both phases on the headline perf
 // workload (3d-ball-100k, counters off, direct path — the same configuration
-// as the perf export's steal row), appends the two rows to
-// BENCH_parhull.json, and acts as the CI allocation gate: a steady-state
-// allocs/op above -reuse-gate fails the run, so a pooling regression (a
-// buffer silently dropped from the reuse path) cannot land quietly. A third
-// row repeats the steady state under the default options (Shuffle on,
-// PreHullAuto), where the pre-hull probe, cull, and block sub-hulls run too;
-// reuseDefaultGate bounds it.
+// as the perf export's steal row), appends the rows to BENCH_parhull.json,
+// and acts as the CI allocation gate: a steady-state allocs/op above
+// -reuse-gate fails the run, so a pooling regression (a buffer silently
+// dropped from the reuse path) cannot land quietly. The direct-path rows run
+// at GOMAXPROCS=1, the configuration the gate was recorded at: with more
+// procs, conflict lists long enough to split spawn parallel filter pieces
+// whose goroutines and pooled scratch scale with P, so the count would
+// measure the runner, not the pooling. The live-heap peak of the memory gate
+// and a further row — the steady state under the default options (Shuffle
+// on, PreHullAuto), where the pre-hull probe, cull, and block sub-hulls run
+// too; reuseDefaultGate bounds it — are measured at full P.
 func expReuse() {
 	pts := pointgen.Shuffled(pointgen.NewRNG(41), pointgen.UniformBall(pointgen.NewRNG(41), sz(100000), 3))
 	opt := &parhull.Options{NoCounters: true, PreHull: parhull.PreHullOff}
 
+	procs := runtime.GOMAXPROCS(1)
 	first := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -64,6 +69,24 @@ func expReuse() {
 		}
 	})
 
+	runtime.GOMAXPROCS(procs)
+
+	// One counted steady-state Build (counters on, same pooled Builder state)
+	// samples the live-heap peak for the memory gate. PeakBytes needs the
+	// counter infrastructure, so it cannot come from the timed runs above.
+	// It runs at full P: at P=1 a steady-state build grows the live heap by
+	// nothing, which would leave the relative peak gate nothing to compare.
+	counted := parhull.NewBuilder(&parhull.Options{PreHull: parhull.PreHullOff})
+	defer counted.Close()
+	if _, err := counted.Build(pts); err != nil {
+		log.Fatalf("reuse: counted warm-up build: %v", err)
+	}
+	cres, err := counted.Build(pts)
+	if err != nil {
+		log.Fatalf("reuse: counted steady build: %v", err)
+	}
+	peak := cres.Stats.PeakBytes
+
 	def := parhull.NewBuilder(&parhull.Options{Shuffle: true, Seed: 1})
 	defer def.Close()
 	if _, err := def.Build(pts); err != nil {
@@ -78,35 +101,18 @@ func expReuse() {
 		}
 	})
 
-	// One counted steady-state Build (counters on, same pooled Builder state)
-	// samples the live-heap peak for the memory gate. PeakBytes needs the
-	// counter infrastructure, so it cannot come from the timed runs above.
-	counted := parhull.NewBuilder(&parhull.Options{PreHull: parhull.PreHullOff})
-	defer counted.Close()
-	if _, err := counted.Build(pts); err != nil {
-		log.Fatalf("reuse: counted warm-up build: %v", err)
-	}
-	cres, err := counted.Build(pts)
-	if err != nil {
-		log.Fatalf("reuse: counted steady build: %v", err)
-	}
-	peak := cres.Stats.PeakBytes
-
 	w := table()
-	fmt.Fprintln(w, "phase\tns/op\tallocs/op\tB/op\tpeakB")
-	fmt.Fprintf(w, "first-build\t%.0f\t%d\t%d\t\n",
+	fmt.Fprintf(w, "phase\tns/op\tallocs/op\tB/op\tpeakB (P=%d)\n", procs)
+	fmt.Fprintf(w, "first-build (P=1)\t%.0f\t%d\t%d\t\n",
 		float64(first.T.Nanoseconds())/float64(first.N), first.AllocsPerOp(), first.AllocedBytesPerOp())
-	fmt.Fprintf(w, "steady-state\t%.0f\t%d\t%d\t%d\n",
+	fmt.Fprintf(w, "steady-state (P=1)\t%.0f\t%d\t%d\t%d\n",
 		float64(steady.T.Nanoseconds())/float64(steady.N), steady.AllocsPerOp(), steady.AllocedBytesPerOp(), peak)
-	fmt.Fprintf(w, "steady-default\t%.0f\t%d\t%d\t\n",
+	fmt.Fprintf(w, "steady-default (P=%d)\t%.0f\t%d\t%d\t\n", procs,
 		float64(steadyDefault.T.Nanoseconds())/float64(steadyDefault.N), steadyDefault.AllocsPerOp(), steadyDefault.AllocedBytesPerOp())
 	w.Flush()
 
-	prevPeak := appendReuseEntries(len(pts), first, steady, steadyDefault, peak)
+	prevPeak := appendReuseEntries(len(pts), procs, first, steady, steadyDefault, peak)
 
-	// The default-options gate is checked first, so its verdict is reported
-	// even when the PreHullOff gate trips (that row's parallel filtering
-	// spawns grow with GOMAXPROCS).
 	if steadyDefault.AllocsPerOp() > reuseDefaultGate {
 		log.Fatalf("reuse default gate: default-options steady-state allocs/op = %d exceeds the gate of %d",
 			steadyDefault.AllocsPerOp(), reuseDefaultGate)
@@ -131,10 +137,11 @@ func expReuse() {
 // appendReuseEntries merges the three reuse rows into the perf report at
 // -out (replacing any previous reuse rows; creating the report when the perf
 // experiment has not run), so BENCH_parhull.json carries the first-build and
-// both steady-state numbers alongside the per-substrate rows. It returns the
-// PeakBytes of the reuse-steady row being replaced (0 when there is none) —
-// the baseline for the relative peak gate.
-func appendReuseEntries(n int, first, steady, steadyDefault testing.BenchmarkResult, peak int64) int64 {
+// both steady-state numbers alongside the perf rows; procs is the
+// GOMAXPROCS of the default-options row and of the peak sample (the timed
+// direct-path rows ran at 1). It returns the PeakBytes of the reuse-steady row being replaced (0 when there
+// is none) — the baseline for the relative peak gate.
+func appendReuseEntries(n, procs int, first, steady, steadyDefault testing.BenchmarkResult, peak int64) int64 {
 	var prevPeak int64
 	report := perfReport{
 		GoVersion:  runtime.Version(),
@@ -161,16 +168,16 @@ func appendReuseEntries(n int, first, steady, steadyDefault testing.BenchmarkRes
 	}
 	for _, row := range []struct {
 		sched string
+		procs int
 		r     testing.BenchmarkResult
 		peak  int64
-	}{{"reuse-first", first, 0}, {"reuse-steady", steady, peak}, {"reuse-steady-default", steadyDefault, 0}} {
+	}{{"reuse-first", 1, first, 0}, {"reuse-steady", 1, steady, peak}, {"reuse-steady-default", procs, steadyDefault, 0}} {
 		report.Entries = append(report.Entries, perfEntry{
 			Workload:    "3d-ball-100k",
 			N:           n,
 			Dim:         3,
 			Sched:       row.sched,
-			Filter:      "batch",
-			Procs:       runtime.GOMAXPROCS(0),
+			Procs:       row.procs,
 			NsPerOp:     float64(row.r.T.Nanoseconds()) / float64(row.r.N),
 			AllocsPerOp: row.r.AllocsPerOp(),
 			BytesPerOp:  row.r.AllocedBytesPerOp(),

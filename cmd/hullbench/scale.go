@@ -7,11 +7,9 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"sort"
 	"text/tabwriter"
 	"time"
 
-	"parhull/internal/geom"
 	"parhull/internal/hulld"
 	"parhull/internal/pointgen"
 )
@@ -19,88 +17,19 @@ import (
 var hugeScale = flag.Bool("huge", false,
 	"include the 3d-ball-100m row in -exp scale (minutes of runtime, several GB of memory)")
 
-// scalePairs is the number of interleaved A/B timing pairs in the layout
-// comparison. Interleaving (soa, nosoa, soa, nosoa, ...) instead of running
-// each variant's repetitions back to back means slow drift in machine state
-// (thermal, cache, background load) lands on both variants equally; the
-// median of each variant's samples is reported.
-const scalePairs = 3
-
 // scaleWorkloads are the workload names owned by -exp scale; the merge into
 // BENCH_parhull.json replaces exactly these rows.
-var scaleWorkloads = []string{"3d-ball-1m", "3d-ball-10m", "3d-ball-100m"}
+var scaleWorkloads = []string{"3d-ball-10m", "3d-ball-100m"}
 
-// expScale — the large-n opening of the cache-conscious layout work
-// (DESIGN.md §4.7). Two parts:
-//
-//  1. 3d-ball-1m: a paired, interleaved A/B of the structure-of-arrays plane
-//     layout against the NoSoALayout ablation on the steal schedule, after
-//     asserting the two layouts produce the identical facet multiset. Both
-//     rows land in BENCH_parhull.json, so the layout win is diffable.
-//  2. 3d-ball-10m (and 3d-ball-100m behind -huge): one counted run each with
-//     counters on, recording ns/op, allocs, and the sampled live-heap peak —
-//     the evidence that the grow-only arenas hold at 1e7+.
+// expScale — the large-n rows (DESIGN.md §4.7): one counted run each of
+// 3d-ball-10m (and 3d-ball-100m behind -huge) with counters on, recording
+// ns/op, allocs, and the sampled live-heap peak — the evidence that the
+// grow-only arenas hold at 1e7+. The rows land in BENCH_parhull.json.
 func expScale() {
 	w := table()
 	fmt.Fprintln(w, "workload\tsched\tns/op\tallocs/op\tB/op\tfacets\tdepth\tpeakB")
 	var entries []perfEntry
 
-	// Part 1: layout A/B at one million points.
-	n := sz(1000000)
-	pts := pointgen.Shuffled(pointgen.NewRNG(45), pointgen.UniformBall(pointgen.NewRNG(45), n, 3))
-	soaRes, err := hulld.Par(pts, &hulld.Options{})
-	if err != nil {
-		log.Fatalf("scale 3d-ball-1m: %v", err)
-	}
-	noRes, err := hulld.Par(pts, &hulld.Options{NoSoALayout: true})
-	if err != nil {
-		log.Fatalf("scale 3d-ball-1m nosoa: %v", err)
-	}
-	gs, ns := soaRes.FacetSet(), noRes.FacetSet()
-	if len(gs) != len(ns) {
-		log.Fatalf("scale: layouts disagree: %d distinct facets with SoA, %d without", len(gs), len(ns))
-	}
-	for k, c := range gs {
-		if ns[k] != c {
-			log.Fatalf("scale: facet %x multiplicity %d with SoA, %d without", k, c, ns[k])
-		}
-	}
-	var soa, nosoa []scaleSample
-	for i := 0; i < scalePairs; i++ {
-		soa = append(soa, runScale(pts, false))
-		nosoa = append(nosoa, runScale(pts, true))
-	}
-	for _, row := range []struct {
-		sched   string
-		samples []scaleSample
-		res     *hulld.Result
-	}{{"steal", soa, soaRes}, {"steal-nosoa", nosoa, noRes}} {
-		s := medianSample(row.samples)
-		e := perfEntry{
-			Workload:    "3d-ball-1m",
-			N:           n,
-			Dim:         3,
-			Sched:       row.sched,
-			Filter:      "batch",
-			Procs:       runtime.GOMAXPROCS(0),
-			NsPerOp:     float64(s.ns),
-			AllocsPerOp: s.allocs,
-			BytesPerOp:  s.bytes,
-			Iterations:  scalePairs,
-			Facets:      len(row.res.Created),
-			Depth:       row.res.Stats.MaxDepth,
-			PeakBytes:   row.res.Stats.PeakBytes,
-		}
-		entries = append(entries, e)
-		printScaleRow(w, e)
-	}
-	if a, b := medianSample(soa).ns, medianSample(nosoa).ns; b > 0 {
-		fmt.Fprintf(w, "(SoA layout vs ablation: %+.1f%%)\t\t\t\t\t\t\t\n", 100*float64(a-b)/float64(b))
-	}
-	soaRes, noRes, pts = nil, nil, nil
-
-	// Part 2: counted runs at 1e7 (and 1e8 behind -huge), counters on so the
-	// live-heap peak is sampled.
 	sizes := []struct {
 		name string
 		n    int
@@ -129,7 +58,6 @@ func expScale() {
 			N:           sp.n,
 			Dim:         3,
 			Sched:       "steal",
-			Filter:      "batch",
 			Procs:       runtime.GOMAXPROCS(0),
 			NsPerOp:     float64(elapsed),
 			AllocsPerOp: int64(m1.Mallocs - m0.Mallocs),
@@ -144,42 +72,6 @@ func expScale() {
 	}
 	w.Flush()
 	appendScaleEntries(entries)
-}
-
-type scaleSample struct{ ns, allocs, bytes int64 }
-
-// runScale times one counters-off steal-schedule build and reads the
-// allocation deltas from runtime.MemStats (Mallocs and TotalAlloc are
-// monotonic, so the delta is exact even with the concurrent GC running).
-func runScale(pts []geom.Point, noSoA bool) scaleSample {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	if _, err := hulld.Par(pts, &hulld.Options{NoCounters: true, NoSoALayout: noSoA}); err != nil {
-		log.Fatalf("scale: %v", err)
-	}
-	ns := time.Since(t0).Nanoseconds()
-	runtime.ReadMemStats(&m1)
-	return scaleSample{ns, int64(m1.Mallocs - m0.Mallocs), int64(m1.TotalAlloc - m0.TotalAlloc)}
-}
-
-// medianSample takes the per-field median (ns decides the pairing story;
-// allocs and bytes are near-constant across runs anyway).
-func medianSample(s []scaleSample) scaleSample {
-	pick := func(get func(scaleSample) int64) int64 {
-		v := make([]int64, len(s))
-		for i, x := range s {
-			v[i] = get(x)
-		}
-		sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-		return v[len(v)/2]
-	}
-	return scaleSample{
-		ns:     pick(func(x scaleSample) int64 { return x.ns }),
-		allocs: pick(func(x scaleSample) int64 { return x.allocs }),
-		bytes:  pick(func(x scaleSample) int64 { return x.bytes }),
-	}
 }
 
 func printScaleRow(w *tabwriter.Writer, e perfEntry) {

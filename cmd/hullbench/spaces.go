@@ -63,7 +63,6 @@ func expSpaces() {
 			N:           n,
 			Dim:         2,
 			Sched:       sched,
-			Filter:      "batch",
 			Procs:       runtime.GOMAXPROCS(0),
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),

@@ -149,7 +149,6 @@ func expSpeedup() {
 					N:          len(wl.pts),
 					Dim:        wl.dim,
 					Sched:      "steal",
-					Filter:     "batch",
 					Procs:      p,
 					PreHull:    prehull,
 					NsPerOp:    ns,
@@ -178,7 +177,7 @@ func expSpeedup() {
 		}
 		times[i] = ns
 		report.Entries = append(report.Entries, perfEntry{
-			Workload: big.name, N: len(big.pts), Dim: 3, Sched: "steal", Filter: "batch",
+			Workload: big.name, N: len(big.pts), Dim: 3, Sched: "steal",
 			Procs: pm, PreHull: prehull, NsPerOp: ns, Iterations: *speedupReps, PreKept: kept,
 		})
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -35,14 +36,22 @@ func writeReplay(path string, out Outcome) error {
 	return os.WriteFile(path, append(b, '\n'), 0o644)
 }
 
+// readReplay decodes a replay file strictly: an unknown field or a spec no
+// current trial can carry (validate) is an error, so a file recorded with a
+// configuration axis that no longer exists is refused instead of replayed
+// as a different trial.
 func readReplay(path string) (ReplayFile, error) {
 	var rf ReplayFile
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return rf, err
 	}
-	err = json.Unmarshal(b, &rf)
-	return rf, err
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&rf); err != nil {
+		return rf, err
+	}
+	return rf, rf.Spec.validate()
 }
 
 // Reproduce re-runs a recorded violation and reports whether it reproduced
@@ -76,8 +85,6 @@ func Shrink(sp TrialSpec, deadline time.Duration, log func(string)) TrialSpec {
 		{"default map", func(c TrialSpec) TrialSpec { c.MapMode = ""; return c }},
 		{"default pre-hull", func(c TrialSpec) TrialSpec { c.PreHull = ""; return c }},
 		{"default filter grain", func(c TrialSpec) TrialSpec { c.FilterGrain = 0; return c }},
-		{"default SoA layout", func(c TrialSpec) TrialSpec { c.NoSoALayout = false; return c }},
-		{"default batch filter", func(c TrialSpec) TrialSpec { c.NoBatchFilter = false; return c }},
 		{"default workers", func(c TrialSpec) TrialSpec { c.Workers = 0; return c }},
 		{"no shuffle", func(c TrialSpec) TrialSpec { c.Shuffle = false; return c }},
 	} {

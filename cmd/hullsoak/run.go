@@ -62,20 +62,16 @@ func (o Outcome) Summary() string {
 // injector and the cancellation hook.
 func buildOptions(sp TrialSpec) (*parhull.Options, context.CancelFunc) {
 	o := &parhull.Options{
-		Shuffle:       sp.Shuffle,
-		Seed:          sp.ShuffleSeed,
-		FilterGrain:   sp.FilterGrain,
-		NoSoALayout:   sp.NoSoALayout,
-		NoBatchFilter: sp.NoBatchFilter,
-		Workers:       sp.Workers,
+		Shuffle:     sp.Shuffle,
+		Seed:        sp.ShuffleSeed,
+		FilterGrain: sp.FilterGrain,
+		Workers:     sp.Workers,
 	}
 	switch sp.Engine {
 	case "seq":
 		o.Engine = parhull.EngineSequential
 	case "rounds":
 		o.Engine = parhull.EngineRounds
-	case "par-group":
-		o.Sched = parhull.SchedGroup
 	}
 	switch sp.MapMode {
 	case "cas":

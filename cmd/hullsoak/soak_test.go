@@ -46,7 +46,11 @@ func TestTrialsDeterministic(t *testing.T) {
 }
 
 // plantedSpec is a candidate configuration for exercising the planted
-// scan-kernel defect: d=3 hulls on a ball cloud, parallel engine, shuffled.
+// scan-kernel defect: d=3 hulls on a ball cloud, parallel engine, shuffled,
+// on one worker. The defect corrupts conflict lists, which voids the
+// schedule independence of Theorem 5.5, so with more workers the same spec
+// can fail differently from run to run and the bit-for-bit replay check
+// below would test the schedule, not the rig.
 func plantedSpec(seed uint64) TrialSpec {
 	return TrialSpec{
 		Seed:        seed,
@@ -58,6 +62,7 @@ func plantedSpec(seed uint64) TrialSpec {
 		GenSeed:     int64(seed),
 		Shuffle:     true,
 		ShuffleSeed: int64(seed) + 1,
+		Workers:     1,
 	}
 }
 
@@ -137,5 +142,36 @@ func TestReplayFileRoundTrip(t *testing.T) {
 	}
 	if rf.Spec != sp || rf.Violation != "synthetic" || rf.Fingerprint != "deadbeef" {
 		t.Fatalf("round trip mismatch: %+v", rf)
+	}
+}
+
+// TestReplayRejectsRemovedAxes checks strict replay decoding: a file that
+// names a configuration field or an engine this rig no longer has — as an
+// old replay file recorded against a removed axis would — is refused with an
+// error instead of being replayed as some other trial, while the same file
+// without the stale setting still loads.
+func TestReplayRejectsRemovedAxes(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, spec string
+		ok         bool
+	}{
+		{"current", `{"seed": 7, "space": "hulld", "engine": "par-steal", "n": 50, "d": 3, "gen": "ball", "genSeed": 1}`, true},
+		{"unknown field", `{"seed": 7, "space": "hulld", "engine": "par-steal", "n": 50, "d": 3, "gen": "ball", "genSeed": 1, "noSoALayout": true}`, false},
+		{"unknown engine", `{"seed": 7, "space": "hulld", "engine": "par-group", "n": 50, "d": 3, "gen": "ball", "genSeed": 1}`, false},
+		{"engine on a single-engine space", `{"seed": 7, "space": "circles", "engine": "seq", "n": 5, "d": 2, "gen": "near", "genSeed": 1}`, false},
+		{"unknown space", `{"seed": 7, "space": "voronoi", "n": 5, "gen": "near", "genSeed": 1}`, false},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".json")
+		if err := os.WriteFile(path, []byte(`{"spec": `+tc.spec+`, "violation": "recorded"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := readReplay(path)
+		if tc.ok && err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Fatalf("%s: stale replay file accepted", tc.name)
+		}
 	}
 }

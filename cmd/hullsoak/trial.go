@@ -16,6 +16,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"parhull"
 	"parhull/internal/faultinject"
@@ -52,8 +53,6 @@ type TrialSpec struct {
 	ShuffleSeed   int64      `json:"shuffleSeed,omitempty"`
 	PreHull       string     `json:"preHull,omitempty"` // "" auto, "on", "off"
 	FilterGrain   int        `json:"filterGrain,omitempty"`
-	NoSoALayout   bool       `json:"noSoALayout,omitempty"`
-	NoBatchFilter bool       `json:"noBatchFilter,omitempty"`
 	MapMode       string     `json:"mapMode,omitempty"` // "" sharded, "cas", "tas"
 	Workers       int        `json:"workers,omitempty"`
 	CancelAfterUS int64      `json:"cancelAfterUs,omitempty"`
@@ -117,6 +116,33 @@ func (r *trng) pick(choices []string, weights []int) string {
 	return choices[len(choices)-1]
 }
 
+// spaceEngines lists the engine names each space's trials carry ("" for the
+// spaces with a single engine).
+var spaceEngines = map[string][]string{
+	"hulld":     {"par-steal", "seq", "rounds"},
+	"hull2d":    {"par-steal", "seq", "rounds"},
+	"delaunay":  {"par-steal", "seq", "rounds"},
+	"halfspace": {"dual", "direct"},
+	"circles":   {""},
+	"trapezoid": {""},
+	"corner":    {""},
+}
+
+// validate rejects a spec no trial can carry: an unknown space, or an engine
+// name its space does not run — such as one a removed configuration axis
+// used to select. Replays check it, so an old replay file fails loudly
+// instead of silently running a different configuration.
+func (sp TrialSpec) validate() error {
+	names, ok := spaceEngines[sp.Space]
+	if !ok {
+		return fmt.Errorf("unknown space %q", sp.Space)
+	}
+	if !slices.Contains(names, sp.Engine) {
+		return fmt.Errorf("space %s has no engine %q (want one of %q)", sp.Space, sp.Engine, names)
+	}
+	return nil
+}
+
 // trialSeed derives the i-th trial seed from the root seed.
 func trialSeed(root uint64, i int) uint64 {
 	r := trng{s: root ^ (uint64(i)+1)*0xd1342543de82ef95}
@@ -149,17 +175,17 @@ func deriveTrial(seed uint64) TrialSpec {
 			sp.N = r.rangeInt(14, 80)
 		}
 		sp.Gen = r.pickPointGen(sp.D)
-		sp.Engine = r.pick([]string{"par-steal", "par-group", "seq", "rounds"}, []int{40, 20, 25, 15})
+		sp.Engine = r.pick(spaceEngines[sp.Space], []int{60, 25, 15})
 	case "hull2d":
 		sp.D = 2
 		sp.N = r.rangeInt(4, 4000)
 		sp.Gen = r.pickPointGen(2)
-		sp.Engine = r.pick([]string{"par-steal", "par-group", "seq", "rounds"}, []int{40, 20, 25, 15})
+		sp.Engine = r.pick(spaceEngines[sp.Space], []int{60, 25, 15})
 	case "delaunay":
 		sp.D = 2
 		sp.N = r.rangeInt(4, 300)
 		sp.Gen = r.pickPointGen(2)
-		sp.Engine = r.pick([]string{"par-steal", "par-group", "seq", "rounds"}, []int{40, 20, 25, 15})
+		sp.Engine = r.pick(spaceEngines[sp.Space], []int{60, 25, 15})
 	case "halfspace":
 		sp.D = r.rangeInt(2, 4)
 		sp.N = r.rangeInt(sp.D+2, 60)
@@ -187,8 +213,6 @@ func deriveTrial(seed uint64) TrialSpec {
 	}
 	if sp.Space == "hulld" || sp.Space == "hull2d" || sp.Space == "delaunay" {
 		sp.FilterGrain = []int{0, 0, 1, 8, 1 << 20}[r.intn(5)]
-		sp.NoSoALayout = r.pct(20)
-		sp.NoBatchFilter = r.pct(20)
 		sp.MapMode = r.pick([]string{"", "cas", "tas"}, []int{55, 25, 20})
 		sp.Workers = []int{0, 0, 0, 1, 2, 4}[r.intn(6)]
 	}

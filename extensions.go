@@ -41,8 +41,8 @@ type HalfspaceResult struct {
 // hull of the normal vectors (Section 7). The intersection must be bounded,
 // i.e. the normals must positively span R^d — prepend
 // HalfspaceBoundingSimplex to guarantee it. Normals are consumed in input
-// order unless Options.Shuffle is set. Options.Sched, Workers, and Context
-// plumb through to the underlying hull engine.
+// order unless Options.Shuffle is set. Options.Workers and Context plumb
+// through to the underlying hull engine.
 func HalfspaceIntersection(normals []Point, opt *Options) (out *HalfspaceResult, err error) {
 	defer guard(&err)
 	o := opt.or()
@@ -56,16 +56,12 @@ func HalfspaceIntersection(normals []Point, opt *Options) (out *HalfspaceResult,
 		d = len(normals[0])
 	}
 	res, err := halfspace.IntersectDual(work, &hulld.Options{
-		Map:           o.ridgeMapD(len(normals), d),
-		Sched:         o.schedKind(),
-		GroupLimit:    o.GroupLimit,
-		Workers:       o.Workers,
-		NoCounters:    o.NoCounters,
-		FilterGrain:   o.FilterGrain,
-		NoPlaneCache:  o.NoPlaneCache,
-		NoBatchFilter: o.NoBatchFilter,
-		Ctx:           o.Context,
-		Inject:        o.inject,
+		Map:         o.ridgeMapD(len(normals), d),
+		Workers:     o.Workers,
+		NoCounters:  o.NoCounters,
+		FilterGrain: o.FilterGrain,
+		Ctx:         o.Context,
+		Inject:      o.inject,
 	})
 	if err != nil {
 		return nil, wrapErr(err)
@@ -259,15 +255,14 @@ type DelaunayResult struct {
 
 // Delaunay computes the Delaunay triangulation of 2D points by the
 // randomized incremental method. Options.Engine selects the schedule —
-// EngineParallel (default, Algorithm 3 on the fork-join substrate chosen by
-// Options.Sched), EngineSequential (Algorithm 2), or EngineRounds (the
+// EngineParallel (default, Algorithm 3 on the work-stealing executor),
+// EngineSequential (Algorithm 2), or EngineRounds (the
 // round-synchronous schedule; Stats.Rounds/RoundWidths report the dependence
 // structure). All three produce the identical triangle set; see
 // internal/delaunay for the bounding-triangle construction. Points are
 // inserted in input order unless Options.Shuffle is set (which the O(log n)
-// depth guarantee assumes). Map, Workers, GroupLimit, FilterGrain,
-// NoPlaneCache (the in-circle predicate cache), NoCounters, and Context all
-// apply; the pre-hull reduction does not (a Delaunay triangulation keeps
+// depth guarantee assumes). Map, Workers, FilterGrain, NoCounters, and
+// Context all apply; the pre-hull reduction does not (a Delaunay triangulation keeps
 // interior points). Unlike the hull routes, a fixed CAS/TAS ridge map that
 // fills surfaces ErrCapacity directly — there is no degradation ladder here.
 func Delaunay(pts []Point, opt *Options) (out *DelaunayResult, err error) {
@@ -279,16 +274,12 @@ func Delaunay(pts []Point, opt *Options) (out *DelaunayResult, err error) {
 	order := o.perm(len(pts))
 	work := applyShuffle(pts, order)
 	dopt := &delaunay.Options{
-		Map:           o.ridgeMapDelaunay(len(pts)),
-		Sched:         o.schedKind(),
-		GroupLimit:    o.GroupLimit,
-		Workers:       o.Workers,
-		NoCounters:    o.NoCounters,
-		FilterGrain:   o.FilterGrain,
-		NoPredCache:   o.NoPlaneCache,
-		NoBatchFilter: o.NoBatchFilter,
-		Ctx:           o.Context,
-		Inject:        o.inject,
+		Map:         o.ridgeMapDelaunay(len(pts)),
+		Workers:     o.Workers,
+		NoCounters:  o.NoCounters,
+		FilterGrain: o.FilterGrain,
+		Ctx:         o.Context,
+		Inject:      o.inject,
 	}
 	var res *delaunay.Result
 	switch o.Engine {

@@ -2,36 +2,95 @@ package conflict
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
 
-// evenFilter is a concrete (non-closure) Filter used to exercise the generic
-// batch entry points the way the kernels do: a struct passed by value.
-type evenFilter struct{ mod int32 }
+// modFilter is a concrete Filter used to exercise the generic entry points
+// the way the kernels do: a struct passed by value. It keeps the multiples
+// of mod. Its FilterMerge is an independent two-pointer loop (not MergeInto)
+// that classifies each candidate as it is merged, like the kernels' fused
+// filters; calls counts FilterMerge invocations so tests can tell the
+// parallel piece path from the serial one.
+type modFilter struct {
+	mod   int32
+	calls *atomic.Int64
+}
 
-func (f evenFilter) Filter(cands []int32, dst []int32) []int32 {
-	for _, v := range cands {
-		if v%f.mod == 0 {
+func (f modFilter) keep(v int32) bool { return v%f.mod == 0 }
+
+func (f modFilter) FilterMerge(c1, c2 []int32, drop int32, dst []int32) []int32 {
+	if f.calls != nil {
+		f.calls.Add(1)
+	}
+	i, j := 0, 0
+	for i < len(c1) || j < len(c2) {
+		var v int32
+		switch {
+		case j == len(c2) || (i < len(c1) && c1[i] < c2[j]):
+			v = c1[i]
+			i++
+		case i == len(c1) || c2[j] < c1[i]:
+			v = c2[j]
+			j++
+		default:
+			v = c1[i]
+			i++
+			j++
+		}
+		if v != drop && f.keep(v) {
 			dst = append(dst, v)
 		}
 	}
 	return dst
 }
 
-func (f evenFilter) FilterRange(from, to int32, dst []int32) []int32 {
+func (f modFilter) FilterRange(from, to int32, dst []int32) []int32 {
 	for v := from; v < to; v++ {
-		if v%f.mod == 0 {
+		if f.keep(v) {
 			dst = append(dst, v)
 		}
 	}
 	return dst
+}
+
+// pointwise is the reference of the Filter contract: the pointwise predicate
+// over the materialized merge, nil for an empty result.
+func pointwise(c1, c2 []int32, drop int32, keep func(int32) bool) []int32 {
+	var out []int32
+	for _, v := range MergeInto(nil, c1, c2, drop) {
+		if keep(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// arenaAlloc mimics a worker arena: every carve comes from one growing
+// backing array, and the number of carves is counted.
+type arenaAlloc struct {
+	block []int32
+	calls int
+}
+
+func (a *arenaAlloc) alloc(n int) []int32 {
+	a.calls++
+	if len(a.block) < n {
+		a.block = make([]int32, max(n, 1<<12))
+	}
+	s := a.block[:n:n]
+	a.block = a.block[n:]
+	return s
 }
 
 func equalLists(t *testing.T, label string, got, want []int32) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: lengths %d vs %d", label, len(got), len(want))
+	}
+	if want == nil && got != nil {
+		t.Fatalf("%s: want nil for an empty result", label)
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -40,60 +99,76 @@ func equalLists(t *testing.T, label string, got, want []int32) {
 	}
 }
 
-// TestMergeIntoMatchesMergeFilter pins phase 1 of the pipeline: MergeInto is
-// exactly the keep-everything merge.
+// TestMergeIntoMatchesMergeFilter pins the reference merge: MergeInto is
+// exactly the keep-everything merge-filter, on the serial and the piece path.
 func TestMergeIntoMatchesMergeFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	all := modFilter{mod: 1}
 	for trial := 0; trial < 50; trial++ {
 		c1 := sortedRandom(rng, rng.Intn(500), 2000)
 		c2 := sortedRandom(rng, rng.Intn(500), 2000)
 		drop := int32(rng.Intn(2000))
 		got := MergeInto(nil, c1, c2, drop)
-		want := MergeFilter(c1, c2, drop, func(int32) bool { return true }, 1<<30)
-		equalLists(t, "MergeInto", got, want)
+		for _, grain := range []int{1 << 30, 16} {
+			want := MergeFilterFused(c1, c2, drop, all, grain, nil)
+			if len(got) == 0 {
+				got = nil
+			}
+			equalLists(t, "MergeInto", got, want)
+		}
 	}
 }
 
-// TestBatchMatchesClosure is the tentpole equivalence property: on every
-// grain (serial, parallel, degenerate tiny splits), the batched pipeline
-// produces the byte-identical survivor list of the closure path — for the
-// generic concrete-filter form and for the FuncFilter shim.
+// TestBatchMatchesClosure is the conflict-level property of the fused path:
+// MergeFilterFused returns the pointwise predicate over MergeInto — same
+// elements, same order, nil for empty — on the serial path, on parallel
+// pieces at small grains (including degenerate tiny lists, where more pieces
+// are requested than there are distinct split values), and with a nil or an
+// arena allocator.
 func TestBatchMatchesClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	var calls atomic.Int64
+	var arena arenaAlloc
+	pieced := false
 	for trial := 0; trial < 60; trial++ {
 		n1, n2 := rng.Intn(20000), rng.Intn(20000)
 		if trial < 10 {
-			// Degenerate sizes: short lists with grain 1 force more pieces
-			// than distinct split values (satellite fix for splitSpans).
 			n1, n2 = rng.Intn(8), rng.Intn(8)
 		}
 		c1 := sortedRandom(rng, n1, 100000)
 		c2 := sortedRandom(rng, n2, 100000)
 		var drop int32 = -1
-		if len(c1) > 0 {
+		if len(c1) > 0 && trial%2 == 0 {
 			drop = c1[rng.Intn(len(c1))]
 		}
-		mod := int32(2 + rng.Intn(5))
-		keep := func(v int32) bool { return v%mod == 0 }
-		want := MergeFilter(c1, c2, drop, keep, 1<<30)
+		flt := modFilter{mod: int32(2 + rng.Intn(5)), calls: &calls}
+		want := pointwise(c1, c2, drop, flt.keep)
 		for _, grain := range []int{1, 64, 1 << 30} {
-			got := MergeFilterBatch(c1, c2, drop, evenFilter{mod: mod}, grain)
-			equalLists(t, "MergeFilterBatch", got, want)
-			got = MergeFilterBatch(c1, c2, drop, FuncFilter(keep), grain)
-			equalLists(t, "MergeFilterBatch/FuncFilter", got, want)
-			got = MergeFilter(c1, c2, drop, keep, grain)
-			equalLists(t, "MergeFilter", got, want)
+			for _, alloc := range []func(int) []int32{nil, arena.alloc} {
+				calls.Store(0)
+				got := MergeFilterFused(c1, c2, drop, flt, grain, alloc)
+				equalLists(t, "MergeFilterFused", got, want)
+				if calls.Load() > 1 {
+					pieced = true
+				}
+			}
 		}
+	}
+	if !pieced {
+		t.Fatal("no call split into parallel pieces")
+	}
+	if arena.calls == 0 {
+		t.Fatal("the arena allocator was never exercised")
 	}
 }
 
-// TestMergeFilterScratchMatchesClosure pins the arena path: the batched
-// scratch pipeline equals the closure scratch path under both allocators, and
-// the scratch buffers survive reuse.
+// TestMergeFilterScratchMatchesClosure pins the arena path: the serial
+// scratch entry equals the pointwise reference under both allocators, and
+// the scratch buffer survives reuse across lists of changing length.
 func TestMergeFilterScratchMatchesClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var sc Scratch
-	alloc := func(n int) []int32 { return make([]int32, n) }
+	var arena arenaAlloc
 	for trial := 0; trial < 60; trial++ {
 		c1 := sortedRandom(rng, rng.Intn(2000), 10000)
 		c2 := sortedRandom(rng, rng.Intn(2000), 10000)
@@ -101,28 +176,36 @@ func TestMergeFilterScratchMatchesClosure(t *testing.T) {
 		if len(c1) > 0 {
 			drop = c1[rng.Intn(len(c1))]
 		}
-		mod := int32(2 + rng.Intn(5))
-		want := MergeFilter(c1, c2, drop, func(v int32) bool { return v%mod == 0 }, 1<<30)
-		for _, a := range []func(int) []int32{nil, alloc} {
-			got := MergeFilterScratch(&sc, c1, c2, drop, evenFilter{mod: mod}, a)
-			if want == nil && got != nil {
-				t.Fatalf("trial %d: want nil for empty result", trial)
-			}
-			equalLists(t, "MergeFilterScratch", got, want)
+		flt := modFilter{mod: int32(2 + rng.Intn(5))}
+		want := pointwise(c1, c2, drop, flt.keep)
+		for _, a := range []func(int) []int32{nil, arena.alloc} {
+			equalLists(t, "MergeFilterFusedScratch", MergeFilterFusedScratch(&sc, c1, c2, drop, flt, a), want)
 		}
+	}
+	if arena.calls == 0 {
+		t.Fatal("the arena allocator was never exercised")
 	}
 }
 
-// TestBuildFilterMatchesBuild pins the initial-list path: FilterRange chunks
-// equal the pointwise Build on every grain.
+// TestBuildFilterMatchesBuild pins the initial-list path: BuildFilterInto
+// equals the pointwise predicate over the range on every grain (serial,
+// parallel chunks, a ragged last chunk) and with either allocator.
 func TestBuildFilterMatchesBuild(t *testing.T) {
-	for _, grain := range []int{0, 16, 1 << 30} {
-		want := Build(3, 1000, func(v int32) bool { return v%7 == 0 }, grain)
-		got := BuildFilter(3, 1000, evenFilter{mod: 7}, grain)
-		equalLists(t, "BuildFilter", got, want)
+	var arena arenaAlloc
+	flt := modFilter{mod: 7}
+	var want []int32
+	for v := int32(3); v < 1000; v++ {
+		if flt.keep(v) {
+			want = append(want, v)
+		}
 	}
-	if out := BuildFilter(10, 10, evenFilter{mod: 2}, 0); out != nil {
-		t.Fatal("empty range")
+	for _, grain := range []int{0, 16, 100, 1 << 30} {
+		for _, a := range []func(int) []int32{nil, arena.alloc} {
+			equalLists(t, "BuildFilterInto", BuildFilterInto(3, 1000, flt, grain, a), want)
+		}
+	}
+	if arena.calls == 0 {
+		t.Fatal("the arena allocator was never exercised")
 	}
 }
 

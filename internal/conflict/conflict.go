@@ -2,22 +2,15 @@
 // incremental engines: merging the two support facets' conflict sets and
 // filtering by visibility (line 16 of Algorithm 3, line 9 of Algorithm 2).
 //
-// Lists are ascending slices of point indices. Filtering comes in two forms:
-//
-//   - The batched two-phase pipeline (the default hot path): phase 1 merges
-//     the two lists into per-worker scratch with a predicate-free int32 loop
-//     (MergeInto — the drop element is removed inline), and phase 2 hands the
-//     whole candidate run to a kernel-supplied batch Filter in one call, so
-//     the visibility test amortizes its bounds checks and dispatch over the
-//     batch instead of paying an indirect call per candidate.
-//   - The per-point closure form (MergeFilter with a keep predicate), kept as
-//     the shim for callers without a batch filter and as the ablation
-//     baseline (cmd/hullbench -exp filter).
-//
-// Both forms produce the identical ascending survivor list. Long lists split
-// into value-aligned pieces processed in parallel — the role approximate
-// compaction plays in the paper's CRCW analysis (Theorem 5.4): without it,
-// the first rounds' O(n)-sized lists would serialize the span.
+// Lists are ascending slices of point indices. Filtering is fused: a
+// kernel-supplied Filter walks both lists with a two-pointer merge and
+// classifies each candidate as it is merged (FilterMerge), so the candidate
+// run is never materialized and the visibility test amortizes its bounds
+// checks and dispatch over the batch instead of paying an indirect call per
+// candidate. Long lists split into value-aligned pieces processed in
+// parallel — the role approximate compaction plays in the paper's CRCW
+// analysis (Theorem 5.4): without it, the first rounds' O(n)-sized lists
+// would serialize the span.
 //
 // Allocation discipline: filtering writes into pooled scratch buffers and
 // only the surviving elements are copied into an exact-size result (nil for
@@ -34,78 +27,39 @@ import (
 	"parhull/internal/sched"
 )
 
-// DefaultGrain is the list size above which MergeFilter parallelizes.
+// DefaultGrain is the list size above which MergeFilterFused parallelizes.
 const DefaultGrain = 1 << 13
 
 // Filter is the batch form of a visibility predicate — the kernel contract
-// of the two-phase filtering pipeline. Both methods append the surviving
-// candidates to dst in their input (ascending) order and return the extended
-// slice; they must be safe for concurrent calls (the engines' filters are:
-// they read immutable facet state and bump sharded counters) and must not
-// retain cands or dst.
+// of the fused merge-filter. Both methods append the surviving candidates to
+// dst in ascending order and return the extended slice; they must be safe
+// for concurrent calls (the engines' filters are: they read immutable facet
+// state and bump sharded counters) and must not retain their list arguments
+// or dst.
 //
 // The output must be identical to applying the pointwise predicate to each
 // candidate in order — implementations that defer some decisions (e.g. the
 // kernels' float-filter-uncertain sidecar resolved by the exact predicate
 // after the main loop) must splice those survivors back in position.
 type Filter interface {
-	// Filter appends to dst the elements of cands that survive.
-	Filter(cands []int32, dst []int32) []int32
-	// FilterRange is Filter over the ascending candidates from, from+1, ...,
-	// to-1 without materializing them (initial conflict lists over the
-	// not-yet-inserted suffix).
+	// FilterMerge appends to dst the elements of the ascending merge of c1
+	// and c2 (excluding drop) that survive: the same survivors, in the same
+	// order, as the pointwise predicate over MergeInto(nil, c1, c2, drop).
+	// The hull kernels run the merge and the classification as ONE loop,
+	// loading each candidate's coordinates while the merge cursors are
+	// still hot.
+	FilterMerge(c1, c2 []int32, drop int32, dst []int32) []int32
+	// FilterRange appends to dst the survivors among the ascending
+	// candidates from, from+1, ..., to-1 without materializing them
+	// (initial conflict lists over the not-yet-inserted suffix).
 	FilterRange(from, to int32, dst []int32) []int32
 }
 
-// FusedFilter extends Filter with a merge-fused form: the two-pointer
-// ascending merge of phase 1 and the batch visibility classification of
-// phase 2 run as ONE loop, so the candidate run is never materialized — no
-// scratch write of the merged list and no second pass re-reading it. The
-// hull kernels implement it with the cached plane held in registers
-// (dimension-specialized for 3D), which is where the fused pipeline earns
-// its keep: the merge logic is the same, but each candidate's coordinates
-// are loaded while the merge cursors are still hot instead of a full list
-// later.
-//
-// FilterMerge must be semantically identical to
-// Filter(MergeInto(nil, c1, c2, drop), dst): same survivors, same order,
-// same visibility-test counter totals.
-type FusedFilter interface {
-	Filter
-	// FilterMerge appends to dst the elements of the ascending merge of c1
-	// and c2 (excluding drop) that survive, and returns the extended slice.
-	FilterMerge(c1, c2 []int32, drop int32, dst []int32) []int32
-}
-
-// FuncFilter adapts a per-point keep predicate to the Filter contract — the
-// shim that lets closure-only callers (e.g. spaces without a batch filter)
-// run on the batched pipeline.
-type FuncFilter func(int32) bool
-
-// Filter implements Filter.
-func (k FuncFilter) Filter(cands []int32, dst []int32) []int32 {
-	for _, v := range cands {
-		if k(v) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
-// FilterRange implements Filter.
-func (k FuncFilter) FilterRange(from, to int32, dst []int32) []int32 {
-	for v := from; v < to; v++ {
-		if k(v) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // MergeInto appends the ascending union of the ascending lists c1 and c2 to
-// dst, excluding drop, and returns the extended slice — phase 1 of the
-// batched pipeline: a pure int32 two-pointer loop with no predicate
-// dispatch, followed by bulk tail copies once either list is exhausted.
+// dst, excluding drop, and returns the extended slice: the candidate run a
+// Filter's FilterMerge classifies, materialized. The engines never call it —
+// fused filtering exists to avoid this pass — but it is the reference the
+// FilterMerge contract and the kernel filter tests are stated against.
 func MergeInto(dst []int32, c1, c2 []int32, drop int32) []int32 {
 	i, j := 0, 0
 	for i < len(c1) && j < len(c2) {
@@ -154,81 +108,24 @@ func getScratch(need int) *[]int32 {
 
 func putScratch(bp *[]int32) { scratchPool.Put(bp) }
 
-// compact returns an exact-size copy of buf, or nil when buf is empty.
-func compact(buf []int32) []int32 {
-	if len(buf) == 0 {
-		return nil
-	}
-	out := make([]int32, len(buf))
-	copy(out, buf)
-	return out
-}
-
-// Scratch is a caller-owned pair of merge/filter buffers for the serial
-// paths. The work-stealing engines keep one Scratch per worker (inside their
-// arenas), so steady-state filtering touches no sync.Pool — no atomic pool
-// round-trip per facet, and the buffers stay hot in the worker's cache. They
-// grow to the largest list the worker has filtered and are reused forever;
-// they never escape: only the compacted result (allocated via alloc) does.
+// Scratch is a caller-owned survivor buffer for the serial path. The
+// work-stealing engines keep one Scratch per worker (inside their arenas),
+// so steady-state filtering touches no sync.Pool — no atomic pool round-trip
+// per facet, and the buffer stays hot in the worker's cache. It grows to the
+// largest list the worker has filtered and is reused forever; it never
+// escapes: only the compacted result (allocated via alloc) does.
 type Scratch struct {
-	buf  []int32 // phase-1 merge output (the candidate run)
-	fbuf []int32 // phase-2 filter output (the survivors)
+	fbuf []int32
 }
 
-// MergeFilter is the serial closure-path equivalent of the package-level
-// MergeFilter using s as scratch. The surviving elements are copied into a
-// slice obtained from alloc(n) (which must return a length-n slice; nil
-// selects plain make) — the engines pass their per-worker arena allocator,
-// so a steady-state facet's conflict list costs zero individual allocations.
-// Output is identical to MergeFilter.
-func (s *Scratch) MergeFilter(c1, c2 []int32, drop int32, keep func(int32) bool, alloc func(int) []int32) []int32 {
-	need := len(c1) + len(c2)
-	if need == 0 {
-		return nil
-	}
-	if cap(s.buf) < need {
-		s.buf = make([]int32, 0, need)
-	}
-	buf := mergeFilterInto(s.buf[:0], c1, c2, drop, keep)
-	s.buf = buf[:0]
-	return compactInto(buf, alloc)
-}
-
-// MergeFilterScratch is the batched serial merge-filter over a caller-owned
-// Scratch: phase 1 merges into the scratch merge buffer, phase 2 hands the
-// whole candidate run to flt in a single call, and the survivors are
-// compacted through alloc (nil selects plain make). flt is a type parameter
-// so concrete kernel filters are passed without interface boxing — the hot
-// path allocates nothing beyond the compacted result. Output is identical to
-// Scratch.MergeFilter with the pointwise form of flt.
-func MergeFilterScratch[F Filter](s *Scratch, c1, c2 []int32, drop int32, flt F, alloc func(int) []int32) []int32 {
-	need := len(c1) + len(c2)
-	if need == 0 {
-		return nil
-	}
-	if cap(s.buf) < need {
-		s.buf = make([]int32, 0, need)
-	}
-	cands := MergeInto(s.buf[:0], c1, c2, drop)
-	s.buf = cands[:0]
-	if len(cands) == 0 {
-		return nil
-	}
-	if cap(s.fbuf) < len(cands) {
-		s.fbuf = make([]int32, 0, need)
-	}
-	kept := flt.Filter(cands, s.fbuf[:0])
-	s.fbuf = kept[:0]
-	return compactInto(kept, alloc)
-}
-
-// MergeFilterFusedScratch is the fused serial merge-filter over a
-// caller-owned Scratch: one FilterMerge call classifies the merge of the two
-// lists directly into the scratch survivor buffer (the merge buffer is not
-// touched — fused filtering never materializes the candidate run), and the
-// survivors are compacted through alloc (nil selects plain make). Output is
-// identical to MergeFilterScratch with the same filter.
-func MergeFilterFusedScratch[F FusedFilter](s *Scratch, c1, c2 []int32, drop int32, flt F, alloc func(int) []int32) []int32 {
+// MergeFilterFusedScratch is the serial merge-filter over a caller-owned
+// Scratch: one FilterMerge call classifies the merge of the two lists
+// directly into the scratch survivor buffer, and the survivors are compacted
+// through alloc (nil selects plain make). flt is a type parameter so
+// concrete kernel filters are passed without interface boxing — the hot path
+// allocates nothing beyond the compacted result. Output is identical to
+// MergeFilterFused with the same filter.
+func MergeFilterFusedScratch[F Filter](s *Scratch, c1, c2 []int32, drop int32, flt F, alloc func(int) []int32) []int32 {
 	need := len(c1) + len(c2)
 	if need == 0 {
 		return nil
@@ -241,13 +138,14 @@ func MergeFilterFusedScratch[F FusedFilter](s *Scratch, c1, c2 []int32, drop int
 	return compactInto(kept, alloc)
 }
 
-// MergeFilterFused is the fused form of MergeFilterBatch: merge and
-// visibility classification run as one loop (FilterMerge), parallelized over
-// value-aligned pieces for lists of at least grain total length. Output is
-// identical to MergeFilterBatch with the same filter. The survivor list is
-// compacted through alloc (nil selects plain make); alloc is only ever called
-// from the calling goroutine, so a per-worker arena is a valid source.
-func MergeFilterFused[F FusedFilter](c1, c2 []int32, drop int32, flt F, grain int, alloc func(int) []int32) []int32 {
+// MergeFilterFused returns the survivors of flt over the ascending merge of
+// c1 and c2, excluding drop: one FilterMerge call for lists shorter than
+// grain (<= 0 selects DefaultGrain; pass a huge grain to force the serial
+// path), value-aligned pieces filtered in parallel above it. The output is
+// the same on every path. The survivor list is compacted through alloc (nil
+// selects plain make); alloc is only ever called from the calling goroutine,
+// so a per-worker arena is a valid source.
+func MergeFilterFused[F Filter](c1, c2 []int32, drop int32, flt F, grain int, alloc func(int) []int32) []int32 {
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
@@ -257,7 +155,7 @@ func MergeFilterFused[F FusedFilter](c1, c2 []int32, drop int32, flt F, grain in
 	return mergeFilterFusedParallel(c1, c2, drop, flt, grain, alloc)
 }
 
-func mergeFilterFusedSerial[F FusedFilter](c1, c2 []int32, drop int32, flt F, alloc func(int) []int32) []int32 {
+func mergeFilterFusedSerial[F Filter](c1, c2 []int32, drop int32, flt F, alloc func(int) []int32) []int32 {
 	if len(c1)+len(c2) == 0 {
 		return nil
 	}
@@ -270,7 +168,7 @@ func mergeFilterFusedSerial[F FusedFilter](c1, c2 []int32, drop int32, flt F, al
 
 // mergeFilterFusedParallel splits both lists at common values so each piece
 // runs one fused FilterMerge call, then concatenates the pieces in order.
-func mergeFilterFusedParallel[F FusedFilter](c1, c2 []int32, drop int32, flt F, grain int, alloc func(int) []int32) []int32 {
+func mergeFilterFusedParallel[F Filter](c1, c2 []int32, drop int32, flt F, grain int, alloc func(int) []int32) []int32 {
 	pieces := pieceCount(len(c1)+len(c2), grain)
 	if pieces < 2 {
 		return mergeFilterFusedSerial(c1, c2, drop, flt, alloc)
@@ -305,95 +203,6 @@ func compactInto(buf []int32, alloc func(int) []int32) []int32 {
 	}
 	copy(out, buf)
 	return out
-}
-
-// MergeFilter returns the ascending union of the ascending lists c1 and c2,
-// excluding drop and keeping only elements accepted by keep — the per-point
-// closure path, kept as the shim for callers without a batch Filter and as
-// the ablation baseline. keep must be safe for concurrent calls. grain <= 0
-// selects DefaultGrain; pass a huge grain to force the serial path.
-func MergeFilter(c1, c2 []int32, drop int32, keep func(int32) bool, grain int) []int32 {
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if len(c1)+len(c2) < grain || sched.Workers() == 1 {
-		return mergeFilterSerial(c1, c2, drop, keep)
-	}
-	return mergeFilterParallel(c1, c2, drop, keep, grain)
-}
-
-// MergeFilterBatch is the batched form of MergeFilter: the two-phase
-// pipeline over pooled scratch, parallelized over value-aligned pieces for
-// lists of at least grain total length (each piece merges, then filters in
-// one batch call). Output is identical to MergeFilter with the pointwise
-// form of flt.
-func MergeFilterBatch[F Filter](c1, c2 []int32, drop int32, flt F, grain int) []int32 {
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if len(c1)+len(c2) < grain || sched.Workers() == 1 {
-		return mergeFilterBatchSerial(c1, c2, drop, flt)
-	}
-	return mergeFilterBatchParallel(c1, c2, drop, flt, grain)
-}
-
-func mergeFilterSerial(c1, c2 []int32, drop int32, keep func(int32) bool) []int32 {
-	if len(c1)+len(c2) == 0 {
-		return nil
-	}
-	bp := getScratch(len(c1) + len(c2))
-	*bp = mergeFilterInto(*bp, c1, c2, drop, keep)
-	out := compact(*bp)
-	putScratch(bp)
-	return out
-}
-
-func mergeFilterBatchSerial[F Filter](c1, c2 []int32, drop int32, flt F) []int32 {
-	if len(c1)+len(c2) == 0 {
-		return nil
-	}
-	mp := getScratch(len(c1) + len(c2))
-	*mp = MergeInto(*mp, c1, c2, drop)
-	fp := getScratch(len(*mp))
-	*fp = flt.Filter(*mp, *fp)
-	out := compact(*fp)
-	putScratch(fp)
-	putScratch(mp)
-	return out
-}
-
-// mergeFilterInto appends the filtered merge of c1 and c2 to dst — the fused
-// single-pass closure path (one keep dispatch per candidate).
-func mergeFilterInto(dst []int32, c1, c2 []int32, drop int32, keep func(int32) bool) []int32 {
-	i, j := 0, 0
-	for i < len(c1) || j < len(c2) {
-		var v int32
-		switch {
-		case i == len(c1):
-			v = c2[j]
-			j++
-		case j == len(c2):
-			v = c1[i]
-			i++
-		case c1[i] < c2[j]:
-			v = c1[i]
-			i++
-		case c1[i] > c2[j]:
-			v = c2[j]
-			j++
-		default:
-			v = c1[i]
-			i++
-			j++
-		}
-		if v == drop {
-			continue
-		}
-		if keep(v) {
-			dst = append(dst, v)
-		}
-	}
-	return dst
 }
 
 // span is one value-aligned piece of a parallel merge-filter: the half-open
@@ -444,12 +253,9 @@ func pieceCount(total, grain int) int {
 	return pieces
 }
 
-// concatParts concatenates the per-piece scratch buffers in order and
-// returns them to the pool.
-func concatParts(parts []*[]int32) []int32 { return concatPartsInto(parts, nil) }
-
-// concatPartsInto is concatParts with the result carved via alloc (nil
-// selects plain make); the part scratch buffers return to the pool either way.
+// concatPartsInto concatenates the per-piece scratch buffers in order into a
+// slice carved via alloc (nil selects plain make) and returns the buffers to
+// the pool.
 func concatPartsInto(parts []*[]int32, alloc func(int) []int32) []int32 {
 	n := 0
 	for _, p := range parts {
@@ -472,77 +278,15 @@ func concatPartsInto(parts []*[]int32, alloc func(int) []int32) []int32 {
 	return out
 }
 
-// mergeFilterParallel splits both lists at common values so each piece can
-// be merge-filtered independently, then concatenates the pieces in order.
-func mergeFilterParallel(c1, c2 []int32, drop int32, keep func(int32) bool, grain int) []int32 {
-	pieces := pieceCount(len(c1)+len(c2), grain)
-	if pieces < 2 {
-		return mergeFilterSerial(c1, c2, drop, keep)
-	}
-	spans := splitSpans(c1, c2, pieces)
-	if spans == nil {
-		return mergeFilterSerial(c1, c2, drop, keep)
-	}
-	parts := make([]*[]int32, len(spans))
-	sched.ParallelFor(len(spans), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := spans[i]
-			bp := getScratch((s.b1 - s.a1) + (s.b2 - s.a2))
-			*bp = mergeFilterInto(*bp, c1[s.a1:s.b1], c2[s.a2:s.b2], drop, keep)
-			parts[i] = bp
-		}
-	})
-	return concatParts(parts)
-}
-
-// mergeFilterBatchParallel is mergeFilterParallel on the two-phase pipeline:
-// each piece merges into pooled scratch, then filters in one batch call.
-func mergeFilterBatchParallel[F Filter](c1, c2 []int32, drop int32, flt F, grain int) []int32 {
-	pieces := pieceCount(len(c1)+len(c2), grain)
-	if pieces < 2 {
-		return mergeFilterBatchSerial(c1, c2, drop, flt)
-	}
-	spans := splitSpans(c1, c2, pieces)
-	if spans == nil {
-		return mergeFilterBatchSerial(c1, c2, drop, flt)
-	}
-	parts := make([]*[]int32, len(spans))
-	sched.ParallelFor(len(spans), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := spans[i]
-			mp := getScratch((s.b1 - s.a1) + (s.b2 - s.a2))
-			*mp = MergeInto(*mp, c1[s.a1:s.b1], c2[s.a2:s.b2], drop)
-			fp := getScratch(len(*mp))
-			*fp = flt.Filter(*mp, *fp)
-			putScratch(mp)
-			parts[i] = fp
-		}
-	})
-	return concatParts(parts)
-}
-
-// Build constructs a conflict list from scratch: the elements of [from, to)
-// accepted by keep, ascending, computed in parallel chunks. It is used for
-// the initial facets' lists over all remaining points (closure shim; the
-// engines' batch path is BuildFilter).
-func Build(from, to int32, keep func(int32) bool, grain int) []int32 {
-	if to <= from {
-		return nil
-	}
-	return BuildFilter(from, to, FuncFilter(keep), grain)
-}
-
-// BuildFilter is Build on a batch Filter: each chunk is one FilterRange call
-// streaming the candidate range directly, with no per-point dispatch and no
-// materialized candidate slice.
-func BuildFilter[F Filter](from, to int32, flt F, grain int) []int32 {
-	return BuildFilterInto(from, to, flt, grain, nil)
-}
-
-// BuildFilterInto is BuildFilter with the result carved via alloc (nil
-// selects plain make) — the pooled engines pass an arena allocator so the
-// initial conflict lists recycle across constructions. alloc is called only
-// from the calling goroutine.
+// BuildFilterInto constructs a conflict list from scratch: the survivors of
+// flt among [from, to), ascending, computed in parallel chunks of grain
+// (<= 0 selects DefaultGrain). Each chunk is one FilterRange call streaming
+// the candidate range directly, with no per-point dispatch and no
+// materialized candidate slice. It builds the initial facets' lists over all
+// remaining points; the result is carved via alloc (nil selects plain make)
+// — the pooled engines pass an arena allocator so the initial conflict lists
+// recycle across constructions. alloc is called only from the calling
+// goroutine.
 func BuildFilterInto[F Filter](from, to int32, flt F, grain int, alloc func(int) []int32) []int32 {
 	n := int(to - from)
 	if n <= 0 {

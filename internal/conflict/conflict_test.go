@@ -31,6 +31,8 @@ func sortedRandom(rng *rand.Rand, n, max int) []int32 {
 	return out
 }
 
+// TestMergeFilterMatchesSerial pins the piece path on long lists: splitting
+// at the default and at a small grain returns exactly the serial result.
 func TestMergeFilterMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -41,24 +43,18 @@ func TestMergeFilterMatchesSerial(t *testing.T) {
 		if len(c1) > 0 {
 			drop = c1[rng.Intn(len(c1))]
 		}
-		keep := func(v int32) bool { return v%3 != 0 }
-		serial := MergeFilter(c1, c2, drop, keep, 1<<30)
-		par := MergeFilter(c1, c2, drop, keep, 64)
-		if len(serial) != len(par) {
-			t.Fatalf("trial %d: lengths %d vs %d", trial, len(serial), len(par))
-		}
-		for i := range serial {
-			if serial[i] != par[i] {
-				t.Fatalf("trial %d: element %d differs", trial, i)
-			}
+		flt := modFilter{mod: 3}
+		serial := MergeFilterFused(c1, c2, drop, flt, 1<<30, nil)
+		for _, grain := range []int{0, 64} {
+			equalLists(t, "MergeFilterFused", MergeFilterFused(c1, c2, drop, flt, grain, nil), serial)
 		}
 	}
 }
 
 // TestScratchMatchesMergeFilter pins the work-stealing engines' contract:
-// the caller-owned Scratch path produces exactly the MergeFilter output —
-// same elements, same order, nil for empty — with either allocator, and the
-// scratch buffer is reusable across calls without cross-contamination.
+// the caller-owned Scratch path produces exactly the MergeFilterFused output
+// — same elements, same order, nil for empty — with either allocator, and
+// the scratch buffer is reusable across calls without cross-contamination.
 func TestScratchMatchesMergeFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var sc Scratch
@@ -75,21 +71,10 @@ func TestScratchMatchesMergeFilter(t *testing.T) {
 		if len(c1) > 0 {
 			drop = c1[rng.Intn(len(c1))]
 		}
-		keep := func(v int32) bool { return v%3 != 0 }
-		want := MergeFilter(c1, c2, drop, keep, 1<<30)
+		flt := modFilter{mod: 3}
+		want := MergeFilterFused(c1, c2, drop, flt, 1<<30, nil)
 		for _, a := range []func(int) []int32{nil, alloc} {
-			got := sc.MergeFilter(c1, c2, drop, keep, a)
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: lengths %d vs %d", trial, len(got), len(want))
-			}
-			if want == nil && got != nil {
-				t.Fatalf("trial %d: want nil for empty result", trial)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d: element %d differs", trial, i)
-				}
-			}
+			equalLists(t, "MergeFilterFusedScratch", MergeFilterFusedScratch(&sc, c1, c2, drop, flt, a), want)
 		}
 	}
 	if allocCalls == 0 {
@@ -103,7 +88,7 @@ func TestMergeFilterProperties(t *testing.T) {
 		c1 := sortedRandom(rng, rng.Intn(200), 1000)
 		c2 := sortedRandom(rng, rng.Intn(200), 1000)
 		drop := int32(rng.Intn(1000))
-		out := MergeFilter(c1, c2, drop, func(v int32) bool { return v%2 == 0 }, 32)
+		out := MergeFilterFused(c1, c2, drop, modFilter{mod: 2}, 32, nil)
 		// Ascending, no drop, all even, subset of union.
 		union := map[int32]bool{}
 		for _, v := range c1 {
@@ -135,39 +120,52 @@ func TestMergeFilterProperties(t *testing.T) {
 }
 
 func TestMergeFilterEdgeCases(t *testing.T) {
-	if out := MergeFilter(nil, nil, 0, func(int32) bool { return true }, 0); len(out) != 0 {
-		t.Fatal("empty inputs")
-	}
+	all := modFilter{mod: 1}
+	var sc Scratch
 	one := []int32{5}
-	if out := MergeFilter(one, nil, 5, func(int32) bool { return true }, 0); len(out) != 0 {
-		t.Fatal("drop only element")
-	}
-	if out := MergeFilter(one, one, 0, func(int32) bool { return true }, 0); len(out) != 1 {
-		t.Fatal("dedup failed")
+	for _, tc := range []struct {
+		name   string
+		c1, c2 []int32
+		drop   int32
+		want   int
+	}{
+		{"empty inputs", nil, nil, 0, 0},
+		{"drop only element", one, nil, 5, 0},
+		{"drop only element of c2", nil, one, 5, 0},
+		{"dedup", one, one, 0, 1},
+	} {
+		for _, grain := range []int{0, 1} {
+			if out := MergeFilterFused(tc.c1, tc.c2, tc.drop, all, grain, nil); len(out) != tc.want || (tc.want == 0 && out != nil) {
+				t.Fatalf("%s (grain %d): got %v", tc.name, grain, out)
+			}
+		}
+		if out := MergeFilterFusedScratch(&sc, tc.c1, tc.c2, tc.drop, all, nil); len(out) != tc.want || (tc.want == 0 && out != nil) {
+			t.Fatalf("%s (scratch): got %v", tc.name, out)
+		}
 	}
 }
 
 func TestBuild(t *testing.T) {
-	keep := func(v int32) bool { return v%7 == 0 }
-	for _, grain := range []int{0, 16, 1 << 30} {
-		out := Build(3, 1000, keep, grain)
-		var want []int32
-		for v := int32(3); v < 1000; v++ {
-			if keep(v) {
-				want = append(want, v)
-			}
-		}
-		if len(out) != len(want) {
-			t.Fatalf("grain %d: %d vs %d", grain, len(out), len(want))
-		}
-		for i := range want {
-			if out[i] != want[i] {
-				t.Fatalf("grain %d: element %d", grain, i)
-			}
-		}
-	}
-	if out := Build(10, 10, nil, 0); out != nil {
+	flt := modFilter{mod: 7}
+	if out := BuildFilterInto(10, 10, flt, 0, nil); out != nil {
 		t.Fatal("empty range")
+	}
+	if out := BuildFilterInto(10, 5, flt, 0, nil); out != nil {
+		t.Fatal("reversed range")
+	}
+	if out := BuildFilterInto(1, 7, flt, 0, nil); out != nil {
+		t.Fatal("no survivors must return nil")
+	}
+	for _, grain := range []int{0, 16, 1 << 30} {
+		out := BuildFilterInto(3, 1000, flt, grain, nil)
+		if len(out) != cap(out) {
+			t.Fatalf("grain %d: result not exact-size (%d of %d)", grain, len(out), cap(out))
+		}
+		for i, v := range out {
+			if !flt.keep(v) || (i > 0 && out[i-1] >= v) {
+				t.Fatalf("grain %d: element %d = %d", grain, i, v)
+			}
+		}
 	}
 }
 
@@ -175,15 +173,15 @@ func BenchmarkMergeFilter(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	c1 := sortedRandom(rng, 100000, 1<<22)
 	c2 := sortedRandom(rng, 100000, 1<<22)
-	keep := func(v int32) bool { return v%2 == 0 }
+	flt := modFilter{mod: 2}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MergeFilter(c1, c2, -1, keep, 1<<30)
+			MergeFilterFused(c1, c2, -1, flt, 1<<30, nil)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MergeFilter(c1, c2, -1, keep, 1<<12)
+			MergeFilterFused(c1, c2, -1, flt, 1<<12, nil)
 		}
 	})
 }

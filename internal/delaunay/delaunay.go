@@ -23,7 +23,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"parhull/internal/conflict"
 	"parhull/internal/geom"
 	"parhull/internal/hullstats"
 )
@@ -184,7 +183,7 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 					nt.Depth = nb.Depth + 1
 				}
 				// C(nt) ⊆ C(t) ∪ C(nb): merge and filter, excluding p.
-				nt.Conf = conflict.MergeFilter(t.Conf, confOf(nb), i, func(p int32) bool { return inCircle(nt, p) }, 0)
+				nt.Conf = mergeFilter(t.Conf, confOf(nb), i, func(p int32) bool { return inCircle(nt, p) })
 				record(nt)
 				fresh = append(fresh, nt)
 			}
@@ -218,6 +217,34 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 	})
 	res.Stats = rec.Snapshot(0, len(res.Triangles))
 	return res, nil
+}
+
+// mergeFilter is the reference's serial merge-and-filter: the ascending
+// union of the ascending lists c1 and c2, excluding drop, keeping the
+// elements accepted by keep (nil when none is). It is deliberately the
+// plain pointwise loop, independent of the engines' fused filter.
+func mergeFilter(c1, c2 []int32, drop int32, keep func(int32) bool) []int32 {
+	var out []int32
+	i, j := 0, 0
+	for i < len(c1) || j < len(c2) {
+		var v int32
+		switch {
+		case j == len(c2) || (i < len(c1) && c1[i] < c2[j]):
+			v = c1[i]
+			i++
+		case i == len(c1) || c2[j] < c1[i]:
+			v = c2[j]
+			j++
+		default:
+			v = c1[i]
+			i++
+			j++
+		}
+		if v != drop && keep(v) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 func confOf(t *Triangle) []int32 {

@@ -111,7 +111,6 @@ type dEngine struct {
 	// the per-facet certification threshold.
 	eps3  float64
 	grain int
-	batch bool
 	rec   *hullstats.Recorder
 
 	log *facetlog.Log[*Triangle] // every triangle ever created
@@ -119,7 +118,7 @@ type dEngine struct {
 
 // newDEngine validates pts (same checks, same typed errors as Triangulate)
 // and assembles the engine state.
-func newDEngine(pts []geom.Point, counters bool, grain, stripes int, noPred, batch bool) (*dEngine, error) {
+func newDEngine(pts []geom.Point, counters bool, grain, stripes int, noPred bool) (*dEngine, error) {
 	all, err := validateAndBound(pts)
 	if err != nil {
 		return nil, err
@@ -128,7 +127,6 @@ func newDEngine(pts []geom.Point, counters bool, grain, stripes int, noPred, bat
 		all:   all,
 		n:     len(pts),
 		grain: grain,
-		batch: batch,
 		rec:   hullstats.NewRecorder(counters),
 		log:   facetlog.New[*Triangle](stripes),
 	}
@@ -208,27 +206,9 @@ func (e *dEngine) makeTri(a *arena, va, vb, vc int32) (*Triangle, error) {
 	return t, nil
 }
 
-// conflict reports whether input point v is strictly inside t's
-// circumcircle, counting the test. The cached lifted plane decides almost
-// every call; geom.InCircle is the exact fallback, so the answer is exact.
-func (e *dEngine) conflict(v int32, t *Triangle) bool {
-	e.rec.VTests.Inc(uint64(v))
-	if t.plane.Valid() {
-		s := t.plane.Eval(e.liftRow(v))
-		if s > t.plane.Eps {
-			return true
-		}
-		if s < -t.plane.Eps {
-			return false
-		}
-		e.rec.Fallbacks.Inc(uint64(v))
-	}
-	return e.exactConflict(v, t)
-}
-
 // exactConflict is the exact in-circle predicate with no counting — the
-// shared tail of conflict() and the batch filter's uncertain-sidecar
-// resolution. Verts are CCW, so InCircle is +1 strictly inside.
+// batch filters' exact path and uncertain-sidecar resolution. Verts are
+// CCW, so InCircle is +1 strictly inside.
 func (e *dEngine) exactConflict(v int32, t *Triangle) bool {
 	return geom.InCircle(e.all[t.Verts[0]], e.all[t.Verts[1]], e.all[t.Verts[2]], e.all[v]) > 0
 }
@@ -256,14 +236,10 @@ func (e *dEngine) newTriangle(a *arena, r []int32, p int32, t1, t2 *Triangle, ro
 
 // mergeFilter merges the two ascending conflict lists, drops p, and keeps
 // the points inside t's circumcircle, through the driver's shared
-// grain/arena discipline. The batch path runs fused: merge and
-// classification in one pass over the flat lifted coordinates.
+// grain/arena discipline: merge and classification in one pass over the
+// flat lifted coordinates.
 func (e *dEngine) mergeFilter(a *arena, c1, c2 []int32, p int32, t *Triangle) []int32 {
-	if e.batch {
-		return eng.MergeFilterFused(a, c1, c2, p, triFilter{e: e, t: t}, e.grain)
-	}
-	keep := func(v int32) bool { return e.conflict(v, t) }
-	return eng.MergeFilter(a, c1, c2, p, keep, e.grain)
+	return eng.MergeFilterFused(a, c1, c2, p, triFilter{e: e, t: t}, e.grain)
 }
 
 // initial builds the bounding-triangle root with its conflict list over
@@ -275,11 +251,7 @@ func (e *dEngine) initial() (root *Triangle, outers [3]*Triangle, edges [3][]int
 	if err != nil {
 		return nil, outers, edges, err
 	}
-	if e.batch {
-		root.Conf = conflict.BuildFilterInto(0, int32(n), triFilter{e: e, t: root}, e.grain, nil)
-	} else {
-		root.Conf = conflict.Build(0, int32(n), func(v int32) bool { return e.conflict(v, root) }, e.grain)
-	}
+	root.Conf = conflict.BuildFilterInto(0, int32(n), triFilter{e: e, t: root}, e.grain, nil)
 	if len(root.Conf) != n {
 		// Ascending subset of [0, n): the first index where Conf[i] != i is
 		// the first point outside the root circumcircle (same error as the

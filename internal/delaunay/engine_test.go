@@ -8,7 +8,6 @@ import (
 	"parhull/internal/geom"
 	"parhull/internal/leakcheck"
 	"parhull/internal/pointgen"
-	"parhull/internal/sched"
 )
 
 // triKey is the canonical identity of a triangle: its sorted vertex triple.
@@ -55,9 +54,9 @@ func sameMultiset(t *testing.T, name string, got, want map[[3]int32]int) {
 }
 
 // TestEngineMatchesTriangulate checks the tentpole identity: every engine
-// schedule (Seq, Par on both substrates, Rounds) creates exactly the seed
+// schedule (Seq, Par at any width, Rounds) creates exactly the seed
 // Triangulate's triangle multiset and ends with the same alive set — and
-// the ablations (no predicate cache, no batch filter) change nothing.
+// the predicate-cache ablation changes nothing.
 func TestEngineMatchesTriangulate(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 10, 400} {
 		pts := pointgen.InCube(pointgen.NewRNG(int64(7+n)), n, 2)
@@ -73,10 +72,8 @@ func TestEngineMatchesTriangulate(t *testing.T) {
 		}{
 			{"seq", func() (*Result, error) { return Seq(pts, nil) }},
 			{"seq-exact", func() (*Result, error) { return Seq(pts, &Options{NoPredCache: true}) }},
-			{"seq-closure", func() (*Result, error) { return Seq(pts, &Options{NoBatchFilter: true}) }},
 			{"par-steal", func() (*Result, error) { return Par(pts, nil) }},
 			{"par-steal-w1", func() (*Result, error) { return Par(pts, &Options{Workers: 1}) }},
-			{"par-group", func() (*Result, error) { return Par(pts, &Options{Sched: sched.KindGroup}) }},
 			{"par-exact", func() (*Result, error) { return Par(pts, &Options{NoPredCache: true}) }},
 			{"rounds", func() (*Result, error) { return Rounds(pts, nil) }},
 		}
@@ -132,7 +129,7 @@ func TestEngineEmptyCircumcircle(t *testing.T) {
 // pointwise conflict() answer must equal the exact answer everywhere.
 func TestLiftedFilterMatchesExactInCircle(t *testing.T) {
 	pts := pointgen.Clustered(pointgen.NewRNG(13), 300, 2, 5, 1e-3)
-	e, err := newDEngine(pts, false, 0, 1, false, true)
+	e, err := newDEngine(pts, false, 0, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +201,11 @@ func TestEngineDegenerate(t *testing.T) {
 func TestEngineCancellation(t *testing.T) {
 	leakcheck.Check(t)
 	pts := pointgen.UniformBall(pointgen.NewRNG(17), 4000, 2)
-	for _, kind := range []sched.Kind{sched.KindSteal, sched.KindGroup} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := Par(pts, &Options{Ctx: ctx, Sched: kind}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("kind=%v pre-canceled Par: err = %v, want context.Canceled", kind, err)
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	if _, err := Par(pts, &Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled Par: err = %v, want context.Canceled", err)
+	}
 	if _, err := Rounds(pts, &Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled Rounds: err = %v, want context.Canceled", err)
 	}

@@ -1,13 +1,14 @@
 package delaunay
 
 // This file implements the kernel's batch in-circle filter — the
-// conflict.Filter side of the merge/filter pipeline, mirroring the hulld
-// batch filter (DESIGN.md §4.3) over the flat lifted coordinates. The
-// triangle's negated lifted plane sits in registers and each candidate
-// costs one 3-term dot product; candidates the per-facet certificate cannot
-// decide collect into a small stack sidecar and resolve through the exact
+// conflict.Filter side of the fused merge/filter, mirroring the hulld batch
+// filter (DESIGN.md §4.3) over the flat lifted coordinates. The triangle's
+// negated lifted plane sits in registers and each candidate costs one
+// 3-term dot product; candidates the per-facet certificate cannot decide
+// collect into a small stack sidecar and resolve through the exact
 // geom.InCircle predicate after the loop, then merge back in position, so
-// the survivor list is byte-identical to the pointwise path.
+// the survivor list is byte-identical to the pointwise path (asserted by
+// TestFilterMergeMatchesPointwise).
 
 // uncertainCap is the stack capacity of the per-batch uncertain sidecar.
 const uncertainCap = 24
@@ -20,62 +21,20 @@ type triFilter struct {
 	t *Triangle
 }
 
-// Filter implements conflict.Filter.
-func (tf triFilter) Filter(cands []int32, dst []int32) []int32 {
-	return tf.e.filterConflict(tf.t, cands, dst)
-}
-
 // FilterRange implements conflict.Filter.
 func (tf triFilter) FilterRange(from, to int32, dst []int32) []int32 {
 	return tf.e.filterConflictRange(tf.t, from, to, dst)
 }
 
-// FilterMerge implements conflict.FusedFilter.
+// FilterMerge implements conflict.Filter.
 func (tf triFilter) FilterMerge(c1, c2 []int32, drop int32, dst []int32) []int32 {
 	return tf.e.filterConflictMerge(tf.t, c1, c2, drop, dst)
 }
 
-// filterConflict appends to dst the candidates strictly inside t's
-// circumcircle, in order — the batch equivalent of appending every v with
-// conflict(v, t), with identical survivors and counter totals (tests
-// counted per batch, fallbacks per sidecar entry).
-func (e *dEngine) filterConflict(t *Triangle, cands []int32, dst []int32) []int32 {
-	if len(cands) == 0 {
-		return dst
-	}
-	e.rec.VTests.Add(uint64(cands[0]), int64(len(cands)))
-	if !t.plane.Valid() {
-		for _, v := range cands {
-			if e.exactConflict(v, t) {
-				dst = append(dst, v)
-			}
-		}
-		return dst
-	}
-	base := len(dst)
-	var ubuf [uncertainCap]int32
-	uncertain := ubuf[:0]
-	n0, n1, n2 := t.plane.N[0], t.plane.N[1], t.plane.N[2]
-	off, eps := t.plane.Off, t.plane.Eps
-	c := e.lift
-	for _, v := range cands {
-		o := int(v) * 3
-		x := c[o : o+3 : o+3]
-		s := n0*x[0] + n1*x[1] + n2*x[2] - off
-		if s > eps {
-			dst = append(dst, v)
-		} else if s >= -eps {
-			uncertain = append(uncertain, v)
-		}
-	}
-	if len(uncertain) == 0 {
-		return dst
-	}
-	return e.resolveUncertain(t, dst, base, uncertain)
-}
-
-// filterConflictRange is filterConflict over the contiguous candidates
-// [from, to), streaming the lifted rows sequentially.
+// filterConflictRange appends to dst the candidates among [from, to)
+// strictly inside t's circumcircle, in order, with the pointwise path's
+// counter totals (tests counted per batch, fallbacks per sidecar entry),
+// streaming the lifted rows sequentially.
 func (e *dEngine) filterConflictRange(t *Triangle, from, to int32, dst []int32) []int32 {
 	if to <= from {
 		return dst

@@ -7,7 +7,6 @@ import (
 	eng "parhull/internal/engine"
 	"parhull/internal/faultinject"
 	"parhull/internal/geom"
-	"parhull/internal/sched"
 )
 
 // Options configures the engine paths (Seq, Par, Rounds). The seed
@@ -17,14 +16,8 @@ type Options struct {
 	// sharded map; install conmap.NewCASMap/NewTASMap for the paper's
 	// Algorithm 4/5 tables).
 	Map conmap.RidgeMap[*Triangle]
-	// Sched selects the fork-join substrate of Par: the work-stealing
-	// executor (sched.KindSteal, the default) or the goroutine-per-chain
-	// Group. The triangle multiset is identical either way.
-	Sched sched.Kind
-	// GroupLimit caps concurrently spawned ridge chains (Group only).
-	GroupLimit int
-	// Workers pins the work-stealing executor's pool width (Steal only;
-	// <= 0 selects GOMAXPROCS).
+	// Workers pins the work-stealing executor's pool width (Par only; <= 0
+	// selects GOMAXPROCS). The triangle multiset is identical for any width.
 	Workers int
 	// NoCounters disables visibility-test counting.
 	NoCounters bool
@@ -35,10 +28,6 @@ type Options struct {
 	// every conflict test runs the exact InCircle predicate (ablation; the
 	// combinatorial output is identical either way).
 	NoPredCache bool
-	// NoBatchFilter routes conflict filtering through the pointwise closure
-	// path instead of the batch filter pipeline (ablation; identical
-	// survivor lists).
-	NoBatchFilter bool
 	// Ctx, when non-nil, cancels the construction cooperatively at
 	// ridge-step (Par/Rounds) or insertion (Seq) granularity.
 	Ctx context.Context
@@ -57,8 +46,6 @@ func (o *Options) filterGrain() int {
 
 func (o *Options) noPredCache() bool { return o != nil && o.NoPredCache }
 
-func (o *Options) batchFilter() bool { return o == nil || !o.NoBatchFilter }
-
 func (o *Options) ctx() context.Context {
 	if o == nil {
 		return nil
@@ -71,13 +58,6 @@ func (o *Options) inject() *faultinject.Injector {
 		return nil
 	}
 	return o.Inject
-}
-
-func (o *Options) schedKind() sched.Kind {
-	if o == nil {
-		return sched.KindSteal
-	}
-	return o.Sched
 }
 
 func (o *Options) ridgeMap(n int) conmap.RidgeMap[*Triangle] {
@@ -93,10 +73,8 @@ func (o *Options) config(e *dEngine) eng.Config[Triangle, []int32] {
 		Kernel: kernel{e: e},
 		Table:  eng.ConmapTable[Triangle]{M: o.ridgeMap(e.n)},
 		Rec:    e.rec,
-		Sched:  o.schedKind(),
 	}
 	if o != nil {
-		cfg.GroupLimit = o.GroupLimit
 		cfg.Workers = o.Workers
 		cfg.Ctx = o.Ctx
 		cfg.Inject = o.Inject
@@ -110,7 +88,7 @@ func (o *Options) config(e *dEngine) eng.Config[Triangle, []int32] {
 // (shuffle for the randomized depth bound); the triangle multiset matches
 // the seed Triangulate on the same order.
 func Par(pts []geom.Point, opt *Options) (*Result, error) {
-	e, err := newDEngine(pts, opt.counters(), opt.filterGrain(), parStripes(), opt.noPredCache(), opt.batchFilter())
+	e, err := newDEngine(pts, opt.counters(), opt.filterGrain(), parStripes(), opt.noPredCache())
 	if err != nil {
 		return nil, err
 	}

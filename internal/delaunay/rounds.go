@@ -11,7 +11,7 @@ import (
 // between rounds, so Stats.Rounds is the recursion depth of the dependence
 // structure and Stats.RoundWidths the per-round ready frontier.
 func Rounds(pts []geom.Point, opt *Options) (*Result, error) {
-	e, err := newDEngine(pts, opt.counters(), opt.filterGrain(), parStripes(), opt.noPredCache(), opt.batchFilter())
+	e, err := newDEngine(pts, opt.counters(), opt.filterGrain(), parStripes(), opt.noPredCache())
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func edgeKey(a, b int32) [2]int32 {
 // are exactly the merge-filters of the parallel engines, so the created
 // triangle multiset matches Par, Rounds, and the seed Triangulate.
 func Seq(pts []geom.Point, opt *Options) (*Result, error) {
-	e, err := newDEngine(pts, opt.counters(), opt.filterGrain(), 1, opt.noPredCache(), opt.batchFilter())
+	e, err := newDEngine(pts, opt.counters(), opt.filterGrain(), 1, opt.noPredCache())
 	if err != nil {
 		return nil, err
 	}

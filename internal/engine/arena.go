@@ -26,7 +26,7 @@ const (
 // overwritten before it is read. Only the owning worker ever touches an
 // arena (indexed by the executor's worker id), so no synchronization is
 // needed; a nil *Arena falls back to plain heap allocation, which is what
-// the non-pooled Group, rounds, and one-shot sequential schedules use.
+// the base facets of a one-shot construction use.
 type Arena[FV any] struct {
 	facets    []FV   // remaining slots of the current facet slab
 	slabs     [][]FV // every facet slab, in allocation order
@@ -35,11 +35,6 @@ type Arena[FV any] struct {
 	block      []int32   // remaining space of the current int32 block
 	blocks     [][]int32 // every block, in allocation order
 	usedBlocks int       // blocks consumed this cycle
-
-	// Planes is the structure-of-arrays plane storage of this worker's
-	// facets (see PlaneArena): one row per plane-cached facet, carved in
-	// creation order alongside the facet slab.
-	Planes PlaneArena
 
 	// Scratch is the worker's reusable merge-filter buffer (see
 	// conflict.Scratch): steady-state conflict filtering touches no
@@ -167,13 +162,11 @@ func (a *Arena[FV]) Reset() {
 	a.facets = nil
 	a.usedBlocks = 0
 	a.block = nil
-	a.Planes.Reset()
 }
 
-// ArenaPool hands arenas to transient holders — the Group schedule's
-// bounded chain goroutines and the rounds schedule's barriered steps — so
-// those schedules get slab-allocated facets (in creation, i.e. round, order)
-// instead of per-facet heap allocation. Arenas are monotone, so recycling
+// ArenaPool hands arenas to transient holders — the rounds schedule's
+// barriered steps — so that schedule gets slab-allocated facets (in
+// creation, i.e. round, order) instead of per-facet heap allocation. Arenas are monotone, so recycling
 // one to a new holder is safe: previously carved memory is never reused
 // within a cycle. The pool retains every arena it ever created, which is
 // what lets a pooled engine Reset them between cycles.
@@ -184,8 +177,7 @@ type ArenaPool[FV any] struct {
 }
 
 // Get returns an idle arena, creating one if none is free. The live arena
-// count is bounded by the holder concurrency (GroupLimit goroutines, or the
-// rounds ParallelFor width).
+// count is bounded by the holder concurrency (the rounds ParallelFor width).
 func (p *ArenaPool[FV]) Get() *Arena[FV] {
 	p.mu.Lock()
 	defer p.mu.Unlock()

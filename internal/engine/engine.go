@@ -6,8 +6,8 @@
 // support sets; this package makes the code reflect that: internal/hull2d
 // and internal/hulld are thin geometry kernels, and every schedule — the
 // sequential Algorithm 2 loop (Seq), the asynchronous fork-join schedule on
-// the work-stealing executor or the goroutine Group (Par), and the
-// round-synchronous PRAM schedule (Rounds) — lives here exactly once.
+// the work-stealing executor (Par), and the round-synchronous PRAM schedule
+// (Rounds) — lives here exactly once.
 //
 // Division of responsibility:
 //
@@ -103,15 +103,9 @@ type Config[FV any, R any] struct {
 	Kernel Kernel[FV, R]
 	Table  Table[FV, R]
 	Rec    *hullstats.Recorder
-	// Sched selects the fork-join substrate of Par: the work-stealing
-	// executor with per-worker arenas (sched.KindSteal, default) or the
-	// goroutine-per-chain Group (sched.KindGroup). Ignored by Rounds.
-	Sched sched.Kind
-	// GroupLimit caps concurrently spawned ridge chains (Group only).
-	GroupLimit int
-	// Workers is the work-stealing executor's pool width (Steal only;
-	// <= 0 selects GOMAXPROCS). The speedup harness pins it per run so
-	// scaling curves do not depend on the ambient GOMAXPROCS.
+	// Workers is the work-stealing executor's pool width (Par only; <= 0
+	// selects GOMAXPROCS). The speedup harness pins it per run so scaling
+	// curves do not depend on the ambient GOMAXPROCS.
 	Workers int
 	// Ctx, when non-nil, cancels the construction cooperatively: chains
 	// check it at ridge-step granularity and the run returns ctx.Err() with
@@ -119,8 +113,8 @@ type Config[FV any, R any] struct {
 	Ctx context.Context
 	// Pool, when non-nil, runs the construction on a retained substrate: the
 	// steal schedule reuses the pool's workers, arenas, and scratch instead
-	// of building them per call, and the Group/rounds schedules draw chain
-	// arenas from the pool so facet slabs are recycled across constructions.
+	// of building them per call, and the rounds schedule draws step arenas
+	// from the pool so facet slabs are recycled across constructions.
 	// The caller owns the pool's lifecycle (Reset between uses, Close at the
 	// end); nil keeps the self-contained per-call behavior.
 	Pool *Pool[FV, R]
@@ -152,21 +146,28 @@ func (d *driver[FV, R]) fail(err error) {
 
 // watch flips the driver's failed flag when ctx is canceled, so every chain
 // loop's existing poll doubles as the cancellation check — ridge-step
-// granularity with no extra atomic on the hot path. The returned stop must
-// be called (deferred) to retire the watcher goroutine.
+// granularity with no extra atomic on the hot path. The returned stop
+// retires the watcher goroutine and waits for it to exit. It must be called
+// before d.err is read: a cancellation that lands as the run finishes
+// otherwise writes the error concurrently with that read.
 func (d *driver[FV, R]) watch(ctx context.Context) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
 	quit := make(chan struct{})
+	exited := make(chan struct{})
 	go func() {
+		defer close(exited)
 		select {
 		case <-ctx.Done():
 			d.fail(ctx.Err())
 		case <-quit:
 		}
 	}()
-	return func() { close(quit) }
+	return func() {
+		close(quit)
+		<-exited
+	}
 }
 
 // step executes one ProcessRidge iteration of the chain holding tk: it
@@ -175,8 +176,7 @@ func (d *driver[FV, R]) watch(ctx context.Context) (stop func()) {
 // reports done=false, or creates the replacement facet (lines 14-17), hands
 // the fresh ridges to the table — the second facet to arrive forks its chain
 // (lines 20-22) — and returns the continuation task for the ridge shared
-// with t2 (line 19). ridges is caller-owned scratch reused across steps
-// (nil forces fresh allocation, the Group/rounds behavior).
+// with t2 (line 19). ridges is caller-owned scratch reused across steps.
 func (d *driver[FV, R]) step(a *Arena[FV], tk Task[FV, R], ridges []R, round int32, fork func(Task[FV, R])) (Task[FV, R], []R, bool) {
 	var zero Task[FV, R]
 	d.inj.Visit(faultinject.SiteRidgeStep)
@@ -228,55 +228,18 @@ func Par[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R]))) er
 			return err
 		}
 	}
-	defer d.watch(cfg.Ctx)()
+	stop := d.watch(cfg.Ctx)
 	var perr error
-	switch {
-	case cfg.Sched == sched.KindGroup:
-		perr = d.parGroup(cfg.GroupLimit, chainArenas(cfg.Pool), seed)
-	case cfg.Pool != nil:
+	if cfg.Pool != nil {
 		perr = cfg.Pool.runSteal(d, cfg.Workers, seed)
-	default:
+	} else {
 		perr = d.parSteal(cfg.Workers, seed)
 	}
+	stop()
 	if perr != nil {
 		d.fail(perr) // first recorded failure wins; a panic only if nothing else
 	}
 	return d.err
-}
-
-// parGroup runs the chains on the bounded goroutine-per-fork Group — the
-// PR-1 substrate, kept as the A3 ablation baseline for the schedule (the
-// goroutine-per-chain fork discipline). Allocation, however, now matches the
-// steal path: each chain goroutine acquires an arena from ap for its
-// lifetime and reuses one fresh-ridge scratch across its steps, closing the
-// ~75x allocs/op gap the heap-per-facet discipline used to cost here. Arenas
-// are monotone, so handing a recycled arena to a new chain is safe.
-func (d *driver[FV, R]) parGroup(limit int, ap *ArenaPool[FV], seed func(fork func(Task[FV, R]))) error {
-	g := sched.NewGroup(limit)
-	var chain func(tk Task[FV, R])
-	chain = func(tk Task[FV, R]) {
-		a := ap.Get()
-		defer ap.Put(a)
-		var ridges []R
-		for {
-			if d.failed.Load() || g.Failed() {
-				return
-			}
-			next, buf, ok := d.step(a, tk, ridges, 0, func(nt Task[FV, R]) {
-				g.Go(func() { chain(nt) })
-			})
-			ridges = buf
-			if !ok {
-				return
-			}
-			tk = next
-		}
-	}
-	seed(func(tk Task[FV, R]) {
-		g.Go(func() { chain(tk) })
-	})
-	g.Wait()
-	return g.Err()
 }
 
 // parSteal runs the chains on the work-stealing executor: one long-lived
@@ -352,7 +315,7 @@ func Rounds[FV any, R any](cfg Config[FV, R], initial []Task[FV, R],
 			return 0, nil, err
 		}
 	}
-	defer d.watch(cfg.Ctx)()
+	stop := d.watch(cfg.Ctx)
 	type roundTask struct {
 		Task[FV, R]
 		round int32
@@ -368,13 +331,15 @@ func Rounds[FV any, R any](cfg Config[FV, R], initial []Task[FV, R],
 	// ParallelFor is panic-transparent: a contained panic in a round body is
 	// re-thrown here, on the calling goroutine, after the barrier — Recovered
 	// turns it into the typed *sched.PanicError.
-	if perr := sched.Recovered(func() {
+	perr := sched.Recovered(func() {
 		rounds, widths = sched.RunRoundsWidths(seed, func(tk roundTask, emit func(roundTask)) {
 			d.roundStep(ap, tk.Task, tk.round, observe, func(nt Task[FV, R], round int32) {
 				emit(roundTask{Task: nt, round: round})
 			})
 		})
-	}); perr != nil {
+	})
+	stop()
+	if perr != nil {
 		d.fail(perr)
 	}
 	return rounds, widths, d.err

@@ -11,12 +11,11 @@ import (
 	"parhull/internal/hull2d"
 	"parhull/internal/hulld"
 	"parhull/internal/pointgen"
-	"parhull/internal/sched"
 )
 
 // FuzzEngineEquivalence drives random point sets through all three schedules
-// of both kernels — each parallel schedule under both the batched and the
-// pointwise-closure visibility filter — and asserts Theorem 5.5's guarantee:
+// of both kernels — the parallel one both one-shot and on a retained Reuse —
+// and asserts Theorem 5.5's guarantee:
 // the schedules create the identical facet multiset and hull vertex set
 // (previously pinned only on fixed seeds). Inputs the engines reject as
 // degenerate are skipped — rejection must then be unanimous.
@@ -173,12 +172,12 @@ func fuzz2D(t *testing.T, pts []geom.Point) {
 	if err != nil {
 		t.Fatalf("Seq: %v", err)
 	}
+	ru := hull2d.NewReuse()
+	defer ru.Close()
 	results := map[string]*hull2d.Result{}
 	for name, opt := range map[string]*hull2d.Options{
-		"par/steal":         {},
-		"par/group":         {Sched: sched.KindGroup},
-		"par/steal/closure": {NoBatchFilter: true},
-		"par/group/closure": {Sched: sched.KindGroup, NoBatchFilter: true},
+		"par":       nil,
+		"par/reuse": {Reuse: ru},
 	} {
 		r, err := hull2d.Par(pts, opt)
 		if err != nil {
@@ -191,11 +190,6 @@ func fuzz2D(t *testing.T, pts []geom.Point) {
 		t.Fatalf("Rounds: %v", err)
 	}
 	results["rounds"] = rr
-	rc, _, err := hull2d.Rounds(pts, &hull2d.Options{NoBatchFilter: true})
-	if err != nil {
-		t.Fatalf("Rounds/closure: %v", err)
-	}
-	results["rounds/closure"] = rc
 	want := seq.EdgeSet()
 	wantV := fmt.Sprint(seq.Vertices)
 	for name, r := range results {
@@ -222,12 +216,12 @@ func fuzzD(t *testing.T, pts []geom.Point) {
 	if err != nil {
 		t.Fatalf("Seq: %v", err)
 	}
+	ru := hulld.NewReuse()
+	defer ru.Close()
 	results := map[string]*hulld.Result{}
 	for name, opt := range map[string]*hulld.Options{
-		"par/steal":         {},
-		"par/group":         {Sched: sched.KindGroup},
-		"par/steal/closure": {NoBatchFilter: true},
-		"par/group/closure": {Sched: sched.KindGroup, NoBatchFilter: true},
+		"par":       nil,
+		"par/reuse": {Reuse: ru},
 	} {
 		r, err := hulld.Par(pts, opt)
 		if err != nil {
@@ -240,11 +234,6 @@ func fuzzD(t *testing.T, pts []geom.Point) {
 		t.Fatalf("Rounds: %v", err)
 	}
 	results["rounds"] = rr
-	rc, err := hulld.Rounds(pts, &hulld.Options{NoBatchFilter: true})
-	if err != nil {
-		t.Fatalf("Rounds/closure: %v", err)
-	}
-	results["rounds/closure"] = rc
 	want := seq.FacetSet()
 	wantV := fmt.Sprint(seq.Vertices)
 	for name, r := range results {

@@ -5,7 +5,7 @@ import "parhull/internal/sched"
 // Pool is the retained parallel substrate of a reusable construction owner
 // (the public parhull.Builder): the work-stealing worker pool, the
 // per-worker arenas and fresh-ridge scratch of the steal schedule, and the
-// shared arena pool the Group and rounds schedules draw from. A Pool amortizes
+// shared arena pool the rounds schedule draws from. A Pool amortizes
 // across constructions everything parSteal builds per call — worker
 // goroutines, deques, arenas, fork closures — so the steady-state cost of a
 // parallel construction is the work itself, not the scaffolding.
@@ -26,9 +26,9 @@ type Pool[FV any, R any] struct {
 	// mutex of the first Fork.
 	cur *driver[FV, R]
 
-	// chain hands arenas to the transient holders of the Group and rounds
-	// schedules (see ArenaPool); retained here so a pooled owner can Reset
-	// them between cycles.
+	// chain hands arenas to the barriered steps of the rounds schedule (see
+	// ArenaPool); retained here so a pooled owner can Reset them between
+	// cycles.
 	chain ArenaPool[FV]
 }
 
@@ -108,7 +108,7 @@ func (p *Pool[FV, R]) Close() {
 	}
 }
 
-// chainArenas returns the arena pool Group/rounds holders should draw from:
+// chainArenas returns the arena pool rounds steps should draw from:
 // the retained one of a pooled construction, or a construction-local pool.
 func chainArenas[FV any, R any](p *Pool[FV, R]) *ArenaPool[FV] {
 	if p != nil {

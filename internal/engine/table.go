@@ -58,56 +58,19 @@ func (t ConmapTable[FV]) GetValue(r []int32, not *FV) *FV {
 	return t.M.GetValue(conmap.MakeKey(r), not)
 }
 
-// MergeFilter implements line 16 of Algorithm 3 (and line 9 of Algorithm 2):
-// C(t) = { v in C(t1) ∪ C(t2) : keep(v) }, excluding the new point p, where
-// keep is the kernel's exact visibility predicate against the new facet.
+// MergeFilterFused implements line 16 of Algorithm 3 (and line 9 of
+// Algorithm 2): C(t) = { v in C(t1) ∪ C(t2) : flt keeps v }, excluding the
+// new point p, where flt is the kernel's batch visibility filter against the
+// new facet (see conflict.Filter for the contract). One FilterMerge pass
+// walks both conflict lists and classifies each candidate as it is merged.
 // Lists at least grain long (0 selects conflict.DefaultGrain) filter in
-// parallel chunks; with a worker arena, shorter lists — the steady state —
-// filter through the arena's scratch and compact into arena memory, with no
-// pool round-trip and no per-facet allocation. The output and the multiset
-// of visibility tests are identical on every path.
-func MergeFilter[FV any](a *Arena[FV], c1, c2 []int32, p int32, keep func(int32) bool, grain int) []int32 {
-	if a != nil {
-		g := grain
-		if g <= 0 {
-			g = conflict.DefaultGrain
-		}
-		if len(c1)+len(c2) < g {
-			return a.Scratch.MergeFilter(c1, c2, p, keep, a.Alloc)
-		}
-	}
-	return conflict.MergeFilter(c1, c2, p, keep, grain)
-}
-
-// MergeFilterBatch is MergeFilter on the batched two-phase pipeline: a
-// predicate-free ascending merge into per-worker scratch, then one
-// flt.Filter call over the whole candidate run (see conflict.Filter for the
-// kernel contract). Dispatch mirrors MergeFilter: arena scratch below the
-// grain, pooled chunked-parallel scratch above it. flt is a type parameter
-// so kernels pass their concrete filter without interface boxing — the
-// steady-state path stays allocation-free. The survivor list and the
-// multiset of visibility tests are identical to MergeFilter with the
-// pointwise form of flt.
-func MergeFilterBatch[FV any, F conflict.Filter](a *Arena[FV], c1, c2 []int32, p int32, flt F, grain int) []int32 {
-	if a != nil {
-		g := grain
-		if g <= 0 {
-			g = conflict.DefaultGrain
-		}
-		if len(c1)+len(c2) < g {
-			return conflict.MergeFilterScratch(&a.Scratch, c1, c2, p, flt, a.Alloc)
-		}
-	}
-	return conflict.MergeFilterBatch(c1, c2, p, flt, grain)
-}
-
-// MergeFilterFused is MergeFilterBatch with the two phases fused: one
-// FilterMerge pass walks both conflict lists and classifies each candidate as
-// it is merged, so the candidate run is never written to scratch and re-read.
-// Dispatch mirrors MergeFilterBatch — arena scratch below the grain, pooled
-// chunked-parallel pieces above it — and the survivor list and counter totals
-// are identical to the two-phase pipeline with the same filter.
-func MergeFilterFused[FV any, F conflict.FusedFilter](a *Arena[FV], c1, c2 []int32, p int32, flt F, grain int) []int32 {
+// parallel pieces; with a worker arena, shorter lists — the steady state —
+// filter through the arena's scratch, and every result compacts into arena
+// memory, with no pool round-trip and no per-facet allocation. flt is a type
+// parameter so kernels pass their concrete filter without interface boxing.
+// The output and the multiset of visibility tests are identical on every
+// path.
+func MergeFilterFused[FV any, F conflict.Filter](a *Arena[FV], c1, c2 []int32, p int32, flt F, grain int) []int32 {
 	if a != nil {
 		g := grain
 		if g <= 0 {

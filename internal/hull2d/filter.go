@@ -7,22 +7,20 @@ import (
 )
 
 // This file implements the kernel's batch visibility filter — the
-// conflict.Filter side of the two-phase merge/filter pipeline (DESIGN.md
-// §4.3) and its fused merge form. Where visible() decides one point per
-// indirect call, the filters stream a whole candidate run through the
-// cached-line dot product in tight loops over the flat point store, using
-// the dimension-specialized kernels in internal/conflict (DESIGN.md §4.7):
-// scattered candidate lists unroll four inlined conflict.Eval2 calls per
-// step, so four independent coordinate gathers are in flight at once with
-// no call overhead. Lines are stored folded (initPlane) — positive
-// certifies visible —
-// and read from the arena's structure-of-arrays rows when published
-// (lineRow), so the per-test negation of earlier revisions is gone while
-// every classification stays bit-identical to visible(). Candidates the
-// static filter cannot certify are collected into a small sidecar and
-// resolved by the exact Orient2D predicate after the loop, then
-// value-merged back into position, so the survivor list is byte-identical
-// to the pointwise path (asserted by TestBatchFilterMatchesClosure).
+// conflict.Filter side of the fused merge/filter (DESIGN.md §4.3). Where the
+// pointwise predicate decides one point per call, the filters stream a whole
+// candidate run through the cached-line dot product in tight loops over the
+// flat point store, using the dimension-specialized kernels in
+// internal/conflict (DESIGN.md §4.7): scattered candidate lists unroll four
+// inlined conflict.Eval2 calls per step, so four independent coordinate
+// gathers are in flight at once with no call overhead. Lines are stored
+// folded in the facet (initPlane) — positive certifies visible — so no
+// per-test negation is needed and every classification stays bit-identical
+// to the pointwise path. Candidates the static filter cannot certify are
+// collected into a small sidecar and resolved by the exact Orient2D
+// predicate after the loop, then value-merged back into position, so the
+// survivor list is byte-identical to the pointwise path (asserted by
+// TestBatchFilterMatchesClosure and TestFilterMergeMatchesPointwise).
 //
 // Escape discipline: the sidecar and the merge chunk live in fixed-size
 // stack buffers; the conflict kernels are pure evaluation and every append
@@ -48,106 +46,30 @@ type facetFilter struct {
 	f *Facet
 }
 
-// Filter implements conflict.Filter.
-func (ff facetFilter) Filter(cands []int32, dst []int32) []int32 {
-	return ff.e.filterVisible(ff.f, cands, dst)
-}
-
 // FilterRange implements conflict.Filter.
 func (ff facetFilter) FilterRange(from, to int32, dst []int32) []int32 {
 	return ff.e.filterVisibleRange(ff.f, from, to, dst)
 }
 
-// FilterMerge implements conflict.FusedFilter.
+// FilterMerge implements conflict.Filter.
 func (ff facetFilter) FilterMerge(c1, c2 []int32, drop int32, dst []int32) []int32 {
 	return ff.e.filterVisibleMerge(ff.f, c1, c2, drop, dst)
 }
 
-// lineRow returns f's folded line for the batch scan: the coefficients of
-// its structure-of-arrays row when one was published, otherwise the inline
-// copy. Both hold identical bits (initPlane writes the same folded values
-// to both), so the choice affects only memory layout. ok=false means the
+// lineRow returns f's folded line for the batch scan. ok=false means the
 // line cache is off: the caller must run the exact predicate.
 func (e *engine) lineRow(f *Facet) (n0, n1, off, eps float64, ok bool) {
 	if e.planeEps <= 0 {
 		return 0, 0, 0, 0, false
 	}
-	if ps := f.ps; ps != nil {
-		o := int(f.pi) * 2
-		return ps.Norms[o], ps.Norms[o+1], ps.Offs[f.pi], ps.Eps[f.pi], true
-	}
 	return f.nx, f.ny, f.off, e.planeEps, true
 }
 
-// filterVisible appends to dst the candidates visible from f, in order —
-// the batch equivalent of appending every v with visible(v, f), with
-// identical counter totals (tests counted per batch, fallbacks per sidecar
-// entry).
-func (e *engine) filterVisible(f *Facet, cands []int32, dst []int32) []int32 {
-	if len(cands) == 0 {
-		return dst
-	}
-	e.inj.Visit(faultinject.SiteScanBatch)
-	e.rec.VTests.Add(uint64(cands[0]), int64(len(cands)))
-	n0, n1, off, eps, ok := e.lineRow(f)
-	if !ok {
-		for _, v := range cands {
-			if e.exactVisible(v, f) {
-				dst = append(dst, v)
-			}
-		}
-		return dst
-	}
-	base := len(dst)
-	var ubuf [uncertainCap]int32
-	uncertain := ubuf[:0]
-	c := e.store.Coords()
-	k := 0
-	for ; k+4 <= len(cands); k += 4 {
-		g := cands[k : k+4 : k+4]
-		s0 := conflict.Eval2(c, g[0], n0, n1, off)
-		s1 := conflict.Eval2(c, g[1], n0, n1, off)
-		s2 := conflict.Eval2(c, g[2], n0, n1, off)
-		s3 := conflict.Eval2(c, g[3], n0, n1, off)
-		if s0 > eps {
-			dst = append(dst, g[0])
-		} else if s0 >= -eps {
-			uncertain = append(uncertain, g[0])
-		}
-		if s1 > eps {
-			dst = append(dst, g[1])
-		} else if s1 >= -eps {
-			uncertain = append(uncertain, g[1])
-		}
-		if s2 > eps {
-			dst = append(dst, g[2])
-		} else if s2 >= -eps {
-			uncertain = append(uncertain, g[2])
-		}
-		if s3 > eps {
-			dst = append(dst, g[3])
-		} else if s3 >= -eps {
-			uncertain = append(uncertain, g[3])
-		}
-	}
-	for _, v := range cands[k:] {
-		s := conflict.Eval2(c, v, n0, n1, off)
-		if s > eps {
-			dst = append(dst, v)
-		} else if s >= -eps {
-			uncertain = append(uncertain, v)
-		}
-	}
-	if len(uncertain) == 0 {
-		return dst
-	}
-	return e.resolveUncertain(f, dst, base, uncertain)
-}
-
-// filterVisibleRange is filterVisible over the contiguous candidates
-// [from, to): the store rows stream sequentially, so the offset advances by
-// the stride instead of being recomputed per point, and the hardware
-// prefetcher hides the latency.
+// filterVisibleRange appends to dst the candidates among [from, to) visible
+// from f, in order, with the pointwise path's counter totals (tests counted
+// per batch, fallbacks per sidecar entry). The store rows stream
+// sequentially, so the offset advances by the stride instead of being
+// recomputed per point, and the hardware prefetcher hides the latency.
 func (e *engine) filterVisibleRange(f *Facet, from, to int32, dst []int32) []int32 {
 	if to <= from {
 		return dst
@@ -189,7 +111,7 @@ func (e *engine) filterVisibleRange(f *Facet, from, to int32, dst []int32) []int
 // two-pointer merge deposits surviving candidates into a stack buffer and
 // each full (or final) chunk is consumed by the four-wide kernel, so the
 // merged run is never written to allocated scratch and re-read. Survivors,
-// order, and counter totals are identical to filterVisible over
+// order, and counter totals are identical to the pointwise predicate over
 // MergeInto(nil, c1, c2, drop).
 func (e *engine) filterVisibleMerge(f *Facet, c1, c2 []int32, drop int32, dst []int32) []int32 {
 	if len(c1)+len(c2) == 0 {
@@ -197,7 +119,7 @@ func (e *engine) filterVisibleMerge(f *Facet, c1, c2 []int32, drop int32, dst []
 	}
 	e.inj.Visit(faultinject.SiteScanBatch)
 	// The shard key only selects a counter stripe (Load sums all stripes),
-	// so any key gives totals identical to the two-phase path.
+	// so any key gives the same totals.
 	var key uint64
 	if len(c1) > 0 {
 		key = uint64(c1[0])
@@ -376,8 +298,8 @@ func (e *engine) resolveUncertain(f *Facet, dst []int32, base int, uncertain []i
 }
 
 // exactVisible is the exact visibility predicate with no counting — the
-// shared tail of visible() and the batch filter's uncertain-sidecar
-// resolution (both count before calling it, on different granularities).
+// batch filters' exact path and uncertain-sidecar resolution (both count
+// before calling it).
 func (e *engine) exactVisible(v int32, f *Facet) bool {
 	return geom.Orient2D(e.pts[f.A], e.pts[f.B], e.pts[v]) < 0
 }

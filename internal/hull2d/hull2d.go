@@ -100,13 +100,6 @@ type Facet struct {
 	// Zero (unused) when the engine runs with the cache disabled.
 	nx, ny, off float64
 
-	// ps/pi locate this edge's line row in the worker arena's
-	// structure-of-arrays plane storage (engine.PlaneArena); the batch
-	// filter streams coefficients from there when ps != nil. nil on the
-	// heap paths and under the Options.NoSoALayout ablation.
-	ps *eng.PlaneSlab
-	pi int32
-
 	// mark is scratch for the sequential engine's per-insertion visible-set
 	// membership (holds the insertion index; never touched concurrently).
 	mark int32
@@ -172,8 +165,6 @@ type engine struct {
 	base     int              // number of initial hull points (>= 3)
 	grain    int              // conflict-filter parallel grain (0 = default)
 	planeEps float64          // static certification threshold; 0 = cache off
-	batch    bool             // batch visibility filter (filter.go) vs pointwise closure
-	soa      bool             // publish line rows into the arena SoA storage
 	rec      *hullstats.Recorder
 	inj      *faultinject.Injector // batch-scan fault site (nil in production)
 
@@ -212,10 +203,7 @@ func (e *engine) key1(v int32) conmap.Key {
 // visible. IEEE negation is exact (b-a == -(a-b) bit for bit, and the
 // offset's negated products sum to the negated offset), so folding changes
 // no classification relative to evaluating the unfolded line and flipping.
-// With the SoA layout on and a worker arena supplied, the folded line is
-// additionally published as a row of the arena's PlaneArena, fully written
-// before the facet escapes this worker.
-func (e *engine) initPlane(a *arena, f *Facet) {
+func (e *engine) initPlane(f *Facet) {
 	if e.planeEps <= 0 {
 		return
 	}
@@ -223,35 +211,6 @@ func (e *engine) initPlane(a *arena, f *Facet) {
 	f.nx = pb[1] - pa[1]
 	f.ny = pa[0] - pb[0]
 	f.off = f.nx*pa[0] + f.ny*pa[1]
-	if e.soa && a != nil {
-		ps, pi := a.Planes.Row(2)
-		o := int(pi) * 2
-		ps.Norms[o] = f.nx
-		ps.Norms[o+1] = f.ny
-		ps.Offs[pi] = f.off
-		ps.Eps[pi] = e.planeEps
-		f.ps, f.pi = ps, pi
-	}
-}
-
-// visible reports whether point v lies strictly outside edge f (strictly to
-// the right of the directed line A->B), counting the test. The cached-plane
-// filter decides almost every call; the exact Orient2D predicate is the
-// fallback, so the answer is always the exact one.
-func (e *engine) visible(v int32, f *Facet) bool {
-	e.rec.VTests.Inc(uint64(v))
-	if eps := e.planeEps; eps > 0 {
-		row := e.store.Row(v)
-		s := f.nx*row[0] + f.ny*row[1] - f.off
-		if s > eps {
-			return true // folded line: positive certifies strictly right, visible
-		}
-		if s < -eps {
-			return false // certified strictly left: not visible
-		}
-		e.rec.Fallbacks.Inc(uint64(v))
-	}
-	return e.exactVisible(v, f)
 }
 
 func (e *engine) record(f *Facet) {
@@ -274,22 +233,18 @@ func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet, round int32) *Fac
 	}
 	f.Depth = 1 + max32(t1.Depth, t2.Depth)
 	f.Round = round
-	e.initPlane(a, f)
+	e.initPlane(f)
 	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, f)
 	e.record(f)
 	return f
 }
 
 // mergeFilter implements line 16 of Algorithm 3 (and line 9 of Algorithm 2)
-// through the driver's shared grain/arena discipline (engine.MergeFilter),
-// with this kernel's exact visibility predicate as the filter. The batch
-// path runs fused (merge and classification in one pass).
+// through the driver's shared grain/arena discipline
+// (engine.MergeFilterFused), with this kernel's exact visibility predicate
+// as the filter: merge and classification in one pass.
 func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, f *Facet) []int32 {
-	if e.batch {
-		return eng.MergeFilterFused(a, c1, c2, p, facetFilter{e: e, f: f}, e.grain)
-	}
-	keep := func(v int32) bool { return e.visible(v, f) }
-	return eng.MergeFilter(a, c1, c2, p, keep, e.grain)
+	return eng.MergeFilterFused(a, c1, c2, p, facetFilter{e: e, f: f}, e.grain)
 }
 
 func max32(a, b int32) int32 {
@@ -357,7 +312,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	for i := 0; i < e.base; i++ {
 		f := a.Facet()
 		f.A, f.B = order[i], order[(i+1)%e.base]
-		e.initPlane(a, f)
+		e.initPlane(f)
 		facets = append(facets, f)
 	}
 	if e.ru != nil {
@@ -366,13 +321,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	// Conflict lists over the remaining points, one pass per facet so each
 	// list comes out in ascending index order (parallel chunks for large n).
 	for _, f := range facets {
-		f := f
-		if e.batch {
-			f.Conf = conflict.BuildFilterInto(int32(e.base), int32(n), facetFilter{e: e, f: f}, e.grain, alloc)
-		} else {
-			f.Conf = conflict.Build(int32(e.base), int32(n),
-				func(v int32) bool { return e.visible(v, f) }, e.grain)
-		}
+		f.Conf = conflict.BuildFilterInto(int32(e.base), int32(n), facetFilter{e: e, f: f}, e.grain, alloc)
 		e.record(f)
 	}
 	return facets, nil
@@ -449,14 +398,12 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 // newEngine assembles engine state. stripes sizes the facet log: the
 // sequential engine passes 1 to keep Result.Created in creation order; the
 // parallel engines stripe by worker count so record() does not serialize.
-func newEngine(pts []geom.Point, base int, counters bool, grain, stripes int, noPlane, batch, soa bool) *engine {
+func newEngine(pts []geom.Point, base int, counters bool, grain, stripes int, noPlane bool) *engine {
 	e := &engine{
 		pts:   pts,
 		store: geom.NewPointStore(pts),
 		base:  base,
 		grain: grain,
-		batch: batch,
-		soa:   soa,
 		rec:   hullstats.NewRecorder(counters),
 		log:   facetlog.New[*Facet](stripes),
 	}

@@ -8,7 +8,6 @@ import (
 	eng "parhull/internal/engine"
 	"parhull/internal/faultinject"
 	"parhull/internal/geom"
-	"parhull/internal/sched"
 )
 
 // Options configures the parallel engines.
@@ -21,18 +20,10 @@ type Options struct {
 	// sharded map; tests and the E10 ablation install the paper's
 	// Algorithm 4 (CAS) and Algorithm 5 (TAS) tables instead.
 	Map conmap.RidgeMap[*Facet]
-	// Sched selects the fork-join substrate of Par: the work-stealing
-	// executor with per-worker arenas (sched.KindSteal, the default) or the
-	// goroutine-per-chain Group (sched.KindGroup — the A3 ablation in
-	// cmd/hullbench). The created-edge multiset is identical either way
-	// (Theorem 5.5; asserted by TestParSchedEquivalence).
-	Sched sched.Kind
-	// GroupLimit caps concurrently spawned ridge chains in the async engine
-	// (<= 0 selects the sched default; Group substrate only).
-	GroupLimit int
-	// Workers pins the work-stealing executor's pool width (Steal substrate
-	// only; <= 0 selects GOMAXPROCS). The facet output is identical for any
-	// width (Theorem 5.5) — only the schedule changes.
+	// Workers pins the work-stealing executor's pool width (Par only; <= 0
+	// selects GOMAXPROCS). The created-edge multiset is identical for any
+	// width (Theorem 5.5; asserted by TestParSchedEquivalence) — only the
+	// schedule changes.
 	Workers int
 	// NoCounters disables visibility-test counting (for pure-speed runs).
 	NoCounters bool
@@ -45,16 +36,6 @@ type Options struct {
 	// every test runs the exact determinant predicate (the A2 ablation in
 	// cmd/hullbench). The combinatorial output is identical either way.
 	NoPlaneCache bool
-	// NoBatchFilter routes conflict filtering through the pointwise closure
-	// path instead of the batch filter pipeline (the filter ablation in
-	// cmd/hullbench). The survivor lists are identical either way.
-	NoBatchFilter bool
-	// NoSoALayout keeps each edge's cached line inline in the facet record
-	// instead of additionally publishing it into the worker arena's
-	// structure-of-arrays plane rows (the layout ablation in cmd/hullbench's
-	// scale experiment). Folded values are identical in both layouts, so the
-	// edge output is bit-for-bit the same either way.
-	NoSoALayout bool
 	// Trace records per-round events (rounds engine only).
 	Trace bool
 	// Ctx, when non-nil, cancels the construction cooperatively at
@@ -86,17 +67,6 @@ func (o *Options) filterGrain() int {
 }
 
 func (o *Options) noPlaneCache() bool { return o != nil && o.NoPlaneCache }
-
-func (o *Options) batchFilter() bool { return o == nil || !o.NoBatchFilter }
-
-func (o *Options) soaLayout() bool { return o == nil || !o.NoSoALayout }
-
-func (o *Options) schedKind() sched.Kind {
-	if o == nil {
-		return sched.KindSteal
-	}
-	return o.Sched
-}
 
 // ridgeSlots builds the driver's ridge table over plain vertex ids: in 2D a
 // ridge IS a single vertex, so the default table is a flat array of CAS slots
@@ -140,16 +110,10 @@ func (s conmapSlots) GetValue(v int32, not *Facet) *Facet {
 
 // config assembles the driver configuration for this construction.
 func (o *Options) config(e *engine) eng.Config[Facet, int32] {
-	limit := 0
-	if o != nil {
-		limit = o.GroupLimit
-	}
 	cfg := eng.Config[Facet, int32]{
-		Kernel:     kernel{e: e},
-		Table:      o.ridgeSlots(e),
-		Rec:        e.rec,
-		Sched:      o.schedKind(),
-		GroupLimit: limit,
+		Kernel: kernel{e: e},
+		Table:  o.ridgeSlots(e),
+		Rec:    e.rec,
 	}
 	if o != nil {
 		cfg.Workers = o.Workers
@@ -174,8 +138,7 @@ func initialTasks(facets []*Facet, fork func(eng.Task[Facet, int32])) {
 // scheduled asynchronously: every ridge chain runs as soon as its facets
 // exist, with fork-join spawns for newly ready ridges. This is the
 // binary-forking-model execution of Theorem 5.5, run by the generic driver in
-// internal/engine. Options.Sched picks the substrate: work-stealing executor
-// (default) or goroutine-per-chain Group.
+// internal/engine on the work-stealing executor.
 func Par(pts []geom.Point, opt *Options) (*Result, error) {
 	if err := geom.ValidateCloud(pts, 2); err != nil {
 		return nil, err
@@ -191,7 +154,7 @@ func Par(pts []geom.Point, opt *Options) (*Result, error) {
 		// armed here fires on the calling goroutine, before any worker runs.
 		inj.Visit(faultinject.SiteBuilderRewind)
 	}
-	e := engineFor(ru, pts, opt.base(), opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache(), opt.batchFilter(), opt.soaLayout())
+	e := engineFor(ru, pts, opt.base(), opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
 	e.inj = inj
 	facets, err := e.initialHull()
 	if err != nil {

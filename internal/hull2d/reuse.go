@@ -33,10 +33,10 @@ func newRetained() retained { return retained{arena: eng.NewArena[Facet]()} }
 // the next construction, so an aborted or panicked construction needs no
 // cleanup to keep the owner usable and the previous Result stays valid until
 // the next call.
-func (r *retained) engineFor(pts []geom.Point, base int, counters bool, grain, stripes int, noPlane, batch, soa bool) *engine {
+func (r *retained) engineFor(pts []geom.Point, base int, counters bool, grain, stripes int, noPlane bool) *engine {
 	r.arena.Reset()
 	if r.e == nil {
-		e := newEngine(pts, base, counters, grain, stripes, noPlane, batch, soa)
+		e := newEngine(pts, base, counters, grain, stripes, noPlane)
 		e.ru = r
 		r.e = e
 		return e
@@ -46,8 +46,6 @@ func (r *retained) engineFor(pts []geom.Point, base int, counters bool, grain, s
 	e.store.Load(pts)
 	e.base = base
 	e.grain = grain
-	e.batch = batch
-	e.soa = soa
 	e.ridgeIDs = nil
 	e.trace = nil
 	e.planeEps = 0
@@ -100,12 +98,12 @@ func (ru *Reuse) Reset() {
 
 // engineFor returns the engine for this construction: a fresh one when ru is
 // nil (the one-shot path), otherwise ru's retained engine and pool rewound.
-func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain, stripes int, noPlane, batch, soa bool) *engine {
+func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain, stripes int, noPlane bool) *engine {
 	if ru == nil {
-		return newEngine(pts, base, counters, grain, stripes, noPlane, batch, soa)
+		return newEngine(pts, base, counters, grain, stripes, noPlane)
 	}
 	ru.pool.Reset()
-	return ru.engineFor(pts, base, counters, grain, stripes, noPlane, batch, soa)
+	return ru.engineFor(pts, base, counters, grain, stripes, noPlane)
 }
 
 // SeqReuse retains the whole state of the sequential engine across
@@ -127,8 +125,8 @@ type SeqReuse struct {
 func NewSeqReuse() *SeqReuse { return &SeqReuse{retained: newRetained()} }
 
 // Seq is SeqCtx on the retained state, with visibility-test counting off
-// (Stats carries the facet counters only). Points are inserted in the order
-// given; the output facets are identical to SeqCtx's.
-func (sr *SeqReuse) Seq(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, noPlane bool) (*Result, error) {
-	return sr.seqFrom(ctx, inj, pts, 3, false, noPlane)
+// (Stats carries the facet counters only) and the line cache on. Points are
+// inserted in the order given; the output facets are identical to SeqCtx's.
+func (sr *SeqReuse) Seq(ctx context.Context, inj *faultinject.Injector, pts []geom.Point) (*Result, error) {
+	return sr.seqFrom(ctx, inj, pts, 3, false, false)
 }

@@ -110,7 +110,7 @@ func Rounds(pts []geom.Point, opt *Options) (*Result, *Trace, error) {
 	if err := geom.ValidateCloud(pts, 2); err != nil {
 		return nil, nil, err
 	}
-	e := newEngine(pts, opt.base(), opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache(), opt.batchFilter(), opt.soaLayout())
+	e := newEngine(pts, opt.base(), opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
 	if opt != nil {
 		e.inj = opt.Inject
 	}

@@ -116,7 +116,7 @@ func (sr *SeqReuse) seqFrom(ctx context.Context, inj *faultinject.Injector, pts 
 	if err := geom.ValidateCloud(pts, 2); err != nil {
 		return nil, err
 	}
-	e := sr.engineFor(pts, base, counters, 0, 1, noPlane, true, false)
+	e := sr.engineFor(pts, base, counters, 0, 1, noPlane)
 	e.inj = inj
 	g := &sr.geom
 	g.reset(len(pts))

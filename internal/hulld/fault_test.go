@@ -3,6 +3,7 @@ package hulld
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -29,31 +30,29 @@ func sameFacets(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestFaultInjectedPanic schedules a panic at a ridge-step boundary on both
-// fork-join substrates and checks the containment contract end to end: the
-// run returns a typed *sched.PanicError carrying the injected Panic value
-// (never a crash), the pool quiesces, and no goroutine leaks.
+// TestFaultInjectedPanic schedules a panic at a ridge-step boundary and
+// checks the containment contract end to end: the run returns a typed
+// *sched.PanicError carrying the injected Panic value (never a crash), the
+// pool quiesces, and no goroutine leaks.
 func TestFaultInjectedPanic(t *testing.T) {
 	leakcheck.Check(t)
 	pts := pointgen.UniformBall(pointgen.NewRNG(7), 400, 3)
-	for _, kind := range []sched.Kind{sched.KindSteal, sched.KindGroup} {
-		for _, visit := range []int64{1, 25, 200} {
-			inj := faultinject.New(1).PanicAt(faultinject.SiteRidgeStep, visit)
-			_, err := Par(pts, &Options{Sched: kind, Inject: inj})
-			if err == nil {
-				t.Fatalf("kind=%v visit=%d: injected panic did not surface", kind, visit)
-			}
-			var pe *sched.PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("kind=%v visit=%d: error is %T, want *sched.PanicError: %v", kind, visit, err, err)
-			}
-			fp, ok := pe.Value.(faultinject.Panic)
-			if !ok || fp.Site != faultinject.SiteRidgeStep || fp.Visit != visit {
-				t.Fatalf("kind=%v visit=%d: contained value = %#v", kind, visit, pe.Value)
-			}
-			if got := inj.Fired(faultinject.SiteRidgeStep); got != 1 {
-				t.Fatalf("kind=%v visit=%d: fired %d panics, want exactly 1", kind, visit, got)
-			}
+	for _, visit := range []int64{1, 25, 200} {
+		inj := faultinject.New(1).PanicAt(faultinject.SiteRidgeStep, visit)
+		_, err := Par(pts, &Options{Inject: inj})
+		if err == nil {
+			t.Fatalf("visit=%d: injected panic did not surface", visit)
+		}
+		var pe *sched.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("visit=%d: error is %T, want *sched.PanicError: %v", visit, err, err)
+		}
+		fp, ok := pe.Value.(faultinject.Panic)
+		if !ok || fp.Site != faultinject.SiteRidgeStep || fp.Visit != visit {
+			t.Fatalf("visit=%d: contained value = %#v", visit, pe.Value)
+		}
+		if got := inj.Fired(faultinject.SiteRidgeStep); got != 1 {
+			t.Fatalf("visit=%d: fired %d panics, want exactly 1", visit, got)
 		}
 	}
 }
@@ -85,25 +84,23 @@ func TestFaultDelayEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean: %v", err)
 	}
-	for _, kind := range []sched.Kind{sched.KindSteal, sched.KindGroup} {
-		for seed := int64(1); seed <= 3; seed++ {
-			inj := faultinject.New(seed).DelayEvery(faultinject.SiteRidgeStep, 7, 200*time.Microsecond)
-			perturbed, err := Par(pts, &Options{Sched: kind, Inject: inj})
-			if err != nil {
-				t.Fatalf("kind=%v seed=%d: %v", kind, seed, err)
-			}
-			sameFacets(t, "delayed vs clean", clean, perturbed)
-			if clean.Stats.VisibilityTests != perturbed.Stats.VisibilityTests {
-				t.Fatalf("kind=%v seed=%d: vtests %d vs %d", kind, seed,
-					clean.Stats.VisibilityTests, perturbed.Stats.VisibilityTests)
-			}
-			if clean.Stats.MaxDepth != perturbed.Stats.MaxDepth {
-				t.Fatalf("kind=%v seed=%d: depth %d vs %d", kind, seed,
-					clean.Stats.MaxDepth, perturbed.Stats.MaxDepth)
-			}
-			if inj.Visits(faultinject.SiteRidgeStep) == 0 {
-				t.Fatalf("kind=%v seed=%d: injector never visited — hook unplugged?", kind, seed)
-			}
+	for seed := int64(1); seed <= 3; seed++ {
+		inj := faultinject.New(seed).DelayEvery(faultinject.SiteRidgeStep, 7, 200*time.Microsecond)
+		perturbed, err := Par(pts, &Options{Inject: inj})
+		if err != nil {
+			t.Fatalf("seed=%d: %v", seed, err)
+		}
+		sameFacets(t, "delayed vs clean", clean, perturbed)
+		if clean.Stats.VisibilityTests != perturbed.Stats.VisibilityTests {
+			t.Fatalf("seed=%d: vtests %d vs %d", seed,
+				clean.Stats.VisibilityTests, perturbed.Stats.VisibilityTests)
+		}
+		if clean.Stats.MaxDepth != perturbed.Stats.MaxDepth {
+			t.Fatalf("seed=%d: depth %d vs %d", seed,
+				clean.Stats.MaxDepth, perturbed.Stats.MaxDepth)
+		}
+		if inj.Visits(faultinject.SiteRidgeStep) == 0 {
+			t.Fatalf("seed=%d: injector never visited — hook unplugged?", seed)
 		}
 	}
 }
@@ -159,23 +156,54 @@ func TestFaultRealCapacity(t *testing.T) {
 func TestFaultCancellation(t *testing.T) {
 	leakcheck.Check(t)
 	pts := pointgen.OnSphere(pointgen.NewRNG(4), 2000, 3)
-	for _, kind := range []sched.Kind{sched.KindSteal, sched.KindGroup} {
+	ctx, cancel := context.WithCancel(context.Background())
+	inj := faultinject.New(1).DelayEvery(faultinject.SiteRidgeStep, 1, time.Millisecond)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Par(pts, &Options{Ctx: ctx, Inject: inj})
+		done <- err
+	}()
+	time.Sleep(5 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancellation did not propagate")
+	}
+}
+
+// TestFaultCancelAtCompletion cancels constructions at seeded moments around
+// the time a run takes, so some cancellations land while the run is already
+// finishing. Every call must return either a complete hull or
+// context.Canceled; under -race the test also checks that a cancellation
+// racing the end of the run never writes the run's error concurrently with
+// the read that returns it.
+func TestFaultCancelAtCompletion(t *testing.T) {
+	leakcheck.Check(t)
+	pts := pointgen.UniformBall(pointgen.NewRNG(8), 300, 3)
+	start := time.Now()
+	if _, err := Par(pts, nil); err != nil {
+		t.Fatal(err)
+	}
+	span := time.Since(start)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
-		inj := faultinject.New(1).DelayEvery(faultinject.SiteRidgeStep, 1, time.Millisecond)
-		done := make(chan error, 1)
-		go func() {
-			_, err := Par(pts, &Options{Sched: kind, Ctx: ctx, Inject: inj})
-			done <- err
-		}()
-		time.Sleep(5 * time.Millisecond)
+		delay := time.Duration(rng.Int63n(int64(2*span) + 1))
+		timer := time.AfterFunc(delay, cancel)
+		var err error
+		if i%2 == 0 {
+			_, err = Par(pts, &Options{Ctx: ctx})
+		} else {
+			_, err = Rounds(pts, &Options{Ctx: ctx})
+		}
+		timer.Stop()
 		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("kind=%v: err = %v, want context.Canceled", kind, err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("kind=%v: cancellation did not propagate", kind)
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("run %d: err = %v, want nil or context.Canceled", i, err)
 		}
 	}
 }

@@ -9,22 +9,21 @@ import (
 )
 
 // This file implements the kernel's batch visibility filter — the
-// conflict.Filter side of the two-phase merge/filter pipeline (DESIGN.md
-// §4.3) and its fused merge form. Where visible() decides one point per
-// indirect call, the filters stream a whole candidate run through the
-// cached-plane dot product in tight loops over the flat point store, using
-// the dimension-specialized kernels in internal/conflict (DESIGN.md §4.7):
-// the 3D path unrolls four inlined conflict.Eval3 calls per step, so four
-// independent coordinate gathers are in flight at once with no call
-// overhead — on large inputs the scan is bound by those loads. Planes are
-// stored folded (makeFacet), read from the arena's structure-of-arrays rows
-// when published (planeRow), and every kernel reproduces geom.Plane.Eval's
-// summation order exactly, so classification — including which candidates
-// land in the uncertain band — is bit-identical to the pointwise path.
-// Candidates the static filter cannot certify are collected into a small
-// sidecar and resolved by the exact predicate only after the loop, then
-// value-merged back into position, so the survivor list is byte-identical
-// to the pointwise path (asserted by TestBatchFilterMatchesClosure).
+// conflict.Filter side of the fused merge/filter (DESIGN.md §4.3). Where the
+// pointwise predicate decides one point per call, the filters stream a whole
+// candidate run through the cached-plane dot product in tight loops over the
+// flat point store, using the dimension-specialized kernels in
+// internal/conflict (DESIGN.md §4.7): the 3D path unrolls four inlined
+// conflict.Eval3 calls per step, so four independent coordinate gathers are
+// in flight at once with no call overhead — on large inputs the scan is
+// bound by those loads. Planes are stored folded in the facet (makeFacet)
+// and every kernel reproduces geom.Plane.Eval's summation order exactly, so
+// classification — including which candidates land in the uncertain band —
+// is bit-identical to the pointwise path. Candidates the static filter
+// cannot certify are collected into a small sidecar and resolved by the
+// exact predicate only after the loop, then value-merged back into position,
+// so the survivor list is byte-identical to the pointwise path (asserted by
+// TestBatchFilterMatchesClosure and TestFilterMergeMatchesPointwise).
 //
 // Escape discipline: the sidecar and the merge chunk live in fixed-size
 // stack buffers. The conflict kernels are pure evaluation (they never
@@ -53,33 +52,19 @@ type facetFilter struct {
 	f *Facet
 }
 
-// Filter implements conflict.Filter.
-func (ff facetFilter) Filter(cands []int32, dst []int32) []int32 {
-	return ff.e.filterVisible(ff.f, cands, dst)
-}
-
 // FilterRange implements conflict.Filter.
 func (ff facetFilter) FilterRange(from, to int32, dst []int32) []int32 {
 	return ff.e.filterVisibleRange(ff.f, from, to, dst)
 }
 
-// FilterMerge implements conflict.FusedFilter.
+// FilterMerge implements conflict.Filter.
 func (ff facetFilter) FilterMerge(c1, c2 []int32, drop int32, dst []int32) []int32 {
 	return ff.e.filterVisibleMerge(ff.f, c1, c2, drop, dst)
 }
 
-// planeRow returns f's folded plane for the batch scan: the coefficients of
-// its structure-of-arrays row when one was published (work-stealing path
-// with the SoA layout on), otherwise the inline copy. Both hold identical
-// bits — makeFacet writes the same folded values to both — so the choice
-// affects only memory layout, never classification. ok=false means no
+// planeRow returns f's folded plane for the batch scan. ok=false means no
 // plane cache: the caller must run the exact predicate.
 func (e *engine) planeRow(f *Facet) (n []float64, off, eps float64, ok bool) {
-	if ps := f.ps; ps != nil {
-		d := e.d
-		o := int(f.pi) * d
-		return ps.Norms[o : o+d : o+d], ps.Offs[f.pi], ps.Eps[f.pi], true
-	}
 	if !f.plane.Valid() {
 		return nil, 0, 0, false
 	}
@@ -87,98 +72,12 @@ func (e *engine) planeRow(f *Facet) (n []float64, off, eps float64, ok bool) {
 	return f.plane.N[:d:d], f.plane.Off, f.plane.Eps, true
 }
 
-// filterVisible appends to dst the candidates visible from f, in order —
-// the batch equivalent of appending every v with visible(v, f), with
-// identical counter totals (tests counted per batch, fallbacks per sidecar
-// entry).
-func (e *engine) filterVisible(f *Facet, cands []int32, dst []int32) []int32 {
-	if len(cands) == 0 {
-		return dst
-	}
-	e.inj.Visit(faultinject.SiteScanBatch)
-	e.rec.VTests.Add(uint64(cands[0]), int64(len(cands)))
-	n, off, eps, ok := e.planeRow(f)
-	if !ok {
-		for _, v := range cands {
-			if e.exactVisible(v, f) {
-				dst = append(dst, v)
-			}
-		}
-		return dst
-	}
-	base := len(dst)
-	var ubuf [uncertainCap]int32
-	uncertain := ubuf[:0]
-	c := e.store.Coords()
-	switch len(n) {
-	case 3:
-		n0, n1, n2 := n[0], n[1], n[2]
-		k := 0
-		for ; k+4 <= len(cands); k += 4 {
-			g := cands[k : k+4 : k+4]
-			s0 := conflict.Eval3(c, g[0], n0, n1, n2, off)
-			s1 := conflict.Eval3(c, g[1], n0, n1, n2, off)
-			s2 := conflict.Eval3(c, g[2], n0, n1, n2, off)
-			s3 := conflict.Eval3(c, g[3], n0, n1, n2, off)
-			if s0 > eps {
-				dst = append(dst, g[0])
-			} else if s0 >= -eps {
-				uncertain = append(uncertain, g[0])
-			}
-			if s1 > eps {
-				dst = append(dst, g[1])
-			} else if s1 >= -eps {
-				uncertain = append(uncertain, g[1])
-			}
-			if s2 > eps {
-				dst = append(dst, g[2])
-			} else if s2 >= -eps {
-				uncertain = append(uncertain, g[2])
-			}
-			if s3 > eps {
-				dst = append(dst, g[3])
-			} else if s3 >= -eps {
-				uncertain = append(uncertain, g[3])
-			}
-		}
-		for _, v := range cands[k:] {
-			s := conflict.Eval3(c, v, n0, n1, n2, off)
-			if s > eps {
-				dst = append(dst, v)
-			} else if s >= -eps {
-				uncertain = append(uncertain, v)
-			}
-		}
-	case 2:
-		n0, n1 := n[0], n[1]
-		for _, v := range cands {
-			s := conflict.Eval2(c, v, n0, n1, off)
-			if s > eps {
-				dst = append(dst, v)
-			} else if s >= -eps {
-				uncertain = append(uncertain, v)
-			}
-		}
-	default:
-		for _, v := range cands {
-			s := conflict.EvalD(c, n, v, off)
-			if s > eps {
-				dst = append(dst, v)
-			} else if s >= -eps {
-				uncertain = append(uncertain, v)
-			}
-		}
-	}
-	if len(uncertain) == 0 {
-		return dst
-	}
-	return e.resolveUncertain(f, dst, base, uncertain)
-}
-
-// filterVisibleRange is filterVisible over the contiguous candidates
-// [from, to): the store rows stream sequentially, so the offset advances by
-// the stride instead of being recomputed per point, and the hardware
-// prefetcher — not gather parallelism — hides the latency.
+// filterVisibleRange appends to dst the candidates among [from, to) visible
+// from f, in order, with the pointwise path's counter totals (tests counted
+// per batch, fallbacks per sidecar entry). The store rows stream
+// sequentially, so the offset advances by the stride instead of being
+// recomputed per point, and the hardware prefetcher — not gather
+// parallelism — hides the latency.
 func (e *engine) filterVisibleRange(f *Facet, from, to int32, dst []int32) []int32 {
 	if to <= from {
 		return dst
@@ -243,7 +142,7 @@ func (e *engine) filterVisibleRange(f *Facet, from, to int32, dst []int32) []int
 // each full (or final) chunk is consumed by the four-wide kernel — so the
 // merged run is never written to allocated scratch and re-read, yet every
 // candidate still gets the four-wide treatment. Survivors, order, and
-// counter totals are identical to filterVisible over
+// counter totals are identical to the pointwise predicate over
 // MergeInto(nil, c1, c2, drop): the merge produces the same ascending
 // deduplicated sequence, each element funnels through the same plane test,
 // and the uncertain sidecar resolves the same way.
@@ -253,8 +152,7 @@ func (e *engine) filterVisibleMerge(f *Facet, c1, c2 []int32, drop int32, dst []
 	}
 	e.inj.Visit(faultinject.SiteScanBatch)
 	// Any shard key works for the per-batch counter adds: the key only
-	// selects a stripe and Load sums all stripes, so totals match the
-	// two-phase path's cands[0] keying exactly.
+	// selects a stripe and Load sums all stripes.
 	var key uint64
 	if len(c1) > 0 {
 		key = uint64(c1[0])

@@ -19,9 +19,9 @@
 // test is a d-term strided dot product plus a comparison. Only when the
 // cached filter cannot certify the sign does the engine fall back to the
 // exact OrientSimplex predicate — the combinatorial output is bit-identical
-// to the pure determinant path (Options.NoPlaneCache, kept for ablation;
-// also used automatically for d > geom.MaxPlaneDim where cofactor expansion
-// stops paying off).
+// to the pure determinant path (Options.NoPlaneCache, kept for the A2
+// ablation; also used automatically for d > geom.MaxPlaneDim where cofactor
+// expansion stops paying off).
 package hulld
 
 import (
@@ -128,15 +128,6 @@ type Facet struct {
 	plane   geom.Plane
 	vp      []geom.Point
 	outSign int
-	// ps/pi locate this facet's plane row in the worker arena's
-	// structure-of-arrays plane storage (engine.PlaneArena): the batch
-	// filter reads the folded plane from ps at row pi when ps != nil, so
-	// scans stream flat per-field arrays laid out in creation order instead
-	// of pulling whole facet records through the cache. nil on the heap
-	// paths (sequential engine, base facets of a one-shot construction) and
-	// under the Options.NoSoALayout ablation.
-	ps *eng.PlaneSlab
-	pi int32
 	// mark is scratch for the sequential engine's per-insertion visible-set
 	// membership (holds the insertion index; never touched concurrently).
 	mark int32
@@ -244,8 +235,6 @@ type engine struct {
 	d        int
 	grain    int     // conflict-filter parallel grain (0 = default)
 	planeEps float64 // static certification threshold; 0 = cache off
-	batch    bool    // batch visibility filter (filter.go) vs pointwise closure
-	soa      bool    // publish plane rows into the arena SoA storage
 	interior geom.Point
 	rec      *hullstats.Recorder
 	inj      *faultinject.Injector // batch-scan fault site (nil in production)
@@ -261,14 +250,12 @@ type engine struct {
 // newEngine assembles engine state. stripes sizes the facet log (1 keeps
 // Result.Created in creation order; the parallel engines stripe by worker
 // count so record() does not serialize).
-func newEngine(pts []geom.Point, d int, counters bool, grain, stripes int, noPlane, batch, soa bool) *engine {
+func newEngine(pts []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
 	e := &engine{
 		pts:   pts,
 		store: geom.NewPointStore(pts),
 		d:     d,
 		grain: grain,
-		batch: batch,
-		soa:   soa,
 		rec:   hullstats.NewRecorder(counters),
 		log:   facetlog.New[*Facet](stripes),
 	}
@@ -294,29 +281,9 @@ func (e *engine) facetPoints(f *Facet) []geom.Point {
 	return vp
 }
 
-// visible reports whether point v is strictly outside facet f, counting the
-// test. The cached-plane filter decides almost every call; the exact
-// OrientSimplex predicate is the fallback, so the answer is always exact.
-// Planes are stored folded (makeFacet), so a positive evaluation certifies
-// visible directly.
-func (e *engine) visible(v int32, f *Facet) bool {
-	e.rec.VTests.Inc(uint64(v))
-	if f.plane.Valid() {
-		s := f.plane.Eval(e.store.Row(v))
-		if s > f.plane.Eps {
-			return true
-		}
-		if s < -f.plane.Eps {
-			return false
-		}
-		e.rec.Fallbacks.Inc(uint64(v))
-	}
-	return e.exactVisible(v, f)
-}
-
 // exactVisible is the exact visibility predicate with no counting — the
-// shared tail of visible() and the batch filter's uncertain-sidecar
-// resolution (both count before calling it, on different granularities).
+// batch filters' exact path and uncertain-sidecar resolution (both count
+// before calling it).
 func (e *engine) exactVisible(v int32, f *Facet) bool {
 	return geom.OrientSimplex(e.facetPoints(f), e.pts[v]) == f.outSign
 }
@@ -341,11 +308,7 @@ func (e *engine) record(f *Facet) {
 // IEEE negation is exact, so every downstream classification (including
 // which candidates fall in the uncertain band) is bit-identical to
 // evaluating the unfolded plane and comparing against outSign; this is what
-// keeps the sequential, parallel, and SoA/no-SoA engines facet-identical.
-// With the SoA layout on, the folded plane is additionally published as a
-// row of the worker arena's PlaneArena; the row is fully written here,
-// before the facet escapes this worker, so readers that reach the facet
-// through the ridge table or facet log see a complete row.
+// keeps the sequential and parallel engines facet-identical.
 func (e *engine) makeFacet(a *arena, verts []int32) (*Facet, error) {
 	f := a.Facet()
 	f.Verts = verts
@@ -386,15 +349,6 @@ func (e *engine) makeFacet(a *arena, verts []int32) (*Facet, error) {
 				f.plane.N[j] = -f.plane.N[j]
 			}
 			f.plane.Off = -f.plane.Off
-		}
-		if e.soa && a != nil {
-			d := e.d
-			ps, pi := a.Planes.Row(d)
-			o := int(pi) * d
-			copy(ps.Norms[o:o+d], f.plane.N[:d])
-			ps.Offs[pi] = f.plane.Off
-			ps.Eps[pi] = f.plane.Eps
-			f.ps, f.pi = ps, pi
 		}
 	}
 	return f, nil
@@ -445,14 +399,10 @@ func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet, round int
 
 // mergeFilter merges the two ascending conflict lists, drops p, and keeps
 // the points visible from f, through the driver's shared grain/arena
-// discipline (engine.MergeFilter). The batch path runs fused: merge and
-// classification in one pass, never materializing the candidate run.
+// discipline (engine.MergeFilterFused): merge and classification in one
+// pass, never materializing the candidate run.
 func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, f *Facet) []int32 {
-	if e.batch {
-		return eng.MergeFilterFused(a, c1, c2, p, facetFilter{e: e, f: f}, e.grain)
-	}
-	keep := func(v int32) bool { return e.visible(v, f) }
-	return eng.MergeFilter(a, c1, c2, p, keep, e.grain)
+	return eng.MergeFilterFused(a, c1, c2, p, facetFilter{e: e, f: f}, e.grain)
 }
 
 func max32(a, b int32) int32 {
@@ -517,13 +467,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		e.ru.inits = facets
 	}
 	for _, f := range facets {
-		f := f
-		if e.batch {
-			f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), facetFilter{e: e, f: f}, e.grain, alloc)
-		} else {
-			f.Conf = conflict.Build(int32(d+1), int32(n),
-				func(v int32) bool { return e.visible(v, f) }, e.grain)
-		}
+		f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), facetFilter{e: e, f: f}, e.grain, alloc)
 		e.record(f)
 	}
 	return facets, nil

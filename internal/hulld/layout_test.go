@@ -3,19 +3,21 @@ package hulld
 import (
 	"fmt"
 	"testing"
-
-	"parhull/internal/sched"
 )
 
-// TestLayoutScheduleEquivalence is the memory-layout half of the Theorem 5.5
-// contract: the structure-of-arrays plane rows (DESIGN.md §4.7) are purely a
-// storage choice, so every schedule must produce the identical facet
-// multiset and vertex order with the layout on and off. The sequential
-// engine — which never publishes SoA rows — is the reference, and each
-// Par/Rounds schedule runs under both NoSoALayout settings against it, so a
-// kernel whose folded-plane evaluation diverged by even one ulp between the
-// inline and the SoA read path would flip a classification and fail here.
+// TestLayoutScheduleEquivalence is the plane-storage half of the Theorem 5.5
+// contract: each facet carries its hyperplane inline, folded at creation
+// (DESIGN.md §4.7), and that cached plane is purely an evaluation shortcut,
+// so every schedule must produce the identical facet multiset and vertex
+// order with the plane read and with the exact determinant predicate alone.
+// The sequential engine is the reference; each Par (full width, one worker,
+// and on a retained Reuse) and Rounds schedule runs under both NoPlaneCache
+// settings against it on the ball, sphere and cube clouds, so a batch
+// kernel whose folded-plane evaluation diverged by even one ulp from the
+// pointwise read would flip a classification and fail here.
 func TestLayoutScheduleEquivalence(t *testing.T) {
+	ru := NewReuse()
+	defer ru.Close()
 	for _, d := range []int{2, 3, 4} {
 		n := 150
 		if d == 4 {
@@ -28,35 +30,50 @@ func TestLayoutScheduleEquivalence(t *testing.T) {
 			}
 			want := ref.FacetSet()
 			wantV := fmt.Sprint(ref.Vertices)
-			for _, noSoA := range []bool{false, true} {
+			for _, noPlane := range []bool{false, true} {
 				results := map[string]*Result{}
-				for sname, kind := range map[string]sched.Kind{"steal": sched.KindSteal, "group": sched.KindGroup} {
-					r, err := Par(pts, &Options{Sched: kind, NoSoALayout: noSoA})
+				for sname, o := range map[string]*Options{
+					"par":          {NoPlaneCache: noPlane},
+					"par-1worker":  {NoPlaneCache: noPlane, Workers: 1},
+					"par-on-reuse": {NoPlaneCache: noPlane, Reuse: ru},
+				} {
+					r, err := Par(pts, o)
 					if err != nil {
-						t.Fatalf("d=%d %s %s noSoA=%v: %v", d, name, sname, noSoA, err)
+						t.Fatalf("d=%d %s %s noPlane=%v: %v", d, name, sname, noPlane, err)
 					}
+					// A Reuse result is invalidated by the next call on it,
+					// so compare before moving on.
 					results[sname] = r
+					if o.Reuse != nil {
+						checkLayoutResult(t, fmt.Sprintf("d=%d %s %s noPlane=%v", d, name, sname, noPlane), r, want, wantV)
+						delete(results, sname)
+					}
 				}
-				rr, err := Rounds(pts, &Options{NoSoALayout: noSoA})
+				rr, err := Rounds(pts, &Options{NoPlaneCache: noPlane})
 				if err != nil {
-					t.Fatalf("d=%d %s rounds noSoA=%v: %v", d, name, noSoA, err)
+					t.Fatalf("d=%d %s rounds noPlane=%v: %v", d, name, noPlane, err)
 				}
 				results["rounds"] = rr
 				for cname, r := range results {
-					if gotV := fmt.Sprint(r.Vertices); gotV != wantV {
-						t.Errorf("d=%d %s %s noSoA=%v: vertices %s, seq %s", d, name, cname, noSoA, gotV, wantV)
-					}
-					got := r.FacetSet()
-					if len(got) != len(want) {
-						t.Fatalf("d=%d %s %s noSoA=%v: %d distinct facets, seq %d", d, name, cname, noSoA, len(got), len(want))
-					}
-					for k, c := range want {
-						if got[k] != c {
-							t.Errorf("d=%d %s %s noSoA=%v: facet %x multiplicity %d, seq %d", d, name, cname, noSoA, k, got[k], c)
-						}
-					}
+					checkLayoutResult(t, fmt.Sprintf("d=%d %s %s noPlane=%v", d, name, cname, noPlane), r, want, wantV)
 				}
 			}
+		}
+	}
+}
+
+func checkLayoutResult(t *testing.T, label string, r *Result, want map[string]int, wantV string) {
+	t.Helper()
+	if gotV := fmt.Sprint(r.Vertices); gotV != wantV {
+		t.Errorf("%s: vertices %s, seq %s", label, gotV, wantV)
+	}
+	got := r.FacetSet()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d distinct facets, seq %d", label, len(got), len(want))
+	}
+	for k, c := range want {
+		if got[k] != c {
+			t.Errorf("%s: facet %x multiplicity %d, seq %d", label, k, got[k], c)
 		}
 	}
 }

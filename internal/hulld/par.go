@@ -7,7 +7,6 @@ import (
 	eng "parhull/internal/engine"
 	"parhull/internal/faultinject"
 	"parhull/internal/geom"
-	"parhull/internal/sched"
 )
 
 // Options configures the parallel engines.
@@ -16,18 +15,10 @@ type Options struct {
 	// sharded map; install conmap.NewCASMap/NewTASMap for the paper's
 	// Algorithm 4/5 tables).
 	Map conmap.RidgeMap[*Facet]
-	// Sched selects the fork-join substrate of Par: the work-stealing
-	// executor with per-worker arenas (sched.KindSteal, the default) or the
-	// goroutine-per-chain Group (sched.KindGroup — the A3 ablation in
-	// cmd/hullbench). The facet multiset is identical either way
-	// (Theorem 5.5; asserted by TestParSchedEquivalence).
-	Sched sched.Kind
-	// GroupLimit caps concurrently spawned ridge chains (Group substrate
-	// only).
-	GroupLimit int
-	// Workers pins the work-stealing executor's pool width (Steal substrate
-	// only; <= 0 selects GOMAXPROCS). The facet output is identical for any
-	// width (Theorem 5.5) — only the schedule changes.
+	// Workers pins the work-stealing executor's pool width (Par only; <= 0
+	// selects GOMAXPROCS). The facet output is identical for any width
+	// (Theorem 5.5; asserted by TestParSchedEquivalence) — only the
+	// schedule changes.
 	Workers int
 	// NoCounters disables visibility-test counting.
 	NoCounters bool
@@ -38,17 +29,6 @@ type Options struct {
 	// every test runs the exact determinant predicate (the A2 ablation in
 	// cmd/hullbench). The combinatorial output is identical either way.
 	NoPlaneCache bool
-	// NoBatchFilter routes conflict filtering through the pointwise closure
-	// path instead of the batch filter pipeline (the filter ablation in
-	// cmd/hullbench). The survivor lists are identical either way.
-	NoBatchFilter bool
-	// NoSoALayout keeps each facet's cached plane inline in the facet record
-	// instead of additionally publishing it into the worker arena's
-	// structure-of-arrays plane rows (the layout ablation in cmd/hullbench's
-	// scale experiment). Folded values are identical in both layouts, so the
-	// facet output is bit-for-bit the same either way — only the memory the
-	// batch filter streams changes.
-	NoSoALayout bool
 	// Ctx, when non-nil, cancels the construction cooperatively at
 	// ridge-step granularity; the run returns ctx.Err() with all workers
 	// quiesced.
@@ -72,17 +52,6 @@ func (o *Options) filterGrain() int {
 
 func (o *Options) noPlaneCache() bool { return o != nil && o.NoPlaneCache }
 
-func (o *Options) batchFilter() bool { return o == nil || !o.NoBatchFilter }
-
-func (o *Options) soaLayout() bool { return o == nil || !o.NoSoALayout }
-
-func (o *Options) schedKind() sched.Kind {
-	if o == nil {
-		return sched.KindSteal
-	}
-	return o.Sched
-}
-
 func (o *Options) ridgeMap(n, d int) conmap.RidgeMap[*Facet] {
 	if o != nil && o.Map != nil {
 		return o.Map
@@ -92,16 +61,10 @@ func (o *Options) ridgeMap(n, d int) conmap.RidgeMap[*Facet] {
 
 // config assembles the driver configuration for this construction.
 func (o *Options) config(e *engine, n int) eng.Config[Facet, []int32] {
-	limit := 0
-	if o != nil {
-		limit = o.GroupLimit
-	}
 	cfg := eng.Config[Facet, []int32]{
-		Kernel:     kernel{e: e},
-		Table:      eng.ConmapTable[Facet]{M: o.ridgeMap(n, e.d)},
-		Rec:        e.rec,
-		Sched:      o.schedKind(),
-		GroupLimit: limit,
+		Kernel: kernel{e: e},
+		Table:  eng.ConmapTable[Facet]{M: o.ridgeMap(n, e.d)},
+		Rec:    e.rec,
 	}
 	if o != nil {
 		cfg.Workers = o.Workers
@@ -132,8 +95,7 @@ func initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
 
 // Par computes the d-dimensional convex hull with the parallel incremental
 // Algorithm 3 under the asynchronous fork-join schedule (Theorem 5.5), run by
-// the generic driver in internal/engine. Options.Sched picks the substrate:
-// work-stealing executor (default) or goroutine-per-chain Group.
+// the generic driver in internal/engine on the work-stealing executor.
 func Par(pts []geom.Point, opt *Options) (*Result, error) {
 	d, err := validate(pts)
 	if err != nil {
@@ -150,7 +112,7 @@ func Par(pts []geom.Point, opt *Options) (*Result, error) {
 		// armed here fires on the calling goroutine, before any worker runs.
 		inj.Visit(faultinject.SiteBuilderRewind)
 	}
-	e := engineFor(ru, pts, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache(), opt.batchFilter(), opt.soaLayout())
+	e := engineFor(ru, pts, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
 	e.inj = inj
 	facets, err := e.initialHull()
 	if err != nil {

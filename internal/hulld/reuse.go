@@ -34,10 +34,10 @@ func newRetained() retained { return retained{arena: eng.NewArena[Facet]()} }
 // start of the next construction, not the end of the last — so an aborted or
 // panicked construction needs no cleanup to keep the owner usable, and the
 // previous Result stays valid until the next call.
-func (r *retained) engineFor(pts []geom.Point, d int, counters bool, grain, stripes int, noPlane, batch, soa bool) *engine {
+func (r *retained) engineFor(pts []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
 	r.arena.Reset()
 	if r.e == nil {
-		e := newEngine(pts, d, counters, grain, stripes, noPlane, batch, soa)
+		e := newEngine(pts, d, counters, grain, stripes, noPlane)
 		e.ru = r
 		r.e = e
 		return e
@@ -47,8 +47,6 @@ func (r *retained) engineFor(pts []geom.Point, d int, counters bool, grain, stri
 	e.store.Load(pts)
 	e.d = d
 	e.grain = grain
-	e.batch = batch
-	e.soa = soa
 	e.interior = nil
 	e.planeEps = 0
 	if !noPlane {
@@ -103,12 +101,12 @@ func (ru *Reuse) Reset() {
 
 // engineFor returns the engine for this construction: a fresh one when ru is
 // nil (the one-shot path), otherwise ru's retained engine and pool rewound.
-func engineFor(ru *Reuse, pts []geom.Point, d int, counters bool, grain, stripes int, noPlane, batch, soa bool) *engine {
+func engineFor(ru *Reuse, pts []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
 	if ru == nil {
-		return newEngine(pts, d, counters, grain, stripes, noPlane, batch, soa)
+		return newEngine(pts, d, counters, grain, stripes, noPlane)
 	}
 	ru.pool.Reset()
-	return ru.engineFor(pts, d, counters, grain, stripes, noPlane, batch, soa)
+	return ru.engineFor(pts, d, counters, grain, stripes, noPlane)
 }
 
 // SeqReuse retains the whole state of the sequential engine across
@@ -133,8 +131,8 @@ func NewSeqReuse() *SeqReuse {
 }
 
 // Seq is SeqCtx on the retained state, with visibility-test counting off
-// (Stats carries the facet counters only). Points are inserted in the order
-// given; the output facets are identical to SeqCtx's.
-func (sr *SeqReuse) Seq(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, noPlane bool) (*Result, error) {
-	return sr.seq(ctx, inj, pts, false, noPlane)
+// (Stats carries the facet counters only) and the plane cache on. Points are
+// inserted in the order given; the output facets are identical to SeqCtx's.
+func (sr *SeqReuse) Seq(ctx context.Context, inj *faultinject.Injector, pts []geom.Point) (*Result, error) {
+	return sr.seq(ctx, inj, pts, false, false)
 }

@@ -15,7 +15,7 @@ func Rounds(pts []geom.Point, opt *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(pts, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache(), opt.batchFilter(), opt.soaLayout())
+	e := newEngine(pts, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
 	if opt != nil {
 		e.inj = opt.Inject
 	}

@@ -116,10 +116,7 @@ func (sr *SeqReuse) seq(ctx context.Context, inj *faultinject.Injector, pts []ge
 	if err != nil {
 		return nil, err
 	}
-	// The sequential engine publishes no SoA rows (soa off, even on an arena);
-	// folded inline planes keep its classifications bit-identical to the
-	// parallel engines in either layout.
-	e := sr.engineFor(pts, d, counters, 0, 1, noPlane, true, false)
+	e := sr.engineFor(pts, d, counters, 0, 1, noPlane)
 	e.inj = inj
 	g := &sr.geom
 	clear(g.adj)

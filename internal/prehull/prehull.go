@@ -105,12 +105,6 @@ type Config struct {
 	// NoCull disables the stage-1 interior cull (ablation; the block stage
 	// alone is still exact).
 	NoCull bool
-	// NoPlaneCache disables the cached-hyperplane fast path inside the
-	// sample and block sub-hulls (the A2 ablation; the survivors are
-	// identical either way). The stage-1 point scan always uses the static
-	// filter — with certification-or-keep semantics it needs no exact
-	// fallback to stay sound.
-	NoPlaneCache bool
 	// Ctx, when non-nil, cancels the reduction cooperatively: checked at
 	// stage and block boundaries here and at insertion granularity inside
 	// the sub-hulls.
@@ -172,7 +166,7 @@ func (w *seqWorker) hull2D(cfg Config, pts []geom.Point) (*hull2d.Result, error)
 	if w.hull2 == nil {
 		w.hull2 = hull2d.NewSeqReuse()
 	}
-	return w.hull2.Seq(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
+	return w.hull2.Seq(cfg.Ctx, cfg.Inject, pts)
 }
 
 // hullND is hull2D for d >= 3.
@@ -180,7 +174,7 @@ func (w *seqWorker) hullND(cfg Config, pts []geom.Point) (*hulld.Result, error) 
 	if w.hullD == nil {
 		w.hullD = hulld.NewSeqReuse()
 	}
-	return w.hullD.Seq(cfg.Ctx, cfg.Inject, pts, cfg.NoPlaneCache)
+	return w.hullD.Seq(cfg.Ctx, cfg.Inject, pts)
 }
 
 // hullVerts returns the ascending indices of the hull vertices of pts,
@@ -365,8 +359,8 @@ func Reduce(pts []geom.Point, cfg Config) (*Reduction, error) {
 
 // HullVertexCount returns the number of hull vertices of pts (dimension
 // len(pts[0]) >= 2), built by the sequential kernel on the retained state of
-// cfg.Scratch (a fresh state when nil). Only Ctx, Inject, NoPlaneCache, and
-// Scratch are read. It is the public layer's PreHullAuto density probe.
+// cfg.Scratch (a fresh state when nil). Only Ctx, Inject, and Scratch are
+// read. It is the public layer's PreHullAuto density probe.
 func HullVertexCount(pts []geom.Point, cfg Config) (int, error) {
 	s := cfg.Scratch
 	if s == nil {

@@ -186,8 +186,8 @@ func TestReduceExactHullD(t *testing.T) {
 }
 
 // TestReduceFinalEngineEquivalence feeds one reduction to every final-stage
-// schedule — sequential, work-stealing, goroutine-group — and checks all
-// three reproduce the direct run's alive facets (the ISSUE's cross-engine
+// schedule — sequential, work-stealing, round-synchronous — and checks all
+// three reproduce the direct run's alive facets (the cross-engine
 // equivalence property; Theorem 5.5 for the parallel pair).
 func TestReduceFinalEngineEquivalence(t *testing.T) {
 	pts := shuffledBall(4, 2500, 3)
@@ -207,13 +207,16 @@ func TestReduceFinalEngineEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameMultiset(t, "seq", aliveFacetsD(seq, red.Keep), want)
-	for _, kind := range []sched.Kind{sched.KindSteal, sched.KindGroup} {
-		par, err := hulld.Par(sub, &hulld.Options{Sched: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameMultiset(t, fmt.Sprintf("par kind=%v", kind), aliveFacetsD(par, red.Keep), want)
+	par, err := hulld.Par(sub, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameMultiset(t, "par", aliveFacetsD(par, red.Keep), want)
+	rounds, err := hulld.Rounds(sub, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMultiset(t, "rounds", aliveFacetsD(rounds, red.Keep), want)
 }
 
 // TestReduceSkewedInputs runs the reduction over the adversarial generators

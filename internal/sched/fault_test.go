@@ -131,57 +131,6 @@ func TestExecutorFirstPanicWins(t *testing.T) {
 	}
 }
 
-// TestGroupPanicContainment is the Group-substrate version of the pool
-// contract: spawned and inline panics both convert to *PanicError, Wait
-// returns, later forks are dropped, and no goroutine leaks.
-func TestGroupPanicContainment(t *testing.T) {
-	leakcheck.Check(t)
-	for _, limit := range []int{1, 4} { // limit 1 forces the inline path
-		g := NewGroup(limit)
-		var dropped atomic.Int64
-		g.Go(func() { panic("group boom") })
-		g.Wait() // the panic is contained by now (limit 1 ran it inline)
-		for i := 0; i < 16; i++ {
-			g.Go(func() { dropped.Add(1) }) // dropped: the group has failed
-		}
-		g.Wait()
-		var pe *PanicError
-		if !errors.As(g.Err(), &pe) {
-			t.Fatalf("limit %d: error is %T, want *PanicError", limit, g.Err())
-		}
-		if pe.Value != "group boom" {
-			t.Errorf("limit %d: panic value = %v", limit, pe.Value)
-		}
-		if !g.Failed() {
-			t.Errorf("limit %d: Failed() = false", limit)
-		}
-		if dropped.Load() != 0 {
-			t.Errorf("limit %d: %d functions ran after failure", limit, dropped.Load())
-		}
-	}
-}
-
-// TestGroupNestedPanic panics deep inside a fork chain; the contained error
-// must surface at the root Wait with the group drained.
-func TestGroupNestedPanic(t *testing.T) {
-	leakcheck.Check(t)
-	g := NewGroup(2)
-	var fork func(depth int)
-	fork = func(depth int) {
-		if depth == 0 {
-			panic("leaf")
-		}
-		g.Go(func() { fork(depth - 1) })
-		g.Go(func() { fork(depth - 1) })
-	}
-	g.Go(func() { fork(6) })
-	g.Wait()
-	var pe *PanicError
-	if !errors.As(g.Err(), &pe) || pe.Value != "leaf" {
-		t.Fatalf("nested panic not contained: %v", g.Err())
-	}
-}
-
 // TestParallelForPanicTransparent checks ParallelFor's contract: a panic in
 // one chunk stops siblings from claiming new chunks, all bodies return, and
 // the first panic re-throws on the caller as a *PanicError.

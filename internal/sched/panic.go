@@ -6,11 +6,11 @@ import (
 )
 
 // PanicError is a panic contained by one of this package's execution
-// substrates (Executor worker, Group function, ParallelFor body): the typed
-// form the engines propagate instead of crashing the process. Worker is the
-// pool worker id (-1 when the panic happened outside a fixed pool), Task a
-// best-effort rendering of the task being executed (empty for closures), and
-// Stack the goroutine stack captured at recovery.
+// substrates (Executor worker, ParallelFor body): the typed form the engines
+// propagate instead of crashing the process. Worker is the pool worker id
+// (-1 when the panic happened outside a fixed pool), Task a best-effort
+// rendering of the task being executed (empty for closures), and Stack the
+// goroutine stack captured at recovery.
 type PanicError struct {
 	Worker int
 	Task   string

@@ -47,40 +47,6 @@ func TestParallelForDefaultGrain(t *testing.T) {
 	}
 }
 
-func TestGroupRunsAll(t *testing.T) {
-	g := NewGroup(4)
-	var count atomic.Int64
-	var spawnNested func(depth int)
-	spawnNested = func(depth int) {
-		count.Add(1)
-		if depth < 3 {
-			for i := 0; i < 3; i++ {
-				g.Go(func() { spawnNested(depth + 1) })
-			}
-		}
-	}
-	for i := 0; i < 5; i++ {
-		g.Go(func() { spawnNested(0) })
-	}
-	g.Wait()
-	// 5 roots, each a ternary tree of depth 3: 5 * (1+3+9+27) = 200.
-	if got := count.Load(); got != 200 {
-		t.Fatalf("ran %d tasks, want 200", got)
-	}
-}
-
-func TestGroupDefaultLimit(t *testing.T) {
-	g := NewGroup(0)
-	var n atomic.Int32
-	for i := 0; i < 100; i++ {
-		g.Go(func() { n.Add(1) })
-	}
-	g.Wait()
-	if n.Load() != 100 {
-		t.Fatalf("ran %d", n.Load())
-	}
-}
-
 // TestRunRounds checks both the results and the round count: a task chain of
 // length k must take exactly k rounds regardless of how many chains run.
 func TestRunRounds(t *testing.T) {
@@ -141,68 +107,5 @@ func BenchmarkParallelFor(b *testing.B) {
 				data[j] = float64(j) * 1.5
 			}
 		})
-	}
-}
-
-// TestGroupBoundsGoroutines pins the Group contract the engines rely on:
-// the number of goroutines is bounded by the limit, not by the number or
-// nesting depth of forks. A chain of 50k dependent forks under GroupLimit=1
-// must complete (inline execution, no queueing) without the goroutine count
-// growing with the chain length.
-func TestGroupBoundsGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
-	g := NewGroup(1)
-	var ran atomic.Int64
-	var maxG atomic.Int64
-	const depth = 50000
-	var launch func(d int)
-	launch = func(d int) {
-		g.Go(func() {
-			ran.Add(1)
-			if n := int64(runtime.NumGoroutine()); n > maxG.Load() {
-				maxG.Store(n)
-			}
-			if d > 0 {
-				launch(d - 1)
-			}
-		})
-	}
-	launch(depth)
-	g.Wait()
-	if got := ran.Load(); got != depth+1 {
-		t.Fatalf("ran %d forks, want %d", got, depth+1)
-	}
-	// With limit 1 at most one Group goroutine exists at a time; everything
-	// else runs inline. Allow slack for unrelated runtime goroutines.
-	if high := maxG.Load(); high > int64(base)+3 {
-		t.Fatalf("goroutine high-water %d over base %d with limit 1", high, base)
-	}
-}
-
-// TestGroupWideForkBounded checks the bound under a wide (non-nested) fork
-// pattern: 10k independent forks against a small limit all run exactly once.
-func TestGroupWideForkBounded(t *testing.T) {
-	g := NewGroup(2)
-	var live, high, ran atomic.Int64
-	for i := 0; i < 10000; i++ {
-		g.Go(func() {
-			l := live.Add(1)
-			for {
-				h := high.Load()
-				if l <= h || high.CompareAndSwap(h, l) {
-					break
-				}
-			}
-			ran.Add(1)
-			live.Add(-1)
-		})
-	}
-	g.Wait()
-	if got := ran.Load(); got != 10000 {
-		t.Fatalf("ran %d forks, want 10000", got)
-	}
-	// Non-nested forks: at most limit spawned + the forking goroutine inline.
-	if h := high.Load(); h > 3 {
-		t.Fatalf("concurrent executions high-water %d with limit 2", h)
 	}
 }

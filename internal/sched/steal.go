@@ -6,22 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// Kind selects the fork-join substrate the asynchronous hull engines run
-// on. The work-stealing executor is the default; the Group engine is kept
-// as a selectable fallback (the A3 ablation in cmd/hullbench). Both
-// substrates execute the same facet creations — only the schedule differs
-// (Theorem 5.5's relaxed-order guarantee).
-type Kind int
-
-const (
-	// KindSteal runs chains on a fixed pool of long-lived workers with
-	// per-worker LIFO deques and steal-on-empty (Blumofe-Leiserson work
-	// stealing, the scheduler the binary-forking model assumes).
-	KindSteal Kind = iota
-	// KindGroup spawns a bounded goroutine per forked chain (sched.Group).
-	KindGroup
-)
-
 // External is the worker id to pass to Executor.Fork from outside the pool
 // (root tasks submitted before Wait). External forks are spread round-robin
 // across the deques.
@@ -34,10 +18,10 @@ const External = -1
 // deque is empty steals from the opposite end of a sibling's deque (oldest
 // task, most likely to fan out); a worker that finds nothing parks until new
 // work arrives. This is the Fork of the binary-forking model (Theorem 5.5)
-// run on the scheduler that model assumes, replacing Group's goroutine-per-
-// fork: no channel-semaphore handshake and no goroutine spawn per forked
-// ridge chain, and — because the pool is fixed — every task learns a stable
-// worker id it can use to index per-worker state (the engines' arenas).
+// run on the scheduler that model assumes (Blumofe-Leiserson work
+// stealing): no goroutine spawn per forked ridge chain, and — because the
+// pool is fixed — every task learns a stable worker id it can use to index
+// per-worker state (the engines' arenas).
 //
 // The task type T is a value, not a closure: forks carry plain task structs
 // through the deques, so the steady-state fork path performs no allocation
@@ -141,7 +125,7 @@ func (d *deque[T]) steal() (T, bool) {
 // GOMAXPROCS) executing run(worker, task) for every forked task. Exactly
 // workers goroutines exist for the lifetime of the pool, regardless of how
 // many tasks are forked or how deeply forks nest — the goroutine-bound
-// contract TestExecutorBoundsGoroutines pins, mirroring Group's.
+// contract TestExecutorBoundsGoroutines pins.
 func NewExecutor[T any](workers int, run func(worker int, task T)) *Executor[T] {
 	if workers <= 0 {
 		workers = Workers()

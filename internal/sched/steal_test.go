@@ -70,7 +70,7 @@ func TestExecutorWorkerIDs(t *testing.T) {
 	}
 }
 
-// TestExecutorBoundsGoroutines mirrors TestGroupBoundsGoroutines: the pool
+// TestExecutorBoundsGoroutines pins the goroutine bound: the pool
 // runs exactly `workers` goroutines regardless of how many tasks are forked
 // or how deeply forks nest. A chain of 50k dependent forks on a 2-worker
 // pool must complete without the goroutine count growing with chain length.

@@ -45,7 +45,6 @@ import (
 	"parhull/internal/hullstats"
 	"parhull/internal/pointgen"
 	"parhull/internal/prehull"
-	"parhull/internal/sched"
 )
 
 // Point is a point in R^d (d = len(p)).
@@ -69,20 +68,6 @@ const (
 	// EngineRounds is Algorithm 3 under the round-synchronous schedule of
 	// Theorem 5.4; Stats.Rounds reports the recursion depth of Theorem 5.3.
 	EngineRounds
-)
-
-// SchedKind selects the fork-join substrate of the EngineParallel schedule.
-type SchedKind int
-
-const (
-	// SchedSteal runs ridge chains on a fixed pool of long-lived workers
-	// with per-worker LIFO deques, steal-on-empty, and per-worker arenas
-	// (Blumofe-Leiserson work stealing — the scheduler the binary-forking
-	// model of Theorem 5.5 assumes). Default.
-	SchedSteal SchedKind = iota
-	// SchedGroup spawns a bounded goroutine per forked chain — the previous
-	// substrate, kept for the A3 ablation in cmd/hullbench.
-	SchedGroup
 )
 
 // MapKind selects the concurrent ridge multimap M of Algorithm 3.
@@ -140,13 +125,6 @@ type Options struct {
 	Shuffle bool
 	// Seed drives Shuffle (same seed, same order).
 	Seed int64
-	// Sched selects the fork-join substrate of EngineParallel (default
-	// SchedSteal). The facet output is identical across substrates
-	// (Theorem 5.5) — only scheduling and allocation behavior differ.
-	Sched SchedKind
-	// GroupLimit caps concurrently spawned ridge chains (EngineParallel
-	// with SchedGroup only).
-	GroupLimit int
 	// NoCounters disables visibility-test counting for pure-speed runs.
 	NoCounters bool
 	// FilterGrain sets the conflict-list size above which conflict filtering
@@ -154,26 +132,15 @@ type Options struct {
 	// serial path — the A1 ablation). The hull output and the multiset of
 	// plane-side tests are identical either way; only the span changes.
 	FilterGrain int
-	// NoPlaneCache disables the cached-hyperplane visibility fast path so
-	// every plane-side test runs the exact determinant predicate (the A2
-	// ablation). The combinatorial output is identical either way.
-	NoPlaneCache bool
-	// NoSoALayout keeps each facet's cached plane inline in the facet
-	// record instead of additionally publishing it into the per-worker
-	// structure-of-arrays plane rows the batch filter streams (the layout
-	// ablation measured by hullbench's scale experiment). The hull output
-	// is bit-for-bit identical either way; only memory layout changes.
-	NoSoALayout bool
 	// Context, when non-nil, cancels the construction cooperatively: the
 	// engines check it at ridge-chain granularity and the call returns
 	// ErrCanceled (wrapping ctx.Err()) promptly, with every worker
 	// goroutine quiesced before the return.
 	Context context.Context
 	// Workers pins the width of the work-stealing pools: the pre-hull block
-	// loop and the EngineParallel steal substrate (<= 0 selects GOMAXPROCS;
-	// the Group substrate and the rounds engine size themselves from
-	// GOMAXPROCS directly). The hull output is identical for any width
-	// (Theorem 5.5) — only the schedule changes. The speedup harness in
+	// loop and the EngineParallel executor (<= 0 selects GOMAXPROCS; the
+	// rounds engine sizes itself from GOMAXPROCS directly). The hull output
+	// is identical for any width (Theorem 5.5) — only the schedule changes. The speedup harness in
 	// cmd/hullbench sets it alongside runtime.GOMAXPROCS to measure scaling
 	// curves that do not depend on the ambient process configuration.
 	Workers int
@@ -190,11 +157,6 @@ type Options struct {
 	// MapSharded. Leave it off in production; tests use it to pin the
 	// typed-error contract.
 	NoMapFallback bool
-	// NoBatchFilter routes conflict filtering through the pointwise closure
-	// path instead of the batch filter pipeline (the filter ablation in
-	// cmd/hullbench; also a soak-rig axis). The survivor lists — and so the
-	// hull — are identical either way.
-	NoBatchFilter bool
 
 	// inject arms deterministic fault injection across every instrumented
 	// layer (engines, ridge maps, pre-hull, Builder rewind, space rounds).
@@ -207,14 +169,6 @@ type Options struct {
 // injector type lives in an internal package, so outside this module the
 // method is only callable with nil — production code cannot arm faults.
 func (o *Options) SetFaultInjector(inj *faultinject.Injector) { o.inject = inj }
-
-// schedKind maps the public knob onto the internal scheduler kind.
-func (o *Options) schedKind() sched.Kind {
-	if o != nil && o.Sched == SchedGroup {
-		return sched.KindGroup
-	}
-	return sched.KindSteal
-}
 
 func (o *Options) or() *Options {
 	if o == nil {
@@ -365,9 +319,8 @@ func (o *Options) preHullWorthIt(work []Point, s *prehull.Scratch) bool {
 		return false
 	}
 	verts, err := prehull.HullVertexCount(work[:preHullSample], prehull.Config{
-		Ctx:          o.Context,
-		NoPlaneCache: o.NoPlaneCache,
-		Scratch:      s,
+		Ctx:     o.Context,
+		Scratch: s,
 	})
 	if err != nil {
 		return false // degenerate or canceled sample: run direct

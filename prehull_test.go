@@ -34,34 +34,29 @@ func TestPreHullEquivalencePublic(t *testing.T) {
 	want := facetKeys(base)
 	wantV := sortedVertices(base.Vertices)
 	for _, eng := range []Engine{EngineSequential, EngineParallel, EngineRounds} {
-		for _, sk := range []SchedKind{SchedSteal, SchedGroup} {
-			if eng != EngineParallel && sk == SchedGroup {
-				continue // Sched only matters for EngineParallel
+		o := &Options{Engine: eng, Shuffle: true, Seed: 3, PreHull: PreHullOn}
+		res, err := HullD(pts, o)
+		if err != nil {
+			t.Fatalf("engine=%d: %v", eng, err)
+		}
+		if res.Stats.PreHullKept == 0 || res.Stats.PreHullKept >= len(pts) {
+			t.Fatalf("engine=%d: PreHullKept = %d, expected a real reduction", eng, res.Stats.PreHullKept)
+		}
+		if res.Stats.PreHullBlocks < 2 {
+			t.Fatalf("engine=%d: PreHullBlocks = %d", eng, res.Stats.PreHullBlocks)
+		}
+		got := facetKeys(res)
+		if len(got) != len(want) {
+			t.Fatalf("engine=%d: %d facets vs %d direct", eng, len(got), len(want))
+		}
+		for k, c := range want {
+			if got[k] != c {
+				t.Fatalf("engine=%d: facet %s multiplicity %d vs %d", eng, k, got[k], c)
 			}
-			o := &Options{Engine: eng, Sched: sk, Shuffle: true, Seed: 3, PreHull: PreHullOn}
-			res, err := HullD(pts, o)
-			if err != nil {
-				t.Fatalf("engine=%d sched=%d: %v", eng, sk, err)
-			}
-			if res.Stats.PreHullKept == 0 || res.Stats.PreHullKept >= len(pts) {
-				t.Fatalf("engine=%d: PreHullKept = %d, expected a real reduction", eng, res.Stats.PreHullKept)
-			}
-			if res.Stats.PreHullBlocks < 2 {
-				t.Fatalf("engine=%d: PreHullBlocks = %d", eng, res.Stats.PreHullBlocks)
-			}
-			got := facetKeys(res)
-			if len(got) != len(want) {
-				t.Fatalf("engine=%d sched=%d: %d facets vs %d direct", eng, sk, len(got), len(want))
-			}
-			for k, c := range want {
-				if got[k] != c {
-					t.Fatalf("engine=%d sched=%d: facet %s multiplicity %d vs %d", eng, sk, k, got[k], c)
-				}
-			}
-			gotV := sortedVertices(res.Vertices)
-			if fmt.Sprint(gotV) != fmt.Sprint(wantV) {
-				t.Fatalf("engine=%d sched=%d: vertex sets differ", eng, sk)
-			}
+		}
+		gotV := sortedVertices(res.Vertices)
+		if fmt.Sprint(gotV) != fmt.Sprint(wantV) {
+			t.Fatalf("engine=%d: vertex sets differ", eng)
 		}
 	}
 }
