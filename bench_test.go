@@ -246,7 +246,7 @@ func BenchmarkHull2DMapKinds(b *testing.B) {
 	for _, mk := range []struct {
 		name string
 		kind parhull.MapKind
-	}{{"sharded", parhull.MapSharded}, {"cas", parhull.MapCAS}, {"tas", parhull.MapTAS}} {
+	}{{"vertexslots", parhull.MapSharded}, {"cas", parhull.MapCAS}, {"tas", parhull.MapTAS}} {
 		b.Run(mk.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, err := parhull.Hull2D(pts, &parhull.Options{Map: mk.kind, NoCounters: true})

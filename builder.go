@@ -312,9 +312,9 @@ func (b *Builder) Build2D(pts []Point) (out *Hull2DResult, err error) {
 		res, retries, fellBack, err = ladder(o,
 			o.capacity(engine.FixedMapCapacity(len(work), 0)),
 			func(c int) conmap.RidgeMap[*hull2d.Facet] { return b.maps2.fixedFor(o.Map, c, o.inject) },
-			func() conmap.RidgeMap[*hull2d.Facet] {
-				return b.maps2.shardedFor(o.capacity(engine.DefaultMapCapacity(len(work), 0)))
-			},
+			// A 2D ridge is a single vertex: MapSharded runs on hull2d's
+			// vertex-indexed slot table, retained in b.ru2, which cannot fill.
+			func() conmap.RidgeMap[*hull2d.Facet] { return nil },
 			run)
 	default:
 		return nil, errBadEngine
@@ -339,8 +339,8 @@ func (b *Builder) Build2D(pts []Point) (out *Hull2DResult, err error) {
 }
 
 // mapCache retains the ridge tables of Algorithm 3 across builds: the
-// growable sharded map is re-zeroed shard-by-shard (buckets kept), and the
-// fixed CAS/TAS tables are kept at their high-water capacity — including a
+// growable sharded map is re-zeroed shard-by-shard (slot arrays kept), and
+// the fixed CAS/TAS tables are kept at their high-water capacity — including a
 // table the degradation ladder doubled, so a Builder that once climbed the
 // ladder starts every later build on the larger table it ended on.
 type mapCache[V comparable] struct {

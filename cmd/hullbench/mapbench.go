@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"parhull"
 	"parhull/internal/conmap"
 	"parhull/internal/hull2d"
 	"parhull/internal/pointgen"
@@ -15,67 +14,57 @@ import (
 // run inside the full hull engine.
 func expMap() {
 	n := sz(200000)
-	// Microbenchmark: n InsertAndSet pairs (winner + loser) per map.
+	// Microbenchmark: n InsertAndSet pairs (winner + loser) per map, on
+	// ridges of two indices (3D hull edges, which MakeKey keys exactly) and
+	// of three (4D hull ridges, which it hashes).
 	w := table()
-	fmt.Fprintln(w, "map\tns/op (1 goroutine)\tns/op (4 goroutines)")
-	for _, mk := range []struct {
-		name string
-		make func() conmap.RidgeMap[*int]
-	}{
-		{"Alg 4 (CAS)", func() conmap.RidgeMap[*int] { return conmap.NewCASMap[*int](n) }},
-		{"Alg 5 (TAS)", func() conmap.RidgeMap[*int] { return conmap.NewTASMap[*int](n) }},
-		{"sharded", func() conmap.RidgeMap[*int] { return conmap.NewShardedMap[*int](n) }},
-	} {
-		serial := timeMap(mk.make(), n, 1)
-		par := timeMap(mk.make(), n, 4)
-		fmt.Fprintf(w, "%s\t%.0f\t%.0f\n", mk.name, serial, par)
+	fmt.Fprintln(w, "map\tkey indices\tns/op (1 goroutine)\tns/op (4 goroutines)")
+	for _, width := range []int{2, 3} {
+		for _, mk := range []struct {
+			name string
+			make func() conmap.RidgeMap[*int]
+		}{
+			{"Alg 4 (CAS)", func() conmap.RidgeMap[*int] { return conmap.NewCASMap[*int](n) }},
+			{"Alg 5 (TAS)", func() conmap.RidgeMap[*int] { return conmap.NewTASMap[*int](n) }},
+			{"sharded", func() conmap.RidgeMap[*int] { return conmap.NewShardedMap[*int](n) }},
+		} {
+			serial := timeMap(mk.make(), n, 1, width)
+			par := timeMap(mk.make(), n, 4, width)
+			fmt.Fprintf(w, "%s\t%d\t%.0f\t%.0f\n", mk.name, width, serial, par)
+		}
 	}
 	w.Flush()
 
-	// End-to-end: the 2D hull with each map installed.
+	// End-to-end: the 2D hull with each map installed, and with none — the
+	// vertex-indexed slot table MapSharded selects in 2D.
 	pts := pointgen.OnCircle(pointgen.NewRNG(5), sz(100000))
 	w2 := table()
 	fmt.Fprintln(w2, "map\thull time\tfacets")
 	for _, mk := range []struct {
 		name string
-		mk   parhull.MapKind
+		m    conmap.RidgeMap[*hull2d.Facet]
 	}{
-		{"Alg 4 (CAS)", parhull.MapCAS},
-		{"Alg 5 (TAS)", parhull.MapTAS},
-		{"sharded", parhull.MapSharded},
+		{"Alg 4 (CAS)", conmap.NewCASMap[*hull2d.Facet](8 * len(pts))},
+		{"Alg 5 (TAS)", conmap.NewTASMap[*hull2d.Facet](8 * len(pts))},
+		{"sharded", conmap.NewShardedMap[*hull2d.Facet](len(pts))},
+		{"vertex slots (2D MapSharded)", nil},
 	} {
 		start := time.Now()
-		res, err := hull2dWith(pts, mk.mk)
+		res, err := hull2d.Par(pts, &hull2d.Options{Map: mk.m, NoCounters: true})
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		fmt.Fprintf(w2, "%s\t%v\t%d\n", mk.name, time.Since(start).Round(time.Microsecond), res)
+		fmt.Fprintf(w2, "%s\t%v\t%d\n", mk.name, time.Since(start).Round(time.Microsecond), res.Stats.FacetsCreated)
 	}
 	w2.Flush()
 	fmt.Println("paper: both protocols cost O(log n) whp per op (Sec 5.2, Appendix A); CAS is the simpler, TAS the weaker-primitive variant.")
 }
 
-func hull2dWith(pts []parhull.Point, mk parhull.MapKind) (int64, error) {
-	var m conmap.RidgeMap[*hull2d.Facet]
-	switch mk {
-	case parhull.MapCAS:
-		m = conmap.NewCASMap[*hull2d.Facet](8 * len(pts))
-	case parhull.MapTAS:
-		m = conmap.NewTASMap[*hull2d.Facet](8 * len(pts))
-	default:
-		m = conmap.NewShardedMap[*hull2d.Facet](len(pts))
-	}
-	res, err := hull2d.Par(pts, &hull2d.Options{Map: m, NoCounters: true})
-	if err != nil {
-		return 0, err
-	}
-	return res.Stats.FacetsCreated, nil
-}
-
 // timeMap measures the average cost of an InsertAndSet (half winners, half
-// losers) plus the losers' GetValue, across g goroutines.
-func timeMap(m conmap.RidgeMap[*int], n, g int) float64 {
+// losers) plus the losers' GetValue, across g goroutines, on ridges of width
+// consecutive indices.
+func timeMap(m conmap.RidgeMap[*int], n, g, width int) float64 {
 	vals := make([]*int, 2*n)
 	for i := range vals {
 		vals[i] = new(int)
@@ -88,7 +77,11 @@ func timeMap(m conmap.RidgeMap[*int], n, g int) float64 {
 		go func(base int) {
 			defer wg.Done()
 			for i := base; i < base+per; i++ {
-				k := conmap.MakeKey([]int32{int32(i), int32(i + 1)})
+				ids := make([]int32, width)
+				for j := range ids {
+					ids[j] = int32(i + j)
+				}
+				k := conmap.MakeKey(ids)
 				if _, err := m.InsertAndSet(k, vals[2*i]); err != nil {
 					panic(err) // tables are sized for n; cannot happen
 				}

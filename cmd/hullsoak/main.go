@@ -20,11 +20,14 @@ import (
 	"parhull/internal/leakcheck"
 )
 
+// defaultDeadline is the per-trial watchdog deadline of a soak or replay run.
+const defaultDeadline = 30 * time.Second
+
 func main() {
 	var (
 		trials    = flag.Int("trials", 200, "number of soak trials to run")
 		seed      = flag.Uint64("seed", 1, "root seed; trial i uses splitmix64(seed, i)")
-		deadline  = flag.Duration("deadline", 30*time.Second, "per-trial watchdog deadline")
+		deadline  = flag.Duration("deadline", defaultDeadline, "per-trial watchdog deadline")
 		replay    = flag.String("replay", "", "replay (and shrink) a recorded violation instead of soaking")
 		out       = flag.String("out", "hullsoak-violation.json", "replay file written on the first violation")
 		verbose   = flag.Bool("v", false, "print a summary line for every trial")

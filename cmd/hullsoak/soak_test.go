@@ -145,6 +145,22 @@ func TestReplayFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplayCocircularDelaunay replays a recorded trial — a Delaunay
+// triangulation of 286 points on one circle, every in-circle test a tie
+// decided by the exact predicate — that once ran past the watchdog under
+// -race. It must certify within the default deadline.
+func TestReplayCocircularDelaunay(t *testing.T) {
+	rf, err := readReplay(filepath.Join("testdata", "delaunay-cocircular-286.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := RunTrial(rf.Spec, defaultDeadline)
+	if o.Violation != "" || !o.Certified {
+		t.Fatalf("replay not certified: %s", o.Summary())
+	}
+	t.Logf("%s", o.Summary())
+}
+
 // TestReplayRejectsRemovedAxes checks strict replay decoding: a file that
 // names a configuration field or an engine this rig no longer has — as an
 // old replay file recorded against a removed axis would — is refused with an

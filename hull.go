@@ -17,8 +17,8 @@ type Hull2DResult struct {
 //
 // Errors are typed: see ErrDegenerate, ErrBadCoordinate, ErrCapacity,
 // ErrCanceled, ErrBadOption. A fixed CAS/TAS ridge table that fills is
-// handled by the degradation ladder (doubled-table retries, then a sharded-
-// map fallback) unless Options.NoMapFallback is set; see
+// handled by the degradation ladder (doubled-table retries, then a
+// MapSharded fallback) unless Options.NoMapFallback is set; see
 // Stats.CapacityRetries and Stats.MapFallback.
 //
 // Hull2D is the one-shot form of Builder.Build2D: it creates the pooled

@@ -1,7 +1,7 @@
 // Package certify independently verifies engine outputs against the raw
 // input cloud, trusting nothing the engine computed: supporting hyperplanes
 // are rebuilt from the input coordinates, side tests run through a float
-// screen with an exact big.Rat fallback (internal/geom), and the companion
+// screen with an exact big.Int fallback (internal/geom), and the companion
 // configuration spaces are checked against the brute-force T(X) oracle
 // (internal/core). Violations carry a typed kind and the offending facet and
 // point indices, so a soak failure pinpoints itself.
@@ -15,7 +15,7 @@
 // ridge-closed facet family whose facets are faces of the (connected) hull
 // boundary and which keeps all of P on one closed side is the whole
 // boundary complex — any proper subfamily has an open ridge. Side tests are
-// exact (float screen, big.Rat fallback), never the engine's cached planes.
+// exact (float screen, big.Int fallback), never the engine's cached planes.
 //
 // The halfspace checker re-solves every vertex exactly in rationals, checks
 // feasibility against all halfspaces exactly, and cross-checks duality by

@@ -8,8 +8,9 @@
 //   - CASMap    — Algorithm 4: linear probing + CompareAndSwap (Sec 5.2).
 //   - TASMap    — Algorithm 5: taken/check flags + TestAndSet (Appendix A),
 //     a faithful port of the weaker-primitive protocol.
-//   - ShardedMap — a growable mutex-sharded table, the production default
-//     when the ridge count is not known in advance.
+//   - ShardedMap — a growable table of mutex-guarded flat linear-probing
+//     shards, the production default when the ridge count is not known in
+//     advance.
 //
 // All three satisfy the one-loser contract (Theorems A.1/A.2): of the two
 // InsertAndSet calls on the same ridge, exactly one returns false, and by
@@ -28,20 +29,35 @@ import (
 // ladder (retry with a doubled table, then fall back to the sharded map).
 var ErrCapacity = errors.New("conmap: fixed-capacity ridge table exhausted")
 
-// Key identifies a ridge: a canonical (sorted ascending) tuple of point
-// indices plus its precomputed hash. Keys are value types; the id slice must
+// Key identifies a ridge: a canonical (strictly ascending) tuple of point
+// indices plus a 64-bit key word. Keys are value types; the id slice must
 // not be mutated after MakeKey.
+//
+// A ridge of one or two indices (a 2D hull vertex, a 3D hull edge, a
+// Delaunay edge) has an exact key word: the splitmix64 finalizer — a
+// bijection on 64-bit words — of the packed index pair, so two such keys are
+// equal exactly when their words are, and a table needs no id slice to tell
+// them apart. Longer ridges hash their indices and compare ids on a match.
 type Key struct {
 	hash uint64
 	id   []int32
 }
 
-// MakeKey builds a Key from the canonical ridge id. ids must already be in
-// canonical (sorted) order; the slice is retained, not copied.
+// MakeKey builds a Key from the canonical ridge id: point indices, so
+// non-negative, in strictly ascending order. The slice is retained, not
+// copied.
 func MakeKey(ids []int32) Key {
-	// Word-at-a-time FNV-1a over the indices, followed by a splitmix64-style
-	// finalizer so the low bits (used for power-of-two table masking) see the
-	// whole word even though each step folds in 32 bits at once.
+	switch len(ids) {
+	case 1:
+		// A single index packs as the pair (a, a), which no canonical
+		// two-index ridge can be, so 1- and 2-index keys never meet.
+		return Key{hash: exactWord(ids[0], ids[0]), id: ids}
+	case 2:
+		return Key{hash: exactWord(ids[0], ids[1]), id: ids}
+	}
+	// Word-at-a-time FNV-1a over the indices, followed by the splitmix64
+	// finalizer so the low bits (used for power-of-two table masking) see
+	// the whole word even though each step folds in 32 bits at once.
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -51,19 +67,41 @@ func MakeKey(ids []int32) Key {
 		h ^= uint64(uint32(v))
 		h *= prime64
 	}
+	h = mix64(h)
+	if h == 0 {
+		h = 1 // 0 marks an empty ShardedMap slot; long keys compare ids anyway
+	}
+	return Key{hash: h, id: ids}
+}
+
+// exactWord is the exact key word of the index pair (a, b): the mix of the
+// complemented packed pair, so the word is 0 — which ShardedMap reserves for
+// its empty slots — only for a == b == -1, an index no point has.
+func exactWord(a, b int32) uint64 {
+	return mix64(^(uint64(uint32(a))<<32 | uint64(uint32(b))))
+}
+
+// mix64 is the splitmix64 finalizer: every step is invertible, so distinct
+// inputs give distinct outputs, and each output bit depends on every input
+// bit.
+func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
-	return Key{hash: h, id: ids}
+	return h
 }
+
+// exact reports whether k's word alone identifies it (one or two indices).
+func (k Key) exact() bool { return len(k.id) == 1 || len(k.id) == 2 }
 
 // Key1 builds a Key for a single-index ridge (the 2D case, where a ridge is
 // a hull vertex).
 func Key1(id int32) Key { return MakeKey([]int32{id}) }
 
-// Hash returns the precomputed hash of k.
+// Hash returns the key word of k: a hash, which for keys of one or two
+// indices is exact.
 func (k Key) Hash() uint64 { return k.hash }
 
 // Equal reports whether k and o name the same ridge.
@@ -71,8 +109,18 @@ func (k Key) Equal(o Key) bool {
 	if k.hash != o.hash || len(k.id) != len(o.id) {
 		return false
 	}
-	for i := range k.id {
-		if k.id[i] != o.id[i] {
+	if k.exact() {
+		return true
+	}
+	return equalIDs(k.id, o.id)
+}
+
+func equalIDs(a, b []int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -2,6 +2,8 @@ package conmap
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -326,4 +328,213 @@ func BenchmarkRidgeMapInsertParallel(b *testing.B) {
 			})
 		})
 	}
+}
+
+// TestShardedGrowConcurrent starts every shard at its minimum size and has 8
+// goroutines race InsertAndSet/GetValue over a shuffled schedule holding
+// both sides of every ridge, so shards double while other goroutines probe
+// them. Every ridge must still get exactly one loser, which sees its
+// partner. Both key kinds run: exact two-index keys, and three-index keys
+// that carry an id column through every growth.
+func TestShardedGrowConcurrent(t *testing.T) {
+	const (
+		workers = 8
+		ridges  = 20000
+	)
+	for _, width := range []int{2, 3} {
+		t.Run(fmt.Sprintf("width%d", width), func(t *testing.T) {
+			m := NewShardedMap[*int](0)
+			keys := make([]Key, ridges)
+			for r := range keys {
+				ids := make([]int32, width)
+				for j := range ids {
+					ids[j] = int32(r + j)
+				}
+				keys[r] = MakeKey(ids)
+			}
+			vals := make([]*int, 2*ridges)
+			for i := range vals {
+				vals[i] = new(int)
+			}
+			sched := make([]int, 2*ridges) // entry 2r+side: side of ridge r
+			for i := range sched {
+				sched[i] = i
+			}
+			rand.New(rand.NewSource(int64(width))).Shuffle(len(sched), func(i, j int) {
+				sched[i], sched[j] = sched[j], sched[i]
+			})
+			losers := make([]atomic.Int32, ridges)
+			var wg sync.WaitGroup
+			per := len(sched) / workers
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(part []int) {
+					defer wg.Done()
+					for _, e := range part {
+						r, side := e/2, e%2
+						first, err := m.InsertAndSet(keys[r], vals[e])
+						if err != nil {
+							t.Errorf("ridge %d: %v", r, err)
+							return
+						}
+						if !first {
+							losers[r].Add(1)
+							if got, want := m.GetValue(keys[r], vals[e]), vals[2*r+1-side]; got != want {
+								t.Errorf("ridge %d: GetValue returned the wrong partner", r)
+							}
+						}
+					}
+				}(sched[w*per : (w+1)*per])
+			}
+			wg.Wait()
+			for r := range losers {
+				if n := losers[r].Load(); n != 1 {
+					t.Fatalf("ridge %d: %d losers, want exactly 1", r, n)
+				}
+			}
+			if got := m.Len(); got != ridges {
+				t.Fatalf("Len = %d, want %d", got, ridges)
+			}
+		})
+	}
+}
+
+// TestExactKeysDistinct checks that one- and two-index keys, whose words
+// are compared without ids, never conflate distinct ridges: adjacent ids,
+// a pair against its swapped order, a single index against the pairs that
+// contain it, and ids near 2^31. Every key must also be a fresh, separate
+// entry of a ShardedMap.
+func TestExactKeysDistinct(t *testing.T) {
+	const top = math.MaxInt32
+	var keys []Key
+	for _, a := range []int32{0, 1, 2, 3, top - 2, top - 1, top} {
+		keys = append(keys, Key1(a))
+		for _, b := range []int32{0, 1, 2, 3, top - 2, top - 1, top} {
+			if a != b {
+				keys = append(keys, MakeKey([]int32{a, b})) // both orders
+			}
+		}
+	}
+	for i := int32(0); i < 500; i++ {
+		keys = append(keys, MakeKey([]int32{i, i + 1}), MakeKey([]int32{i, i + 2}))
+	}
+	seen := map[string]bool{}
+	var uniq []Key
+	for _, k := range keys {
+		if !seen[k.String()] {
+			seen[k.String()] = true
+			uniq = append(uniq, k)
+		}
+	}
+	words := map[uint64]string{}
+	for _, k := range uniq {
+		if k.Hash() == 0 {
+			t.Fatalf("key %v has the empty-slot word 0", k)
+		}
+		if prev, ok := words[k.Hash()]; ok {
+			t.Fatalf("keys %s and %v share the word %#x", prev, k, k.Hash())
+		}
+		words[k.Hash()] = k.String()
+	}
+	m := NewShardedMap[*int](0)
+	vals := make([]*int, len(uniq))
+	for i, k := range uniq {
+		vals[i] = new(int)
+		if !mustInsert(t, m, k, vals[i]) {
+			t.Fatalf("key %v reported as already present", k)
+		}
+	}
+	for i, k := range uniq {
+		if mustInsert(t, m, k, new(int)) {
+			t.Fatalf("key %v reported fresh twice", k)
+		}
+		if m.GetValue(k, nil) != vals[i] {
+			t.Fatalf("key %v: GetValue returned another key's value", k)
+		}
+	}
+}
+
+// TestLongKeysForcedCollision gives keys of three and more indices one
+// shared word — and an exact two-index key the same word — so every lookup
+// lands in one shard's single probe run, which grows several times: the
+// maps must still tell the keys apart by their ids.
+func TestLongKeysForcedCollision(t *testing.T) {
+	const word = 0x9e3779b97f4a7c15
+	var keys []Key
+	for i := int32(0); i < 60; i++ {
+		keys = append(keys, Key{hash: word, id: []int32{i, i + 1, i + 2}})
+	}
+	keys = append(keys,
+		Key{hash: word, id: []int32{0, 1, 2, 3}},
+		Key{hash: word, id: []int32{0, 1}})
+	for _, mk := range makers() {
+		t.Run(mk.name, func(t *testing.T) {
+			m := mk.make(4 * len(keys))
+			vals := make([]*int, len(keys))
+			for i, k := range keys {
+				vals[i] = new(int)
+				if !mustInsert(t, m, k, vals[i]) {
+					t.Fatalf("key %v collided with an earlier key", k)
+				}
+			}
+			for i, k := range keys {
+				w := new(int)
+				if mustInsert(t, m, k, w) {
+					t.Fatalf("key %v reported fresh twice", k)
+				}
+				if got := m.GetValue(k, w); got != vals[i] {
+					t.Fatalf("key %v: GetValue returned another key's value", k)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedResetLongKeys runs one ShardedMap through builds of long and
+// short keys. A shard keeps its long-key storage across a Reset only after
+// a build that stored a long key in it; after a build of exact keys alone
+// every shard drops it. Every build, before and after either kind of Reset,
+// must see each of its keys fresh once and find it afterwards.
+func TestShardedResetLongKeys(t *testing.T) {
+	m := NewShardedMap[*int](0)
+	build := func(width int) {
+		t.Helper()
+		for r := int32(0); r < 2000; r++ {
+			ids := make([]int32, width)
+			for j := range ids {
+				ids[j] = r + int32(j)
+			}
+			k, v := MakeKey(ids), new(int)
+			if !mustInsert(t, m, k, v) {
+				t.Fatalf("width %d: key %v not fresh after Reset", width, k)
+			}
+			if mustInsert(t, m, k, new(int)) || m.GetValue(k, nil) != v {
+				t.Fatalf("width %d: key %v not found after insertion", width, k)
+			}
+		}
+	}
+	held := func() (n int) {
+		for i := range m.shards {
+			if m.shards[i].ref != nil {
+				n++
+			}
+		}
+		return n
+	}
+	build(3)
+	m.Reset()
+	if held() == 0 {
+		t.Fatal("Reset after a build of 3-index keys dropped every long-key column")
+	}
+	build(4)
+	m.Reset()
+	build(2)
+	if held() == 0 {
+		t.Fatal("Reset after a build of 4-index keys dropped every long-key column")
+	}
+	m.Reset()
+	if n := held(); n != 0 {
+		t.Fatalf("%d shards kept a long-key column after a build of exact keys", n)
+	}
+	build(3)
 }

@@ -10,9 +10,10 @@ import (
 // sphere); interior-heavy inputs create far fewer ridges, and zeroing a
 // (d+1)n-entry empty table up front dominated the 3d-ball-1m profile (21%
 // of wall time in map memclr at n=1e6, and ~40x that sunk cost at n=1e7).
-// A capped pre-size keeps small constructions rehash-free while huge ones
-// grow on demand — amortized O(1) per insert, paid only for ridges that
-// actually exist.
+// A capped pre-size keeps small constructions free of shard doublings while
+// huge ones grow on demand — amortized O(1) per insert, paid only for
+// ridges that actually exist. At the cap the shards hold 2^19 slots, 8 MB
+// at 16 bytes a slot.
 const shardedPresizeCap = 1 << 18
 
 // DefaultMapCapacity is the sizing rule for growable ridge multimaps: the
@@ -20,9 +21,10 @@ const shardedPresizeCap = 1 << 18
 // in dimension d — every facet registers at most d ridges and the expected
 // number of created facets is O(d·n) for a random order — capped by
 // shardedPresizeCap. This is a pre-size, not a limit: the sharded map grows
-// past it, so over-sizing only wastes memory and zeroing time (a 4x
-// pre-size costs ~90 MB and ~10% wall-clock on the ball-100k benchmark for
-// nothing, and the uncapped rule itself was 21% of the ball-1m profile).
+// past it, so over-sizing only wastes memory and zeroing time (the uncapped
+// rule was 21% of the ball-1m profile when each entry took a Go-map bucket
+// share; a flat slot of a ridge of at most two indices takes 16 bytes, and
+// the shards keep at least twice as many slots as ridges).
 // See FixedMapCapacity for the tables that genuinely need full headroom.
 func DefaultMapCapacity(n, d int) int {
 	c := (d + 1) * n

@@ -1,73 +1,91 @@
 package geom
 
-import "math/big"
+import (
+	"math"
+	"math/big"
+)
 
-// orientExact computes the sign of the d x d determinant with rows
-// verts[1]-verts[0], ..., verts[d-1]-verts[0], p-verts[0] using exact
-// rational arithmetic. float64 coordinates convert to big.Rat losslessly, so
-// the result is the true sign.
-func orientExact(verts []Point, p Point) int {
-	d := len(p)
-	m := make([][]*big.Rat, d)
-	base := verts[0]
-	for i := 0; i < d; i++ {
-		var src Point
-		if i < d-1 {
-			src = verts[i+1]
-		} else {
-			src = p
+// The exact predicates evaluate their determinants over the integers: every
+// float64 is m·2^e with an integer m of at most 53 bits, so scaling all of a
+// call's coordinates by 2^-emin — emin the lowest exponent among them —
+// turns each into an exact integer, and a positive common scale leaves the
+// sign of the determinant unchanged. big.Int arithmetic then needs no GCD
+// normalization, which is what made the rational versions (kept in the test
+// files as references) slow on co-circular and coplanar inputs.
+
+// minExp returns the smaller of e and the lowest k such that some
+// coordinate of q has a set bit of weight 2^k, so every coordinate of q is
+// an integer multiple of 2^minExp(e, q). Folds start from math.MaxInt;
+// zeros leave e alone.
+func minExp(e int, q Point) int {
+	for _, x := range q {
+		if x != 0 {
+			_, ex := math.Frexp(x)
+			e = min(e, ex-53) // x = (x·2^(53-ex))·2^(ex-53), an integer times 2^(ex-53)
 		}
-		row := make([]*big.Rat, d)
-		for j := 0; j < d; j++ {
-			a := new(big.Rat).SetFloat64(src[j])
-			b := new(big.Rat).SetFloat64(base[j])
-			row[j] = a.Sub(a, b)
-		}
-		m[i] = row
 	}
-	return ratDetSign(m)
+	return e
 }
 
-// ratDetSign returns the sign of the determinant of the square rational
-// matrix m, destroying m in the process. It uses ordinary Gaussian
-// elimination over Q; the dimensions here are tiny (d <= ~8), so the cost of
-// rational arithmetic is acceptable on the rare filter failures.
-func ratDetSign(m [][]*big.Rat) int {
-	d := len(m)
-	s := 1
-	for col := 0; col < d; col++ {
-		// Find a non-zero pivot.
-		piv := -1
-		for r := col; r < d; r++ {
-			if m[r][col].Sign() != 0 {
-				piv = r
-				break
-			}
+// setScaled sets z to x·2^-e, an integer when e comes from minExp.
+func setScaled(z *big.Int, x float64, e int) *big.Int {
+	if x == 0 {
+		return z.SetInt64(0)
+	}
+	frac, ex := math.Frexp(x)
+	z.SetInt64(int64(frac * (1 << 53)))
+	return z.Lsh(z, uint(ex-53-e))
+}
+
+// orientExact computes the sign of the d x d determinant with rows
+// verts[1]-verts[0], ..., verts[d-1]-verts[0], p-verts[0] exactly, by
+// fraction-free (Bareiss) elimination over the scaled integer coordinates:
+// every division in it is exact, so entries stay integers no larger than
+// the minors they equal.
+func orientExact(verts []Point, p Point) int {
+	d := len(p)
+	e := minExp(math.MaxInt, p)
+	for _, q := range verts[:d] {
+		e = minExp(e, q)
+	}
+	buf := make([]big.Int, d*d+3)
+	base, t, u := &buf[d*d], &buf[d*d+1], &buf[d*d+2]
+	m := make([][]big.Int, d) // rows swap as slice headers, never as Ints
+	for i := range m {
+		m[i] = buf[i*d : (i+1)*d]
+		src := p
+		if i < d-1 {
+			src = verts[i+1]
 		}
-		if piv == -1 {
-			return 0
-		}
-		if piv != col {
-			m[piv], m[col] = m[col], m[piv]
-			s = -s
-		}
-		pv := m[col][col]
-		if pv.Sign() < 0 {
-			s = -s
-		}
-		for r := col + 1; r < d; r++ {
-			if m[r][col].Sign() == 0 {
-				continue
-			}
-			f := new(big.Rat).Quo(m[r][col], pv)
-			for j := col + 1; j < d; j++ {
-				t := new(big.Rat).Mul(f, m[col][j])
-				m[r][j].Sub(m[r][j], t)
-			}
-			m[r][col].SetInt64(0)
+		for j := range m[i] {
+			setScaled(&m[i][j], src[j], e)
+			m[i][j].Sub(&m[i][j], setScaled(base, verts[0][j], e))
 		}
 	}
-	return s
+	s := 1
+	prev := big.NewInt(1)
+	for k := 0; k < d-1; k++ {
+		piv := k
+		for piv < d && m[piv][k].Sign() == 0 {
+			piv++
+		}
+		if piv == d {
+			return 0
+		}
+		if piv != k {
+			m[piv], m[k] = m[k], m[piv]
+			s = -s
+		}
+		for i := k + 1; i < d; i++ {
+			for j := k + 1; j < d; j++ {
+				t.Mul(&m[k][k], &m[i][j])
+				u.Mul(&m[i][k], &m[k][j])
+				m[i][j].Quo(t.Sub(t, u), prev)
+			}
+		}
+		prev = &m[k][k]
+	}
+	return s * m[d-1][d-1].Sign()
 }
 
 // InCircle returns the sign of the standard 2D in-circle determinant:
@@ -106,22 +124,34 @@ func InCircle(a, b, c, p Point) int {
 
 var iccErrBoundA = (10 + 96*epsilon) * epsilon
 
+// inCircleExact is the in-circle determinant of InCircle, expanded along
+// its lifted column over the scaled integer coordinates.
 func inCircleExact(a, b, c, p Point) int {
-	rows := [3]Point{a, b, c}
-	m := make([][]*big.Rat, 3)
-	px := new(big.Rat).SetFloat64(p[0])
-	py := new(big.Rat).SetFloat64(p[1])
-	for i, q := range rows {
-		dx := new(big.Rat).SetFloat64(q[0])
-		dx.Sub(dx, px)
-		dy := new(big.Rat).SetFloat64(q[1])
-		dy.Sub(dy, py)
-		lift := new(big.Rat).Mul(dx, dx)
-		t := new(big.Rat).Mul(dy, dy)
-		lift.Add(lift, t)
-		m[i] = []*big.Rat{dx, dy, lift}
+	e := math.MaxInt
+	for _, q := range [4]Point{a, b, c, p} {
+		e = minExp(e, q)
 	}
-	return ratDetSign(m)
+	var v [3][3]big.Int // rows a, b, c: dx, dy, dx^2 + dy^2
+	var t, u big.Int
+	for i, q := range [3]Point{a, b, c} {
+		r := &v[i]
+		r[0].Sub(setScaled(&r[0], q[0], e), setScaled(&t, p[0], e))
+		r[1].Sub(setScaled(&r[1], q[1], e), setScaled(&t, p[1], e))
+		r[2].Mul(&r[0], &r[0])
+		r[2].Add(&r[2], t.Mul(&r[1], &r[1]))
+	}
+	var det big.Int
+	for i := 0; i < 3; i++ {
+		// cofactor of the lift of row i: the 2x2 minor of the other two
+		// rows, signed +, -, + down the column.
+		r, q := &v[(i+1)%3], &v[(i+2)%3]
+		t.Mul(&r[0], &q[1])
+		u.Mul(&r[1], &q[0])
+		t.Sub(&t, &u)
+		t.Mul(&t, &v[i][2])
+		det.Add(&det, &t)
+	}
+	return det.Sign()
 }
 
 func abs(x float64) float64 {

@@ -5,9 +5,11 @@
 // All branch decisions in the incremental algorithms go through the
 // predicates in this package. Each predicate first evaluates a fast float64
 // expression guarded by a forward error bound; if the sign cannot be
-// certified, it falls back to exact rational arithmetic (math/big.Rat), so
-// the combinatorial structure computed by the algorithms is identical to the
-// ideal real-RAM algorithm on every float64 input.
+// certified, it falls back to exact integer arithmetic (math/big.Int over
+// the coordinates scaled to integers: Bareiss elimination for orientation,
+// cofactor expansion for the in-circle), so the combinatorial structure
+// computed by the algorithms is identical to the ideal real-RAM algorithm on
+// every float64 input.
 package geom
 
 import (

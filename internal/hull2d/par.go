@@ -16,9 +16,9 @@ type Options struct {
 	// Base > 3 the first Base points must be a strictly convex CCW polygon;
 	// this is how the Figure 1 example seeds the paper's 7-gon.
 	Base int
-	// Map is the ridge multimap M of Algorithm 3. Nil selects the growable
-	// sharded map; tests and the E10 ablation install the paper's
-	// Algorithm 4 (CAS) and Algorithm 5 (TAS) tables instead.
+	// Map is the ridge multimap M of Algorithm 3. Nil selects the
+	// vertex-indexed slot array (see ridgeSlots); MapCAS/MapTAS, tests, and
+	// the E10 ablation install a conmap table instead.
 	Map conmap.RidgeMap[*Facet]
 	// Workers pins the work-stealing executor's pool width (Par only; <= 0
 	// selects GOMAXPROCS). The created-edge multiset is identical for any
@@ -71,14 +71,25 @@ func (o *Options) noPlaneCache() bool { return o != nil && o.NoPlaneCache }
 // ridgeSlots builds the driver's ridge table over plain vertex ids: in 2D a
 // ridge IS a single vertex, so the default table is a flat array of CAS slots
 // indexed by vertex — a perfect-hash instance of the Algorithm 4 table with
-// no locks, no hashing, and no collisions. An explicit Options.Map routes
-// through the generic conmap implementations instead (the E10 ablation).
+// no locks, no hashing, and no collisions. An engine owned by a Reuse keeps
+// the array across constructions, cleared each time. An explicit
+// Options.Map routes through the generic conmap implementations instead
+// (MapCAS/MapTAS and the E10 ablation).
 func (o *Options) ridgeSlots(e *engine) eng.Table[Facet, int32] {
 	if o != nil && o.Map != nil {
 		e.initRidgeIDs()
 		return conmapSlots{m: o.Map, e: e}
 	}
-	return &vertexSlots{slots: make([]atomic.Pointer[Facet], len(e.pts))}
+	ru := e.ru
+	if ru == nil {
+		return &vertexSlots{slots: make([]atomic.Pointer[Facet], len(e.pts))}
+	}
+	if cap(ru.slots.slots) < len(e.pts) {
+		ru.slots.slots = make([]atomic.Pointer[Facet], len(e.pts))
+	}
+	ru.slots.slots = ru.slots.slots[:len(e.pts)]
+	clear(ru.slots.slots)
+	return &ru.slots
 }
 
 type vertexSlots struct{ slots []atomic.Pointer[Facet] }

@@ -10,7 +10,8 @@ import (
 
 // retained is the state a construction owner keeps across constructions:
 // the engine struct with its point store, recorder, and facet log, the arena
-// the initial hull carves from, and the grow-only result-collection buffers.
+// the initial hull carves from, the vertex-slot ridge table, and the
+// grow-only result-collection buffers.
 // Reuse (parallel) and SeqReuse (sequential) embed it; initialHull and
 // collectResult draw from it through engine.ru.
 type retained struct {
@@ -23,6 +24,7 @@ type retained struct {
 	created  []*Facet
 	facets   []*Facet
 	vertices []int32
+	slots    vertexSlots
 	res      Result
 }
 
@@ -61,8 +63,9 @@ func (r *retained) engineFor(pts []geom.Point, base int, counters bool, grain, s
 
 // Reuse retains the heavy per-construction state of the 2D parallel engine
 // across Par calls — the work-stealing substrate (see engine.Pool), the
-// engine struct with its point store, recorder, and facet log, and the
-// result-collection buffers — mirroring hulld.Reuse for the planar kernel.
+// engine struct with its point store, recorder, and facet log, the
+// vertex-slot ridge table, and the result-collection buffers — mirroring
+// hulld.Reuse for the planar kernel.
 //
 // Contract: a Reuse serializes constructions (one Par at a time), and each
 // Par invalidates the previous Result obtained through it. Close retires the

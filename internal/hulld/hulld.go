@@ -27,6 +27,7 @@ package hulld
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"parhull/internal/conflict"
@@ -181,10 +182,10 @@ func (r *Result) FacetSet() map[string]int {
 }
 
 // ridgeMapKey is a comparable ridge key for the sequential engine's
-// adjacency map and the result validator. Ridges of up to 8 indices pack
-// into a fixed array (padded with -1, which no point index can collide
-// with) so key construction allocates nothing and hashing is a flat memory
-// compare; longer ridges fall back to the string encoding.
+// adjacency map. Ridges of up to 8 indices pack into a fixed array (padded
+// with -1, which no point index can collide with) so key construction
+// allocates nothing and hashing is a flat memory compare; longer ridges fall
+// back to the string encoding.
 type ridgeMapKey struct {
 	arr [8]int32
 	str string
@@ -489,8 +490,7 @@ func ridgeWithoutIn(a *arena, f *Facet, q int32) []int32 {
 }
 
 // collectResult gathers alive facets and validates the closed-pseudomanifold
-// property: every ridge of an alive facet is shared by exactly one other
-// alive facet.
+// property (checkClosed).
 func (e *engine) collectResult(rounds int) (*Result, error) {
 	e.rec.SampleHeap()
 	ru := e.ru
@@ -510,21 +510,10 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 	if len(res.Facets) < e.d+1 {
 		return nil, fmt.Errorf("hulld: only %d alive facets (want >= %d)", len(res.Facets), e.d+1)
 	}
-	// Each ridge of a closed pseudomanifold is shared by exactly two alive
-	// facets, so the count map ends at alive*d/2 entries — preallocate (or,
-	// pooled, refill the retained map: clear keeps its buckets).
-	var ridgeCount map[ridgeMapKey]int32
-	if ru != nil && ru.ridges != nil {
-		ridgeCount = ru.ridges
-		clear(ridgeCount)
-	} else {
-		ridgeCount = make(map[ridgeMapKey]int32, len(res.Facets)*e.d/2+1)
-		if ru != nil {
-			ru.ridges = ridgeCount
-		}
-	}
+	var c *closure
 	var inHull []bool
 	if ru != nil {
+		c = &ru.closure
 		if cap(ru.inHull) < len(e.pts) {
 			ru.inHull = make([]bool, len(e.pts))
 		}
@@ -532,19 +521,15 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 		ru.inHull = inHull
 		clear(inHull)
 	} else {
+		c = new(closure)
 		inHull = make([]bool, len(e.pts))
+	}
+	if err := checkClosed(res.Facets, len(e.pts), e.d, c); err != nil {
+		return nil, err
 	}
 	for _, f := range res.Facets {
 		for _, v := range f.Verts {
 			inHull[v] = true
-		}
-		for omit := range f.Verts {
-			ridgeCount[ridgeKeyOmit(f.Verts, omit)]++
-		}
-	}
-	for k, c := range ridgeCount {
-		if c != 2 {
-			return nil, fmt.Errorf("hulld: ridge %v shared by %d alive facets, want 2", k.arr, c)
 		}
 	}
 	for v, on := range inHull {
@@ -560,6 +545,120 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 		ru.vertices = res.Vertices
 	}
 	return res, nil
+}
+
+// closure is the grow-only scratch of checkClosed.
+type closure struct {
+	start  []int32 // per point: offset of the bucket of ridges it is the smallest vertex of
+	rows   []int32 // every alive ridge, d-1 indices a row, grouped by bucket
+	sorter rowSorter
+}
+
+// checkClosed verifies the closed-pseudomanifold property of the alive
+// facets of a d-dimensional hull over n points: every ridge of an alive
+// facet is shared by exactly two of them. A counting sort files each ridge
+// under its smallest vertex — the facet's first vertex, or its second for
+// the ridge that omits the first — and a sort of each small bucket then
+// brings equal ridges together, so the check costs O(F·d) plus the bucket
+// sorts, with no hashing. The first ridge, in that order, not shared by
+// exactly two facets is reported.
+func checkClosed(facets []*Facet, n, d int, c *closure) error {
+	w := d - 1
+	if cap(c.start) < n {
+		c.start = make([]int32, n)
+	}
+	start := c.start[:n]
+	clear(start)
+	if need := len(facets) * d * w; cap(c.rows) < need {
+		c.rows = make([]int32, need)
+	}
+	rows := c.rows[:len(facets)*d*w]
+
+	for _, f := range facets {
+		start[f.Verts[0]] += int32(w)
+		start[f.Verts[1]]++
+	}
+	var sum int32
+	for v, k := range start {
+		start[v] = sum
+		sum += k
+	}
+	for _, f := range facets {
+		vs := f.Verts
+		for omit := range vs {
+			first := vs[0]
+			if omit == 0 {
+				first = vs[1]
+			}
+			p := int(start[first]) * w
+			start[first]++
+			row := rows[p : p+w]
+			j := 0
+			for q, v := range vs {
+				if q != omit {
+					row[j] = v
+					j++
+				}
+			}
+		}
+	}
+	// start[v] now ends bucket v, which begins where bucket v-1 ends.
+	lo := 0
+	for _, hi := range start {
+		if int(hi) > lo {
+			if err := c.checkBucket(rows[lo*w:int(hi)*w], w); err != nil {
+				return err
+			}
+		}
+		lo = int(hi)
+	}
+	return nil
+}
+
+// checkBucket sorts one bucket's ridge rows (all starting with the same
+// vertex) and requires every distinct row to occur exactly twice.
+func (c *closure) checkBucket(b []int32, w int) error {
+	s := &c.sorter
+	*s = rowSorter{rows: b, w: w}
+	sort.Sort(s)
+	k := s.Len()
+	for i := 0; i < k; {
+		j := i + 1
+		for j < k && !s.Less(i, j) {
+			j++
+		}
+		if j-i != 2 {
+			return fmt.Errorf("hulld: ridge %v shared by %d alive facets, want 2", b[i*w:(i+1)*w], j-i)
+		}
+		i = j
+	}
+	return nil
+}
+
+// rowSorter orders the width-w ridge rows of one bucket lexicographically.
+// Column 0 is the bucket's vertex, shared by every row, so it is skipped.
+type rowSorter struct {
+	rows []int32
+	w    int
+}
+
+func (s *rowSorter) Len() int { return len(s.rows) / s.w }
+
+func (s *rowSorter) Less(i, j int) bool {
+	a, b := s.rows[i*s.w:(i+1)*s.w], s.rows[j*s.w:(j+1)*s.w]
+	for q := 1; q < s.w; q++ {
+		if a[q] != b[q] {
+			return a[q] < b[q]
+		}
+	}
+	return false
+}
+
+func (s *rowSorter) Swap(i, j int) {
+	a, b := s.rows[i*s.w:(i+1)*s.w], s.rows[j*s.w:(j+1)*s.w]
+	for q := range a {
+		a[q], b[q] = b[q], a[q]
+	}
 }
 
 // parStripes is the facet-log stripe count for the concurrent engines.

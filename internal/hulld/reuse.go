@@ -23,7 +23,7 @@ type retained struct {
 	facets   []*Facet
 	vertices []int32
 	inHull   []bool
-	ridges   map[ridgeMapKey]int32
+	closure  closure
 	res      Result
 }
 

@@ -52,8 +52,9 @@ type Stats struct {
 	// the table (the public layer's degradation ladder). 0 on clean runs.
 	CapacityRetries int
 	// MapFallback reports that the fixed table was abandoned for the
-	// growable sharded map after the retries were exhausted; the reported
-	// Stats are then those of the sharded run.
+	// MapSharded table (the growable sharded map; in 2D, the vertex-slot
+	// array) after the retries were exhausted; the reported Stats are then
+	// those of that run.
 	MapFallback bool
 	// PreHullBlocks and PreHullKept describe the pre-hull reduction when it
 	// ran: the number of block sub-hulls and the surviving point count fed

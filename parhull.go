@@ -40,7 +40,6 @@ import (
 	"parhull/internal/engine"
 	"parhull/internal/faultinject"
 	"parhull/internal/geom"
-	"parhull/internal/hull2d"
 	"parhull/internal/hulld"
 	"parhull/internal/hullstats"
 	"parhull/internal/pointgen"
@@ -74,7 +73,9 @@ const (
 type MapKind int
 
 const (
-	// MapSharded is a growable mutex-sharded table (production default).
+	// MapSharded is the production default: a growable table of
+	// mutex-guarded linear-probing shards, or in 2D, where a ridge is a
+	// single vertex, an array of CAS slots indexed by vertex.
 	MapSharded MapKind = iota
 	// MapCAS is the paper's Algorithm 4: linear probing + CompareAndSwap.
 	MapCAS
@@ -175,20 +176,6 @@ func (o *Options) or() *Options {
 		return &Options{}
 	}
 	return o
-}
-
-// In 2D a ridge is a single vertex, so the expected distinct ridge count is
-// n itself (DefaultMapCapacity with d = 0); the fixed CAS/TAS tables get the
-// 4x headroom of FixedMapCapacity. An explicit MapCapacity overrides both.
-func (o *Options) ridgeMap2D(n int) conmap.RidgeMap[*hull2d.Facet] {
-	switch o.Map {
-	case MapCAS:
-		return conmap.NewCASMap[*hull2d.Facet](o.capacity(engine.FixedMapCapacity(n, 0)))
-	case MapTAS:
-		return conmap.NewTASMap[*hull2d.Facet](o.capacity(engine.FixedMapCapacity(n, 0)))
-	default:
-		return conmap.NewShardedMap[*hull2d.Facet](o.capacity(engine.DefaultMapCapacity(n, 0)))
-	}
 }
 
 // ridgeMapDelaunay sizes the edge multimap of the Delaunay engines: each of
