@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"parhull/internal/hulld"
+	"parhull/internal/conflict"
 )
 
 const testDeadline = 60 * time.Second
@@ -72,8 +72,8 @@ func plantedSpec(seed uint64) TrialSpec {
 // bit-for-bit from its replay file, and the shrinker must cut the input to
 // a quarter of its original size or less.
 func TestPlantedBugCaughtReplayedAndShrunk(t *testing.T) {
-	hulld.PlantSoakBug(true)
-	defer hulld.PlantSoakBug(false)
+	conflict.PlantSoakBug(true)
+	defer conflict.PlantSoakBug(false)
 
 	// Some seeds corrupt the construction badly enough that the engine's own
 	// ridge validation aborts the build (also a caught violation, but a less

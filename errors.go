@@ -42,7 +42,8 @@ var (
 	// context.Canceled / context.DeadlineExceeded, which stay in the chain.
 	ErrCanceled = errors.New("parhull: construction canceled")
 	// ErrBadOption reports an invalid Options field (e.g. a negative
-	// MapCapacity).
+	// MapCapacity) or input of the wrong dimension: d < 2, points of mixed
+	// dimension, or a dimension the entry point does not take.
 	ErrBadOption = errors.New("parhull: invalid option")
 )
 
@@ -61,6 +62,8 @@ func wrapErr(err error) error {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	case errors.Is(err, geom.ErrBadCoordinate):
 		return fmt.Errorf("%w: %w", ErrBadCoordinate, err)
+	case errors.Is(err, geom.ErrBadDimension):
+		return fmt.Errorf("%w: %w", ErrBadOption, err)
 	case errors.Is(err, conmap.ErrCapacity):
 		return fmt.Errorf("%w: %w", ErrCapacity, err)
 	case errors.Is(err, hull2d.ErrDegenerate), errors.Is(err, hulld.ErrDegenerate),

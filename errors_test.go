@@ -46,6 +46,8 @@ func TestTypedErrorContract(t *testing.T) {
 	nan2 := []Point{{0, 0}, {1, 0}, {0, 1}, {math.NaN(), 0.5}}
 	coplanar3 := []Point{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {2, 1, 0}, {1, 2, 0}}
 	inf3 := []Point{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {math.Inf(1), 0, 0}}
+	ragged2 := []Point{{0, 0}, {0, 1}, {1, 0}, {1, 1, 1}}
+	line1 := []Point{{0}, {1}, {2}}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -100,7 +102,42 @@ func TestTypedErrorContract(t *testing.T) {
 					wantExactly(t, "3D capacity", err, "ErrCapacity")
 				}
 			}
+
+			// Empty input is degenerate on every hull route; input of the
+			// wrong dimension is a bad option.
+			if _, err := HullD(nil, o()); true {
+				wantExactly(t, "HullD empty", err, "ErrDegenerate")
+			}
+			if _, err := Hull3D(nil, o()); true {
+				wantExactly(t, "Hull3D empty", err, "ErrDegenerate")
+			}
+			b := NewBuilder(o())
+			if _, err := b.Build(nil); true {
+				wantExactly(t, "Builder.Build empty", err, "ErrDegenerate")
+			}
+			b.Close()
+			if _, err := HalfspaceIntersection(nil, o()); true {
+				wantExactly(t, "HalfspaceIntersection empty", err, "ErrDegenerate")
+			}
+			if _, err := Hull2D(RandomPoints(20, 3, 4), o()); true {
+				wantExactly(t, "Hull2D of 3D points", err, "ErrBadOption")
+			}
+			if _, err := HullD(ragged2, o()); true {
+				wantExactly(t, "HullD ragged", err, "ErrBadOption")
+			}
+			if _, err := HullD(line1, o()); true {
+				wantExactly(t, "HullD d=1", err, "ErrBadOption")
+			}
+			if _, err := Delaunay(ragged2, o()); true {
+				wantExactly(t, "Delaunay ragged", err, "ErrBadOption")
+			}
 		}
+	}
+	if _, _, err := UnitCircleIntersection(ragged2, nil); true {
+		wantExactly(t, "UnitCircleIntersection ragged", err, "ErrBadOption")
+	}
+	if _, err := Hull3DDegenerate([]Point{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0}}, nil); true {
+		wantExactly(t, "Hull3DDegenerate ragged", err, "ErrBadOption")
 	}
 }
 

@@ -2,15 +2,20 @@
 // incremental engines: merging the two support facets' conflict sets and
 // filtering by visibility (line 16 of Algorithm 3, line 9 of Algorithm 2).
 //
-// Lists are ascending slices of point indices. Filtering is fused: a
-// kernel-supplied Filter walks both lists with a two-pointer merge and
-// classifies each candidate as it is merged (FilterMerge), so the candidate
-// run is never materialized and the visibility test amortizes its bounds
-// checks and dispatch over the batch instead of paying an indirect call per
-// candidate. Long lists split into value-aligned pieces processed in
-// parallel — the role approximate compaction plays in the paper's CRCW
-// analysis (Theorem 5.4): without it, the first rounds' O(n)-sized lists
-// would serialize the span.
+// Lists are ascending slices of point indices. Filtering is fused: a Filter
+// walks both lists with a two-pointer merge and classifies each candidate as
+// it is merged (FilterMerge), so the candidate run is never materialized and
+// the visibility test amortizes its bounds checks and dispatch over the
+// batch instead of paying an indirect call per candidate. The one Filter
+// the engines use is PlaneFilter (plane.go): every kernel's conflict test is
+// the sign of one folded plane — a hull facet's hyperplane or a Delaunay
+// triangle's lifted circumcircle plane — so the scan is written once here,
+// over the dimension-specialized evaluators of scan.go, and a kernel only
+// supplies a PlaneKernel: its coordinate stream, one facet's row, and the
+// exact predicate for the uncertain band. Long lists split into
+// value-aligned pieces processed in parallel — the role approximate
+// compaction plays in the paper's CRCW analysis (Theorem 5.4): without it,
+// the first rounds' O(n)-sized lists would serialize the span.
 //
 // Allocation discipline: filtering writes into pooled scratch buffers and
 // only the surviving elements are copied into an exact-size result (nil for
@@ -30,24 +35,25 @@ import (
 // DefaultGrain is the list size above which MergeFilterFused parallelizes.
 const DefaultGrain = 1 << 13
 
-// Filter is the batch form of a visibility predicate — the kernel contract
-// of the fused merge-filter. Both methods append the surviving candidates to
-// dst in ascending order and return the extended slice; they must be safe
-// for concurrent calls (the engines' filters are: they read immutable facet
-// state and bump sharded counters) and must not retain their list arguments
-// or dst.
+// Filter is the batch form of a visibility predicate — the contract of the
+// fused merge-filter entry points. Both methods append the surviving
+// candidates to dst in ascending order and return the extended slice; they
+// must be safe for concurrent calls (PlaneFilter is: it reads immutable
+// facet state and bumps sharded counters) and must not retain their list
+// arguments or dst.
 //
 // The output must be identical to applying the pointwise predicate to each
-// candidate in order — implementations that defer some decisions (e.g. the
-// kernels' float-filter-uncertain sidecar resolved by the exact predicate
-// after the main loop) must splice those survivors back in position.
+// candidate in order — implementations that defer some decisions (e.g.
+// PlaneFilter's float-filter-uncertain sidecar resolved by the exact
+// predicate after the main loop) must splice those survivors back in
+// position.
 type Filter interface {
 	// FilterMerge appends to dst the elements of the ascending merge of c1
 	// and c2 (excluding drop) that survive: the same survivors, in the same
 	// order, as the pointwise predicate over MergeInto(nil, c1, c2, drop).
-	// The hull kernels run the merge and the classification as ONE loop,
-	// loading each candidate's coordinates while the merge cursors are
-	// still hot.
+	// PlaneFilter runs the merge and the classification as ONE chunked
+	// loop, loading each candidate's coordinates while the merge cursors
+	// are still hot.
 	FilterMerge(c1, c2 []int32, drop int32, dst []int32) []int32
 	// FilterRange appends to dst the survivors among the ascending
 	// candidates from, from+1, ..., to-1 without materializing them

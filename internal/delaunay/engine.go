@@ -239,7 +239,7 @@ func (e *dEngine) newTriangle(a *arena, r []int32, p int32, t1, t2 *Triangle, ro
 // grain/arena discipline: merge and classification in one pass over the
 // flat lifted coordinates.
 func (e *dEngine) mergeFilter(a *arena, c1, c2 []int32, p int32, t *Triangle) []int32 {
-	return eng.MergeFilterFused(a, c1, c2, p, triFilter{e: e, t: t}, e.grain)
+	return eng.MergeFilterFused(a, c1, c2, p, e.filter(t), e.grain)
 }
 
 // initial builds the bounding-triangle root with its conflict list over
@@ -251,7 +251,7 @@ func (e *dEngine) initial() (root *Triangle, outers [3]*Triangle, edges [3][]int
 	if err != nil {
 		return nil, outers, edges, err
 	}
-	root.Conf = conflict.BuildFilterInto(0, int32(n), triFilter{e: e, t: root}, e.grain, nil)
+	root.Conf = conflict.BuildFilterInto(0, int32(n), e.filter(root), e.grain, nil)
 	if len(root.Conf) != n {
 		// Ascending subset of [0, n): the first index where Conf[i] != i is
 		// the first point outside the root circumcircle (same error as the

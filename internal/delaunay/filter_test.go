@@ -53,7 +53,7 @@ func filterCloud() []geom.Point {
 		rest = append(rest, geom.Point{p[0] * s, p[1] * s})
 	}
 	rng := pointgen.NewRNG(65)
-	for _, p := range pointgen.InCube(rng, 3*uncertainCap, 2) {
+	for _, p := range pointgen.InCube(rng, 3*conflict.UncertainCap, 2) {
 		rest = append(rest, geom.Point{100 * p[0], 100 * p[1]})
 	}
 	pts := append([]geom.Point(nil), circle[:3]...)
@@ -117,7 +117,7 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 			t0, f0 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 			want := pointwiseSurvivors(e, tri, c.c1, c.c2, c.drop)
 			t1, f1 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
-			got := triFilter{e: e, t: tri}.FilterMerge(c.c1, c.c2, c.drop, nil)
+			got := e.filter(tri).FilterMerge(c.c1, c.c2, c.drop, nil)
 			t2, f2 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("%s: survivors %v, pointwise %v", label, got, want)
@@ -126,10 +126,10 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 				t.Fatalf("%s: fused counted %d tests / %d fallbacks, pointwise %d / %d",
 					label, t2-t1, f2-f1, t1-t0, f1-f0)
 			}
-			spilled = spilled || f2-f1 > uncertainCap
-			long = long || t2-t1 > 64
+			spilled = spilled || f2-f1 > conflict.UncertainCap
+			long = long || t2-t1 > conflict.MergeChunk
 		}
-		flt := triFilter{e: e, t: tri}
+		flt := e.filter(tri)
 		got, want := flt.FilterRange(3, n, nil), pointwiseSurvivors(e, tri, c1, c2, -1)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("noPred=%v FilterRange: survivors %v, pointwise %v", noPred, got, want)
@@ -138,7 +138,7 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 			t.Fatalf("noPred=%v: no candidate list was longer than one merge chunk", noPred)
 		}
 		if !noPred && !spilled {
-			t.Fatalf("no batch had more than %d uncertain candidates", uncertainCap)
+			t.Fatalf("no batch had more than %d uncertain candidates", conflict.UncertainCap)
 		}
 	}
 }

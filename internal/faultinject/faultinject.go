@@ -44,8 +44,8 @@ const (
 	// SitePreHullBlock is the pre-hull block loop: one visit per block body.
 	SitePreHullBlock
 	// SiteScanBatch is a batch conflict scan: one visit per batch filter call
-	// (the kernels' filterVisible* entry points) or per FirstConflict scan of
-	// a configuration space.
+	// of a hull kernel (conflict.PlaneFilter's FilterRange and FilterMerge)
+	// or per FirstConflict scan of a configuration space.
 	SiteScanBatch
 	// SiteBuilderRewind is the Builder's retained-state rewind at the start
 	// of the next construction: one visit per reused build.

@@ -26,6 +26,10 @@ type Point []float64
 // coordinate, which the predicates cannot order consistently.
 var ErrBadCoordinate = errors.New("geom: point has NaN or infinite coordinate")
 
+// ErrBadDimension is returned when a point cloud's dimension is unsupported
+// (d < 2) or a point's dimension differs from the cloud's.
+var ErrBadDimension = errors.New("geom: bad dimension")
+
 // Dim returns the dimension of p.
 func (p Point) Dim() int { return len(p) }
 
@@ -134,11 +138,11 @@ func Centroid(pts []Point) Point {
 // common dimension d. It is the shared input check used at API boundaries.
 func ValidateCloud(pts []Point, d int) error {
 	if d < 2 {
-		return fmt.Errorf("geom: dimension %d not supported (need d >= 2)", d)
+		return fmt.Errorf("%w: %d not supported (need d >= 2)", ErrBadDimension, d)
 	}
 	for i, p := range pts {
 		if len(p) != d {
-			return fmt.Errorf("geom: point %d has dimension %d, want %d", i, len(p), d)
+			return fmt.Errorf("%w: point %d has dimension %d, want %d", ErrBadDimension, i, len(p), d)
 		}
 		if !p.Finite() {
 			return fmt.Errorf("geom: point %d: %w", i, ErrBadCoordinate)

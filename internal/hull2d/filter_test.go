@@ -17,7 +17,7 @@ func (e *engine) visible(v int32, f *Facet) bool {
 	e.rec.VTests.Inc(uint64(v))
 	if eps := e.planeEps; eps > 0 {
 		row := e.store.Row(v)
-		s := f.nx*row[0] + f.ny*row[1] - f.off
+		s := f.n[0]*row[0] + f.n[1]*row[1] - f.off
 		if s > eps {
 			return true // folded line: positive certifies strictly right, visible
 		}
@@ -41,13 +41,13 @@ func (e *engine) visible(v int32, f *Facet) bool {
 func filterTestPoints() []geom.Point {
 	rng := pointgen.NewRNG(42)
 	var rest []geom.Point
-	for i := 0; i < 2*uncertainCap; i++ {
+	for i := 0; i < 2*conflict.UncertainCap; i++ {
 		rest = append(rest, geom.Point{0.05 + 0.08*float64(i), 0})
 	}
 	for i := 0; i < 6; i++ {
 		rest = append(rest, geom.Point{0.5 + 0.5*float64(i), -1e-15})
 	}
-	for _, p := range pointgen.InCube(rng, 3*mergeChunk, 2) {
+	for _, p := range pointgen.InCube(rng, 3*conflict.MergeChunk, 2) {
 		rest = append(rest, geom.Point{2 + 4*p[0], 2 + 4*p[1]}) // [-2, 6]^2
 	}
 	pts := []geom.Point{{0, 0}, {4, 0}, {0, 4}} // CCW base triangle
@@ -141,7 +141,7 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 	for _, f := range facets {
 		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, f, full, nil, -1))
 		for _, cands := range [][]int32{full, sparse, nil} {
-			got := e.filterVisibleMerge(f, cands, nil, -1, nil)
+			got := e.filter(f).FilterMerge(cands, nil, -1, nil)
 			equalLists(t, "FilterMerge", got, pointwiseSurvivors(e, f, cands, nil, -1))
 		}
 	}
@@ -165,19 +165,19 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 			t0, f0 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 			want := pointwiseSurvivors(e, f, c.c1, c.c2, c.drop)
 			t1, f1 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
-			got := e.filterVisibleMerge(f, c.c1, c.c2, c.drop, nil)
+			got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
 			t2, f2 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 			equalLists(t, c.name, got, want)
 			if t2-t1 != t1-t0 || f2-f1 != f1-f0 {
 				t.Fatalf("%s: fused counted %d tests / %d fallbacks, pointwise %d / %d",
 					c.name, t2-t1, f2-f1, t1-t0, f1-f0)
 			}
-			spilled = spilled || f2-f1 > uncertainCap
-			long = long || t2-t1 > mergeChunk
+			spilled = spilled || f2-f1 > conflict.UncertainCap
+			long = long || t2-t1 > conflict.MergeChunk
 		}
 	}
 	if !spilled {
-		t.Fatalf("no batch had more than %d uncertain candidates", uncertainCap)
+		t.Fatalf("no batch had more than %d uncertain candidates", conflict.UncertainCap)
 	}
 	if !long {
 		t.Fatal("no candidate list was longer than one merge chunk")
@@ -202,7 +202,7 @@ func TestBatchFilterNoPlaneCache(t *testing.T) {
 	for _, f := range facets {
 		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, f, full, nil, -1))
 		for _, c := range mergeCases(3, n) {
-			got := e.filterVisibleMerge(f, c.c1, c.c2, c.drop, nil)
+			got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
 			equalLists(t, c.name, got, pointwiseSurvivors(e, f, c.c1, c.c2, c.drop))
 		}
 	}

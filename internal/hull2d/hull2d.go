@@ -20,7 +20,10 @@
 // product over contiguous memory plus one comparison; only when the result
 // lands inside the threshold does the engine fall back to the exact Orient2D
 // predicate, so the combinatorial output is bit-identical to the pure
-// determinant path (Options.NoPlaneCache, kept for ablation).
+// determinant path (Options.NoPlaneCache, kept for ablation). The batch
+// scan over those lines is the shared conflict.PlaneFilter: this kernel
+// supplies the line as a stride-2 row and Orient2D as the exact predicate
+// (filter.go).
 //
 // The engines require the input to be in general position (no 3 collinear
 // points among those that interact with the hull boundary; see README).
@@ -94,11 +97,12 @@ type Facet struct {
 	Round int32   // round of creation (rounds engine; 0 for initial facets)
 
 	// Cached line of the edge, stored folded (visible-positive):
-	// sign(nx*x + ny*y - off) = -Orient2D(A, B, p) whenever
-	// |nx*x + ny*y - off| exceeds the engine's static threshold, so a
-	// positive evaluation certifies visible with no per-test negation.
+	// sign(n·p - off) = -Orient2D(A, B, p) whenever |n·p - off| exceeds
+	// the engine's static threshold, so a positive evaluation certifies
+	// visible with no per-test negation; n[:] is the batch scan's row.
 	// Zero (unused) when the engine runs with the cache disabled.
-	nx, ny, off float64
+	n   [2]float64
+	off float64
 
 	// mark is scratch for the sequential engine's per-insertion visible-set
 	// membership (holds the insertion index; never touched concurrently).
@@ -208,9 +212,8 @@ func (e *engine) initPlane(f *Facet) {
 		return
 	}
 	pa, pb := e.store.Row(f.A), e.store.Row(f.B)
-	f.nx = pb[1] - pa[1]
-	f.ny = pa[0] - pb[0]
-	f.off = f.nx*pa[0] + f.ny*pa[1]
+	f.n = [2]float64{pb[1] - pa[1], pa[0] - pb[0]}
+	f.off = f.n[0]*pa[0] + f.n[1]*pa[1]
 }
 
 func (e *engine) record(f *Facet) {
@@ -244,7 +247,7 @@ func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet, round int32) *Fac
 // (engine.MergeFilterFused), with this kernel's exact visibility predicate
 // as the filter: merge and classification in one pass.
 func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, f *Facet) []int32 {
-	return eng.MergeFilterFused(a, c1, c2, p, facetFilter{e: e, f: f}, e.grain)
+	return eng.MergeFilterFused(a, c1, c2, p, e.filter(f), e.grain)
 }
 
 func max32(a, b int32) int32 {
@@ -321,7 +324,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	// Conflict lists over the remaining points, one pass per facet so each
 	// list comes out in ascending index order (parallel chunks for large n).
 	for _, f := range facets {
-		f.Conf = conflict.BuildFilterInto(int32(e.base), int32(n), facetFilter{e: e, f: f}, e.grain, alloc)
+		f.Conf = conflict.BuildFilterInto(int32(e.base), int32(n), e.filter(f), e.grain, alloc)
 		e.record(f)
 	}
 	return facets, nil

@@ -42,7 +42,7 @@ func (e *engine) visible(v int32, f *Facet) bool {
 func filterCloud(d int) []geom.Point {
 	rng := pointgen.NewRNG(int64(40 + d))
 	var rest []geom.Point
-	for i := 0; i < 2*uncertainCap; i++ {
+	for i := 0; i < 2*conflict.UncertainCap; i++ {
 		p := make(geom.Point, d)
 		for k := 0; k < d-1; k++ {
 			p[k] = 0.05 + 0.1*float64((i+k)%9)
@@ -57,7 +57,7 @@ func filterCloud(d int) []geom.Point {
 		p[d-1] = -1e-15
 		rest = append(rest, p)
 	}
-	for _, p := range pointgen.InCube(rng, 3*mergeChunk, d) {
+	for _, p := range pointgen.InCube(rng, 3*conflict.MergeChunk, d) {
 		for k := range p {
 			p[k] = 2 + 4*p[k] // the cube [-2, 6]^d straddles every facet
 		}
@@ -161,15 +161,15 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 	for _, f := range facets {
 		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, f, full, nil, -1))
 		for _, cands := range [][]int32{full, sparse, nil} {
-			got := e.filterVisibleMerge(f, cands, nil, -1, nil)
+			got := e.filter(f).FilterMerge(cands, nil, -1, nil)
 			equalLists(t, "FilterMerge", got, pointwiseSurvivors(e, f, cands, nil, -1))
 		}
 	}
 }
 
-// TestFilterMergeMatchesPointwise is the fused filter's direct check in
-// every code path of the kernel (d=2 and the generic d=4 scalar loops, the
-// chunked four-wide d=3 loop): survivors, order, and counter totals equal
+// TestFilterMergeMatchesPointwise checks this kernel's row and exact binding
+// on every stride the shared scan dispatches on (the four-wide d=2 and d=3
+// loops, the generic d=4 loop): survivors, order, and counter totals equal
 // the pointwise visible predicate over MergeInto, on lists longer than one
 // merge chunk, with more uncertain candidates than the sidecar's stack
 // capacity, with drop present and absent, and against an empty list.
@@ -187,19 +187,19 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 				t0, f0 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 				want := pointwiseSurvivors(e, f, c.c1, c.c2, c.drop)
 				t1, f1 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
-				got := e.filterVisibleMerge(f, c.c1, c.c2, c.drop, nil)
+				got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
 				t2, f2 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 				equalLists(t, fmt.Sprintf("d=%d %s", d, c.name), got, want)
 				if t2-t1 != t1-t0 || f2-f1 != f1-f0 {
 					t.Fatalf("d=%d %s: fused counted %d tests / %d fallbacks, pointwise %d / %d",
 						d, c.name, t2-t1, f2-f1, t1-t0, f1-f0)
 				}
-				spilled = spilled || f2-f1 > uncertainCap
-				long = long || t2-t1 > mergeChunk
+				spilled = spilled || f2-f1 > conflict.UncertainCap
+				long = long || t2-t1 > conflict.MergeChunk
 			}
 		}
 		if !spilled {
-			t.Fatalf("d=%d: no batch had more than %d uncertain candidates", d, uncertainCap)
+			t.Fatalf("d=%d: no batch had more than %d uncertain candidates", d, conflict.UncertainCap)
 		}
 		if !long {
 			t.Fatalf("d=%d: no candidate list was longer than one merge chunk", d)
@@ -226,7 +226,7 @@ func TestBatchFilterNoPlaneCache(t *testing.T) {
 			}
 			equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, f, all, nil, -1))
 			for _, c := range mergeCases(int32(d+1), n) {
-				got := e.filterVisibleMerge(f, c.c1, c.c2, c.drop, nil)
+				got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
 				equalLists(t, c.name, got, pointwiseSurvivors(e, f, c.c1, c.c2, c.drop))
 			}
 		}

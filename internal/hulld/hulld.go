@@ -21,7 +21,10 @@
 // exact OrientSimplex predicate — the combinatorial output is bit-identical
 // to the pure determinant path (Options.NoPlaneCache, kept for the A2
 // ablation; also used automatically for d > geom.MaxPlaneDim where cofactor
-// expansion stops paying off).
+// expansion stops paying off). The batch scan over those planes is the
+// shared conflict.PlaneFilter, the same scan hull2d and delaunay run: this
+// kernel supplies the folded plane as a stride-d row and OrientSimplex as
+// the exact predicate (filter.go).
 package hulld
 
 import (
@@ -403,7 +406,7 @@ func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet, round int
 // discipline (engine.MergeFilterFused): merge and classification in one
 // pass, never materializing the candidate run.
 func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, f *Facet) []int32 {
-	return eng.MergeFilterFused(a, c1, c2, p, facetFilter{e: e, f: f}, e.grain)
+	return eng.MergeFilterFused(a, c1, c2, p, e.filter(f), e.grain)
 }
 
 func max32(a, b int32) int32 {
@@ -468,7 +471,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		e.ru.inits = facets
 	}
 	for _, f := range facets {
-		f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), facetFilter{e: e, f: f}, e.grain, alloc)
+		f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), e.filter(f), e.grain, alloc)
 		e.record(f)
 	}
 	return facets, nil
@@ -666,7 +669,7 @@ func parStripes() int { return 4 * sched.Workers() }
 
 func validate(pts []geom.Point) (int, error) {
 	if len(pts) == 0 {
-		return 0, fmt.Errorf("hulld: empty input")
+		return 0, fmt.Errorf("%w: empty input", ErrDegenerate)
 	}
 	d := len(pts[0])
 	if err := geom.ValidateCloud(pts, d); err != nil {
