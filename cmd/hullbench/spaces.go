@@ -27,15 +27,16 @@ var spacesGate = flag.Float64("spaces-gate", 0,
 	"fail the spaces experiment if the Delaunay engine speedup over the reference triangulator at P=1 falls below this (<= 0 disables)")
 
 // expSpaces — EXT: every configuration space on the fast engine. The headline
-// row pits the Delaunay kernel (flat triangle arena, cached lifted-plane
-// in-circle filter, fused batch conflict scan) against the seed's map-based
-// reference triangulator on 100k uniform-square points at P=1 — the port is
-// only worth keeping if the engine wins by a wide margin — plus a full-P row
-// for color. The remaining rows measure the public entry points that now run
-// on engine.SpaceRounds with batch ConflictScanners (half-space direct,
-// circles, trapezoid, corner), and each space is first cross-checked against
-// the T(X) oracle (core.Active) on a tiny instance so the table never reports
-// a fast wrong answer. Rows are merged into BENCH_parhull.json.
+// row pits the Delaunay route (the lifted lower hull on the 3D hull kernel:
+// flat facet arena, cached lifted-plane in-circle filter, fused batch
+// conflict scan) against the seed's map-based reference triangulator on 100k
+// uniform-square points at P=1 — the route is only worth keeping if it wins
+// by a wide margin — plus a full-P row for color. The remaining rows measure
+// the public entry points that now run on engine.SpaceRounds with batch
+// ConflictScanners (half-space direct, circles, trapezoid, corner), and each
+// space is first cross-checked against the T(X) oracle (core.Active) on a
+// tiny instance so the table never reports a fast wrong answer. Rows are
+// merged into BENCH_parhull.json.
 func expSpaces() {
 	checkSpaceOracles()
 
@@ -46,13 +47,14 @@ func expSpaces() {
 	if err != nil {
 		log.Fatalf("spaces: reference triangulation: %v", err)
 	}
-	eng, err := delaunay.Seq(pts, &delaunay.Options{})
+	eng, err := parhull.Delaunay(pts, &parhull.Options{Engine: parhull.EngineSequential})
 	if err != nil {
 		log.Fatalf("spaces: engine triangulation: %v", err)
 	}
 	if len(eng.Triangles) != len(ref.Triangles) {
 		log.Fatalf("spaces: engine produced %d triangles, reference %d", len(eng.Triangles), len(ref.Triangles))
 	}
+	created := int(eng.Stats.FacetsCreated)
 
 	w := table()
 	fmt.Fprintln(w, "row\tn\tns/op\tallocs/op\tB/op\tcreated\trounds")
@@ -92,22 +94,22 @@ func expSpaces() {
 	bseq := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := delaunay.Par(pts, &delaunay.Options{NoCounters: true, Workers: 1}); err != nil {
+			if _, err := parhull.Delaunay(pts, &parhull.Options{NoCounters: true, Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	row("space-delaunay", "engine-p1", len(pts), len(eng.Created), 0, bseq)
+	row("space-delaunay", "engine-p1", len(pts), created, 0, bseq)
 
 	bpar := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := delaunay.Par(pts, &delaunay.Options{NoCounters: true}); err != nil {
+			if _, err := parhull.Delaunay(pts, &parhull.Options{NoCounters: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	row("space-delaunay", "engine-par", len(pts), len(eng.Created), 0, bpar)
+	row("space-delaunay", "engine-par", len(pts), created, 0, bpar)
 
 	speedup := float64(bref.T.Nanoseconds()) / float64(bref.N) /
 		(float64(bseq.T.Nanoseconds()) / float64(bseq.N))

@@ -3,6 +3,7 @@ package parhull
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -130,6 +131,20 @@ func TestTypedErrorContract(t *testing.T) {
 			}
 			if _, err := Delaunay(ragged2, o()); true {
 				wantExactly(t, "Delaunay ragged", err, "ErrBadOption")
+			}
+
+			// Unshuffled rotated cubes start with four corners of one face,
+			// a base simplex thin enough that its float centroid can round
+			// outside it: that must be ErrDegenerate, not an untyped error.
+			thin := 0
+			for seed := int64(1); seed <= 20; seed++ {
+				if _, err := Hull3D(rotatedCube(seed), o()); err != nil {
+					wantExactly(t, fmt.Sprintf("rotated cube %d", seed), err, "ErrDegenerate")
+					thin++
+				}
+			}
+			if thin == 0 {
+				t.Error("no rotated cube hit the thin-base check")
 			}
 		}
 	}

@@ -254,17 +254,21 @@ type DelaunayResult struct {
 }
 
 // Delaunay computes the Delaunay triangulation of 2D points by the
-// randomized incremental method. Options.Engine selects the schedule —
-// EngineParallel (default, Algorithm 3 on the work-stealing executor),
-// EngineSequential (Algorithm 2), or EngineRounds (the
-// round-synchronous schedule; Stats.Rounds/RoundWidths report the dependence
-// structure). All three produce the identical triangle set; see
-// internal/delaunay for the bounding-triangle construction. Points are
-// inserted in input order unless Options.Shuffle is set (which the O(log n)
-// depth guarantee assumes). Map, Workers, FilterGrain, NoCounters, and
-// Context all apply; the pre-hull reduction does not (a Delaunay triangulation keeps
-// interior points). Unlike the hull routes, a fixed CAS/TAS ridge map that
-// fills surfaces ErrCapacity directly — there is no degradation ladder here.
+// randomized incremental method, as the lower convex hull of the points
+// lifted onto the paraboloid z = x²+y² (the 3D hull kernel in its lifted
+// mode; see internal/delaunay for the bounding-triangle construction).
+// Options.Engine selects the schedule — EngineParallel (default,
+// Algorithm 3 on the work-stealing executor), EngineSequential
+// (Algorithm 2), or EngineRounds (the round-synchronous schedule;
+// Stats.Rounds/RoundWidths report the dependence structure). All three
+// produce the identical triangle set. Points are inserted in input order
+// unless Options.Shuffle is set (which the O(log n) depth guarantee
+// assumes). Map, Workers, FilterGrain, NoCounters, and Context apply; the
+// pre-hull reduction does not (a Delaunay triangulation keeps interior
+// points). Unlike the hull routes, a fixed CAS/TAS ridge map that fills
+// surfaces ErrCapacity directly — there is no degradation ladder here.
+// Stats counts the lifted hull, whose given base simplex is the bounding
+// triangle and the first point, and HullSize is the number of triangles.
 func Delaunay(pts []Point, opt *Options) (out *DelaunayResult, err error) {
 	defer guard(&err)
 	o := opt.or()
@@ -272,35 +276,43 @@ func Delaunay(pts []Point, opt *Options) (out *DelaunayResult, err error) {
 		return nil, err
 	}
 	order := o.perm(len(pts))
-	work := applyShuffle(pts, order)
-	dopt := &delaunay.Options{
-		Map:         o.ridgeMapDelaunay(len(pts)),
-		Workers:     o.Workers,
-		NoCounters:  o.NoCounters,
-		FilterGrain: o.FilterGrain,
-		Ctx:         o.Context,
-		Inject:      o.inject,
+	plane, lifted, err := delaunay.Lift(applyShuffle(pts, order))
+	if err != nil {
+		return nil, wrapErr(err)
 	}
-	var res *delaunay.Result
+	var res *hulld.Result
 	switch o.Engine {
-	case EngineParallel:
-		res, err = delaunay.Par(work, dopt)
 	case EngineSequential:
-		res, err = delaunay.Seq(work, dopt)
-	case EngineRounds:
-		res, err = delaunay.Rounds(work, dopt)
+		res, err = hulld.SeqLifted(o.Context, o.inject, lifted, plane, !o.NoCounters)
+	case EngineParallel, EngineRounds:
+		ho := &hulld.Options{
+			Map:         o.ridgeMapD(len(lifted), 3),
+			Workers:     o.Workers,
+			NoCounters:  o.NoCounters,
+			FilterGrain: o.FilterGrain,
+			Ctx:         o.Context,
+			Inject:      o.inject,
+			Lift:        plane,
+		}
+		if o.Engine == EngineRounds {
+			res, err = hulld.Rounds(lifted, ho)
+		} else {
+			res, err = hulld.Par(lifted, ho)
+		}
 	default:
 		return nil, errBadEngine
 	}
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	out = &DelaunayResult{Stats: res.Stats}
-	for _, t := range res.Triangles {
-		out.Triangles = append(out.Triangles, [3]int{
-			mapBack(t.Verts[0], order), mapBack(t.Verts[1], order), mapBack(t.Verts[2], order),
-		})
+	tris := delaunay.Triangles(res, plane)
+	if order != nil {
+		for i, t := range tris {
+			tris[i] = [3]int{order[t[0]], order[t[1]], order[t[2]]}
+		}
 	}
+	out = &DelaunayResult{Triangles: tris, Stats: res.Stats}
+	out.Stats.HullSize = len(tris)
 	return out, nil
 }
 

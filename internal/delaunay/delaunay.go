@@ -14,25 +14,36 @@
 // tests); triangles near the input hull whose circumcircles reach a
 // synthetic point are the usual finite-bounding-triangle artifact and are
 // simply absent. All in-circle and orientation tests are exact.
+//
+// Triangulate is the map-based reference and Space the configuration space.
+// The engines run elsewhere: a point lies strictly inside a triangle's
+// circumcircle exactly when its lift (x, y, x²+y²) lies strictly below the
+// plane of the lifted triangle, so the triangulation is the lower hull of
+// the lifted points, which package hulld builds in its lifted mode
+// (Options.Lift, SeqLifted) on every schedule. Lift and Triangles adapt the
+// input and the output.
 package delaunay
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"parhull/internal/geom"
+	"parhull/internal/hulld"
 	"parhull/internal/hullstats"
+	"parhull/internal/pointgen"
 )
 
-// ErrDegenerate reports inputs the engine cannot triangulate (fewer than
-// one point, NaN coordinates, or exact duplicates).
+// ErrDegenerate reports inputs that cannot be triangulated (fewer than one
+// point, NaN coordinates, or exact duplicates).
 var ErrDegenerate = errors.New("delaunay: degenerate input")
 
-// Triangle is one triangle of the (evolving) triangulation. Immutable after
-// creation except for liveness, like the hull facets.
+// Triangle is one triangle of Triangulate's evolving triangulation.
+// Immutable after creation except for liveness.
 type Triangle struct {
 	// Verts holds the three point indices in counterclockwise order.
 	// Indices >= the input size refer to the synthetic bounding points.
@@ -42,23 +53,12 @@ type Triangle struct {
 	Conf []int32
 	// Depth is the dependence depth (Definition 4.1).
 	Depth int32
-	// Round is the creation round (rounds engine only; 0 otherwise).
-	Round int32
 
-	// plane caches the negated lifted-paraboloid plane of the circumcircle
-	// (engine fast path; the invalid zero Plane when the predicate cache is
-	// off or the lift overflows).
-	plane geom.Plane
-	// mark is scratch for the sequential engine's per-insertion visible-set
-	// stamp (insertion index + 1; never touched concurrently).
-	mark int32
 	dead atomic.Bool
 }
 
 // Alive reports whether the triangle is still part of the triangulation.
 func (t *Triangle) Alive() bool { return !t.dead.Load() }
-
-func (t *Triangle) kill() bool { return !t.dead.Swap(true) }
 
 // Synthetic reports whether the triangle touches a bounding vertex, given
 // the input size n.
@@ -86,11 +86,12 @@ type Result struct {
 // Triangulate computes the Delaunay triangulation of pts, inserting the
 // points in the order given (shuffle for the randomized depth bound).
 func Triangulate(pts []geom.Point) (*Result, error) {
-	all, err := validateAndBound(pts)
+	bound, err := validateAndBound(pts)
 	if err != nil {
 		return nil, err
 	}
 	n := len(pts)
+	all := append(pts[:n:n], bound[:]...)
 	b0, b1, b2 := int32(n), int32(n+1), int32(n+2)
 
 	rec := hullstats.NewRecorder(true)
@@ -255,38 +256,68 @@ func confOf(t *Triangle) []int32 {
 }
 
 // validateAndBound checks the input (dimension and finiteness, at least one
-// point, no exact duplicates) and returns the point slice extended with the
-// three synthetic bounding vertices — indices n, n+1, n+2 — placed far
-// enough out that every input point is strictly inside the bounding
-// triangle. Shared by the seed Triangulate and the engine paths so both see
-// byte-identical geometry (and therefore identical triangulations).
-func validateAndBound(pts []geom.Point) ([]geom.Point, error) {
+// point, no exact duplicates) and returns the three synthetic bounding
+// vertices, placed far enough out that every input point is strictly inside
+// their triangle. Triangulate indexes them n, n+1, n+2 after the input;
+// Lift puts them first, as hulld's base.
+func validateAndBound(pts []geom.Point) ([3]geom.Point, error) {
 	if err := geom.ValidateCloud(pts, 2); err != nil {
-		return nil, err
+		return [3]geom.Point{}, err
 	}
 	n := len(pts)
 	if n < 1 {
-		return nil, fmt.Errorf("%w: empty input", ErrDegenerate)
+		return [3]geom.Point{}, fmt.Errorf("%w: empty input", ErrDegenerate)
 	}
 	seen := make(map[[2]float64]int, n)
 	for i, p := range pts {
 		k := [2]float64{p[0], p[1]}
 		if j, dup := seen[k]; dup {
-			return nil, fmt.Errorf("%w: duplicate points %d and %d", ErrDegenerate, j, i)
+			return [3]geom.Point{}, fmt.Errorf("%w: duplicate points %d and %d", ErrDegenerate, j, i)
 		}
 		seen[k] = i
 	}
-	all := make([]geom.Point, n, n+3)
-	copy(all, pts)
 	r := 1.0
 	for _, p := range pts {
 		r = math.Max(r, math.Max(math.Abs(p[0]), math.Abs(p[1])))
 	}
 	r *= 1 << 12
-	all = append(all,
-		geom.Point{0, 3 * r},
-		geom.Point{-3 * r, -2 * r},
-		geom.Point{3 * r, -2 * r},
-	)
-	return all, nil
+	return [3]geom.Point{{0, 3 * r}, {-3 * r, -2 * r}, {3 * r, -2 * r}}, nil
+}
+
+// Lift validates pts and returns the input of a lifted hulld run (Options.Lift,
+// SeqLifted): the 2D points with the bounding triangle first, which with
+// pts[0] forms hulld's base simplex, and their float lifts. Index i+3 of
+// both is pts[i]. The bounding triangle's lift is the hull's one upper
+// facet. Its conflict list is empty, so it stands in for the missing
+// neighbours across the bounding edges, and it stays even when every input
+// point is co-circular — a coplanar lifted set, which without it has no base
+// simplex.
+func Lift(pts []geom.Point) (plane, lifted []geom.Point, err error) {
+	bound, err := validateAndBound(pts)
+	if err != nil {
+		return nil, nil, err
+	}
+	plane = append(append(make([]geom.Point, 0, len(pts)+3), bound[:]...), pts...)
+	return plane, pointgen.Lift2D(plane), nil
+}
+
+// Triangles returns the Delaunay triangles of a lifted hulld run over
+// Lift's output: the alive facets clear of the bounding triangle, as
+// counterclockwise triples of pts indices with the smallest first, sorted —
+// the order of Triangulate's Result.Triangles.
+func Triangles(res *hulld.Result, plane []geom.Point) [][3]int {
+	out := make([][3]int, 0, len(res.Facets))
+	for _, f := range res.Facets {
+		v := f.Verts // ascending
+		if v[0] < 3 {
+			continue // touches the bounding triangle, or is its lift
+		}
+		a, b, c := int(v[0])-3, int(v[1])-3, int(v[2])-3
+		if geom.Orient2D(plane[v[0]], plane[v[1]], plane[v[2]]) < 0 {
+			b, c = c, b
+		}
+		out = append(out, [3]int{a, b, c})
+	}
+	slices.SortFunc(out, func(x, y [3]int) int { return slices.Compare(x[:], y[:]) })
+	return out
 }

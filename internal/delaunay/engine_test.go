@@ -3,16 +3,45 @@ package delaunay
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"parhull/internal/geom"
+	"parhull/internal/hulld"
 	"parhull/internal/leakcheck"
 	"parhull/internal/pointgen"
 )
 
-// triKey is the canonical identity of a triangle: its sorted vertex triple.
-func triKey(t *Triangle) [3]int32 {
-	k := t.Verts
+// run triangulates pts on the lifted hull route under one schedule: "seq",
+// "par" or "rounds". opt (nil for defaults) configures Par and Rounds; Seq
+// reads only its Ctx. It also returns Lift's 2D points, which Triangles
+// needs.
+func run(pts []geom.Point, sched string, opt *hulld.Options) (*hulld.Result, []geom.Point, error) {
+	plane, lifted, err := Lift(pts)
+	if err != nil {
+		return nil, nil, err
+	}
+	o := hulld.Options{}
+	if opt != nil {
+		o = *opt
+	}
+	o.Lift = plane
+	var res *hulld.Result
+	switch sched {
+	case "seq":
+		res, err = hulld.SeqLifted(o.Ctx, nil, lifted, plane, true)
+	case "par":
+		res, err = hulld.Par(lifted, &o)
+	case "rounds":
+		res, err = hulld.Rounds(lifted, &o)
+	default:
+		panic("unknown schedule " + sched)
+	}
+	return res, plane, err
+}
+
+// sortedKey is the canonical identity of a triangle: its sorted vertex triple.
+func sortedKey(k [3]int32) [3]int32 {
 	if k[0] > k[1] {
 		k[0], k[1] = k[1], k[0]
 	}
@@ -28,7 +57,26 @@ func triKey(t *Triangle) [3]int32 {
 func createdSet(created []*Triangle) map[[3]int32]int {
 	m := make(map[[3]int32]int, len(created))
 	for _, t := range created {
-		m[triKey(t)]++
+		m[sortedKey(t.Verts)]++
+	}
+	return m
+}
+
+// hullCreatedSet is createdSet of a lifted hull run over n input points, in
+// Triangulate's numbering: hull index i+3 is input point i, and hull indices
+// 0-2, the bounding triangle, are Triangulate's n, n+1, n+2.
+func hullCreatedSet(res *hulld.Result, n int) map[[3]int32]int {
+	m := make(map[[3]int32]int, len(res.Created))
+	for _, f := range res.Created {
+		var k [3]int32
+		for i, v := range f.Verts {
+			if v < 3 {
+				k[i] = int32(n) + v
+			} else {
+				k[i] = v - 3
+			}
+		}
+		m[sortedKey(k)]++
 	}
 	return m
 }
@@ -36,7 +84,16 @@ func createdSet(created []*Triangle) map[[3]int32]int {
 func aliveSet(res *Result) map[[3]int32]bool {
 	m := make(map[[3]int32]bool, len(res.Triangles))
 	for _, t := range res.Triangles {
-		m[triKey(t)] = true
+		m[sortedKey(t.Verts)] = true
+	}
+	return m
+}
+
+func hullAliveSet(res *hulld.Result, plane []geom.Point) map[[3]int32]bool {
+	tris := Triangles(res, plane)
+	m := make(map[[3]int32]bool, len(tris))
+	for _, t := range tris {
+		m[sortedKey([3]int32{int32(t[0]), int32(t[1]), int32(t[2])})] = true
 	}
 	return m
 }
@@ -53,67 +110,118 @@ func sameMultiset(t *testing.T, name string, got, want map[[3]int32]int) {
 	}
 }
 
-// TestEngineMatchesTriangulate checks the tentpole identity: every engine
-// schedule (Seq, Par at any width, Rounds) creates exactly the seed
-// Triangulate's triangle multiset and ends with the same alive set — and
-// the predicate-cache ablation changes nothing.
-func TestEngineMatchesTriangulate(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 10, 400} {
-		pts := pointgen.InCube(pointgen.NewRNG(int64(7+n)), n, 2)
-		ref, err := Triangulate(pts)
-		if err != nil {
-			t.Fatalf("n=%d Triangulate: %v", n, err)
-		}
-		want := createdSet(ref.Created)
-		wantAlive := aliveSet(ref)
-		runs := []struct {
-			name string
-			run  func() (*Result, error)
-		}{
-			{"seq", func() (*Result, error) { return Seq(pts, nil) }},
-			{"seq-exact", func() (*Result, error) { return Seq(pts, &Options{NoPredCache: true}) }},
-			{"par-steal", func() (*Result, error) { return Par(pts, nil) }},
-			{"par-steal-w1", func() (*Result, error) { return Par(pts, &Options{Workers: 1}) }},
-			{"par-exact", func() (*Result, error) { return Par(pts, &Options{NoPredCache: true}) }},
-			{"rounds", func() (*Result, error) { return Rounds(pts, nil) }},
-		}
-		for _, r := range runs {
-			res, err := r.run()
-			if err != nil {
-				t.Fatalf("n=%d %s: %v", n, r.name, err)
-			}
-			sameMultiset(t, r.name, createdSet(res.Created), want)
-			got := aliveSet(res)
-			if len(got) != len(wantAlive) {
-				t.Fatalf("n=%d %s: %d alive triangles, want %d", n, r.name, len(got), len(wantAlive))
-			}
-			for k := range wantAlive {
-				if !got[k] {
-					t.Fatalf("n=%d %s: alive triangle %v missing", n, r.name, k)
-				}
-			}
+func sameSet(t *testing.T, name string, got, want map[[3]int32]bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d alive triangles, want %d", name, len(got), len(want))
+	}
+	for k := range want {
+		if !got[k] {
+			t.Fatalf("%s: alive triangle %v missing", name, k)
 		}
 	}
 }
 
-// TestEngineEmptyCircumcircle checks the engine output satisfies the
+// scaled returns pts with every coordinate multiplied by s.
+func scaled(pts []geom.Point, s float64) []geom.Point {
+	out := make([]geom.Point, len(pts))
+	for i, p := range pts {
+		out[i] = geom.Point{s * p[0], s * p[1]}
+	}
+	return out
+}
+
+// testClouds are the inputs the lifted route must triangulate exactly as
+// Triangulate does: general position, clustered, co-circular (near and
+// exact), lattice and collinear ties, and clouds large enough that their
+// lifts must be scaled to stay finite.
+func testClouds() map[string][]geom.Point {
+	clouds := map[string][]geom.Point{}
+	for _, n := range []int{1, 2, 3, 10, 400} {
+		clouds[fmt.Sprintf("cube-%d", n)] = pointgen.InCube(pointgen.NewRNG(int64(7+n)), n, 2)
+	}
+	clouds["disk-400"] = pointgen.UniformBall(pointgen.NewRNG(8), 400, 2)
+	clouds["clustered-300"] = pointgen.Clustered(pointgen.NewRNG(9), 300, 2, 5, 1e-3)
+	clouds["polygon-286"] = pointgen.RegularPolygon(286, 0.1)
+	clouds["circle-300"] = pointgen.OnSphere(pointgen.NewRNG(10), 300, 2)
+	var exact []geom.Point
+	for x := -65; x <= 65; x++ {
+		for y := -65; y <= 65; y++ {
+			if x*x+y*y == 65*65 {
+				exact = append(exact, geom.Point{float64(x), float64(y)})
+			}
+		}
+	}
+	clouds["cocircular-36"] = exact
+	var lattice []geom.Point
+	for x := 0; x < 15; x++ {
+		for y := 0; y < 15; y++ {
+			lattice = append(lattice, geom.Point{float64(x), float64(y)})
+		}
+	}
+	clouds["lattice-15x15"] = lattice
+	clouds["collinear-50+2"] = append(pointgen.Collinear2D(geom.Point{-1, -1}, geom.Point{1, 1}, 50),
+		geom.Point{0.3, -0.7}, geom.Point{-0.2, 0.9})
+	cube := pointgen.InCube(pointgen.NewRNG(11), 100, 2)
+	clouds["cube-100-x1e152"] = scaled(cube, 1e152)
+	clouds["cube-100-x1e300"] = scaled(cube, 1e300)
+	return clouds
+}
+
+// TestEngineMatchesTriangulate checks the lifted route's identity: every
+// schedule (Seq, Par at any width, Rounds) creates exactly the reference
+// Triangulate's triangle multiset — the bounding triangle's lift standing
+// for its root — and ends with the same alive set, and the plane-cache
+// ablation changes nothing.
+func TestEngineMatchesTriangulate(t *testing.T) {
+	for name, pts := range testClouds() {
+		ref, err := Triangulate(pts)
+		if err != nil {
+			t.Fatalf("%s Triangulate: %v", name, err)
+		}
+		want := createdSet(ref.Created)
+		wantAlive := aliveSet(ref)
+		for _, r := range []struct {
+			label, sched string
+			opt          *hulld.Options
+		}{
+			{"seq", "seq", nil},
+			{"par-steal", "par", nil},
+			{"par-steal-w1", "par", &hulld.Options{Workers: 1}},
+			{"par-exact", "par", &hulld.Options{NoPlaneCache: true}},
+			{"rounds", "rounds", nil},
+		} {
+			res, plane, err := run(pts, r.sched, r.opt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, r.label, err)
+			}
+			sameMultiset(t, name+" "+r.label, hullCreatedSet(res, len(pts)), want)
+			sameSet(t, name+" "+r.label, hullAliveSet(res, plane), wantAlive)
+		}
+	}
+}
+
+// TestEngineEmptyCircumcircle checks the lifted route's output satisfies the
 // defining Delaunay property against the exact predicate.
 func TestEngineEmptyCircumcircle(t *testing.T) {
 	pts := pointgen.UniformBall(pointgen.NewRNG(11), 250, 2)
-	res, err := Par(pts, nil)
+	res, plane, err := run(pts, "par", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Triangles) == 0 {
+	for _, f := range res.Facets {
+		if len(f.Conf) != 0 {
+			t.Fatalf("alive facet %v has conflicts", f)
+		}
+	}
+	tris := Triangles(res, plane)
+	if len(tris) == 0 {
 		t.Fatal("no triangles")
 	}
-	for _, tr := range res.Triangles {
-		a, b, c := pts[tr.Verts[0]], pts[tr.Verts[1]], pts[tr.Verts[2]]
+	for _, tr := range tris {
+		a, b, c := pts[tr[0]], pts[tr[1]], pts[tr[2]]
 		if geom.Orient2D(a, b, c) <= 0 {
 			t.Fatalf("triangle %v not CCW", tr)
-		}
-		if len(tr.Conf) != 0 {
-			t.Fatalf("alive triangle %v has conflicts", tr)
 		}
 		for p := range pts {
 			if geom.InCircle(a, b, c, pts[p]) > 0 {
@@ -123,93 +231,29 @@ func TestEngineEmptyCircumcircle(t *testing.T) {
 	}
 }
 
-// TestLiftedFilterMatchesExactInCircle is the predicate property test: on
-// every created triangle of a run, the cached lifted-plane classification
-// (where it certifies) must agree with the exact InCircle sign, and the
-// pointwise conflict() answer must equal the exact answer everywhere.
-func TestLiftedFilterMatchesExactInCircle(t *testing.T) {
-	pts := pointgen.Clustered(pointgen.NewRNG(13), 300, 2, 5, 1e-3)
-	e, err := newDEngine(pts, false, 0, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.pred {
-		t.Fatal("predicate cache unexpectedly off")
-	}
-	res, err := Par(pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	certified, fallbacks := 0, 0
-	for _, tr := range res.Created {
-		probe, terr := e.makeTri(nil, tr.Verts[0], tr.Verts[1], tr.Verts[2])
-		if terr != nil {
-			t.Fatalf("makeTri(%v): %v", tr.Verts, terr)
-		}
-		if !probe.plane.Valid() {
-			t.Fatalf("triangle %v has no cached plane", tr.Verts)
-		}
-		for v := int32(0); v < int32(len(pts)); v++ {
-			exact := e.exactConflict(v, probe)
-			s := probe.plane.Eval(e.liftRow(v))
-			switch {
-			case s > probe.plane.Eps:
-				if !exact {
-					t.Fatalf("triangle %v point %d: filter certifies conflict, exact says no", tr.Verts, v)
-				}
-				certified++
-			case s < -probe.plane.Eps:
-				if exact {
-					t.Fatalf("triangle %v point %d: filter certifies no conflict, exact says yes", tr.Verts, v)
-				}
-				certified++
-			default:
-				fallbacks++
-			}
-			if e.conflict(v, probe) != exact {
-				t.Fatalf("triangle %v point %d: conflict() != exact", tr.Verts, v)
-			}
-		}
-	}
-	if certified == 0 {
-		t.Fatal("the static filter certified nothing — the per-facet threshold is broken")
-	}
-	if fallbacks > certified/10 {
-		t.Fatalf("filter fell back %d of %d tests — threshold far too pessimistic", fallbacks, certified+fallbacks)
-	}
-}
-
-// TestEngineDegenerate checks the typed-error contract of the engine paths.
+// TestEngineDegenerate checks the typed-error contract of the lifted route.
 func TestEngineDegenerate(t *testing.T) {
 	dup := []geom.Point{{0, 0}, {1, 0}, {0, 0}}
-	for _, run := range []func() (*Result, error){
-		func() (*Result, error) { return Seq(dup, nil) },
-		func() (*Result, error) { return Par(dup, nil) },
-		func() (*Result, error) { return Rounds(dup, nil) },
-	} {
-		if _, err := run(); !errors.Is(err, ErrDegenerate) {
-			t.Fatalf("duplicate points: err = %v, want ErrDegenerate", err)
+	for _, sched := range []string{"seq", "par", "rounds"} {
+		if _, _, err := run(dup, sched, nil); !errors.Is(err, ErrDegenerate) {
+			t.Fatalf("%s duplicate points: err = %v, want ErrDegenerate", sched, err)
 		}
 	}
-	if _, err := Par(nil, nil); !errors.Is(err, ErrDegenerate) {
+	if _, _, err := run(nil, "par", nil); !errors.Is(err, ErrDegenerate) {
 		t.Fatalf("empty input: err = %v, want ErrDegenerate", err)
 	}
 }
 
-// TestEngineCancellation cancels mid-flight and up front; all pools must
-// quiesce (leakcheck) and the typed context error must surface.
+// TestEngineCancellation cancels up front; all pools must quiesce
+// (leakcheck) and the typed context error must surface.
 func TestEngineCancellation(t *testing.T) {
 	leakcheck.Check(t)
 	pts := pointgen.UniformBall(pointgen.NewRNG(17), 4000, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Par(pts, &Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled Par: err = %v, want context.Canceled", err)
-	}
-	if _, err := Rounds(pts, &Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled Rounds: err = %v, want context.Canceled", err)
-	}
-	if _, err := Seq(pts, &Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled Seq: err = %v, want context.Canceled", err)
+	for _, sched := range []string{"par", "rounds", "seq"} {
+		if _, _, err := run(pts, sched, &hulld.Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-canceled %s: err = %v, want context.Canceled", sched, err)
+		}
 	}
 }

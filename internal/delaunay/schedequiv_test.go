@@ -7,50 +7,39 @@ import (
 	"parhull/internal/pointgen"
 )
 
-// TestParSchedEquivalence is the cross-schedule contract of Theorem 5.5 for
-// the Delaunay kernel: the sequential Algorithm 2 loop, the work-stealing
-// Par (run twice, to catch schedule-dependent drift), and the
-// round-synchronous Rounds must create the identical triangle multiset, end
-// with the same alive set, and agree on the in-circle test count and the
-// maximum dependence depth.
+// TestParSchedEquivalence is the cross-schedule contract of Theorem 5.5 on
+// the lifted route: the sequential Algorithm 2 loop, the work-stealing Par
+// (run twice, to catch schedule-dependent drift), and the round-synchronous
+// Rounds must create the identical triangle multiset, end with the same
+// alive set, and agree on the in-circle test count and the maximum
+// dependence depth.
 func TestParSchedEquivalence(t *testing.T) {
 	for name, pts := range map[string][]geom.Point{
 		"disk":   pointgen.UniformBall(pointgen.NewRNG(31), 400, 2),
 		"square": pointgen.InCube(pointgen.NewRNG(32), 400, 2),
 	} {
-		ref, err := Seq(pts, nil)
+		ref, plane, err := run(pts, "seq", nil)
 		if err != nil {
 			t.Fatalf("%s seq: %v", name, err)
 		}
-		want, wantAlive := createdSet(ref.Created), aliveSet(ref)
-		for _, r := range []struct {
-			sched string
-			run   func() (*Result, error)
-		}{
-			{"par", func() (*Result, error) { return Par(pts, nil) }},
-			{"par (run 2)", func() (*Result, error) { return Par(pts, nil) }},
-			{"rounds", func() (*Result, error) { return Rounds(pts, nil) }},
+		want, wantAlive := hullCreatedSet(ref, len(pts)), hullAliveSet(ref, plane)
+		for _, r := range []struct{ label, sched string }{
+			{"par", "par"},
+			{"par (run 2)", "par"},
+			{"rounds", "rounds"},
 		} {
-			res, err := r.run()
+			res, _, err := run(pts, r.sched, nil)
 			if err != nil {
-				t.Fatalf("%s %s: %v", name, r.sched, err)
+				t.Fatalf("%s %s: %v", name, r.label, err)
 			}
-			sameMultiset(t, name+" "+r.sched, createdSet(res.Created), want)
-			got := aliveSet(res)
-			if len(got) != len(wantAlive) {
-				t.Fatalf("%s %s: %d alive triangles, seq %d", name, r.sched, len(got), len(wantAlive))
-			}
-			for k := range wantAlive {
-				if !got[k] {
-					t.Fatalf("%s %s: alive triangle %v missing", name, r.sched, k)
-				}
-			}
+			sameMultiset(t, name+" "+r.label, hullCreatedSet(res, len(pts)), want)
+			sameSet(t, name+" "+r.label, hullAliveSet(res, plane), wantAlive)
 			if res.Stats.VisibilityTests != ref.Stats.VisibilityTests {
-				t.Fatalf("%s %s: in-circle tests %d, seq %d", name, r.sched,
+				t.Fatalf("%s %s: in-circle tests %d, seq %d", name, r.label,
 					res.Stats.VisibilityTests, ref.Stats.VisibilityTests)
 			}
 			if res.Stats.MaxDepth != ref.Stats.MaxDepth {
-				t.Fatalf("%s %s: depth %d, seq %d", name, r.sched, res.Stats.MaxDepth, ref.Stats.MaxDepth)
+				t.Fatalf("%s %s: depth %d, seq %d", name, r.label, res.Stats.MaxDepth, ref.Stats.MaxDepth)
 			}
 		}
 	}

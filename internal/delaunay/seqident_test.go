@@ -1,35 +1,23 @@
 package delaunay
 
 import (
-	"slices"
 	"testing"
 
-	eng "parhull/internal/engine"
 	"parhull/internal/engine/seqref"
 	"parhull/internal/geom"
 )
 
-// TestSeqPivotBucketsMatchConflictGraph pins the pivot-bucket form of
-// Algorithm 2 to the conflict-graph form it replaced on the Delaunay kernel:
-// the same created triangle sequence, counters, and error, on
-// general-position and (deduplicated) degenerate clouds.
+// TestSeqPivotBucketsMatchConflictGraph pins the lifted route's sequential
+// loop — hulld's pivot-bucket form of Algorithm 2 — to Triangulate, the
+// conflict-graph form of the same process on the Delaunay configuration
+// space, on general-position and (deduplicated) degenerate clouds. The loop
+// must create triangles in insertion order, create and keep exactly
+// Triangulate's triangles, and count the same facets. Its in-circle tests,
+// replacements and maximum depth are each exactly one fewer: the bounding
+// triangle's lift is part of the given base, where Triangulate creates it as
+// a root (tested against every point, depth 0) and replaces it at the first
+// insertion.
 func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
-	type trace struct {
-		created          [][3]int32
-		vtests, replaced int64
-		err              string
-	}
-	run := func(pts []geom.Point) trace {
-		res, err := Seq(pts, &Options{})
-		if err != nil {
-			return trace{err: err.Error()}
-		}
-		tr := trace{vtests: res.Stats.VisibilityTests, replaced: res.Stats.Replaced}
-		for _, tri := range res.Created {
-			tr.created = append(tr.created, tri.Verts)
-		}
-		return tr
-	}
 	for _, c := range seqref.Clouds(3, 200, 2) {
 		t.Run(c.Name, func(t *testing.T) {
 			// Delaunay rejects duplicate sites up front, so the degenerate
@@ -42,19 +30,37 @@ func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 					pts = append(pts, p)
 				}
 			}
-			got := run(pts)
-			saved := seqLoop
-			seqLoop = func(cfg eng.SeqConfig[Triangle, []int32], facets []*Triangle, n int32, baseSizes []int) ([]int, error) {
-				return seqref.Seq(cfg, func(t *Triangle) []int32 { return t.Conf }, facets, n, baseSizes)
+			ref, err := Triangulate(pts)
+			if err != nil {
+				t.Fatalf("Triangulate: %v", err)
 			}
-			want := run(pts)
-			seqLoop = saved
-			if got.err != want.err || got.vtests != want.vtests || got.replaced != want.replaced {
-				t.Fatalf("err/vtests/replaced = %q/%d/%d, want %q/%d/%d",
-					got.err, got.vtests, got.replaced, want.err, want.vtests, want.replaced)
+			res, plane, err := run(pts, "seq", nil)
+			if err != nil {
+				t.Fatalf("lifted seq: %v", err)
 			}
-			if !slices.Equal(got.created, want.created) {
-				t.Fatalf("created triangle sequences differ (%d vs %d triangles)", len(got.created), len(want.created))
+			// A triangle's pivot is its newest input point (hull index
+			// 3 + i for point i; the bounding vertices 0-2 come first). The
+			// base simplex — the bounding triangle's lift and its three
+			// faces with point 0 — is point 0's.
+			prev := int32(-1)
+			for i, f := range res.Created {
+				if p := max(f.Verts[2], 3); p < prev {
+					t.Fatalf("created[%d] = %v has pivot %d after pivot %d", i, f.Verts, p, prev)
+				} else {
+					prev = p
+				}
+			}
+			sameMultiset(t, c.Name, hullCreatedSet(res, len(pts)), createdSet(ref.Created))
+			sameSet(t, c.Name, hullAliveSet(res, plane), aliveSet(ref))
+			got, want := res.Stats, ref.Stats
+			if got.FacetsCreated != want.FacetsCreated {
+				t.Fatalf("facets created %d, want %d", got.FacetsCreated, want.FacetsCreated)
+			}
+			if got.VisibilityTests != want.VisibilityTests-1 || got.Replaced != want.Replaced-1 ||
+				got.MaxDepth != want.MaxDepth-1 {
+				t.Fatalf("vtests/replaced/depth = %d/%d/%d, want one fewer than %d/%d/%d",
+					got.VisibilityTests, got.Replaced, got.MaxDepth,
+					want.VisibilityTests, want.Replaced, want.MaxDepth)
 			}
 		})
 	}

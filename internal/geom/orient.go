@@ -68,7 +68,9 @@ func Orient3D(a, b, c, d Point) int {
 	if math.Abs(det) >= o3dErrBoundA*permanent {
 		return sign(det)
 	}
-	return orientExact([]Point{a, b, c}, d)
+	// orientExact evaluates det[b-a; c-a; d-a], the negation of det[a-d;
+	// b-d; c-d].
+	return -orientExact([]Point{a, b, c}, d)
 }
 
 // OrientSimplex returns the sign of the d x d determinant whose rows are

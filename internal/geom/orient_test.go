@@ -75,6 +75,37 @@ func TestOrient2DNearDegenerate(t *testing.T) {
 	}
 }
 
+// TestOrient3DNearDegenerate is the 3D twin of TestOrient2DNearDegenerate:
+// d starts on the plane z = x + y through a, b, c and moves off it by a few
+// ulps of z, so the float filter must hand off to the exact path and report
+// the side it moved to.
+func TestOrient3DNearDegenerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	a, b, c := pt(0.5, 0.5, 1), pt(12, 0, 12), pt(0, 24, 24)
+	for i := 0; i < 5000; i++ {
+		x, y := float64(rng.Intn(64))/4, float64(rng.Intn(64))/4
+		z := x + y
+		steps := rng.Intn(5) - 2
+		for s := 0; s < steps; s++ {
+			z = math.Nextafter(z, math.Inf(1))
+		}
+		for s := 0; s > steps; s-- {
+			z = math.Nextafter(z, math.Inf(-1))
+		}
+		// The normal (b-a)x(c-a) points up, so a d raised above the plane
+		// sees (a, b, c) clockwise: Orient3D < 0.
+		want := 0
+		if steps > 0 {
+			want = -1
+		} else if steps < 0 {
+			want = 1
+		}
+		if got := Orient3D(a, b, c, pt(x, y, z)); got != want {
+			t.Fatalf("iter %d: d=(%v,%v,%v) steps=%d got %d want %d", i, x, y, z, steps, got, want)
+		}
+	}
+}
+
 func TestOrient3DBasic(t *testing.T) {
 	a, b, c := pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)
 	// Orient3D = det[a-p; b-p; c-p]; p above the xy-plane gives -1.
@@ -103,22 +134,38 @@ func TestOrientSimplexMatchesLowDim(t *testing.T) {
 	}
 }
 
-// TestOrientSimplexAgainstExact drives the float-filtered general-d path and
-// the exact rational path on the same random inputs.
+// TestOrientSimplexAgainstExact drives the float-filtered path and the exact
+// path on the same inputs: random points, and points placed on the facet's
+// hyperplane by a float affine combination of its vertices, so that rounding
+// leaves most of them a hair off it and the float filter defers to the exact
+// fallback.
 func TestOrientSimplexAgainstExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for d := 2; d <= 6; d++ {
-		for i := 0; i < 500; i++ {
+		offPlane := 0
+		for i := 0; i < 1000; i++ {
 			verts := make([]Point, d)
 			for j := range verts {
 				verts[j] = randPt(rng, d)
 			}
 			p := randPt(rng, d)
+			if i%2 == 1 {
+				p = verts[0].Clone()
+				for j := 1; j < d; j++ {
+					p = p.Add(verts[j].Sub(verts[0]).Scale(rng.Float64()))
+				}
+			}
 			got := OrientSimplex(verts, p)
 			want := orientExact(verts, p)
 			if got != want {
 				t.Fatalf("d=%d iter=%d: OrientSimplex=%d exact=%d", d, i, got, want)
 			}
+			if i%2 == 1 && want != 0 {
+				offPlane++
+			}
+		}
+		if offPlane == 0 {
+			t.Fatalf("d=%d: every near-coplanar point rounded exactly onto the plane", d)
 		}
 	}
 }

@@ -131,78 +131,113 @@ func mergeCases(lo, n int32) []struct {
 }
 
 // TestBatchFilterMatchesClosure asserts the filter contract at the kernel
-// level in 3D: the batch paths' survivor lists are byte-identical to the
-// pointwise visible predicate, including candidates inside the float
-// filter's uncertain band, and the exact fallback actually fires (so the
-// sidecar path is exercised, not bypassed). It covers the range form (the
-// initial conflict lists) and the fused merge form on full, sparse, and
-// empty candidate lists.
+// level in 3D, on a plain and on a lifted cloud: the batch paths' survivor
+// lists are byte-identical to the pointwise visible predicate, including
+// candidates inside the float filter's uncertain band, and the exact
+// fallback actually fires (so the sidecar path is exercised, not bypassed).
+// It covers the range form (FilterRange, which builds the initial conflict
+// lists) and the fused merge form on full, sparse, and empty candidate
+// lists, and checks the base simplex's conflict lists.
 func TestBatchFilterMatchesClosure(t *testing.T) {
+	span := func(lo, n int32) []int32 {
+		s := make([]int32, 0, n-lo)
+		for v := lo; v < n; v++ {
+			s = append(s, v)
+		}
+		return s
+	}
 	pts := filterCloud(3)
-	e := newEngine(pts, 3, true, 0, 1, false)
-	facets, err := e.initialHull()
+	plain := newEngine(pts, nil, 3, true, 0, 1, false)
+	facets, err := plain.initialHull()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.rec.Fallbacks.Load() == 0 {
-		t.Fatal("no exact fallback fired: the uncertain sidecar was never exercised")
-	}
-	n := int32(len(pts))
-	full := make([]int32, 0, n-4)
-	for v := int32(4); v < n; v++ {
-		full = append(full, v)
-	}
-	sparse := full[:0:0]
-	for i, v := range full {
-		if i%3 != 1 {
-			sparse = append(sparse, v)
+	lifted, liftedFacets := liftedFilterFacets(t)
+	for _, in := range []struct {
+		name   string
+		e      *engine
+		facets []*Facet
+		lo     int32 // first candidate
+	}{
+		{"plain", plain, facets, 4},
+		{"lifted", lifted, liftedFacets, 6},
+	} {
+		e := in.e
+		n := int32(len(e.pts))
+		for _, f := range in.facets[:4] {
+			equalLists(t, in.name+" initial conflict list", f.Conf, pointwiseSurvivors(e, f, span(4, n), nil, -1))
 		}
-	}
-	for _, f := range facets {
-		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, f, full, nil, -1))
-		for _, cands := range [][]int32{full, sparse, nil} {
-			got := e.filter(f).FilterMerge(cands, nil, -1, nil)
-			equalLists(t, "FilterMerge", got, pointwiseSurvivors(e, f, cands, nil, -1))
+		full := span(in.lo, n)
+		sparse := full[:0:0]
+		for i, v := range full {
+			if i%3 != 1 {
+				sparse = append(sparse, v)
+			}
+		}
+		f0 := e.rec.Fallbacks.Load()
+		for _, f := range in.facets {
+			got := e.filter(f).FilterRange(in.lo, n, nil)
+			equalLists(t, in.name+" FilterRange", got, pointwiseSurvivors(e, f, full, nil, -1))
+			for _, cands := range [][]int32{full, sparse, nil} {
+				got := e.filter(f).FilterMerge(cands, nil, -1, nil)
+				equalLists(t, in.name+" FilterMerge", got, pointwiseSurvivors(e, f, cands, nil, -1))
+			}
+		}
+		if e.rec.Fallbacks.Load() == f0 {
+			t.Fatalf("%s: no exact fallback fired: the uncertain sidecar was never exercised", in.name)
 		}
 	}
 }
 
 // TestFilterMergeMatchesPointwise checks this kernel's row and exact binding
 // on every stride the shared scan dispatches on (the four-wide d=2 and d=3
-// loops, the generic d=4 loop): survivors, order, and counter totals equal
-// the pointwise visible predicate over MergeInto, on lists longer than one
-// merge chunk, with more uncertain candidates than the sidecar's stack
-// capacity, with drop present and absent, and against an empty list.
+// loops, the generic d=4 loop), and on the lifted in-circle binding:
+// survivors, order, and counter totals equal the pointwise visible predicate
+// over MergeInto, on lists longer than one merge chunk, with more uncertain
+// candidates than the sidecar's stack capacity, with drop present and
+// absent, and against an empty list.
 func TestFilterMergeMatchesPointwise(t *testing.T) {
+	type input struct {
+		name   string
+		e      *engine
+		facets []*Facet
+		lo     int32 // first candidate
+	}
+	var inputs []input
 	for _, d := range []int{2, 3, 4} {
-		pts := filterCloud(d)
-		e := newEngine(pts, d, true, 0, 1, false)
+		e := newEngine(filterCloud(d), nil, d, true, 0, 1, false)
 		facets, err := e.initialHull()
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
+		inputs = append(inputs, input{fmt.Sprintf("d=%d", d), e, facets, int32(d + 1)})
+	}
+	e, facets := liftedFilterFacets(t)
+	inputs = append(inputs, input{"lifted", e, facets, 6})
+	for _, in := range inputs {
+		e := in.e
 		spilled, long := false, false
-		for _, f := range facets {
-			for _, c := range mergeCases(int32(d+1), int32(len(pts))) {
+		for _, f := range in.facets {
+			for _, c := range mergeCases(in.lo, int32(len(e.pts))) {
 				t0, f0 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 				want := pointwiseSurvivors(e, f, c.c1, c.c2, c.drop)
 				t1, f1 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 				got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
 				t2, f2 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
-				equalLists(t, fmt.Sprintf("d=%d %s", d, c.name), got, want)
+				equalLists(t, fmt.Sprintf("%s %s", in.name, c.name), got, want)
 				if t2-t1 != t1-t0 || f2-f1 != f1-f0 {
-					t.Fatalf("d=%d %s: fused counted %d tests / %d fallbacks, pointwise %d / %d",
-						d, c.name, t2-t1, f2-f1, t1-t0, f1-f0)
+					t.Fatalf("%s %s: fused counted %d tests / %d fallbacks, pointwise %d / %d",
+						in.name, c.name, t2-t1, f2-f1, t1-t0, f1-f0)
 				}
 				spilled = spilled || f2-f1 > conflict.UncertainCap
 				long = long || t2-t1 > conflict.MergeChunk
 			}
 		}
 		if !spilled {
-			t.Fatalf("d=%d: no batch had more than %d uncertain candidates", d, conflict.UncertainCap)
+			t.Fatalf("%s: no batch had more than %d uncertain candidates", in.name, conflict.UncertainCap)
 		}
 		if !long {
-			t.Fatalf("d=%d: no candidate list was longer than one merge chunk", d)
+			t.Fatalf("%s: no candidate list was longer than one merge chunk", in.name)
 		}
 	}
 }
@@ -213,7 +248,7 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 func TestBatchFilterNoPlaneCache(t *testing.T) {
 	for _, d := range []int{2, 3} {
 		pts := filterCloud(d)
-		e := newEngine(pts, d, true, 0, 1, true)
+		e := newEngine(pts, nil, d, true, 0, 1, true)
 		facets, err := e.initialHull()
 		if err != nil {
 			t.Fatal(err)

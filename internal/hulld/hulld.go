@@ -12,6 +12,13 @@
 // common hyperplane among those touching the hull (Section 6's corner
 // configuration space, in package corner, lifts this restriction for 3D).
 //
+// Lifted mode (Options.Lift, SeqLifted) runs 2D Delaunay triangulation as
+// the lower hull of the points lifted onto the paraboloid z = x²+y² at d=3:
+// the float lifts feed the plane filter, while visibility and facet
+// orientation are decided exactly on the 2D points (geom.InCircle,
+// geom.Orient2D), so the inexact lift never reaches an exact decision.
+// Package delaunay is the caller; DESIGN.md §4.6 has the details.
+//
 // Visibility hot path: each facet caches its hyperplane (a plain-float
 // cofactor normal and offset; see geom.NewFacetPlane), coordinates live in
 // a flat geom.PointStore, and one static certification threshold for the
@@ -22,14 +29,15 @@
 // to the pure determinant path (Options.NoPlaneCache, kept for the A2
 // ablation; also used automatically for d > geom.MaxPlaneDim where cofactor
 // expansion stops paying off). The batch scan over those planes is the
-// shared conflict.PlaneFilter, the same scan hull2d and delaunay run: this
-// kernel supplies the folded plane as a stride-d row and OrientSimplex as
-// the exact predicate (filter.go).
+// shared conflict.PlaneFilter, the same scan hull2d runs: this kernel
+// supplies the folded plane as a stride-d row and OrientSimplex as the exact
+// predicate (filter.go).
 package hulld
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -43,8 +51,9 @@ import (
 )
 
 // ErrDegenerate is returned when the input violates general position in a
-// way the engine detects (affinely dependent base simplex, or a created
-// facet whose plane passes through the interior reference point).
+// way the engine detects (an affinely dependent base simplex or one too thin
+// to hold its float centroid, or a created facet whose plane passes through
+// the interior reference point).
 var ErrDegenerate = errors.New("hulld: degenerate input (points not in general position)")
 
 // noPivot is the driver's empty-conflict-set sentinel.
@@ -234,14 +243,22 @@ func ridgeString(ids []int32) string {
 }
 
 type engine struct {
-	pts      []geom.Point     // original points (exact-predicate path)
-	store    *geom.PointStore // flat coordinates (plane-cache fast path)
-	d        int
-	grain    int     // conflict-filter parallel grain (0 = default)
-	planeEps float64 // static certification threshold; 0 = cache off
+	pts   []geom.Point     // original points (exact-predicate path)
+	store *geom.PointStore // flat coordinates (plane-cache fast path)
+	d     int
+	grain int // conflict-filter parallel grain (0 = default)
+	// planeEps is the static certification threshold (0 = cache off). In
+	// lifted mode it is the scale-free coefficient that liftedInside
+	// multiplies by per-axis maxima into each facet's own threshold.
+	planeEps float64
 	interior geom.Point
-	rec      *hullstats.Recorder
-	inj      *faultinject.Injector // batch-scan fault site (nil in production)
+	// lift holds the 2D points pts lifts in lifted mode (nil otherwise), and
+	// liftMax the per-axis maximum absolute coordinate of the lifts of
+	// pts[d:], every point a facet is tested against.
+	lift    []geom.Point
+	liftMax [3]float64
+	rec     *hullstats.Recorder
+	inj     *faultinject.Injector // batch-scan fault site (nil in production)
 
 	log *facetlog.Log[*Facet] // every facet ever created
 
@@ -253,32 +270,64 @@ type engine struct {
 
 // newEngine assembles engine state. stripes sizes the facet log (1 keeps
 // Result.Created in creation order; the parallel engines stripe by worker
-// count so record() does not serialize).
-func newEngine(pts []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
+// count so record() does not serialize). A non-nil lift selects lifted mode.
+func newEngine(pts, lift []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
 	e := &engine{
 		pts:   pts,
 		store: geom.NewPointStore(pts),
 		d:     d,
 		grain: grain,
+		lift:  lift,
 		rec:   hullstats.NewRecorder(counters),
 		log:   facetlog.New[*Facet](stripes),
 	}
-	if !noPlane {
-		e.planeEps = geom.StaticFilterEps(e.store.MaxAbs())
-	}
-	e.rec.SetPlaneCache(e.planeEps > 0)
+	e.setPlaneEps(noPlane)
 	e.rec.MarkHeapBase()
 	return e
 }
 
+// liftFloor floors liftMax, so that a lifted threshold also covers the
+// absolute rounding of subnormal lift coordinates (an underflowed square, or
+// a coordinate that a scaled-down lift pushed below 2^-1022), which the
+// relative error analysis of geom.StaticFilterEps does not model. It
+// changes no threshold unless every input lift is below 2^-1000 on some
+// axis.
+const liftFloor = 0x1p-1000
+
+// setPlaneEps sets the certification threshold of this construction. A
+// plain hull takes one static threshold for the whole cloud. A lifted one
+// cannot: its bounding vertices sit thousands of times farther out than the
+// input, and the lift squares that ratio, so a cloud-wide bound would
+// certify almost nothing. It keeps twice the scale-free coefficient (the
+// factor 2 absorbs the rounding of the float lift itself), and each facet
+// multiplies in the per-axis maxima over its own lifts and liftMax.
+func (e *engine) setPlaneEps(noPlane bool) {
+	e.planeEps = 0
+	switch {
+	case noPlane:
+	case e.lift != nil:
+		e.planeEps = 2 * geom.StaticFilterEps([]float64{1, 1, 1})
+		e.liftMax = [3]float64{liftFloor, liftFloor, liftFloor}
+		for _, p := range e.pts[e.d:] {
+			for j, x := range p {
+				e.liftMax[j] = max(e.liftMax[j], math.Abs(x))
+			}
+		}
+	default:
+		e.planeEps = geom.StaticFilterEps(e.store.MaxAbs())
+	}
+	e.rec.SetPlaneCache(e.planeEps > 0)
+}
+
 // facetPoints returns the vertex coordinates of f, using the cached slice
-// when present (no plane cache) and reconstructing otherwise (rare exact
-// fallbacks through a plane-cached facet).
-func (e *engine) facetPoints(f *Facet) []geom.Point {
+// when present (no plane cache) and reconstructing them in buf otherwise
+// (rare exact fallbacks through a plane-cached facet, whose d is at most
+// geom.MaxPlaneDim).
+func (e *engine) facetPoints(f *Facet, buf *[geom.MaxPlaneDim]geom.Point) []geom.Point {
 	if f.vp != nil {
 		return f.vp
 	}
-	vp := make([]geom.Point, len(f.Verts))
+	vp := buf[:len(f.Verts)]
 	for i, v := range f.Verts {
 		vp[i] = e.pts[v]
 	}
@@ -287,9 +336,15 @@ func (e *engine) facetPoints(f *Facet) []geom.Point {
 
 // exactVisible is the exact visibility predicate with no counting — the
 // batch filters' exact path and uncertain-sidecar resolution (both count
-// before calling it).
+// before calling it). In lifted mode OrientSimplex of the lifts is
+// -InCircle of the 2D points, which is evaluated instead.
 func (e *engine) exactVisible(v int32, f *Facet) bool {
-	return geom.OrientSimplex(e.facetPoints(f), e.pts[v]) == f.outSign
+	if e.lift != nil {
+		w := f.Verts
+		return -geom.InCircle(e.lift[w[0]], e.lift[w[1]], e.lift[w[2]], e.lift[v]) == f.outSign
+	}
+	var buf [geom.MaxPlaneDim]geom.Point
+	return geom.OrientSimplex(e.facetPoints(f, &buf), e.pts[v]) == f.outSign
 }
 
 func (e *engine) record(f *Facet) {
@@ -317,7 +372,9 @@ func (e *engine) makeFacet(a *arena, verts []int32) (*Facet, error) {
 	f := a.Facet()
 	f.Verts = verts
 	var s int
-	if e.planeEps > 0 {
+	if e.lift != nil {
+		s = e.liftedInside(f)
+	} else if e.planeEps > 0 {
 		// planeEps > 0 implies d <= geom.MaxPlaneDim, so the vertex slice
 		// fits a stack buffer; neither NewFacetPlane nor OrientSimplex
 		// retains it, keeping facet creation allocation-free beyond the
@@ -344,6 +401,9 @@ func (e *engine) makeFacet(a *arena, verts []int32) (*Facet, error) {
 		f.vp = vp
 	}
 	if s == 0 {
+		if e.lift != nil {
+			return nil, fmt.Errorf("%w: facet %v projects to a collinear triangle", ErrDegenerate, verts)
+		}
 		return nil, fmt.Errorf("%w: facet %v is coplanar with the interior point", ErrDegenerate, verts)
 	}
 	f.outSign = -s
@@ -356,6 +416,34 @@ func (e *engine) makeFacet(a *arena, verts []int32) (*Facet, error) {
 		}
 	}
 	return f, nil
+}
+
+// liftedInside caches f's plane in lifted mode and returns the sign
+// OrientSimplex gives f's inside, decided exactly on the 2D points. Every
+// lift after the base's first three lies strictly below the plane of those
+// three (the caller's bounding triangle), so their facet is the one upper
+// facet, with its inside down. Every other facet is a lower one with its
+// inside up, and OrientSimplex of a point straight above a facet is Orient2D
+// of the facet's projection. The plane's threshold is planeEps times the
+// per-axis maxima over the facet's lifts and liftMax; a facet whose
+// threshold overflows stays on the exact predicate.
+func (e *engine) liftedInside(f *Facet) int {
+	v := f.Verts
+	s := geom.Orient2D(e.lift[v[0]], e.lift[v[1]], e.lift[v[2]])
+	if v[2] < 3 {
+		s = -s
+	}
+	if e.planeEps > 0 {
+		vp := [3]geom.Point{e.pts[v[0]], e.pts[v[1]], e.pts[v[2]]}
+		eps := e.planeEps
+		for j, m := range e.liftMax {
+			eps *= max(m, math.Abs(vp[0][j]), math.Abs(vp[1][j]), math.Abs(vp[2][j]))
+		}
+		if !math.IsInf(eps, 0) {
+			f.plane = geom.NewFacetPlane(vp[:], eps)
+		}
+	}
+	return s
 }
 
 // newFacet builds the facet joining ridge r with pivot p, supported by
@@ -417,7 +505,13 @@ func max32(a, b int32) int32 {
 }
 
 // initialHull builds the simplex on the first d+1 points and the conflict
-// lists of its d+1 facets over the remaining points.
+// lists of its d+1 facets over the remaining points. The float centroid of a
+// thin base can round outside it, which would make it a false interior
+// point, so each base facet must hold its opposite vertex strictly inside,
+// by the exact predicate. A lifted base is the bounding triangle and the
+// first point inside it. That point must lie strictly inside the triangle's
+// circle, and so must every later one: the upper facet's conflict list must
+// be empty.
 func (e *engine) initialHull() ([]*Facet, error) {
 	n := len(e.pts)
 	d := e.d
@@ -449,10 +543,16 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	for i := range base {
 		base[i] = e.pts[i]
 	}
-	if geom.OrientSimplex(base[:d], base[d]) == 0 {
-		return nil, fmt.Errorf("%w: first %d points are affinely dependent", ErrDegenerate, d+1)
+	if l := e.lift; l != nil {
+		if geom.InCircle(l[0], l[1], l[2], l[3])*geom.Orient2D(l[0], l[1], l[2]) <= 0 {
+			return nil, fmt.Errorf("%w: point 3 escapes the circle of points 0-2", ErrDegenerate)
+		}
+	} else {
+		if geom.OrientSimplex(base[:d], base[d]) == 0 {
+			return nil, fmt.Errorf("%w: first %d points are affinely dependent", ErrDegenerate, d+1)
+		}
+		e.interior = geom.Centroid(base)
 	}
-	e.interior = geom.Centroid(base)
 
 	for omit := 0; omit <= d; omit++ {
 		verts := a.Ints(d)
@@ -465,6 +565,9 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		if err != nil {
 			return nil, err
 		}
+		if e.lift == nil && e.exactVisible(int32(omit), f) {
+			return nil, fmt.Errorf("%w: the float centroid of the first %d points lies outside them", ErrDegenerate, d+1)
+		}
 		facets = append(facets, f)
 	}
 	if e.ru != nil {
@@ -473,6 +576,9 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	for _, f := range facets {
 		f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), e.filter(f), e.grain, alloc)
 		e.record(f)
+	}
+	if up := facets[d]; e.lift != nil && len(up.Conf) > 0 {
+		return nil, fmt.Errorf("%w: point %d escapes the circle of points 0-2", ErrDegenerate, up.Conf[0])
 	}
 	return facets, nil
 }
@@ -667,13 +773,18 @@ func (s *rowSorter) Swap(i, j int) {
 // parStripes is the facet-log stripe count for the concurrent engines.
 func parStripes() int { return 4 * sched.Workers() }
 
-func validate(pts []geom.Point) (int, error) {
+// validate checks the cloud and, in lifted mode, that pts are 3D lifts of
+// as many 2D points, and returns the dimension.
+func validate(pts, lift []geom.Point) (int, error) {
 	if len(pts) == 0 {
 		return 0, fmt.Errorf("%w: empty input", ErrDegenerate)
 	}
 	d := len(pts[0])
 	if err := geom.ValidateCloud(pts, d); err != nil {
 		return 0, err
+	}
+	if lift != nil && (d != 3 || len(lift) != len(pts)) {
+		return 0, fmt.Errorf("%w: %d points of dimension %d lift %d 2D points", geom.ErrBadDimension, len(pts), d, len(lift))
 	}
 	return d, nil
 }

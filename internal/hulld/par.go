@@ -41,6 +41,14 @@ type Options struct {
 	// invalidates the previous Result obtained through the same Reuse. The
 	// public parhull.Builder is the intended owner.
 	Reuse *Reuse
+	// Lift, when non-nil, selects lifted mode: the points are the float
+	// lifts (x, y, x²+y²) of these 2D points, index for index, possibly
+	// scaled by one power of two. The first three must be a triangle that
+	// strictly contains every later point; its lift is the hull's one upper
+	// facet, and every other facet is a Delaunay triangle of the 2D points
+	// (lower facet). Visibility is decided exactly by InCircle on the 2D
+	// points, never on the inexact lifts.
+	Lift []geom.Point
 }
 
 func (o *Options) filterGrain() int {
@@ -97,22 +105,24 @@ func initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
 // Algorithm 3 under the asynchronous fork-join schedule (Theorem 5.5), run by
 // the generic driver in internal/engine on the work-stealing executor.
 func Par(pts []geom.Point, opt *Options) (*Result, error) {
-	d, err := validate(pts)
-	if err != nil {
-		return nil, err
-	}
 	var ru *Reuse
 	var inj *faultinject.Injector
+	var lift []geom.Point
 	if opt != nil {
 		ru = opt.Reuse
 		inj = opt.Inject
+		lift = opt.Lift
+	}
+	d, err := validate(pts, lift)
+	if err != nil {
+		return nil, err
 	}
 	if ru != nil {
 		// The rewind of the retained pool happens inside engineFor; a panic
 		// armed here fires on the calling goroutine, before any worker runs.
 		inj.Visit(faultinject.SiteBuilderRewind)
 	}
-	e := engineFor(ru, pts, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
+	e := engineFor(ru, pts, lift, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
 	e.inj = inj
 	facets, err := e.initialHull()
 	if err != nil {

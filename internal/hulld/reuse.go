@@ -34,10 +34,10 @@ func newRetained() retained { return retained{arena: eng.NewArena[Facet]()} }
 // start of the next construction, not the end of the last — so an aborted or
 // panicked construction needs no cleanup to keep the owner usable, and the
 // previous Result stays valid until the next call.
-func (r *retained) engineFor(pts []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
+func (r *retained) engineFor(pts, lift []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
 	r.arena.Reset()
 	if r.e == nil {
-		e := newEngine(pts, d, counters, grain, stripes, noPlane)
+		e := newEngine(pts, lift, d, counters, grain, stripes, noPlane)
 		e.ru = r
 		r.e = e
 		return e
@@ -48,12 +48,9 @@ func (r *retained) engineFor(pts []geom.Point, d int, counters bool, grain, stri
 	e.d = d
 	e.grain = grain
 	e.interior = nil
-	e.planeEps = 0
-	if !noPlane {
-		e.planeEps = geom.StaticFilterEps(e.store.MaxAbs())
-	}
+	e.lift = lift
 	e.rec.Reset(counters)
-	e.rec.SetPlaneCache(e.planeEps > 0)
+	e.setPlaneEps(noPlane)
 	e.rec.MarkHeapBase()
 	e.log.Reset()
 	return e
@@ -101,12 +98,12 @@ func (ru *Reuse) Reset() {
 
 // engineFor returns the engine for this construction: a fresh one when ru is
 // nil (the one-shot path), otherwise ru's retained engine and pool rewound.
-func engineFor(ru *Reuse, pts []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
+func engineFor(ru *Reuse, pts, lift []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
 	if ru == nil {
-		return newEngine(pts, d, counters, grain, stripes, noPlane)
+		return newEngine(pts, lift, d, counters, grain, stripes, noPlane)
 	}
 	ru.pool.Reset()
-	return ru.engineFor(pts, d, counters, grain, stripes, noPlane)
+	return ru.engineFor(pts, lift, d, counters, grain, stripes, noPlane)
 }
 
 // SeqReuse retains the whole state of the sequential engine across
@@ -134,5 +131,5 @@ func NewSeqReuse() *SeqReuse {
 // (Stats carries the facet counters only) and the plane cache on. Points are
 // inserted in the order given; the output facets are identical to SeqCtx's.
 func (sr *SeqReuse) Seq(ctx context.Context, inj *faultinject.Injector, pts []geom.Point) (*Result, error) {
-	return sr.seq(ctx, inj, pts, false, false)
+	return sr.seq(ctx, inj, pts, nil, false, false)
 }

@@ -11,11 +11,15 @@ import (
 // rounds, so Stats.Rounds is the recursion depth of Theorem 5.3. Flips (lines
 // 11-12) run inline and do not consume a round.
 func Rounds(pts []geom.Point, opt *Options) (*Result, error) {
-	d, err := validate(pts)
+	var lift []geom.Point
+	if opt != nil {
+		lift = opt.Lift
+	}
+	d, err := validate(pts, lift)
 	if err != nil {
 		return nil, err
 	}
-	e := newEngine(pts, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
+	e := newEngine(pts, lift, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
 	if opt != nil {
 		e.inj = opt.Inject
 	}

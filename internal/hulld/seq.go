@@ -14,26 +14,34 @@ import (
 // internal/engine — inserting points in the order given. As in hull2d, its
 // plane-side tests are exactly the conflict filters — the same multiset
 // Algorithm 3 performs.
-func Seq(pts []geom.Point) (*Result, error) { return NewSeqReuse().seq(nil, nil, pts, true, false) }
+func Seq(pts []geom.Point) (*Result, error) {
+	return NewSeqReuse().seq(nil, nil, pts, nil, true, false)
+}
 
 // SeqCtx is Seq with cooperative cancellation (checked at insertion
 // granularity), optional fault injection (nil in production), and the
 // plane-cache ablation switch — the fully-plumbed entry the public layer
 // calls.
 func SeqCtx(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, noPlane bool) (*Result, error) {
-	return NewSeqReuse().seq(ctx, inj, pts, true, noPlane)
+	return NewSeqReuse().seq(ctx, inj, pts, nil, true, noPlane)
+}
+
+// SeqLifted is SeqCtx in lifted mode (see Options.Lift): pts are the float
+// lifts of the 2D points lift. counters switches visibility-test counting.
+func SeqLifted(ctx context.Context, inj *faultinject.Injector, pts, lift []geom.Point, counters bool) (*Result, error) {
+	return NewSeqReuse().seq(ctx, inj, pts, lift, counters, false)
 }
 
 // SeqCounted is Seq with visibility-test counting switchable.
 func SeqCounted(pts []geom.Point, counters bool) (*Result, error) {
-	return NewSeqReuse().seq(nil, nil, pts, counters, false)
+	return NewSeqReuse().seq(nil, nil, pts, nil, counters, false)
 }
 
 // SeqNoPlaneCache is Seq with the cached-hyperplane fast path disabled, so
 // every visibility test runs the exact determinant predicate (ablation and
 // cross-engine identity tests).
 func SeqNoPlaneCache(pts []geom.Point) (*Result, error) {
-	return NewSeqReuse().seq(nil, nil, pts, true, true)
+	return NewSeqReuse().seq(nil, nil, pts, nil, true, true)
 }
 
 // seqGeom supplies the d-dimensional geometry of the generic Algorithm 2 loop
@@ -111,12 +119,12 @@ var seqLoop = eng.Seq[Facet, []int32]
 
 // seq runs one sequential construction on sr's retained engine, arena,
 // buckets, and buffers. The one-shot entry points run it on a fresh SeqReuse.
-func (sr *SeqReuse) seq(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, counters, noPlane bool) (*Result, error) {
-	d, err := validate(pts)
+func (sr *SeqReuse) seq(ctx context.Context, inj *faultinject.Injector, pts, lift []geom.Point, counters, noPlane bool) (*Result, error) {
+	d, err := validate(pts, lift)
 	if err != nil {
 		return nil, err
 	}
-	e := sr.engineFor(pts, d, counters, 0, 1, noPlane)
+	e := sr.engineFor(pts, lift, d, counters, 0, 1, noPlane)
 	e.inj = inj
 	g := &sr.geom
 	clear(g.adj)

@@ -8,6 +8,7 @@ import (
 
 	eng "parhull/internal/engine"
 	"parhull/internal/engine/seqref"
+	"parhull/internal/geom"
 )
 
 // withOracle runs fn with seq driven by the conflict-graph oracle loop
@@ -72,23 +73,41 @@ func sameTrace(t *testing.T, label string, got, want seqTrace) {
 // TestSeqPivotBucketsMatchConflictGraph pins the pivot-bucket form of the
 // Algorithm 2 loop to the conflict-graph loop it replaced: the same created
 // facet sequence, hull sizes, counters, and error, on general-position and
-// degenerate clouds in d = 2..5 — on a fresh SeqReuse and, twice in a row, on
-// one retained SeqReuse. Only the loop is swapped; both runs share seqGeom's
-// two-slot ridge map (TestSeqGeomCrowdedRidge covers its third-facet case).
+// degenerate clouds in d = 2..5 and lifted from 2D — on a fresh SeqReuse
+// and, twice in a row, on one retained SeqReuse. Only the loop is swapped;
+// both runs share seqGeom's two-slot ridge map (TestSeqGeomCrowdedRidge
+// covers its third-facet case).
 func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
+	check := func(t *testing.T, pts, lift []geom.Point) {
+		var want seqTrace
+		withOracle(func() { want = traceOf(NewSeqReuse().seq(nil, nil, pts, lift, true, false)) })
+		sameTrace(t, "fresh", traceOf(SeqLifted(nil, nil, pts, lift, true)), want) // Seq when lift is nil
+		sr := NewSeqReuse()
+		for rep := 0; rep < 2; rep++ {
+			sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(sr.seq(nil, nil, pts, lift, true, false)), want)
+		}
+	}
 	sizes := map[int]int{2: 400, 3: 300, 4: 120, 5: 60}
 	for d := 2; d <= 5; d++ {
 		for _, c := range seqref.Clouds(int64(d), sizes[d], d) {
-			t.Run(fmt.Sprintf("d=%d/%s", d, c.Name), func(t *testing.T) {
-				var want seqTrace
-				withOracle(func() { want = traceOf(NewSeqReuse().seq(nil, nil, c.Pts, true, false)) })
-				sameTrace(t, "fresh", traceOf(Seq(c.Pts)), want)
-				sr := NewSeqReuse()
-				for rep := 0; rep < 2; rep++ {
-					sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(sr.seq(nil, nil, c.Pts, true, false)), want)
-				}
-			})
+			t.Run(fmt.Sprintf("d=%d/%s", d, c.Name), func(t *testing.T) { check(t, c.Pts, nil) })
 		}
+	}
+	for _, c := range seqref.Clouds(3, 200, 2) {
+		t.Run("lifted/"+c.Name, func(t *testing.T) {
+			// A lifted run needs distinct sites, so the degenerate clouds run
+			// deduplicated (their ties are what is left).
+			var pts []geom.Point
+			seen := map[[2]float64]bool{}
+			for _, p := range c.Pts {
+				if k := [2]float64{p[0], p[1]}; !seen[k] {
+					seen[k] = true
+					pts = append(pts, p)
+				}
+			}
+			lifted, plane := liftedCloud(pts)
+			check(t, lifted, plane)
+		})
 	}
 }
 
@@ -115,12 +134,12 @@ func TestSeqGeomCrowdedRidge(t *testing.T) {
 		}
 		return nil, nil
 	}
-	_, err := sr.seq(nil, nil, pts, true, false)
+	_, err := sr.seq(nil, nil, pts, nil, true, false)
 	seqLoop = saved
 	if !errors.Is(err, ErrDegenerate) {
 		t.Fatalf("construction after a crowded ridge: err = %v, want ErrDegenerate", err)
 	}
-	if _, err := sr.seq(nil, nil, pts, true, false); err != nil {
+	if _, err := sr.seq(nil, nil, pts, nil, true, false); err != nil {
 		t.Fatalf("next construction on the same SeqReuse: %v", err)
 	}
 }

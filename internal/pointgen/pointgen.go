@@ -387,13 +387,31 @@ func Shuffled(rng *rand.Rand, pts []geom.Point) []geom.Point {
 	return ApplyPerm(pts, Perm(rng, len(pts)))
 }
 
+// liftMaxExp bounds the lifted coordinates: below 2^liftMaxExp in x and y,
+// the lift stays finite, and so do the plane evaluations over it (products
+// of up to four coordinates).
+const liftMaxExp = 240
+
 // Lift2D lifts 2D points onto the paraboloid z = x^2 + y^2. The lower hull
-// of the lifted points is the Delaunay triangulation of the originals,
-// connecting this package to the Delaunay extension.
+// of the lifted points is the Delaunay triangulation of the originals, which
+// is how package delaunay runs on the hull kernel. A cloud with a
+// coordinate of 2^240 or more is first scaled down by one power of two, so
+// that no square overflows; such a scale changes no Orient2D or InCircle
+// sign. The lifts share one backing array.
 func Lift2D(pts []geom.Point) []geom.Point {
+	m := 0.0
+	for _, p := range pts {
+		m = max(m, math.Abs(p[0]), math.Abs(p[1]))
+	}
+	_, e := math.Frexp(m) // m < 2^e
+	s := math.Ldexp(1, min(0, liftMaxExp-e))
+	flat := make([]float64, 3*len(pts))
 	out := make([]geom.Point, len(pts))
 	for i, p := range pts {
-		out[i] = geom.Point{p[0], p[1], p[0]*p[0] + p[1]*p[1]}
+		x, y := s*p[0], s*p[1]
+		l := flat[3*i : 3*i+3 : 3*i+3]
+		l[0], l[1], l[2] = x, y, x*x+y*y
+		out[i] = l
 	}
 	return out
 }

@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"parhull/internal/conmap"
-	"parhull/internal/delaunay"
 	"parhull/internal/engine"
 	"parhull/internal/faultinject"
 	"parhull/internal/geom"
@@ -176,19 +175,6 @@ func (o *Options) or() *Options {
 		return &Options{}
 	}
 	return o
-}
-
-// ridgeMapDelaunay sizes the edge multimap of the Delaunay engines: each of
-// the ~2n triangles carries 3 edges, which DefaultMapCapacity(n, 2) covers.
-func (o *Options) ridgeMapDelaunay(n int) conmap.RidgeMap[*delaunay.Triangle] {
-	switch o.Map {
-	case MapCAS:
-		return conmap.NewCASMap[*delaunay.Triangle](o.capacity(engine.FixedMapCapacity(n, 2)))
-	case MapTAS:
-		return conmap.NewTASMap[*delaunay.Triangle](o.capacity(engine.FixedMapCapacity(n, 2)))
-	default:
-		return conmap.NewShardedMap[*delaunay.Triangle](o.capacity(engine.DefaultMapCapacity(n, 2)))
-	}
 }
 
 func (o *Options) ridgeMapD(n, d int) conmap.RidgeMap[*hulld.Facet] {

@@ -1,11 +1,14 @@
 package parhull
 
 import (
+	"math"
 	"sort"
 	"testing"
 
 	"parhull/internal/baseline"
+	"parhull/internal/certify"
 	"parhull/internal/hull2d"
+	"parhull/internal/pointgen"
 )
 
 func TestHull2DEnginesAgree(t *testing.T) {
@@ -76,6 +79,58 @@ func TestHull3DAndMapKinds(t *testing.T) {
 	}
 	if _, err := Hull3D(RandomPoints(10, 2, 5), nil); err == nil {
 		t.Fatal("Hull3D accepted 2D points")
+	}
+}
+
+// rotatedCube returns the 8 corners of [-1,1]³, the four of the face z = -1
+// first, then 300 points uniform on its faces, all rotated in float64 by
+// three angles drawn from seed. Rounding leaves the points of each face a
+// hair off a common plane, so the hull is decided by the exact fallbacks of
+// the orientation predicates.
+func rotatedCube(seed int64) []Point {
+	rng := pointgen.NewRNG(seed)
+	var pts []Point
+	for _, z := range []float64{-1, 1} {
+		for _, y := range []float64{-1, 1} {
+			for _, x := range []float64{-1, 1} {
+				pts = append(pts, Point{x, y, z})
+			}
+		}
+	}
+	for i := 0; i < 300; i++ {
+		p := Point{2*rng.Float64() - 1, 2*rng.Float64() - 1, 2*rng.Float64() - 1}
+		p[rng.Intn(3)] = float64(2*rng.Intn(2) - 1)
+		pts = append(pts, p)
+	}
+	for _, axis := range []int{0, 1, 2} {
+		s, c := math.Sincos(2 * math.Pi * rng.Float64())
+		i, j := (axis+1)%3, (axis+2)%3
+		for _, p := range pts {
+			p[i], p[j] = c*p[i]-s*p[j], s*p[i]+c*p[j]
+		}
+	}
+	return pts
+}
+
+// TestRotatedCubeCertifies builds shuffled rotated cubes on every engine
+// and certifies each hull from the input alone. Their near-coplanar faces
+// send many orientation tests to the exact fallback.
+func TestRotatedCubeCertifies(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		pts := rotatedCube(seed)
+		for _, e := range []Engine{EngineSequential, EngineParallel, EngineRounds} {
+			res, err := Hull3D(pts, &Options{Engine: e, Shuffle: true, Seed: seed})
+			if err != nil {
+				t.Fatalf("seed %d engine %d: %v", seed, e, err)
+			}
+			facets := make([][]int, len(res.Facets))
+			for i, f := range res.Facets {
+				facets[i] = f.Vertices
+			}
+			if _, err := certify.Hull(pts, facets, res.Vertices); err != nil {
+				t.Fatalf("seed %d engine %d: %v", seed, e, err)
+			}
+		}
 	}
 }
 
