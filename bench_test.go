@@ -84,7 +84,7 @@ func BenchmarkWorkRatio2D(b *testing.B) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := hull2d.Seq(pts)
+		s, err := hull2d.Seq(pts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func BenchmarkConflictBound2D(b *testing.B) {
 	var ratio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := hull2d.Seq(pts)
+		res, err := hull2d.Seq(pts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func BenchmarkHull2D(b *testing.B) {
 		pts := workloadFor(cfg.name, cfg.n)
 		b.Run(cfg.name+"/seq", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hull2d.SeqFrom(pts, 3, false); err != nil {
+				if _, err := hull2d.Seq(pts, &hull2d.Options{NoCounters: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -179,7 +179,7 @@ func BenchmarkHull3D(b *testing.B) {
 	pts := pointgen.OnSphere(pointgen.NewRNG(6), 20000, 3)
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hulld.SeqCounted(pts, false); err != nil {
+			if _, err := hulld.Seq(pts, &hulld.Options{NoCounters: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

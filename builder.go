@@ -98,22 +98,25 @@ func (b *Builder) Close() {
 	b.ru2.Close()
 }
 
-// perm is Options.perm into the Builder's retained order buffer.
-func (b *Builder) perm(n int) []int {
-	if !b.opt.Shuffle {
-		return nil
+// start checks the Builder and its options, then returns pts in insertion
+// order — shuffled into the retained buffers when Options.Shuffle is set —
+// with the order that maps engine indices back to caller indices (nil when
+// pts is used as given). Position p of the shuffled input holds original
+// point order[p] (see mapBack), so no inverse permutation is needed.
+func (b *Builder) start(pts []Point) ([]Point, []int, error) {
+	if b.closed {
+		return nil, nil, errBuilderClosed
 	}
-	b.order = pointgen.PermInto(pointgen.NewRNG(b.opt.Seed), n, b.order)
-	return b.order
-}
-
-// shuffled is applyShuffle into the Builder's retained point buffer.
-func (b *Builder) shuffled(pts []Point, order []int) []Point {
-	if order == nil {
-		return pts
+	o := b.opt
+	if err := o.validate(); err != nil {
+		return nil, nil, err
 	}
-	b.work = pointgen.ApplyPermInto(pts, order, b.work)
-	return b.work
+	if !o.Shuffle {
+		return pts, nil, nil
+	}
+	b.order = pointgen.PermInto(pointgen.NewRNG(o.Seed), len(pts), b.order)
+	b.work = pointgen.ApplyPermInto(pts, b.order, b.work)
+	return b.work, b.order, nil
 }
 
 // maybePreHull is Options.maybePreHull on the Builder's retained pre-hull
@@ -159,15 +162,10 @@ func (b *Builder) maybePreHull(work []Point, order []int, d int) ([]Point, []int
 // Builder type for the recycling contract.
 func (b *Builder) Build(pts []Point) (out *HullDResult, err error) {
 	defer guard(&err)
-	if b.closed {
-		return nil, errBuilderClosed
-	}
-	o := b.opt
-	if err := o.validate(); err != nil {
+	work, order, err := b.start(pts)
+	if err != nil {
 		return nil, err
 	}
-	order := b.perm(len(pts))
-	work := b.shuffled(pts, order)
 	d := 0
 	if len(pts) > 0 {
 		d = len(pts[0])
@@ -176,44 +174,10 @@ func (b *Builder) Build(pts []Point) (out *HullDResult, err error) {
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-
-	var res *hulld.Result
-	var retries int
-	var fellBack bool
-	switch o.Engine {
-	case EngineSequential:
-		res, err = hulld.SeqCtx(o.Context, o.inject, work, false)
-	case EngineParallel, EngineRounds:
-		run := func(m conmap.RidgeMap[*hulld.Facet]) (*hulld.Result, error) {
-			ho := &hulld.Options{
-				Map:         m,
-				Workers:     o.Workers,
-				NoCounters:  o.NoCounters,
-				FilterGrain: o.FilterGrain,
-				Ctx:         o.Context,
-				Inject:      o.inject,
-			}
-			if o.Engine == EngineRounds {
-				return hulld.Rounds(work, ho)
-			}
-			ho.Reuse = b.ruD
-			return hulld.Par(work, ho)
-		}
-		res, retries, fellBack, err = ladder(o,
-			o.capacity(engine.FixedMapCapacity(len(work), d)),
-			func(c int) conmap.RidgeMap[*hulld.Facet] { return b.mapsD.fixedFor(o.Map, c, o.inject) },
-			func() conmap.RidgeMap[*hulld.Facet] {
-				return b.mapsD.shardedFor(o.capacity(engine.DefaultMapCapacity(len(work), d)))
-			},
-			run)
-	default:
-		return nil, errBadEngine
-	}
+	res, err := b.runD(work, nil)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	res.Stats.CapacityRetries = retries
-	res.Stats.MapFallback = fellBack
 	res.Stats.PreHullBlocks = phBlocks
 	res.Stats.PreHullKept = phKept
 
@@ -272,58 +236,18 @@ func (b *Builder) Build3D(pts []Point) (*HullDResult, error) {
 // recycling contract.
 func (b *Builder) Build2D(pts []Point) (out *Hull2DResult, err error) {
 	defer guard(&err)
-	if b.closed {
-		return nil, errBuilderClosed
-	}
-	o := b.opt
-	if err := o.validate(); err != nil {
+	work, order, err := b.start(pts)
+	if err != nil {
 		return nil, err
 	}
-	order := b.perm(len(pts))
-	work := b.shuffled(pts, order)
 	work, order, phBlocks, phKept, err := b.maybePreHull(work, order, 2)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-
-	var res *hull2d.Result
-	var retries int
-	var fellBack bool
-	switch o.Engine {
-	case EngineSequential:
-		res, err = hull2d.SeqCtx(o.Context, o.inject, work, false)
-	case EngineParallel, EngineRounds:
-		run := func(m conmap.RidgeMap[*hull2d.Facet]) (*hull2d.Result, error) {
-			ho := &hull2d.Options{
-				Map:         m,
-				Workers:     o.Workers,
-				NoCounters:  o.NoCounters,
-				FilterGrain: o.FilterGrain,
-				Ctx:         o.Context,
-				Inject:      o.inject,
-			}
-			if o.Engine == EngineRounds {
-				r, _, e := hull2d.Rounds(work, ho)
-				return r, e
-			}
-			ho.Reuse = b.ru2
-			return hull2d.Par(work, ho)
-		}
-		res, retries, fellBack, err = ladder(o,
-			o.capacity(engine.FixedMapCapacity(len(work), 0)),
-			func(c int) conmap.RidgeMap[*hull2d.Facet] { return b.maps2.fixedFor(o.Map, c, o.inject) },
-			// A 2D ridge is a single vertex: MapSharded runs on hull2d's
-			// vertex-indexed slot table, retained in b.ru2, which cannot fill.
-			func() conmap.RidgeMap[*hull2d.Facet] { return nil },
-			run)
-	default:
-		return nil, errBadEngine
-	}
+	res, err := b.run2D(work)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	res.Stats.CapacityRetries = retries
-	res.Stats.MapFallback = fellBack
 	res.Stats.PreHullBlocks = phBlocks
 	res.Stats.PreHullKept = phKept
 	if cap(b.verts2) < len(res.Vertices) {
@@ -336,6 +260,89 @@ func (b *Builder) Build2D(pts []Point) (out *Hull2DResult, err error) {
 	b.verts2 = verts
 	b.res2 = Hull2DResult{Vertices: verts, Stats: res.Stats}
 	return &b.res2, nil
+}
+
+// runD runs one hulld construction over work on the Builder's retained
+// state (b.ruD) under the selected schedule: the package's one hulld engine
+// dispatch, behind Build, Delaunay (which passes the 2D points whose lifts
+// work holds), and so HullD, Hull3D, and HalfspaceIntersection. Par and
+// Rounds climb the capacity degradation ladder over the Builder's retained
+// ridge tables; the ladder's record lands in Stats.
+func (b *Builder) runD(work, lift []Point) (*hulld.Result, error) {
+	o := b.opt
+	d := 0
+	if len(work) > 0 {
+		d = len(work[0])
+	}
+	res, retries, fellBack, err := ladder(o,
+		o.capacity(engine.FixedMapCapacity(len(work), d)),
+		func(c int) conmap.RidgeMap[*hulld.Facet] { return b.mapsD.fixedFor(o.Map, c, o.inject) },
+		func() conmap.RidgeMap[*hulld.Facet] {
+			return b.mapsD.shardedFor(o.capacity(engine.DefaultMapCapacity(len(work), d)))
+		},
+		func(m conmap.RidgeMap[*hulld.Facet]) (*hulld.Result, error) {
+			o.inject.Visit(faultinject.SiteBuilderRewind)
+			ho := &hulld.Options{
+				Map:         m,
+				Workers:     o.Workers,
+				NoCounters:  o.NoCounters,
+				FilterGrain: o.FilterGrain,
+				Ctx:         o.Context,
+				Inject:      o.inject,
+				Reuse:       b.ruD,
+				Lift:        lift,
+			}
+			switch o.Engine {
+			case EngineSequential:
+				return hulld.Seq(work, ho)
+			case EngineRounds:
+				return hulld.Rounds(work, ho)
+			}
+			return hulld.Par(work, ho)
+		})
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.CapacityRetries = retries
+	res.Stats.MapFallback = fellBack
+	return res, nil
+}
+
+// run2D is runD for the planar kernel, on b.ru2. A 2D ridge is a single
+// vertex, so MapSharded runs on hull2d's vertex-indexed slot table, which
+// is retained in b.ru2 and cannot fill.
+func (b *Builder) run2D(work []Point) (*hull2d.Result, error) {
+	o := b.opt
+	res, retries, fellBack, err := ladder(o,
+		o.capacity(engine.FixedMapCapacity(len(work), 0)),
+		func(c int) conmap.RidgeMap[*hull2d.Facet] { return b.maps2.fixedFor(o.Map, c, o.inject) },
+		func() conmap.RidgeMap[*hull2d.Facet] { return nil },
+		func(m conmap.RidgeMap[*hull2d.Facet]) (*hull2d.Result, error) {
+			o.inject.Visit(faultinject.SiteBuilderRewind)
+			ho := &hull2d.Options{
+				Map:         m,
+				Workers:     o.Workers,
+				NoCounters:  o.NoCounters,
+				FilterGrain: o.FilterGrain,
+				Ctx:         o.Context,
+				Inject:      o.inject,
+				Reuse:       b.ru2,
+			}
+			switch o.Engine {
+			case EngineSequential:
+				return hull2d.Seq(work, ho)
+			case EngineRounds:
+				res, _, err := hull2d.Rounds(work, ho)
+				return res, err
+			}
+			return hull2d.Par(work, ho)
+		})
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.CapacityRetries = retries
+	res.Stats.MapFallback = fellBack
+	return res, nil
 }
 
 // mapCache retains the ridge tables of Algorithm 3 across builds: the

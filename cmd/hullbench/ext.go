@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"parhull"
 	"parhull/internal/circles"
 	"parhull/internal/core"
 	"parhull/internal/corner"
@@ -180,13 +181,13 @@ func expHalfspace() {
 	for _, cfg := range []struct{ d, n int }{{2, 10000}, {3, 10000}} {
 		n := sz(cfg.n)
 		nm := genNormals(int64(60+cfg.d), n, cfg.d)
-		res, err := halfspace.IntersectDual(nm, &hulld.Options{NoCounters: true})
+		res, err := parhull.HalfspaceIntersection(nm, &parhull.Options{NoCounters: true, PreHull: parhull.PreHullOff})
 		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
 		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.2f\n", cfg.d, n, len(res.Vertices),
-			res.HullStats.MaxDepth, float64(res.HullStats.MaxDepth)/math.Log(float64(n)))
+			res.Stats.MaxDepth, float64(res.Stats.MaxDepth)/math.Log(float64(n)))
 	}
 	w.Flush()
 	fmt.Println("paper: same O(log n) dependence depth as convex hull, by duality (Section 7).")

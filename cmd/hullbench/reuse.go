@@ -15,7 +15,7 @@ import (
 )
 
 var reuseGate = flag.Int64("reuse-gate", 100,
-	"fail the reuse experiment if steady-state allocs/op on 3d-ball-100k exceeds this (<= 0 disables)")
+	"fail the reuse experiment if steady-state allocs/op on 3d-ball-100k exceeds this, under the parallel or the sequential engine (<= 0 disables)")
 
 // reuseDefaultGate bounds the steady-state allocs/op on 3d-ball-100k under
 // the default options (Shuffle, PreHullAuto).
@@ -24,24 +24,42 @@ const reuseDefaultGate = 1000
 var reusePeakGate = flag.Float64("reuse-peak-gate", 10,
 	"fail the reuse experiment if the steady-state live-heap peak grows by more than this percentage over the previous BENCH_parhull.json reuse-steady row (<= 0 disables)")
 
+// reuseRow is one measured row of the reuse experiment; gated rows are
+// held to -reuse-gate.
+type reuseRow struct {
+	sched string
+	procs int
+	r     testing.BenchmarkResult
+	peak  int64
+	gated bool
+}
+
 // expReuse — Builder reuse: the first Build on a parhull.Builder pays for the
 // worker pool, arenas, ridge table, and output buffers; every later Build
-// recycles them. This experiment measures both phases on the headline perf
-// workload (3d-ball-100k, counters off, direct path — the same configuration
-// as the perf export's steal row), appends the rows to BENCH_parhull.json,
-// and acts as the CI allocation gate: a steady-state allocs/op above
-// -reuse-gate fails the run, so a pooling regression (a buffer silently
-// dropped from the reuse path) cannot land quietly. The direct-path rows run
-// at GOMAXPROCS=1, the configuration the gate was recorded at: with more
-// procs, conflict lists long enough to split spawn parallel filter pieces
-// whose goroutines and pooled scratch scale with P, so the count would
-// measure the runner, not the pooling. The live-heap peak of the memory gate
-// and a further row — the steady state under the default options (Shuffle
-// on, PreHullAuto), where the pre-hull probe, cull, and block sub-hulls run
-// too; reuseDefaultGate bounds it — are measured at full P.
+// recycles them, under every schedule. This experiment measures both phases
+// on the headline perf workload (3d-ball-100k, counters off, direct path —
+// the same configuration as the perf export's steal row), appends the rows
+// to BENCH_parhull.json, and acts as the CI allocation gate: a steady-state
+// allocs/op above -reuse-gate under the parallel engine (reuse-steady) or
+// the sequential one (reuse-steady-seq) fails the run, so a pooling
+// regression (a buffer silently dropped from the reuse path) cannot land
+// quietly. The rounds schedule's row (reuse-steady-rounds) is reported but
+// not gated: its scheduler still allocates per round step. The direct-path
+// rows run at GOMAXPROCS=1, the configuration the gate was recorded at:
+// with more procs, conflict lists long enough to split spawn parallel
+// filter pieces whose goroutines and pooled scratch scale with P, so the
+// count would measure the runner, not the pooling. The live-heap peak of
+// the memory gate and a further row — the steady state under the default
+// options (Shuffle on, PreHullAuto), where the pre-hull probe, cull, and
+// block sub-hulls run too; reuseDefaultGate bounds it — are measured at
+// full P.
 func expReuse() {
 	pts := pointgen.Shuffled(pointgen.NewRNG(41), pointgen.UniformBall(pointgen.NewRNG(41), sz(100000), 3))
-	opt := &parhull.Options{NoCounters: true, PreHull: parhull.PreHullOff}
+	direct := func(e parhull.Engine) *parhull.Options {
+		return &parhull.Options{Engine: e, NoCounters: true, PreHull: parhull.PreHullOff}
+	}
+
+	opt := direct(parhull.EngineParallel)
 
 	procs := runtime.GOMAXPROCS(1)
 	first := testing.Benchmark(func(b *testing.B) {
@@ -54,21 +72,9 @@ func expReuse() {
 			bld.Close()
 		}
 	})
-
-	bld := parhull.NewBuilder(opt)
-	defer bld.Close()
-	if _, err := bld.Build(pts); err != nil {
-		log.Fatalf("reuse: warm-up build: %v", err)
-	}
-	steady := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := bld.Build(pts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
+	steady := steadyBuilds(pts, opt)
+	steadySeq := steadyBuilds(pts, direct(parhull.EngineSequential))
+	steadyRounds := steadyBuilds(pts, direct(parhull.EngineRounds))
 	runtime.GOMAXPROCS(procs)
 
 	// One counted steady-state Build (counters on, same pooled Builder state)
@@ -87,39 +93,38 @@ func expReuse() {
 	}
 	peak := cres.Stats.PeakBytes
 
-	def := parhull.NewBuilder(&parhull.Options{Shuffle: true, Seed: 1})
-	defer def.Close()
-	if _, err := def.Build(pts); err != nil {
-		log.Fatalf("reuse: default-options warm-up build: %v", err)
-	}
-	steadyDefault := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := def.Build(pts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	steadyDefault := steadyBuilds(pts, &parhull.Options{Shuffle: true, Seed: 1})
 
+	rows := []reuseRow{
+		{"reuse-first", 1, first, 0, false},
+		{"reuse-steady", 1, steady, peak, true},
+		{"reuse-steady-seq", 1, steadySeq, 0, true},
+		{"reuse-steady-rounds", 1, steadyRounds, 0, false},
+		{"reuse-steady-default", procs, steadyDefault, 0, false},
+	}
 	w := table()
 	fmt.Fprintf(w, "phase\tns/op\tallocs/op\tB/op\tpeakB (P=%d)\n", procs)
-	fmt.Fprintf(w, "first-build (P=1)\t%.0f\t%d\t%d\t\n",
-		float64(first.T.Nanoseconds())/float64(first.N), first.AllocsPerOp(), first.AllocedBytesPerOp())
-	fmt.Fprintf(w, "steady-state (P=1)\t%.0f\t%d\t%d\t%d\n",
-		float64(steady.T.Nanoseconds())/float64(steady.N), steady.AllocsPerOp(), steady.AllocedBytesPerOp(), peak)
-	fmt.Fprintf(w, "steady-default (P=%d)\t%.0f\t%d\t%d\t\n", procs,
-		float64(steadyDefault.T.Nanoseconds())/float64(steadyDefault.N), steadyDefault.AllocsPerOp(), steadyDefault.AllocedBytesPerOp())
+	for _, row := range rows {
+		peakCol := ""
+		if row.peak > 0 {
+			peakCol = fmt.Sprint(row.peak)
+		}
+		fmt.Fprintf(w, "%s (P=%d)\t%.0f\t%d\t%d\t%s\n", strings.TrimPrefix(row.sched, "reuse-"), row.procs,
+			float64(row.r.T.Nanoseconds())/float64(row.r.N), row.r.AllocsPerOp(), row.r.AllocedBytesPerOp(), peakCol)
+	}
 	w.Flush()
 
-	prevPeak := appendReuseEntries(len(pts), procs, first, steady, steadyDefault, peak)
+	prevPeak := appendReuseEntries(len(pts), rows)
 
 	if steadyDefault.AllocsPerOp() > reuseDefaultGate {
 		log.Fatalf("reuse default gate: default-options steady-state allocs/op = %d exceeds the gate of %d",
 			steadyDefault.AllocsPerOp(), reuseDefaultGate)
 	}
-	if *reuseGate > 0 && steady.AllocsPerOp() > *reuseGate {
-		log.Fatalf("reuse gate: steady-state allocs/op = %d exceeds the gate of %d",
-			steady.AllocsPerOp(), *reuseGate)
+	for _, row := range rows {
+		if row.gated && *reuseGate > 0 && row.r.AllocsPerOp() > *reuseGate {
+			log.Fatalf("reuse gate: %s allocs/op = %d exceeds the gate of %d",
+				row.sched, row.r.AllocsPerOp(), *reuseGate)
+		}
 	}
 	// The peak gate is relative: the steady-state live-heap peak may not grow
 	// more than -reuse-peak-gate percent over the previous recorded row. A
@@ -134,14 +139,31 @@ func expReuse() {
 	}
 }
 
-// appendReuseEntries merges the three reuse rows into the perf report at
-// -out (replacing any previous reuse rows; creating the report when the perf
+// steadyBuilds measures warm Builds of pts on one Builder under opt, after
+// a warm-up Build.
+func steadyBuilds(pts []parhull.Point, opt *parhull.Options) testing.BenchmarkResult {
+	bld := parhull.NewBuilder(opt)
+	defer bld.Close()
+	if _, err := bld.Build(pts); err != nil {
+		log.Fatalf("reuse: warm-up build (engine %d): %v", opt.Engine, err)
+	}
+	return testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := bld.Build(pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// appendReuseEntries merges the reuse rows into the perf report at -out
+// (replacing any previous reuse rows; creating the report when the perf
 // experiment has not run), so BENCH_parhull.json carries the first-build and
-// both steady-state numbers alongside the perf rows; procs is the
-// GOMAXPROCS of the default-options row and of the peak sample (the timed
-// direct-path rows ran at 1). It returns the PeakBytes of the reuse-steady row being replaced (0 when there
-// is none) — the baseline for the relative peak gate.
-func appendReuseEntries(n, procs int, first, steady, steadyDefault testing.BenchmarkResult, peak int64) int64 {
+// steady-state numbers alongside the perf rows. It returns the PeakBytes of
+// the reuse-steady row being replaced (0 when there is none) — the baseline
+// for the relative peak gate.
+func appendReuseEntries(n int, rows []reuseRow) int64 {
 	var prevPeak int64
 	report := perfReport{
 		GoVersion:  runtime.Version(),
@@ -166,12 +188,7 @@ func appendReuseEntries(n, procs int, first, steady, steadyDefault testing.Bench
 			report = old
 		}
 	}
-	for _, row := range []struct {
-		sched string
-		procs int
-		r     testing.BenchmarkResult
-		peak  int64
-	}{{"reuse-first", 1, first, 0}, {"reuse-steady", 1, steady, peak}, {"reuse-steady-default", procs, steadyDefault, 0}} {
+	for _, row := range rows {
 		report.Entries = append(report.Entries, perfEntry{
 			Workload:    "3d-ball-100k",
 			N:           n,

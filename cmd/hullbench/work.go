@@ -28,7 +28,7 @@ func expWork() {
 		var vseq, vpar, fseq, fpar int64
 		same := true
 		if cfg.d == 2 {
-			s, err := hull2d.Seq(pts)
+			s, err := hull2d.Seq(pts, nil)
 			if err != nil {
 				fmt.Println("error:", err)
 				return
@@ -48,7 +48,7 @@ func expWork() {
 				}
 			}
 		} else {
-			s, err := hulld.Seq(pts)
+			s, err := hulld.Seq(pts, nil)
 			if err != nil {
 				fmt.Println("error:", err)
 				return
@@ -93,7 +93,7 @@ func expConflicts() {
 		var total int64
 		var sizes []float64
 		if cfg.d == 2 {
-			res, err := hull2d.Seq(pts)
+			res, err := hull2d.Seq(pts, nil)
 			if err != nil {
 				fmt.Println("error:", err)
 				return
@@ -105,7 +105,7 @@ func expConflicts() {
 				sizes = append(sizes, float64(h))
 			}
 		} else {
-			res, err := hulld.Seq(pts)
+			res, err := hulld.Seq(pts, nil)
 			if err != nil {
 				fmt.Println("error:", err)
 				return

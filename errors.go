@@ -90,6 +90,9 @@ func (o *Options) validate() error {
 	if o == nil {
 		return nil
 	}
+	if o.Engine < EngineParallel || o.Engine > EngineRounds {
+		return fmt.Errorf("%w: unknown Engine %d", ErrBadOption, o.Engine)
+	}
 	if o.MapCapacity < 0 {
 		return fmt.Errorf("%w: MapCapacity %d is negative", ErrBadOption, o.MapCapacity)
 	}

@@ -49,6 +49,14 @@ func TestTypedErrorContract(t *testing.T) {
 	inf3 := []Point{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {math.Inf(1), 0, 0}}
 	ragged2 := []Point{{0, 0}, {0, 1}, {1, 0}, {1, 1, 1}}
 	line1 := []Point{{0}, {1}, {2}}
+	// Normals whose half-space intersection is unbounded: the origin outside
+	// their hull, and the origin on one of its facets.
+	originOutside := RandomPoints(60, 3, 7)
+	for _, a := range originOutside {
+		a[0] += 5
+	}
+	originOnFacet := []Point{{1, 0, 0}, {0, 1, 0}, {-1, -1, 0}, {0, 0, 1}, {0.1, 0.1, 0.5}}
+	normals := append(HalfspaceBoundingSimplex(3), RandomSpherePoints(200, 3, 5)...)
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -102,6 +110,19 @@ func TestTypedErrorContract(t *testing.T) {
 				if _, err := HullD(RandomSpherePoints(200, 3, 3), dcap); true {
 					wantExactly(t, "3D capacity", err, "ErrCapacity")
 				}
+				if _, err := Delaunay(RandomPoints(200, 2, 4), dcap); true {
+					wantExactly(t, "Delaunay capacity", err, "ErrCapacity")
+				}
+				if _, err := HalfspaceIntersection(normals, dcap); true {
+					wantExactly(t, "HalfspaceIntersection capacity", err, "ErrCapacity")
+				}
+			}
+
+			if _, err := HalfspaceIntersection(originOutside, o()); true {
+				wantExactly(t, "half-spaces, origin outside the normals' hull", err, "ErrDegenerate")
+			}
+			if _, err := HalfspaceIntersection(originOnFacet, o()); true {
+				wantExactly(t, "half-spaces, origin on a facet of the normals' hull", err, "ErrDegenerate")
 			}
 
 			// Empty input is degenerate on every hull route; input of the
@@ -163,6 +184,24 @@ func TestBadOptionValidation(t *testing.T) {
 	bad := &Options{MapCapacity: -1}
 	pts2 := RandomPoints(20, 2, 1)
 	pts3 := RandomPoints(20, 3, 1)
+	badEngine := &Options{Engine: Engine(99)}
+	segs := []TrapezoidSegment{{Y: 0.5, XL: 0.2, XR: 0.8}}
+	box := TrapezoidBox{XL: 0, XR: 1, YB: 0, YT: 1}
+	for name, call := range map[string]func() error{
+		"Hull2D":                      func() error { _, err := Hull2D(pts2, badEngine); return err },
+		"HullD":                       func() error { _, err := HullD(pts3, badEngine); return err },
+		"Hull3D":                      func() error { _, err := Hull3D(pts3, badEngine); return err },
+		"Delaunay":                    func() error { _, err := Delaunay(pts2, badEngine); return err },
+		"HalfspaceIntersection":       func() error { _, err := HalfspaceIntersection(pts3, badEngine); return err },
+		"HalfspaceIntersectionDirect": func() error { _, err := HalfspaceIntersectionDirect(pts3, badEngine); return err },
+		"UnitCircleIntersection":      func() error { _, _, err := UnitCircleIntersection(pts2, badEngine); return err },
+		"TrapezoidDecomposition":      func() error { _, err := TrapezoidDecomposition(segs, box, badEngine); return err },
+		"Hull3DDegenerate":            func() error { _, err := Hull3DDegenerate(pts3, badEngine); return err },
+	} {
+		if err := call(); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s with Engine(99): %v, want ErrBadOption", name, err)
+		}
+	}
 	if _, err := Hull2D(pts2, bad); !errors.Is(err, ErrBadOption) {
 		t.Errorf("Hull2D: %v, want ErrBadOption", err)
 	}
@@ -174,9 +213,6 @@ func TestBadOptionValidation(t *testing.T) {
 	}
 	if _, err := Delaunay(pts2, bad); !errors.Is(err, ErrBadOption) {
 		t.Errorf("Delaunay: %v, want ErrBadOption", err)
-	}
-	if _, err := Hull2D(pts2, &Options{Engine: Engine(99)}); !errors.Is(err, ErrBadOption) {
-		t.Errorf("bad engine: want ErrBadOption")
 	}
 	if _, err := Hull2D(pts2, &Options{Workers: -1}); !errors.Is(err, ErrBadOption) {
 		t.Errorf("negative Workers: want ErrBadOption")
@@ -196,68 +232,100 @@ func sortedVertices(v []int) []int {
 	return out
 }
 
+// ladderRoute is one hull-backed public route the degradation ladder
+// covers: run builds its output under o and reduces it to a canonical
+// string; retryCap undersizes the fixed table so that one or two doublings
+// suffice.
+type ladderRoute struct {
+	name     string
+	retryCap int
+	run      func(o *Options) (string, Stats, error)
+}
+
+// ladderRoutes are Hull2D, Delaunay, and HalfspaceIntersection on inputs of
+// about n points, those of the retry test when n is 100.
+func ladderRoutes(n int, seed int64) []ladderRoute {
+	pts2 := RandomSpherePoints(n, 2, seed)
+	plane := RandomPoints(n, 2, seed)
+	normals := append(HalfspaceBoundingSimplex(3), RandomSpherePoints(n, 3, seed)...)
+	return []ladderRoute{
+		{"Hull2D", 32, func(o *Options) (string, Stats, error) {
+			res, err := Hull2D(pts2, o)
+			if err != nil {
+				return "", Stats{}, err
+			}
+			return fmt.Sprint(sortedVertices(res.Vertices)), res.Stats, nil
+		}},
+		{"Delaunay", 256, func(o *Options) (string, Stats, error) {
+			res, err := Delaunay(plane, o)
+			if err != nil {
+				return "", Stats{}, err
+			}
+			return fmt.Sprint(triangleKeys(res.Triangles)), res.Stats, nil
+		}},
+		{"HalfspaceIntersection", 128, func(o *Options) (string, Stats, error) {
+			res, err := HalfspaceIntersection(normals, o)
+			if err != nil {
+				return "", Stats{}, err
+			}
+			return fmt.Sprint(halfspaceKeys(res)), res.Stats, nil
+		}},
+	}
+}
+
 // TestDegradationLadderRetry undersizes the fixed table so that one or two
-// doubled-table restarts suffice: the run must succeed without falling back
-// to the sharded map, record the retries in Stats, and produce the same hull
-// as a clean run.
+// doubled-table restarts suffice: on every hull-backed route the run must
+// succeed without falling back to the sharded map, record the retries in
+// Stats, and produce the same output as a clean run.
 func TestDegradationLadderRetry(t *testing.T) {
 	leakcheck.Check(t)
-	pts := RandomSpherePoints(100, 2, 5)
-	clean, err := Hull2D(pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []MapKind{MapCAS, MapTAS} {
-		res, err := Hull2D(pts, &Options{Map: m, MapCapacity: 32})
+	for _, r := range ladderRoutes(100, 5) {
+		clean, _, err := r.run(nil)
 		if err != nil {
-			t.Fatalf("map %d: ladder did not recover: %v", m, err)
+			t.Fatalf("%s: clean run: %v", r.name, err)
 		}
-		if res.Stats.CapacityRetries < 1 || res.Stats.CapacityRetries > 2 {
-			t.Errorf("map %d: CapacityRetries = %d, want 1..2", m, res.Stats.CapacityRetries)
-		}
-		if res.Stats.MapFallback {
-			t.Errorf("map %d: fell back to sharded, doubling should have sufficed", m)
-		}
-		a, b := sortedVertices(clean.Vertices), sortedVertices(res.Vertices)
-		if len(a) != len(b) {
-			t.Fatalf("map %d: %d hull vertices vs clean %d", m, len(b), len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("map %d: hull differs from clean run", m)
+		for _, m := range []MapKind{MapCAS, MapTAS} {
+			got, st, err := r.run(&Options{Map: m, MapCapacity: r.retryCap})
+			if err != nil {
+				t.Fatalf("%s map %d: ladder did not recover: %v", r.name, m, err)
+			}
+			if st.CapacityRetries < 1 || st.CapacityRetries > 2 {
+				t.Errorf("%s map %d: CapacityRetries = %d, want 1..2", r.name, m, st.CapacityRetries)
+			}
+			if st.MapFallback {
+				t.Errorf("%s map %d: fell back to sharded, doubling should have sufficed", r.name, m)
+			}
+			if got != clean {
+				t.Fatalf("%s map %d: output differs from clean run", r.name, m)
 			}
 		}
 	}
 }
 
 // TestDegradationLadderFallback undersizes the table beyond what the bounded
-// retries can absorb: the ladder must land on the sharded map, record both
-// Stats fields, and still produce the clean hull.
+// retries can absorb: on every hull-backed route the ladder must land on the
+// sharded map, record both Stats fields, and still produce the clean output.
 func TestDegradationLadderFallback(t *testing.T) {
 	leakcheck.Check(t)
-	pts := RandomSpherePoints(400, 2, 6)
-	clean, err := Hull2D(pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []Engine{EngineParallel, EngineRounds} {
-		res, err := Hull2D(pts, &Options{Engine: e, Map: MapCAS, MapCapacity: 4})
+	routes := ladderRoutes(400, 6)
+	for _, r := range routes {
+		clean, _, err := r.run(nil)
 		if err != nil {
-			t.Fatalf("engine %d: ladder did not recover: %v", e, err)
+			t.Fatalf("%s: clean run: %v", r.name, err)
 		}
-		if res.Stats.CapacityRetries != 2 {
-			t.Errorf("engine %d: CapacityRetries = %d, want 2 (ladder exhausted)", e, res.Stats.CapacityRetries)
-		}
-		if !res.Stats.MapFallback {
-			t.Errorf("engine %d: MapFallback = false, want sharded fallback", e)
-		}
-		a, b := sortedVertices(clean.Vertices), sortedVertices(res.Vertices)
-		if len(a) != len(b) {
-			t.Fatalf("engine %d: %d hull vertices vs clean %d", e, len(b), len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("engine %d: hull differs from clean run", e)
+		for _, e := range []Engine{EngineParallel, EngineRounds} {
+			got, st, err := r.run(&Options{Engine: e, Map: MapCAS, MapCapacity: 4})
+			if err != nil {
+				t.Fatalf("%s engine %d: ladder did not recover: %v", r.name, e, err)
+			}
+			if st.CapacityRetries != 2 {
+				t.Errorf("%s engine %d: CapacityRetries = %d, want 2 (ladder exhausted)", r.name, e, st.CapacityRetries)
+			}
+			if !st.MapFallback {
+				t.Errorf("%s engine %d: MapFallback = false, want sharded fallback", r.name, e)
+			}
+			if got != clean {
+				t.Fatalf("%s engine %d: output differs from clean run", r.name, e)
 			}
 		}
 	}

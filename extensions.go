@@ -11,7 +11,6 @@ import (
 	"parhull/internal/engine"
 	"parhull/internal/geom"
 	"parhull/internal/halfspace"
-	"parhull/internal/hulld"
 	"parhull/internal/pointgen"
 	"parhull/internal/trapezoid"
 )
@@ -37,42 +36,27 @@ type HalfspaceResult struct {
 }
 
 // HalfspaceIntersection computes the vertices of the intersection of the
-// half-spaces {x : normals[i]·x <= 1} by duality: the parallel incremental
-// hull of the normal vectors (Section 7). The intersection must be bounded,
-// i.e. the normals must positively span R^d — prepend
-// HalfspaceBoundingSimplex to guarantee it. Normals are consumed in input
-// order unless Options.Shuffle is set. Options.Workers and Context plumb
-// through to the underlying hull engine.
+// half-spaces {x : normals[i]·x <= 1} by duality (Section 7): it builds the
+// convex hull of the normal vectors exactly as HullD does, then dualizes
+// each hull facet back to a vertex. Engine, Map (with the degradation
+// ladder), PreHull, Shuffle, Workers, FilterGrain, NoCounters, and Context
+// therefore apply as in HullD, and Stats is the hull's. The intersection
+// must be bounded, i.e. the normals must positively span R^d (the origin
+// strictly inside their hull) — prepend HalfspaceBoundingSimplex to
+// guarantee it; unbounded input returns ErrDegenerate.
 func HalfspaceIntersection(normals []Point, opt *Options) (out *HalfspaceResult, err error) {
 	defer guard(&err)
-	o := opt.or()
-	if err := o.validate(); err != nil {
+	res, err := HullD(normals, opt)
+	if err != nil {
 		return nil, err
 	}
-	order := o.perm(len(normals))
-	work := applyShuffle(normals, order)
-	d := 0
-	if len(normals) > 0 {
-		d = len(normals[0])
-	}
-	res, err := halfspace.IntersectDual(work, &hulld.Options{
-		Map:         o.ridgeMapD(len(normals), d),
-		Workers:     o.Workers,
-		NoCounters:  o.NoCounters,
-		FilterGrain: o.FilterGrain,
-		Ctx:         o.Context,
-		Inject:      o.inject,
-	})
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	out = &HalfspaceResult{Stats: res.HullStats}
-	for _, v := range res.Vertices {
-		hv := HalfspaceVertex{Point: v.Point}
-		for _, h := range v.Halfspaces {
-			hv.Halfspaces = append(hv.Halfspaces, mapBack(h, order))
+	out = &HalfspaceResult{Vertices: make([]HalfspaceVertex, len(res.Facets)), Stats: res.Stats}
+	for i, f := range res.Facets {
+		p, err := halfspace.Vertex(normals, f.Vertices)
+		if err != nil {
+			return nil, wrapErr(err)
 		}
-		out.Vertices = append(out.Vertices, hv)
+		out.Vertices[i] = HalfspaceVertex{Point: p, Halfspaces: f.Vertices}
 	}
 	return out, nil
 }
@@ -101,8 +85,7 @@ func HalfspaceIntersectionDirect(normals []Point, opt *Options) (out *HalfspaceR
 		return nil, fmt.Errorf("%w: need at least %d halfspaces for a bounded base, got %d",
 			ErrDegenerate, s.BaseSize(), len(normals))
 	}
-	order := tailShuffledOrder(len(normals), s.BaseSize(), o.Shuffle, o.Seed)
-	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, order)
+	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, o.insertionOrder(len(normals), s.BaseSize()))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -160,11 +143,7 @@ func UnitCircleIntersection(centers []Point, opt *Options) (_ []CircleArc, _ boo
 	if err != nil {
 		return nil, false, wrapErr(err)
 	}
-	order := o.perm(len(centers))
-	if order == nil {
-		order = identityOrder(len(centers))
-	}
-	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, order)
+	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, o.insertionOrder(len(centers), 0))
 	if err != nil {
 		return nil, false, wrapErr(err)
 	}
@@ -225,11 +204,7 @@ func TrapezoidDecomposition(segs []TrapezoidSegment, box TrapezoidBox, opt *Opti
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	order := o.perm(len(segs))
-	if order == nil {
-		order = identityOrder(len(segs))
-	}
-	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, order)
+	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, o.insertionOrder(len(segs), 0))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -256,52 +231,32 @@ type DelaunayResult struct {
 // Delaunay computes the Delaunay triangulation of 2D points by the
 // randomized incremental method, as the lower convex hull of the points
 // lifted onto the paraboloid z = x²+y² (the 3D hull kernel in its lifted
-// mode; see internal/delaunay for the bounding-triangle construction).
+// mode; see internal/delaunay for the bounding-triangle construction). It
+// runs on a one-shot Builder through the same hull runner as HullD, so
 // Options.Engine selects the schedule — EngineParallel (default,
 // Algorithm 3 on the work-stealing executor), EngineSequential
 // (Algorithm 2), or EngineRounds (the round-synchronous schedule;
-// Stats.Rounds/RoundWidths report the dependence structure). All three
-// produce the identical triangle set. Points are inserted in input order
-// unless Options.Shuffle is set (which the O(log n) depth guarantee
-// assumes). Map, Workers, FilterGrain, NoCounters, and Context apply; the
-// pre-hull reduction does not (a Delaunay triangulation keeps interior
-// points). Unlike the hull routes, a fixed CAS/TAS ridge map that fills
-// surfaces ErrCapacity directly — there is no degradation ladder here.
-// Stats counts the lifted hull, whose given base simplex is the bounding
-// triangle and the first point, and HullSize is the number of triangles.
+// Stats.Rounds/RoundWidths report the dependence structure) — and all
+// three produce the identical triangle set. Points are inserted in input
+// order unless Options.Shuffle is set (which the O(log n) depth guarantee
+// assumes). Map (with the degradation ladder), Workers, FilterGrain,
+// NoCounters, and Context apply; the pre-hull reduction does not (a
+// Delaunay triangulation keeps interior points). Stats counts the lifted
+// hull, whose given base simplex is the bounding triangle and the first
+// point, and HullSize is the number of triangles.
 func Delaunay(pts []Point, opt *Options) (out *DelaunayResult, err error) {
 	defer guard(&err)
-	o := opt.or()
-	if err := o.validate(); err != nil {
+	b := NewBuilder(opt)
+	defer b.Close()
+	work, order, err := b.start(pts)
+	if err != nil {
 		return nil, err
 	}
-	order := o.perm(len(pts))
-	plane, lifted, err := delaunay.Lift(applyShuffle(pts, order))
+	plane, lifted, err := delaunay.Lift(work)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	var res *hulld.Result
-	switch o.Engine {
-	case EngineSequential:
-		res, err = hulld.SeqLifted(o.Context, o.inject, lifted, plane, !o.NoCounters)
-	case EngineParallel, EngineRounds:
-		ho := &hulld.Options{
-			Map:         o.ridgeMapD(len(lifted), 3),
-			Workers:     o.Workers,
-			NoCounters:  o.NoCounters,
-			FilterGrain: o.FilterGrain,
-			Ctx:         o.Context,
-			Inject:      o.inject,
-			Lift:        plane,
-		}
-		if o.Engine == EngineRounds {
-			res, err = hulld.Rounds(lifted, ho)
-		} else {
-			res, err = hulld.Par(lifted, ho)
-		}
-	default:
-		return nil, errBadEngine
-	}
+	res, err := b.runD(lifted, plane)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -351,11 +306,7 @@ func Hull3DDegenerate(pts []Point, opt *Options) (_ []Face3D, err error) {
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	order := o.perm(len(pts))
-	if order == nil {
-		order = identityOrder(len(pts))
-	}
-	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, order)
+	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, o.insertionOrder(len(pts), 0))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -370,22 +321,17 @@ func Hull3DDegenerate(pts []Point, opt *Options) (_ []Face3D, err error) {
 	return out, nil
 }
 
-// identityOrder is the in-order insertion sequence 0..n-1.
-func identityOrder(n int) []int {
+// insertionOrder is the insertion sequence of a configuration-space route
+// over n objects: 0..n-1, with positions base.. shuffled (Seed-driven) when
+// Shuffle is set. base pins a prefix in place — HalfspaceIntersectionDirect's
+// bounded base; the other routes pass 0.
+func (o *Options) insertionOrder(n, base int) []int {
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
 	}
-	return order
-}
-
-// tailShuffledOrder is identityOrder with positions base.. shuffled
-// (Seed-driven) when shuffle is set: insertion orders whose base prefix is
-// pinned (HalfspaceIntersectionDirect's bounded base).
-func tailShuffledOrder(n, base int, shuffle bool, seed int64) []int {
-	order := identityOrder(n)
-	if shuffle && n > base {
-		for i, j := range pointgen.Perm(pointgen.NewRNG(seed), n-base) {
+	if o.Shuffle && n > base {
+		for i, j := range pointgen.Perm(pointgen.NewRNG(o.Seed), n-base) {
 			order[base+i] = base + j
 		}
 	}

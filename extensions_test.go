@@ -94,6 +94,57 @@ func TestDelaunayEnginesAgreePublic(t *testing.T) {
 	}
 }
 
+// triangleKeys is the canonical form of a triangle set: each triangle's
+// sorted vertex triple, in sorted order.
+func triangleKeys(tris [][3]int) []string {
+	out := make([]string, len(tris))
+	for i, tr := range tris {
+		v := []int{tr[0], tr[1], tr[2]}
+		sort.Ints(v)
+		out[i] = fmt.Sprint(v)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// halfspaceKeys is the canonical form of a half-space intersection: each
+// vertex's sorted defining half-space tuple, in sorted order.
+func halfspaceKeys(res *HalfspaceResult) []string {
+	out := make([]string, len(res.Vertices))
+	for i, v := range res.Vertices {
+		hs := append([]int(nil), v.Halfspaces...)
+		sort.Ints(hs)
+		out[i] = fmt.Sprint(hs)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestHalfspaceEnginesAgreePublic is TestDelaunayEnginesAgreePublic for the
+// dual half-space route: Options.Engine selects the schedule of the hull of
+// the normals, all three schedules must produce the identical vertex set
+// (compared as sorted half-space tuples), and EngineRounds must report its
+// rounds.
+func TestHalfspaceEnginesAgreePublic(t *testing.T) {
+	normals := append(HalfspaceBoundingSimplex(3), RandomSpherePoints(400, 3, 22)...)
+	var want []string
+	for _, e := range []Engine{EngineSequential, EngineParallel, EngineRounds} {
+		res, err := HalfspaceIntersection(normals, &Options{Engine: e, Shuffle: true, Seed: 5})
+		if err != nil {
+			t.Fatalf("engine %v: %v", e, err)
+		}
+		got := halfspaceKeys(res)
+		if want == nil {
+			want = got
+		} else if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("engine %v vertex set differs from EngineSequential", e)
+		}
+		if e == EngineRounds && res.Stats.Rounds < 1 {
+			t.Errorf("EngineRounds: Stats.Rounds = %d, want >= 1", res.Stats.Rounds)
+		}
+	}
+}
+
 // TestTrapezoidDecompositionPublic checks the decomposition is a genuine
 // partition of the box avoiding every segment, is insertion-order
 // independent, and that the trivial and hostile inputs behave.

@@ -1,7 +1,5 @@
 package parhull
 
-import "fmt"
-
 // Hull2DResult is the output of Hull2D.
 type Hull2DResult struct {
 	// Vertices lists the hull vertices in counterclockwise order, as
@@ -59,11 +57,10 @@ func HullD(pts []Point, opt *Options) (*HullDResult, error) {
 	return b.Build(pts)
 }
 
-// Hull3D computes the convex hull of 3D points (a convenience wrapper
-// around HullD that validates the dimension).
+// Hull3D computes the convex hull of 3D points: HullD with a dimension
+// check, and the one-shot form of Builder.Build3D.
 func Hull3D(pts []Point, opt *Options) (*HullDResult, error) {
-	if len(pts) > 0 && len(pts[0]) != 3 {
-		return nil, fmt.Errorf("%w: Hull3D needs 3D points, got dimension %d", ErrBadOption, len(pts[0]))
-	}
-	return HullD(pts, opt)
+	b := NewBuilder(opt)
+	defer b.Close()
+	return b.Build3D(pts)
 }

@@ -99,7 +99,7 @@ func TestLemma61GeneralPosition(t *testing.T) {
 	pts := pointgen.OnSphere(pointgen.NewRNG(1), 12, 3)
 	s := mustSpace(t, pts)
 	act := core.Active(s, allOf(len(pts)))
-	res, err := hulld.Seq(pts)
+	res, err := hulld.Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

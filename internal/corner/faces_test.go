@@ -73,7 +73,7 @@ func TestFacesGeneralPosition(t *testing.T) {
 	// the simplicial hull engine.
 	pts := pointgen.OnSphere(pointgen.NewRNG(10), 14, 3)
 	faces := facesOf(t, pts)
-	res, err := hulld.Seq(pts)
+	res, err := hulld.Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,8 +20,8 @@
 // circumcircle exactly when its lift (x, y, x²+y²) lies strictly below the
 // plane of the lifted triangle, so the triangulation is the lower hull of
 // the lifted points, which package hulld builds in its lifted mode
-// (Options.Lift, SeqLifted) on every schedule. Lift and Triangles adapt the
-// input and the output.
+// (Options.Lift) on every schedule. Lift and Triangles adapt the input and
+// the output.
 package delaunay
 
 import (
@@ -284,8 +284,8 @@ func validateAndBound(pts []geom.Point) ([3]geom.Point, error) {
 	return [3]geom.Point{{0, 3 * r}, {-3 * r, -2 * r}, {3 * r, -2 * r}}, nil
 }
 
-// Lift validates pts and returns the input of a lifted hulld run (Options.Lift,
-// SeqLifted): the 2D points with the bounding triangle first, which with
+// Lift validates pts and returns the input of a lifted hulld run
+// (Options.Lift): the 2D points with the bounding triangle first, which with
 // pts[0] forms hulld's base simplex, and their float lifts. Index i+3 of
 // both is pts[i]. The bounding triangle's lift is the hull's one upper
 // facet. Its conflict list is empty, so it stands in for the missing

@@ -13,9 +13,8 @@ import (
 )
 
 // run triangulates pts on the lifted hull route under one schedule: "seq",
-// "par" or "rounds". opt (nil for defaults) configures Par and Rounds; Seq
-// reads only its Ctx. It also returns Lift's 2D points, which Triangles
-// needs.
+// "par" or "rounds". opt (nil for defaults) configures the schedule; run
+// sets its Lift. It also returns Lift's 2D points, which Triangles needs.
 func run(pts []geom.Point, sched string, opt *hulld.Options) (*hulld.Result, []geom.Point, error) {
 	plane, lifted, err := Lift(pts)
 	if err != nil {
@@ -29,7 +28,7 @@ func run(pts []geom.Point, sched string, opt *hulld.Options) (*hulld.Result, []g
 	var res *hulld.Result
 	switch sched {
 	case "seq":
-		res, err = hulld.SeqLifted(o.Ctx, nil, lifted, plane, true)
+		res, err = hulld.Seq(lifted, &o)
 	case "par":
 		res, err = hulld.Par(lifted, &o)
 	case "rounds":

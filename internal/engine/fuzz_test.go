@@ -165,7 +165,7 @@ func degenerate(err error) bool {
 }
 
 func fuzz2D(t *testing.T, pts []geom.Point) {
-	seq, err := hull2d.Seq(pts)
+	seq, err := hull2d.Seq(pts, nil)
 	if degenerate(err) {
 		return
 	}
@@ -209,7 +209,7 @@ func fuzz2D(t *testing.T, pts []geom.Point) {
 }
 
 func fuzzD(t *testing.T, pts []geom.Point) {
-	seq, err := hulld.Seq(pts)
+	seq, err := hulld.Seq(pts, nil)
 	if degenerate(err) {
 		return
 	}

@@ -30,11 +30,9 @@ type stripe[T any] struct {
 // New returns a Log with at least the requested number of stripes (rounded
 // up to a power of two, minimum 1).
 func New[T any](stripes int) *Log[T] {
-	n := 1
-	for n < stripes {
-		n <<= 1
-	}
-	return &Log[T]{stripes: make([]stripe[T], n), mask: uint32(n - 1)}
+	l := &Log[T]{}
+	l.Reset(stripes)
+	return l
 }
 
 // Append records x under the stripe selected by key. Keys need no quality:
@@ -87,12 +85,24 @@ func (l *Log[T]) appendAll(out []T) []T {
 }
 
 // Reset truncates every stripe, keeping the stripe backing arrays for
-// reuse. Stored elements are zeroed so the log does not retain them. Must
-// not race with Append.
-func (l *Log[T]) Reset() {
-	for i := range l.stripes {
-		s := &l.stripes[i]
+// reuse, and re-stripes the log as New(stripes) would. Stored elements are
+// zeroed so the log does not retain them. A log that shrinks keeps its
+// spare stripes for a later regrowth, so an owner alternating the
+// sequential engine (one stripe, creation order) with a parallel one
+// allocates nothing once both widths have run. Must not race with Append.
+func (l *Log[T]) Reset(stripes int) {
+	all := l.stripes[:cap(l.stripes)]
+	for i := range all {
+		s := &all[i]
 		clear(s.xs)
 		s.xs = s.xs[:0]
 	}
+	n := 1
+	for n < stripes {
+		n <<= 1
+	}
+	if n > len(all) {
+		all = make([]stripe[T], n)
+	}
+	l.stripes, l.mask = all[:n], uint32(n-1)
 }

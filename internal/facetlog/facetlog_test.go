@@ -54,3 +54,33 @@ func TestStripeCountRounding(t *testing.T) {
 		}
 	}
 }
+
+// TestResetRestripes pins the re-striping Reset: a striped log reset to one
+// stripe keeps exact append order again, a reset log holds no earlier
+// element, and a log regrown to the wider width holds each element once.
+func TestResetRestripes(t *testing.T) {
+	l := New[int](8)
+	for i := 0; i < 100; i++ {
+		l.Append(uint32(i), -1)
+	}
+	for _, stripes := range []int{1, 8, 1} {
+		l.Reset(stripes)
+		if l.Len() != 0 || len(l.stripes) != stripes {
+			t.Fatalf("Reset(%d): Len = %d, %d stripes", stripes, l.Len(), len(l.stripes))
+		}
+		for i := 0; i < 100; i++ {
+			l.Append(uint32(i*7), i)
+		}
+		got := l.Snapshot()
+		seen := make([]bool, 100)
+		for i, v := range got {
+			if stripes == 1 && v != i {
+				t.Fatalf("Reset(1): order broken at %d: got %d", i, v)
+			}
+			if v < 0 || seen[v] {
+				t.Fatalf("Reset(%d): stale or repeated element %d", stripes, v)
+			}
+			seen[v] = true
+		}
+	}
+}

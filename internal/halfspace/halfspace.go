@@ -4,10 +4,12 @@
 //
 // Two routes are provided, as in the paper:
 //
-//   - Duality (IntersectDual): the intersection polytope is the dual of the
-//     convex hull of the normal vectors a_i, so the parallel incremental
-//     hull engine (internal/hulld) does the work and inherits all of its
-//     guarantees — including the O(log n) dependence depth of Theorem 1.1.
+//   - Duality: the intersection polytope is the dual of the convex hull of
+//     the normal vectors a_i, so the hull engines do the work and inherit
+//     all of their guarantees — including the O(log n) dependence depth of
+//     Theorem 1.1. The public parhull.HalfspaceIntersection builds that hull
+//     like any other (parhull.HullD), and Vertex dualizes each facet back to
+//     a vertex, rejecting input whose intersection is unbounded.
 //   - The direct configuration space (Space): objects are half-spaces,
 //     configurations are vertices defined by d boundary hyperplanes, and a
 //     configuration conflicts with every half-space that does not contain
@@ -15,16 +17,16 @@
 //     that by brute force, and core.Simulate measures its dependence depth.
 //
 // The intersection must be bounded and the origin strictly interior, which
-// holds whenever the normals' convex hull strictly contains the origin (the
-// generators in pointgen guarantee this by covering the sphere).
+// holds exactly when the normals' convex hull strictly contains the origin
+// (the generators in pointgen guarantee this by covering the sphere).
 package halfspace
 
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"parhull/internal/geom"
-	"parhull/internal/hulld"
 )
 
 // BoundingSimplex returns d+1 normals whose halfspaces {a·x <= 1} form a
@@ -48,48 +50,45 @@ func BoundingSimplex(d int) []geom.Point {
 	return append(out, last)
 }
 
-// Vertex is one vertex of the intersection polytope.
-type Vertex struct {
-	// Point is the vertex location (solved in exact rational arithmetic,
-	// rounded to float64 on output).
-	Point geom.Point
-	// Halfspaces lists the d half-space indices whose boundaries meet here.
-	Halfspaces []int32
-}
-
-// DualResult carries the intersection computed via duality plus the hull
-// statistics of the underlying incremental run.
-type DualResult struct {
-	Vertices []Vertex
-	// HullStats is the instrumentation of the dual hull construction; its
-	// MaxDepth is the dependence depth of the halfspace-intersection
-	// process (the two are isomorphic under duality).
-	HullStats hulld.Stats
-}
-
-// IntersectDual computes the vertices of the intersection of the halfspaces
-// {x : normals[i]·x <= 1} by running the parallel incremental hull
-// (Algorithm 3) on the normal vectors and dualizing each hull facet back to
-// a vertex. normals are consumed in the given order (shuffle for the
-// randomized bounds).
-func IntersectDual(normals []geom.Point, opt *hulld.Options) (*DualResult, error) {
-	res, err := hulld.Par(normals, opt)
-	if err != nil {
-		return nil, fmt.Errorf("halfspace: dual hull failed: %w", err)
+// Vertex dualizes one facet of the convex hull of normals — the d
+// half-spaces idx — back to the vertex of the intersection of
+// {x : normals[i]·x <= 1} where their boundaries meet, solved in exact
+// rational arithmetic and rounded to float64. The intersection is bounded
+// exactly when the origin lies strictly inside the hull of the normals.
+// When it does not, some facet's plane passes through the origin (its
+// system is singular) or separates the origin from the hull (every normal
+// off the facet has w·v > 1), and Vertex returns ErrDegenerate for that
+// facet. Every normal off a facet lies on the hull's side of its plane, so
+// one of them — the first index not in idx — decides the side, at O(d)
+// rational products. normals must hold at least d+1 points, as any hull
+// does.
+func Vertex(normals []geom.Point, idx []int) (geom.Point, error) {
+	sol, ok := solve(normals, idx)
+	if !ok {
+		return nil, fmt.Errorf("%w: half-spaces %v have linearly dependent normals (the intersection is unbounded)", ErrDegenerate, idx)
 	}
-	out := &DualResult{HullStats: res.Stats}
-	for _, f := range res.Facets {
-		v, err := solveVertex(normals, f.Verts)
-		if err != nil {
-			return nil, err
-		}
-		out.Vertices = append(out.Vertices, Vertex{Point: v, Halfspaces: append([]int32(nil), f.Verts...)})
+	w := 0
+	for slices.Contains(idx, w) {
+		w++
+	}
+	dot := new(big.Rat)
+	for c, x := range sol {
+		a := new(big.Rat).SetFloat64(normals[w][c])
+		dot.Add(dot, a.Mul(a, x))
+	}
+	if dot.Cmp(big.NewRat(1, 1)) >= 0 {
+		return nil, fmt.Errorf("%w: the vertex of half-spaces %v is not strictly inside half-space %d (the intersection is unbounded or degenerate)", ErrDegenerate, idx, w)
+	}
+	out := make(geom.Point, len(sol))
+	for i, r := range sol {
+		out[i], _ = r.Float64()
 	}
 	return out, nil
 }
 
-// solveVertex solves a_i·x = 1 for the d halfspaces in idx, exactly.
-func solveVertex(normals []geom.Point, idx []int32) (geom.Point, error) {
+// solve solves normals[id]·x = 1 for the d half-spaces id in idx exactly,
+// reporting false when their normals are linearly dependent.
+func solve(normals []geom.Point, idx []int) ([]*big.Rat, bool) {
 	d := len(normals[0])
 	m := make([][]*big.Rat, d)
 	for r, id := range idx {
@@ -100,15 +99,7 @@ func solveVertex(normals []geom.Point, idx []int32) (geom.Point, error) {
 		row[d] = big.NewRat(1, 1)
 		m[r] = row
 	}
-	sol, ok := ratSolve(m, d)
-	if !ok {
-		return nil, fmt.Errorf("halfspace: halfspaces %v have linearly dependent normals", idx)
-	}
-	out := make(geom.Point, d)
-	for i, r := range sol {
-		out[i], _ = r.Float64()
-	}
-	return out, nil
+	return ratSolve(m, d)
 }
 
 // ratSolve performs exact Gaussian elimination on the augmented d x (d+1)

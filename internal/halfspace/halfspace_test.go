@@ -1,11 +1,13 @@
 package halfspace
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
 	"parhull/internal/core"
 	"parhull/internal/geom"
+	"parhull/internal/hulld"
 	"parhull/internal/pointgen"
 	"parhull/internal/stats"
 )
@@ -34,10 +36,38 @@ func subsetKey(ids []int) string {
 	return string(b)
 }
 
+// dualVertex is one vertex of the dual route.
+type dualVertex struct {
+	point geom.Point
+	idx   []int
+}
+
+// dual runs the dual route as parhull.HalfspaceIntersection does: the hull of
+// the normals, then Vertex on every facet.
+func dual(normals []geom.Point) ([]dualVertex, error) {
+	res, err := hulld.Par(normals, nil)
+	if err != nil {
+		return nil, err
+	}
+	var out []dualVertex
+	for _, f := range res.Facets {
+		idx := make([]int, len(f.Verts))
+		for i, v := range f.Verts {
+			idx[i] = int(v)
+		}
+		p, err := Vertex(normals, idx)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, dualVertex{p, idx})
+	}
+	return out, nil
+}
+
 func TestDualMatchesDirectSpace(t *testing.T) {
 	for _, d := range []int{2, 3} {
 		normals := genNormals(int64(10+d), 14, d)
-		dual, err := IntersectDual(normals, nil)
+		verts, err := dual(normals)
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
 		}
@@ -50,20 +80,16 @@ func TestDualMatchesDirectSpace(t *testing.T) {
 			all[i] = i
 		}
 		act := core.Active(sp, all)
-		if len(act) != len(dual.Vertices) {
-			t.Fatalf("d=%d: direct space has %d vertices, duality %d", d, len(act), len(dual.Vertices))
+		if len(act) != len(verts) {
+			t.Fatalf("d=%d: direct space has %d vertices, duality %d", d, len(act), len(verts))
 		}
 		want := map[string]bool{}
 		for _, c := range act {
 			want[subsetKey(sp.Defining(c))] = true
 		}
-		for _, v := range dual.Vertices {
-			ids := make([]int, len(v.Halfspaces))
-			for i, h := range v.Halfspaces {
-				ids[i] = int(h)
-			}
-			if !want[subsetKey(ids)] {
-				t.Fatalf("d=%d: dual vertex %v not in direct active set", d, ids)
+		for _, v := range verts {
+			if !want[subsetKey(v.idx)] {
+				t.Fatalf("d=%d: dual vertex %v not in direct active set", d, v.idx)
 			}
 		}
 	}
@@ -71,23 +97,23 @@ func TestDualMatchesDirectSpace(t *testing.T) {
 
 func TestVerticesSatisfyAllConstraints(t *testing.T) {
 	normals := genNormals(20, 30, 3)
-	dual, err := IntersectDual(normals, nil)
+	verts, err := dual(normals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dual.Vertices) < 4 {
-		t.Fatalf("only %d vertices", len(dual.Vertices))
+	if len(verts) < 4 {
+		t.Fatalf("only %d vertices", len(verts))
 	}
-	for _, v := range dual.Vertices {
+	for _, v := range verts {
 		for i, a := range normals {
 			// The vertex is rounded to float64, so allow the defining
 			// halfspaces to be met with equality up to rounding.
 			dot := 0.0
 			for k := range a {
-				dot += a[k] * v.Point[k]
+				dot += a[k] * v.point[k]
 			}
 			if dot > 1+1e-6 {
-				t.Fatalf("vertex %v violates halfspace %d (dot=%v)", v.Point, i, dot)
+				t.Fatalf("vertex %v violates halfspace %d (dot=%v)", v.point, i, dot)
 			}
 		}
 	}
@@ -171,5 +197,26 @@ func TestContains(t *testing.T) {
 	}
 	if !Contains(geom.Point{1, 0}, geom.Point{-100, 3}) {
 		t.Error("interior point rejected")
+	}
+}
+
+// TestVertexRejectsUnbounded feeds Vertex the hulls of two normal sets whose
+// intersection is unbounded: one with the origin outside the hull of the
+// normals (some facet's dual vertex violates the other half-spaces) and one
+// with the origin on a hull facet (a singular system). Both must fail with
+// ErrDegenerate, and a bounded set must pass on every facet.
+func TestVertexRejectsUnbounded(t *testing.T) {
+	shifted := genNormals(7, 60, 3)
+	for _, a := range shifted {
+		a[0] += 5
+	}
+	onFacet := []geom.Point{{1, 0, 0}, {0, 1, 0}, {-1, -1, 0}, {0, 0, 1}, {0.1, 0.1, 0.5}}
+	for name, normals := range map[string][]geom.Point{"origin outside": shifted, "origin on a facet": onFacet} {
+		if _, err := dual(normals); !errors.Is(err, ErrDegenerate) {
+			t.Errorf("%s: err = %v, want ErrDegenerate", name, err)
+		}
+	}
+	if _, err := dual(genNormals(8, 60, 3)); err != nil {
+		t.Errorf("bounded: %v", err)
 	}
 }

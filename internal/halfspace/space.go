@@ -52,16 +52,7 @@ func NewSpace(normals []geom.Point) (*Space, error) {
 	var rec func(start, k int)
 	rec = func(start, k int) {
 		if k == d {
-			m := make([][]*big.Rat, d)
-			for r, id := range subset {
-				row := make([]*big.Rat, d+1)
-				for c := 0; c < d; c++ {
-					row[c] = new(big.Rat).SetFloat64(normals[id][c])
-				}
-				row[d] = big.NewRat(1, 1)
-				m[r] = row
-			}
-			if sol, ok := ratSolve(m, d); ok {
+			if sol, ok := solve(normals, subset); ok {
 				s.subsets = append(s.subsets, append([]int(nil), subset...))
 				s.verts = append(s.verts, sol)
 				vmax := 0.0

@@ -10,7 +10,9 @@
 // All engines insert points in the order given (callers shuffle for the
 // randomized bounds), perform identical plane-side tests through exact
 // predicates, and create the identical set of facets (asserted by tests) —
-// only the schedule differs, exactly as Section 5.2 describes.
+// only the schedule differs, exactly as Section 5.2 describes. Seq, Par, and
+// Rounds all take (pts, *Options), and one Reuse carries the retained state
+// of every schedule across constructions.
 //
 // Visibility hot path: each facet caches its line (normal and offset, three
 // subtractions and a dot product at creation), point coordinates live in a
@@ -182,10 +184,10 @@ type engine struct {
 	trace   *Trace // optional (rounds engine)
 	traceMu sync.Mutex
 
-	// ru is the retained-state bundle when this engine is owned by a Reuse
-	// or SeqReuse (nil on the one-shot paths); initialHull and collectResult
-	// draw their arena and buffers from it.
-	ru *retained
+	// ru is the Reuse that owns this engine (nil on the one-shot Par and
+	// Rounds); initialHull, collectResult, and the vertex-slot table draw
+	// their arena and buffers from it.
+	ru *Reuse
 }
 
 // initRidgeIDs prepares the backing array for key1 (concurrent engines).

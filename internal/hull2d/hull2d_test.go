@@ -54,7 +54,7 @@ func workloads(seed int64, n int) map[string][]geom.Point {
 
 func TestSeqMatchesOracle(t *testing.T) {
 	for name, pts := range workloads(1, 400) {
-		res, err := Seq(pts)
+		res, err := Seq(pts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -69,7 +69,7 @@ func TestSeqMatchesOracle(t *testing.T) {
 
 func TestParMatchesSeqExactly(t *testing.T) {
 	for name, pts := range workloads(2, 300) {
-		seq, err := Seq(pts)
+		seq, err := Seq(pts, nil)
 		if err != nil {
 			t.Fatalf("%s seq: %v", name, err)
 		}
@@ -111,7 +111,7 @@ func TestParMatchesSeqExactly(t *testing.T) {
 
 func TestRoundsMatchesSeq(t *testing.T) {
 	for name, pts := range workloads(3, 250) {
-		seq, err := Seq(pts)
+		seq, err := Seq(pts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -223,20 +223,20 @@ func TestConflictListInvariants(t *testing.T) {
 }
 
 func TestErrorCases(t *testing.T) {
-	if _, err := Seq([]geom.Point{{0, 0}, {1, 1}}); err == nil {
+	if _, err := Seq([]geom.Point{{0, 0}, {1, 1}}, nil); err == nil {
 		t.Error("2 points accepted")
 	}
 	collinear := pointgen.Collinear2D(geom.Point{0, 0}, geom.Point{1, 1}, 5)
-	if _, err := Seq(collinear); err == nil {
+	if _, err := Seq(collinear, nil); err == nil {
 		t.Error("collinear base accepted")
 	}
 	if _, err := Par(collinear, nil); err == nil {
 		t.Error("collinear base accepted by Par")
 	}
-	if _, err := Seq([]geom.Point{{0, 0}, {1, 0}, {math.NaN(), 1}}); err == nil {
+	if _, err := Seq([]geom.Point{{0, 0}, {1, 0}, {math.NaN(), 1}}, nil); err == nil {
 		t.Error("NaN accepted")
 	}
-	if _, err := Seq([]geom.Point{{0, 0}, {1, 0}, {0, 1, 5}}); err == nil {
+	if _, err := Seq([]geom.Point{{0, 0}, {1, 0}, {0, 1, 5}}, nil); err == nil {
 		t.Error("mixed dimensions accepted")
 	}
 	// Base polygon that is not convex CCW.
@@ -249,7 +249,7 @@ func TestErrorCases(t *testing.T) {
 func TestTriangleOnly(t *testing.T) {
 	pts := []geom.Point{{0, 0}, {2, 0}, {0, 2}}
 	for _, run := range []func() (*Result, error){
-		func() (*Result, error) { return Seq(pts) },
+		func() (*Result, error) { return Seq(pts, nil) },
 		func() (*Result, error) { return Par(pts, nil) },
 		func() (*Result, error) { r, _, err := Rounds(pts, nil); return r, err },
 	} {
@@ -304,7 +304,7 @@ func TestQuickCrossEngine(t *testing.T) {
 		} else {
 			pts = pointgen.OnCircle(rng, n)
 		}
-		seq, err := Seq(pts)
+		seq, err := Seq(pts, nil)
 		if err != nil {
 			return false
 		}

@@ -10,7 +10,11 @@ import (
 	"parhull/internal/geom"
 )
 
-// Options configures the parallel engines.
+// Options configures a construction under any of the three schedules. The
+// zero value (or a nil *Options) is the default: a base triangle, the
+// vertex-slot ridge table, GOMAXPROCS workers, counters and the line cache
+// on, a fresh engine. Seq ignores Map, Workers, FilterGrain, and Trace;
+// Rounds ignores Workers.
 type Options struct {
 	// Base is the size of the pre-built initial hull (default 3). With
 	// Base > 3 the first Base points must be a strictly convex CCW polygon;
@@ -39,34 +43,33 @@ type Options struct {
 	// Trace records per-round events (rounds engine only).
 	Trace bool
 	// Ctx, when non-nil, cancels the construction cooperatively at
-	// ridge-step granularity; the run returns ctx.Err() with all workers
-	// quiesced.
+	// ridge-step (Par, Rounds) or insertion (Seq) granularity; the run
+	// returns ctx.Err() with all workers quiesced.
 	Ctx context.Context
 	// Inject arms deterministic fault injection (tests only; nil in
 	// production).
 	Inject *faultinject.Injector
-	// Reuse, when non-nil, runs the construction on retained state (worker
-	// pool, arenas, engine buffers) recycled across Par calls; each call
-	// invalidates the previous Result obtained through the same Reuse. The
-	// public parhull.Builder is the intended owner.
+	// Reuse, when non-nil, runs the construction on retained state (engine,
+	// arenas, buffers, worker pool) recycled across constructions of every
+	// schedule; each call invalidates the previous Result obtained through
+	// the same Reuse. The public parhull.Builder is the intended owner.
 	Reuse *Reuse
 }
 
+// or returns *o, or the zero Options when o is nil.
+func (o *Options) or() Options {
+	if o == nil {
+		return Options{}
+	}
+	return *o
+}
+
 func (o *Options) base() int {
-	if o == nil || o.Base == 0 {
+	if o.Base == 0 {
 		return 3
 	}
 	return o.Base
 }
-
-func (o *Options) filterGrain() int {
-	if o == nil {
-		return 0
-	}
-	return o.FilterGrain
-}
-
-func (o *Options) noPlaneCache() bool { return o != nil && o.NoPlaneCache }
 
 // ridgeSlots builds the driver's ridge table over plain vertex ids: in 2D a
 // ridge IS a single vertex, so the default table is a flat array of CAS slots
@@ -76,7 +79,7 @@ func (o *Options) noPlaneCache() bool { return o != nil && o.NoPlaneCache }
 // Options.Map routes through the generic conmap implementations instead
 // (MapCAS/MapTAS and the E10 ablation).
 func (o *Options) ridgeSlots(e *engine) eng.Table[Facet, int32] {
-	if o != nil && o.Map != nil {
+	if o.Map != nil {
 		e.initRidgeIDs()
 		return conmapSlots{m: o.Map, e: e}
 	}
@@ -119,22 +122,38 @@ func (s conmapSlots) GetValue(v int32, not *Facet) *Facet {
 	return s.m.GetValue(s.e.key1(v), not)
 }
 
-// config assembles the driver configuration for this construction.
+// config assembles the driver configuration for a Par or Rounds
+// construction on e.
 func (o *Options) config(e *engine) eng.Config[Facet, int32] {
 	cfg := eng.Config[Facet, int32]{
-		Kernel: kernel{e: e},
-		Table:  o.ridgeSlots(e),
-		Rec:    e.rec,
+		Kernel:  kernel{e: e},
+		Table:   o.ridgeSlots(e),
+		Rec:     e.rec,
+		Workers: o.Workers,
+		Ctx:     o.Ctx,
+		Inject:  o.Inject,
 	}
-	if o != nil {
-		cfg.Workers = o.Workers
-		cfg.Ctx = o.Ctx
-		cfg.Inject = o.Inject
-		if o.Reuse != nil {
-			cfg.Pool = o.Reuse.pool
-		}
+	if o.Reuse != nil {
+		cfg.Pool = o.Reuse.pool
 	}
 	return cfg
+}
+
+// start validates pts and returns the engine of a construction under o —
+// o.Reuse's, or a fresh one when it is nil — with its base polygon built.
+// grain and stripes are the schedule's conflict-filter grain and facet-log
+// width.
+func (o *Options) start(pts []geom.Point, grain, stripes int) (*engine, []*Facet, error) {
+	if err := geom.ValidateCloud(pts, 2); err != nil {
+		return nil, nil, err
+	}
+	e := engineFor(o.Reuse, pts, o.base(), !o.NoCounters, grain, stripes, o.NoPlaneCache)
+	e.inj = o.Inject
+	facets, err := e.initialHull()
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, facets, nil
 }
 
 // initialTasks yields one task per ridge (shared endpoint) of the base
@@ -151,28 +170,13 @@ func initialTasks(facets []*Facet, fork func(eng.Task[Facet, int32])) {
 // binary-forking-model execution of Theorem 5.5, run by the generic driver in
 // internal/engine on the work-stealing executor.
 func Par(pts []geom.Point, opt *Options) (*Result, error) {
-	if err := geom.ValidateCloud(pts, 2); err != nil {
-		return nil, err
-	}
-	var ru *Reuse
-	var inj *faultinject.Injector
-	if opt != nil {
-		ru = opt.Reuse
-		inj = opt.Inject
-	}
-	if ru != nil {
-		// The rewind of the retained pool happens inside engineFor; a panic
-		// armed here fires on the calling goroutine, before any worker runs.
-		inj.Visit(faultinject.SiteBuilderRewind)
-	}
-	e := engineFor(ru, pts, opt.base(), opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
-	e.inj = inj
-	facets, err := e.initialHull()
+	o := opt.or()
+	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
 	if err != nil {
 		return nil, err
 	}
 	e.rec.SampleHeap()
-	if err := eng.Par(opt.config(e), func(fork func(eng.Task[Facet, int32])) {
+	if err := eng.Par(o.config(e), func(fork func(eng.Task[Facet, int32])) {
 		initialTasks(facets, fork)
 	}); err != nil {
 		return nil, err

@@ -45,14 +45,14 @@ func TestPlaneCacheIdenticalOutput2D(t *testing.T) {
 			"circle": pointgen.OnCircle(rng, 400),
 		} {
 			label := func(eng string) string { return fmt.Sprintf("seed=%d %s %s", seed, name, eng) }
-			exact, err := SeqNoPlaneCache(pts)
+			exact, err := Seq(pts, &Options{NoPlaneCache: true})
 			if err != nil {
 				t.Fatalf("%s: %v", label("seq-noplane"), err)
 			}
 			if exact.Stats.PlaneCacheHits != 0 || exact.Stats.ExactFallbacks != 0 {
 				t.Fatalf("%s: plane counters nonzero with cache off", label("seq-noplane"))
 			}
-			cached, err := Seq(pts)
+			cached, err := Seq(pts, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", label("seq"), err)
 			}
@@ -93,14 +93,14 @@ func TestPlaneCacheNearDegenerate2D(t *testing.T) {
 		{2, -1e-16}, // a hair below: a hull vertex, uncertifiable
 		{1, 1},
 	}
-	cached, err := Seq(pts)
+	cached, err := Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached.Stats.ExactFallbacks == 0 {
 		t.Error("no exact fallbacks on near-collinear input")
 	}
-	exact, err := SeqNoPlaneCache(pts)
+	exact, err := Seq(pts, &Options{NoPlaneCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

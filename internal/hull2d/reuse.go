@@ -1,22 +1,28 @@
 package hull2d
 
 import (
-	"context"
-
 	eng "parhull/internal/engine"
-	"parhull/internal/faultinject"
 	"parhull/internal/geom"
 )
 
-// retained is the state a construction owner keeps across constructions:
-// the engine struct with its point store, recorder, and facet log, the arena
-// the initial hull carves from, the vertex-slot ridge table, and the
-// grow-only result-collection buffers.
-// Reuse (parallel) and SeqReuse (sequential) embed it; initialHull and
-// collectResult draw from it through engine.ru.
-type retained struct {
+// Reuse retains the heavy per-construction state of every schedule across
+// constructions — the engine struct with its point store, recorder, and
+// facet log; the arena the initial hull (and all of Seq) carves from; Seq's
+// pivot buckets, step buffers, and hull-cycle arrays; the vertex-slot ridge
+// table; the result-collection buffers; and the engine.Pool of Par's
+// work-stealing workers and Rounds' arena pool — mirroring hulld.Reuse for
+// the planar kernel.
+//
+// Contract: a Reuse serializes constructions (one at a time, of any
+// schedule), and each invalidates the previous Result obtained through it.
+// Close retires the worker pool; the last Result stays valid. The zero
+// value is not ready; use NewReuse.
+type Reuse struct {
 	e     *engine
 	arena *arena
+	pool  *eng.Pool[Facet, int32]
+	loop  eng.SeqScratch[Facet, int32]
+	geom  seqGeom
 
 	order    []int32
 	inits    []*Facet
@@ -28,22 +34,50 @@ type retained struct {
 	res      Result
 }
 
-func newRetained() retained { return retained{arena: eng.NewArena[Facet]()} }
+// NewReuse returns an empty Reuse; all pooled state is created lazily by the
+// first construction.
+func NewReuse() *Reuse {
+	return &Reuse{arena: eng.NewArena[Facet](), pool: eng.NewPool[Facet, int32]()}
+}
 
-// engineFor returns the retained engine rewound and reloaded for this
-// construction (created on first use). The rewind happens at the start of
+// Close retires the retained worker pool. The Reuse must not be used again;
+// the last Result remains valid (arenas are not scribbled).
+func (ru *Reuse) Close() {
+	if ru != nil {
+		ru.pool.Close()
+	}
+}
+
+// Reset rewinds the pooled arenas immediately, invalidating the previous
+// Result obtained through this Reuse while keeping every retained buffer for
+// the next construction. Optional — the next construction rewinds lazily
+// anyway.
+func (ru *Reuse) Reset() {
+	if ru != nil {
+		ru.pool.Reset()
+		ru.arena.Reset()
+	}
+}
+
+// engineFor returns the engine for this construction: a fresh one when ru is
+// nil (the one-shot Par and Rounds), otherwise ru's retained engine rewound
+// and reloaded, created on first use. The rewind happens at the start of
 // the next construction, so an aborted or panicked construction needs no
 // cleanup to keep the owner usable and the previous Result stays valid until
-// the next call.
-func (r *retained) engineFor(pts []geom.Point, base int, counters bool, grain, stripes int, noPlane bool) *engine {
-	r.arena.Reset()
-	if r.e == nil {
-		e := newEngine(pts, base, counters, grain, stripes, noPlane)
-		e.ru = r
-		r.e = e
-		return e
+// the next call. stripes sizes the facet log: 1 keeps Result.Created in
+// creation order (Seq), whatever schedule last ran on ru.
+func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain, stripes int, noPlane bool) *engine {
+	if ru == nil {
+		return newEngine(pts, base, counters, grain, stripes, noPlane)
 	}
-	e := r.e
+	ru.pool.Reset()
+	ru.arena.Reset()
+	if ru.e == nil {
+		ru.e = newEngine(pts, base, counters, grain, stripes, noPlane)
+		ru.e.ru = ru
+		return ru.e
+	}
+	e := ru.e
 	e.pts = pts
 	e.store.Load(pts)
 	e.base = base
@@ -57,79 +91,6 @@ func (r *retained) engineFor(pts []geom.Point, base int, counters bool, grain, s
 	e.rec.Reset(counters)
 	e.rec.SetPlaneCache(e.planeEps > 0)
 	e.rec.MarkHeapBase()
-	e.log.Reset()
+	e.log.Reset(stripes)
 	return e
-}
-
-// Reuse retains the heavy per-construction state of the 2D parallel engine
-// across Par calls — the work-stealing substrate (see engine.Pool), the
-// engine struct with its point store, recorder, and facet log, the
-// vertex-slot ridge table, and the result-collection buffers — mirroring
-// hulld.Reuse for the planar kernel.
-//
-// Contract: a Reuse serializes constructions (one Par at a time), and each
-// Par invalidates the previous Result obtained through it. Close retires the
-// worker pool; the last Result stays valid.
-type Reuse struct {
-	retained
-	pool *eng.Pool[Facet, int32]
-}
-
-// NewReuse returns an empty Reuse; all pooled state is created lazily by the
-// first construction.
-func NewReuse() *Reuse {
-	return &Reuse{retained: newRetained(), pool: eng.NewPool[Facet, int32]()}
-}
-
-// Close retires the retained worker pool. The Reuse must not be used again;
-// the last Result remains valid (arenas are not scribbled).
-func (ru *Reuse) Close() {
-	if ru != nil {
-		ru.pool.Close()
-	}
-}
-
-// Reset rewinds the pooled arenas immediately, invalidating the previous
-// Result obtained through this Reuse while keeping every retained buffer for
-// the next construction. Optional — the next Par rewinds lazily anyway.
-func (ru *Reuse) Reset() {
-	if ru != nil {
-		ru.pool.Reset()
-		ru.arena.Reset()
-	}
-}
-
-// engineFor returns the engine for this construction: a fresh one when ru is
-// nil (the one-shot path), otherwise ru's retained engine and pool rewound.
-func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain, stripes int, noPlane bool) *engine {
-	if ru == nil {
-		return newEngine(pts, base, counters, grain, stripes, noPlane)
-	}
-	ru.pool.Reset()
-	return ru.engineFor(pts, base, counters, grain, stripes, noPlane)
-}
-
-// SeqReuse retains the whole state of the sequential engine across
-// constructions — the engine struct, one arena for every facet and conflict
-// list, the pivot buckets and step buffers of engine.Seq, the hull-cycle
-// arrays, and the result-collection buffers — mirroring hulld.SeqReuse for
-// the planar kernel.
-//
-// Contract: one construction at a time, and each call invalidates the
-// previous Result obtained through the same SeqReuse. The zero value is not
-// ready; use NewSeqReuse.
-type SeqReuse struct {
-	retained
-	loop eng.SeqScratch[Facet, int32]
-	geom seqGeom
-}
-
-// NewSeqReuse returns an empty SeqReuse; its buffers grow on first use.
-func NewSeqReuse() *SeqReuse { return &SeqReuse{retained: newRetained()} }
-
-// Seq is SeqCtx on the retained state, with visibility-test counting off
-// (Stats carries the facet counters only) and the line cache on. Points are
-// inserted in the order given; the output facets are identical to SeqCtx's.
-func (sr *SeqReuse) Seq(ctx context.Context, inj *faultinject.Injector, pts []geom.Point) (*Result, error) {
-	return sr.seqFrom(ctx, inj, pts, 3, false, false)
 }

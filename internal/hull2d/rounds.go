@@ -107,19 +107,13 @@ func (e *engine) observe(kind eng.EventKind, round int32, a, b *Facet) {
 //
 // The returned Result additionally carries a Trace when opt.Trace is set.
 func Rounds(pts []geom.Point, opt *Options) (*Result, *Trace, error) {
-	if err := geom.ValidateCloud(pts, 2); err != nil {
-		return nil, nil, err
-	}
-	e := newEngine(pts, opt.base(), opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
-	if opt != nil {
-		e.inj = opt.Inject
-	}
-	if opt != nil && opt.Trace {
-		e.trace = &Trace{}
-	}
-	facets, err := e.initialHull()
+	o := opt.or()
+	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
 	if err != nil {
 		return nil, nil, err
+	}
+	if o.Trace {
+		e.trace = &Trace{}
 	}
 
 	var initial []eng.Task[Facet, int32]
@@ -128,7 +122,7 @@ func Rounds(pts []geom.Point, opt *Options) (*Result, *Trace, error) {
 	if e.trace != nil {
 		observe = e.observe
 	}
-	rounds, widths, err := eng.Rounds(opt.config(e), initial, observe)
+	rounds, widths, err := eng.Rounds(o.config(e), initial, observe)
 	if err != nil {
 		return nil, nil, err
 	}

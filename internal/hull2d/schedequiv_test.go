@@ -23,7 +23,7 @@ func TestParSchedEquivalence(t *testing.T) {
 		"disk":   pointgen.UniformBall(pointgen.NewRNG(17), 400, 2),
 		"circle": pointgen.OnCircle(pointgen.NewRNG(18), 400),
 	} {
-		ref, err := Seq(pts)
+		ref, err := Seq(pts, nil)
 		if err != nil {
 			t.Fatalf("%s seq: %v", name, err)
 		}

@@ -14,34 +14,54 @@ import (
 // internal/engine — inserting points in the order given. Its plane-side
 // tests are exactly the conflict-list constructions, the same multiset of
 // tests Algorithm 3 performs (this equality is asserted by tests).
+// Result.Created is in creation order.
 //
 // The facets it creates carry the same dependence depths as the parallel
 // engines: the depth of a facet built on boundary ridge r between visible
 // facet t1 and surviving facet t2 is 1 + max(depth(t1), depth(t2)), which is
 // precisely the configuration dependence graph of Definition 4.1.
-func Seq(pts []geom.Point) (*Result, error) {
-	return NewSeqReuse().seqFrom(nil, nil, pts, 3, true, false)
+//
+// Seq reads Base, Ctx, Inject, NoCounters, NoPlaneCache, and Reuse from opt
+// (nil is the default). Without a Reuse it runs on a fresh one, so its
+// facets and conflict lists come from one arena either way.
+func Seq(pts []geom.Point, opt *Options) (*Result, error) {
+	o := opt.or()
+	if o.Reuse == nil {
+		o.Reuse = NewReuse()
+	}
+	e, facets, err := o.start(pts, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	ru := o.Reuse
+	g := &ru.geom
+	g.reset(len(pts))
+	cfg := eng.SeqConfig[Facet, int32]{
+		Ctx: o.Ctx, Inject: o.Inject, Kernel: kernel{e: e}, Geom: g, Rec: e.rec,
+		Arena: ru.arena, Scratch: &ru.loop,
+	}
+	// baseSizes[i] approximates |T(Y_{i+1})| for the base prefix (the base
+	// polygon is given, not built incrementally); exact from here on.
+	baseSizes := make([]int, e.base)
+	for i := range baseSizes {
+		baseSizes[i] = min(i+1, e.base)
+	}
+	hullSizes, err := seqLoop(cfg, facets, int32(len(pts)), baseSizes)
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.collectResult(0)
+	if err == nil {
+		res.HullSizes = hullSizes
+	}
+	return res, err
 }
 
-// SeqCtx is Seq with cooperative cancellation (checked at insertion
-// granularity), optional fault injection (nil in production), and the
-// plane-cache ablation switch — the fully-plumbed entry the public layer
-// calls.
+// SeqCtx is Seq with cooperative cancellation, optional fault injection
+// (nil in production), and the plane-cache ablation switch as arguments. It
+// is kept only for bench/trace.go, a separate module that calls it.
 func SeqCtx(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, noPlane bool) (*Result, error) {
-	return NewSeqReuse().seqFrom(ctx, inj, pts, 3, true, noPlane)
-}
-
-// SeqFrom is Seq starting from a pre-built convex CCW polygon on the first
-// base points (used by the Figure 1 driver and cross-engine tests).
-func SeqFrom(pts []geom.Point, base int, counters bool) (*Result, error) {
-	return NewSeqReuse().seqFrom(nil, nil, pts, base, counters, false)
-}
-
-// SeqNoPlaneCache is Seq with the cached-hyperplane fast path disabled, so
-// every visibility test runs the exact determinant predicate (ablation and
-// cross-engine identity tests).
-func SeqNoPlaneCache(pts []geom.Point) (*Result, error) {
-	return NewSeqReuse().seqFrom(nil, nil, pts, 3, true, true)
+	return Seq(pts, &Options{Ctx: ctx, Inject: inj, NoPlaneCache: noPlane})
 }
 
 // seqGeom supplies the 2D geometry of the generic Algorithm 2 loop
@@ -106,41 +126,6 @@ func (g *seqGeom) Register(f *Facet) {
 	g.prev[f.B] = f
 }
 
-// seqLoop is the Algorithm 2 loop seqFrom runs: engine.Seq. The identity
+// seqLoop is the Algorithm 2 loop Seq runs: engine.Seq. The identity
 // tests swap in the conflict-graph oracle of internal/engine/seqref.
 var seqLoop = eng.Seq[Facet, int32]
-
-// seqFrom runs one sequential construction on sr's retained engine, arena,
-// buckets, and buffers. The one-shot entry points run it on a fresh SeqReuse.
-func (sr *SeqReuse) seqFrom(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, base int, counters, noPlane bool) (*Result, error) {
-	if err := geom.ValidateCloud(pts, 2); err != nil {
-		return nil, err
-	}
-	e := sr.engineFor(pts, base, counters, 0, 1, noPlane)
-	e.inj = inj
-	g := &sr.geom
-	g.reset(len(pts))
-	cfg := eng.SeqConfig[Facet, int32]{
-		Ctx: ctx, Inject: inj, Kernel: kernel{e: e}, Geom: g, Rec: e.rec,
-		Arena: sr.arena, Scratch: &sr.loop,
-	}
-	facets, err := e.initialHull()
-	if err != nil {
-		return nil, err
-	}
-	// baseSizes[i] approximates |T(Y_{i+1})| for the base prefix (the base
-	// polygon is given, not built incrementally); exact from here on.
-	baseSizes := make([]int, e.base)
-	for i := range baseSizes {
-		baseSizes[i] = min(i+1, e.base)
-	}
-	hullSizes, err := seqLoop(cfg, facets, int32(len(pts)), baseSizes)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.collectResult(0)
-	if err == nil {
-		res.HullSizes = hullSizes
-	}
-	return res, err
-}

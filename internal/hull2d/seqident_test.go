@@ -10,7 +10,7 @@ import (
 	"parhull/internal/engine/seqref"
 )
 
-// withOracle runs fn with seqFrom driven by the conflict-graph oracle loop
+// withOracle runs fn with Seq driven by the conflict-graph oracle loop
 // instead of engine.Seq's pivot buckets.
 func withOracle(fn func()) {
 	saved := seqLoop
@@ -67,17 +67,22 @@ func sameTrace(t *testing.T, label string, got, want seqTrace) {
 // TestSeqPivotBucketsMatchConflictGraph pins the pivot-bucket form of
 // Algorithm 2 to the conflict-graph form it replaced on the planar kernel:
 // the same created edge sequence, hull sizes, counters, and error, on
-// general-position and degenerate clouds — on a fresh SeqReuse and, twice in
-// a row, on one retained SeqReuse.
+// general-position and degenerate clouds — on a fresh Reuse and, twice in a
+// row, on one retained Reuse that runs Par between the Seq calls, so Seq
+// must restore the single-stripe facet log that keeps Result.Created in
+// creation order.
 func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 	for _, c := range seqref.Clouds(2, 2000, 2) {
 		t.Run(c.Name, func(t *testing.T) {
 			var want seqTrace
-			withOracle(func() { want = traceOf(NewSeqReuse().seqFrom(nil, nil, c.Pts, 3, true, false)) })
-			sameTrace(t, "fresh", traceOf(Seq(c.Pts)), want)
-			sr := NewSeqReuse()
+			withOracle(func() { want = traceOf(Seq(c.Pts, nil)) })
+			sameTrace(t, "fresh", traceOf(Seq(c.Pts, nil)), want)
+			ru := NewReuse()
+			defer ru.Close()
 			for rep := 0; rep < 2; rep++ {
-				sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(sr.seqFrom(nil, nil, c.Pts, 3, true, false)), want)
+				sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(Seq(c.Pts, &Options{Reuse: ru})), want)
+				// A degenerate cloud may fail Par; either way it re-stripes the log.
+				_, _ = Par(c.Pts, &Options{Reuse: ru})
 			}
 		})
 	}

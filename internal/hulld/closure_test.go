@@ -48,7 +48,7 @@ func TestCheckClosedMatchesOracle(t *testing.T) {
 		n := map[int]int{2: 300, 3: 300, 4: 120, 5: 60}[d]
 		pts := pointgen.OnSphere(pointgen.NewRNG(int64(10+d)), n, d)
 		engines := map[string]func() (*Result, error){
-			"seq":    func() (*Result, error) { return Seq(pts) },
+			"seq":    func() (*Result, error) { return Seq(pts, nil) },
 			"par":    func() (*Result, error) { return Par(pts, nil) },
 			"rounds": func() (*Result, error) { return Rounds(pts, nil) },
 		}

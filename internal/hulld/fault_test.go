@@ -221,8 +221,8 @@ func TestFaultCancelBeforeStart(t *testing.T) {
 	if _, err := Rounds(pts, &Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Rounds: err = %v, want context.Canceled", err)
 	}
-	if _, err := SeqCtx(ctx, nil, pts, false); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SeqCtx: err = %v, want context.Canceled", err)
+	if _, err := Seq(pts, &Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Seq: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -236,7 +236,7 @@ func TestFaultSeqCancelMidRun(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
-	_, err := SeqCtx(ctx, nil, pts, false)
+	_, err := Seq(pts, &Options{Ctx: ctx})
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want nil (finished first) or context.Canceled", err)
 	}

@@ -12,7 +12,10 @@
 // common hyperplane among those touching the hull (Section 6's corner
 // configuration space, in package corner, lifts this restriction for 3D).
 //
-// Lifted mode (Options.Lift, SeqLifted) runs 2D Delaunay triangulation as
+// All three schedules (Seq, Par, Rounds) take (pts, *Options), and one
+// Reuse carries the retained state of every schedule across constructions.
+//
+// Lifted mode (Options.Lift) runs 2D Delaunay triangulation as
 // the lower hull of the points lifted onto the paraboloid z = x²+y² at d=3:
 // the float lifts feed the plane filter, while visibility and facet
 // orientation are decided exactly on the 2D points (geom.InCircle,
@@ -175,7 +178,8 @@ type Result struct {
 	Facets []*Facet
 	// Vertices holds the sorted indices of points on the hull.
 	Vertices []int32
-	// Created holds every facet ever created.
+	// Created holds every facet ever created, in creation order (Seq) or
+	// an arbitrary order (Par, Rounds).
 	Created []*Facet
 	// HullSizes (sequential engine only) records the facet count of the
 	// hull after each insertion step, for the Theorem 3.1 bound.
@@ -262,10 +266,10 @@ type engine struct {
 
 	log *facetlog.Log[*Facet] // every facet ever created
 
-	// ru is the retained-state bundle when this engine is owned by a Reuse
-	// or SeqReuse (nil on the one-shot paths); initialHull and collectResult
-	// draw their arena and buffers from it.
-	ru *retained
+	// ru is the Reuse that owns this engine (nil on the one-shot Par and
+	// Rounds); initialHull and collectResult draw their arena and buffers
+	// from it.
+	ru *Reuse
 }
 
 // newEngine assembles engine state. stripes sizes the facet log (1 keeps

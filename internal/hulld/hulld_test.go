@@ -41,7 +41,7 @@ func verifyHull(t *testing.T, pts []geom.Point, res *Result) {
 
 func TestSeq3DAgainstBruteForce(t *testing.T) {
 	for name, pts := range workloads(1, 60, 3) {
-		res, err := Seq(pts)
+		res, err := Seq(pts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -66,7 +66,7 @@ func TestSeq3DAgainstBruteForce(t *testing.T) {
 
 func TestSeq2DMatchesGraham(t *testing.T) {
 	pts := pointgen.UniformBall(pointgen.NewRNG(2), 200, 2)
-	res, err := Seq(pts)
+	res, err := Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestParMatchesSeqAllDims(t *testing.T) {
 			n = 60
 		}
 		for name, pts := range workloads(3, n, d) {
-			seq, err := Seq(pts)
+			seq, err := Seq(pts, nil)
 			if err != nil {
 				t.Fatalf("d=%d %s seq: %v", d, name, err)
 			}
@@ -169,16 +169,16 @@ func TestMapVariantsAgree3D(t *testing.T) {
 func TestDegenerateInputs(t *testing.T) {
 	// Base simplex affinely dependent (4 coplanar points in 3D).
 	flat := []geom.Point{{0, 0, 0}, {1, 0, 0}, {0, 1, 0}, {1, 1, 0}, {0, 0, 1}}
-	if _, err := Seq(flat); err == nil {
+	if _, err := Seq(flat, nil); err == nil {
 		t.Error("coplanar base accepted by Seq")
 	}
 	if _, err := Par(flat, nil); err == nil {
 		t.Error("coplanar base accepted by Par")
 	}
-	if _, err := Seq([]geom.Point{{0, 0, 0}, {1, 0, 0}}); err == nil {
+	if _, err := Seq([]geom.Point{{0, 0, 0}, {1, 0, 0}}, nil); err == nil {
 		t.Error("too few points accepted")
 	}
-	if _, err := Seq(nil); err == nil {
+	if _, err := Seq(nil, nil); err == nil {
 		t.Error("empty input accepted")
 	}
 	// A later degenerate point (on a facet plane) must not crash; it is
@@ -232,7 +232,7 @@ func TestSimulateMatchesEngineDepthOrder(t *testing.T) {
 	}
 	// The engine's depth and the simulator's depth may differ (support sets
 	// are not unique) but both obey the Theorem 4.2 bound.
-	res, err := Seq(pts)
+	res, err := Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestRunGenericMatchesEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Seq(pts)
+		res, err := Seq(pts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

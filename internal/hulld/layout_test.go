@@ -24,7 +24,7 @@ func TestLayoutScheduleEquivalence(t *testing.T) {
 			n = 60
 		}
 		for name, pts := range workloads(23, n, d) {
-			ref, err := Seq(pts)
+			ref, err := Seq(pts, nil)
 			if err != nil {
 				t.Fatalf("d=%d %s seq: %v", d, name, err)
 			}

@@ -9,7 +9,10 @@ import (
 	"parhull/internal/geom"
 )
 
-// Options configures the parallel engines.
+// Options configures a construction under any of the three schedules. The
+// zero value (or a nil *Options) is the default: the sharded ridge map,
+// GOMAXPROCS workers, counters and the plane cache on, a fresh engine.
+// Seq ignores Map, Workers, and FilterGrain; Rounds ignores Workers.
 type Options struct {
 	// Map is the ridge multimap M of Algorithm 3 (nil selects the growable
 	// sharded map; install conmap.NewCASMap/NewTASMap for the paper's
@@ -30,16 +33,16 @@ type Options struct {
 	// cmd/hullbench). The combinatorial output is identical either way.
 	NoPlaneCache bool
 	// Ctx, when non-nil, cancels the construction cooperatively at
-	// ridge-step granularity; the run returns ctx.Err() with all workers
-	// quiesced.
+	// ridge-step (Par, Rounds) or insertion (Seq) granularity; the run
+	// returns ctx.Err() with all workers quiesced.
 	Ctx context.Context
 	// Inject arms deterministic fault injection (tests only; nil in
 	// production).
 	Inject *faultinject.Injector
-	// Reuse, when non-nil, runs the construction on retained state (worker
-	// pool, arenas, engine buffers) recycled across Par calls; each call
-	// invalidates the previous Result obtained through the same Reuse. The
-	// public parhull.Builder is the intended owner.
+	// Reuse, when non-nil, runs the construction on retained state (engine,
+	// arenas, buffers, worker pool) recycled across constructions of every
+	// schedule; each call invalidates the previous Result obtained through
+	// the same Reuse. The public parhull.Builder is the intended owner.
 	Reuse *Reuse
 	// Lift, when non-nil, selects lifted mode: the points are the float
 	// lifts (x, y, x²+y²) of these 2D points, index for index, possibly
@@ -51,38 +54,51 @@ type Options struct {
 	Lift []geom.Point
 }
 
-func (o *Options) filterGrain() int {
+// or returns *o, or the zero Options when o is nil.
+func (o *Options) or() Options {
 	if o == nil {
-		return 0
+		return Options{}
 	}
-	return o.FilterGrain
+	return *o
 }
 
-func (o *Options) noPlaneCache() bool { return o != nil && o.NoPlaneCache }
-
-func (o *Options) ridgeMap(n, d int) conmap.RidgeMap[*Facet] {
-	if o != nil && o.Map != nil {
-		return o.Map
-	}
-	return conmap.NewShardedMap[*Facet](eng.DefaultMapCapacity(n, d))
-}
-
-// config assembles the driver configuration for this construction.
+// config assembles the driver configuration for a Par or Rounds
+// construction on e.
 func (o *Options) config(e *engine, n int) eng.Config[Facet, []int32] {
-	cfg := eng.Config[Facet, []int32]{
-		Kernel: kernel{e: e},
-		Table:  eng.ConmapTable[Facet]{M: o.ridgeMap(n, e.d)},
-		Rec:    e.rec,
+	m := o.Map
+	if m == nil {
+		m = conmap.NewShardedMap[*Facet](eng.DefaultMapCapacity(n, e.d))
 	}
-	if o != nil {
-		cfg.Workers = o.Workers
-		cfg.Ctx = o.Ctx
-		cfg.Inject = o.Inject
-		if o.Reuse != nil {
-			cfg.Pool = o.Reuse.pool
-		}
+	cfg := eng.Config[Facet, []int32]{
+		Kernel:  kernel{e: e},
+		Table:   eng.ConmapTable[Facet]{M: m},
+		Rec:     e.rec,
+		Workers: o.Workers,
+		Ctx:     o.Ctx,
+		Inject:  o.Inject,
+	}
+	if o.Reuse != nil {
+		cfg.Pool = o.Reuse.pool
 	}
 	return cfg
+}
+
+// start validates pts and returns the engine of a construction under o —
+// o.Reuse's, or a fresh one when it is nil — with its base facets built.
+// grain and stripes are the schedule's conflict-filter grain and facet-log
+// width.
+func (o *Options) start(pts []geom.Point, grain, stripes int) (*engine, []*Facet, error) {
+	d, err := validate(pts, o.Lift)
+	if err != nil {
+		return nil, nil, err
+	}
+	e := engineFor(o.Reuse, pts, o.Lift, d, !o.NoCounters, grain, stripes, o.NoPlaneCache)
+	e.inj = o.Inject
+	facets, err := e.initialHull()
+	if err != nil {
+		return nil, nil, err
+	}
+	return e, facets, nil
 }
 
 // initialTasks yields one task per ridge of the initial simplex: the ridge
@@ -105,32 +121,14 @@ func initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
 // Algorithm 3 under the asynchronous fork-join schedule (Theorem 5.5), run by
 // the generic driver in internal/engine on the work-stealing executor.
 func Par(pts []geom.Point, opt *Options) (*Result, error) {
-	var ru *Reuse
-	var inj *faultinject.Injector
-	var lift []geom.Point
-	if opt != nil {
-		ru = opt.Reuse
-		inj = opt.Inject
-		lift = opt.Lift
-	}
-	d, err := validate(pts, lift)
-	if err != nil {
-		return nil, err
-	}
-	if ru != nil {
-		// The rewind of the retained pool happens inside engineFor; a panic
-		// armed here fires on the calling goroutine, before any worker runs.
-		inj.Visit(faultinject.SiteBuilderRewind)
-	}
-	e := engineFor(ru, pts, lift, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
-	e.inj = inj
-	facets, err := e.initialHull()
+	o := opt.or()
+	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
 	if err != nil {
 		return nil, err
 	}
 	e.rec.SampleHeap()
-	if err := eng.Par(opt.config(e, len(pts)), func(fork func(eng.Task[Facet, []int32])) {
-		initialTasks(d, facets, fork)
+	if err := eng.Par(o.config(e, len(pts)), func(fork func(eng.Task[Facet, []int32])) {
+		initialTasks(e.d, facets, fork)
 	}); err != nil {
 		return nil, err
 	}

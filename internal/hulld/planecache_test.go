@@ -52,14 +52,14 @@ func TestPlaneCacheIdenticalOutput(t *testing.T) {
 				label := func(eng string) string {
 					return "d=" + string(rune('0'+d)) + " " + name + " " + eng
 				}
-				exact, err := SeqNoPlaneCache(pts)
+				exact, err := Seq(pts, &Options{NoPlaneCache: true})
 				if err != nil {
 					t.Fatalf("%s: %v", label("seq-noplane"), err)
 				}
 				if exact.Stats.PlaneCacheHits != 0 || exact.Stats.ExactFallbacks != 0 {
 					t.Fatalf("%s: plane counters nonzero with cache off: %+v", label("seq-noplane"), exact.Stats)
 				}
-				cached, err := Seq(pts)
+				cached, err := Seq(pts, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label("seq"), err)
 				}
@@ -100,14 +100,14 @@ func TestPlaneCacheIdenticalOutput(t *testing.T) {
 func TestPlaneCacheDegenerateFallback(t *testing.T) {
 	// {1,1,0} lies exactly on the plane of facet {0,1,2} (z = 0).
 	pts := []geom.Point{{0, 0, 0}, {4, 0, 0}, {0, 4, 0}, {0, 0, 4}, {1, 1, 0}, {0.5, 0.5, 0.5}}
-	cached, err := Seq(pts)
+	cached, err := Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached.Stats.ExactFallbacks == 0 {
 		t.Error("no exact fallbacks on a point lying on a facet plane")
 	}
-	exact, err := SeqNoPlaneCache(pts)
+	exact, err := Seq(pts, &Options{NoPlaneCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,11 +116,11 @@ func TestPlaneCacheDegenerateFallback(t *testing.T) {
 	// Near-degenerate: a point off a facet plane by ~1e-16 — representable,
 	// nonzero exact sign, but below the filter threshold at this scale.
 	pts2 := []geom.Point{{0, 0, 0}, {4, 0, 0}, {0, 4, 0}, {0, 0, 4}, {1, 1, 1e-16}, {2, 2, -3}}
-	c2, err := Seq(pts2)
+	c2, err := Seq(pts2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := SeqNoPlaneCache(pts2)
+	e2, err := Seq(pts2, &Options{NoPlaneCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +134,14 @@ func TestPlaneCacheDegenerateFallback(t *testing.T) {
 // must silently run the exact path (zero plane counters), not fail.
 func TestPlaneCacheHighDim(t *testing.T) {
 	pts := pointgen.OnSphere(pointgen.NewRNG(9), 25, 9)
-	res, err := Seq(pts)
+	res, err := Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.PlaneCacheHits != 0 || res.Stats.ExactFallbacks != 0 {
 		t.Fatalf("plane counters nonzero in d=9: %+v", res.Stats)
 	}
-	exact, err := SeqNoPlaneCache(pts)
+	exact, err := Seq(pts, &Options{NoPlaneCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}

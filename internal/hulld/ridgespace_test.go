@@ -30,7 +30,7 @@ func TestRidgeSpaceActives(t *testing.T) {
 			all[i] = i
 		}
 		act := core.Active(s, all)
-		res, err := Seq(pts)
+		res, err := Seq(pts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,25 +11,14 @@ import (
 // rounds, so Stats.Rounds is the recursion depth of Theorem 5.3. Flips (lines
 // 11-12) run inline and do not consume a round.
 func Rounds(pts []geom.Point, opt *Options) (*Result, error) {
-	var lift []geom.Point
-	if opt != nil {
-		lift = opt.Lift
-	}
-	d, err := validate(pts, lift)
-	if err != nil {
-		return nil, err
-	}
-	e := newEngine(pts, lift, d, opt == nil || !opt.NoCounters, opt.filterGrain(), parStripes(), opt.noPlaneCache())
-	if opt != nil {
-		e.inj = opt.Inject
-	}
-	facets, err := e.initialHull()
+	o := opt.or()
+	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
 	if err != nil {
 		return nil, err
 	}
 	var initial []eng.Task[Facet, []int32]
-	initialTasks(d, facets, func(tk eng.Task[Facet, []int32]) { initial = append(initial, tk) })
-	rounds, widths, err := eng.Rounds(opt.config(e, len(pts)), initial, nil)
+	initialTasks(e.d, facets, func(tk eng.Task[Facet, []int32]) { initial = append(initial, tk) })
+	rounds, widths, err := eng.Rounds(o.config(e, len(pts)), initial, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func TestParSchedEquivalence(t *testing.T) {
 			"ball":   pointgen.UniformBall(pointgen.NewRNG(int64(11+d)), n, d),
 			"sphere": pointgen.OnSphere(pointgen.NewRNG(int64(21+d)), n, d),
 		} {
-			ref, err := Seq(pts)
+			ref, err := Seq(pts, nil)
 			if err != nil {
 				t.Fatalf("d=%d %s seq: %v", d, name, err)
 			}

@@ -13,35 +13,56 @@ import (
 // incremental method — Algorithm 2, run by the generic loop in
 // internal/engine — inserting points in the order given. As in hull2d, its
 // plane-side tests are exactly the conflict filters — the same multiset
-// Algorithm 3 performs.
-func Seq(pts []geom.Point) (*Result, error) {
-	return NewSeqReuse().seq(nil, nil, pts, nil, true, false)
+// Algorithm 3 performs. Result.Created is in creation order.
+//
+// Seq reads Ctx, Inject, NoCounters, NoPlaneCache, Lift, and Reuse from opt
+// (nil is the default). Without a Reuse it runs on a fresh one, so its
+// facets and conflict lists come from one arena either way.
+func Seq(pts []geom.Point, opt *Options) (*Result, error) {
+	o := opt.or()
+	if o.Reuse == nil {
+		o.Reuse = NewReuse()
+	}
+	e, facets, err := o.start(pts, 0, 1)
+	if err != nil {
+		return nil, err
+	}
+	ru, d := o.Reuse, e.d
+	g := &ru.geom
+	if g.adj == nil {
+		g.adj = map[ridgeMapKey][2]*Facet{}
+	}
+	clear(g.adj)
+	g.a, g.crowded = ru.arena, false
+	cfg := eng.SeqConfig[Facet, []int32]{
+		Ctx: o.Ctx, Inject: o.Inject, Kernel: kernel{e: e}, Geom: g, Rec: e.rec,
+		Arena: ru.arena, Scratch: &ru.loop,
+	}
+	// baseSizes[i] approximates the hull size over the base prefix (the base
+	// simplex is given, not built incrementally); exact from here on.
+	baseSizes := make([]int, d+1)
+	for i := range baseSizes {
+		baseSizes[i] = min(i+2, d+1)
+	}
+	hullSizes, err := seqLoop(cfg, facets, int32(len(pts)), baseSizes)
+	if err == nil && g.crowded {
+		err = errCrowded
+	}
+	if err != nil {
+		return nil, err
+	}
+	res, err := e.collectResult(0)
+	if err == nil {
+		res.HullSizes = hullSizes
+	}
+	return res, err
 }
 
-// SeqCtx is Seq with cooperative cancellation (checked at insertion
-// granularity), optional fault injection (nil in production), and the
-// plane-cache ablation switch — the fully-plumbed entry the public layer
-// calls.
+// SeqCtx is Seq with cooperative cancellation, optional fault injection
+// (nil in production), and the plane-cache ablation switch as arguments. It
+// is kept only for bench/trace.go, a separate module that calls it.
 func SeqCtx(ctx context.Context, inj *faultinject.Injector, pts []geom.Point, noPlane bool) (*Result, error) {
-	return NewSeqReuse().seq(ctx, inj, pts, nil, true, noPlane)
-}
-
-// SeqLifted is SeqCtx in lifted mode (see Options.Lift): pts are the float
-// lifts of the 2D points lift. counters switches visibility-test counting.
-func SeqLifted(ctx context.Context, inj *faultinject.Injector, pts, lift []geom.Point, counters bool) (*Result, error) {
-	return NewSeqReuse().seq(ctx, inj, pts, lift, counters, false)
-}
-
-// SeqCounted is Seq with visibility-test counting switchable.
-func SeqCounted(pts []geom.Point, counters bool) (*Result, error) {
-	return NewSeqReuse().seq(nil, nil, pts, nil, counters, false)
-}
-
-// SeqNoPlaneCache is Seq with the cached-hyperplane fast path disabled, so
-// every visibility test runs the exact determinant predicate (ablation and
-// cross-engine identity tests).
-func SeqNoPlaneCache(pts []geom.Point) (*Result, error) {
-	return NewSeqReuse().seq(nil, nil, pts, nil, true, true)
+	return Seq(pts, &Options{Ctx: ctx, Inject: inj, NoPlaneCache: noPlane})
 }
 
 // seqGeom supplies the d-dimensional geometry of the generic Algorithm 2 loop
@@ -113,46 +134,6 @@ func (g *seqGeom) Register(f *Facet) {
 
 var errCrowded = fmt.Errorf("%w: a ridge has more than two alive facets", ErrDegenerate)
 
-// seqLoop is the Algorithm 2 loop seq runs: engine.Seq. The identity tests
+// seqLoop is the Algorithm 2 loop Seq runs: engine.Seq. The identity tests
 // swap in the conflict-graph oracle of internal/engine/seqref.
 var seqLoop = eng.Seq[Facet, []int32]
-
-// seq runs one sequential construction on sr's retained engine, arena,
-// buckets, and buffers. The one-shot entry points run it on a fresh SeqReuse.
-func (sr *SeqReuse) seq(ctx context.Context, inj *faultinject.Injector, pts, lift []geom.Point, counters, noPlane bool) (*Result, error) {
-	d, err := validate(pts, lift)
-	if err != nil {
-		return nil, err
-	}
-	e := sr.engineFor(pts, lift, d, counters, 0, 1, noPlane)
-	e.inj = inj
-	g := &sr.geom
-	clear(g.adj)
-	g.a, g.crowded = sr.arena, false
-	cfg := eng.SeqConfig[Facet, []int32]{
-		Ctx: ctx, Inject: inj, Kernel: kernel{e: e}, Geom: g, Rec: e.rec,
-		Arena: sr.arena, Scratch: &sr.loop,
-	}
-	facets, err := e.initialHull()
-	if err != nil {
-		return nil, err
-	}
-	// baseSizes[i] approximates the hull size over the base prefix (the base
-	// simplex is given, not built incrementally); exact from here on.
-	baseSizes := make([]int, d+1)
-	for i := range baseSizes {
-		baseSizes[i] = min(i+2, d+1)
-	}
-	hullSizes, err := seqLoop(cfg, facets, int32(len(pts)), baseSizes)
-	if err == nil && g.crowded {
-		err = errCrowded
-	}
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.collectResult(0)
-	if err == nil {
-		res.HullSizes = hullSizes
-	}
-	return res, err
-}

@@ -73,18 +73,23 @@ func sameTrace(t *testing.T, label string, got, want seqTrace) {
 // TestSeqPivotBucketsMatchConflictGraph pins the pivot-bucket form of the
 // Algorithm 2 loop to the conflict-graph loop it replaced: the same created
 // facet sequence, hull sizes, counters, and error, on general-position and
-// degenerate clouds in d = 2..5 and lifted from 2D — on a fresh SeqReuse
-// and, twice in a row, on one retained SeqReuse. Only the loop is swapped;
-// both runs share seqGeom's two-slot ridge map (TestSeqGeomCrowdedRidge
-// covers its third-facet case).
+// degenerate clouds in d = 2..5 and lifted from 2D — on a fresh Reuse and,
+// twice in a row, on one retained Reuse that runs Par between the Seq
+// calls, so Seq must restore the single-stripe facet log that keeps
+// Result.Created in creation order. Only the loop is swapped; both runs
+// share seqGeom's two-slot ridge map (TestSeqGeomCrowdedRidge covers its
+// third-facet case).
 func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 	check := func(t *testing.T, pts, lift []geom.Point) {
 		var want seqTrace
-		withOracle(func() { want = traceOf(NewSeqReuse().seq(nil, nil, pts, lift, true, false)) })
-		sameTrace(t, "fresh", traceOf(SeqLifted(nil, nil, pts, lift, true)), want) // Seq when lift is nil
-		sr := NewSeqReuse()
+		withOracle(func() { want = traceOf(Seq(pts, &Options{Lift: lift})) })
+		sameTrace(t, "fresh", traceOf(Seq(pts, &Options{Lift: lift})), want)
+		ru := NewReuse()
+		defer ru.Close()
 		for rep := 0; rep < 2; rep++ {
-			sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(sr.seq(nil, nil, pts, lift, true, false)), want)
+			sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(Seq(pts, &Options{Lift: lift, Reuse: ru})), want)
+			// A degenerate cloud may fail Par; either way it re-stripes the log.
+			_, _ = Par(pts, &Options{Lift: lift, Reuse: ru})
 		}
 	}
 	sizes := map[int]int{2: 400, 3: 300, 4: 120, 5: 60}
@@ -114,7 +119,7 @@ func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 // TestSeqGeomCrowdedRidge registers a third alive facet on a ridge of the
 // initial simplex: Boundary must refuse with ErrDegenerate, and so must a
 // construction whose loop ends with the crowded flag set. A retained
-// SeqReuse must clear the flag for the next construction.
+// Reuse must clear the flag for the next construction.
 func TestSeqGeomCrowdedRidge(t *testing.T) {
 	pts := seqref.Clouds(3, 50, 3)[0].Pts
 	crowd := func(cfg eng.SeqConfig[Facet, []int32], facets []*Facet) {
@@ -124,7 +129,7 @@ func TestSeqGeomCrowdedRidge(t *testing.T) {
 		cfg.Geom.Register(&Facet{Verts: slices.Clone(facets[0].Verts)})
 	}
 
-	sr := NewSeqReuse()
+	ru := NewReuse()
 	saved := seqLoop
 	seqLoop = func(cfg eng.SeqConfig[Facet, []int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
 		crowd(cfg, facets)
@@ -134,12 +139,12 @@ func TestSeqGeomCrowdedRidge(t *testing.T) {
 		}
 		return nil, nil
 	}
-	_, err := sr.seq(nil, nil, pts, nil, true, false)
+	_, err := Seq(pts, &Options{Reuse: ru})
 	seqLoop = saved
 	if !errors.Is(err, ErrDegenerate) {
 		t.Fatalf("construction after a crowded ridge: err = %v, want ErrDegenerate", err)
 	}
-	if _, err := sr.seq(nil, nil, pts, nil, true, false); err != nil {
-		t.Fatalf("next construction on the same SeqReuse: %v", err)
+	if _, err := Seq(pts, &Options{Reuse: ru}); err != nil {
+		t.Fatalf("next construction on the same Reuse: %v", err)
 	}
 }

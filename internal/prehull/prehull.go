@@ -144,8 +144,12 @@ type Scratch struct {
 // seqWorker is one executor worker's retained sub-hull state. Only the
 // worker with its index touches it.
 type seqWorker struct {
-	hull2   *hull2d.SeqReuse
-	hullD   *hulld.SeqReuse
+	// The sequential kernels' retained state and the Options that point Seq
+	// at it, kept per worker so a sub-hull allocates no Options either.
+	hull2   *hull2d.Reuse
+	hullD   *hulld.Reuse
+	opt2    hull2d.Options
+	optD    hulld.Options
 	members []int32      // a Z-order block's members, ascending
 	pts     []geom.Point // a Z-order block's points
 	verts   []int32      // 2D hull vertices, re-sorted ascending
@@ -161,20 +165,23 @@ func (s *Scratch) ensureWorkers(nw int) {
 }
 
 // hull2D runs the 2D sequential kernel over pts on the worker's retained
-// engine; the Result is valid until the worker's next sub-hull.
+// engine, with visibility-test counting off; the Result is valid until the
+// worker's next sub-hull.
 func (w *seqWorker) hull2D(cfg Config, pts []geom.Point) (*hull2d.Result, error) {
 	if w.hull2 == nil {
-		w.hull2 = hull2d.NewSeqReuse()
+		w.hull2 = hull2d.NewReuse()
 	}
-	return w.hull2.Seq(cfg.Ctx, cfg.Inject, pts)
+	w.opt2 = hull2d.Options{NoCounters: true, Ctx: cfg.Ctx, Inject: cfg.Inject, Reuse: w.hull2}
+	return hull2d.Seq(pts, &w.opt2)
 }
 
 // hullND is hull2D for d >= 3.
 func (w *seqWorker) hullND(cfg Config, pts []geom.Point) (*hulld.Result, error) {
 	if w.hullD == nil {
-		w.hullD = hulld.NewSeqReuse()
+		w.hullD = hulld.NewReuse()
 	}
-	return w.hullD.Seq(cfg.Ctx, cfg.Inject, pts)
+	w.optD = hulld.Options{NoCounters: true, Ctx: cfg.Ctx, Inject: cfg.Inject, Reuse: w.hullD}
+	return hulld.Seq(pts, &w.optD)
 }
 
 // hullVerts returns the ascending indices of the hull vertices of pts,

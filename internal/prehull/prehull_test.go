@@ -135,7 +135,7 @@ func TestReduceSmallInputSerialFallback(t *testing.T) {
 // facet, the hull of the full set — with and without Z-order partitioning.
 func TestReduceExactHull2D(t *testing.T) {
 	pts := shuffledBall(2, 4000, 2)
-	direct, err := hull2d.SeqCtx(nil, nil, pts, false)
+	direct, err := hull2d.Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestReduceExactHull2D(t *testing.T) {
 			if len(red.Keep) >= len(pts)/2 {
 				t.Fatalf("ball input barely reduced: kept %d of %d", len(red.Keep), len(pts))
 			}
-			reduced, err := hull2d.SeqCtx(nil, nil, Gather(pts, red.Keep), false)
+			reduced, err := hull2d.Seq(Gather(pts, red.Keep), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestReduceExactHull2D(t *testing.T) {
 // 3D workload.
 func TestReduceExactHullD(t *testing.T) {
 	pts := shuffledBall(3, 3000, 3)
-	direct, err := hulld.SeqCtx(nil, nil, pts, false)
+	direct, err := hulld.Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestReduceExactHullD(t *testing.T) {
 			if len(red.Keep) >= len(pts) {
 				t.Fatalf("ball input not reduced: kept %d of %d", len(red.Keep), len(pts))
 			}
-			reduced, err := hulld.SeqCtx(nil, nil, Gather(pts, red.Keep), false)
+			reduced, err := hulld.Seq(Gather(pts, red.Keep), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +191,7 @@ func TestReduceExactHullD(t *testing.T) {
 // equivalence property; Theorem 5.5 for the parallel pair).
 func TestReduceFinalEngineEquivalence(t *testing.T) {
 	pts := shuffledBall(4, 2500, 3)
-	direct, err := hulld.SeqCtx(nil, nil, pts, false)
+	direct, err := hulld.Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestReduceFinalEngineEquivalence(t *testing.T) {
 	sub := Gather(pts, red.Keep)
 	want := aliveFacetsD(direct, nil)
 
-	seq, err := hulld.SeqCtx(nil, nil, sub, false)
+	seq, err := hulld.Seq(sub, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestReduceSkewedInputs(t *testing.T) {
 	for name, pts := range clouds {
 		for _, z := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/zorder=%v", name, z), func(t *testing.T) {
-				direct, err := hulld.SeqCtx(nil, nil, pts, false)
+				direct, err := hulld.Seq(pts, nil)
 				if err != nil {
 					t.Skipf("direct hull degenerate for %s: %v", name, err)
 				}
@@ -240,7 +240,7 @@ func TestReduceSkewedInputs(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkKeep(t, red.Keep, len(pts), direct.Vertices)
-				reduced, err := hulld.SeqCtx(nil, nil, Gather(pts, red.Keep), false)
+				reduced, err := hulld.Seq(Gather(pts, red.Keep), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +271,7 @@ func TestReduceDegenerateBlocksKeptWhole(t *testing.T) {
 			t.Fatalf("keep[%d] = %d, want identity", i, k)
 		}
 	}
-	if _, err := hull2d.SeqCtx(nil, nil, Gather(pts, red.Keep), false); !errors.Is(err, hull2d.ErrDegenerate) {
+	if _, err := hull2d.Seq(Gather(pts, red.Keep), nil); !errors.Is(err, hull2d.ErrDegenerate) {
 		t.Fatalf("final hull err = %v, want ErrDegenerate", err)
 	}
 }
@@ -351,7 +351,7 @@ func FuzzPreHullEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, rawN uint16, rawBlocks uint8, z bool) {
 		n := 100 + int(rawN)%4000
 		pts := shuffledBall(seed, n, 2)
-		direct, err := hull2d.SeqCtx(nil, nil, pts, false)
+		direct, err := hull2d.Seq(pts, nil)
 		if err != nil {
 			t.Skip("degenerate draw")
 		}
@@ -363,7 +363,7 @@ func FuzzPreHullEquivalence(f *testing.F) {
 			return // serial fallback: nothing to compare
 		}
 		checkKeep(t, red.Keep, n, direct.Vertices)
-		reduced, err := hull2d.SeqCtx(nil, nil, Gather(pts, red.Keep), false)
+		reduced, err := hull2d.Seq(Gather(pts, red.Keep), nil)
 		if err != nil {
 			t.Fatalf("reduced hull failed where direct succeeded: %v", err)
 		}
@@ -393,24 +393,24 @@ func TestCullInteriorExact(t *testing.T) {
 					t.Fatalf("cull dropped only %d of %d ball points", red.Culled, tc.n)
 				}
 				if tc.d == 2 {
-					direct, err := hull2d.SeqCtx(nil, nil, pts, false)
+					direct, err := hull2d.Seq(pts, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					checkKeep(t, red.Keep, tc.n, direct.Vertices)
-					reduced, err := hull2d.SeqCtx(nil, nil, Gather(pts, red.Keep), false)
+					reduced, err := hull2d.Seq(Gather(pts, red.Keep), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameMultiset(t, "alive edges", aliveEdges2D(reduced, red.Keep), aliveEdges2D(direct, nil))
 					return
 				}
-				direct, err := hulld.SeqCtx(nil, nil, pts, false)
+				direct, err := hulld.Seq(pts, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				checkKeep(t, red.Keep, tc.n, direct.Vertices)
-				reduced, err := hulld.SeqCtx(nil, nil, Gather(pts, red.Keep), false)
+				reduced, err := hulld.Seq(Gather(pts, red.Keep), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -427,7 +427,7 @@ func TestCullInteriorExact(t *testing.T) {
 func TestCullSkipsDenseSample(t *testing.T) {
 	rng := pointgen.NewRNG(17)
 	pts := pointgen.Shuffled(rng, pointgen.OnSphere(rng, cullMinN+4000, 3))
-	direct, err := hulld.SeqCtx(nil, nil, pts, false)
+	direct, err := hulld.Seq(pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

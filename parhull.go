@@ -33,13 +33,10 @@ package parhull
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"parhull/internal/conmap"
-	"parhull/internal/engine"
 	"parhull/internal/faultinject"
 	"parhull/internal/geom"
-	"parhull/internal/hulld"
 	"parhull/internal/hullstats"
 	"parhull/internal/pointgen"
 	"parhull/internal/prehull"
@@ -177,17 +174,6 @@ func (o *Options) or() *Options {
 	return o
 }
 
-func (o *Options) ridgeMapD(n, d int) conmap.RidgeMap[*hulld.Facet] {
-	switch o.Map {
-	case MapCAS:
-		return conmap.NewCASMap[*hulld.Facet](o.capacity(engine.FixedMapCapacity(n, d)))
-	case MapTAS:
-		return conmap.NewTASMap[*hulld.Facet](o.capacity(engine.FixedMapCapacity(n, d)))
-	default:
-		return conmap.NewShardedMap[*hulld.Facet](o.capacity(engine.DefaultMapCapacity(n, d)))
-	}
-}
-
 // capacity applies the MapCapacity override to a default sizing rule.
 func (o *Options) capacity(def int) int {
 	if o.MapCapacity != 0 {
@@ -200,8 +186,9 @@ func (o *Options) capacity(def int) int {
 // attempts after a capacity failure before abandoning the fixed table.
 const ladderRetries = 2
 
-// ladder is the capacity degradation ladder of the public layer: MapSharded
-// runs directly (it grows, it cannot fill); MapCAS/MapTAS run on the fixed
+// ladder is the capacity degradation ladder of the public layer: the
+// sequential engine has no ridge table and runs directly, as does
+// MapSharded (it grows, it cannot fill); MapCAS/MapTAS run on the fixed
 // table, and a conmap.ErrCapacity failure restarts the whole construction —
 // the engines abort cleanly, so a restart is the only sound recovery — on a
 // table twice the size, up to ladderRetries times, before falling back to
@@ -212,6 +199,10 @@ func ladder[V comparable, R any](o *Options, fixedCap int,
 	mkSharded func() conmap.RidgeMap[V],
 	run func(conmap.RidgeMap[V]) (R, error)) (res R, retries int, fellBack bool, err error) {
 
+	if o.Engine == EngineSequential {
+		res, err = run(nil)
+		return res, 0, false, err
+	}
 	if o.Map != MapCAS && o.Map != MapTAS {
 		res, err = run(mkSharded())
 		return res, 0, false, err
@@ -232,17 +223,6 @@ func ladder[V comparable, R any](o *Options, fixedCap int,
 	return res, retries, false, err
 }
 
-// perm returns the insertion order under o, or nil when the given order is
-// used as-is. Position p of the shuffled input holds original point
-// order[p], so order maps engine indices back to caller indices directly
-// (see mapBack); no separate inverse permutation is needed.
-func (o *Options) perm(n int) []int {
-	if !o.Shuffle {
-		return nil
-	}
-	return pointgen.Perm(pointgen.NewRNG(o.Seed), n)
-}
-
 // RandomPoints returns n points of dimension d drawn uniformly from the
 // unit ball, deterministically from seed — a convenient general-position
 // test input.
@@ -256,21 +236,12 @@ func RandomSpherePoints(n, d int, seed int64) []Point {
 	return pointgen.OnSphere(pointgen.NewRNG(seed), n, d)
 }
 
-func applyShuffle(pts []Point, order []int) []Point {
-	if order == nil {
-		return pts
-	}
-	return pointgen.ApplyPerm(pts, order)
-}
-
 func mapBack(idx int32, order []int) int {
 	if order == nil {
 		return int(idx)
 	}
 	return order[idx]
 }
-
-var errBadEngine = fmt.Errorf("%w: unknown engine", ErrBadOption)
 
 // Auto-mode pre-hull thresholds: below preHullMinN the block sub-hulls
 // cannot pay for themselves; the probe runs a serial hull over the first

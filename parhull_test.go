@@ -11,6 +11,8 @@ import (
 	"parhull/internal/pointgen"
 )
 
+// TestHull2DEnginesAgree checks every engine against Graham's scan, and
+// that NoCounters switches visibility-test counting off on every engine.
 func TestHull2DEnginesAgree(t *testing.T) {
 	pts := RandomPoints(500, 2, 1)
 	var got [][]int
@@ -22,6 +24,14 @@ func TestHull2DEnginesAgree(t *testing.T) {
 		vs := append([]int(nil), res.Vertices...)
 		sort.Ints(vs)
 		got = append(got, vs)
+		quiet, err := Hull2D(pts, &Options{Engine: eng, Shuffle: true, Seed: 7, NoCounters: true})
+		if err != nil {
+			t.Fatalf("engine %d, NoCounters: %v", eng, err)
+		}
+		if res.Stats.VisibilityTests == 0 || quiet.Stats.VisibilityTests != 0 {
+			t.Errorf("engine %d: VisibilityTests = %d counted, %d with NoCounters (want > 0, 0)",
+				eng, res.Stats.VisibilityTests, quiet.Stats.VisibilityTests)
+		}
 	}
 	oracle := baseline.GrahamScan(pts)
 	sort.Ints(oracle)
@@ -79,6 +89,16 @@ func TestHull3DAndMapKinds(t *testing.T) {
 	}
 	if _, err := Hull3D(RandomPoints(10, 2, 5), nil); err == nil {
 		t.Fatal("Hull3D accepted 2D points")
+	}
+	ball := RandomPoints(300, 3, 6)
+	for _, e := range []Engine{EngineSequential, EngineParallel, EngineRounds} {
+		res, err := HullD(ball, &Options{Engine: e, NoCounters: true})
+		if err != nil {
+			t.Fatalf("engine %d, NoCounters: %v", e, err)
+		}
+		if res.Stats.VisibilityTests != 0 {
+			t.Errorf("engine %d: VisibilityTests = %d with NoCounters, want 0", e, res.Stats.VisibilityTests)
+		}
 	}
 }
 
@@ -355,7 +375,7 @@ func TestDelaunayPublic(t *testing.T) {
 }
 
 // TestFigure1AllEngines: the three engines agree on the Figure 1 input when
-// seeded with the 7-gon (base > 3 exercises SeqFrom and Options.Base).
+// seeded with the 7-gon (base > 3 exercises Options.Base on Seq and Par).
 func TestFigure1AllEngines(t *testing.T) {
 	pts, base := Figure1Points()
 	want := []int{0, 1, 9, 5, 6}
@@ -369,7 +389,7 @@ func TestFigure1AllEngines(t *testing.T) {
 			}
 		}
 	}
-	seq, err := hull2d.SeqFrom(pts, base, true)
+	seq, err := hull2d.Seq(pts, &hull2d.Options{Base: base})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,10 +132,7 @@ func FuzzSpaceEquivalence(f *testing.F) {
 func checkSpaceAgainstCore(t *testing.T, name string, s core.Space, seed int64) {
 	t.Helper()
 	n, base := s.NumObjects(), s.BaseSize()
-	order := identityOrder(n)
-	for i, j := range pointgen.Perm(pointgen.NewRNG(seed), n-base) {
-		order[base+i] = base + j
-	}
+	order := (&Options{Shuffle: true, Seed: seed}).insertionOrder(n, base)
 	got, err := engine.SpaceRounds(s, order)
 	if err != nil {
 		t.Fatalf("%s: SpaceRounds: %v", name, err)
