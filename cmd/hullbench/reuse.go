@@ -21,17 +21,29 @@ var reuseGate = flag.Int64("reuse-gate", 100,
 // the default options (Shuffle, PreHullAuto).
 const reuseDefaultGate = 1000
 
+// reuse2DCASBytesGate bounds the steady-state B/op of a warm Build2D of the
+// 1e5 disk with the CAS ridge map (reuse-steady-2d-cas). The row allocates
+// one small entry per ridge insert by design (Algorithm 4), so its allocs/op
+// is not gated; what the byte gate catches is a per-build n-sized buffer
+// that the Builder should retain, such as the ridge-id array behind the
+// map's keys (about 400 KB at n = 1e5).
+const reuse2DCASBytesGate = 200000
+
 var reusePeakGate = flag.Float64("reuse-peak-gate", 10,
 	"fail the reuse experiment if the steady-state live-heap peak grows by more than this percentage over the previous BENCH_parhull.json reuse-steady row (<= 0 disables)")
 
-// reuseRow is one measured row of the reuse experiment; gated rows are
-// held to -reuse-gate.
+// reuseRow is one measured row of the reuse experiment on workload (of
+// dimension dim); gated rows are held to -reuse-gate, and a row with a
+// positive bytesGate to that B/op.
 type reuseRow struct {
-	sched string
-	procs int
-	r     testing.BenchmarkResult
-	peak  int64
-	gated bool
+	sched     string
+	procs     int
+	r         testing.BenchmarkResult
+	peak      int64
+	gated     bool
+	workload  string
+	dim       int
+	bytesGate int64
 }
 
 // expReuse — Builder reuse: the first Build on a parhull.Builder pays for the
@@ -52,7 +64,8 @@ type reuseRow struct {
 // the memory gate and a further row — the steady state under the default
 // options (Shuffle on, PreHullAuto), where the pre-hull probe, cull, and
 // block sub-hulls run too; reuseDefaultGate bounds it — are measured at
-// full P.
+// full P. One 2D row, reuse-steady-2d-cas (warm Build2D of the 1e5 disk with
+// MapCAS, direct path, P=1), is held to reuse2DCASBytesGate B/op.
 func expReuse() {
 	pts := pointgen.Shuffled(pointgen.NewRNG(41), pointgen.UniformBall(pointgen.NewRNG(41), sz(100000), 3))
 	direct := func(e parhull.Engine) *parhull.Options {
@@ -75,6 +88,13 @@ func expReuse() {
 	steady := steadyBuilds(pts, opt)
 	steadySeq := steadyBuilds(pts, direct(parhull.EngineSequential))
 	steadyRounds := steadyBuilds(pts, direct(parhull.EngineRounds))
+	disk := pointgen.Shuffled(pointgen.NewRNG(42), pointgen.UniformBall(pointgen.NewRNG(42), sz(100000), 2))
+	cas := direct(parhull.EngineParallel)
+	cas.Map = parhull.MapCAS
+	steady2DCAS := steadyOn(cas, func(bld *parhull.Builder) error {
+		_, err := bld.Build2D(disk)
+		return err
+	})
 	runtime.GOMAXPROCS(procs)
 
 	// One counted steady-state Build (counters on, same pooled Builder state)
@@ -95,12 +115,14 @@ func expReuse() {
 
 	steadyDefault := steadyBuilds(pts, &parhull.Options{Shuffle: true, Seed: 1})
 
+	const ball = "3d-ball-100k"
 	rows := []reuseRow{
-		{"reuse-first", 1, first, 0, false},
-		{"reuse-steady", 1, steady, peak, true},
-		{"reuse-steady-seq", 1, steadySeq, 0, true},
-		{"reuse-steady-rounds", 1, steadyRounds, 0, false},
-		{"reuse-steady-default", procs, steadyDefault, 0, false},
+		{"reuse-first", 1, first, 0, false, ball, 3, 0},
+		{"reuse-steady", 1, steady, peak, true, ball, 3, 0},
+		{"reuse-steady-seq", 1, steadySeq, 0, true, ball, 3, 0},
+		{"reuse-steady-rounds", 1, steadyRounds, 0, false, ball, 3, 0},
+		{"reuse-steady-default", procs, steadyDefault, 0, false, ball, 3, 0},
+		{"reuse-steady-2d-cas", 1, steady2DCAS, 0, false, "2d-disk-100k", 2, reuse2DCASBytesGate},
 	}
 	w := table()
 	fmt.Fprintf(w, "phase\tns/op\tallocs/op\tB/op\tpeakB (P=%d)\n", procs)
@@ -125,6 +147,10 @@ func expReuse() {
 			log.Fatalf("reuse gate: %s allocs/op = %d exceeds the gate of %d",
 				row.sched, row.r.AllocsPerOp(), *reuseGate)
 		}
+		if row.bytesGate > 0 && row.r.AllocedBytesPerOp() > row.bytesGate {
+			log.Fatalf("reuse bytes gate: %s B/op = %d exceeds the gate of %d",
+				row.sched, row.r.AllocedBytesPerOp(), row.bytesGate)
+		}
 	}
 	// The peak gate is relative: the steady-state live-heap peak may not grow
 	// more than -reuse-peak-gate percent over the previous recorded row. A
@@ -142,15 +168,24 @@ func expReuse() {
 // steadyBuilds measures warm Builds of pts on one Builder under opt, after
 // a warm-up Build.
 func steadyBuilds(pts []parhull.Point, opt *parhull.Options) testing.BenchmarkResult {
+	return steadyOn(opt, func(bld *parhull.Builder) error {
+		_, err := bld.Build(pts)
+		return err
+	})
+}
+
+// steadyOn measures warm runs of build on one Builder under opt, after a
+// warm-up run.
+func steadyOn(opt *parhull.Options, build func(*parhull.Builder) error) testing.BenchmarkResult {
 	bld := parhull.NewBuilder(opt)
 	defer bld.Close()
-	if _, err := bld.Build(pts); err != nil {
+	if err := build(bld); err != nil {
 		log.Fatalf("reuse: warm-up build (engine %d): %v", opt.Engine, err)
 	}
 	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := bld.Build(pts); err != nil {
+			if err := build(bld); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -190,9 +225,9 @@ func appendReuseEntries(n int, rows []reuseRow) int64 {
 	}
 	for _, row := range rows {
 		report.Entries = append(report.Entries, perfEntry{
-			Workload:    "3d-ball-100k",
+			Workload:    row.workload,
 			N:           n,
-			Dim:         3,
+			Dim:         row.dim,
 			Sched:       row.sched,
 			Procs:       row.procs,
 			NsPerOp:     float64(row.r.T.Nanoseconds()) / float64(row.r.N),

@@ -191,3 +191,20 @@ func TestReplayRejectsRemovedAxes(t *testing.T) {
 		}
 	}
 }
+
+// TestHalfspaceTrialsCoverEveryEngine checks the half-space engine axis: a
+// 500-trial seed-1 soak derives half-space trials under the dual route on
+// every schedule (dual, seq, rounds) and under the direct space.
+func TestHalfspaceTrialsCoverEveryEngine(t *testing.T) {
+	seen := map[string]int{}
+	for i := 0; i < 500; i++ {
+		if sp := deriveTrial(trialSeed(1, i)); sp.Space == "halfspace" {
+			seen[sp.Engine]++
+		}
+	}
+	for _, e := range spaceEngines["halfspace"] {
+		if seen[e] == 0 {
+			t.Errorf("no half-space trial under engine %q in 500 seed-1 trials (saw %v)", e, seen)
+		}
+	}
+}

@@ -122,7 +122,7 @@ var spaceEngines = map[string][]string{
 	"hulld":     {"par-steal", "seq", "rounds"},
 	"hull2d":    {"par-steal", "seq", "rounds"},
 	"delaunay":  {"par-steal", "seq", "rounds"},
-	"halfspace": {"dual", "direct"},
+	"halfspace": {"dual", "direct", "seq", "rounds"},
 	"circles":   {""},
 	"trapezoid": {""},
 	"corner":    {""},
@@ -190,9 +190,12 @@ func deriveTrial(seed uint64) TrialSpec {
 		sp.D = r.rangeInt(2, 4)
 		sp.N = r.rangeInt(sp.D+2, 60)
 		sp.Gen = "sphere"
-		sp.Engine = "dual"
-		if sp.D <= 3 && sp.N <= 14 && r.pct(30) {
-			sp.Engine = "direct"
+		// "dual" is the hull of the dual points under the default parallel
+		// engine, "seq" and "rounds" the same route under the other two
+		// schedules, and "direct" the brute-force reference.
+		sp.Engine = "direct"
+		if sp.D > 3 || sp.N > 14 || !r.pct(30) {
+			sp.Engine = r.pick([]string{"dual", "seq", "rounds"}, []int{60, 25, 15})
 		}
 	case "circles":
 		sp.D = 2

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"parhull/internal/conflict"
+	"parhull/internal/geom"
 )
 
 // Arena sizing: facets are slab-allocated in batches and every small int32
@@ -27,6 +28,10 @@ const (
 // arena (indexed by the executor's worker id), so no synchronization is
 // needed; a nil *Arena falls back to plain heap allocation, which is what
 // the base facets of a one-shot construction use.
+//
+// An arena also holds its worker's plane slot (Slot): the hyperplane of the
+// facet the worker made last, kept only while that facet's own conflict list
+// is filtered.
 type Arena[FV any] struct {
 	facets    []FV   // remaining slots of the current facet slab
 	slabs     [][]FV // every facet slab, in allocation order
@@ -43,6 +48,40 @@ type Arena[FV any] struct {
 	// Alloc is the bound IntsLen method, created once by NewArenas so the
 	// hot path does not allocate a fresh method-value closure per facet.
 	Alloc func(int) []int32
+
+	slot PlaneSlot
+}
+
+// PlaneSlot is the transient half of a plane kernel's facet: its folded
+// hyperplane, its exact outward sign, its vertex ids and, where the kernel
+// keeps no plane, its vertex coordinates. Algorithm 3 reads a facet's plane
+// exactly once, at line 16, when it filters C(t1) ∪ C(t2) down to the
+// facet's own conflict list (line 9 of Algorithm 2 likewise), so a kernel
+// writes the slot of its arena when it makes a facet, that facet's filter
+// reads it, and the same worker's next facet overwrites it. Filter pieces
+// that run on other goroutines (conflict.MergeFilterFused above the grain)
+// only read the slot, while its owner waits for them. A kernel sets every
+// field its branch reads on each facet; nothing zeroes the slot between
+// facets.
+type PlaneSlot struct {
+	geom.Plane
+	// Sign is the exact orientation sign that classifies a point as strictly
+	// outside the facet.
+	Sign int
+	// Verts are the facet's vertex ids (the exact predicate's input).
+	Verts []int32
+	// VP holds vertex coordinates for kernels that need them on the exact
+	// path; grow-only, so refilling it allocates nothing in steady state.
+	VP []geom.Point
+}
+
+// Slot returns the arena's plane slot, or a fresh one when a == nil (the base
+// facets of a one-shot construction, and tests).
+func (a *Arena[FV]) Slot() *PlaneSlot {
+	if a == nil {
+		return new(PlaneSlot)
+	}
+	return &a.slot
 }
 
 // NewArenas returns one arena per worker, Alloc closures pre-bound.
@@ -117,33 +156,30 @@ func (a *Arena[FV]) IntsLen(n int) []int32 {
 	return a.Ints(n)[:n]
 }
 
-// grabBlock advances to the next retained block that fits an n-int32 carve,
-// allocating a fresh block (of at least the standard size) when none does.
-// Retained blocks too small for the request are skipped — wasted for this
-// cycle only, and rare: almost every block is the standard size, and only
-// oversized conflict-list carves exceed it.
+// grabBlock makes the first retained block that fits an n-int32 carve the
+// current one, allocating a fresh block (of at least the standard size) when
+// none does. A fitting block further down the list is swapped forward, so
+// the smaller blocks it passes stay free for the rest of the cycle: only
+// oversized carves (long conflict lists) can skip a block, and a cycle whose
+// oversized carves fall in a different order from the last cycle's reuses
+// the same blocks instead of wasting them and retaining a new set.
 func (a *Arena[FV]) grabBlock(n int) {
-	for a.usedBlocks < len(a.blocks) {
-		b := a.blocks[a.usedBlocks]
-		a.usedBlocks++
-		if len(b) >= n {
-			a.block = b
-			return
-		}
+	j := a.usedBlocks
+	for j < len(a.blocks) && len(a.blocks[j]) < n {
+		j++
 	}
-	want := arenaIntBlock
-	if n > want {
-		want = n
+	if j == len(a.blocks) {
+		a.blocks = append(a.blocks, make([]int32, max(arenaIntBlock, n)))
 	}
-	b := make([]int32, want)
-	a.blocks = append(a.blocks, b)
-	a.usedBlocks = len(a.blocks)
-	a.block = b
+	u := a.usedBlocks
+	a.blocks[u], a.blocks[j] = a.blocks[j], a.blocks[u]
+	a.block = a.blocks[u]
+	a.usedBlocks++
 }
 
 // Reset rewinds the arena for the next construction: cursors return to the
 // first slab/block and the facet slots used this cycle are re-zeroed (a
-// facet must start with clean liveness, plane, and slice fields). Int32
+// facet must start with clean liveness and slice fields). Int32
 // blocks are rewound without zeroing — every carve is fully overwritten
 // before it is read. The caller must guarantee no construction is touching
 // the arena and that no previous Result is still in use.

@@ -4,29 +4,31 @@ import (
 	"testing"
 
 	"parhull/internal/conflict"
+	eng "parhull/internal/engine"
 	"parhull/internal/geom"
 	"parhull/internal/pointgen"
 )
 
 // visible is the pointwise reference of the batch filters: whether point v
-// lies strictly outside edge f (strictly to the right of the directed line
-// A->B), counting the test. The cached-line filter decides almost every call
-// and the exact Orient2D predicate is the fallback, so the answer is always
-// the exact one.
-func (e *engine) visible(v int32, f *Facet) bool {
+// lies strictly outside the edge in slot s (strictly to the right of the
+// directed line A->B), counting the test. The cached-line filter decides
+// almost every call and the exact Orient2D predicate is the fallback, so the
+// answer is always the exact one. An edge keeps no line once its conflict
+// list is filtered, so the tests rebuild its slot with initPlane(nil, f).
+func (e *engine) visible(v int32, s *eng.PlaneSlot) bool {
 	e.rec.VTests.Inc(uint64(v))
 	if eps := e.planeEps; eps > 0 {
 		row := e.store.Row(v)
-		s := f.n[0]*row[0] + f.n[1]*row[1] - f.off
-		if s > eps {
+		x := s.N[0]*row[0] + s.N[1]*row[1] - s.Off
+		if x > eps {
 			return true // folded line: positive certifies strictly right, visible
 		}
-		if s < -eps {
+		if x < -eps {
 			return false // certified strictly left: not visible
 		}
 		e.rec.Fallbacks.Inc(uint64(v))
 	}
-	return e.exactVisible(v, f)
+	return e.exactVisible(v, s)
 }
 
 // filterTestPoints builds a 2D cloud stressing every branch of the batch
@@ -59,10 +61,10 @@ func filterTestPoints() []geom.Point {
 
 // pointwiseSurvivors is the reference the fused filter must reproduce: the
 // visible predicate over the materialized merge of c1 and c2 minus drop.
-func pointwiseSurvivors(e *engine, f *Facet, c1, c2 []int32, drop int32) []int32 {
+func pointwiseSurvivors(e *engine, s *eng.PlaneSlot, c1, c2 []int32, drop int32) []int32 {
 	var out []int32
 	for _, v := range conflict.MergeInto(nil, c1, c2, drop) {
-		if e.visible(v, f) {
+		if e.visible(v, s) {
 			out = append(out, v)
 		}
 	}
@@ -139,10 +141,11 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 		}
 	}
 	for _, f := range facets {
-		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, f, full, nil, -1))
+		s := e.initPlane(nil, f)
+		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, s, full, nil, -1))
 		for _, cands := range [][]int32{full, sparse, nil} {
-			got := e.filter(f).FilterMerge(cands, nil, -1, nil)
-			equalLists(t, "FilterMerge", got, pointwiseSurvivors(e, f, cands, nil, -1))
+			got := e.filter(s).FilterMerge(cands, nil, -1, nil)
+			equalLists(t, "FilterMerge", got, pointwiseSurvivors(e, s, cands, nil, -1))
 		}
 	}
 }
@@ -161,11 +164,12 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 	}
 	spilled, long := false, false
 	for _, f := range facets {
+		s := e.initPlane(nil, f)
 		for _, c := range mergeCases(3, int32(len(pts))) {
 			t0, f0 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
-			want := pointwiseSurvivors(e, f, c.c1, c.c2, c.drop)
+			want := pointwiseSurvivors(e, s, c.c1, c.c2, c.drop)
 			t1, f1 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
-			got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
+			got := e.filter(s).FilterMerge(c.c1, c.c2, c.drop, nil)
 			t2, f2 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 			equalLists(t, c.name, got, want)
 			if t2-t1 != t1-t0 || f2-f1 != f1-f0 {
@@ -200,10 +204,11 @@ func TestBatchFilterNoPlaneCache(t *testing.T) {
 		full = append(full, v)
 	}
 	for _, f := range facets {
-		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, f, full, nil, -1))
+		s := e.initPlane(nil, f)
+		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, s, full, nil, -1))
 		for _, c := range mergeCases(3, n) {
-			got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
-			equalLists(t, c.name, got, pointwiseSurvivors(e, f, c.c1, c.c2, c.drop))
+			got := e.filter(s).FilterMerge(c.c1, c.c2, c.drop, nil)
+			equalLists(t, c.name, got, pointwiseSurvivors(e, s, c.c1, c.c2, c.drop))
 		}
 	}
 }

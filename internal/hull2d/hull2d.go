@@ -14,9 +14,12 @@
 // Rounds all take (pts, *Options), and one Reuse carries the retained state
 // of every schedule across constructions.
 //
-// Visibility hot path: each facet caches its line (normal and offset, three
-// subtractions and a dot product at creation), point coordinates live in a
-// flat geom.PointStore, and a single static certification threshold for the
+// Visibility hot path: a new edge's line (normal and offset, three
+// subtractions and a dot product) is computed once, into the creating
+// worker's plane slot (engine.PlaneSlot), and lives there only while the
+// edge's own conflict list is filtered, so a retained Facet holds just its
+// endpoints, conflict list and depth. Point coordinates live in a flat
+// geom.PointStore, and a single static certification threshold for the
 // whole cloud (geom.StaticFilterEps over the store's per-dimension maxima)
 // is computed once per construction. A plane-side test is then a 2-term dot
 // product over contiguous memory plus one comparison; only when the result
@@ -24,8 +27,8 @@
 // predicate, so the combinatorial output is bit-identical to the pure
 // determinant path (Options.NoPlaneCache, kept for ablation). The batch
 // scan over those lines is the shared conflict.PlaneFilter: this kernel
-// supplies the line as a stride-2 row and Orient2D as the exact predicate
-// (filter.go).
+// supplies the slot's line as a stride-2 row and Orient2D as the exact
+// predicate (filter.go).
 //
 // The engines require the input to be in general position (no 3 collinear
 // points among those that interact with the hull boundary; see README).
@@ -90,21 +93,15 @@ func (k kernel) Kill(f *Facet) bool { return f.kill() }
 
 // Facet is a directed hull edge A->B (indices into the insertion order).
 // Facets are immutable after creation except for the liveness flag: the
-// defining endpoints, conflict list, depth and cached plane never change,
-// which is what makes the relaxed schedule of Algorithm 3 safe.
+// defining endpoints, conflict list and depth never change, which is what
+// makes the relaxed schedule of Algorithm 3 safe. The edge's line is not
+// kept: it lives in the creating worker's plane slot (engine.PlaneSlot)
+// only while the edge's own conflict list is filtered.
 type Facet struct {
 	A, B  int32
 	Conf  []int32 // conflict set: visible points, ascending insertion index
 	Depth int32   // configuration-dependence-graph depth (Definition 4.1)
 	Round int32   // round of creation (rounds engine; 0 for initial facets)
-
-	// Cached line of the edge, stored folded (visible-positive):
-	// sign(n·p - off) = -Orient2D(A, B, p) whenever |n·p - off| exceeds
-	// the engine's static threshold, so a positive evaluation certifies
-	// visible with no per-test negation; n[:] is the batch scan's row.
-	// Zero (unused) when the engine runs with the cache disabled.
-	n   [2]float64
-	off float64
 
 	// mark is scratch for the sequential engine's per-insertion visible-set
 	// membership (holds the insertion index; never touched concurrently).
@@ -178,7 +175,8 @@ type engine struct {
 
 	// ridgeIDs backs allocation-free conmap keys for the concurrent
 	// engines: ridgeIDs[v:v+1] is the canonical id slice of ridge {v}.
-	// Initialized by initRidgeIDs; nil in the sequential engine.
+	// Filled by initRidgeIDs when a conmap table is installed, and kept
+	// (grow-only) by an engine a Reuse owns.
 	ridgeIDs []int32
 
 	trace   *Trace // optional (rounds engine)
@@ -190,8 +188,13 @@ type engine struct {
 	ru *Reuse
 }
 
-// initRidgeIDs prepares the backing array for key1 (concurrent engines).
+// initRidgeIDs prepares the backing array for key1 (concurrent engines). The
+// array is the identity over point indices, so one that already covers every
+// point serves again unchanged; it is remade only when the cloud grows.
 func (e *engine) initRidgeIDs() {
+	if len(e.ridgeIDs) >= len(e.pts) {
+		return
+	}
 	e.ridgeIDs = make([]int32, len(e.pts))
 	for i := range e.ridgeIDs {
 		e.ridgeIDs[i] = int32(i)
@@ -203,19 +206,24 @@ func (e *engine) key1(v int32) conmap.Key {
 	return conmap.MakeKey(e.ridgeIDs[v : v+1 : v+1])
 }
 
-// initPlane caches f's line folded: N = (b_y - a_y, a_x - b_x), the exact
-// negation of the Orient2D cofactor normal, so sign(N·p - off) =
-// -Orient2D(A, B, p) outside the static threshold — positive certifies
-// visible. IEEE negation is exact (b-a == -(a-b) bit for bit, and the
-// offset's negated products sum to the negated offset), so folding changes
-// no classification relative to evaluating the unfolded line and flipping.
-func (e *engine) initPlane(f *Facet) {
-	if e.planeEps <= 0 {
-		return
+// initPlane writes f's endpoints and, with the line cache on, its line into
+// the arena's plane slot, which it returns; the slot stays valid until the
+// arena's next initPlane. The line is stored folded: N = (b_y - a_y,
+// a_x - b_x), the exact negation of the Orient2D cofactor normal, so
+// sign(N·p - off) = -Orient2D(A, B, p) outside the static threshold —
+// positive certifies visible. IEEE negation is exact (b-a == -(a-b) bit for
+// bit, and the offset's negated products sum to the negated offset), so
+// folding changes no classification relative to evaluating the unfolded
+// line and flipping.
+func (e *engine) initPlane(a *arena, f *Facet) *eng.PlaneSlot {
+	s := a.Slot()
+	s.VP = append(s.VP[:0], e.pts[f.A], e.pts[f.B])
+	if e.planeEps > 0 {
+		pa, pb := e.store.Row(f.A), e.store.Row(f.B)
+		s.N[0], s.N[1] = pb[1]-pa[1], pa[0]-pb[0]
+		s.Off = s.N[0]*pa[0] + s.N[1]*pa[1]
 	}
-	pa, pb := e.store.Row(f.A), e.store.Row(f.B)
-	f.n = [2]float64{pb[1] - pa[1], pa[0] - pb[0]}
-	f.off = f.n[0]*pa[0] + f.n[1]*pa[1]
+	return s
 }
 
 func (e *engine) record(f *Facet) {
@@ -238,8 +246,7 @@ func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet, round int32) *Fac
 	}
 	f.Depth = 1 + max32(t1.Depth, t2.Depth)
 	f.Round = round
-	e.initPlane(f)
-	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, f)
+	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, e.initPlane(a, f))
 	e.record(f)
 	return f
 }
@@ -247,9 +254,10 @@ func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet, round int32) *Fac
 // mergeFilter implements line 16 of Algorithm 3 (and line 9 of Algorithm 2)
 // through the driver's shared grain/arena discipline
 // (engine.MergeFilterFused), with this kernel's exact visibility predicate
-// as the filter: merge and classification in one pass.
-func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, f *Facet) []int32 {
-	return eng.MergeFilterFused(a, c1, c2, p, e.filter(f), e.grain)
+// for the edge in slot s as the filter: merge and classification in one
+// pass.
+func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, s *eng.PlaneSlot) []int32 {
+	return eng.MergeFilterFused(a, c1, c2, p, e.filter(s), e.grain)
 }
 
 func max32(a, b int32) int32 {
@@ -314,19 +322,21 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	} else {
 		facets = make([]*Facet, 0, e.base)
 	}
+	// One edge at a time: make it and build its conflict list over the
+	// remaining points while its line is the slot's — one pass per edge, so
+	// each list comes out in ascending index order (parallel chunks for
+	// large n). Recording is a separate pass, so the facet log holds the
+	// base in polygon order.
 	for i := 0; i < e.base; i++ {
 		f := a.Facet()
 		f.A, f.B = order[i], order[(i+1)%e.base]
-		e.initPlane(f)
+		f.Conf = conflict.BuildFilterInto(int32(e.base), int32(n), e.filter(e.initPlane(a, f)), e.grain, alloc)
 		facets = append(facets, f)
 	}
 	if e.ru != nil {
 		e.ru.inits = facets
 	}
-	// Conflict lists over the remaining points, one pass per facet so each
-	// list comes out in ascending index order (parallel chunks for large n).
 	for _, f := range facets {
-		f.Conf = conflict.BuildFilterInto(int32(e.base), int32(n), e.filter(f), e.grain, alloc)
 		e.record(f)
 	}
 	return facets, nil

@@ -82,7 +82,6 @@ func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain, stri
 	e.store.Load(pts)
 	e.base = base
 	e.grain = grain
-	e.ridgeIDs = nil
 	e.trace = nil
 	e.planeEps = 0
 	if !noPlane {

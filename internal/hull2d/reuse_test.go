@@ -1,0 +1,51 @@
+package hull2d
+
+import (
+	"fmt"
+	"testing"
+
+	"parhull/internal/conmap"
+	"parhull/internal/pointgen"
+)
+
+// TestReuseKeepsRidgeIDs checks that an engine a Reuse owns keeps the
+// identity array behind its conmap keys: builds with a CAS map on one Reuse,
+// over the same cloud and then over a smaller one, share one backing array,
+// which stays the identity and yields the edges Seq creates.
+func TestReuseKeepsRidgeIDs(t *testing.T) {
+	ru := NewReuse()
+	defer ru.Close()
+	pts := pointgen.OnCircle(pointgen.NewRNG(22), 2000)
+	var backing *int32
+	for i, n := range []int{len(pts), len(pts), len(pts) / 2} {
+		label := fmt.Sprintf("build %d (n=%d)", i+1, n)
+		ref, err := Seq(pts[:n], nil)
+		if err != nil {
+			t.Fatalf("%s seq: %v", label, err)
+		}
+		r, err := Par(pts[:n], &Options{Reuse: ru, Map: conmap.NewCASMap[*Facet](8 * n)})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want, got := ref.EdgeSet(), r.EdgeSet()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d distinct edges, seq %d", label, len(got), len(want))
+		}
+		for k, c := range want {
+			if got[k] != c {
+				t.Fatalf("%s: edge %v multiplicity %d, seq %d", label, k, got[k], c)
+			}
+		}
+		ids := ru.e.ridgeIDs
+		for v := range n {
+			if ids[v] != int32(v) {
+				t.Fatalf("%s: ridge id %d holds %d", label, v, ids[v])
+			}
+		}
+		if i == 0 {
+			backing = &ids[0]
+		} else if &ids[0] != backing {
+			t.Fatalf("%s: the ridge-id array was remade", label)
+		}
+	}
+}

@@ -5,28 +5,42 @@ import (
 	"testing"
 
 	"parhull/internal/conflict"
+	eng "parhull/internal/engine"
 	"parhull/internal/geom"
 	"parhull/internal/pointgen"
 )
 
 // visible is the pointwise reference of the batch filters: whether point v
-// is strictly outside facet f, counting the test. The cached-plane filter
-// decides almost every call and the exact OrientSimplex predicate is the
-// fallback, so the answer is always exact. Planes are stored folded
-// (makeFacet), so a positive evaluation certifies visible directly.
-func (e *engine) visible(v int32, f *Facet) bool {
+// is strictly outside the facet in slot s, counting the test. The
+// cached-plane filter decides almost every call and the exact OrientSimplex
+// predicate is the fallback, so the answer is always exact. Planes are
+// stored folded (makeFacet), so a positive evaluation certifies visible
+// directly.
+func (e *engine) visible(v int32, s *eng.PlaneSlot) bool {
 	e.rec.VTests.Inc(uint64(v))
-	if f.plane.Valid() {
-		s := f.plane.Eval(e.store.Row(v))
-		if s > f.plane.Eps {
+	if s.Valid() {
+		x := s.Eval(e.store.Row(v))
+		if x > s.Eps {
 			return true
 		}
-		if s < -f.plane.Eps {
+		if x < -s.Eps {
 			return false
 		}
 		e.rec.Fallbacks.Inc(uint64(v))
 	}
-	return e.exactVisible(v, f)
+	return e.exactVisible(v, s)
+}
+
+// slotOf rebuilds the plane slot of f from its vertices with the kernel's own
+// makeFacet, on a fresh slot: a facet keeps no plane once its conflict list
+// is filtered.
+func (e *engine) slotOf(t testing.TB, f *Facet) *eng.PlaneSlot {
+	t.Helper()
+	_, s, err := e.makeFacet(nil, f.Verts)
+	if err != nil {
+		t.Fatalf("makeFacet(%v): %v", f.Verts, err)
+	}
+	return s
 }
 
 // filterCloud builds a d-dimensional cloud designed to stress every branch
@@ -78,10 +92,10 @@ func filterCloud(d int) []geom.Point {
 
 // pointwiseSurvivors is the reference the fused filter must reproduce: the
 // visible predicate over the materialized merge of c1 and c2 minus drop.
-func pointwiseSurvivors(e *engine, f *Facet, c1, c2 []int32, drop int32) []int32 {
+func pointwiseSurvivors(e *engine, s *eng.PlaneSlot, c1, c2 []int32, drop int32) []int32 {
 	var out []int32
 	for _, v := range conflict.MergeInto(nil, c1, c2, drop) {
-		if e.visible(v, f) {
+		if e.visible(v, s) {
 			out = append(out, v)
 		}
 	}
@@ -165,7 +179,7 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 		e := in.e
 		n := int32(len(e.pts))
 		for _, f := range in.facets[:4] {
-			equalLists(t, in.name+" initial conflict list", f.Conf, pointwiseSurvivors(e, f, span(4, n), nil, -1))
+			equalLists(t, in.name+" initial conflict list", f.Conf, pointwiseSurvivors(e, e.slotOf(t, f), span(4, n), nil, -1))
 		}
 		full := span(in.lo, n)
 		sparse := full[:0:0]
@@ -176,11 +190,12 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 		}
 		f0 := e.rec.Fallbacks.Load()
 		for _, f := range in.facets {
-			got := e.filter(f).FilterRange(in.lo, n, nil)
-			equalLists(t, in.name+" FilterRange", got, pointwiseSurvivors(e, f, full, nil, -1))
+			s := e.slotOf(t, f)
+			got := e.filter(s).FilterRange(in.lo, n, nil)
+			equalLists(t, in.name+" FilterRange", got, pointwiseSurvivors(e, s, full, nil, -1))
 			for _, cands := range [][]int32{full, sparse, nil} {
-				got := e.filter(f).FilterMerge(cands, nil, -1, nil)
-				equalLists(t, in.name+" FilterMerge", got, pointwiseSurvivors(e, f, cands, nil, -1))
+				got := e.filter(s).FilterMerge(cands, nil, -1, nil)
+				equalLists(t, in.name+" FilterMerge", got, pointwiseSurvivors(e, s, cands, nil, -1))
 			}
 		}
 		if e.rec.Fallbacks.Load() == f0 {
@@ -218,11 +233,12 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 		e := in.e
 		spilled, long := false, false
 		for _, f := range in.facets {
+			s := e.slotOf(t, f)
 			for _, c := range mergeCases(in.lo, int32(len(e.pts))) {
 				t0, f0 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
-				want := pointwiseSurvivors(e, f, c.c1, c.c2, c.drop)
+				want := pointwiseSurvivors(e, s, c.c1, c.c2, c.drop)
 				t1, f1 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
-				got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
+				got := e.filter(s).FilterMerge(c.c1, c.c2, c.drop, nil)
 				t2, f2 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 				equalLists(t, fmt.Sprintf("%s %s", in.name, c.name), got, want)
 				if t2-t1 != t1-t0 || f2-f1 != f1-f0 {
@@ -255,14 +271,15 @@ func TestBatchFilterNoPlaneCache(t *testing.T) {
 		}
 		n := int32(len(pts))
 		for _, f := range facets {
+			s := e.slotOf(t, f)
 			all := make([]int32, 0, n)
 			for v := int32(d + 1); v < n; v++ {
 				all = append(all, v)
 			}
-			equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, f, all, nil, -1))
+			equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, s, all, nil, -1))
 			for _, c := range mergeCases(int32(d+1), n) {
-				got := e.filter(f).FilterMerge(c.c1, c.c2, c.drop, nil)
-				equalLists(t, c.name, got, pointwiseSurvivors(e, f, c.c1, c.c2, c.drop))
+				got := e.filter(s).FilterMerge(c.c1, c.c2, c.drop, nil)
+				equalLists(t, c.name, got, pointwiseSurvivors(e, s, c.c1, c.c2, c.drop))
 			}
 		}
 	}

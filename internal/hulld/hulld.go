@@ -22,19 +22,22 @@
 // geom.Orient2D), so the inexact lift never reaches an exact decision.
 // Package delaunay is the caller; DESIGN.md §4.6 has the details.
 //
-// Visibility hot path: each facet caches its hyperplane (a plain-float
-// cofactor normal and offset; see geom.NewFacetPlane), coordinates live in
-// a flat geom.PointStore, and one static certification threshold for the
-// whole cloud (geom.StaticFilterEps) is computed per construction, so a
-// test is a d-term strided dot product plus a comparison. Only when the
-// cached filter cannot certify the sign does the engine fall back to the
-// exact OrientSimplex predicate — the combinatorial output is bit-identical
-// to the pure determinant path (Options.NoPlaneCache, kept for the A2
-// ablation; also used automatically for d > geom.MaxPlaneDim where cofactor
-// expansion stops paying off). The batch scan over those planes is the
-// shared conflict.PlaneFilter, the same scan hull2d runs: this kernel
-// supplies the folded plane as a stride-d row and OrientSimplex as the exact
-// predicate (filter.go).
+// Visibility hot path: a new facet's hyperplane (a plain-float cofactor
+// normal and offset; see geom.NewFacetPlane) is computed once, into the
+// creating worker's plane slot (engine.PlaneSlot), and lives there only
+// while the facet's own conflict list is filtered — the one read Algorithm
+// 3 makes of it — so a retained Facet holds no geometry beyond its vertex
+// ids. Coordinates live in a flat geom.PointStore, and one static
+// certification threshold for the whole cloud (geom.StaticFilterEps) is
+// computed per construction, so a test is a d-term strided dot product plus
+// a comparison. Only when the plane cannot certify the sign does the engine
+// fall back to the exact OrientSimplex predicate — the combinatorial output
+// is bit-identical to the pure determinant path (Options.NoPlaneCache, kept
+// for the A2 ablation; also used automatically for d > geom.MaxPlaneDim
+// where cofactor expansion stops paying off). The batch scan over those
+// planes is the shared conflict.PlaneFilter, the same scan hull2d runs: this
+// kernel supplies the slot's folded plane as a stride-d row and
+// OrientSimplex as the exact predicate (filter.go).
 package hulld
 
 import (
@@ -120,7 +123,10 @@ func fillRidge3(dst []int32, v0, v1, v2, q int32) {
 func (k kernel) Kill(f *Facet) bool { return f.kill() }
 
 // Facet is an oriented d-simplex of the hull. Immutable after creation
-// except for the liveness flag.
+// except for the liveness flag. It holds no geometry beyond its vertex ids:
+// its hyperplane lives in the creating worker's plane slot
+// (engine.PlaneSlot) only while its own conflict list is filtered, which is
+// the one read Algorithm 3 makes of it.
 type Facet struct {
 	// Verts holds the d defining point indices, sorted ascending.
 	Verts []int32
@@ -132,18 +138,6 @@ type Facet struct {
 	// Round is the creation round (rounds engine only; 0 for the base).
 	Round int32
 
-	// plane caches the facet hyperplane for the filtered fast path, stored
-	// folded: normal and offset are negated at creation when the outward
-	// sign is negative, so Eval > Eps certifies visible and Eval < -Eps
-	// certifies invisible with no per-test sign fixup. vp caches the vertex
-	// coordinates only when the plane cache is absent (ablation mode,
-	// d > geom.MaxPlaneDim, or a degenerate threshold) — with a valid
-	// plane, exact fallbacks reconstruct them on demand. outSign is the
-	// OrientSimplex sign that classifies a point as strictly outside (the
-	// exact path is unaffected by folding).
-	plane   geom.Plane
-	vp      []geom.Point
-	outSign int
 	// mark is scratch for the sequential engine's per-insertion visible-set
 	// membership (holds the insertion index; never touched concurrently).
 	mark int32
@@ -323,16 +317,16 @@ func (e *engine) setPlaneEps(noPlane bool) {
 	e.rec.SetPlaneCache(e.planeEps > 0)
 }
 
-// facetPoints returns the vertex coordinates of f, using the cached slice
-// when present (no plane cache) and reconstructing them in buf otherwise
-// (rare exact fallbacks through a plane-cached facet, whose d is at most
-// geom.MaxPlaneDim).
-func (e *engine) facetPoints(f *Facet, buf *[geom.MaxPlaneDim]geom.Point) []geom.Point {
-	if f.vp != nil {
-		return f.vp
+// facetPoints returns the vertex coordinates of the facet in slot s: the
+// slot's own copy without a plane cache, and a reconstruction in buf
+// otherwise (rare exact fallbacks through a plane-cached facet, whose d is
+// at most geom.MaxPlaneDim).
+func (e *engine) facetPoints(s *eng.PlaneSlot, buf *[geom.MaxPlaneDim]geom.Point) []geom.Point {
+	if e.planeEps == 0 {
+		return s.VP
 	}
-	vp := buf[:len(f.Verts)]
-	for i, v := range f.Verts {
+	vp := buf[:len(s.Verts)]
+	for i, v := range s.Verts {
 		vp[i] = e.pts[v]
 	}
 	return vp
@@ -340,15 +334,15 @@ func (e *engine) facetPoints(f *Facet, buf *[geom.MaxPlaneDim]geom.Point) []geom
 
 // exactVisible is the exact visibility predicate with no counting — the
 // batch filters' exact path and uncertain-sidecar resolution (both count
-// before calling it). In lifted mode OrientSimplex of the lifts is
-// -InCircle of the 2D points, which is evaluated instead.
-func (e *engine) exactVisible(v int32, f *Facet) bool {
+// before calling it) — for the facet in slot s. In lifted mode OrientSimplex
+// of the lifts is -InCircle of the 2D points, which is evaluated instead.
+func (e *engine) exactVisible(v int32, s *eng.PlaneSlot) bool {
 	if e.lift != nil {
-		w := f.Verts
-		return -geom.InCircle(e.lift[w[0]], e.lift[w[1]], e.lift[w[2]], e.lift[v]) == f.outSign
+		w := s.Verts
+		return -geom.InCircle(e.lift[w[0]], e.lift[w[1]], e.lift[w[2]], e.lift[v]) == s.Sign
 	}
 	var buf [geom.MaxPlaneDim]geom.Point
-	return geom.OrientSimplex(e.facetPoints(f, &buf), e.pts[v]) == f.outSign
+	return geom.OrientSimplex(e.facetPoints(s, &buf), e.pts[v]) == s.Sign
 }
 
 func (e *engine) record(f *Facet) {
@@ -360,24 +354,30 @@ func (e *engine) record(f *Facet) {
 	e.log.Append(k, f)
 }
 
-// makeFacet assembles a facet from sorted vertex indices, computing its
-// cached hyperplane and its outward sign from the interior reference point.
-// A zero sign means the simplex is degenerate or its plane passes through
-// the reference point — both general-position violations. The facet struct
-// comes from the worker arena when one is supplied (work-stealing path).
+// makeFacet assembles a facet from sorted vertex indices and writes its
+// plane into the arena's plane slot, which it returns: the cached hyperplane
+// (in plain mode, and in lifted mode under the facet's own threshold), the
+// outward sign from the interior reference point, the vertex ids, and,
+// without a plane cache, the vertex coordinates. A zero sign means the
+// simplex is degenerate or its plane passes through the reference point —
+// both general-position violations. The facet struct comes from the worker
+// arena when one is supplied (work-stealing path). The slot stays valid
+// until the arena's next makeFacet; each branch writes every field the
+// filter reads, so the slot is never zeroed as a whole.
 //
 // The cached plane is stored folded — negated when the outward OrientSimplex
 // sign is negative, so that Eval > Eps means visible on every read path.
 // IEEE negation is exact, so every downstream classification (including
 // which candidates fall in the uncertain band) is bit-identical to
-// evaluating the unfolded plane and comparing against outSign; this is what
+// evaluating the unfolded plane and comparing against the sign; this is what
 // keeps the sequential and parallel engines facet-identical.
-func (e *engine) makeFacet(a *arena, verts []int32) (*Facet, error) {
+func (e *engine) makeFacet(a *arena, verts []int32) (*Facet, *eng.PlaneSlot, error) {
 	f := a.Facet()
 	f.Verts = verts
+	sl := a.Slot()
 	var s int
 	if e.lift != nil {
-		s = e.liftedInside(f)
+		s = e.liftedInside(sl, verts)
 	} else if e.planeEps > 0 {
 		// planeEps > 0 implies d <= geom.MaxPlaneDim, so the vertex slice
 		// fits a stack buffer; neither NewFacetPlane nor OrientSimplex
@@ -390,49 +390,47 @@ func (e *engine) makeFacet(a *arena, verts []int32) (*Facet, error) {
 		for i, v := range verts {
 			vp[i] = e.pts[v]
 		}
-		f.plane = geom.NewFacetPlane(vp, e.planeEps)
-		cs, ok := f.plane.CertifiedSign(e.interior)
+		sl.Plane = geom.NewFacetPlane(vp, e.planeEps)
+		cs, ok := sl.CertifiedSign(e.interior)
 		if !ok {
 			cs = geom.OrientSimplex(vp, e.interior)
 		}
 		s = cs
 	} else {
-		vp := make([]geom.Point, len(verts))
-		for i, v := range verts {
-			vp[i] = e.pts[v]
+		sl.Plane = geom.Plane{}
+		sl.VP = sl.VP[:0]
+		for _, v := range verts {
+			sl.VP = append(sl.VP, e.pts[v])
 		}
-		s = geom.OrientSimplex(vp, e.interior)
-		f.vp = vp
+		s = geom.OrientSimplex(sl.VP, e.interior)
 	}
 	if s == 0 {
 		if e.lift != nil {
-			return nil, fmt.Errorf("%w: facet %v projects to a collinear triangle", ErrDegenerate, verts)
+			return nil, nil, fmt.Errorf("%w: facet %v projects to a collinear triangle", ErrDegenerate, verts)
 		}
-		return nil, fmt.Errorf("%w: facet %v is coplanar with the interior point", ErrDegenerate, verts)
+		return nil, nil, fmt.Errorf("%w: facet %v is coplanar with the interior point", ErrDegenerate, verts)
 	}
-	f.outSign = -s
-	if f.plane.Valid() {
-		if f.outSign < 0 {
-			for j := range f.plane.N {
-				f.plane.N[j] = -f.plane.N[j]
-			}
-			f.plane.Off = -f.plane.Off
+	sl.Sign = -s
+	sl.Verts = verts
+	if sl.Valid() && sl.Sign < 0 {
+		for j := range sl.N {
+			sl.N[j] = -sl.N[j]
 		}
+		sl.Off = -sl.Off
 	}
-	return f, nil
+	return f, sl, nil
 }
 
-// liftedInside caches f's plane in lifted mode and returns the sign
-// OrientSimplex gives f's inside, decided exactly on the 2D points. Every
-// lift after the base's first three lies strictly below the plane of those
-// three (the caller's bounding triangle), so their facet is the one upper
-// facet, with its inside down. Every other facet is a lower one with its
-// inside up, and OrientSimplex of a point straight above a facet is Orient2D
-// of the facet's projection. The plane's threshold is planeEps times the
-// per-axis maxima over the facet's lifts and liftMax; a facet whose
-// threshold overflows stays on the exact predicate.
-func (e *engine) liftedInside(f *Facet) int {
-	v := f.Verts
+// liftedInside writes the plane of the facet on verts into sl in lifted
+// mode and returns the sign OrientSimplex gives the facet's inside, decided
+// exactly on the 2D points. Every lift after the base's first three lies
+// strictly below the plane of those three (the caller's bounding triangle),
+// so their facet is the one upper facet, with its inside down. Every other
+// facet is a lower one with its inside up, and OrientSimplex of a point
+// straight above a facet is Orient2D of the facet's projection. The plane's
+// threshold is planeEps times the per-axis maxima over the facet's lifts and
+// liftMax; a facet whose threshold overflows stays on the exact predicate.
+func (e *engine) liftedInside(sl *eng.PlaneSlot, v []int32) int {
 	s := geom.Orient2D(e.lift[v[0]], e.lift[v[1]], e.lift[v[2]])
 	if v[2] < 3 {
 		s = -s
@@ -444,9 +442,11 @@ func (e *engine) liftedInside(f *Facet) int {
 			eps *= max(m, math.Abs(vp[0][j]), math.Abs(vp[1][j]), math.Abs(vp[2][j]))
 		}
 		if !math.IsInf(eps, 0) {
-			f.plane = geom.NewFacetPlane(vp[:], eps)
+			sl.Plane = geom.NewFacetPlane(vp[:], eps)
+			return s
 		}
 	}
+	sl.Plane = geom.Plane{}
 	return s
 }
 
@@ -482,23 +482,23 @@ func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet, round int
 			verts = append(verts, p)
 		}
 	}
-	f, err := e.makeFacet(a, verts)
+	f, sl, err := e.makeFacet(a, verts)
 	if err != nil {
 		return nil, err
 	}
 	f.Depth = 1 + max32(t1.Depth, t2.Depth)
 	f.Round = round
-	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, f)
+	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, sl)
 	e.record(f)
 	return f, nil
 }
 
 // mergeFilter merges the two ascending conflict lists, drops p, and keeps
-// the points visible from f, through the driver's shared grain/arena
-// discipline (engine.MergeFilterFused): merge and classification in one
-// pass, never materializing the candidate run.
-func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, f *Facet) []int32 {
-	return eng.MergeFilterFused(a, c1, c2, p, e.filter(f), e.grain)
+// the points visible from the facet in slot sl, through the driver's shared
+// grain/arena discipline (engine.MergeFilterFused): merge and classification
+// in one pass, never materializing the candidate run.
+func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, sl *eng.PlaneSlot) []int32 {
+	return eng.MergeFilterFused(a, c1, c2, p, e.filter(sl), e.grain)
 }
 
 func max32(a, b int32) int32 {
@@ -558,27 +558,33 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		e.interior = geom.Centroid(base)
 	}
 
+	// One base facet at a time: make it, check it, and filter its conflict
+	// list while its plane is the slot's. Recording is a separate pass, so
+	// the facet log holds the base in omit order. The vertex tuples share
+	// one carve, made before any conflict list, so those large carves do
+	// not each cut a fresh int32 block short.
+	tuples := a.IntsLen((d + 1) * d)
 	for omit := 0; omit <= d; omit++ {
-		verts := a.Ints(d)
+		verts := tuples[omit*d : omit*d : (omit+1)*d]
 		for i := 0; i <= d; i++ {
 			if i != omit {
 				verts = append(verts, int32(i))
 			}
 		}
-		f, err := e.makeFacet(a, verts)
+		f, sl, err := e.makeFacet(a, verts)
 		if err != nil {
 			return nil, err
 		}
-		if e.lift == nil && e.exactVisible(int32(omit), f) {
+		if e.lift == nil && e.exactVisible(int32(omit), sl) {
 			return nil, fmt.Errorf("%w: the float centroid of the first %d points lies outside them", ErrDegenerate, d+1)
 		}
+		f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), e.filter(sl), e.grain, alloc)
 		facets = append(facets, f)
 	}
 	if e.ru != nil {
 		e.ru.inits = facets
 	}
 	for _, f := range facets {
-		f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), e.filter(f), e.grain, alloc)
 		e.record(f)
 	}
 	if up := facets[d]; e.lift != nil && len(up.Conf) > 0 {

@@ -23,16 +23,22 @@ func workloads(seed int64, n, d int) map[string][]geom.Point {
 
 // verifyHull checks the fundamental hull property against all points:
 // no point strictly outside any alive facet, and every point either a hull
-// vertex or strictly inside.
+// vertex or strictly inside. A facet's outward sign is the opposite of the
+// sign of the base simplex's centroid, the interior point the engine uses.
 func verifyHull(t *testing.T, pts []geom.Point, res *Result) {
 	t.Helper()
+	interior := geom.Centroid(pts[:len(pts[0])+1])
 	for _, f := range res.Facets {
 		vp := make([]geom.Point, len(f.Verts))
 		for i, u := range f.Verts {
 			vp[i] = pts[u]
 		}
+		out := -geom.OrientSimplex(vp, interior)
+		if out == 0 {
+			t.Fatalf("alive facet %v is coplanar with the interior point", f)
+		}
 		for v := range pts {
-			if geom.OrientSimplex(vp, pts[v]) == f.outSign {
+			if geom.OrientSimplex(vp, pts[v]) == out {
 				t.Fatalf("point %d strictly outside alive facet %v", v, f)
 			}
 		}

@@ -3,6 +3,7 @@ package hulld
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // TestLayoutScheduleEquivalence is the plane-storage half of the Theorem 5.5
@@ -75,5 +76,19 @@ func checkLayoutResult(t *testing.T, label string, r *Result, want map[string]in
 		if got[k] != c {
 			t.Errorf("%s: facet %x multiplicity %d, seq %d", label, k, got[k], c)
 		}
+	}
+}
+
+// TestFacetLayout pins the retained size of a facet on 64-bit platforms: a
+// facet keeps only its vertex ids, conflict list, depth, round and liveness
+// (its plane lives in the worker's plane slot only while its conflict list
+// is filtered), so one facet fits a 64-byte cache line. A field added later
+// regrows the per-facet cost of every build and fails here.
+func TestFacetLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned on 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Facet{}); got > 64 {
+		t.Fatalf("hulld.Facet is %d bytes, want at most 64", got)
 	}
 }

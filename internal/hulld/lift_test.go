@@ -70,7 +70,7 @@ func liftedFilterFacets(t *testing.T) (*engine, []*Facet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := e.makeFacet(nil, []int32{3, 4, 5})
+	f, _, err := e.makeFacet(nil, []int32{3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +93,8 @@ func TestLiftedFilterMatchesExactInCircle(t *testing.T) {
 	}
 	certified, fallbacks := 0, 0
 	for _, f := range res.Created {
-		probe, err := e.makeFacet(nil, f.Verts)
-		if err != nil {
-			t.Fatalf("makeFacet(%v): %v", f.Verts, err)
-		}
-		if !probe.plane.Valid() {
+		probe := e.slotOf(t, f)
+		if !probe.Valid() {
 			t.Fatalf("facet %v has no cached plane", f.Verts)
 		}
 		a, b, c := plane[f.Verts[0]], plane[f.Verts[1]], plane[f.Verts[2]]
@@ -108,14 +105,14 @@ func TestLiftedFilterMatchesExactInCircle(t *testing.T) {
 			if upper {
 				exact = in < 0
 			}
-			s := probe.plane.Eval(e.store.Row(v))
+			s := probe.Eval(e.store.Row(v))
 			switch {
-			case s > probe.plane.Eps:
+			case s > probe.Eps:
 				if !exact {
 					t.Fatalf("facet %v point %d: filter certifies a conflict, exact says no", f.Verts, v)
 				}
 				certified++
-			case s < -probe.plane.Eps:
+			case s < -probe.Eps:
 				if exact {
 					t.Fatalf("facet %v point %d: filter certifies no conflict, exact says yes", f.Verts, v)
 				}

@@ -2,6 +2,7 @@ package hulld
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"parhull/internal/geom"
@@ -60,6 +61,58 @@ func TestParSchedEquivalence(t *testing.T) {
 			}
 			r, err = Rounds(pts, nil)
 			check("rounds", r, err)
+		}
+	}
+}
+
+// TestParallelFilterPathEquivalence forces the chunked parallel conflict
+// filter inside the real engine (tiny grain, at least four procs) and
+// requires results identical to the serial path. The chunks run on other
+// goroutines and read the plane slot of the worker that made the facet, so
+// this is the check that a slot lives until its facet's filter is done: on a
+// 3D sphere, a 4D ball and a lifted (Delaunay) cloud, under Par (one-shot
+// and on a retained Reuse) and Rounds, the created-facet multiset, the
+// visibility-test and exact-fallback counts, and the depth must all match.
+func TestParallelFilterPathEquivalence(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	if old < 4 {
+		runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(old)
+	}
+	ru := NewReuse()
+	defer ru.Close()
+	lifted, plane := liftedCloud(pointgen.Clustered(pointgen.NewRNG(31), 1500, 2, 5, 1e-3))
+	for _, in := range []struct {
+		name string
+		pts  []geom.Point
+		lift []geom.Point
+	}{
+		{"sphere3d", pointgen.OnSphere(pointgen.NewRNG(32), 2000, 3), nil},
+		{"ball4d", pointgen.UniformBall(pointgen.NewRNG(33), 1000, 4), nil},
+		{"lifted", lifted, plane},
+	} {
+		type run struct {
+			name  string
+			build func(pts []geom.Point, o *Options) (*Result, error)
+			reuse *Reuse
+		}
+		for _, r := range []run{{"par", Par, nil}, {"par-on-reuse", Par, ru}, {"rounds", Rounds, nil}} {
+			serial, err := r.build(in.pts, &Options{Lift: in.lift, FilterGrain: 1 << 62})
+			if err != nil {
+				t.Fatalf("%s %s serial: %v", in.name, r.name, err)
+			}
+			par, err := r.build(in.pts, &Options{Lift: in.lift, FilterGrain: 64, Reuse: r.reuse})
+			if err != nil {
+				t.Fatalf("%s %s grain 64: %v", in.name, r.name, err)
+			}
+			s, p := serial.Stats, par.Stats
+			if s.VisibilityTests != p.VisibilityTests || s.ExactFallbacks != p.ExactFallbacks ||
+				s.FacetsCreated != p.FacetsCreated || s.MaxDepth != p.MaxDepth {
+				t.Fatalf("%s %s: parallel filter changed results: vtests %d/%d fallbacks %d/%d created %d/%d depth %d/%d",
+					in.name, r.name, s.VisibilityTests, p.VisibilityTests, s.ExactFallbacks, p.ExactFallbacks,
+					s.FacetsCreated, p.FacetsCreated, s.MaxDepth, p.MaxDepth)
+			}
+			sameFacets(t, fmt.Sprintf("%s %s grain 64 vs serial", in.name, r.name), par, serial)
 		}
 	}
 }
