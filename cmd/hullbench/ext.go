@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -101,7 +102,7 @@ func expCorner() {
 		for i := range y {
 			y[i] = i
 		}
-		res, err := engine.SpaceRounds(sp, y)
+		res, err := engine.SpaceRounds(context.Background(), nil, sp, y)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

@@ -15,7 +15,7 @@ import (
 )
 
 var reuseGate = flag.Int64("reuse-gate", 100,
-	"fail the reuse experiment if steady-state allocs/op on 3d-ball-100k exceeds this, under the parallel or the sequential engine (<= 0 disables)")
+	"fail the reuse experiment if steady-state allocs/op on 3d-ball-100k exceeds this, under the parallel, the sequential or the rounds engine (<= 0 disables)")
 
 // reuseDefaultGate bounds the steady-state allocs/op on 3d-ball-100k under
 // the default options (Shuffle, PreHullAuto).
@@ -52,12 +52,11 @@ type reuseRow struct {
 // on the headline perf workload (3d-ball-100k, counters off, direct path —
 // the same configuration as the perf export's steal row), appends the rows
 // to BENCH_parhull.json, and acts as the CI allocation gate: a steady-state
-// allocs/op above -reuse-gate under the parallel engine (reuse-steady) or
-// the sequential one (reuse-steady-seq) fails the run, so a pooling
-// regression (a buffer silently dropped from the reuse path) cannot land
-// quietly. The rounds schedule's row (reuse-steady-rounds) is reported but
-// not gated: its scheduler still allocates per round step. The direct-path
-// rows run at GOMAXPROCS=1, the configuration the gate was recorded at:
+// allocs/op above -reuse-gate under the parallel engine (reuse-steady), the
+// sequential one (reuse-steady-seq) or the rounds one (reuse-steady-rounds)
+// fails the run, so a pooling regression (a buffer silently dropped from the
+// reuse path) cannot land quietly. The direct-path rows run at
+// GOMAXPROCS=1, the configuration the gate was recorded at:
 // with more procs, conflict lists long enough to split spawn parallel
 // filter pieces whose goroutines and pooled scratch scale with P, so the
 // count would measure the runner, not the pooling. The live-heap peak of
@@ -120,7 +119,7 @@ func expReuse() {
 		{"reuse-first", 1, first, 0, false, ball, 3, 0},
 		{"reuse-steady", 1, steady, peak, true, ball, 3, 0},
 		{"reuse-steady-seq", 1, steadySeq, 0, true, ball, 3, 0},
-		{"reuse-steady-rounds", 1, steadyRounds, 0, false, ball, 3, 0},
+		{"reuse-steady-rounds", 1, steadyRounds, 0, true, ball, 3, 0},
 		{"reuse-steady-default", procs, steadyDefault, 0, false, ball, 3, 0},
 		{"reuse-steady-2d-cas", 1, steady2DCAS, 0, false, "2d-disk-100k", 2, reuse2DCASBytesGate},
 	}

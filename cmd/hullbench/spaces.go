@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -227,7 +228,7 @@ func checkSpaceOracles() {
 		for i := range order {
 			order[i] = i
 		}
-		res, err := engine.SpaceRounds(sp.s, order)
+		res, err := engine.SpaceRounds(context.Background(), nil, sp.s, order)
 		if err != nil {
 			log.Fatalf("spaces: oracle %s: SpaceRounds: %v", sp.name, err)
 		}

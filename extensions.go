@@ -85,7 +85,7 @@ func HalfspaceIntersectionDirect(normals []Point, opt *Options) (out *HalfspaceR
 		return nil, fmt.Errorf("%w: need at least %d halfspaces for a bounded base, got %d",
 			ErrDegenerate, s.BaseSize(), len(normals))
 	}
-	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, o.insertionOrder(len(normals), s.BaseSize()))
+	res, err := engine.SpaceRounds(o.Context, o.inject, s, o.insertionOrder(len(normals), s.BaseSize()))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -143,7 +143,7 @@ func UnitCircleIntersection(centers []Point, opt *Options) (_ []CircleArc, _ boo
 	if err != nil {
 		return nil, false, wrapErr(err)
 	}
-	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, o.insertionOrder(len(centers), 0))
+	res, err := engine.SpaceRounds(o.Context, o.inject, s, o.insertionOrder(len(centers), 0))
 	if err != nil {
 		return nil, false, wrapErr(err)
 	}
@@ -204,7 +204,7 @@ func TrapezoidDecomposition(segs []TrapezoidSegment, box TrapezoidBox, opt *Opti
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, o.insertionOrder(len(segs), 0))
+	res, err := engine.SpaceRounds(o.Context, o.inject, s, o.insertionOrder(len(segs), 0))
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -306,7 +306,7 @@ func Hull3DDegenerate(pts []Point, opt *Options) (_ []Face3D, err error) {
 	if err != nil {
 		return nil, wrapErr(err)
 	}
-	res, err := engine.SpaceRoundsCtxInj(o.Context, o.inject, s, o.insertionOrder(len(pts), 0))
+	res, err := engine.SpaceRounds(o.Context, o.inject, s, o.insertionOrder(len(pts), 0))
 	if err != nil {
 		return nil, wrapErr(err)
 	}

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync"
-
 	"parhull/internal/conflict"
 	"parhull/internal/geom"
 )
@@ -198,49 +196,4 @@ func (a *Arena[FV]) Reset() {
 	a.facets = nil
 	a.usedBlocks = 0
 	a.block = nil
-}
-
-// ArenaPool hands arenas to transient holders — the rounds schedule's
-// barriered steps — so that schedule gets slab-allocated facets (in
-// creation, i.e. round, order) instead of per-facet heap allocation. Arenas are monotone, so recycling
-// one to a new holder is safe: previously carved memory is never reused
-// within a cycle. The pool retains every arena it ever created, which is
-// what lets a pooled engine Reset them between cycles.
-type ArenaPool[FV any] struct {
-	mu   sync.Mutex
-	free []*Arena[FV]
-	all  []*Arena[FV]
-}
-
-// Get returns an idle arena, creating one if none is free. The live arena
-// count is bounded by the holder concurrency (the rounds ParallelFor width).
-func (p *ArenaPool[FV]) Get() *Arena[FV] {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		a := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return a
-	}
-	a := NewArena[FV]()
-	p.all = append(p.all, a)
-	return a
-}
-
-// Put returns an arena to the pool.
-func (p *ArenaPool[FV]) Put(a *Arena[FV]) {
-	p.mu.Lock()
-	p.free = append(p.free, a)
-	p.mu.Unlock()
-}
-
-// Reset rewinds every arena the pool ever handed out. Call only between
-// cycles, with every arena returned.
-func (p *ArenaPool[FV]) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, a := range p.all {
-		a.Reset()
-	}
 }

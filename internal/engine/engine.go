@@ -11,7 +11,7 @@
 //
 // Division of responsibility:
 //
-//   - The driver owns scheduling (chain loops, forking, the rounds barrier),
+//   - The driver owns scheduling (chain loops, forking, the round loop),
 //     the ridge-table handshake (InsertAndSet/GetValue — the second facet to
 //     arrive at a ridge forks its chain, lines 20-22 of Algorithm 3), facet
 //     life-cycle counters, error/abort propagation, and the per-worker
@@ -20,10 +20,15 @@
 //     lookup, facet construction with exact conflict filtering (the
 //     float-filter fast path included), and fresh-ridge enumeration.
 //
+// Par and Rounds run the same ProcessRidge step (driver.step) on the same
+// substrate: one sched.Executor per Pool, with one arena per worker. Par
+// loops each chain inside one task; Rounds runs one step per task and
+// defers its continuation and forks to the next round (Executor.Rounds).
+//
 // A schedule or scheduler fix now lands once instead of once per geometry,
 // and a new configuration space gets all three schedules by implementing the
 // kernel interface (see space.go for the generic route that needs no kernel
-// at all, only a core.Space).
+// at all, only a core.Space, and runs on the same round loop).
 package engine
 
 import (
@@ -34,7 +39,6 @@ import (
 
 	"parhull/internal/faultinject"
 	"parhull/internal/hullstats"
-	"parhull/internal/sched"
 )
 
 // NoPivot is the conflict pivot of an empty conflict set: later than every
@@ -68,7 +72,7 @@ type Kernel[FV any, R any] interface {
 	// depth). With a non-nil arena the facet and its published slices come
 	// from per-worker blocks. An error reports degenerate input and aborts
 	// the construction.
-	NewFacet(a *Arena[FV], r R, p int32, t1, t2 *FV, round int32) (*FV, error)
+	NewFacet(a *Arena[FV], r R, p int32, t1, t2 *FV) (*FV, error)
 	// FreshRidges appends to buf the ridges of t that contain the pivot —
 	// every ridge of t except r itself (line 20) — and returns the extended
 	// slice. Ridge values handed out here are published into the ridge table
@@ -103,54 +107,60 @@ type Config[FV any, R any] struct {
 	Kernel Kernel[FV, R]
 	Table  Table[FV, R]
 	Rec    *hullstats.Recorder
-	// Workers is the work-stealing executor's pool width (Par only; <= 0
-	// selects GOMAXPROCS). The speedup harness pins it per run so scaling
-	// curves do not depend on the ambient GOMAXPROCS.
+	// Workers is the work-stealing executor's pool width, for Par and
+	// Rounds alike (<= 0 selects GOMAXPROCS). The speedup harness pins it per
+	// run so scaling curves do not depend on the ambient GOMAXPROCS.
 	Workers int
 	// Ctx, when non-nil, cancels the construction cooperatively: chains
 	// check it at ridge-step granularity and the run returns ctx.Err() with
 	// the pool quiesced. nil means no cancellation.
 	Ctx context.Context
-	// Pool, when non-nil, runs the construction on a retained substrate: the
-	// steal schedule reuses the pool's workers, arenas, and scratch instead
-	// of building them per call, and the rounds schedule draws step arenas
-	// from the pool so facet slabs are recycled across constructions.
-	// The caller owns the pool's lifecycle (Reset between uses, Close at the
-	// end); nil keeps the self-contained per-call behavior.
+	// Pool, when non-nil, runs the construction on a retained substrate:
+	// both schedules reuse the pool's workers, arenas, and scratch instead
+	// of building them per call. The caller owns the pool's lifecycle (Reset
+	// between uses, Close at the end); nil runs the construction on a
+	// throwaway pool.
 	Pool *Pool[FV, R]
 	// Inject arms deterministic fault injection (tests only; nil in
 	// production — every hook is nil-safe).
 	Inject *faultinject.Injector
 }
 
-// driver carries the per-run scheduling state shared by the chain loops.
-type driver[FV any, R any] struct {
-	k   Kernel[FV, R]
-	tbl Table[FV, R]
-	rec *hullstats.Recorder
-	inj *faultinject.Injector
-
+// failure records the first error of a run and raises the flag its tasks
+// poll, so "first error wins" and "cancel promptly" are one mechanism.
+type failure struct {
 	errOnce sync.Once
 	err     error
 	failed  atomic.Bool
 }
 
-func newDriver[FV any, R any](cfg Config[FV, R]) *driver[FV, R] {
-	return &driver[FV, R]{k: cfg.Kernel, tbl: cfg.Table, rec: cfg.Rec, inj: cfg.Inject}
+func (f *failure) fail(err error) {
+	f.errOnce.Do(func() { f.err = err })
+	f.failed.Store(true)
 }
 
-func (d *driver[FV, R]) fail(err error) {
-	d.errOnce.Do(func() { d.err = err })
-	d.failed.Store(true)
+// driver carries the per-run scheduling state shared by the schedules.
+type driver[FV any, R any] struct {
+	k   Kernel[FV, R]
+	tbl Table[FV, R]
+	rec *hullstats.Recorder
+	inj *faultinject.Injector
+	failure
+
+	// round is the running round of Rounds (1-based), and 0 under Par: the
+	// owner writes it between rounds, while no step runs. observe, when
+	// non-nil, receives every step's outcome with that round.
+	round   int32
+	observe func(kind EventKind, round int32, a, b *FV)
 }
 
-// watch flips the driver's failed flag when ctx is canceled, so every chain
-// loop's existing poll doubles as the cancellation check — ridge-step
-// granularity with no extra atomic on the hot path. The returned stop
+// watch fails f with ctx.Err() when ctx is canceled, so every task's
+// existing poll of the failure flag doubles as the cancellation check —
+// step granularity with no extra atomic on the hot path. The returned stop
 // retires the watcher goroutine and waits for it to exit. It must be called
-// before d.err is read: a cancellation that lands as the run finishes
+// before f.err is read: a cancellation that lands as the run finishes
 // otherwise writes the error concurrently with that read.
-func (d *driver[FV, R]) watch(ctx context.Context) (stop func()) {
+func watch(ctx context.Context, f *failure) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}
@@ -160,13 +170,20 @@ func (d *driver[FV, R]) watch(ctx context.Context) (stop func()) {
 		defer close(exited)
 		select {
 		case <-ctx.Done():
-			d.fail(ctx.Err())
+			f.fail(ctx.Err())
 		case <-quit:
 		}
 	}()
 	return func() {
 		close(quit)
 		<-exited
+	}
+}
+
+// note reports a step's outcome to the observer of Rounds, if any.
+func (d *driver[FV, R]) note(kind EventKind, a, b *FV) {
+	if d.observe != nil {
+		d.observe(kind, d.round, a, b)
 	}
 }
 
@@ -177,29 +194,32 @@ func (d *driver[FV, R]) watch(ctx context.Context) (stop func()) {
 // the fresh ridges to the table — the second facet to arrive forks its chain
 // (lines 20-22) — and returns the continuation task for the ridge shared
 // with t2 (line 19). ridges is caller-owned scratch reused across steps.
-func (d *driver[FV, R]) step(a *Arena[FV], tk Task[FV, R], ridges []R, round int32, fork func(Task[FV, R])) (Task[FV, R], []R, bool) {
+func (d *driver[FV, R]) step(a *Arena[FV], tk Task[FV, R], ridges []R, fork func(Task[FV, R])) (Task[FV, R], []R, bool) {
 	var zero Task[FV, R]
 	d.inj.Visit(faultinject.SiteRidgeStep)
 	p1, p2 := d.k.Pivot(tk.T1), d.k.Pivot(tk.T2)
 	switch {
 	case p1 == NoPivot && p2 == NoPivot:
 		d.rec.Finalized()
+		d.note(EventFinal, tk.T1, tk.T2)
 		return zero, ridges, false
 	case p1 == p2:
 		d.rec.Buried(d.k.Kill(tk.T1))
 		d.rec.Buried(d.k.Kill(tk.T2))
+		d.note(EventBuried, tk.T1, tk.T2)
 		return zero, ridges, false
 	case p2 < p1:
 		// Lines 11-12: flip so T1 is the facet to replace.
 		tk.T1, tk.T2 = tk.T2, tk.T1
 		p1 = p2
 	}
-	t, err := d.k.NewFacet(a, tk.R, p1, tk.T1, tk.T2, round)
+	t, err := d.k.NewFacet(a, tk.R, p1, tk.T1, tk.T2)
 	if err != nil {
 		d.fail(err)
 		return zero, ridges, false
 	}
 	d.rec.Replaced(d.k.Kill(tk.T1))
+	d.note(EventCreated, t, tk.T1)
 	ridges = d.k.FreshRidges(a, t, tk.R, ridges[:0])
 	for _, r2 := range ridges {
 		first, ierr := d.tbl.InsertAndSet(r2, t)
@@ -215,71 +235,17 @@ func (d *driver[FV, R]) step(a *Arena[FV], tk Task[FV, R], ridges []R, round int
 }
 
 // Par runs Algorithm 3 under the asynchronous fork-join schedule (the
-// binary-forking model of Theorem 5.5) over the initial ridge tasks. seed is
+// binary-forking model of Theorem 5.5) over the initial ridge tasks, on the
+// work-stealing executor: each task loops its chain to the end, and forks
+// push plain task values onto the forking worker's own deque. seed is
 // called once with the root fork function (one call per ridge of the base
 // simplex/polygon). It returns the first failure, in precedence order:
 // kernel/table error or ctx cancellation (whichever was recorded first),
 // then a contained worker panic as *sched.PanicError. On every return path
 // the pool has fully quiesced — no goroutine outlives the call.
 func Par[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R]))) error {
-	d := newDriver(cfg)
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return err
-		}
-	}
-	stop := d.watch(cfg.Ctx)
-	var perr error
-	if cfg.Pool != nil {
-		perr = cfg.Pool.runSteal(d, cfg.Workers, seed)
-	} else {
-		perr = d.parSteal(cfg.Workers, seed)
-	}
-	stop()
-	if perr != nil {
-		d.fail(perr) // first recorded failure wins; a panic only if nothing else
-	}
-	return d.err
-}
-
-// parSteal runs the chains on the work-stealing executor: one long-lived
-// worker per P, forks pushed to the forking worker's own deque as plain task
-// values (no closure, no goroutine spawn), every facet and published slice
-// allocated from the executing worker's arena, and the fresh-ridge scratch
-// reused per worker so the steady-state step allocates nothing beyond the
-// facet's own arena carves.
-func (d *driver[FV, R]) parSteal(workers int, seed func(fork func(Task[FV, R]))) error {
-	nw := workers
-	if nw <= 0 {
-		nw = sched.Workers()
-	}
-	arenas := NewArenas[FV](nw)
-	ridgeBufs := make([][]R, nw)
-	// Per-worker fork closures are bound once, before any task can run, so
-	// the chain hot path allocates nothing to fork.
-	forkFns := make([]func(Task[FV, R]), nw)
-	var x *sched.Executor[Task[FV, R]]
-	x = sched.NewExecutor(nw, func(w int, tk Task[FV, R]) {
-		a, fork := &arenas[w], forkFns[w]
-		for {
-			if d.failed.Load() || x.Failed() {
-				return
-			}
-			next, buf, ok := d.step(a, tk, ridgeBufs[w], 0, fork)
-			ridgeBufs[w] = buf
-			if !ok {
-				return
-			}
-			tk = next
-		}
-	})
-	for w := range forkFns {
-		w := w
-		forkFns[w] = func(nt Task[FV, R]) { x.Fork(w, nt) }
-	}
-	seed(func(tk Task[FV, R]) { x.Fork(sched.External, tk) })
-	x.Wait()
-	return x.Err()
+	_, err := run(cfg, seed, nil, false)
+	return err
 }
 
 // EventKind classifies an observed ProcessRidge outcome of the rounds
@@ -299,104 +265,41 @@ const (
 )
 
 // Rounds runs Algorithm 3 under the round-synchronous schedule of Theorem
-// 5.4 over the initial tasks: each ready ProcessRidge call executes one step
-// per round with a global barrier between rounds, so the returned round
-// count is the recursion depth of Theorem 5.3 and widths[r] the ready-task
-// frontier of round r+1. Flips (lines 11-12) run inline and do not consume a
-// round. observe, when non-nil, is called for every outcome with the round
-// and the two facets of the event (it must be safe for concurrent calls;
-// the 2D kernel uses it to build its per-round Trace).
-func Rounds[FV any, R any](cfg Config[FV, R], initial []Task[FV, R],
-	observe func(kind EventKind, round int32, a, b *FV)) (rounds int, widths []int, err error) {
-
-	d := newDriver(cfg)
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
-			return 0, nil, err
-		}
-	}
-	stop := d.watch(cfg.Ctx)
-	type roundTask struct {
-		Task[FV, R]
-		round int32
-	}
-	seed := make([]roundTask, len(initial))
-	for i, tk := range initial {
-		seed[i] = roundTask{Task: tk, round: 1}
-	}
-	// Each step draws an arena for its facet and ridge carves; the rounds
-	// barrier means slabs fill in creation — i.e. round — order, so a pooled
-	// replay touches facets in the same cache-friendly sequence.
-	ap := chainArenas(cfg.Pool)
-	// ParallelFor is panic-transparent: a contained panic in a round body is
-	// re-thrown here, on the calling goroutine, after the barrier — Recovered
-	// turns it into the typed *sched.PanicError.
-	perr := sched.Recovered(func() {
-		rounds, widths = sched.RunRoundsWidths(seed, func(tk roundTask, emit func(roundTask)) {
-			d.roundStep(ap, tk.Task, tk.round, observe, func(nt Task[FV, R], round int32) {
-				emit(roundTask{Task: nt, round: round})
-			})
-		})
-	})
-	stop()
-	if perr != nil {
-		d.fail(perr)
-	}
-	return rounds, widths, d.err
+// 5.4, on the same executor, arenas and step as Par: each ready ProcessRidge
+// call executes one step per round, its continuation and forks run in the
+// next round, and the pool quiesces between rounds (sched.Executor.Rounds).
+// The returned widths hold the ready-task frontier of every round, so
+// len(widths) is the recursion depth of Theorem 5.3. Flips (lines 11-12) run
+// inline and do not consume a round. seed is Par's. observe, when non-nil,
+// is called for every outcome with the round and the two facets of the
+// event (it must be safe for concurrent calls; the 2D kernel uses it to
+// build its per-round Trace). Failures are reported as by Par.
+func Rounds[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
+	observe func(kind EventKind, round int32, a, b *FV)) (widths []int, err error) {
+	return run(cfg, seed, observe, true)
 }
 
-// roundStep is one rounds-schedule ProcessRidge execution (the step logic of
-// the asynchronous schedule, with the continuation emitted instead of looped).
-func (d *driver[FV, R]) roundStep(ap *ArenaPool[FV], tk Task[FV, R], round int32,
-	observe func(kind EventKind, round int32, a, b *FV), emit func(Task[FV, R], int32)) {
+// run mounts one Par or Rounds construction on cfg.Pool, or on a throwaway
+// pool when it is nil, and returns its failure as Par documents.
+func run[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
+	observe func(EventKind, int32, *FV, *FV), rounds bool) ([]int, error) {
 
-	if d.failed.Load() {
-		return
+	if cfg.Ctx != nil {
+		if err := cfg.Ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
-	d.inj.Visit(faultinject.SiteRidgeStep)
-	{
-		t1, t2 := tk.T1, tk.T2
-		p1, p2 := d.k.Pivot(t1), d.k.Pivot(t2)
-		switch {
-		case p1 == NoPivot && p2 == NoPivot:
-			d.rec.Finalized()
-			if observe != nil {
-				observe(EventFinal, round, t1, t2)
-			}
-			return
-		case p1 == p2:
-			d.rec.Buried(d.k.Kill(t1))
-			d.rec.Buried(d.k.Kill(t2))
-			if observe != nil {
-				observe(EventBuried, round, t1, t2)
-			}
-			return
-		case p2 < p1:
-			t1, t2 = t2, t1
-			p1 = p2
-		}
-		a := ap.Get()
-		defer ap.Put(a)
-		t, err := d.k.NewFacet(a, tk.R, p1, t1, t2, round)
-		if err != nil {
-			d.fail(err)
-			return
-		}
-		d.rec.Replaced(d.k.Kill(t1))
-		if observe != nil {
-			observe(EventCreated, round, t, t1)
-		}
-		for _, r2 := range d.k.FreshRidges(a, t, tk.R, nil) {
-			first, ierr := d.tbl.InsertAndSet(r2, t)
-			if ierr != nil {
-				d.fail(ierr)
-				return
-			}
-			if !first {
-				other := d.tbl.GetValue(r2, t)
-				emit(Task[FV, R]{T1: t, R: r2, T2: other}, round+1)
-			}
-		}
-		emit(Task[FV, R]{T1: t, R: tk.R, T2: t2}, round+1)
+	d := &driver[FV, R]{k: cfg.Kernel, tbl: cfg.Table, rec: cfg.Rec, inj: cfg.Inject, observe: observe}
+	p := cfg.Pool
+	if p == nil {
+		p = NewPool[FV, R]()
+		defer p.Close()
 	}
+	stop := watch(cfg.Ctx, &d.failure)
+	widths, perr := p.run(d, cfg.Workers, seed, rounds)
+	stop()
+	if perr != nil {
+		d.fail(perr) // first recorded failure wins; a panic only if nothing else
+	}
+	return widths, d.err
 }

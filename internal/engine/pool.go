@@ -2,13 +2,13 @@ package engine
 
 import "parhull/internal/sched"
 
-// Pool is the retained parallel substrate of a reusable construction owner
-// (the public parhull.Builder): the work-stealing worker pool, the
-// per-worker arenas and fresh-ridge scratch of the steal schedule, and the
-// shared arena pool the rounds schedule draws from. A Pool amortizes
-// across constructions everything parSteal builds per call — worker
-// goroutines, deques, arenas, fork closures — so the steady-state cost of a
-// parallel construction is the work itself, not the scaffolding.
+// Pool is the parallel substrate of Par and Rounds: the work-stealing
+// executor, one arena and one fresh-ridge buffer per worker, and the
+// per-worker fork closures. A reusable construction owner (the public
+// parhull.Builder, through a kernel's Reuse) retains one across
+// constructions, so the steady-state cost of a parallel construction is the
+// work itself, not the scaffolding; a one-shot construction mounts a
+// throwaway one.
 //
 // A Pool is single-owner: at most one construction may run on it at a time,
 // and Reset/Close must not overlap a construction. The zero value is not
@@ -20,26 +20,29 @@ type Pool[FV any, R any] struct {
 	forkFns   []func(Task[FV, R])
 	x         *sched.Executor[Task[FV, R]]
 
+	// seeds is the first round's frontier under Rounds, grow-only.
+	seeds []Task[FV, R]
+
 	// cur is the construction currently mounted on the pool. The worker run
 	// closure is bound once (to the pool, not to a driver) and reads cur per
-	// task; the write in runSteal is published to workers through the deque
-	// mutex of the first Fork.
+	// task; the write in run is published to workers through the deque
+	// mutex of the first fork.
 	cur *driver[FV, R]
-
-	// chain hands arenas to the barriered steps of the rounds schedule (see
-	// ArenaPool); retained here so a pooled owner can Reset them between
-	// cycles.
-	chain ArenaPool[FV]
 }
 
 // NewPool returns an empty Pool; the worker pool and arenas are created
-// lazily on the first steal-schedule construction.
+// lazily by the first construction.
 func NewPool[FV any, R any]() *Pool[FV, R] { return &Pool[FV, R]{} }
 
 // ensure (re)builds the executor for the requested width. Reusing the pool at
 // the same width re-arms the parked workers; a width change retires the old
 // pool and starts a new one (arenas and scratch are per-worker, so they are
 // rebuilt with it).
+//
+// A worker runs each task on its own arena with its own fork closure. Under
+// Par a task loops its chain to the end; under Rounds (cur.round > 0) it
+// runs one step, and forks its continuation, which the executor defers to
+// the next round like every fork of the round.
 func (p *Pool[FV, R]) ensure(workers int) {
 	nw := workers
 	if nw <= 0 {
@@ -59,13 +62,14 @@ func (p *Pool[FV, R]) ensure(workers int) {
 	p.x = sched.NewExecutor(nw, func(w int, tk Task[FV, R]) {
 		d, x := p.cur, p.x
 		a, fork := &p.arenas[w], p.forkFns[w]
-		for {
-			if d.failed.Load() || x.Failed() {
-				return
-			}
-			next, buf, ok := d.step(a, tk, p.ridgeBufs[w], 0, fork)
+		for !d.failed.Load() && !x.Failed() {
+			next, buf, ok := d.step(a, tk, p.ridgeBufs[w], fork)
 			p.ridgeBufs[w] = buf
 			if !ok {
+				return
+			}
+			if d.round > 0 {
+				fork(next)
 				return
 			}
 			tk = next
@@ -77,16 +81,28 @@ func (p *Pool[FV, R]) ensure(workers int) {
 	}
 }
 
-// runSteal is parSteal on the retained substrate: mount the driver, arm the
-// workers, seed the root tasks, and quiesce — the workers park but stay
-// alive for the next construction.
-func (p *Pool[FV, R]) runSteal(d *driver[FV, R], workers int, seed func(fork func(Task[FV, R]))) error {
+// run mounts d, arms the workers and runs one construction: the seed tasks
+// are forked and the pool quiesces (Par), or they are the first round's
+// frontier (Rounds, which returns the round widths). The workers park but
+// stay alive for the next construction. The error is a contained panic.
+func (p *Pool[FV, R]) run(d *driver[FV, R], workers int, seed func(fork func(Task[FV, R])), rounds bool) ([]int, error) {
 	p.cur = d
 	p.ensure(workers)
-	seed(func(tk Task[FV, R]) { p.x.Fork(sched.External, tk) })
-	p.x.Quiesce()
+	var widths []int
+	if rounds {
+		p.seeds = p.seeds[:0]
+		seed(func(tk Task[FV, R]) { p.seeds = append(p.seeds, tk) })
+		widths = p.x.Rounds(p.seeds, func(r int) bool {
+			d.round = int32(r)
+			return !d.failed.Load()
+		})
+		clear(p.seeds)
+	} else {
+		seed(func(tk Task[FV, R]) { p.x.Fork(sched.External, tk) })
+		p.x.Quiesce()
+	}
 	p.cur = nil
-	return p.x.Err()
+	return widths, p.x.Err()
 }
 
 // Reset rewinds every retained arena for the next construction. Call only
@@ -96,7 +112,6 @@ func (p *Pool[FV, R]) Reset() {
 	for i := range p.arenas {
 		p.arenas[i].Reset()
 	}
-	p.chain.Reset()
 }
 
 // Close retires the worker pool. The Pool must not be used afterwards;
@@ -106,13 +121,4 @@ func (p *Pool[FV, R]) Close() {
 		p.x.Close()
 		p.x = nil
 	}
-}
-
-// chainArenas returns the arena pool rounds steps should draw from:
-// the retained one of a pooled construction, or a construction-local pool.
-func chainArenas[FV any, R any](p *Pool[FV, R]) *ArenaPool[FV] {
-	if p != nil {
-		return &p.chain
-	}
-	return new(ArenaPool[FV])
 }

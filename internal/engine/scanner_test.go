@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -225,7 +226,7 @@ func TestSpaceRoundsMatchesActive(t *testing.T) {
 		for oi, order := range orderSet(sp.s.NumObjects(), sp.s.BaseSize()) {
 			want := core.Active(sp.s, order)
 			sort.Ints(want)
-			got, err := engine.SpaceRounds(sp.s, order)
+			got, err := engine.SpaceRounds(context.Background(), nil, sp.s, order)
 			if err != nil {
 				t.Fatalf("%s order#%d SpaceRounds: %v", sp.name, oi, err)
 			}
@@ -262,7 +263,7 @@ func TestSpaceRoundsMatchesRunGeneric(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s order#%d RunGeneric: %v", sp.name, oi, err)
 			}
-			got, err := engine.SpaceRounds(sp.s, order)
+			got, err := engine.SpaceRounds(context.Background(), nil, sp.s, order)
 			if err != nil {
 				t.Fatalf("%s order#%d SpaceRounds: %v", sp.name, oi, err)
 			}

@@ -162,7 +162,7 @@ func Seq[FV any, R any](cfg SeqConfig[FV, R], facets []*FV, n int32, baseSizes [
 		}
 		s.created = s.created[:0]
 		for _, tk := range s.tasks {
-			t, err := k.NewFacet(a, tk.R, i, tk.T1, tk.T2, 0)
+			t, err := k.NewFacet(a, tk.R, i, tk.T1, tk.T2)
 			if err != nil {
 				return nil, err
 			}

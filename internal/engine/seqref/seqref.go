@@ -63,7 +63,7 @@ func Seq[FV any, R any](cfg engine.SeqConfig[FV, R], conf func(*FV) []int32,
 		}
 		created = created[:0]
 		for _, tk := range tasks {
-			t, err := k.NewFacet(cfg.Arena, tk.R, i, tk.T1, tk.T2, 0)
+			t, err := k.NewFacet(cfg.Arena, tk.R, i, tk.T1, tk.T2)
 			if err != nil {
 				return nil, err
 			}

@@ -67,9 +67,11 @@ type SpaceResult struct {
 // enumerated configuration space under the round-synchronous schedule,
 // inserting the objects of order (a duplicate-free subset of the space's
 // objects, base prefix first) in index order. It is the generic route onto
-// the driver's rounds schedule: a space needs no kernel, only its core.Space
+// the rounds schedule: a space needs no kernel, only its core.Space
 // enumeration — this is how degenerate 3D inputs get a real engine through
-// the corner space of Section 6 (see parhull.Hull3DDegenerate).
+// the corner space of Section 6 (see parhull.Hull3DDegenerate). Its tasks
+// run on the executor's round loop (sched.Executor.Rounds), the one Rounds
+// runs on.
 //
 // Unlike core.RunGeneric — the brute-force Algorithm 1 validator, which
 // rediscovers support sets by subset search and rescans the full active set
@@ -97,27 +99,17 @@ type SpaceResult struct {
 // decomposition overlapping the new cell's region, which must have been
 // destroyed by (first-conflicting with) x for the region to change. Large
 // supports cost work and depth, never completeness.
-func SpaceRounds(s core.Space, order []int) (*SpaceResult, error) {
-	return SpaceRoundsCtx(nil, s, order)
-}
-
-// SpaceRoundsCtx is SpaceRounds with cooperative cancellation: a non-nil ctx
-// is checked at round-task granularity and the run returns ctx.Err() with all
-// round workers joined. Panics escaping the space's callbacks are contained
-// into a typed *sched.PanicError instead of unwinding through the caller.
-func SpaceRoundsCtx(ctx context.Context, s core.Space, order []int) (*SpaceResult, error) {
-	return SpaceRoundsCtxInj(ctx, nil, s, order)
-}
-
-// SpaceRoundsCtxInj is SpaceRoundsCtx with deterministic fault injection
-// (tests and the soak driver only; production passes SpaceRoundsCtx's nil).
-// Two sites are instrumented: SiteScanBatch counts one visit per
-// configuration conflict scan, and SiteSpacePeak counts one visit per
-// claimed pivot inside the round tasks — a panic armed there is contained by
-// the round scheduler into a *sched.PanicError, while one armed on a scan
-// reached from the base-candidate loop unwinds to the caller (the public
-// layer's guard).
-func SpaceRoundsCtxInj(ctx context.Context, inj *faultinject.Injector, s core.Space, order []int) (*SpaceResult, error) {
+//
+// A non-nil ctx cancels the run cooperatively at task granularity: it
+// returns ctx.Err() with every worker joined. A panic escaping the space's
+// callbacks inside a round task is contained into a typed
+// *sched.PanicError. inj arms deterministic fault injection (tests and the
+// soak driver only; nil in production) at two sites: SiteScanBatch counts
+// one visit per configuration conflict scan, and SiteSpacePeak one per
+// claimed pivot inside the round tasks. A panic armed on a scan reached
+// from the base-candidate loop unwinds to the caller (the public layer's
+// guard).
+func SpaceRounds(ctx context.Context, inj *faultinject.Injector, s core.Space, order []int) (*SpaceResult, error) {
 	n := s.NumObjects()
 	nb := s.BaseSize()
 	if len(order) < nb {
@@ -252,7 +244,6 @@ func SpaceRoundsCtxInj(ctx context.Context, inj *faultinject.Injector, s core.Sp
 	type task struct {
 		c     int32 // pending configuration
 		pivot int32 // rank of the first conflicting object
-		round int32
 	}
 	var initial []task
 	for _, c := range baseCand {
@@ -261,7 +252,7 @@ func SpaceRoundsCtxInj(ctx context.Context, inj *faultinject.Injector, s core.Sp
 			continue
 		}
 		if p != NoPivot {
-			initial = append(initial, task{c: c, pivot: p, round: 1})
+			initial = append(initial, task{c: c, pivot: p})
 		}
 	}
 	if ctx != nil {
@@ -269,55 +260,41 @@ func SpaceRoundsCtxInj(ctx context.Context, inj *faultinject.Injector, s core.Sp
 			return nil, err
 		}
 	}
-	var canceled atomic.Bool
-	stop := func() {}
-	if ctx != nil && ctx.Done() != nil {
-		quit := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				canceled.Store(true)
-			case <-quit:
+	var f failure
+	var x *sched.Executor[task]
+	x = sched.NewExecutor(0, func(w int, tk task) {
+		if f.failed.Load() {
+			return
+		}
+		// tk.c dies here: its pivot's insertion kills it (one task per
+		// configuration, so no double counting). The first task to claim the
+		// pivot performs the insertion's creations; each configuration has
+		// exactly one peak rank and each rank is claimed once, so every
+		// configuration is created at most once. A created configuration
+		// with a conflict is a task of the next round: Fork defers it.
+		p := tk.pivot
+		if !claimed[p].CompareAndSwap(false, true) {
+			return
+		}
+		inj.Visit(faultinject.SiteSpacePeak)
+		forPeak(p, func(c int32) {
+			q, ok := create(c, p)
+			if ok && q != NoPivot {
+				x.Fork(w, task{c: c, pivot: q})
 			}
-		}()
-		stop = func() { close(quit) }
-	}
-	var rounds int
-	var widths []int
-	perr := sched.Recovered(func() {
-		rounds, widths = sched.RunRoundsWidths(initial, func(tk task, emit func(task)) {
-			if canceled.Load() {
-				return
-			}
-			// tk.c dies here: its pivot's insertion kills it (one task per
-			// configuration, so no double counting). The first task to claim the
-			// pivot performs the insertion's creations; each configuration has
-			// exactly one peak rank and each rank is claimed once, so every
-			// configuration is created at most once.
-			x := tk.pivot
-			if !claimed[x].CompareAndSwap(false, true) {
-				return
-			}
-			inj.Visit(faultinject.SiteSpacePeak)
-			forPeak(x, func(c int32) {
-				p, ok := create(c, x)
-				if !ok {
-					return
-				}
-				if p != NoPivot {
-					emit(task{c: c, pivot: p, round: tk.round + 1})
-				}
-			})
 		})
 	})
+	stop := watch(ctx, &f)
+	widths := x.Rounds(initial, func(int) bool { return !f.failed.Load() })
 	stop()
-	if perr != nil {
-		return nil, perr
+	x.Close()
+	if err := x.Err(); err != nil {
+		f.fail(err)
 	}
-	if canceled.Load() {
-		return nil, ctx.Err()
+	if f.err != nil {
+		return nil, f.err
 	}
 
 	sort.Ints(alive)
-	return &SpaceResult{Alive: alive, Created: int(nCreated.Load()), Rounds: rounds, Widths: widths}, nil
+	return &SpaceResult{Alive: alive, Created: int(nCreated.Load()), Rounds: len(widths), Widths: widths}, nil
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"testing"
 
 	"parhull/internal/core"
@@ -39,7 +40,7 @@ func TestSpaceRoundsMatchesCore(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			res, err := engine.SpaceRounds(s, all)
+			res, err := engine.SpaceRounds(context.Background(), nil, s, all)
 			if err != nil {
 				t.Fatalf("SpaceRounds: %v", err)
 			}
@@ -85,7 +86,7 @@ func TestSpaceRoundsFaces(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	res, err := engine.SpaceRounds(s, all)
+	res, err := engine.SpaceRounds(context.Background(), nil, s, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +111,13 @@ func TestSpaceRoundsValidatesOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.SpaceRounds(s, []int{0, 1}); err == nil {
+	if _, err := engine.SpaceRounds(context.Background(), nil, s, []int{0, 1}); err == nil {
 		t.Error("short order accepted")
 	}
-	if _, err := engine.SpaceRounds(s, []int{0, 1, 2, 2, 3}); err == nil {
+	if _, err := engine.SpaceRounds(context.Background(), nil, s, []int{0, 1, 2, 2, 3}); err == nil {
 		t.Error("duplicate object accepted")
 	}
-	if _, err := engine.SpaceRounds(s, []int{0, 1, 2, 99}); err == nil {
+	if _, err := engine.SpaceRounds(context.Background(), nil, s, []int{0, 1, 2, 99}); err == nil {
 		t.Error("out-of-range object accepted")
 	}
 }

@@ -75,8 +75,8 @@ func (k kernel) Pivot(f *Facet) int32 { return f.pivot() }
 
 // NewFacet implements engine.Kernel (2D facet construction cannot fail: the
 // base triangle fixed the orientation and conflict filtering is total).
-func (k kernel) NewFacet(a *arena, r int32, p int32, t1, t2 *Facet, round int32) (*Facet, error) {
-	return k.e.newFacet(a, r, p, t1, t2, round), nil
+func (k kernel) NewFacet(a *arena, r int32, p int32, t1, t2 *Facet) (*Facet, error) {
+	return k.e.newFacet(a, r, p, t1, t2), nil
 }
 
 // FreshRidges implements engine.Kernel: the one fresh ridge of the new edge
@@ -101,7 +101,6 @@ type Facet struct {
 	A, B  int32
 	Conf  []int32 // conflict set: visible points, ascending insertion index
 	Depth int32   // configuration-dependence-graph depth (Definition 4.1)
-	Round int32   // round of creation (rounds engine; 0 for initial facets)
 
 	// mark is scratch for the sequential engine's per-insertion visible-set
 	// membership (holds the insertion index; never touched concurrently).
@@ -237,7 +236,7 @@ func (e *engine) record(f *Facet) {
 // if r is t1's tail the new edge is r->p, otherwise p->r. With a worker
 // arena (work-stealing path) the facet and its conflict list come from
 // per-worker blocks; nil a = heap (the other schedules).
-func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet, round int32) *Facet {
+func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet) *Facet {
 	f := a.Facet()
 	if r == t1.A {
 		f.A, f.B = r, p
@@ -245,7 +244,6 @@ func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet, round int32) *Fac
 		f.A, f.B = p, r
 	}
 	f.Depth = 1 + max32(t1.Depth, t2.Depth)
-	f.Round = round
 	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, e.initPlane(a, f))
 	e.record(f)
 	return f

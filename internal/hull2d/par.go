@@ -14,7 +14,7 @@ import (
 // zero value (or a nil *Options) is the default: a base triangle, the
 // vertex-slot ridge table, GOMAXPROCS workers, counters and the line cache
 // on, a fresh engine. Seq ignores Map, Workers, FilterGrain, and Trace;
-// Rounds ignores Workers.
+// Par ignores Trace.
 type Options struct {
 	// Base is the size of the pre-built initial hull (default 3). With
 	// Base > 3 the first Base points must be a strictly convex CCW polygon;
@@ -24,10 +24,11 @@ type Options struct {
 	// vertex-indexed slot array (see ridgeSlots); MapCAS/MapTAS, tests, and
 	// the E10 ablation install a conmap table instead.
 	Map conmap.RidgeMap[*Facet]
-	// Workers pins the work-stealing executor's pool width (Par only; <= 0
-	// selects GOMAXPROCS). The created-edge multiset is identical for any
-	// width (Theorem 5.5; asserted by TestParSchedEquivalence) — only the
-	// schedule changes.
+	// Workers pins the work-stealing executor's pool width, which Par and
+	// Rounds both run on (<= 0 selects GOMAXPROCS). The created-edge
+	// multiset, and under Rounds the round count and widths, are identical
+	// for any width (Theorem 5.5; asserted by TestParSchedEquivalence and
+	// TestRoundsWidthInvariance) — only the schedule changes.
 	Workers int
 	// NoCounters disables visibility-test counting (for pure-speed runs).
 	NoCounters bool
@@ -170,16 +171,41 @@ func initialTasks(facets []*Facet, fork func(eng.Task[Facet, int32])) {
 // binary-forking-model execution of Theorem 5.5, run by the generic driver in
 // internal/engine on the work-stealing executor.
 func Par(pts []geom.Point, opt *Options) (*Result, error) {
+	res, _, err := run(pts, opt, false)
+	return res, err
+}
+
+// run is the path Par and Rounds share: start the construction, sample the
+// heap, run the schedule (engine.Par, or engine.Rounds when rounds is set,
+// with the trace observer when opt.Trace asks for one) over the base
+// polygon's ridges, and collect the result.
+func run(pts []geom.Point, opt *Options, rounds bool) (*Result, *Trace, error) {
 	o := opt.or()
 	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.rec.SampleHeap()
-	if err := eng.Par(o.config(e), func(fork func(eng.Task[Facet, int32])) {
-		initialTasks(facets, fork)
-	}); err != nil {
-		return nil, err
+	cfg := o.config(e)
+	seed := func(fork func(eng.Task[Facet, int32])) { initialTasks(facets, fork) }
+	var widths []int
+	if rounds {
+		var observe func(eng.EventKind, int32, *Facet, *Facet)
+		if o.Trace {
+			e.trace = &Trace{}
+			observe = e.observe
+		}
+		widths, err = eng.Rounds(cfg, seed, observe)
+	} else {
+		err = eng.Par(cfg, seed)
 	}
-	return e.collectResult(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := e.collectResult(len(widths))
+	if err != nil {
+		return nil, nil, err
+	}
+	res.Stats.RoundWidths = widths
+	return res, e.trace, nil
 }

@@ -9,9 +9,9 @@ import (
 // constructions — the engine struct with its point store, recorder, and
 // facet log; the arena the initial hull (and all of Seq) carves from; Seq's
 // pivot buckets, step buffers, and hull-cycle arrays; the vertex-slot ridge
-// table; the result-collection buffers; and the engine.Pool of Par's
-// work-stealing workers and Rounds' arena pool — mirroring hulld.Reuse for
-// the planar kernel.
+// table; the result-collection buffers; and the engine.Pool of
+// work-stealing workers and per-worker arenas that Par and Rounds both run
+// on — mirroring hulld.Reuse for the planar kernel.
 //
 // Contract: a Reuse serializes constructions (one at a time, of any
 // schedule), and each invalidates the previous Result obtained through it.

@@ -2,6 +2,7 @@ package hull2d
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"parhull/internal/conmap"
@@ -47,5 +48,35 @@ func TestReuseKeepsRidgeIDs(t *testing.T) {
 		} else if &ids[0] != backing {
 			t.Fatalf("%s: the ridge-id array was remade", label)
 		}
+	}
+}
+
+// TestReuseRoundsAllocations pins the steady state of Rounds on a retained
+// Reuse, whose vertex-slot ridge table is retained too: once warm, a
+// construction allocates a few dozen objects (the round widths, the seed
+// closures, the result's bookkeeping), none per round and none per step, as
+// Par on the same state. It runs at GOMAXPROCS = 1, like the reuse gate of
+// cmd/hullbench, so that long conflict lists do not split into parallel
+// filter pieces. The bound leaves room for the race detector, under which
+// sync.Pool drops some of the conflict scratch it is handed back.
+func TestReuseRoundsAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pts := pointgen.OnCircle(pointgen.NewRNG(23), 20000)
+	ru := NewReuse()
+	defer ru.Close()
+	opt := &Options{Reuse: ru, NoCounters: true}
+	var rounds int
+	build := func() {
+		r, _, err := Rounds(pts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = r.Stats.Rounds
+	}
+	build()
+	allocs := testing.AllocsPerRun(3, build)
+	t.Logf("warm Rounds: %.0f allocations over %d rounds", allocs, rounds)
+	if allocs > 60 {
+		t.Fatalf("warm Rounds allocated %.0f objects over %d rounds, want at most 60", allocs, rounds)
 	}
 }

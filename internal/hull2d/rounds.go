@@ -101,35 +101,10 @@ func (e *engine) observe(kind eng.EventKind, round int32, a, b *Facet) {
 // Rounds computes the convex hull with Algorithm 3 under the
 // round-synchronous PRAM-style schedule of Theorem 5.4: every ready
 // ProcessRidge call executes exactly one step per round, with a barrier
-// between rounds (engine.Rounds). Stats.Rounds is then the recursion depth of
-// Theorem 5.3. The flip of lines 11-12 is performed inline (it does not
-// consume a round), matching the Figure 1 narrative.
+// between rounds (engine.Rounds, on Par's executor, arenas and step).
+// Stats.Rounds is then the recursion depth of Theorem 5.3. The flip of lines
+// 11-12 is performed inline (it does not consume a round), matching the
+// Figure 1 narrative.
 //
 // The returned Result additionally carries a Trace when opt.Trace is set.
-func Rounds(pts []geom.Point, opt *Options) (*Result, *Trace, error) {
-	o := opt.or()
-	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
-	if err != nil {
-		return nil, nil, err
-	}
-	if o.Trace {
-		e.trace = &Trace{}
-	}
-
-	var initial []eng.Task[Facet, int32]
-	initialTasks(facets, func(tk eng.Task[Facet, int32]) { initial = append(initial, tk) })
-	var observe func(eng.EventKind, int32, *Facet, *Facet)
-	if e.trace != nil {
-		observe = e.observe
-	}
-	rounds, widths, err := eng.Rounds(o.config(e), initial, observe)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := e.collectResult(rounds)
-	if err != nil {
-		return nil, nil, err
-	}
-	res.Stats.RoundWidths = widths
-	return res, e.trace, nil
-}
+func Rounds(pts []geom.Point, opt *Options) (*Result, *Trace, error) { return run(pts, opt, true) }

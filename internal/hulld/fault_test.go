@@ -3,6 +3,7 @@ package hulld
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -58,7 +59,7 @@ func TestFaultInjectedPanic(t *testing.T) {
 }
 
 // TestFaultInjectedPanicRounds is the round-synchronous version: the panic
-// crosses the ParallelFor barrier and must still arrive typed.
+// lands mid-round, ends the round loop, and must still arrive typed.
 func TestFaultInjectedPanicRounds(t *testing.T) {
 	leakcheck.Check(t)
 	pts := pointgen.UniformBall(pointgen.NewRNG(7), 300, 3)
@@ -172,6 +173,48 @@ func TestFaultCancellation(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancellation did not propagate")
+	}
+}
+
+// TestFaultCancelMidRound cancels Rounds on a retained Reuse while its
+// rounds run: ctx.Err() comes back, the pool quiesces with no goroutine
+// leaked, and the round left unrun does not survive into the next
+// construction — a clean Rounds on the same Reuse creates the facets of a
+// fresh run, with the same rounds and widths.
+func TestFaultCancelMidRound(t *testing.T) {
+	leakcheck.Check(t)
+	pts := pointgen.OnSphere(pointgen.NewRNG(4), 2000, 3)
+	fresh, err := Rounds(pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ru := NewReuse()
+	defer ru.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	inj := faultinject.New(1).DelayEvery(faultinject.SiteRidgeStep, 1, time.Millisecond)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Rounds(pts, &Options{Ctx: ctx, Inject: inj, Reuse: ru, Workers: 2})
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("cancellation did not propagate")
+	}
+	again, err := Rounds(pts, &Options{Reuse: ru, Workers: 2})
+	if err != nil {
+		t.Fatalf("Rounds after a canceled one: %v", err)
+	}
+	sameFacets(t, "rounds after a mid-round cancel vs fresh", again, fresh)
+	if again.Stats.Rounds != fresh.Stats.Rounds || fmt.Sprint(again.Stats.RoundWidths) != fmt.Sprint(fresh.Stats.RoundWidths) {
+		t.Fatalf("rounds after a mid-round cancel: %d %v, fresh %d %v", again.Stats.Rounds,
+			again.Stats.RoundWidths, fresh.Stats.Rounds, fresh.Stats.RoundWidths)
 	}
 }
 

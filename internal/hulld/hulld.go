@@ -80,8 +80,8 @@ type kernel struct{ e *engine }
 func (k kernel) Pivot(f *Facet) int32 { return f.pivot() }
 
 // NewFacet implements engine.Kernel.
-func (k kernel) NewFacet(a *arena, r []int32, p int32, t1, t2 *Facet, round int32) (*Facet, error) {
-	return k.e.newFacet(a, r, p, t1, t2, round)
+func (k kernel) NewFacet(a *arena, r []int32, p int32, t1, t2 *Facet) (*Facet, error) {
+	return k.e.newFacet(a, r, p, t1, t2)
 }
 
 // FreshRidges implements engine.Kernel: the fresh ridges of t are the d-1
@@ -135,8 +135,6 @@ type Facet struct {
 	Conf []int32
 	// Depth is the configuration-dependence-graph depth (Definition 4.1).
 	Depth int32
-	// Round is the creation round (rounds engine only; 0 for the base).
-	Round int32
 
 	// mark is scratch for the sequential engine's per-insertion visible-set
 	// membership (holds the insertion index; never touched concurrently).
@@ -454,7 +452,7 @@ func (e *engine) liftedInside(sl *eng.PlaneSlot, v []int32) int {
 // (t1, t2), filtering the conflict list per line 16 of Algorithm 3. With a
 // worker arena the facet, its Verts, and its conflict list all come from
 // per-worker blocks (nil a = heap, used by the other schedules).
-func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet, round int32) (*Facet, error) {
+func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet) (*Facet, error) {
 	var verts []int32
 	if len(r) == 2 {
 		// d == 3: place the pivot into the sorted 2-vertex ridge by direct
@@ -487,7 +485,6 @@ func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet, round int
 		return nil, err
 	}
 	f.Depth = 1 + max32(t1.Depth, t2.Depth)
-	f.Round = round
 	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, sl)
 	e.record(f)
 	return f, nil

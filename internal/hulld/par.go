@@ -12,16 +12,17 @@ import (
 // Options configures a construction under any of the three schedules. The
 // zero value (or a nil *Options) is the default: the sharded ridge map,
 // GOMAXPROCS workers, counters and the plane cache on, a fresh engine.
-// Seq ignores Map, Workers, and FilterGrain; Rounds ignores Workers.
+// Seq ignores Map, Workers, and FilterGrain.
 type Options struct {
 	// Map is the ridge multimap M of Algorithm 3 (nil selects the growable
 	// sharded map; install conmap.NewCASMap/NewTASMap for the paper's
 	// Algorithm 4/5 tables).
 	Map conmap.RidgeMap[*Facet]
-	// Workers pins the work-stealing executor's pool width (Par only; <= 0
-	// selects GOMAXPROCS). The facet output is identical for any width
-	// (Theorem 5.5; asserted by TestParSchedEquivalence) — only the
-	// schedule changes.
+	// Workers pins the work-stealing executor's pool width, which Par and
+	// Rounds both run on (<= 0 selects GOMAXPROCS). The facet output, and
+	// under Rounds the round count and widths, are identical for any width
+	// (Theorem 5.5; asserted by TestParSchedEquivalence and
+	// TestRoundsWidthInvariance) — only the schedule changes.
 	Workers int
 	// NoCounters disables visibility-test counting.
 	NoCounters bool
@@ -120,17 +121,33 @@ func initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
 // Par computes the d-dimensional convex hull with the parallel incremental
 // Algorithm 3 under the asynchronous fork-join schedule (Theorem 5.5), run by
 // the generic driver in internal/engine on the work-stealing executor.
-func Par(pts []geom.Point, opt *Options) (*Result, error) {
+func Par(pts []geom.Point, opt *Options) (*Result, error) { return run(pts, opt, false) }
+
+// run is the path Par and Rounds share: start the construction, sample the
+// heap, run the schedule (engine.Par, or engine.Rounds when rounds is set)
+// over the base simplex's ridges, and collect the result.
+func run(pts []geom.Point, opt *Options, rounds bool) (*Result, error) {
 	o := opt.or()
 	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
 	if err != nil {
 		return nil, err
 	}
 	e.rec.SampleHeap()
-	if err := eng.Par(o.config(e, len(pts)), func(fork func(eng.Task[Facet, []int32])) {
-		initialTasks(e.d, facets, fork)
-	}); err != nil {
+	cfg := o.config(e, len(pts))
+	seed := func(fork func(eng.Task[Facet, []int32])) { initialTasks(e.d, facets, fork) }
+	var widths []int
+	if rounds {
+		widths, err = eng.Rounds(cfg, seed, nil)
+	} else {
+		err = eng.Par(cfg, seed)
+	}
+	if err != nil {
 		return nil, err
 	}
-	return e.collectResult(0)
+	res, err := e.collectResult(len(widths))
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.RoundWidths = widths
+	return res, nil
 }

@@ -9,10 +9,10 @@ import (
 // constructions: the engine struct with its point store, recorder, and facet
 // log; the arena the initial hull (and all of Seq) carves from; Seq's pivot
 // buckets, step buffers, and ridge-adjacency map; the result-collection
-// buffers; and the engine.Pool — Par's work-stealing workers and arenas,
-// and the arena pool Rounds' barriered steps draw from. Passing the same
-// Reuse via Options.Reuse to Seq, Par, or Rounds makes repeated
-// constructions recycle essentially everything they allocate. It is the
+// buffers; and the engine.Pool — the work-stealing workers and per-worker
+// arenas that Par and Rounds both run on. Passing the same Reuse via
+// Options.Reuse to Seq, Par, or Rounds makes repeated constructions recycle
+// essentially everything they allocate. It is the
 // internal half of the public parhull.Builder; the pre-hull keeps one per
 // executor worker for its block sub-hulls.
 //

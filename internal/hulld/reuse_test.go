@@ -3,8 +3,11 @@ package hulld
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"parhull/internal/conmap"
+	eng "parhull/internal/engine"
 	"parhull/internal/faultinject"
 	"parhull/internal/leakcheck"
 	"parhull/internal/pointgen"
@@ -91,5 +94,37 @@ func TestReuseWidthChange(t *testing.T) {
 		if !reflect.DeepEqual(got.Vertices, fresh.Vertices) {
 			t.Fatalf("workers=%d: vertices differ", w)
 		}
+	}
+}
+
+// TestReuseRoundsAllocations pins the steady state of Rounds on a retained
+// Reuse and ridge map: once warm, a construction allocates a few dozen
+// objects (the round widths, the seed closures, the result's bookkeeping),
+// none per round and none per step, as Par on the same state. It runs at
+// GOMAXPROCS = 1, like the reuse gate of cmd/hullbench, so that long
+// conflict lists do not split into parallel filter pieces. The bound leaves
+// room for the race detector, under which sync.Pool drops some of the
+// conflict scratch it is handed back.
+func TestReuseRoundsAllocations(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	pts := pointgen.UniformBall(pointgen.NewRNG(5), 20000, 3)
+	ru := NewReuse()
+	defer ru.Close()
+	m := conmap.NewShardedMap[*Facet](eng.DefaultMapCapacity(len(pts), 3))
+	opt := &Options{Reuse: ru, Map: m, NoCounters: true}
+	var rounds int
+	build := func() {
+		m.Reset()
+		r, err := Rounds(pts, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = r.Stats.Rounds
+	}
+	build()
+	allocs := testing.AllocsPerRun(3, build)
+	t.Logf("warm Rounds: %.0f allocations over %d rounds", allocs, rounds)
+	if allocs > 60 {
+		t.Fatalf("warm Rounds allocated %.0f objects over %d rounds, want at most 60", allocs, rounds)
 	}
 }

@@ -61,6 +61,52 @@ func TestParSchedEquivalence(t *testing.T) {
 			}
 			r, err = Rounds(pts, nil)
 			check("rounds", r, err)
+			r, err = Rounds(pts, &Options{Reuse: ru})
+			check("rounds on a reuse", r, err)
+		}
+	}
+}
+
+// TestRoundsWidthInvariance pins what Rounds reports about the dependence
+// structure. A task's round is fixed by the input order — it is one more
+// than the round of the step that readied it — so Stats.Rounds and
+// RoundWidths must be identical at every Workers width, one-shot and on a
+// retained Reuse (twice, the second time on warm next-round buffers), along
+// with the facet multiset and the depth. It runs at GOMAXPROCS >= 4 so that
+// widths 2 and 4 really interleave.
+func TestRoundsWidthInvariance(t *testing.T) {
+	leakcheck.Check(t)
+	old := runtime.GOMAXPROCS(0)
+	if old < 4 {
+		runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(old)
+	}
+	pts := pointgen.OnSphere(pointgen.NewRNG(41), 3000, 3)
+	ref, err := Rounds(pts, &Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Stats.Rounds != len(ref.Stats.RoundWidths) || ref.Stats.RoundWidths[0] != 6 {
+		t.Fatalf("rounds %d, widths %v: want one width per round, starting with the simplex's 6 ridges",
+			ref.Stats.Rounds, ref.Stats.RoundWidths)
+	}
+	ru := NewReuse()
+	defer ru.Close()
+	for _, w := range []int{1, 2, 4} {
+		for i, reuse := range []*Reuse{nil, ru, ru} {
+			label := fmt.Sprintf("workers=%d run %d (reuse %v)", w, i, reuse != nil)
+			r, err := Rounds(pts, &Options{Workers: w, Reuse: reuse})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if r.Stats.Rounds != ref.Stats.Rounds || fmt.Sprint(r.Stats.RoundWidths) != fmt.Sprint(ref.Stats.RoundWidths) {
+				t.Fatalf("%s: rounds %d widths %v, want %d %v", label,
+					r.Stats.Rounds, r.Stats.RoundWidths, ref.Stats.Rounds, ref.Stats.RoundWidths)
+			}
+			if r.Stats.MaxDepth != ref.Stats.MaxDepth {
+				t.Fatalf("%s: depth %d, want %d", label, r.Stats.MaxDepth, ref.Stats.MaxDepth)
+			}
+			sameFacets(t, label, r, ref)
 		}
 	}
 }

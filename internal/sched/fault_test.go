@@ -187,3 +187,41 @@ func TestAsError(t *testing.T) {
 		t.Fatalf("AsError = %#v", err)
 	}
 }
+
+// TestFaultRoundsPanic checks the round loop's containment: a panic in
+// round k ends the loop after that round and surfaces from Err as the typed
+// *PanicError — the Restart that would arm round k+1 never runs, so it
+// cannot clear the failure — with the pool quiesced, no goroutine leaked,
+// and the pool usable again after the owner's own Restart.
+func TestFaultRoundsPanic(t *testing.T) {
+	leakcheck.Check(t)
+	var armed atomic.Bool
+	var ran atomic.Int64
+	var x *Executor[int]
+	x = NewExecutor(4, func(w, task int) {
+		ran.Add(1)
+		if task == 3 && armed.Load() {
+			panic("boom in round 4")
+		}
+		if task < 5 {
+			x.Fork(w, task+1)
+		}
+	})
+	defer x.Close()
+	initial := make([]int, 64)
+	armed.Store(true)
+	widths := x.Rounds(initial, func(int) bool { return true })
+	if len(widths) != 4 {
+		t.Fatalf("loop ran %d rounds past the panic in round 4", len(widths))
+	}
+	var pe *PanicError
+	if !errors.As(x.Err(), &pe) || pe.Value != "boom in round 4" {
+		t.Fatalf("round panic not reported as *PanicError: %v", x.Err())
+	}
+	armed.Store(false)
+	ran.Store(0)
+	x.Restart()
+	if widths := x.Rounds(initial, func(int) bool { return true }); len(widths) != 6 || x.Err() != nil || ran.Load() != 6*64 {
+		t.Fatalf("pool after a contained round panic: widths %v, err %v, %d ran", widths, x.Err(), ran.Load())
+	}
+}

@@ -62,8 +62,9 @@ func asPanicError(worker int, task string, r any) *PanicError {
 func AsError(r any) error { return asPanicError(-1, "", r) }
 
 // Recovered runs fn, converting a panic into a *PanicError instead of
-// unwinding further. It is the containment shim for code that runs schedule
-// steps on the calling goroutine (the rounds engines, the sequential loop).
+// unwinding further. It is the containment shim for a construction that runs
+// on the calling goroutine (the pre-hull's sample hull); the parallel
+// schedules run every step on an Executor worker instead.
 func Recovered(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,9 +1,11 @@
 // Package sched provides the parallel execution substrate the hull engines
-// run on. It stands in for the machine models of the paper: a work-stealing
-// executor emulates the binary-forking model of Theorem 5.5 (Executor), and
-// a round-synchronous frontier executor emulates the CRCW PRAM execution of
-// Theorem 5.4 (RunRounds), making the number of rounds — the recursion
-// depth of Theorem 5.3 — directly observable.
+// run on. It stands in for the machine models of the paper with one pool of
+// workers: the work-stealing Executor emulates the binary-forking model of
+// Theorem 5.5 (Fork, Quiesce), and its round loop emulates the CRCW PRAM
+// execution of Theorem 5.4 (Executor.Rounds), making the number of rounds —
+// the recursion depth of Theorem 5.3 — directly observable. ParallelFor
+// splits one loop into chunks (the conflict filter's long lists, the
+// pre-hull's scans).
 package sched
 
 import (
@@ -74,60 +76,4 @@ func ParallelFor(n, grain int, fn func(lo, hi int)) {
 	if pe := fault.Load(); pe != nil {
 		panic(pe)
 	}
-}
-
-// RunRounds executes a frontier computation round-synchronously: every task
-// in the current frontier runs (in parallel) exactly once per round, emitting
-// tasks for the next round; a global barrier separates rounds. It returns
-// the number of rounds executed. This mirrors the PRAM schedule in the proof
-// of Theorem 5.4, so the return value is the empirical recursion depth of
-// Algorithm 3 (Theorem 5.3).
-func RunRounds[T any](initial []T, step func(task T, emitNext func(T))) int {
-	rounds, _ := RunRoundsWidths(initial, step)
-	return rounds
-}
-
-// RunRoundsWidths is RunRounds additionally reporting the frontier size of
-// every round — the number of ProcessRidge calls that could run in parallel.
-// The widths quantify the available parallelism (work/span) that Theorems
-// 5.4/5.5 promise: total tasks spread over O(log n) rounds.
-func RunRoundsWidths[T any](initial []T, step func(task T, emitNext func(T))) (int, []int) {
-	frontier := initial
-	rounds := 0
-	var widths []int
-	for len(frontier) > 0 {
-		rounds++
-		widths = append(widths, len(frontier))
-		frontier = collectParallel(frontier, step)
-	}
-	return rounds, widths
-}
-
-// collectParallel runs step on every task, gathering emitted tasks into a
-// per-task slot and concatenating the slots after the barrier. No shared
-// mutex is involved — the seed version funneled every chunk's output through
-// one global lock, serializing the wide early rounds — and the concatenation
-// order is deterministic (task index), so the next frontier's order does not
-// depend on chunk timing.
-func collectParallel[T any](tasks []T, step func(task T, emitNext func(T))) []T {
-	parts := make([][]T, len(tasks))
-	ParallelFor(len(tasks), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var local []T
-			step(tasks[i], func(t T) { local = append(local, t) })
-			parts[i] = local
-		}
-	})
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]T, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }

@@ -36,7 +36,8 @@ const External = -1
 // between entering Quiesce/Wait and the following Restart. Writes made by
 // the owner between cycles are visible to the workers of the next cycle:
 // every task is handed over through a deque mutex, and Quiesce returns only
-// after every run call of the cycle has returned.
+// after every run call of the cycle has returned. A cycle can instead be a
+// run of Rounds, the round-synchronous schedule on the same workers.
 //
 // Panics are contained, never propagated: a panic in run is converted to a
 // *PanicError carrying the worker id, the task, and the stack; the first one
@@ -53,9 +54,18 @@ type Executor[T any] struct {
 
 	// pending counts unfinished tasks plus one submission token held by the
 	// constructor and released by Wait, so the count cannot touch zero while
-	// roots are still being forked. done closes on the unique 1 -> 0 step.
+	// roots are still being forked. The unique 1 -> 0 step of a cycle sends
+	// one token on done, which Quiesce receives: one channel, made once,
+	// serves every cycle and every round.
 	pending atomic.Int64
 	done    chan struct{}
+
+	// deferring is set while Rounds runs: a worker's Fork then readies its
+	// task for the next round instead of this one. front holds the frontier
+	// Rounds gathers between rounds; it is grow-only, like the next-round
+	// buffers of the deques.
+	deferring bool
+	front     []T
 
 	// idlers is read on every fork: only when a worker is parked does Fork
 	// take the wake lock. In the facet-creation steady state every worker is
@@ -73,11 +83,14 @@ type Executor[T any] struct {
 // deque is one worker's task queue: owner pushes and pops at the tail
 // (LIFO), thieves take from the head (FIFO). A plain mutex suffices — the
 // owner's push/pop touch an uncontended lock in the steady state, and steals
-// are rare by construction (they only happen when a deque runs dry).
+// are rare by construction (they only happen when a deque runs dry). next
+// is the worker's next-round buffer under Rounds, touched without the lock:
+// by its worker during a round, by the owner between rounds.
 type deque[T any] struct {
 	mu   sync.Mutex
 	head int
 	buf  []T
+	next []T
 	// Pad so neighboring deques do not false-share a cache line.
 	_ [64]byte
 }
@@ -133,7 +146,7 @@ func NewExecutor[T any](workers int, run func(worker int, task T)) *Executor[T] 
 	x := &Executor[T]{
 		run:    run,
 		deques: make([]deque[T], workers),
-		done:   make(chan struct{}),
+		done:   make(chan struct{}, 1),
 	}
 	x.wake.L = &x.mu
 	x.pending.Store(1) // the submission token; Wait releases it
@@ -147,19 +160,106 @@ func NewExecutor[T any](workers int, run func(worker int, task T)) *Executor[T] 
 // Fork enqueues a task. from is the worker id of the calling task (so the
 // fork lands on the caller's own deque, preserving the LIFO depth-first
 // order of the binary-forking model) or External from outside the pool.
+// Inside Rounds a worker's fork runs in the next round instead: it lands in
+// the worker's next-round buffer, and External forks are not allowed.
 func (x *Executor[T]) Fork(from int, task T) {
+	if x.deferring {
+		d := &x.deques[from]
+		d.next = append(d.next, task)
+		return
+	}
 	x.pending.Add(1)
 	w := from
 	if w < 0 || w >= len(x.deques) {
 		w = int(x.rr.Add(1)-1) % len(x.deques)
 	}
 	x.deques[w].push(task)
+	x.wakeIdlers()
+}
+
+// wakeIdlers wakes the parked workers, if any, after new work was pushed.
+func (x *Executor[T]) wakeIdlers() {
 	if x.idlers.Load() > 0 {
 		x.mu.Lock()
 		x.seq++
 		x.wake.Broadcast()
 		x.mu.Unlock()
 	}
+}
+
+// Rounds runs a frontier computation round-synchronously on the pool — the
+// PRAM schedule of Theorem 5.4, on the same workers, deques and worker ids
+// as a fork-join cycle. Each round spreads the frontier over the deques and
+// waits for the pool to quiesce. A task that calls Fork during a round
+// readies that task for the next round: it lands in the forking worker's
+// own next-round buffer. Between rounds the owner gathers those buffers
+// into the next frontier and re-arms the pool. The buffers and the gathered
+// frontier are retained across rounds and cycles, so once they have grown a
+// round allocates nothing.
+//
+// begin is called on the owner goroutine before each round, with the
+// round's 1-based number and no task running; the loop stops when it
+// returns false, when a round readies no task, or after a round in which a
+// task panicked (so no Restart clears that panic: Err reports it). The
+// result holds the frontier size of every round run; its length is the
+// round count, the recursion depth of Theorem 5.3 when every task is one
+// step of Algorithm 3.
+//
+// Rounds takes the place of a fork-join cycle: call it after NewExecutor or
+// Restart, with nothing forked. It returns with the pool quiesced, as
+// Quiesce does.
+func (x *Executor[T]) Rounds(frontier []T, begin func(round int) bool) (widths []int) {
+	x.deferring = true
+	widths = make([]int, 0, 64) // O(log n) rounds: one allocation, as a rule
+	for len(frontier) > 0 && begin(len(widths)+1) {
+		if len(widths) > 0 {
+			x.Restart()
+		}
+		widths = append(widths, len(frontier))
+		x.spread(frontier)
+		x.Quiesce()
+		frontier = x.gather()
+		if x.err != nil {
+			break
+		}
+	}
+	if len(widths) == 0 {
+		x.Quiesce()
+	}
+	x.deferring = false
+	clear(x.front) // a frontier left unrun holds no task past the call
+	x.front = x.front[:0]
+	return widths
+}
+
+// spread forks one round's frontier: a contiguous share onto every deque,
+// one lock per deque, then one wake for the parked workers. The pool is
+// quiescent, so every deque is empty and its buffer restarts at the front,
+// wherever the last steal left its head.
+func (x *Executor[T]) spread(tasks []T) {
+	x.pending.Add(int64(len(tasks)))
+	n := len(x.deques)
+	for i := range x.deques {
+		d := &x.deques[i]
+		d.mu.Lock()
+		d.head = 0
+		d.buf = append(d.buf[:0], tasks[i*len(tasks)/n:(i+1)*len(tasks)/n]...)
+		d.mu.Unlock()
+	}
+	x.wakeIdlers()
+}
+
+// gather moves the tasks readied during the round just quiesced into the
+// next frontier, emptying every next-round buffer.
+func (x *Executor[T]) gather() []T {
+	x.front = x.front[:0]
+	for i := range x.deques {
+		d := &x.deques[i]
+		x.front = append(x.front, d.next...)
+		clear(d.next)
+		d.next = d.next[:0]
+	}
+	return x.front
 }
 
 // Wait blocks until every forked task (including tasks forked by tasks) has
@@ -179,23 +279,23 @@ func (x *Executor[T]) Quiesce() {
 	<-x.done
 }
 
-// Restart arms the next cycle after a Quiesce: a fresh submission token, a
-// fresh quiescence gate, and cleared failure state (a cycle that contained a
-// panic does not poison the next one). Only the owner may call it, and only
-// between Quiesce and the next cycle's first Fork. No worker touches the
-// reset fields while parked — pending and done are reached only through
+// Restart arms the next cycle after a Quiesce: a fresh submission token and
+// cleared failure state (a cycle that contained a panic does not poison the
+// next one). It allocates nothing: the quiescence gate is the same channel
+// every cycle, drained by the Quiesce before. Only the owner may call it,
+// and only between Quiesce and the next cycle's first Fork. No worker
+// touches the reset fields while parked — pending is reached only through
 // exec, and no task exists between cycles — so the plain writes are safe;
 // they become visible to workers through the deque mutex of the next Fork.
 func (x *Executor[T]) Restart() {
 	x.pending.Store(1)
-	x.done = make(chan struct{})
 	x.failed.Store(false)
 	x.err = nil
 	x.errOnce = sync.Once{}
 }
 
-// Close stops the workers and joins them. Call after Quiesce (or let Wait do
-// both). Idempotent.
+// Close stops the workers and joins them. Call after Quiesce or Rounds (or
+// let Wait do both). Idempotent.
 func (x *Executor[T]) Close() {
 	x.mu.Lock()
 	x.stopped = true
@@ -204,11 +304,12 @@ func (x *Executor[T]) Close() {
 	x.wg.Wait()
 }
 
-// release retires one pending count; the unique transition to zero opens
-// the quiescence gate.
+// release retires one pending count; the unique transition to zero of a
+// cycle passes the quiescence gate its one token (the buffered send never
+// blocks: Quiesce drains the token before the next cycle can produce one).
 func (x *Executor[T]) release() {
 	if x.pending.Add(-1) == 0 {
-		close(x.done)
+		x.done <- struct{}{}
 	}
 }
 

@@ -135,9 +135,10 @@ type Options struct {
 	// goroutine quiesced before the return.
 	Context context.Context
 	// Workers pins the width of the work-stealing pools: the pre-hull block
-	// loop and the EngineParallel executor (<= 0 selects GOMAXPROCS; the
-	// rounds engine sizes itself from GOMAXPROCS directly). The hull output
-	// is identical for any width (Theorem 5.5) — only the schedule changes. The speedup harness in
+	// loop and the executor that EngineParallel and EngineRounds run on
+	// (<= 0 selects GOMAXPROCS). The hull output, and under EngineRounds
+	// Stats.Rounds and RoundWidths, are identical for any width (Theorem
+	// 5.5) — only the schedule changes. The speedup harness in
 	// cmd/hullbench sets it alongside runtime.GOMAXPROCS to measure scaling
 	// curves that do not depend on the ambient process configuration.
 	Workers int

@@ -1,6 +1,7 @@
 package parhull
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sort"
@@ -133,7 +134,7 @@ func checkSpaceAgainstCore(t *testing.T, name string, s core.Space, seed int64) 
 	t.Helper()
 	n, base := s.NumObjects(), s.BaseSize()
 	order := (&Options{Shuffle: true, Seed: seed}).insertionOrder(n, base)
-	got, err := engine.SpaceRounds(s, order)
+	got, err := engine.SpaceRounds(context.Background(), nil, s, order)
 	if err != nil {
 		t.Fatalf("%s: SpaceRounds: %v", name, err)
 	}
