@@ -134,7 +134,7 @@ func (b *Builder) maybePreHull(work []Point, order []int, d int) ([]Point, []int
 	}
 	red, err := prehull.Reduce(work, prehull.Config{
 		Workers: o.Workers,
-		ZOrder:  !o.NoPreHullZOrder,
+		ZOrder:  true,
 		Ctx:     o.Context,
 		Inject:  o.inject,
 		Scratch: &b.ph,
@@ -345,6 +345,17 @@ func (b *Builder) run2D(work []Point) (*hull2d.Result, error) {
 	return res, nil
 }
 
+// RetainedBytes returns the exact size of the memory the Builder keeps for
+// its next Build in arenas — the facet slabs and int32 blocks every facet,
+// vertex tuple, ridge and conflict list is carved from — and in ridge tables
+// (slot arrays; the 2D vertex-slot table included). Point, pre-hull and
+// output buffers are not counted. Unlike Stats.PeakBytes it samples nothing,
+// so on one input, schedule and worker count it is the same after every
+// warm Build.
+func (b *Builder) RetainedBytes() int64 {
+	return b.ruD.Bytes() + b.ru2.Bytes() + b.mapsD.bytes() + b.maps2.bytes()
+}
+
 // mapCache retains the ridge tables of Algorithm 3 across builds: the
 // growable sharded map is re-zeroed shard-by-shard (slot arrays kept), and
 // the fixed CAS/TAS tables are kept at their high-water capacity — including a
@@ -356,6 +367,21 @@ type mapCache[V comparable] struct {
 	casCap  int
 	tas     *conmap.TASMap[V]
 	tasCap  int
+}
+
+// bytes returns the exact size of the retained tables' slot arrays.
+func (c *mapCache[V]) bytes() int64 {
+	var n int64
+	if c.sharded != nil {
+		n += c.sharded.Bytes()
+	}
+	if c.cas != nil {
+		n += c.cas.Bytes()
+	}
+	if c.tas != nil {
+		n += c.tas.Bytes()
+	}
+	return n
 }
 
 func (c *mapCache[V]) shardedFor(expected int) conmap.RidgeMap[V] {

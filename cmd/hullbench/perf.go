@@ -40,6 +40,10 @@ type perfEntry struct {
 	// PeakBytes is the sampled peak live-heap growth of one counted run of
 	// the workload (Stats.PeakBytes; 0 in rows measured with counters off).
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
+	// RetainedBytes is the exact size of the arenas and ridge tables a warm
+	// Builder keeps for its next build (Builder.RetainedBytes), set on the
+	// reuse-steady row only.
+	RetainedBytes int64 `json:"retained_bytes,omitempty"`
 	// Scaling fields, set by the -exp speedup sweep only: GOMAXPROCS and
 	// Options.Workers are pinned to Procs for the row; Speedup is relative
 	// to the sweep's first P (self-speedup when that is 1), Efficiency is

@@ -3,6 +3,7 @@ package conmap
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"parhull/internal/faultinject"
 	"parhull/internal/sched"
@@ -99,6 +100,9 @@ func (m *CASMap[V]) Reset() {
 		}
 	})
 }
+
+// Bytes returns the exact size of the slot array.
+func (m *CASMap[V]) Bytes() int64 { return int64(len(m.slots)) * int64(unsafe.Sizeof(m.slots[0])) }
 
 // Len reports the number of occupied slots (linear scan; for tests/stats).
 func (m *CASMap[V]) Len() int {

@@ -2,6 +2,7 @@ package conmap
 
 import (
 	"sync"
+	"unsafe"
 
 	"parhull/internal/sched"
 )
@@ -170,6 +171,17 @@ func (m *ShardedMap[V]) Reset() {
 			sh.count = 0
 		}
 	})
+}
+
+// Bytes returns the exact size of the slot arrays and long-key columns the
+// shards retain. Must not race with any other operation.
+func (m *ShardedMap[V]) Bytes() int64 {
+	var n int64
+	for i := range m.shards {
+		sh := &m.shards[i]
+		n += int64(len(sh.slots))*int64(unsafe.Sizeof(sh.slots[0])) + 4*int64(cap(sh.ref)+cap(sh.long))
+	}
+	return n
 }
 
 // Len reports the number of stored ridges.

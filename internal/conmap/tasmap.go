@@ -3,6 +3,7 @@ package conmap
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"parhull/internal/faultinject"
 	"parhull/internal/sched"
@@ -127,6 +128,9 @@ func (m *TASMap[V]) Reset() {
 		}
 	})
 }
+
+// Bytes returns the exact size of the slot array.
+func (m *TASMap[V]) Bytes() int64 { return int64(len(m.slots)) * int64(unsafe.Sizeof(m.slots[0])) }
 
 // Len reports the number of reserved slots (linear scan; for tests/stats).
 func (m *TASMap[V]) Len() int {

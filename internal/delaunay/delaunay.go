@@ -95,11 +95,7 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 	b0, b1, b2 := int32(n), int32(n+1), int32(n+2)
 
 	rec := hullstats.NewRecorder(true)
-	var created []*Triangle
-	record := func(t *Triangle) {
-		rec.Created(t.Depth)
-		created = append(created, t)
-	}
+	var created []*Triangle // every triangle, in creation order
 
 	// inCircle counts a conflict test; triangle verts are CCW so InCircle
 	// is +1 strictly inside.
@@ -119,7 +115,7 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 			return nil, fmt.Errorf("delaunay: point %d escapes the bounding triangle", i)
 		}
 	}
-	record(root)
+	created = append(created, root)
 
 	// Conflict graph and edge adjacency.
 	pf := make([][]*Triangle, n)
@@ -185,7 +181,7 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 				}
 				// C(nt) ⊆ C(t) ∪ C(nb): merge and filter, excluding p.
 				nt.Conf = mergeFilter(t.Conf, confOf(nb), i, func(p int32) bool { return inCircle(nt, p) })
-				record(nt)
+				created = append(created, nt)
 				fresh = append(fresh, nt)
 			}
 		}
@@ -202,7 +198,9 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 	}
 
 	res := &Result{Created: created}
+	var depths hullstats.Depths
 	for _, t := range created {
+		depths.Add(t.Depth)
 		if t.Alive() && !t.Synthetic(n) {
 			res.Triangles = append(res.Triangles, t)
 		}
@@ -216,7 +214,7 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 		}
 		return false
 	})
-	res.Stats = rec.Snapshot(0, len(res.Triangles))
+	res.Stats = rec.Snapshot(0, len(res.Triangles), depths)
 	return res, nil
 }
 

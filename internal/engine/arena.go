@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"unsafe"
+
 	"parhull/internal/conflict"
 	"parhull/internal/geom"
 )
@@ -14,18 +16,19 @@ const (
 	arenaIntBlock  = 1 << 14 // 16384 int32 = 64 KiB per block
 )
 
-// Arena is one worker's private allocator on the work-stealing path, generic
-// over the kernel's facet value type. It is a monotone bump allocator:
-// within one construction, memory handed out is never recycled, so every
-// published slice stays valid (and immutable) for the lifetime of the Result
-// — the same lifetime heap-allocated facets had. Slabs and blocks are
-// retained across constructions: Reset rewinds the cursors and re-zeroes the
-// used facet prefixes (facets carry liveness state that must start clean),
-// while int32 blocks need no zeroing because every carve is fully
-// overwritten before it is read. Only the owning worker ever touches an
-// arena (indexed by the executor's worker id), so no synchronization is
-// needed; a nil *Arena falls back to plain heap allocation, which is what
-// the base facets of a one-shot construction use.
+// Arena is one owner's private allocator, generic over the kernel's facet
+// value type: a worker of a Pool (indexed by the executor's worker id), or
+// the single owner of a sequential construction and of a retained initial
+// hull. Every facet a kernel creates comes from an arena, so the arenas of a
+// construction are its facet record: AppendFacets walks them in the order
+// the facets were handed out. It is a monotone bump allocator: within one
+// construction, memory handed out is never recycled, so every published
+// slice stays valid (and immutable) for the lifetime of the Result. Slabs
+// and blocks are retained across constructions: Reset rewinds the cursors
+// and re-zeroes the used facet prefixes (facets carry liveness state that
+// must start clean), while int32 blocks need no zeroing because every carve
+// is fully overwritten before it is read. Only the owner ever touches an
+// arena, so no synchronization is needed.
 //
 // An arena also holds its worker's plane slot (Slot): the hyperplane of the
 // facet the worker made last, kept only while that facet's own conflict list
@@ -73,14 +76,8 @@ type PlaneSlot struct {
 	VP []geom.Point
 }
 
-// Slot returns the arena's plane slot, or a fresh one when a == nil (the base
-// facets of a one-shot construction, and tests).
-func (a *Arena[FV]) Slot() *PlaneSlot {
-	if a == nil {
-		return new(PlaneSlot)
-	}
-	return &a.slot
-}
+// Slot returns the arena's plane slot.
+func (a *Arena[FV]) Slot() *PlaneSlot { return &a.slot }
 
 // NewArenas returns one arena per worker, Alloc closures pre-bound.
 func NewArenas[FV any](n int) []Arena[FV] {
@@ -102,20 +99,50 @@ func NewArena[FV any]() *Arena[FV] {
 	return a
 }
 
-// Facet returns a zeroed facet from the slab (or the heap when a == nil).
-// Whole slabs stay reachable as long as the arena does; Reset re-zeroes the
-// used slots, which is why pooled results are only valid until the next
-// cycle.
+// Facet returns a zeroed facet from the slab. Whole slabs stay reachable as
+// long as the arena does; Reset re-zeroes the used slots, which is why
+// pooled results are only valid until the next cycle.
 func (a *Arena[FV]) Facet() *FV {
-	if a == nil {
-		return new(FV)
-	}
 	if len(a.facets) == 0 {
 		a.grabSlab()
 	}
 	f := &a.facets[0]
 	a.facets = a.facets[1:]
 	return f
+}
+
+// used returns the used prefix of facet slab i < usedSlabs: the whole slab,
+// except for the current one, which is used up to its cursor.
+func (a *Arena[FV]) used(i int) []FV {
+	s := a.slabs[i]
+	if i == a.usedSlabs-1 {
+		s = s[:len(s)-len(a.facets)]
+	}
+	return s
+}
+
+// AppendFacets appends every facet handed out since the last Reset to dst,
+// in the order handed out, and returns the extended slice. It reads no facet:
+// the caller walks the result once for whatever it collects.
+func (a *Arena[FV]) AppendFacets(dst []*FV) []*FV {
+	for i := 0; i < a.usedSlabs; i++ {
+		s := a.used(i)
+		for j := range s {
+			dst = append(dst, &s[j])
+		}
+	}
+	return dst
+}
+
+// Bytes returns the exact size of the facet slabs and int32 blocks the arena
+// retains, used or not: what it keeps for the next construction.
+func (a *Arena[FV]) Bytes() int64 {
+	var zero FV
+	n := int64(len(a.slabs)) * arenaFacetSlab * int64(unsafe.Sizeof(zero))
+	for _, b := range a.blocks {
+		n += 4 * int64(len(b))
+	}
+	return n
 }
 
 // grabSlab advances to the next retained facet slab, allocating one the
@@ -135,9 +162,6 @@ func (a *Arena[FV]) grabSlab() {
 // capacity is clamped to n, so an append beyond n can never write into a
 // neighboring carve.
 func (a *Arena[FV]) Ints(n int) []int32 {
-	if a == nil {
-		return make([]int32, 0, n)
-	}
 	if n > len(a.block) {
 		a.grabBlock(n)
 	}
@@ -182,15 +206,8 @@ func (a *Arena[FV]) grabBlock(n int) {
 // before it is read. The caller must guarantee no construction is touching
 // the arena and that no previous Result is still in use.
 func (a *Arena[FV]) Reset() {
-	if a == nil {
-		return
-	}
 	for i := 0; i < a.usedSlabs; i++ {
-		s := a.slabs[i]
-		if i == a.usedSlabs-1 {
-			s = s[:len(s)-len(a.facets)] // only the consumed prefix
-		}
-		clear(s)
+		clear(a.used(i))
 	}
 	a.usedSlabs = 0
 	a.facets = nil

@@ -7,20 +7,42 @@ import (
 	"parhull/internal/engine"
 )
 
-func TestArenaNilFallsBackToHeap(t *testing.T) {
-	var a *engine.Arena[int]
-	if f := a.Facet(); f == nil || *f != 0 {
-		t.Fatal("nil arena Facet not zeroed heap value")
+// TestArenaAppendFacetsIsTheRecord pins the walk the kernels read their
+// created facets from: every facet handed out since the last Reset, in the
+// order handed out, across slab boundaries and up to the current slab's
+// cursor, and nothing from an earlier cycle. Bytes counts what the arena
+// retains, used or not.
+func TestArenaAppendFacetsIsTheRecord(t *testing.T) {
+	a := engine.NewArena[int]()
+	cycle := func(n int) {
+		t.Helper()
+		a.Reset()
+		var want []*int
+		for i := 0; i < n; i++ {
+			f := a.Facet()
+			*f = i + 1
+			want = append(want, f)
+		}
+		got := a.AppendFacets(nil)
+		if len(got) != n {
+			t.Fatalf("cycle of %d: walk listed %d facets", n, len(got))
+		}
+		for i, f := range got {
+			if f != want[i] || *f != i+1 {
+				t.Fatalf("cycle of %d: facet %d out of order", n, i)
+			}
+		}
 	}
-	s := a.Ints(5)
-	if len(s) != 0 || cap(s) != 5 {
-		t.Fatalf("nil arena Ints: len=%d cap=%d", len(s), cap(s))
+	cycle(600) // three slabs, the last one partly used
+	a.Ints(5)
+	b := a.Bytes()
+	if want := int64(3*256*8 + 4*(1<<14)); b != want {
+		t.Fatalf("Bytes = %d, want %d (three slabs of 256 ints, one int32 block)", b, want)
 	}
-	if l := a.IntsLen(3); len(l) != 3 {
-		t.Fatalf("nil arena IntsLen: len=%d", len(l))
-	}
-	if s1, s2 := a.Slot(), a.Slot(); s1 == nil || s1 == s2 {
-		t.Fatal("nil arena Slot must return a fresh slot per call")
+	cycle(10) // rewound: the earlier cycle's facets are gone, its slabs kept
+	cycle(0)
+	if a.Bytes() != b {
+		t.Fatalf("Bytes changed across rewound cycles: %d, then %d", b, a.Bytes())
 	}
 }
 

@@ -67,17 +67,19 @@ type Kernel[FV any, R any] interface {
 	Pivot(f *FV) int32
 	// NewFacet builds the facet joining ridge r with pivot p, supported by
 	// (t1, t2): t1 is the facet being replaced (p visible from it), t2 the
-	// surviving neighbor. It filters the conflict list per line 16 of
-	// Algorithm 3 and records the facet (creation counter, dependence
-	// depth). With a non-nil arena the facet and its published slices come
-	// from per-worker blocks. An error reports degenerate input and aborts
-	// the construction.
+	// surviving neighbor. It sets the facet's dependence depth and filters
+	// its conflict list per line 16 of Algorithm 3. The facet and its
+	// published slices come from the arena a, which is the only record of
+	// it: the kernel collects the created facets, and their counts, by
+	// walking its arenas once the construction has quiesced
+	// (Arena.AppendFacets). An error reports degenerate input and aborts the
+	// construction.
 	NewFacet(a *Arena[FV], r R, p int32, t1, t2 *FV) (*FV, error)
 	// FreshRidges appends to buf the ridges of t that contain the pivot —
 	// every ridge of t except r itself (line 20) — and returns the extended
 	// slice. Ridge values handed out here are published into the ridge table
-	// and into forked tasks, so kernels must carve them from the arena (or
-	// heap), never from reused scratch.
+	// and into forked tasks, so kernels must carve them from the arena,
+	// never from reused scratch.
 	FreshRidges(a *Arena[FV], t *FV, r R, buf []R) []R
 	// Kill marks f dead, reporting whether this call was the first. (A facet
 	// can be condemned twice — replaced through one ridge and buried through
@@ -115,11 +117,10 @@ type Config[FV any, R any] struct {
 	// check it at ridge-step granularity and the run returns ctx.Err() with
 	// the pool quiesced. nil means no cancellation.
 	Ctx context.Context
-	// Pool, when non-nil, runs the construction on a retained substrate:
-	// both schedules reuse the pool's workers, arenas, and scratch instead
-	// of building them per call. The caller owns the pool's lifecycle (Reset
-	// between uses, Close at the end); nil runs the construction on a
-	// throwaway pool.
+	// Pool is the substrate the construction runs on: its workers, and the
+	// per-worker arenas every created facet comes from. The caller owns the
+	// pool's lifecycle (Reset between uses, Close at the end) and reads the
+	// created facets back from its arenas (Pool.AppendFacets).
 	Pool *Pool[FV, R]
 	// Inject arms deterministic fault injection (tests only; nil in
 	// production — every hook is nil-safe).
@@ -279,8 +280,8 @@ func Rounds[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
 	return run(cfg, seed, observe, true)
 }
 
-// run mounts one Par or Rounds construction on cfg.Pool, or on a throwaway
-// pool when it is nil, and returns its failure as Par documents.
+// run mounts one Par or Rounds construction on cfg.Pool and returns its
+// failure as Par documents.
 func run[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
 	observe func(EventKind, int32, *FV, *FV), rounds bool) ([]int, error) {
 
@@ -290,13 +291,8 @@ func run[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
 		}
 	}
 	d := &driver[FV, R]{k: cfg.Kernel, tbl: cfg.Table, rec: cfg.Rec, inj: cfg.Inject, observe: observe}
-	p := cfg.Pool
-	if p == nil {
-		p = NewPool[FV, R]()
-		defer p.Close()
-	}
 	stop := watch(cfg.Ctx, &d.failure)
-	widths, perr := p.run(d, cfg.Workers, seed, rounds)
+	widths, perr := cfg.Pool.run(d, cfg.Workers, seed, rounds)
 	stop()
 	if perr != nil {
 		d.fail(perr) // first recorded failure wins; a panic only if nothing else

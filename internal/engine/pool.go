@@ -4,11 +4,10 @@ import "parhull/internal/sched"
 
 // Pool is the parallel substrate of Par and Rounds: the work-stealing
 // executor, one arena and one fresh-ridge buffer per worker, and the
-// per-worker fork closures. A reusable construction owner (the public
-// parhull.Builder, through a kernel's Reuse) retains one across
-// constructions, so the steady-state cost of a parallel construction is the
-// work itself, not the scaffolding; a one-shot construction mounts a
-// throwaway one.
+// per-worker fork closures. A kernel's Reuse owns one: the public
+// parhull.Builder retains it across constructions, so the steady-state cost
+// of a parallel construction is the work itself, not the scaffolding, and a
+// one-shot construction runs on a fresh Reuse that it closes on return.
 //
 // A Pool is single-owner: at most one construction may run on it at a time,
 // and Reset/Close must not overlap a construction. The zero value is not
@@ -112,6 +111,26 @@ func (p *Pool[FV, R]) Reset() {
 	for i := range p.arenas {
 		p.arenas[i].Reset()
 	}
+}
+
+// AppendFacets appends the facets of every worker arena to dst, in worker
+// order (see Arena.AppendFacets): every facet the constructions since the
+// last Reset created on the pool.
+func (p *Pool[FV, R]) AppendFacets(dst []*FV) []*FV {
+	for i := range p.arenas {
+		dst = p.arenas[i].AppendFacets(dst)
+	}
+	return dst
+}
+
+// Bytes returns the exact size of the facet slabs and int32 blocks the
+// worker arenas retain (see Arena.Bytes).
+func (p *Pool[FV, R]) Bytes() int64 {
+	var n int64
+	for i := range p.arenas {
+		n += p.arenas[i].Bytes()
+	}
+	return n
 }
 
 // Close retires the worker pool. The Pool must not be used afterwards;

@@ -43,8 +43,9 @@ type SeqConfig[FV any, R any] struct {
 	// Inject arms deterministic fault injection at the same boundary (nil in
 	// production).
 	Inject *faultinject.Injector
-	// Arena, when non-nil, supplies every created facet and its published
-	// slices; nil allocates them on the heap.
+	// Arena supplies every created facet and its published slices, in
+	// creation order, so walking it (Arena.AppendFacets) lists them in that
+	// order.
 	Arena *Arena[FV]
 	// Scratch, when non-nil, retains the pivot buckets and per-step buffers
 	// across constructions; nil builds them per call.

@@ -44,8 +44,7 @@ func FixedMapCapacity(n, d int) int { return 4 * (d + 1) * n }
 
 // ConmapTable adapts a conmap.RidgeMap (MapSharded/MapCAS/MapTAS) to the
 // driver's Table over sorted-index-slice ridges. Ridge slices are retained
-// as map keys, which is why FreshRidges must publish arena- or
-// heap-allocated slices.
+// as map keys, which is why FreshRidges must publish arena-carved slices.
 type ConmapTable[FV any] struct {
 	M conmap.RidgeMap[*FV]
 }
@@ -66,22 +65,18 @@ func (t ConmapTable[FV]) GetValue(r []int32, not *FV) *FV {
 // new facet (see conflict.Filter for the contract). One FilterMerge pass
 // walks both conflict lists and classifies each candidate as it is merged.
 // Lists at least grain long (0 selects conflict.DefaultGrain) filter in
-// parallel pieces; with a worker arena, shorter lists — the steady state —
-// filter through the arena's scratch, and every result compacts into arena
-// memory, with no pool round-trip and no per-facet allocation. flt is a type
-// parameter so kernels pass their concrete filter without interface boxing.
-// The output and the multiset of visibility tests are identical on every
-// path.
+// parallel pieces; shorter lists — the steady state — filter through the
+// arena's scratch, and every result compacts into arena memory, with no pool
+// round-trip and no per-facet allocation. flt is a type parameter so kernels
+// pass their concrete filter without interface boxing. The output and the
+// multiset of visibility tests are identical on every path.
 func MergeFilterFused[FV any, F conflict.Filter](a *Arena[FV], c1, c2 []int32, p int32, flt F, grain int) []int32 {
-	if a != nil {
-		g := grain
-		if g <= 0 {
-			g = conflict.DefaultGrain
-		}
-		if len(c1)+len(c2) < g {
-			return conflict.MergeFilterFusedScratch(&a.Scratch, c1, c2, p, flt, a.Alloc)
-		}
-		return conflict.MergeFilterFused(c1, c2, p, flt, grain, a.Alloc)
+	g := grain
+	if g <= 0 {
+		g = conflict.DefaultGrain
 	}
-	return conflict.MergeFilterFused(c1, c2, p, flt, grain, nil)
+	if len(c1)+len(c2) < g {
+		return conflict.MergeFilterFusedScratch(&a.Scratch, c1, c2, p, flt, a.Alloc)
+	}
+	return conflict.MergeFilterFused(c1, c2, p, flt, grain, a.Alloc)
 }

@@ -121,7 +121,7 @@ func mergeCases(lo, n int32) []struct {
 // sparse, and empty candidate lists.
 func TestBatchFilterMatchesClosure(t *testing.T) {
 	pts := filterTestPoints()
-	e := newEngine(pts, 3, true, 0, 1, false)
+	e := engineFor(NewReuse(), pts, 3, true, 0, false)
 	facets, err := e.initialHull()
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 		}
 	}
 	for _, f := range facets {
-		s := e.initPlane(nil, f)
+		s := e.initPlane(eng.NewArena[Facet](), f)
 		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, s, full, nil, -1))
 		for _, cands := range [][]int32{full, sparse, nil} {
 			got := e.filter(s).FilterMerge(cands, nil, -1, nil)
@@ -157,14 +157,14 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 // and absent, and against an empty list.
 func TestFilterMergeMatchesPointwise(t *testing.T) {
 	pts := filterTestPoints()
-	e := newEngine(pts, 3, true, 0, 1, false)
+	e := engineFor(NewReuse(), pts, 3, true, 0, false)
 	facets, err := e.initialHull()
 	if err != nil {
 		t.Fatal(err)
 	}
 	spilled, long := false, false
 	for _, f := range facets {
-		s := e.initPlane(nil, f)
+		s := e.initPlane(eng.NewArena[Facet](), f)
 		for _, c := range mergeCases(3, int32(len(pts))) {
 			t0, f0 := e.rec.VTests.Load(), e.rec.Fallbacks.Load()
 			want := pointwiseSurvivors(e, s, c.c1, c.c2, c.drop)
@@ -193,7 +193,7 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 // candidate and still match the pointwise path.
 func TestBatchFilterNoPlaneCache(t *testing.T) {
 	pts := filterTestPoints()
-	e := newEngine(pts, 3, true, 0, 1, true)
+	e := engineFor(NewReuse(), pts, 3, true, 0, true)
 	facets, err := e.initialHull()
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestBatchFilterNoPlaneCache(t *testing.T) {
 		full = append(full, v)
 	}
 	for _, f := range facets {
-		s := e.initPlane(nil, f)
+		s := e.initPlane(eng.NewArena[Facet](), f)
 		equalLists(t, "initial conflict list", f.Conf, pointwiseSurvivors(e, s, full, nil, -1))
 		for _, c := range mergeCases(3, n) {
 			got := e.filter(s).FilterMerge(c.c1, c.c2, c.drop, nil)

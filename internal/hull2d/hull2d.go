@@ -44,11 +44,9 @@ import (
 	"parhull/internal/conflict"
 	"parhull/internal/conmap"
 	eng "parhull/internal/engine"
-	"parhull/internal/facetlog"
 	"parhull/internal/faultinject"
 	"parhull/internal/geom"
 	"parhull/internal/hullstats"
-	"parhull/internal/sched"
 )
 
 // ErrDegenerate is returned when the input violates the general-position
@@ -60,9 +58,9 @@ var ErrDegenerate = errors.New("hull2d: degenerate input (need 3 non-collinear i
 // real point index (the driver's sentinel).
 const noPivot = eng.NoPivot
 
-// arena is this kernel's per-worker allocator: the generic bump arena
-// instantiated at the 2D facet type. A 2D facet stores its endpoints inline,
-// so the only published slices are conflict lists.
+// arena is this kernel's allocator: the generic bump arena instantiated at
+// the 2D facet type. Every facet comes from one. A 2D facet stores its
+// endpoints inline, so the only published slices are conflict lists.
 type arena = eng.Arena[Facet]
 
 // kernel adapts the 2D geometry to the generic Algorithm-3 driver in
@@ -141,8 +139,10 @@ type Result struct {
 	// Facets holds the surviving (alive) edges, in the same cyclic order.
 	Facets []*Facet
 	// Created holds every facet ever created, in creation order (sequential
-	// engine) or an arbitrary order (parallel engines). Used to compare the
-	// facet sets across engines and to export the dependence graph.
+	// engine) or an arbitrary order (parallel engines): the walk of the
+	// construction's arenas, which are the only record of them. Used to
+	// compare the facet sets across engines and to export the dependence
+	// graph.
 	Created []*Facet
 	// HullSizes (sequential engine only) records |T(Y_i)| — the hull size
 	// after each insertion step — used to evaluate the Theorem 3.1 bound.
@@ -170,8 +170,6 @@ type engine struct {
 	rec      *hullstats.Recorder
 	inj      *faultinject.Injector // batch-scan fault site (nil in production)
 
-	log *facetlog.Log[*Facet] // every facet ever created
-
 	// ridgeIDs backs allocation-free conmap keys for the concurrent
 	// engines: ridgeIDs[v:v+1] is the canonical id slice of ridge {v}.
 	// Filled by initRidgeIDs when a conmap table is installed, and kept
@@ -181,9 +179,8 @@ type engine struct {
 	trace   *Trace // optional (rounds engine)
 	traceMu sync.Mutex
 
-	// ru is the Reuse that owns this engine (nil on the one-shot Par and
-	// Rounds); initialHull, collectResult, and the vertex-slot table draw
-	// their arena and buffers from it.
+	// ru is the Reuse that owns this engine; initialHull, collectResult,
+	// and the vertex-slot table draw their arena and buffers from it.
 	ru *Reuse
 }
 
@@ -225,17 +222,11 @@ func (e *engine) initPlane(a *arena, f *Facet) *eng.PlaneSlot {
 	return s
 }
 
-func (e *engine) record(f *Facet) {
-	e.rec.Created(f.Depth)
-	e.log.Append(uint32(f.A), f)
-}
-
 // newFacet builds the facet joining ridge r (a vertex index) with pivot p,
 // supported by the pair (t1, t2): t1 is the facet being replaced (p visible
 // from it), t2 the surviving neighbor. Orientation follows the CCW hull:
-// if r is t1's tail the new edge is r->p, otherwise p->r. With a worker
-// arena (work-stealing path) the facet and its conflict list come from
-// per-worker blocks; nil a = heap (the other schedules).
+// if r is t1's tail the new edge is r->p, otherwise p->r. The facet and its
+// conflict list come from the arena.
 func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet) *Facet {
 	f := a.Facet()
 	if r == t1.A {
@@ -245,7 +236,6 @@ func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet) *Facet {
 	}
 	f.Depth = 1 + max32(t1.Depth, t2.Depth)
 	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, e.initPlane(a, f))
-	e.record(f)
 	return f
 }
 
@@ -275,24 +265,15 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	if n < 3 || e.base < 3 || e.base > n {
 		return nil, ErrDegenerate
 	}
-	// Base-polygon scratch, edges, and conflict lists come from the retained
-	// bundle and its arena when the engine has an owner — the initial
-	// conflict lists are the largest slices of the whole run.
-	var (
-		a     *arena
-		alloc func(int) []int32
-		order []int32
-	)
-	if ru := e.ru; ru != nil {
-		a = ru.arena
-		alloc = a.Alloc
-		if cap(ru.order) < e.base {
-			ru.order = make([]int32, e.base)
-		}
-		order = ru.order[:e.base]
-	} else {
-		order = make([]int32, e.base)
+	// Base-polygon scratch, edges, and conflict lists come from the Reuse
+	// and its own arena — the initial conflict lists are the largest slices
+	// of the whole run.
+	ru := e.ru
+	a := ru.arena
+	if cap(ru.order) < e.base {
+		ru.order = make([]int32, e.base)
 	}
+	order := ru.order[:e.base]
 	for i := range order {
 		order[i] = int32(i)
 	}
@@ -314,54 +295,41 @@ func (e *engine) initialHull() ([]*Facet, error) {
 			}
 		}
 	}
-	var facets []*Facet
-	if e.ru != nil {
-		facets = e.ru.inits[:0]
-	} else {
-		facets = make([]*Facet, 0, e.base)
-	}
-	// One edge at a time: make it and build its conflict list over the
-	// remaining points while its line is the slot's — one pass per edge, so
-	// each list comes out in ascending index order (parallel chunks for
-	// large n). Recording is a separate pass, so the facet log holds the
-	// base in polygon order.
+	// One edge at a time, in polygon order: make it and build its conflict
+	// list over the remaining points while its line is the slot's — one pass
+	// per edge, so each list comes out in ascending index order (parallel
+	// chunks for large n).
+	facets := ru.inits[:0]
 	for i := 0; i < e.base; i++ {
 		f := a.Facet()
 		f.A, f.B = order[i], order[(i+1)%e.base]
-		f.Conf = conflict.BuildFilterInto(int32(e.base), int32(n), e.filter(e.initPlane(a, f)), e.grain, alloc)
+		f.Conf = conflict.BuildFilterInto(int32(e.base), int32(n), e.filter(e.initPlane(a, f)), e.grain, a.Alloc)
 		facets = append(facets, f)
 	}
-	if e.ru != nil {
-		e.ru.inits = facets
-	}
-	for _, f := range facets {
-		e.record(f)
-	}
+	ru.inits = facets
 	return facets, nil
 }
 
-// collectResult walks the alive facets into a closed CCW cycle.
+// collectResult reads the construction back from its arenas: the Reuse's
+// own, which holds the base polygon (and under Seq every facet, in creation
+// order), then the pool's worker arenas. One pass over that walk tallies
+// every created facet by depth and links the alive edges by their tails;
+// then the alive edges must form one closed CCW cycle.
 func (e *engine) collectResult(rounds int) (*Result, error) {
 	e.rec.SampleHeap()
 	ru := e.ru
-	var all []*Facet
-	var next []*Facet
-	if ru != nil {
-		ru.created = e.log.SnapshotInto(ru.created[:0])
-		all = ru.created
-		if cap(ru.next) < len(e.pts) {
-			ru.next = make([]*Facet, len(e.pts))
-		}
-		next = ru.next[:len(e.pts)]
-		ru.next = next
-		clear(next)
-	} else {
-		all = e.log.Snapshot()
-		next = make([]*Facet, len(e.pts))
+	ru.created = ru.pool.AppendFacets(ru.arena.AppendFacets(ru.created[:0]))
+	if cap(ru.next) < len(e.pts) {
+		ru.next = make([]*Facet, len(e.pts))
 	}
+	next := ru.next[:len(e.pts)]
+	ru.next = next
+	clear(next)
+	ru.depths.Reset()
 	var start int32 = math.MaxInt32
 	alive := 0
-	for _, f := range all {
+	for _, f := range ru.created {
+		ru.depths.Add(f.Depth)
 		if !f.Alive() {
 			continue
 		}
@@ -377,13 +345,8 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 	if alive < 3 {
 		return nil, fmt.Errorf("hull2d: only %d alive edges", alive)
 	}
-	var res *Result
-	if ru != nil {
-		ru.res = Result{Created: all, Facets: ru.facets[:0], Vertices: ru.vertices[:0]}
-		res = &ru.res
-	} else {
-		res = &Result{Created: all}
-	}
+	ru.res = Result{Created: ru.created, Facets: ru.facets[:0], Vertices: ru.vertices[:0]}
+	res := &ru.res
 	at := start
 	for steps := 0; steps < alive; steps++ {
 		f := next[at]
@@ -398,35 +361,10 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 	if at != start {
 		return nil, fmt.Errorf("hull2d: alive edges form a path or multiple cycles, not one cycle")
 	}
-	res.Stats = e.rec.Snapshot(rounds, alive)
-	if ru != nil {
-		// Capture the (possibly regrown) backings so the next construction
-		// reuses them at full capacity.
-		ru.facets = res.Facets
-		ru.vertices = res.Vertices
-	}
+	res.Stats = e.rec.Snapshot(rounds, alive, ru.depths)
+	// Capture the (possibly regrown) backings so the next construction
+	// reuses them at full capacity.
+	ru.facets = res.Facets
+	ru.vertices = res.Vertices
 	return res, nil
 }
-
-// newEngine assembles engine state. stripes sizes the facet log: the
-// sequential engine passes 1 to keep Result.Created in creation order; the
-// parallel engines stripe by worker count so record() does not serialize.
-func newEngine(pts []geom.Point, base int, counters bool, grain, stripes int, noPlane bool) *engine {
-	e := &engine{
-		pts:   pts,
-		store: geom.NewPointStore(pts),
-		base:  base,
-		grain: grain,
-		rec:   hullstats.NewRecorder(counters),
-		log:   facetlog.New[*Facet](stripes),
-	}
-	if !noPlane {
-		e.planeEps = geom.StaticFilterEps(e.store.MaxAbs())
-	}
-	e.rec.SetPlaneCache(e.planeEps > 0)
-	e.rec.MarkHeapBase()
-	return e
-}
-
-// parStripes is the facet-log stripe count for the concurrent engines.
-func parStripes() int { return 4 * sched.Workers() }

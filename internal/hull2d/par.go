@@ -13,7 +13,7 @@ import (
 // Options configures a construction under any of the three schedules. The
 // zero value (or a nil *Options) is the default: a base triangle, the
 // vertex-slot ridge table, GOMAXPROCS workers, counters and the line cache
-// on, a fresh engine. Seq ignores Map, Workers, FilterGrain, and Trace;
+// on, a fresh Reuse. Seq ignores Map, Workers, FilterGrain, and Trace;
 // Par ignores Trace.
 type Options struct {
 	// Base is the size of the pre-built initial hull (default 3). With
@@ -53,7 +53,8 @@ type Options struct {
 	// Reuse, when non-nil, runs the construction on retained state (engine,
 	// arenas, buffers, worker pool) recycled across constructions of every
 	// schedule; each call invalidates the previous Result obtained through
-	// the same Reuse. The public parhull.Builder is the intended owner.
+	// the same Reuse. The public parhull.Builder is the intended owner. Nil
+	// runs the construction on a fresh Reuse, closed on return.
 	Reuse *Reuse
 }
 
@@ -75,8 +76,8 @@ func (o *Options) base() int {
 // ridgeSlots builds the driver's ridge table over plain vertex ids: in 2D a
 // ridge IS a single vertex, so the default table is a flat array of CAS slots
 // indexed by vertex — a perfect-hash instance of the Algorithm 4 table with
-// no locks, no hashing, and no collisions. An engine owned by a Reuse keeps
-// the array across constructions, cleared each time. An explicit
+// no locks, no hashing, and no collisions. The engine's Reuse keeps the
+// array across constructions, cleared each time. An explicit
 // Options.Map routes through the generic conmap implementations instead
 // (MapCAS/MapTAS and the E10 ablation).
 func (o *Options) ridgeSlots(e *engine) eng.Table[Facet, int32] {
@@ -85,9 +86,6 @@ func (o *Options) ridgeSlots(e *engine) eng.Table[Facet, int32] {
 		return conmapSlots{m: o.Map, e: e}
 	}
 	ru := e.ru
-	if ru == nil {
-		return &vertexSlots{slots: make([]atomic.Pointer[Facet], len(e.pts))}
-	}
 	if cap(ru.slots.slots) < len(e.pts) {
 		ru.slots.slots = make([]atomic.Pointer[Facet], len(e.pts))
 	}
@@ -126,29 +124,25 @@ func (s conmapSlots) GetValue(v int32, not *Facet) *Facet {
 // config assembles the driver configuration for a Par or Rounds
 // construction on e.
 func (o *Options) config(e *engine) eng.Config[Facet, int32] {
-	cfg := eng.Config[Facet, int32]{
+	return eng.Config[Facet, int32]{
 		Kernel:  kernel{e: e},
 		Table:   o.ridgeSlots(e),
 		Rec:     e.rec,
 		Workers: o.Workers,
 		Ctx:     o.Ctx,
 		Inject:  o.Inject,
+		Pool:    o.Reuse.pool,
 	}
-	if o.Reuse != nil {
-		cfg.Pool = o.Reuse.pool
-	}
-	return cfg
 }
 
-// start validates pts and returns the engine of a construction under o —
-// o.Reuse's, or a fresh one when it is nil — with its base polygon built.
-// grain and stripes are the schedule's conflict-filter grain and facet-log
-// width.
-func (o *Options) start(pts []geom.Point, grain, stripes int) (*engine, []*Facet, error) {
+// start validates pts and returns o.Reuse's engine for a construction under
+// o, with its base polygon built. grain is the schedule's conflict-filter
+// grain.
+func (o *Options) start(pts []geom.Point, grain int) (*engine, []*Facet, error) {
 	if err := geom.ValidateCloud(pts, 2); err != nil {
 		return nil, nil, err
 	}
-	e := engineFor(o.Reuse, pts, o.base(), !o.NoCounters, grain, stripes, o.NoPlaneCache)
+	e := engineFor(o.Reuse, pts, o.base(), !o.NoCounters, grain, o.NoPlaneCache)
 	e.inj = o.Inject
 	facets, err := e.initialHull()
 	if err != nil {
@@ -175,13 +169,18 @@ func Par(pts []geom.Point, opt *Options) (*Result, error) {
 	return res, err
 }
 
-// run is the path Par and Rounds share: start the construction, sample the
-// heap, run the schedule (engine.Par, or engine.Rounds when rounds is set,
-// with the trace observer when opt.Trace asks for one) over the base
-// polygon's ridges, and collect the result.
+// run is the path Par and Rounds share: start the construction (on a fresh
+// Reuse, closed on return, when opt has none), sample the heap, run the
+// schedule (engine.Par, or engine.Rounds when rounds is set, with the trace
+// observer when opt.Trace asks for one) over the base polygon's ridges, and
+// collect the result.
 func run(pts []geom.Point, opt *Options, rounds bool) (*Result, *Trace, error) {
 	o := opt.or()
-	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
+	if o.Reuse == nil {
+		o.Reuse = NewReuse()
+		defer o.Reuse.Close()
+	}
+	e, facets, err := o.start(pts, o.FilterGrain)
 	if err != nil {
 		return nil, nil, err
 	}

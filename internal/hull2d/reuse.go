@@ -3,15 +3,18 @@ package hull2d
 import (
 	eng "parhull/internal/engine"
 	"parhull/internal/geom"
+	"parhull/internal/hullstats"
 )
 
-// Reuse retains the heavy per-construction state of every schedule across
-// constructions — the engine struct with its point store, recorder, and
-// facet log; the arena the initial hull (and all of Seq) carves from; Seq's
+// Reuse holds the state of a construction under every schedule, and retains
+// it across constructions — the engine struct with its point store and
+// recorder; the arena the initial hull (and all of Seq) carves from; Seq's
 // pivot buckets, step buffers, and hull-cycle arrays; the vertex-slot ridge
 // table; the result-collection buffers; and the engine.Pool of
 // work-stealing workers and per-worker arenas that Par and Rounds both run
-// on — mirroring hulld.Reuse for the planar kernel.
+// on — mirroring hulld.Reuse for the planar kernel. Its arenas hold every
+// facet a construction creates, and are the only record of them. Without a
+// Reuse in Options, each schedule runs on a fresh one.
 //
 // Contract: a Reuse serializes constructions (one at a time, of any
 // schedule), and each invalidates the previous Result obtained through it.
@@ -31,6 +34,7 @@ type Reuse struct {
 	facets   []*Facet
 	vertices []int32
 	slots    vertexSlots
+	depths   hullstats.Depths
 	res      Result
 }
 
@@ -59,25 +63,30 @@ func (ru *Reuse) Reset() {
 	}
 }
 
-// engineFor returns the engine for this construction: a fresh one when ru is
-// nil (the one-shot Par and Rounds), otherwise ru's retained engine rewound
-// and reloaded, created on first use. The rewind happens at the start of
-// the next construction, so an aborted or panicked construction needs no
-// cleanup to keep the owner usable and the previous Result stays valid until
-// the next call. stripes sizes the facet log: 1 keeps Result.Created in
-// creation order (Seq), whatever schedule last ran on ru.
-func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain, stripes int, noPlane bool) *engine {
-	if ru == nil {
-		return newEngine(pts, base, counters, grain, stripes, noPlane)
-	}
+// Bytes returns the exact size of the memory the Reuse retains for the next
+// construction in its arenas (facet slabs and int32 blocks, Arena.Bytes) and
+// in its vertex-slot ridge table.
+func (ru *Reuse) Bytes() int64 {
+	return ru.arena.Bytes() + ru.pool.Bytes() + 8*int64(cap(ru.slots.slots))
+}
+
+// engineFor returns ru's engine for this construction: the retained one
+// rewound and reloaded, created on first use. The rewind happens at the
+// start of the next construction, so an aborted or panicked construction
+// needs no cleanup to keep the owner usable and the previous Result stays
+// valid until the next call. It also empties the worker arenas before Seq,
+// so the walk of a Seq construction lists its facets in creation order,
+// whatever schedule last ran on ru.
+func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain int, noPlane bool) *engine {
 	ru.pool.Reset()
 	ru.arena.Reset()
-	if ru.e == nil {
-		ru.e = newEngine(pts, base, counters, grain, stripes, noPlane)
-		ru.e.ru = ru
-		return ru.e
-	}
 	e := ru.e
+	if e == nil {
+		e = &engine{store: new(geom.PointStore), rec: hullstats.NewRecorder(counters), ru: ru}
+		ru.e = e
+	} else {
+		e.rec.Reset(counters)
+	}
 	e.pts = pts
 	e.store.Load(pts)
 	e.base = base
@@ -87,9 +96,7 @@ func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain, stri
 	if !noPlane {
 		e.planeEps = geom.StaticFilterEps(e.store.MaxAbs())
 	}
-	e.rec.Reset(counters)
 	e.rec.SetPlaneCache(e.planeEps > 0)
 	e.rec.MarkHeapBase()
-	e.log.Reset(stripes)
 	return e
 }

@@ -7,36 +7,13 @@ import (
 	"parhull/internal/geom"
 )
 
-// EventKind classifies a trace event of the rounds engine.
-type EventKind int
-
-const (
-	// EventCreated records a new facet replacing an old one (lines 14-17).
-	EventCreated EventKind = iota
-	// EventBuried records an equal-pivot ridge burying both facets (line 10).
-	EventBuried
-	// EventFinal records a ridge whose facets both have empty conflict sets
-	// (line 9).
-	EventFinal
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case EventCreated:
-		return "created"
-	case EventBuried:
-		return "buried"
-	default:
-		return "final"
-	}
-}
-
-// Event is one ProcessRidge outcome in the round-synchronous schedule.
-// For EventCreated, A is the new edge and B the edge it replaced; for the
-// other kinds A and B are the two facets incident on the ridge.
+// Event is one ProcessRidge outcome in the round-synchronous schedule,
+// classified by engine.EventKind. For engine.EventCreated, A is the new edge
+// and B the edge it replaced; for the other kinds A and B are the two facets
+// incident on the ridge.
 type Event struct {
 	Round int
-	Kind  EventKind
+	Kind  eng.EventKind
 	A, B  [2]int32
 }
 
@@ -74,28 +51,13 @@ func less2(a, b [2]int32) bool {
 	return a[1] < b[1]
 }
 
-func (e *engine) traceEvent(ev Event) {
-	if e.trace == nil {
-		return
-	}
+// observe records the rounds events of engine.Rounds in the 2D Trace; run
+// installs it only when Options.Trace asks for one.
+func (e *engine) observe(kind eng.EventKind, round int32, a, b *Facet) {
+	ev := Event{Round: int(round), Kind: kind, A: [2]int32{a.A, a.B}, B: [2]int32{b.A, b.B}}
 	e.traceMu.Lock()
 	e.trace.Events = append(e.trace.Events, ev)
 	e.traceMu.Unlock()
-}
-
-// observe maps the driver's rounds events onto the 2D Trace.
-func (e *engine) observe(kind eng.EventKind, round int32, a, b *Facet) {
-	var k EventKind
-	switch kind {
-	case eng.EventCreated:
-		k = EventCreated
-	case eng.EventBuried:
-		k = EventBuried
-	default:
-		k = EventFinal
-	}
-	e.traceEvent(Event{Round: int(round), Kind: k,
-		A: [2]int32{a.A, a.B}, B: [2]int32{b.A, b.B}})
 }
 
 // Rounds computes the convex hull with Algorithm 3 under the

@@ -13,9 +13,11 @@ import (
 // TestParSchedEquivalence is the cross-schedule contract of Theorem 5.5 in
 // 2D: the sequential Algorithm 2 loop, the work-stealing Par (one-shot, and
 // twice on one retained Reuse), and the round-synchronous Rounds must create
-// the identical edge multiset, hull, visibility-test count, and maximum
-// dependence depth on fixed seeds — the schedule and the arena backing the
-// memory are the only differences.
+// the identical edge multiset, hull, visibility-test count, created count,
+// and depth histogram (so also maximum depth) on fixed seeds — the schedule
+// and the arena backing the memory are the only differences. Every run's
+// creation stats must also agree with its own Result.Created, the walk of
+// its arenas they are read from.
 func TestParSchedEquivalence(t *testing.T) {
 	leakcheck.Check(t)
 	ru := NewReuse()
@@ -28,12 +30,14 @@ func TestParSchedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s seq: %v", name, err)
 		}
+		sameCreationRecord(t, name+" seq", len(ref.Created), ref.Stats)
 		want := ref.EdgeSet()
 		check := func(sched string, r *Result, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, sched, err)
 			}
+			sameCreationRecord(t, name+" "+sched, len(r.Created), r.Stats)
 			if got, want := fmt.Sprint(r.Vertices), fmt.Sprint(ref.Vertices); got != want {
 				t.Fatalf("%s %s: vertices %s, seq %s", name, sched, got, want)
 			}
@@ -50,8 +54,11 @@ func TestParSchedEquivalence(t *testing.T) {
 				t.Fatalf("%s %s: vtests %d, seq %d", name, sched,
 					r.Stats.VisibilityTests, ref.Stats.VisibilityTests)
 			}
-			if r.Stats.MaxDepth != ref.Stats.MaxDepth {
-				t.Fatalf("%s %s: depth %d, seq %d", name, sched, r.Stats.MaxDepth, ref.Stats.MaxDepth)
+			if r.Stats.MaxDepth != ref.Stats.MaxDepth || r.Stats.FacetsCreated != ref.Stats.FacetsCreated ||
+				fmt.Sprint(r.Stats.DepthHist) != fmt.Sprint(ref.Stats.DepthHist) {
+				t.Fatalf("%s %s: depth %d created %d hist %v, seq %d %d %v", name, sched,
+					r.Stats.MaxDepth, r.Stats.FacetsCreated, r.Stats.DepthHist,
+					ref.Stats.MaxDepth, ref.Stats.FacetsCreated, ref.Stats.DepthHist)
 			}
 		}
 		r, err := Par(pts, nil)
@@ -64,6 +71,23 @@ func TestParSchedEquivalence(t *testing.T) {
 		check("rounds", r, err)
 		r, _, err = Rounds(pts, &Options{Reuse: ru})
 		check("rounds on a reuse", r, err)
+	}
+}
+
+// sameCreationRecord requires a run's creation stats to describe its own
+// created edges: len(Result.Created) == FacetsCreated == ΣDepthHist, with
+// MaxDepth the histogram's last bin, which is occupied.
+func sameCreationRecord(t *testing.T, label string, created int, s Stats) {
+	t.Helper()
+	sum := 0
+	for _, c := range s.DepthHist {
+		sum += c
+	}
+	if int64(created) != s.FacetsCreated || int64(sum) != s.FacetsCreated {
+		t.Fatalf("%s: %d created edges, FacetsCreated %d, ΣDepthHist %d", label, created, s.FacetsCreated, sum)
+	}
+	if len(s.DepthHist) != s.MaxDepth+1 || s.DepthHist[s.MaxDepth] == 0 {
+		t.Fatalf("%s: MaxDepth %d does not end DepthHist %v", label, s.MaxDepth, s.DepthHist)
 	}
 }
 

@@ -29,7 +29,7 @@ func Seq(pts []geom.Point, opt *Options) (*Result, error) {
 	if o.Reuse == nil {
 		o.Reuse = NewReuse()
 	}
-	e, facets, err := o.start(pts, 0, 1)
+	e, facets, err := o.start(pts, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -68,9 +68,10 @@ func sameTrace(t *testing.T, label string, got, want seqTrace) {
 // Algorithm 2 to the conflict-graph form it replaced on the planar kernel:
 // the same created edge sequence, hull sizes, counters, and error, on
 // general-position and degenerate clouds — on a fresh Reuse and, twice in a
-// row, on one retained Reuse that runs Par between the Seq calls, so Seq
-// must restore the single-stripe facet log that keeps Result.Created in
-// creation order.
+// row, on one retained Reuse that runs Par between the Seq calls.
+// Result.Created is the walk of the Reuse's own arena and then its pool's
+// worker arenas, so the Seq calls check that Seq finds the worker arenas Par
+// filled empty, which keeps its walk in creation order.
 func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 	for _, c := range seqref.Clouds(2, 2000, 2) {
 		t.Run(c.Name, func(t *testing.T) {
@@ -81,7 +82,8 @@ func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 			defer ru.Close()
 			for rep := 0; rep < 2; rep++ {
 				sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(Seq(c.Pts, &Options{Reuse: ru})), want)
-				// A degenerate cloud may fail Par; either way it re-stripes the log.
+				// A degenerate cloud may fail Par; one that gets past its base
+				// still fills worker arenas.
 				_, _ = Par(c.Pts, &Options{Reuse: ru})
 			}
 		})

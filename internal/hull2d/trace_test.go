@@ -34,9 +34,6 @@ func TestTraceMachinery(t *testing.T) {
 	if total != len(tr.Events) {
 		t.Fatalf("ByRound covered %d of %d events", total, len(tr.Events))
 	}
-	if EventCreated.String() != "created" || EventBuried.String() != "buried" || EventFinal.String() != "final" {
-		t.Fatal("EventKind strings")
-	}
 	f := &Facet{A: 3, B: 7}
 	if f.String() != "3->7" {
 		t.Fatalf("Facet.String: %q", f.String())

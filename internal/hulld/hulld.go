@@ -49,11 +49,9 @@ import (
 
 	"parhull/internal/conflict"
 	eng "parhull/internal/engine"
-	"parhull/internal/facetlog"
 	"parhull/internal/faultinject"
 	"parhull/internal/geom"
 	"parhull/internal/hullstats"
-	"parhull/internal/sched"
 )
 
 // ErrDegenerate is returned when the input violates general position in a
@@ -65,9 +63,9 @@ var ErrDegenerate = errors.New("hulld: degenerate input (points not in general p
 // noPivot is the driver's empty-conflict-set sentinel.
 const noPivot = eng.NoPivot
 
-// arena is this kernel's per-worker allocator: the generic bump arena
-// instantiated at the d-dimensional facet type. Verts, ridges, and conflict
-// lists all carve from its int32 blocks on the work-stealing path.
+// arena is this kernel's allocator: the generic bump arena instantiated at
+// the d-dimensional facet type. Every facet comes from one, and its Verts,
+// ridges, and conflict list carve from the same arena's int32 blocks.
 type arena = eng.Arena[Facet]
 
 // kernel adapts the d-dimensional geometry to the generic Algorithm-3 driver
@@ -87,10 +85,9 @@ func (k kernel) NewFacet(a *arena, r []int32, p int32, t1, t2 *Facet) (*Facet, e
 // FreshRidges implements engine.Kernel: the fresh ridges of t are the d-1
 // ridges omitting one vertex of r each — exactly the ridges containing the
 // pivot. The ridge slices are published into the table, so they carve from
-// the arena (heap when a is nil). The d == 3 case carves both 2-vertex
-// ridges from one block reservation and fills them by direct index — the
-// ridge slices are immutable once published, so sharing a backing array is
-// safe.
+// the arena. The d == 3 case carves both 2-vertex ridges from one block
+// reservation and fills them by direct index — the ridge slices are
+// immutable once published, so sharing a backing array is safe.
 func (k kernel) FreshRidges(a *arena, t *Facet, r []int32, buf [][]int32) [][]int32 {
 	if len(r) == 2 {
 		s := a.IntsLen(4)
@@ -101,7 +98,7 @@ func (k kernel) FreshRidges(a *arena, t *Facet, r []int32, buf [][]int32) [][]in
 		return append(buf, r0, r1)
 	}
 	for _, q := range r {
-		buf = append(buf, ridgeWithoutIn(a, t, q))
+		buf = append(buf, ridgeWithout(a, t, q))
 	}
 	return buf
 }
@@ -171,7 +168,8 @@ type Result struct {
 	// Vertices holds the sorted indices of points on the hull.
 	Vertices []int32
 	// Created holds every facet ever created, in creation order (Seq) or
-	// an arbitrary order (Par, Rounds).
+	// an arbitrary order (Par, Rounds): the walk of the construction's
+	// arenas, which are the only record of them.
 	Created []*Facet
 	// HullSizes (sequential engine only) records the facet count of the
 	// hull after each insertion step, for the Theorem 3.1 bound.
@@ -256,30 +254,9 @@ type engine struct {
 	rec     *hullstats.Recorder
 	inj     *faultinject.Injector // batch-scan fault site (nil in production)
 
-	log *facetlog.Log[*Facet] // every facet ever created
-
-	// ru is the Reuse that owns this engine (nil on the one-shot Par and
-	// Rounds); initialHull and collectResult draw their arena and buffers
-	// from it.
+	// ru is the Reuse that owns this engine; initialHull and collectResult
+	// draw their arena and buffers from it.
 	ru *Reuse
-}
-
-// newEngine assembles engine state. stripes sizes the facet log (1 keeps
-// Result.Created in creation order; the parallel engines stripe by worker
-// count so record() does not serialize). A non-nil lift selects lifted mode.
-func newEngine(pts, lift []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
-	e := &engine{
-		pts:   pts,
-		store: geom.NewPointStore(pts),
-		d:     d,
-		grain: grain,
-		lift:  lift,
-		rec:   hullstats.NewRecorder(counters),
-		log:   facetlog.New[*Facet](stripes),
-	}
-	e.setPlaneEps(noPlane)
-	e.rec.MarkHeapBase()
-	return e
 }
 
 // liftFloor floors liftMax, so that a lifted threshold also covers the
@@ -343,25 +320,15 @@ func (e *engine) exactVisible(v int32, s *eng.PlaneSlot) bool {
 	return geom.OrientSimplex(e.facetPoints(s, &buf), e.pts[v]) == s.Sign
 }
 
-func (e *engine) record(f *Facet) {
-	e.rec.Created(f.Depth)
-	k := uint32(0)
-	for _, v := range f.Verts {
-		k = k*31 + uint32(v)
-	}
-	e.log.Append(k, f)
-}
-
 // makeFacet assembles a facet from sorted vertex indices and writes its
 // plane into the arena's plane slot, which it returns: the cached hyperplane
 // (in plain mode, and in lifted mode under the facet's own threshold), the
 // outward sign from the interior reference point, the vertex ids, and,
 // without a plane cache, the vertex coordinates. A zero sign means the
 // simplex is degenerate or its plane passes through the reference point —
-// both general-position violations. The facet struct comes from the worker
-// arena when one is supplied (work-stealing path). The slot stays valid
-// until the arena's next makeFacet; each branch writes every field the
-// filter reads, so the slot is never zeroed as a whole.
+// both general-position violations. The facet struct comes from the arena.
+// The slot stays valid until the arena's next makeFacet; each branch writes
+// every field the filter reads, so the slot is never zeroed as a whole.
 //
 // The cached plane is stored folded — negated when the outward OrientSimplex
 // sign is negative, so that Eval > Eps means visible on every read path.
@@ -449,9 +416,8 @@ func (e *engine) liftedInside(sl *eng.PlaneSlot, v []int32) int {
 }
 
 // newFacet builds the facet joining ridge r with pivot p, supported by
-// (t1, t2), filtering the conflict list per line 16 of Algorithm 3. With a
-// worker arena the facet, its Verts, and its conflict list all come from
-// per-worker blocks (nil a = heap, used by the other schedules).
+// (t1, t2), filtering the conflict list per line 16 of Algorithm 3. The
+// facet, its Verts, and its conflict list all come from the arena.
 func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet) (*Facet, error) {
 	var verts []int32
 	if len(r) == 2 {
@@ -486,7 +452,6 @@ func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet) (*Facet, 
 	}
 	f.Depth = 1 + max32(t1.Depth, t2.Depth)
 	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, sl)
-	e.record(f)
 	return f, nil
 }
 
@@ -520,27 +485,16 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		return nil, fmt.Errorf("%w: need at least d+1 = %d points, got %d", ErrDegenerate, d+1, n)
 	}
 	// The base-simplex facets, their vertex tuples, and their conflict lists
-	// come from the retained arena when the engine has an owner — the
-	// initial conflict lists are the largest slices of the whole run, so
-	// recycling them matters as much as the per-facet arena discipline.
-	var (
-		a      *arena
-		alloc  func(int) []int32
-		base   []geom.Point
-		facets []*Facet
-	)
-	if ru := e.ru; ru != nil {
-		a = ru.arena
-		alloc = a.Alloc
-		if cap(ru.base) < d+1 {
-			ru.base = make([]geom.Point, d+1)
-		}
-		base = ru.base[:d+1]
-		facets = ru.inits[:0]
-	} else {
-		base = make([]geom.Point, d+1)
-		facets = make([]*Facet, 0, d+1)
+	// come from the Reuse's own arena — the initial conflict lists are the
+	// largest slices of the whole run, so recycling them matters as much as
+	// the per-facet arena discipline.
+	ru := e.ru
+	a := ru.arena
+	if cap(ru.base) < d+1 {
+		ru.base = make([]geom.Point, d+1)
 	}
+	base := ru.base[:d+1]
+	facets := ru.inits[:0]
 	for i := range base {
 		base[i] = e.pts[i]
 	}
@@ -555,11 +509,10 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		e.interior = geom.Centroid(base)
 	}
 
-	// One base facet at a time: make it, check it, and filter its conflict
-	// list while its plane is the slot's. Recording is a separate pass, so
-	// the facet log holds the base in omit order. The vertex tuples share
-	// one carve, made before any conflict list, so those large carves do
-	// not each cut a fresh int32 block short.
+	// One base facet at a time, in omit order: make it, check it, and filter
+	// its conflict list while its plane is the slot's. The vertex tuples
+	// share one carve, made before any conflict list, so those large carves
+	// do not each cut a fresh int32 block short.
 	tuples := a.IntsLen((d + 1) * d)
 	for omit := 0; omit <= d; omit++ {
 		verts := tuples[omit*d : omit*d : (omit+1)*d]
@@ -575,27 +528,19 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		if e.lift == nil && e.exactVisible(int32(omit), sl) {
 			return nil, fmt.Errorf("%w: the float centroid of the first %d points lies outside them", ErrDegenerate, d+1)
 		}
-		f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), e.filter(sl), e.grain, alloc)
+		f.Conf = conflict.BuildFilterInto(int32(d+1), int32(n), e.filter(sl), e.grain, a.Alloc)
 		facets = append(facets, f)
 	}
-	if e.ru != nil {
-		e.ru.inits = facets
-	}
-	for _, f := range facets {
-		e.record(f)
-	}
+	ru.inits = facets
 	if up := facets[d]; e.lift != nil && len(up.Conf) > 0 {
 		return nil, fmt.Errorf("%w: point %d escapes the circle of points 0-2", ErrDegenerate, up.Conf[0])
 	}
 	return facets, nil
 }
 
-// ridgeWithout returns the ridge of f that omits vertex q.
-func ridgeWithout(f *Facet, q int32) []int32 { return ridgeWithoutIn(nil, f, q) }
-
-// ridgeWithoutIn is ridgeWithout carving the ridge slice from the worker
-// arena when one is supplied.
-func ridgeWithoutIn(a *arena, f *Facet, q int32) []int32 {
+// ridgeWithout returns the ridge of f that omits vertex q, carved from the
+// arena.
+func ridgeWithout(a *arena, f *Facet, q int32) []int32 {
 	r := a.Ints(len(f.Verts) - 1)
 	for _, v := range f.Verts {
 		if v != q {
@@ -605,20 +550,20 @@ func ridgeWithoutIn(a *arena, f *Facet, q int32) []int32 {
 	return r
 }
 
-// collectResult gathers alive facets and validates the closed-pseudomanifold
-// property (checkClosed).
+// collectResult reads the construction back from its arenas: the Reuse's
+// own, which holds the base facets (and under Seq every facet, in creation
+// order), then the pool's worker arenas. One pass over that walk gathers the
+// alive facets and tallies every created facet by depth; then the alive
+// facets must form a closed pseudomanifold (checkClosed).
 func (e *engine) collectResult(rounds int) (*Result, error) {
 	e.rec.SampleHeap()
 	ru := e.ru
-	var res *Result
-	if ru != nil {
-		ru.created = e.log.SnapshotInto(ru.created[:0])
-		ru.res = Result{Created: ru.created, Facets: ru.facets[:0], Vertices: ru.vertices[:0]}
-		res = &ru.res
-	} else {
-		res = &Result{Created: e.log.Snapshot()}
-	}
+	ru.created = ru.pool.AppendFacets(ru.arena.AppendFacets(ru.created[:0]))
+	ru.res = Result{Created: ru.created, Facets: ru.facets[:0], Vertices: ru.vertices[:0]}
+	res := &ru.res
+	ru.depths.Reset()
 	for _, f := range res.Created {
+		ru.depths.Add(f.Depth)
 		if f.Alive() {
 			res.Facets = append(res.Facets, f)
 		}
@@ -626,21 +571,13 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 	if len(res.Facets) < e.d+1 {
 		return nil, fmt.Errorf("hulld: only %d alive facets (want >= %d)", len(res.Facets), e.d+1)
 	}
-	var c *closure
-	var inHull []bool
-	if ru != nil {
-		c = &ru.closure
-		if cap(ru.inHull) < len(e.pts) {
-			ru.inHull = make([]bool, len(e.pts))
-		}
-		inHull = ru.inHull[:len(e.pts)]
-		ru.inHull = inHull
-		clear(inHull)
-	} else {
-		c = new(closure)
-		inHull = make([]bool, len(e.pts))
+	if cap(ru.inHull) < len(e.pts) {
+		ru.inHull = make([]bool, len(e.pts))
 	}
-	if err := checkClosed(res.Facets, len(e.pts), e.d, c); err != nil {
+	inHull := ru.inHull[:len(e.pts)]
+	ru.inHull = inHull
+	clear(inHull)
+	if err := checkClosed(res.Facets, len(e.pts), e.d, &ru.closure); err != nil {
 		return nil, err
 	}
 	for _, f := range res.Facets {
@@ -653,13 +590,11 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 			res.Vertices = append(res.Vertices, int32(v))
 		}
 	}
-	res.Stats = e.rec.Snapshot(rounds, len(res.Facets))
-	if ru != nil {
-		// Capture the (possibly regrown) backings so the next construction
-		// reuses them at full capacity.
-		ru.facets = res.Facets
-		ru.vertices = res.Vertices
-	}
+	res.Stats = e.rec.Snapshot(rounds, len(res.Facets), ru.depths)
+	// Capture the (possibly regrown) backings so the next construction
+	// reuses them at full capacity.
+	ru.facets = res.Facets
+	ru.vertices = res.Vertices
 	return res, nil
 }
 
@@ -776,9 +711,6 @@ func (s *rowSorter) Swap(i, j int) {
 		a[q], b[q] = b[q], a[q]
 	}
 }
-
-// parStripes is the facet-log stripe count for the concurrent engines.
-func parStripes() int { return 4 * sched.Workers() }
 
 // validate checks the cloud and, in lifted mode, that pts are 3D lifts of
 // as many 2D points, and returns the dimension.

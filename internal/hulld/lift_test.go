@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parhull/internal/conflict"
+	eng "parhull/internal/engine"
 	"parhull/internal/geom"
 	"parhull/internal/pointgen"
 )
@@ -65,12 +66,12 @@ func liftedFilterCloud() (lifted, plane []geom.Point) {
 func liftedFilterFacets(t *testing.T) (*engine, []*Facet) {
 	t.Helper()
 	lifted, plane := liftedFilterCloud()
-	e := newEngine(lifted, plane, 3, true, 0, 1, false)
+	e := engineFor(NewReuse(), lifted, plane, 3, true, 0, false)
 	facets, err := e.initialHull()
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _, err := e.makeFacet(nil, []int32{3, 4, 5})
+	f, _, err := e.makeFacet(eng.NewArena[Facet](), []int32{3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func liftedFilterFacets(t *testing.T) (*engine, []*Facet) {
 // answer everywhere.
 func TestLiftedFilterMatchesExactInCircle(t *testing.T) {
 	lifted, plane := liftedCloud(pointgen.Clustered(pointgen.NewRNG(13), 300, 2, 5, 1e-3))
-	e := newEngine(lifted, plane, 3, false, 0, 1, false)
+	e := engineFor(NewReuse(), lifted, plane, 3, false, 0, false)
 	res, err := Par(lifted, &Options{Lift: plane})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 
 // Options configures a construction under any of the three schedules. The
 // zero value (or a nil *Options) is the default: the sharded ridge map,
-// GOMAXPROCS workers, counters and the plane cache on, a fresh engine.
+// GOMAXPROCS workers, counters and the plane cache on, a fresh Reuse.
 // Seq ignores Map, Workers, and FilterGrain.
 type Options struct {
 	// Map is the ridge multimap M of Algorithm 3 (nil selects the growable
@@ -43,7 +43,8 @@ type Options struct {
 	// Reuse, when non-nil, runs the construction on retained state (engine,
 	// arenas, buffers, worker pool) recycled across constructions of every
 	// schedule; each call invalidates the previous Result obtained through
-	// the same Reuse. The public parhull.Builder is the intended owner.
+	// the same Reuse. The public parhull.Builder is the intended owner. Nil
+	// runs the construction on a fresh Reuse, closed on return.
 	Reuse *Reuse
 	// Lift, when non-nil, selects lifted mode: the points are the float
 	// lifts (x, y, x²+y²) of these 2D points, index for index, possibly
@@ -70,30 +71,26 @@ func (o *Options) config(e *engine, n int) eng.Config[Facet, []int32] {
 	if m == nil {
 		m = conmap.NewShardedMap[*Facet](eng.DefaultMapCapacity(n, e.d))
 	}
-	cfg := eng.Config[Facet, []int32]{
+	return eng.Config[Facet, []int32]{
 		Kernel:  kernel{e: e},
 		Table:   eng.ConmapTable[Facet]{M: m},
 		Rec:     e.rec,
 		Workers: o.Workers,
 		Ctx:     o.Ctx,
 		Inject:  o.Inject,
+		Pool:    o.Reuse.pool,
 	}
-	if o.Reuse != nil {
-		cfg.Pool = o.Reuse.pool
-	}
-	return cfg
 }
 
-// start validates pts and returns the engine of a construction under o —
-// o.Reuse's, or a fresh one when it is nil — with its base facets built.
-// grain and stripes are the schedule's conflict-filter grain and facet-log
-// width.
-func (o *Options) start(pts []geom.Point, grain, stripes int) (*engine, []*Facet, error) {
+// start validates pts and returns o.Reuse's engine for a construction under
+// o, with its base facets built. grain is the schedule's conflict-filter
+// grain.
+func (o *Options) start(pts []geom.Point, grain int) (*engine, []*Facet, error) {
 	d, err := validate(pts, o.Lift)
 	if err != nil {
 		return nil, nil, err
 	}
-	e := engineFor(o.Reuse, pts, o.Lift, d, !o.NoCounters, grain, stripes, o.NoPlaneCache)
+	e := engineFor(o.Reuse, pts, o.Lift, d, !o.NoCounters, grain, o.NoPlaneCache)
 	e.inj = o.Inject
 	facets, err := e.initialHull()
 	if err != nil {
@@ -123,12 +120,17 @@ func initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
 // the generic driver in internal/engine on the work-stealing executor.
 func Par(pts []geom.Point, opt *Options) (*Result, error) { return run(pts, opt, false) }
 
-// run is the path Par and Rounds share: start the construction, sample the
-// heap, run the schedule (engine.Par, or engine.Rounds when rounds is set)
-// over the base simplex's ridges, and collect the result.
+// run is the path Par and Rounds share: start the construction (on a fresh
+// Reuse, closed on return, when opt has none), sample the heap, run the
+// schedule (engine.Par, or engine.Rounds when rounds is set) over the base
+// simplex's ridges, and collect the result.
 func run(pts []geom.Point, opt *Options, rounds bool) (*Result, error) {
 	o := opt.or()
-	e, facets, err := o.start(pts, o.FilterGrain, parStripes())
+	if o.Reuse == nil {
+		o.Reuse = NewReuse()
+		defer o.Reuse.Close()
+	}
+	e, facets, err := o.start(pts, o.FilterGrain)
 	if err != nil {
 		return nil, err
 	}

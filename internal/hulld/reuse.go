@@ -3,18 +3,22 @@ package hulld
 import (
 	eng "parhull/internal/engine"
 	"parhull/internal/geom"
+	"parhull/internal/hullstats"
 )
 
-// Reuse retains the heavy per-construction state of every schedule across
-// constructions: the engine struct with its point store, recorder, and facet
-// log; the arena the initial hull (and all of Seq) carves from; Seq's pivot
-// buckets, step buffers, and ridge-adjacency map; the result-collection
-// buffers; and the engine.Pool — the work-stealing workers and per-worker
-// arenas that Par and Rounds both run on. Passing the same Reuse via
-// Options.Reuse to Seq, Par, or Rounds makes repeated constructions recycle
-// essentially everything they allocate. It is the
-// internal half of the public parhull.Builder; the pre-hull keeps one per
-// executor worker for its block sub-hulls.
+// Reuse holds the state of a construction under every schedule, and retains
+// it across constructions: the engine struct with its point store and
+// recorder; the arena the initial hull (and all of Seq) carves from; Seq's
+// pivot buckets, step buffers, and ridge-adjacency map; the
+// result-collection buffers; and the engine.Pool — the work-stealing workers
+// and per-worker arenas that Par and Rounds both run on. The two kinds of
+// arena hold every facet a construction creates, and are the only record of
+// them: collectResult reads Result.Created and the creation stats back from
+// them. Passing the same Reuse via Options.Reuse to Seq, Par, or Rounds
+// makes repeated constructions recycle essentially everything they allocate;
+// without one, each schedule runs on a fresh Reuse. It is the internal half
+// of the public parhull.Builder; the pre-hull keeps one per executor worker
+// for its block sub-hulls.
 //
 // Contract: a Reuse serializes constructions (one at a time, of any
 // schedule), and each invalidates the previous Result obtained through it —
@@ -34,6 +38,7 @@ type Reuse struct {
 	facets   []*Facet
 	vertices []int32
 	inHull   []bool
+	depths   hullstats.Depths
 	closure  closure
 	res      Result
 }
@@ -63,35 +68,36 @@ func (ru *Reuse) Reset() {
 	}
 }
 
-// engineFor returns the engine for this construction: a fresh one when ru is
-// nil (the one-shot Par and Rounds), otherwise ru's retained engine rewound
-// and reloaded, created on first use. The rewind of the arenas and pool
-// happens here — at the start of the next construction, not the end of the
-// last — so an aborted or panicked construction needs no cleanup to keep
-// the owner usable, and the previous Result stays valid until the next
-// call. stripes sizes the facet log: 1 keeps Result.Created in creation
-// order (Seq), whatever schedule last ran on ru.
-func engineFor(ru *Reuse, pts, lift []geom.Point, d int, counters bool, grain, stripes int, noPlane bool) *engine {
-	if ru == nil {
-		return newEngine(pts, lift, d, counters, grain, stripes, noPlane)
-	}
+// Bytes returns the exact size of the memory the Reuse retains for the next
+// construction in its arenas: facet slabs and int32 blocks (Arena.Bytes).
+func (ru *Reuse) Bytes() int64 { return ru.arena.Bytes() + ru.pool.Bytes() }
+
+// engineFor returns ru's engine for this construction: the retained one
+// rewound and reloaded, created on first use. A non-nil lift selects lifted
+// mode. The rewind of the arenas and
+// pool happens here — at the start of the next construction, not the end of
+// the last — so an aborted or panicked construction needs no cleanup to
+// keep the owner usable, and the previous Result stays valid until the next
+// call. It also empties the worker arenas before Seq, so the walk of a Seq
+// construction lists its facets in creation order, whatever schedule last
+// ran on ru.
+func engineFor(ru *Reuse, pts, lift []geom.Point, d int, counters bool, grain int, noPlane bool) *engine {
 	ru.pool.Reset()
 	ru.arena.Reset()
-	if ru.e == nil {
-		ru.e = newEngine(pts, lift, d, counters, grain, stripes, noPlane)
-		ru.e.ru = ru
-		return ru.e
-	}
 	e := ru.e
+	if e == nil {
+		e = &engine{store: new(geom.PointStore), rec: hullstats.NewRecorder(counters), ru: ru}
+		ru.e = e
+	} else {
+		e.rec.Reset(counters)
+	}
 	e.pts = pts
 	e.store.Load(pts)
 	e.d = d
 	e.grain = grain
 	e.interior = nil
 	e.lift = lift
-	e.rec.Reset(counters)
 	e.setPlaneEps(noPlane)
 	e.rec.MarkHeapBase()
-	e.log.Reset(stripes)
 	return e
 }

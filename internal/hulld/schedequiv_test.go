@@ -15,8 +15,10 @@ import (
 // so the sequential Algorithm 2 loop, the work-stealing Par (one-shot, and
 // twice on one retained Reuse), and the round-synchronous Rounds must
 // produce the identical facet multiset, vertex set, visibility-test count,
-// and maximum dependence depth on fixed seeds — only the order (and the
-// arena backing the memory) differs.
+// created count, and depth histogram (so also maximum depth) on fixed seeds
+// — only the order (and the arena backing the memory) differs. Every run's
+// creation stats must also agree with its own Result.Created, the walk of
+// its arenas they are read from.
 func TestParSchedEquivalence(t *testing.T) {
 	leakcheck.Check(t)
 	ru := NewReuse()
@@ -34,11 +36,13 @@ func TestParSchedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("d=%d %s seq: %v", d, name, err)
 			}
+			sameCreationRecord(t, fmt.Sprintf("d=%d %s seq", d, name), len(ref.Created), ref.Stats)
 			check := func(sched string, r *Result, err error) {
 				t.Helper()
 				if err != nil {
 					t.Fatalf("d=%d %s %s: %v", d, name, sched, err)
 				}
+				sameCreationRecord(t, fmt.Sprintf("d=%d %s %s", d, name, sched), len(r.Created), r.Stats)
 				if got, want := fmt.Sprint(r.Vertices), fmt.Sprint(ref.Vertices); got != want {
 					t.Fatalf("d=%d %s %s: vertices %s, seq %s", d, name, sched, got, want)
 				}
@@ -47,9 +51,11 @@ func TestParSchedEquivalence(t *testing.T) {
 					t.Fatalf("d=%d %s %s: vtests %d, seq %d", d, name, sched,
 						r.Stats.VisibilityTests, ref.Stats.VisibilityTests)
 				}
-				if r.Stats.MaxDepth != ref.Stats.MaxDepth {
-					t.Fatalf("d=%d %s %s: depth %d, seq %d", d, name, sched,
-						r.Stats.MaxDepth, ref.Stats.MaxDepth)
+				if r.Stats.MaxDepth != ref.Stats.MaxDepth || r.Stats.FacetsCreated != ref.Stats.FacetsCreated ||
+					fmt.Sprint(r.Stats.DepthHist) != fmt.Sprint(ref.Stats.DepthHist) {
+					t.Fatalf("d=%d %s %s: depth %d created %d hist %v, seq %d %d %v", d, name, sched,
+						r.Stats.MaxDepth, r.Stats.FacetsCreated, r.Stats.DepthHist,
+						ref.Stats.MaxDepth, ref.Stats.FacetsCreated, ref.Stats.DepthHist)
 				}
 			}
 			r, err := Par(pts, nil)
@@ -64,6 +70,23 @@ func TestParSchedEquivalence(t *testing.T) {
 			r, err = Rounds(pts, &Options{Reuse: ru})
 			check("rounds on a reuse", r, err)
 		}
+	}
+}
+
+// sameCreationRecord requires a run's creation stats to describe its own
+// created facets: len(Result.Created) == FacetsCreated == ΣDepthHist, with
+// MaxDepth the histogram's last bin, which is occupied.
+func sameCreationRecord(t *testing.T, label string, created int, s Stats) {
+	t.Helper()
+	sum := 0
+	for _, c := range s.DepthHist {
+		sum += c
+	}
+	if int64(created) != s.FacetsCreated || int64(sum) != s.FacetsCreated {
+		t.Fatalf("%s: %d created facets, FacetsCreated %d, ΣDepthHist %d", label, created, s.FacetsCreated, sum)
+	}
+	if len(s.DepthHist) != s.MaxDepth+1 || s.DepthHist[s.MaxDepth] == 0 {
+		t.Fatalf("%s: MaxDepth %d does not end DepthHist %v", label, s.MaxDepth, s.DepthHist)
 	}
 }
 

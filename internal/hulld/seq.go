@@ -23,7 +23,7 @@ func Seq(pts []geom.Point, opt *Options) (*Result, error) {
 	if o.Reuse == nil {
 		o.Reuse = NewReuse()
 	}
-	e, facets, err := o.start(pts, 0, 1)
+	e, facets, err := o.start(pts, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func (g *seqGeom) Boundary(vis []*Facet, i int32, tasks []eng.Task[Facet, []int3
 			if nb.mark == i {
 				continue // interior ridge of the visible region
 			}
-			tasks = append(tasks, eng.Task[Facet, []int32]{T1: f, R: ridgeWithoutIn(g.a, f, f.Verts[qi]), T2: nb})
+			tasks = append(tasks, eng.Task[Facet, []int32]{T1: f, R: ridgeWithout(g.a, f, f.Verts[qi]), T2: nb})
 		}
 	}
 	return tasks, nil

@@ -75,8 +75,10 @@ func sameTrace(t *testing.T, label string, got, want seqTrace) {
 // facet sequence, hull sizes, counters, and error, on general-position and
 // degenerate clouds in d = 2..5 and lifted from 2D — on a fresh Reuse and,
 // twice in a row, on one retained Reuse that runs Par between the Seq
-// calls, so Seq must restore the single-stripe facet log that keeps
-// Result.Created in creation order. Only the loop is swapped; both runs
+// calls. Result.Created is the walk of the Reuse's own arena and then its
+// pool's worker arenas, so the Seq calls check that Seq finds the worker
+// arenas Par filled empty, which keeps its walk in creation order. Only the
+// loop is swapped; both runs
 // share seqGeom's two-slot ridge map (TestSeqGeomCrowdedRidge covers its
 // third-facet case).
 func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
@@ -88,7 +90,8 @@ func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 		defer ru.Close()
 		for rep := 0; rep < 2; rep++ {
 			sameTrace(t, fmt.Sprintf("reuse rep %d", rep), traceOf(Seq(pts, &Options{Lift: lift, Reuse: ru})), want)
-			// A degenerate cloud may fail Par; either way it re-stripes the log.
+			// A degenerate cloud may fail Par; one that gets past its base
+			// still fills worker arenas.
 			_, _ = Par(pts, &Options{Lift: lift, Reuse: ru})
 		}
 	}

@@ -6,7 +6,6 @@ package hullstats
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"parhull/internal/stats"
@@ -73,13 +72,28 @@ type Stats struct {
 	PeakBytes int64
 }
 
-// fastDepths is the span of dependence depths tracked with lock-free atomic
-// bins. Depth is O(log n) whp (Theorem 1.1), so in practice every facet
-// lands here; deeper facets spill to a mutex-guarded overflow list.
-const fastDepths = 1024
+// Depths tallies the created facets of one construction by dependence
+// depth: Depths[d] counts those at depth d. A kernel fills it in the one walk
+// over its created facets that collects the result, after the construction
+// has quiesced, so it needs no synchronization; Snapshot turns it into
+// FacetsCreated, MaxDepth and DepthHist. Reset keeps its storage.
+type Depths []int
 
-// Recorder accumulates Stats concurrently. The zero value is NOT ready;
-// use NewRecorder. A Recorder with nil VTests still counts facets but not
+// Add counts one created facet at the given (non-negative) depth.
+func (h *Depths) Add(depth int32) {
+	for int(depth) >= len(*h) {
+		*h = append(*h, 0)
+	}
+	(*h)[depth]++
+}
+
+// Reset empties the tally, keeping its storage.
+func (h *Depths) Reset() { *h = (*h)[:0] }
+
+// Recorder accumulates the concurrent counters of Stats: visibility tests,
+// facet deaths and finalized ridges. The created facets are not counted
+// here; Snapshot takes their Depths tally. The zero value is NOT ready; use
+// NewRecorder. A Recorder with nil VTests counts facet deaths but not
 // visibility tests.
 type Recorder struct {
 	// VTests counts plane-side tests; nil disables counting. Fallbacks
@@ -94,13 +108,7 @@ type Recorder struct {
 
 	planeOn bool
 
-	created, repl, buried, final atomic.Int64
-	maxD                         stats.MaxTracker
-
-	depthBins []atomic.Int64
-
-	mu       sync.Mutex
-	overflow []int32
+	repl, buried, final atomic.Int64
 
 	// Heap watermark sampling (see Stats.PeakBytes). Written only by the
 	// construction's driving goroutine at quiescent points, so plain fields
@@ -112,7 +120,7 @@ type Recorder struct {
 
 // NewRecorder returns a Recorder; counters enables visibility-test counting.
 func NewRecorder(counters bool) *Recorder {
-	r := &Recorder{depthBins: make([]atomic.Int64, fastDepths)}
+	r := &Recorder{}
 	if counters {
 		r.VTests = stats.NewShardedCounter(64)
 		r.Fallbacks = stats.NewShardedCounter(64)
@@ -160,9 +168,9 @@ func heapInUse() uint64 {
 }
 
 // Reset rewinds the recorder for the next construction, keeping the counter
-// shards and depth bins allocated. counters re-selects whether visibility
-// tests are counted (the sharded counters are created or dropped only when
-// the setting changes). Not thread-safe; call between constructions.
+// shards allocated. counters re-selects whether visibility tests are counted
+// (the sharded counters are created or dropped only when the setting
+// changes). Not thread-safe; call between constructions.
 func (r *Recorder) Reset(counters bool) {
 	if counters != (r.VTests != nil) {
 		if counters {
@@ -176,30 +184,11 @@ func (r *Recorder) Reset(counters bool) {
 		r.Fallbacks.Reset()
 	}
 	r.planeOn = false
-	r.created.Store(0)
 	r.repl.Store(0)
 	r.buried.Store(0)
 	r.final.Store(0)
-	r.maxD.Reset()
-	for i := range r.depthBins {
-		r.depthBins[i].Store(0)
-	}
-	r.overflow = r.overflow[:0]
 	r.baseHeap = 0
 	r.peakBytes = 0
-}
-
-// Created records a facet creation at the given dependence depth.
-func (r *Recorder) Created(depth int32) {
-	r.created.Add(1)
-	r.maxD.Observe(int64(depth))
-	if depth >= 0 && depth < fastDepths {
-		r.depthBins[depth].Add(1)
-		return
-	}
-	r.mu.Lock()
-	r.overflow = append(r.overflow, depth)
-	r.mu.Unlock()
 }
 
 // Replaced records a facet death by replacement (first kill only: callers
@@ -220,31 +209,27 @@ func (r *Recorder) Buried(first bool) {
 // Finalized records a ridge chain ending with both conflict sets empty.
 func (r *Recorder) Finalized() { r.final.Add(1) }
 
-// Snapshot assembles the Stats.
-func (r *Recorder) Snapshot(rounds, hullSize int) Stats {
+// Snapshot assembles the Stats, with FacetsCreated, MaxDepth and a fresh
+// copy of DepthHist taken from the created facets' depth tally.
+func (r *Recorder) Snapshot(rounds, hullSize int, depths Depths) Stats {
 	s := Stats{
 		VisibilityTests: r.VTests.Load(),
 		ExactFallbacks:  r.Fallbacks.Load(),
-		FacetsCreated:   r.created.Load(),
 		Replaced:        r.repl.Load(),
 		Buried:          r.buried.Load(),
 		Finalized:       r.final.Load(),
-		MaxDepth:        int(r.maxD.Load()),
+		MaxDepth:        max(len(depths)-1, 0),
 		Rounds:          rounds,
 		HullSize:        hullSize,
+		DepthHist:       make([]int, max(len(depths), 1)),
 		PeakBytes:       r.peakBytes,
 	}
 	if r.planeOn {
 		s.PlaneCacheHits = s.VisibilityTests - s.ExactFallbacks
 	}
-	s.DepthHist = make([]int, s.MaxDepth+1)
-	for d := 0; d <= s.MaxDepth && d < fastDepths; d++ {
-		s.DepthHist[d] = int(r.depthBins[d].Load())
+	copy(s.DepthHist, depths)
+	for _, c := range depths {
+		s.FacetsCreated += int64(c)
 	}
-	r.mu.Lock()
-	for _, d := range r.overflow {
-		s.DepthHist[d]++
-	}
-	r.mu.Unlock()
 	return s
 }

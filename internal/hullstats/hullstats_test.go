@@ -1,10 +1,14 @@
 package hullstats
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 )
 
+// TestRecorderConcurrent counts visibility tests, deaths and finalized
+// ridges from concurrent workers, and takes the created-facet counters from a
+// plain depth tally, the way the kernels do once a construction quiesces.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder(true)
 	var wg sync.WaitGroup
@@ -13,7 +17,6 @@ func TestRecorderConcurrent(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Created(int32(i % 5))
 				r.VTests.Inc(uint64(id))
 				r.Replaced(i%2 == 0)
 				r.Buried(i%4 == 0)
@@ -22,7 +25,11 @@ func TestRecorderConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	s := r.Snapshot(7, 42)
+	var depths Depths
+	for i := 0; i < 800; i++ {
+		depths.Add(int32(i % 5))
+	}
+	s := r.Snapshot(7, 42, depths)
 	if s.FacetsCreated != 800 || s.VisibilityTests != 800 {
 		t.Fatalf("created=%d vtests=%d", s.FacetsCreated, s.VisibilityTests)
 	}
@@ -32,23 +39,17 @@ func TestRecorderConcurrent(t *testing.T) {
 	if s.Rounds != 7 || s.HullSize != 42 || s.MaxDepth != 4 {
 		t.Fatalf("rounds=%d hull=%d depth=%d", s.Rounds, s.HullSize, s.MaxDepth)
 	}
-	total := 0
-	for d, c := range s.DepthHist {
-		if d < 5 && c != 160 {
-			t.Fatalf("hist[%d]=%d", d, c)
-		}
-		total += c
-	}
-	if total != 800 {
-		t.Fatalf("hist total %d", total)
+	if got := fmt.Sprint(s.DepthHist); got != "[160 160 160 160 160]" {
+		t.Fatalf("hist %s", got)
 	}
 }
 
 func TestRecorderNoCounters(t *testing.T) {
 	r := NewRecorder(false)
-	r.Created(3)
 	r.VTests.Inc(1) // nil-safe no-op
-	s := r.Snapshot(0, 0)
+	var depths Depths
+	depths.Add(3)
+	s := r.Snapshot(0, 0, depths)
 	if s.VisibilityTests != 0 || s.FacetsCreated != 1 || s.MaxDepth != 3 {
 		t.Fatalf("%+v", s)
 	}
@@ -61,8 +62,37 @@ func TestRecorderFirstKillSemantics(t *testing.T) {
 	r := NewRecorder(false)
 	r.Replaced(false) // second kill: not counted
 	r.Buried(false)
-	s := r.Snapshot(0, 0)
+	s := r.Snapshot(0, 0, nil)
 	if s.Replaced != 0 || s.Buried != 0 {
 		t.Fatalf("%+v", s)
+	}
+	if s.FacetsCreated != 0 || s.MaxDepth != 0 || fmt.Sprint(s.DepthHist) != "[0]" {
+		t.Fatalf("empty tally: created=%d depth=%d hist=%v", s.FacetsCreated, s.MaxDepth, s.DepthHist)
+	}
+}
+
+// TestDepthsResetAndSnapshotCopy pins the retained-tally contract: Reset
+// keeps the storage, a shallower second tally overwrites the stale bins and
+// reports its own maximum, and Snapshot hands out a copy that a later tally
+// does not change.
+func TestDepthsResetAndSnapshotCopy(t *testing.T) {
+	r := NewRecorder(false)
+	var depths Depths
+	for _, d := range []int32{0, 5, 5, 2} {
+		depths.Add(d)
+	}
+	first := r.Snapshot(0, 0, depths)
+	depths.Reset()
+	if len(depths) != 0 || cap(depths) < 6 {
+		t.Fatalf("Reset: len %d cap %d, want 0 and the old storage", len(depths), cap(depths))
+	}
+	depths.Add(1)
+	depths.Add(1)
+	second := r.Snapshot(0, 0, depths)
+	if got := fmt.Sprint(first.DepthHist); got != "[1 0 1 0 0 2]" || first.MaxDepth != 5 || first.FacetsCreated != 4 {
+		t.Fatalf("first: hist %s depth %d created %d", got, first.MaxDepth, first.FacetsCreated)
+	}
+	if got := fmt.Sprint(second.DepthHist); got != "[0 2]" || second.MaxDepth != 1 || second.FacetsCreated != 2 {
+		t.Fatalf("second: hist %s depth %d created %d", got, second.MaxDepth, second.FacetsCreated)
 	}
 }

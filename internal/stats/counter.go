@@ -65,40 +65,3 @@ func (c *ShardedCounter) Reset() {
 		c.shards[i].v.Store(0)
 	}
 }
-
-// MaxTracker tracks a maximum value concurrently (used for the running
-// maximum dependence depth).
-//
-// A nil *MaxTracker is valid; operations are no-ops and Load returns 0.
-type MaxTracker struct {
-	v atomic.Int64
-}
-
-// Observe raises the tracked maximum to x if x is larger.
-func (m *MaxTracker) Observe(x int64) {
-	if m == nil {
-		return
-	}
-	for {
-		cur := m.v.Load()
-		if x <= cur || m.v.CompareAndSwap(cur, x) {
-			return
-		}
-	}
-}
-
-// Load returns the tracked maximum.
-func (m *MaxTracker) Load() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.v.Load()
-}
-
-// Reset zeroes the tracked maximum.
-func (m *MaxTracker) Reset() {
-	if m == nil {
-		return
-	}
-	m.v.Store(0)
-}

@@ -142,26 +142,3 @@ func TestShardedCounter(t *testing.T) {
 		t.Fatal("nil counter")
 	}
 }
-
-func TestMaxTracker(t *testing.T) {
-	var m MaxTracker
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(base int64) {
-			defer wg.Done()
-			for i := int64(0); i < 100; i++ {
-				m.Observe(base*100 + i)
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	if got := m.Load(); got != 799 {
-		t.Fatalf("max = %d", got)
-	}
-	var nilM *MaxTracker
-	nilM.Observe(5)
-	if nilM.Load() != 0 {
-		t.Fatal("nil tracker")
-	}
-}

@@ -144,11 +144,6 @@ type Options struct {
 	Workers int
 	// PreHull selects the pre-hull reduction mode (default PreHullAuto).
 	PreHull PreHullMode
-	// NoPreHullZOrder disables the Morton (Z-order) spatial presort of the
-	// pre-hull blocks: blocks become contiguous runs of the insertion order
-	// instead of compact spatial regions. The output is identical; this is
-	// the pre-hull partitioning ablation in cmd/hullbench.
-	NoPreHullZOrder bool
 	// NoMapFallback disables the capacity degradation ladder for
 	// MapCAS/MapTAS: a fixed table that fills surfaces ErrCapacity instead
 	// of retrying with a doubled table and finally falling back to

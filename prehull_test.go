@@ -61,9 +61,9 @@ func TestPreHullEquivalencePublic(t *testing.T) {
 	}
 }
 
-// TestPreHull2DEquivalencePublic is the 2D version, including the Z-order
-// partitioning ablation: the hull vertex set must be invariant under
-// pre-hull on/off and spatial/contiguous blocking.
+// TestPreHull2DEquivalencePublic is the 2D version: the hull vertex set
+// must be invariant under pre-hull on/off. (The internal prehull tests cover
+// Z-order against contiguous blocking.)
 func TestPreHull2DEquivalencePublic(t *testing.T) {
 	pts := RandomPoints(6000, 2, 12)
 	base, err := Hull2D(pts, &Options{Shuffle: true, Seed: 5, PreHull: PreHullOff})
@@ -71,18 +71,16 @@ func TestPreHull2DEquivalencePublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := sortedVertices(base.Vertices)
-	for _, noZ := range []bool{false, true} {
-		res, err := Hull2D(pts, &Options{Shuffle: true, Seed: 5, PreHull: PreHullOn, NoPreHullZOrder: noZ})
-		if err != nil {
-			t.Fatalf("noZ=%v: %v", noZ, err)
-		}
-		if res.Stats.PreHullKept == 0 || res.Stats.PreHullKept >= len(pts)/2 {
-			t.Fatalf("noZ=%v: PreHullKept = %d of %d, expected a strong reduction", noZ, res.Stats.PreHullKept, len(pts))
-		}
-		got := sortedVertices(res.Vertices)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("noZ=%v: vertices %v, want %v", noZ, got, want)
-		}
+	res, err := Hull2D(pts, &Options{Shuffle: true, Seed: 5, PreHull: PreHullOn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.PreHullKept == 0 || res.Stats.PreHullKept >= len(pts)/2 {
+		t.Fatalf("PreHullKept = %d of %d, expected a strong reduction", res.Stats.PreHullKept, len(pts))
+	}
+	got := sortedVertices(res.Vertices)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("vertices %v, want %v", got, want)
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"parhull/internal/hull2d"
 )
 
-// TraceEventKind classifies an event in a round-by-round trace.
+// TraceEventKind classifies an event in a round-by-round trace. Its values
+// are those of the engine's event kinds, in the same order.
 type TraceEventKind int
 
 const (
@@ -65,17 +66,8 @@ func Hull2DTrace(pts []Point, base int) (*Hull2DResult, []TraceRound, error) {
 		evs := tr.ByRound(r)
 		tr2 := TraceRound{Round: r}
 		for _, ev := range evs {
-			var kind TraceEventKind
-			switch ev.Kind {
-			case hull2d.EventCreated:
-				kind = TraceCreated
-			case hull2d.EventBuried:
-				kind = TraceBuried
-			default:
-				kind = TraceFinal
-			}
 			tr2.Events = append(tr2.Events, TraceEvent{
-				Kind: kind,
+				Kind: TraceEventKind(ev.Kind),
 				A:    [2]int{int(ev.A[0]), int(ev.A[1])},
 				B:    [2]int{int(ev.B[0]), int(ev.B[1])},
 			})
