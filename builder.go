@@ -357,10 +357,12 @@ func (b *Builder) RetainedBytes() int64 {
 }
 
 // mapCache retains the ridge tables of Algorithm 3 across builds: the
-// growable sharded map is re-zeroed shard-by-shard (slot arrays kept), and
-// the fixed CAS/TAS tables are kept at their high-water capacity — including a
-// table the degradation ladder doubled, so a Builder that once climbed the
-// ladder starts every later build on the larger table it ended on.
+// growable sharded map keeps its slot arrays, and a build that finished has
+// already emptied it (Reset clears what a failed build left), and the fixed
+// CAS/TAS tables are kept at their high-water capacity and re-zeroed —
+// including a table the degradation ladder doubled, so a Builder that once
+// climbed the ladder starts every later build on the larger table it ended
+// on.
 type mapCache[V comparable] struct {
 	sharded *conmap.ShardedMap[V]
 	cas     *conmap.CASMap[V]

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"parhull/internal/leakcheck"
 )
@@ -242,5 +243,66 @@ func TestBuilderMapLadderRetained(t *testing.T) {
 		if !reflect.DeepEqual(got.Vertices, fresh.Vertices) {
 			t.Fatalf("build %d: vertices differ from fresh call", i)
 		}
+	}
+}
+
+// TestBuilderCanceledBuildRidgeTable: a Build canceled mid-construction
+// leaves ridges waiting in the Builder's retained sharded table (a
+// finished one leaves it empty). The next Build must rewind that table and
+// be facet-identical to a fresh Builder's, under Par and Rounds, and leave
+// the table drained. The cancel is timed, so it retries with a longer or
+// shorter delay until one lands inside the engine.
+func TestBuilderCanceledBuildRidgeTable(t *testing.T) {
+	leakcheck.Check(t)
+	pts := RandomSpherePoints(20000, 3, 12)
+	for _, e := range []struct {
+		name string
+		eng  Engine
+	}{{"par", EngineParallel}, {"rounds", EngineRounds}} {
+		t.Run(e.name, func(t *testing.T) {
+			o := &Options{Engine: e.eng, Workers: 2, Shuffle: true, Seed: 4}
+			fresh, err := HullD(pts, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := NewBuilder(o)
+			defer b.Close()
+			left, delay := 0, 8*time.Millisecond
+			for attempt := 0; left == 0 && attempt < 20; attempt++ {
+				ctx, cancel := context.WithTimeout(context.Background(), delay)
+				o.Context = ctx
+				_, err := b.Build(pts)
+				cancel()
+				o.Context = nil
+				switch {
+				case err == nil:
+					delay /= 2 // finished first: cancel sooner
+				case !errors.Is(err, ErrCanceled):
+					t.Fatalf("canceled Build: %v", err)
+				case b.mapsD.sharded == nil || b.mapsD.sharded.Len() == 0:
+					delay *= 2 // canceled before the engine ran: cancel later
+				default:
+					left = b.mapsD.sharded.Len()
+				}
+			}
+			if left == 0 {
+				t.Fatal("no cancel landed inside the engine")
+			}
+			t.Logf("the canceled Build left %d ridges in the table", left)
+			got, err := b.Build(pts)
+			if err != nil {
+				t.Fatalf("Build after a cancel: %v", err)
+			}
+			if !reflect.DeepEqual(facetMultiset(got.Facets), facetMultiset(fresh.Facets)) || !reflect.DeepEqual(got.Vertices, fresh.Vertices) {
+				t.Fatalf("Build after a cancel that left %d ridges differs from a fresh Builder's", left)
+			}
+			if got.Stats.FacetsCreated != fresh.Stats.FacetsCreated || got.Stats.VisibilityTests != fresh.Stats.VisibilityTests {
+				t.Fatalf("created %d, vtests %d after a cancel; fresh %d, %d",
+					got.Stats.FacetsCreated, got.Stats.VisibilityTests, fresh.Stats.FacetsCreated, fresh.Stats.VisibilityTests)
+			}
+			if n := b.mapsD.sharded.Len(); n != 0 {
+				t.Fatalf("%d ridges left in the table after a finished Build", n)
+			}
+		})
 	}
 }

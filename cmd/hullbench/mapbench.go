@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"parhull/internal/conmap"
+	"parhull/internal/engine"
 	"parhull/internal/hull2d"
 	"parhull/internal/pointgen"
 )
@@ -14,9 +15,10 @@ import (
 // run inside the full hull engine.
 func expMap() {
 	n := sz(200000)
-	// Microbenchmark: n InsertAndSet pairs (winner + loser) per map, on
-	// ridges of two indices (3D hull edges, which MakeKey keys exactly) and
-	// of three (4D hull ridges, which it hashes).
+	// Microbenchmark: n Meet pairs (winner + loser) per map, on ridges of
+	// two indices (3D hull edges, which MakeKey keys exactly) and of three
+	// (4D hull ridges, which it hashes). The fixed tables keep every ridge;
+	// the sharded map keeps only the ridges waiting for their loser.
 	w := table()
 	fmt.Fprintln(w, "map\tkey indices\tns/op (1 goroutine)\tns/op (4 goroutines)")
 	for _, width := range []int{2, 3} {
@@ -26,7 +28,7 @@ func expMap() {
 		}{
 			{"Alg 4 (CAS)", func() conmap.RidgeMap[*int] { return conmap.NewCASMap[*int](n) }},
 			{"Alg 5 (TAS)", func() conmap.RidgeMap[*int] { return conmap.NewTASMap[*int](n) }},
-			{"sharded", func() conmap.RidgeMap[*int] { return conmap.NewShardedMap[*int](n) }},
+			{"sharded", func() conmap.RidgeMap[*int] { return conmap.NewShardedMap[*int](4 * mapLag) }},
 		} {
 			serial := timeMap(mk.make(), n, 1, width)
 			par := timeMap(mk.make(), n, 4, width)
@@ -46,7 +48,7 @@ func expMap() {
 	}{
 		{"Alg 4 (CAS)", conmap.NewCASMap[*hull2d.Facet](8 * len(pts))},
 		{"Alg 5 (TAS)", conmap.NewTASMap[*hull2d.Facet](8 * len(pts))},
-		{"sharded", conmap.NewShardedMap[*hull2d.Facet](len(pts))},
+		{"sharded", conmap.NewShardedMap[*hull2d.Facet](engine.DefaultMapCapacity(len(pts), 2))},
 		{"vertex slots (2D MapSharded)", nil},
 	} {
 		start := time.Now()
@@ -61,13 +63,34 @@ func expMap() {
 	fmt.Println("paper: both protocols cost O(log n) whp per op (Sec 5.2, Appendix A); CAS is the simpler, TAS the weaker-primitive variant.")
 }
 
-// timeMap measures the average cost of an InsertAndSet (half winners, half
-// losers) plus the losers' GetValue, across g goroutines, on ridges of width
-// consecutive indices.
+// mapLag is how many ridges after its winner a ridge's loser arrives in
+// timeMap, per goroutine, so the sharded map holds that many waiting ridges
+// per goroutine: at 4 goroutines 16,384, about the open boundary of a
+// 1e5-point sphere build.
+const mapLag = 4096
+
+// timeMap measures the average cost of a Meet (half winners, half losers,
+// each loser taking its partner), across g goroutines, on ridges of width
+// consecutive indices. Each goroutine's loser of ridge i arrives with the
+// winner of ridge i+mapLag.
 func timeMap(m conmap.RidgeMap[*int], n, g, width int) float64 {
 	vals := make([]*int, 2*n)
 	for i := range vals {
 		vals[i] = new(int)
+	}
+	keys := make([]conmap.Key, n)
+	for i := range keys {
+		ids := make([]int32, width)
+		for j := range ids {
+			ids[j] = int32(i + j)
+		}
+		keys[i] = conmap.MakeKey(ids)
+	}
+	meet := func(i, side int, want *int) {
+		p, err := m.Meet(keys[i], vals[2*i+side])
+		if err != nil || p != want {
+			panic(fmt.Sprintf("ridge %d side %d: partner %p, error %v", i, side, p, err)) // tables are sized for n
+		}
 	}
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -76,21 +99,12 @@ func timeMap(m conmap.RidgeMap[*int], n, g, width int) float64 {
 		wg.Add(1)
 		go func(base int) {
 			defer wg.Done()
-			for i := base; i < base+per; i++ {
-				ids := make([]int32, width)
-				for j := range ids {
-					ids[j] = int32(i + j)
+			for i := base; i < base+per+mapLag; i++ {
+				if i < base+per {
+					meet(i, 0, nil)
 				}
-				k := conmap.MakeKey(ids)
-				if _, err := m.InsertAndSet(k, vals[2*i]); err != nil {
-					panic(err) // tables are sized for n; cannot happen
-				}
-				first, err := m.InsertAndSet(k, vals[2*i+1])
-				if err != nil {
-					panic(err)
-				}
-				if !first {
-					m.GetValue(k, vals[2*i+1])
+				if j := i - mapLag; j >= base {
+					meet(j, 1, vals[2*j])
 				}
 			}
 		}(gi * per)

@@ -65,7 +65,7 @@ func (m *CASMap[V]) InsertAndSet(k Key, v V) (bool, error) {
 
 // GetValue returns the value stored for k. In Algorithm 4 each key occupies
 // exactly one slot (the loser never inserts), so the stored value is the
-// other facet; not is accepted for interface symmetry and validated against.
+// other facet; not is accepted for symmetry with TASMap.GetValue.
 func (m *CASMap[V]) GetValue(k Key, not V) V {
 	i := k.hash & m.mask
 	for probes := 0; probes <= len(m.slots); probes++ {
@@ -85,6 +85,16 @@ func (m *CASMap[V]) GetValue(k Key, not V) V {
 	// Report capacity so the degradation ladder retries with a bigger table.
 	panic(fmt.Errorf("conmap: CASMap with %d slots wrapped probing ridge %v: %w",
 		len(m.slots), k, ErrCapacity))
+}
+
+// Meet implements RidgeMap with Algorithm 4 as written: InsertAndSet, then
+// GetValue for the loser.
+func (m *CASMap[V]) Meet(k Key, v V) (V, error) {
+	var zero V
+	if first, err := m.InsertAndSet(k, v); first || err != nil {
+		return zero, err
+	}
+	return m.GetValue(k, v), nil
 }
 
 // Cap returns the slot count, so a pooled owner can tell whether a retained

@@ -1,7 +1,7 @@
 // Package conmap implements the concurrent ridge multimap M of the paper's
 // Algorithm 3: a map from ridges to the (at most two) facets incident on
-// them, with the InsertAndSet/GetValue protocol that decides which of a
-// ridge's two facets is responsible for processing it.
+// them, whose one handshake, Meet, decides which of a ridge's two facets
+// is responsible for processing it and hands that facet its partner.
 //
 // Three interchangeable implementations are provided:
 //
@@ -10,11 +10,14 @@
 //     a faithful port of the weaker-primitive protocol.
 //   - ShardedMap — a growable table of mutex-guarded flat linear-probing
 //     shards, the production default when the ridge count is not known in
-//     advance.
+//     advance. It removes a ridge when the second facet arrives, so it
+//     holds only the ridges still waiting for a partner.
 //
 // All three satisfy the one-loser contract (Theorems A.1/A.2): of the two
-// InsertAndSet calls on the same ridge, exactly one returns false, and by
-// the time it returns false the other facet's value is visible to GetValue.
+// Meet calls on the same ridge, exactly one returns the other facet, which
+// is visible by the time it returns. CASMap and TASMap keep the paper's
+// two-step protocol as written — Meet is their InsertAndSet, followed by
+// GetValue for the loser.
 package conmap
 
 import (
@@ -131,20 +134,19 @@ func equalIDs(a, b []int32) bool {
 func (k Key) String() string { return fmt.Sprint(k.id) }
 
 // RidgeMap is the multimap interface used by the parallel hull engines.
-// V is the facet handle type (a pointer in practice).
+// V is the facet handle type (a pointer in practice); its zero value means
+// "no partner yet", so a registered value must never be the zero V.
 type RidgeMap[V comparable] interface {
-	// InsertAndSet registers v as a facet incident on ridge k. It returns
-	// (true, nil) if v is the first facet to arrive; the caller then leaves
-	// the ridge for the second facet. It returns (false, nil) if the other
-	// facet already registered, in which case the caller is responsible for
-	// processing the ridge and may call GetValue to retrieve the other
-	// facet. A non-nil error (wrapping ErrCapacity for the fixed tables)
-	// means the insertion could not be performed and the construction must
-	// abort; the first result is then meaningless.
-	InsertAndSet(k Key, v V) (bool, error)
-	// GetValue returns the facet registered on ridge k other than not.
-	// It must only be called after an InsertAndSet(k, ...) returned false.
-	GetValue(k Key, not V) V
+	// Meet registers v as a facet incident on ridge k and returns the
+	// ridge's other facet. It returns (zero, nil) if v is the first facet
+	// to arrive; the caller then leaves the ridge for the second facet. It
+	// returns (partner, nil) if the other facet already registered, in
+	// which case the caller is responsible for processing the ridge (lines
+	// 20–22 of Algorithm 3). Of the two Meet calls on one ridge, exactly
+	// one gets the partner. A non-nil error (wrapping ErrCapacity for the
+	// fixed tables) means the handshake could not be performed and the
+	// construction must abort; the partner is then meaningless.
+	Meet(k Key, v V) (V, error)
 }
 
 // roundCapacity returns the smallest power of two >= 2*expected (minimum 8),

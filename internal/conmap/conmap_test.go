@@ -13,15 +13,15 @@ import (
 	"parhull/internal/faultinject"
 )
 
-// mustInsert is the test-side InsertAndSet wrapper: any error is a test
-// failure (the tests below size their tables so capacity cannot run out).
-func mustInsert(t testing.TB, m RidgeMap[*int], k Key, v *int) bool {
+// mustMeet is the test-side Meet wrapper: any error is a test failure (the
+// tests below size their tables so capacity cannot run out).
+func mustMeet(t testing.TB, m RidgeMap[*int], k Key, v *int) *int {
 	t.Helper()
-	first, err := m.InsertAndSet(k, v)
+	partner, err := m.Meet(k, v)
 	if err != nil {
-		t.Fatalf("InsertAndSet(%v): %v", k, err)
+		t.Fatalf("Meet(%v): %v", k, err)
 	}
-	return first
+	return partner
 }
 
 func TestKey(t *testing.T) {
@@ -71,8 +71,9 @@ func makers() []mapMaker {
 	}
 }
 
-// TestOneLoserSequential: two InsertAndSet calls on the same ridge — exactly
-// one returns false, and the loser's GetValue sees the winner's value.
+// TestOneLoserSequential: two Meet calls on the same ridge — exactly one
+// gets a partner, the second arrival, and the partner is the first
+// arrival's value.
 func TestOneLoserSequential(t *testing.T) {
 	for _, mk := range makers() {
 		t.Run(mk.name, func(t *testing.T) {
@@ -81,13 +82,11 @@ func TestOneLoserSequential(t *testing.T) {
 				k := MakeKey([]int32{i, i + 1})
 				v1, v2 := new(int), new(int)
 				*v1, *v2 = 1, 2
-				first := mustInsert(t, m, k, v1)
-				second := mustInsert(t, m, k, v2)
-				if !first || second {
-					t.Fatalf("ridge %d: first=%v second=%v", i, first, second)
+				if got := mustMeet(t, m, k, v1); got != nil {
+					t.Fatalf("ridge %d: the first arrival got partner %v", i, got)
 				}
-				if got := m.GetValue(k, v2); got != v1 {
-					t.Fatalf("ridge %d: GetValue returned %v", i, got)
+				if got := mustMeet(t, m, k, v2); got != v1 {
+					t.Fatalf("ridge %d: the second arrival got partner %v, want the first's", i, got)
 				}
 			}
 		})
@@ -95,8 +94,8 @@ func TestOneLoserSequential(t *testing.T) {
 }
 
 // TestOneLoserConcurrent hammers each map with pairs of goroutines racing on
-// the same ridge, verifying Theorems A.1 (exactly one loser) and A.2 (the
-// loser can read the winner's value).
+// the same ridge, verifying Theorems A.1 (exactly one loser: one Meet gets a
+// partner) and A.2 (that partner is the winner's value).
 func TestOneLoserConcurrent(t *testing.T) {
 	const ridges = 2000
 	for _, mk := range makers() {
@@ -118,15 +117,14 @@ func TestOneLoserConcurrent(t *testing.T) {
 						k := MakeKey([]int32{int32(r), int32(r + 1)})
 						mine := vals[2*r+side]
 						other := vals[2*r+1-side]
-						first, err := m.InsertAndSet(k, mine)
+						got, err := m.Meet(k, mine)
 						if err != nil {
 							t.Errorf("%s ridge %d: %v", mk.name, r, err)
 							return
 						}
-						if !first {
-							got := m.GetValue(k, mine)
+						if got != nil {
 							if got != other {
-								t.Errorf("%s ridge %d: GetValue=%v want %v", mk.name, r, got, other)
+								t.Errorf("%s ridge %d: partner=%v want %v", mk.name, r, got, other)
 							}
 							mu.Lock()
 							losers[r]++
@@ -146,7 +144,8 @@ func TestOneLoserConcurrent(t *testing.T) {
 }
 
 // TestProbeCollisions forces many keys into a tiny table so linear probing
-// paths are exercised heavily.
+// paths are exercised heavily — in the sharded map, the second arrivals
+// also delete from those probe runs.
 func TestProbeCollisions(t *testing.T) {
 	for _, mk := range makers() {
 		t.Run(mk.name, func(t *testing.T) {
@@ -155,16 +154,16 @@ func TestProbeCollisions(t *testing.T) {
 			for i := int32(0); i < 60; i++ {
 				v := new(int)
 				vals[i] = v
-				if !mustInsert(t, m, Key1(i), v) {
+				if mustMeet(t, m, Key1(i), v) != nil {
 					t.Fatalf("fresh key %d reported duplicate", i)
 				}
 			}
 			for i := int32(0); i < 60; i++ {
-				w := new(int)
-				if mustInsert(t, m, Key1(i), w) {
+				got := mustMeet(t, m, Key1(i), new(int))
+				if got == nil {
 					t.Fatalf("duplicate key %d reported fresh", i)
 				}
-				if got := m.GetValue(Key1(i), w); got != vals[i] {
+				if got != vals[i] {
 					t.Fatalf("key %d: wrong partner", i)
 				}
 			}
@@ -178,7 +177,7 @@ func TestProbeCollisions(t *testing.T) {
 func TestCapacityExhaustion(t *testing.T) {
 	check := func(name string, m RidgeMap[*int], cap int) {
 		for i := int32(0); ; i++ {
-			_, err := m.InsertAndSet(Key1(i), new(int))
+			_, err := m.Meet(Key1(i), new(int))
 			if err != nil {
 				if !errors.Is(err, ErrCapacity) {
 					t.Errorf("%s: overfill error %v does not wrap ErrCapacity", name, err)
@@ -209,7 +208,7 @@ func TestInjectedCapacityFailure(t *testing.T) {
 			m := tc.mk(in)
 			var errs int
 			for i := int32(0); i < 10; i++ {
-				if _, err := m.InsertAndSet(Key1(i), new(int)); err != nil {
+				if _, err := m.Meet(Key1(i), new(int)); err != nil {
 					if !errors.Is(err, ErrCapacity) {
 						t.Fatalf("injected error %v does not wrap ErrCapacity", err)
 					}
@@ -229,15 +228,24 @@ func TestInjectedCapacityFailure(t *testing.T) {
 	}
 }
 
+// TestGetValueMissingPanics: the second step of the fixed tables' two-step
+// protocol, called on a ridge no facet registered, is caller misuse and
+// panics. (ShardedMap has one step, Meet, and no lookup to misuse.)
 func TestGetValueMissingPanics(t *testing.T) {
-	for _, mk := range makers() {
-		t.Run(mk.name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		get  func() *int
+	}{
+		{"CAS", func() *int { return NewCASMap[*int](8).GetValue(Key1(42), nil) }},
+		{"TAS", func() *int { return NewTASMap[*int](8).GetValue(Key1(42), nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Error("missing-key GetValue did not panic")
 				}
 			}()
-			mk.make(8).GetValue(Key1(42), nil)
+			tc.get()
 		})
 	}
 }
@@ -247,9 +255,9 @@ func TestLen(t *testing.T) {
 	tas := NewTASMap[*int](10)
 	sh := NewShardedMap[*int](10)
 	for i := int32(0); i < 5; i++ {
-		mustInsert(t, cas, Key1(i), new(int))
-		mustInsert(t, tas, Key1(i), new(int))
-		mustInsert(t, sh, Key1(i), new(int))
+		mustMeet(t, cas, Key1(i), new(int))
+		mustMeet(t, tas, Key1(i), new(int))
+		mustMeet(t, sh, Key1(i), new(int))
 	}
 	if cas.Len() != 5 || sh.Len() != 5 {
 		t.Fatalf("CAS len=%d sharded len=%d", cas.Len(), sh.Len())
@@ -257,10 +265,21 @@ func TestLen(t *testing.T) {
 	if tas.Len() != 5 { // one reserved slot per insertion
 		t.Fatalf("TAS len=%d", tas.Len())
 	}
+	// The partners arrive: the fixed tables keep every ridge (CAS one slot,
+	// TAS both), and the sharded map drops every answered one.
+	for i := int32(0); i < 5; i++ {
+		mustMeet(t, cas, Key1(i), new(int))
+		mustMeet(t, tas, Key1(i), new(int))
+		mustMeet(t, sh, Key1(i), new(int))
+	}
+	if cas.Len() != 5 || tas.Len() != 10 || sh.Len() != 0 {
+		t.Fatalf("after the partners: CAS len=%d TAS len=%d sharded len=%d", cas.Len(), tas.Len(), sh.Len())
+	}
 }
 
 // TestSemanticsMatchQuick drives all three maps with the same random
-// insertion schedule and requires identical winner/loser outcomes.
+// insertion schedule and requires identical outcomes: the same arrivals
+// get a partner, and the same one.
 func TestSemanticsMatchQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -276,9 +295,9 @@ func TestSemanticsMatchQuick(t *testing.T) {
 		rng.Shuffle(len(sched), func(i, j int) { sched[i], sched[j] = sched[j], sched[i] })
 		for _, id := range sched {
 			v := new(int)
-			a, errA := cas.InsertAndSet(Key1(id), v)
-			b, errB := tas.InsertAndSet(Key1(id), v)
-			c, errC := sh.InsertAndSet(Key1(id), v)
+			a, errA := cas.Meet(Key1(id), v)
+			b, errB := tas.Meet(Key1(id), v)
+			c, errC := sh.Meet(Key1(id), v)
 			if errA != nil || errB != nil || errC != nil {
 				return false
 			}
@@ -286,7 +305,7 @@ func TestSemanticsMatchQuick(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return sh.Len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -304,7 +323,7 @@ func BenchmarkRidgeMapInsert(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.InsertAndSet(keys[i], v) //nolint:errcheck // sized for b.N
+				m.Meet(keys[i], v) //nolint:errcheck // sized for b.N
 			}
 		})
 	}
@@ -322,7 +341,7 @@ func BenchmarkRidgeMapInsertParallel(b *testing.B) {
 				base := ctr.Add(int64(b.N)+1) - int64(b.N) - 1
 				i := int32(base)
 				for pb.Next() {
-					m.InsertAndSet(MakeKey([]int32{i, i + 1}), v) //nolint:errcheck // sized for b.N
+					m.Meet(MakeKey([]int32{i, i + 1}), v) //nolint:errcheck // sized for b.N
 					i++
 				}
 			})
@@ -331,11 +350,12 @@ func BenchmarkRidgeMapInsertParallel(b *testing.B) {
 }
 
 // TestShardedGrowConcurrent starts every shard at its minimum size and has 8
-// goroutines race InsertAndSet/GetValue over a shuffled schedule holding
-// both sides of every ridge, so shards double while other goroutines probe
-// them. Every ridge must still get exactly one loser, which sees its
-// partner. Both key kinds run: exact two-index keys, and three-index keys
-// that carry an id column through every growth.
+// goroutines race Meet over a shuffled schedule holding both sides of every
+// ridge, so shards double while other goroutines probe them and delete
+// answered ridges from them. Every ridge must still get exactly one loser,
+// which gets its partner, and the drained map must be empty. Both key kinds
+// run: exact two-index keys, and three-index keys that carry an id column
+// through every growth and deletion.
 func TestShardedGrowConcurrent(t *testing.T) {
 	const (
 		workers = 8
@@ -372,15 +392,15 @@ func TestShardedGrowConcurrent(t *testing.T) {
 					defer wg.Done()
 					for _, e := range part {
 						r, side := e/2, e%2
-						first, err := m.InsertAndSet(keys[r], vals[e])
+						got, err := m.Meet(keys[r], vals[e])
 						if err != nil {
 							t.Errorf("ridge %d: %v", r, err)
 							return
 						}
-						if !first {
+						if got != nil {
 							losers[r].Add(1)
-							if got, want := m.GetValue(keys[r], vals[e]), vals[2*r+1-side]; got != want {
-								t.Errorf("ridge %d: GetValue returned the wrong partner", r)
+							if want := vals[2*r+1-side]; got != want {
+								t.Errorf("ridge %d: Meet returned the wrong partner", r)
 							}
 						}
 					}
@@ -392,8 +412,8 @@ func TestShardedGrowConcurrent(t *testing.T) {
 					t.Fatalf("ridge %d: %d losers, want exactly 1", r, n)
 				}
 			}
-			if got := m.Len(); got != ridges {
-				t.Fatalf("Len = %d, want %d", got, ridges)
+			if got := m.Len(); got != 0 {
+				t.Fatalf("Len = %d after every ridge met its partner, want 0", got)
 			}
 		})
 	}
@@ -440,16 +460,17 @@ func TestExactKeysDistinct(t *testing.T) {
 	vals := make([]*int, len(uniq))
 	for i, k := range uniq {
 		vals[i] = new(int)
-		if !mustInsert(t, m, k, vals[i]) {
+		if mustMeet(t, m, k, vals[i]) != nil {
 			t.Fatalf("key %v reported as already present", k)
 		}
 	}
 	for i, k := range uniq {
-		if mustInsert(t, m, k, new(int)) {
+		got := mustMeet(t, m, k, new(int))
+		if got == nil {
 			t.Fatalf("key %v reported fresh twice", k)
 		}
-		if m.GetValue(k, nil) != vals[i] {
-			t.Fatalf("key %v: GetValue returned another key's value", k)
+		if got != vals[i] {
+			t.Fatalf("key %v: Meet returned another key's value", k)
 		}
 	}
 }
@@ -457,7 +478,9 @@ func TestExactKeysDistinct(t *testing.T) {
 // TestLongKeysForcedCollision gives keys of three and more indices one
 // shared word — and an exact two-index key the same word — so every lookup
 // lands in one shard's single probe run, which grows several times: the
-// maps must still tell the keys apart by their ids.
+// maps must still tell the keys apart by their ids. The second arrivals
+// come in an order unrelated to the first, so the sharded map deletes from
+// the middle of that run, and every later key must still be found.
 func TestLongKeysForcedCollision(t *testing.T) {
 	const word = 0x9e3779b97f4a7c15
 	var keys []Key
@@ -473,17 +496,17 @@ func TestLongKeysForcedCollision(t *testing.T) {
 			vals := make([]*int, len(keys))
 			for i, k := range keys {
 				vals[i] = new(int)
-				if !mustInsert(t, m, k, vals[i]) {
+				if mustMeet(t, m, k, vals[i]) != nil {
 					t.Fatalf("key %v collided with an earlier key", k)
 				}
 			}
-			for i, k := range keys {
-				w := new(int)
-				if mustInsert(t, m, k, w) {
-					t.Fatalf("key %v reported fresh twice", k)
+			for _, i := range rand.New(rand.NewSource(7)).Perm(len(keys)) {
+				got := mustMeet(t, m, keys[i], new(int))
+				if got == nil {
+					t.Fatalf("key %v reported fresh twice", keys[i])
 				}
-				if got := m.GetValue(k, w); got != vals[i] {
-					t.Fatalf("key %v: GetValue returned another key's value", k)
+				if got != vals[i] {
+					t.Fatalf("key %v: Meet returned another key's value", keys[i])
 				}
 			}
 		})
@@ -491,7 +514,7 @@ func TestLongKeysForcedCollision(t *testing.T) {
 }
 
 // TestShardedResetLongKeys runs one ShardedMap through builds of long and
-// short keys. A shard keeps its long-key storage across a Reset only after
+// short keys. A shard keeps its long-key column across a Reset only after
 // a build that stored a long key in it; after a build of exact keys alone
 // every shard drops it. Every build, before and after either kind of Reset,
 // must see each of its keys fresh once and find it afterwards.
@@ -505,17 +528,17 @@ func TestShardedResetLongKeys(t *testing.T) {
 				ids[j] = r + int32(j)
 			}
 			k, v := MakeKey(ids), new(int)
-			if !mustInsert(t, m, k, v) {
+			if mustMeet(t, m, k, v) != nil {
 				t.Fatalf("width %d: key %v not fresh after Reset", width, k)
 			}
-			if mustInsert(t, m, k, new(int)) || m.GetValue(k, nil) != v {
+			if mustMeet(t, m, k, new(int)) != v {
 				t.Fatalf("width %d: key %v not found after insertion", width, k)
 			}
 		}
 	}
 	held := func() (n int) {
 		for i := range m.shards {
-			if m.shards[i].ref != nil {
+			if m.shards[i].ids != nil {
 				n++
 			}
 		}
@@ -537,4 +560,107 @@ func TestShardedResetLongKeys(t *testing.T) {
 		t.Fatalf("%d shards kept a long-key column after a build of exact keys", n)
 	}
 	build(3)
+}
+
+// TestShardedDeletionModel drives one shard through random Meets against a
+// plain map that models it: a key present in the model must come back as
+// its partner and leave, and an absent one must be fresh and stay. Every
+// key lands in shard 0 with a home slot among the last three of the slot
+// array at every size, so probe runs wrap past the array's end and
+// backward-shift deletion moves entries back across the wrap. Exact keys
+// have distinct words; the three-index keys share four words among 40 of
+// them, and those words are also exact keys' words, so deletions run
+// through forced word collisions. The shard starts at its minimum size and
+// grows while deletions go on. After every Meet each live key must be found
+// where its probe from home reaches it, and the count must match.
+func TestShardedDeletionModel(t *testing.T) {
+	const top = 0xffff // the low bits of every word: a home at the end
+	word := func(j, back int) uint64 { return uint64(j)<<20 | (top - uint64(back)) }
+	var keys []Key
+	for j := 1; j <= 120; j++ {
+		keys = append(keys, Key{hash: word(j, j%3), id: []int32{int32(j), int32(j + 1)}})
+	}
+	for j := 0; j < 40; j++ {
+		keys = append(keys, Key{hash: word(1+j%4, (1+j%4)%3), id: []int32{int32(j), int32(j + 1), int32(j + 2)}})
+	}
+	m := NewShardedMap[*int](0)
+	sh := &m.shards[0]
+	model := map[int]*int{}
+	rng := rand.New(rand.NewSource(3))
+	wrapped := 0 // removals made while some live entry sat past the wrap
+	for step := 0; step < 20000; step++ {
+		i := rng.Intn(len(keys))
+		// Lean towards first arrivals until the shard has grown a few times.
+		if _, live := model[i]; live && step < 2000 && rng.Intn(4) > 0 {
+			continue
+		}
+		v := new(int)
+		got := mustMeet(t, m, keys[i], v)
+		if want, live := model[i]; live {
+			if got != want {
+				t.Fatalf("step %d key %v: partner %p, want %p", step, keys[i], got, want)
+			}
+			delete(model, i)
+		} else {
+			if got != nil {
+				t.Fatalf("step %d key %v: fresh key got partner %p", step, keys[i], got)
+			}
+			model[i] = v
+		}
+		if sh.count != len(model) {
+			t.Fatalf("step %d: shard count %d, model %d", step, sh.count, len(model))
+		}
+		mask := uint64(len(sh.slots) - 1)
+		past := false
+		for j, v := range model {
+			at, found := sh.find(keys[j])
+			if !found || sh.slots[at].val != v {
+				t.Fatalf("step %d: live key %v lost", step, keys[j])
+			}
+			past = past || at < keys[j].hash&mask
+		}
+		if past && got != nil {
+			wrapped++
+		}
+	}
+	if len(sh.slots) < 64 || wrapped == 0 {
+		t.Fatalf("the shard grew to %d slots and %d removals met a wrapped run; the test no longer reaches its cases",
+			len(sh.slots), wrapped)
+	}
+}
+
+// TestShardedResetAfterFailure: a build that stops early leaves ridges
+// waiting in the map — one, or thousands over every shard. Reset must clear
+// exactly what is left, so that every ridge of the next build is fresh
+// again and the map drains to empty.
+func TestShardedResetAfterFailure(t *testing.T) {
+	m := NewShardedMap[*int](0)
+	for _, width := range []int{2, 3} {
+		for _, left := range []int32{1, 3000} {
+			for r := int32(0); r < left; r++ {
+				ids := []int32{r, r + 1, r + 2}[:width]
+				mustMeet(t, m, MakeKey(ids), new(int)) // no partner: the build stopped
+			}
+			if m.Len() != int(left) {
+				t.Fatalf("width %d: Len %d before Reset, want %d", width, m.Len(), left)
+			}
+			m.Reset()
+			if m.Len() != 0 {
+				t.Fatalf("width %d: Len %d after Reset", width, m.Len())
+			}
+			for r := int32(0); r < 3000; r++ {
+				ids := []int32{r, r + 1, r + 2}[:width]
+				v := new(int)
+				if mustMeet(t, m, MakeKey(ids), v) != nil {
+					t.Fatalf("width %d: ridge %v not fresh after Reset", width, ids)
+				}
+				if mustMeet(t, m, MakeKey(ids), new(int)) != v {
+					t.Fatalf("width %d: ridge %v lost its partner after Reset", width, ids)
+				}
+			}
+			if m.Len() != 0 {
+				t.Fatalf("width %d: Len %d after a drained build", width, m.Len())
+			}
+		}
+	}
 }

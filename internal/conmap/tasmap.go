@@ -112,6 +112,16 @@ func (m *TASMap[V]) GetValue(k Key, not V) V {
 		len(m.slots), k, ErrCapacity))
 }
 
+// Meet implements RidgeMap with Algorithm 5 as written: InsertAndSet, then
+// GetValue for the loser, which finds the one entry of k that is not v.
+func (m *TASMap[V]) Meet(k Key, v V) (V, error) {
+	var zero V
+	if first, err := m.InsertAndSet(k, v); first || err != nil {
+		return zero, err
+	}
+	return m.GetValue(k, v), nil
+}
+
 // Cap returns the slot count, so a pooled owner can tell whether a retained
 // table satisfies a new capacity requirement.
 func (m *TASMap[V]) Cap() int { return len(m.slots) }

@@ -12,10 +12,10 @@
 // Division of responsibility:
 //
 //   - The driver owns scheduling (chain loops, forking, the round loop),
-//     the ridge-table handshake (InsertAndSet/GetValue — the second facet to
-//     arrive at a ridge forks its chain, lines 20-22 of Algorithm 3), facet
-//     life-cycle counters, error/abort propagation, and the per-worker
-//     arena + scratch-buffer lifetime discipline.
+//     the ridge-table handshake (Meet — the second facet to arrive at a
+//     ridge gets its partner and forks the chain, lines 20-22 of Algorithm
+//     3), facet life-cycle counters, error/abort propagation, and the
+//     per-worker arena + scratch-buffer lifetime discipline.
 //   - The kernel owns geometry: facet and ridge representation, pivot
 //     lookup, facet construction with exact conflict filtering (the
 //     float-filter fast path included), and fresh-ridge enumeration.
@@ -88,18 +88,18 @@ type Kernel[FV any, R any] interface {
 }
 
 // Table is the concurrent ridge multimap M of Algorithm 3, keyed by the
-// kernel's ridge representation. Of the two InsertAndSet calls on one ridge
-// exactly one returns false, and by then the other facet is visible to
-// GetValue (the one-loser contract of Theorems A.1/A.2). The general-
-// dimension kernels route through conmap (see table.go); the 2D kernel
-// substitutes a flat array of CAS slots indexed by vertex.
+// kernel's ridge representation. Of the two Meet calls on one ridge exactly
+// one returns the other facet, which is visible by then (the one-loser
+// contract of Theorems A.1/A.2). The general-dimension kernels route
+// through conmap (see table.go); the 2D kernel substitutes a flat array of
+// CAS slots indexed by vertex.
 type Table[FV any, R any] interface {
-	// InsertAndSet registers f on ridge r: (true, nil) means f arrived
-	// first, (false, nil) that the other facet did (fork the chain). A
-	// non-nil error — conmap.ErrCapacity from the fixed tables — aborts the
-	// construction; the caller climbs the degradation ladder.
-	InsertAndSet(r R, f *FV) (bool, error)
-	GetValue(r R, not *FV) *FV
+	// Meet registers f on ridge r and returns the ridge's other facet: nil
+	// when f arrived first, and the partner when the other facet did (fork
+	// the chain). A non-nil error — conmap.ErrCapacity from the fixed
+	// tables — aborts the construction; the caller climbs the degradation
+	// ladder.
+	Meet(r R, f *FV) (*FV, error)
 }
 
 // Config assembles one parallel construction: kernel, ridge table, and the
@@ -223,13 +223,13 @@ func (d *driver[FV, R]) step(a *Arena[FV], tk Task[FV, R], ridges []R, fork func
 	d.note(EventCreated, t, tk.T1)
 	ridges = d.k.FreshRidges(a, t, tk.R, ridges[:0])
 	for _, r2 := range ridges {
-		first, ierr := d.tbl.InsertAndSet(r2, t)
-		if ierr != nil {
-			d.fail(ierr)
+		t2, err := d.tbl.Meet(r2, t)
+		if err != nil {
+			d.fail(err)
 			return zero, ridges, false
 		}
-		if !first {
-			fork(Task[FV, R]{T1: t, R: r2, T2: d.tbl.GetValue(r2, t)})
+		if t2 != nil {
+			fork(Task[FV, R]{T1: t, R: r2, T2: t2})
 		}
 	}
 	return Task[FV, R]{T1: t, R: tk.R, T2: tk.T2}, ridges, true

@@ -96,14 +96,16 @@ func (o *Options) ridgeSlots(e *engine) eng.Table[Facet, int32] {
 
 type vertexSlots struct{ slots []atomic.Pointer[Facet] }
 
-// InsertAndSet implements engine.Table. The slot array is indexed by vertex
-// (a perfect hash), so it cannot run out of capacity; the error is always nil.
-func (m *vertexSlots) InsertAndSet(v int32, f *Facet) (bool, error) {
-	return m.slots[v].CompareAndSwap(nil, f), nil
+// Meet implements engine.Table as Algorithm 4 on a perfect hash: the first
+// facet's CAS claims the vertex's slot, and the second's fails and loads
+// its partner. The slot array is indexed by vertex, so it cannot run out of
+// capacity; the error is always nil.
+func (m *vertexSlots) Meet(v int32, f *Facet) (*Facet, error) {
+	if m.slots[v].CompareAndSwap(nil, f) {
+		return nil, nil
+	}
+	return m.slots[v].Load(), nil
 }
-
-// GetValue implements engine.Table.
-func (m *vertexSlots) GetValue(v int32, not *Facet) *Facet { return m.slots[v].Load() }
 
 // conmapSlots adapts a generic conmap.RidgeMap to the vertex-id table.
 type conmapSlots struct {
@@ -111,14 +113,9 @@ type conmapSlots struct {
 	e *engine
 }
 
-// InsertAndSet implements engine.Table.
-func (s conmapSlots) InsertAndSet(v int32, f *Facet) (bool, error) {
-	return s.m.InsertAndSet(s.e.key1(v), f)
-}
-
-// GetValue implements engine.Table.
-func (s conmapSlots) GetValue(v int32, not *Facet) *Facet {
-	return s.m.GetValue(s.e.key1(v), not)
+// Meet implements engine.Table.
+func (s conmapSlots) Meet(v int32, f *Facet) (*Facet, error) {
+	return s.m.Meet(s.e.key1(v), f)
 }
 
 // config assembles the driver configuration for a Par or Rounds

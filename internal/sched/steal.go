@@ -216,6 +216,7 @@ func (x *Executor[T]) Rounds(frontier []T, begin func(round int) bool) (widths [
 			x.Restart()
 		}
 		widths = append(widths, len(frontier))
+		x.reserve(len(frontier))
 		x.spread(frontier)
 		x.Quiesce()
 		frontier = x.gather()
@@ -247,6 +248,20 @@ func (x *Executor[T]) spread(tasks []T) {
 		d.mu.Unlock()
 	}
 	x.wakeIdlers()
+}
+
+// reserve grows every worker's next-round buffer to hold n tasks. What a
+// worker readies in one round is at most the next round, so buffers sized
+// to the widest round seen so far stop growing once the pool has run it,
+// however a later run splits its rounds between workers. (Buffers that
+// kept each worker's own high-water mark grew again whenever load moved a
+// round's work onto another worker.)
+func (x *Executor[T]) reserve(n int) {
+	for i := range x.deques {
+		if d := &x.deques[i]; cap(d.next) < n {
+			d.next = make([]T, 0, n)
+		}
+	}
 }
 
 // gather moves the tasks readied during the round just quiesced into the

@@ -70,8 +70,9 @@ type MapKind int
 
 const (
 	// MapSharded is the production default: a growable table of
-	// mutex-guarded linear-probing shards, or in 2D, where a ridge is a
-	// single vertex, an array of CAS slots indexed by vertex.
+	// mutex-guarded linear-probing shards that holds only the ridges
+	// waiting for their second facet, or in 2D, where a ridge is a single
+	// vertex, an array of CAS slots indexed by vertex.
 	MapSharded MapKind = iota
 	// MapCAS is the paper's Algorithm 4: linear probing + CompareAndSwap.
 	MapCAS
