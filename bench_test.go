@@ -109,7 +109,7 @@ func BenchmarkConflictBound2D(b *testing.B) {
 			b.Fatal(err)
 		}
 		var total int64
-		for _, f := range res.Created {
+		for _, f := range res.Created() {
 			total += int64(len(f.Conf))
 		}
 		sizes := make([]float64, len(res.HullSizes))

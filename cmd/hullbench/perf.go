@@ -98,7 +98,7 @@ func expPerf() {
 			if err != nil {
 				log.Fatalf("perf %s: %v", wl.name, err)
 			}
-			facets, depth, peak = len(res.Created), res.Stats.MaxDepth, res.Stats.PeakBytes
+			facets, depth, peak = int(res.Stats.FacetsCreated), res.Stats.MaxDepth, res.Stats.PeakBytes
 			rres, _, err := hull2d.Rounds(wl.pts, &hull2d.Options{})
 			if err != nil {
 				log.Fatalf("perf %s rounds: %v", wl.name, err)
@@ -109,7 +109,7 @@ func expPerf() {
 			if err != nil {
 				log.Fatalf("perf %s: %v", wl.name, err)
 			}
-			facets, depth, peak = len(res.Created), res.Stats.MaxDepth, res.Stats.PeakBytes
+			facets, depth, peak = int(res.Stats.FacetsCreated), res.Stats.MaxDepth, res.Stats.PeakBytes
 			rres, err := hulld.Rounds(wl.pts, &hulld.Options{})
 			if err != nil {
 				log.Fatalf("perf %s rounds: %v", wl.name, err)

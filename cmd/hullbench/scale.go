@@ -63,7 +63,7 @@ func expScale() {
 			AllocsPerOp: int64(m1.Mallocs - m0.Mallocs),
 			BytesPerOp:  int64(m1.TotalAlloc - m0.TotalAlloc),
 			Iterations:  1,
-			Facets:      len(res.Created),
+			Facets:      int(res.Stats.FacetsCreated),
 			Depth:       res.Stats.MaxDepth,
 			PeakBytes:   res.Stats.PeakBytes,
 		}

@@ -98,7 +98,7 @@ func expConflicts() {
 				fmt.Println("error:", err)
 				return
 			}
-			for _, f := range res.Created {
+			for _, f := range res.Created() {
 				total += int64(len(f.Conf))
 			}
 			for _, h := range res.HullSizes {
@@ -110,7 +110,7 @@ func expConflicts() {
 				fmt.Println("error:", err)
 				return
 			}
-			for _, f := range res.Created {
+			for _, f := range res.Created() {
 				total += int64(len(f.Conf))
 			}
 			for _, h := range res.HullSizes {

@@ -104,13 +104,14 @@ func equalLists(t *testing.T, label string, got, want []int32) {
 func TestMergeIntoMatchesMergeFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	all := modFilter{mod: 1}
+	var sc Scratch
 	for trial := 0; trial < 50; trial++ {
 		c1 := sortedRandom(rng, rng.Intn(500), 2000)
 		c2 := sortedRandom(rng, rng.Intn(500), 2000)
 		drop := int32(rng.Intn(2000))
 		got := MergeInto(nil, c1, c2, drop)
 		for _, grain := range []int{1 << 30, 16} {
-			want := MergeFilterFused(c1, c2, drop, all, grain, nil)
+			want := MergeFilterFused(&sc, c1, c2, drop, all, grain, heapAlloc)
 			if len(got) == 0 {
 				got = nil
 			}
@@ -123,12 +124,13 @@ func TestMergeIntoMatchesMergeFilter(t *testing.T) {
 // MergeFilterFused returns the pointwise predicate over MergeInto — same
 // elements, same order, nil for empty — on the serial path, on parallel
 // pieces at small grains (including degenerate tiny lists, where more pieces
-// are requested than there are distinct split values), and with a nil or an
-// arena allocator.
+// are requested than there are distinct split values), and with a plain or
+// an arena allocator.
 func TestBatchMatchesClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var calls atomic.Int64
 	var arena arenaAlloc
+	var sc Scratch
 	pieced := false
 	for trial := 0; trial < 60; trial++ {
 		n1, n2 := rng.Intn(20000), rng.Intn(20000)
@@ -144,9 +146,9 @@ func TestBatchMatchesClosure(t *testing.T) {
 		flt := modFilter{mod: int32(2 + rng.Intn(5)), calls: &calls}
 		want := pointwise(c1, c2, drop, flt.keep)
 		for _, grain := range []int{1, 64, 1 << 30} {
-			for _, alloc := range []func(int) []int32{nil, arena.alloc} {
+			for _, alloc := range []func(int) []int32{heapAlloc, arena.alloc} {
 				calls.Store(0)
-				got := MergeFilterFused(c1, c2, drop, flt, grain, alloc)
+				got := MergeFilterFused(&sc, c1, c2, drop, flt, grain, alloc)
 				equalLists(t, "MergeFilterFused", got, want)
 				if calls.Load() > 1 {
 					pieced = true
@@ -162,9 +164,9 @@ func TestBatchMatchesClosure(t *testing.T) {
 	}
 }
 
-// TestMergeFilterScratchMatchesClosure pins the arena path: the serial
-// scratch entry equals the pointwise reference under both allocators, and
-// the scratch buffer survives reuse across lists of changing length.
+// TestMergeFilterScratchMatchesClosure pins the arena path: the serial path
+// through one Scratch equals the pointwise reference under both allocators,
+// and the scratch buffer survives reuse across lists of changing length.
 func TestMergeFilterScratchMatchesClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var sc Scratch
@@ -178,8 +180,8 @@ func TestMergeFilterScratchMatchesClosure(t *testing.T) {
 		}
 		flt := modFilter{mod: int32(2 + rng.Intn(5))}
 		want := pointwise(c1, c2, drop, flt.keep)
-		for _, a := range []func(int) []int32{nil, arena.alloc} {
-			equalLists(t, "MergeFilterFusedScratch", MergeFilterFusedScratch(&sc, c1, c2, drop, flt, a), want)
+		for _, a := range []func(int) []int32{heapAlloc, arena.alloc} {
+			equalLists(t, "MergeFilterFused serial", MergeFilterFused(&sc, c1, c2, drop, flt, 1<<30, a), want)
 		}
 	}
 	if arena.calls == 0 {
@@ -200,7 +202,7 @@ func TestBuildFilterMatchesBuild(t *testing.T) {
 		}
 	}
 	for _, grain := range []int{0, 16, 100, 1 << 30} {
-		for _, a := range []func(int) []int32{nil, arena.alloc} {
+		for _, a := range []func(int) []int32{heapAlloc, arena.alloc} {
 			equalLists(t, "BuildFilterInto", BuildFilterInto(3, 1000, flt, grain, a), want)
 		}
 	}

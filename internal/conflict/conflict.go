@@ -17,10 +17,12 @@
 // compaction plays in the paper's CRCW analysis (Theorem 5.4): without it,
 // the first rounds' O(n)-sized lists would serialize the span.
 //
-// Allocation discipline: filtering writes into pooled scratch buffers and
-// only the surviving elements are copied into an exact-size result (nil for
-// an empty one). In the steady state most new facets have empty or tiny
-// conflict sets, so filtering allocates nothing — the seed code allocated a
+// Allocation discipline: filtering writes into scratch buffers — the
+// caller's Scratch on the serial path, pooled buffers for parallel pieces
+// and initial lists — and only the surviving elements are copied into an
+// exact-size result from the caller's allocator (nil for an empty one). In
+// the steady state most new facets have empty or tiny conflict sets, so
+// filtering allocates nothing — the seed code allocated a
 // |C(t1)|+|C(t2)|-capacity slice per facet regardless of survivors, which
 // dominated GC pressure in the construction hot path.
 package conflict
@@ -97,9 +99,9 @@ func MergeInto(dst []int32, c1, c2 []int32, drop int32) []int32 {
 	return dst
 }
 
-// scratchPool recycles the transient merge buffers. Buffers grow to the
-// largest list a worker has filtered and are reused across facets, so
-// steady-state filtering performs no transient allocation at all.
+// scratchPool recycles the transient buffers of parallel pieces and initial
+// lists. Buffers grow to the largest piece filtered and are reused, so
+// those paths perform no transient allocation in the steady state either.
 var scratchPool = sync.Pool{New: func() any { return new([]int32) }}
 
 // getScratch returns an empty buffer with capacity at least need.
@@ -118,21 +120,36 @@ func putScratch(bp *[]int32) { scratchPool.Put(bp) }
 // work-stealing engines keep one Scratch per worker (inside their arenas),
 // so steady-state filtering touches no sync.Pool — no atomic pool round-trip
 // per facet, and the buffer stays hot in the worker's cache. It grows to the
-// largest list the worker has filtered and is reused forever; it never
-// escapes: only the compacted result (allocated via alloc) does.
+// largest list the worker has filtered serially and is reused forever; it
+// never escapes: only the compacted result (allocated via alloc) does.
 type Scratch struct {
 	fbuf []int32
 }
 
-// MergeFilterFusedScratch is the serial merge-filter over a caller-owned
-// Scratch: one FilterMerge call classifies the merge of the two lists
-// directly into the scratch survivor buffer, and the survivors are compacted
-// through alloc (nil selects plain make). flt is a type parameter so
-// concrete kernel filters are passed without interface boxing — the hot path
-// allocates nothing beyond the compacted result. Output is identical to
-// MergeFilterFused with the same filter.
-func MergeFilterFusedScratch[F Filter](s *Scratch, c1, c2 []int32, drop int32, flt F, alloc func(int) []int32) []int32 {
+// MergeFilterFused implements line 16 of Algorithm 3 (and line 9 of
+// Algorithm 2): it returns the survivors of flt over the ascending merge of
+// c1 and c2, excluding drop, compacted into an exact-size slice from alloc
+// (nil when none survives). Lists at least grain long (<= 0 selects
+// DefaultGrain; pass a huge grain to force the serial path) filter in
+// value-aligned pieces in parallel; every other list — the steady state, and
+// every list on one worker or whose split values collapse — is one
+// FilterMerge call into the caller's Scratch. The output, and the multiset
+// of predicate calls, is the same on every path. flt is a type parameter so
+// concrete kernel filters are passed without interface boxing: the serial
+// path allocates nothing beyond the result. alloc is only ever called from
+// the calling goroutine, so a per-worker arena is a valid source.
+func MergeFilterFused[F Filter](s *Scratch, c1, c2 []int32, drop int32, flt F, grain int, alloc func(int) []int32) []int32 {
+	if grain <= 0 {
+		grain = DefaultGrain
+	}
 	need := len(c1) + len(c2)
+	if need >= grain && sched.Workers() > 1 {
+		if pieces := pieceCount(need, grain); pieces >= 2 {
+			if spans := splitSpans(c1, c2, pieces); spans != nil {
+				return mergeFilterFusedParallel(spans, c1, c2, drop, flt, alloc)
+			}
+		}
+	}
 	if need == 0 {
 		return nil
 	}
@@ -144,45 +161,10 @@ func MergeFilterFusedScratch[F Filter](s *Scratch, c1, c2 []int32, drop int32, f
 	return compactInto(kept, alloc)
 }
 
-// MergeFilterFused returns the survivors of flt over the ascending merge of
-// c1 and c2, excluding drop: one FilterMerge call for lists shorter than
-// grain (<= 0 selects DefaultGrain; pass a huge grain to force the serial
-// path), value-aligned pieces filtered in parallel above it. The output is
-// the same on every path. The survivor list is compacted through alloc (nil
-// selects plain make); alloc is only ever called from the calling goroutine,
-// so a per-worker arena is a valid source.
-func MergeFilterFused[F Filter](c1, c2 []int32, drop int32, flt F, grain int, alloc func(int) []int32) []int32 {
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	if len(c1)+len(c2) < grain || sched.Workers() == 1 {
-		return mergeFilterFusedSerial(c1, c2, drop, flt, alloc)
-	}
-	return mergeFilterFusedParallel(c1, c2, drop, flt, grain, alloc)
-}
-
-func mergeFilterFusedSerial[F Filter](c1, c2 []int32, drop int32, flt F, alloc func(int) []int32) []int32 {
-	if len(c1)+len(c2) == 0 {
-		return nil
-	}
-	fp := getScratch(len(c1) + len(c2))
-	*fp = flt.FilterMerge(c1, c2, drop, *fp)
-	out := compactInto(*fp, alloc)
-	putScratch(fp)
-	return out
-}
-
-// mergeFilterFusedParallel splits both lists at common values so each piece
-// runs one fused FilterMerge call, then concatenates the pieces in order.
-func mergeFilterFusedParallel[F Filter](c1, c2 []int32, drop int32, flt F, grain int, alloc func(int) []int32) []int32 {
-	pieces := pieceCount(len(c1)+len(c2), grain)
-	if pieces < 2 {
-		return mergeFilterFusedSerial(c1, c2, drop, flt, alloc)
-	}
-	spans := splitSpans(c1, c2, pieces)
-	if spans == nil {
-		return mergeFilterFusedSerial(c1, c2, drop, flt, alloc)
-	}
+// mergeFilterFusedParallel runs one fused FilterMerge call per value-aligned
+// span of c1 and c2, each into a pooled buffer, then concatenates the pieces
+// in order.
+func mergeFilterFusedParallel[F Filter](spans []span, c1, c2 []int32, drop int32, flt F, alloc func(int) []int32) []int32 {
 	parts := make([]*[]int32, len(spans))
 	sched.ParallelFor(len(spans), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -195,18 +177,13 @@ func mergeFilterFusedParallel[F Filter](c1, c2 []int32, drop int32, flt F, grain
 	return concatPartsInto(parts, alloc)
 }
 
-// compactInto copies buf into an exact-size slice from alloc (nil selects
-// make), or returns nil for an empty buf.
+// compactInto copies buf into an exact-size slice from alloc, or returns nil
+// for an empty buf.
 func compactInto(buf []int32, alloc func(int) []int32) []int32 {
 	if len(buf) == 0 {
 		return nil
 	}
-	var out []int32
-	if alloc != nil {
-		out = alloc(len(buf))
-	} else {
-		out = make([]int32, len(buf))
-	}
+	out := alloc(len(buf))
 	copy(out, buf)
 	return out
 }
@@ -260,8 +237,8 @@ func pieceCount(total, grain int) int {
 }
 
 // concatPartsInto concatenates the per-piece scratch buffers in order into a
-// slice carved via alloc (nil selects plain make) and returns the buffers to
-// the pool.
+// slice carved via alloc (nil when every piece is empty) and returns the
+// buffers to the pool.
 func concatPartsInto(parts []*[]int32, alloc func(int) []int32) []int32 {
 	n := 0
 	for _, p := range parts {
@@ -269,11 +246,7 @@ func concatPartsInto(parts []*[]int32, alloc func(int) []int32) []int32 {
 	}
 	var out []int32
 	if n > 0 {
-		if alloc != nil {
-			out = alloc(n)[:0]
-		} else {
-			out = make([]int32, 0, n)
-		}
+		out = alloc(n)[:0]
 		for _, p := range parts {
 			out = append(out, *p...)
 		}
@@ -289,10 +262,9 @@ func concatPartsInto(parts []*[]int32, alloc func(int) []int32) []int32 {
 // (<= 0 selects DefaultGrain). Each chunk is one FilterRange call streaming
 // the candidate range directly, with no per-point dispatch and no
 // materialized candidate slice. It builds the initial facets' lists over all
-// remaining points; the result is carved via alloc (nil selects plain make)
-// — the pooled engines pass an arena allocator so the initial conflict lists
-// recycle across constructions. alloc is called only from the calling
-// goroutine.
+// remaining points; the result is carved via alloc — the engines pass an
+// arena allocator so the initial conflict lists recycle across
+// constructions. alloc is called only from the calling goroutine.
 func BuildFilterInto[F Filter](from, to int32, flt F, grain int, alloc func(int) []int32) []int32 {
 	n := int(to - from)
 	if n <= 0 {

@@ -31,10 +31,14 @@ func sortedRandom(rng *rand.Rand, n, max int) []int32 {
 	return out
 }
 
+// heapAlloc is the plain allocator of the tests that need no arena.
+func heapAlloc(n int) []int32 { return make([]int32, n) }
+
 // TestMergeFilterMatchesSerial pins the piece path on long lists: splitting
 // at the default and at a small grain returns exactly the serial result.
 func TestMergeFilterMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var sc Scratch
 	for trial := 0; trial < 50; trial++ {
 		n1, n2 := rng.Intn(30000), rng.Intn(30000)
 		c1 := sortedRandom(rng, n1, 100000)
@@ -44,17 +48,18 @@ func TestMergeFilterMatchesSerial(t *testing.T) {
 			drop = c1[rng.Intn(len(c1))]
 		}
 		flt := modFilter{mod: 3}
-		serial := MergeFilterFused(c1, c2, drop, flt, 1<<30, nil)
+		serial := MergeFilterFused(&sc, c1, c2, drop, flt, 1<<30, heapAlloc)
 		for _, grain := range []int{0, 64} {
-			equalLists(t, "MergeFilterFused", MergeFilterFused(c1, c2, drop, flt, grain, nil), serial)
+			equalLists(t, "MergeFilterFused", MergeFilterFused(&sc, c1, c2, drop, flt, grain, heapAlloc), serial)
 		}
 	}
 }
 
 // TestScratchMatchesMergeFilter pins the work-stealing engines' contract:
-// the caller-owned Scratch path produces exactly the MergeFilterFused output
-// — same elements, same order, nil for empty — with either allocator, and
-// the scratch buffer is reusable across calls without cross-contamination.
+// the serial path through one reused caller-owned Scratch produces exactly
+// the output through a fresh Scratch — same elements, same order, nil for
+// empty — with either allocator, and the scratch buffer is reusable across
+// calls without cross-contamination.
 func TestScratchMatchesMergeFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var sc Scratch
@@ -72,9 +77,9 @@ func TestScratchMatchesMergeFilter(t *testing.T) {
 			drop = c1[rng.Intn(len(c1))]
 		}
 		flt := modFilter{mod: 3}
-		want := MergeFilterFused(c1, c2, drop, flt, 1<<30, nil)
-		for _, a := range []func(int) []int32{nil, alloc} {
-			equalLists(t, "MergeFilterFusedScratch", MergeFilterFusedScratch(&sc, c1, c2, drop, flt, a), want)
+		want := MergeFilterFused(new(Scratch), c1, c2, drop, flt, 1<<30, heapAlloc)
+		for _, a := range []func(int) []int32{heapAlloc, alloc} {
+			equalLists(t, "MergeFilterFused on a reused Scratch", MergeFilterFused(&sc, c1, c2, drop, flt, 1<<30, a), want)
 		}
 	}
 	if allocCalls == 0 {
@@ -88,7 +93,7 @@ func TestMergeFilterProperties(t *testing.T) {
 		c1 := sortedRandom(rng, rng.Intn(200), 1000)
 		c2 := sortedRandom(rng, rng.Intn(200), 1000)
 		drop := int32(rng.Intn(1000))
-		out := MergeFilterFused(c1, c2, drop, modFilter{mod: 2}, 32, nil)
+		out := MergeFilterFused(new(Scratch), c1, c2, drop, modFilter{mod: 2}, 32, heapAlloc)
 		// Ascending, no drop, all even, subset of union.
 		union := map[int32]bool{}
 		for _, v := range c1 {
@@ -135,11 +140,11 @@ func TestMergeFilterEdgeCases(t *testing.T) {
 		{"dedup", one, one, 0, 1},
 	} {
 		for _, grain := range []int{0, 1} {
-			if out := MergeFilterFused(tc.c1, tc.c2, tc.drop, all, grain, nil); len(out) != tc.want || (tc.want == 0 && out != nil) {
+			if out := MergeFilterFused(&sc, tc.c1, tc.c2, tc.drop, all, grain, heapAlloc); len(out) != tc.want || (tc.want == 0 && out != nil) {
 				t.Fatalf("%s (grain %d): got %v", tc.name, grain, out)
 			}
 		}
-		if out := MergeFilterFusedScratch(&sc, tc.c1, tc.c2, tc.drop, all, nil); len(out) != tc.want || (tc.want == 0 && out != nil) {
+		if out := MergeFilterFused(&sc, tc.c1, tc.c2, tc.drop, all, 1<<30, heapAlloc); len(out) != tc.want || (tc.want == 0 && out != nil) {
 			t.Fatalf("%s (scratch): got %v", tc.name, out)
 		}
 	}
@@ -147,17 +152,17 @@ func TestMergeFilterEdgeCases(t *testing.T) {
 
 func TestBuild(t *testing.T) {
 	flt := modFilter{mod: 7}
-	if out := BuildFilterInto(10, 10, flt, 0, nil); out != nil {
+	if out := BuildFilterInto(10, 10, flt, 0, heapAlloc); out != nil {
 		t.Fatal("empty range")
 	}
-	if out := BuildFilterInto(10, 5, flt, 0, nil); out != nil {
+	if out := BuildFilterInto(10, 5, flt, 0, heapAlloc); out != nil {
 		t.Fatal("reversed range")
 	}
-	if out := BuildFilterInto(1, 7, flt, 0, nil); out != nil {
+	if out := BuildFilterInto(1, 7, flt, 0, heapAlloc); out != nil {
 		t.Fatal("no survivors must return nil")
 	}
 	for _, grain := range []int{0, 16, 1 << 30} {
-		out := BuildFilterInto(3, 1000, flt, grain, nil)
+		out := BuildFilterInto(3, 1000, flt, grain, heapAlloc)
 		if len(out) != cap(out) {
 			t.Fatalf("grain %d: result not exact-size (%d of %d)", grain, len(out), cap(out))
 		}
@@ -174,14 +179,15 @@ func BenchmarkMergeFilter(b *testing.B) {
 	c1 := sortedRandom(rng, 100000, 1<<22)
 	c2 := sortedRandom(rng, 100000, 1<<22)
 	flt := modFilter{mod: 2}
+	var sc Scratch
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MergeFilterFused(c1, c2, -1, flt, 1<<30, nil)
+			MergeFilterFused(&sc, c1, c2, -1, flt, 1<<30, heapAlloc)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			MergeFilterFused(c1, c2, -1, flt, 1<<12, nil)
+			MergeFilterFused(&sc, c1, c2, -1, flt, 1<<12, heapAlloc)
 		}
 	})
 }

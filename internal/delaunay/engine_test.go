@@ -65,8 +65,9 @@ func createdSet(created []*Triangle) map[[3]int32]int {
 // Triangulate's numbering: hull index i+3 is input point i, and hull indices
 // 0-2, the bounding triangle, are Triangulate's n, n+1, n+2.
 func hullCreatedSet(res *hulld.Result, n int) map[[3]int32]int {
-	m := make(map[[3]int32]int, len(res.Created))
-	for _, f := range res.Created {
+	created := res.Created()
+	m := make(map[[3]int32]int, len(created))
+	for _, f := range created {
 		var k [3]int32
 		for i, v := range f.Verts {
 			if v < 3 {

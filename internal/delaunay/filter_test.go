@@ -71,7 +71,7 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 			t.Fatalf("%s: %v", r.label, err)
 		}
 		long := false
-		for _, f := range res.Created {
+		for _, f := range res.Created() {
 			a, b, c := plane[f.Verts[0]], plane[f.Verts[1]], plane[f.Verts[2]]
 			upper := f.Verts[2] < 3
 			var want []int32

@@ -43,7 +43,7 @@ func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 			// base simplex — the bounding triangle's lift and its three
 			// faces with point 0 — is point 0's.
 			prev := int32(-1)
-			for i, f := range res.Created {
+			for i, f := range res.Created() {
 				if p := max(f.Verts[2], 3); p < prev {
 					t.Fatalf("created[%d] = %v has pivot %d after pivot %d", i, f.Verts, p, prev)
 				} else {

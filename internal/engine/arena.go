@@ -18,17 +18,18 @@ const (
 
 // Arena is one owner's private allocator, generic over the kernel's facet
 // value type: a worker of a Pool (indexed by the executor's worker id), or
-// the single owner of a sequential construction and of a retained initial
-// hull. Every facet a kernel creates comes from an arena, so the arenas of a
-// construction are its facet record: AppendFacets walks them in the order
-// the facets were handed out. It is a monotone bump allocator: within one
-// construction, memory handed out is never recycled, so every published
-// slice stays valid (and immutable) for the lifetime of the Result. Slabs
-// and blocks are retained across constructions: Reset rewinds the cursors
-// and re-zeroes the used facet prefixes (facets carry liveness state that
-// must start clean), while int32 blocks need no zeroing because every carve
-// is fully overwritten before it is read. Only the owner ever touches an
-// arena, so no synchronization is needed.
+// the scaffold (Reuse), whose own arena holds the base facets and every
+// facet of a sequential construction. Every facet a kernel creates comes
+// from an arena, so the arenas of a construction are its facet record,
+// which Reuse.Walk reads back in the order the facets were handed out. It
+// is a monotone bump allocator: within one construction, memory handed out
+// is never recycled, so every published slice stays valid (and immutable)
+// for the lifetime of the Result. Slabs and blocks are retained across
+// constructions: Reset rewinds the cursors and re-zeroes the used facet
+// prefixes (facets carry liveness state that must start clean), while int32
+// blocks need no zeroing because every carve is fully overwritten before it
+// is read. Only the owner ever touches an arena, so no synchronization is
+// needed.
 //
 // An arena also holds its worker's plane slot (Slot): the hyperplane of the
 // facet the worker made last, kept only while that facet's own conflict list
@@ -90,9 +91,9 @@ func NewArenas[FV any](n int) []Arena[FV] {
 
 func (a *Arena[FV]) init() { a.Alloc = a.IntsLen }
 
-// NewArena returns one arena with its Alloc closure bound, for owners that
-// keep a single arena outside a worker pool (the retained initial hull and
-// sequential constructions).
+// NewArena returns one arena with its Alloc closure bound, for an owner of a
+// single arena outside a pool and a scaffold (a Reuse binds its own arena
+// in Begin), such as a test of one kernel's facet construction.
 func NewArena[FV any]() *Arena[FV] {
 	a := new(Arena[FV])
 	a.init()
@@ -122,8 +123,7 @@ func (a *Arena[FV]) used(i int) []FV {
 }
 
 // AppendFacets appends every facet handed out since the last Reset to dst,
-// in the order handed out, and returns the extended slice. It reads no facet:
-// the caller walks the result once for whatever it collects.
+// in the order handed out, and returns the extended slice. It reads no facet.
 func (a *Arena[FV]) AppendFacets(dst []*FV) []*FV {
 	for i := 0; i < a.usedSlabs; i++ {
 		s := a.used(i)
@@ -133,6 +133,10 @@ func (a *Arena[FV]) AppendFacets(dst []*FV) []*FV {
 	}
 	return dst
 }
+
+// Len returns the number of facets handed out since the last Reset: every
+// used slab is full except the current one.
+func (a *Arena[FV]) Len() int { return a.usedSlabs*arenaFacetSlab - len(a.facets) }
 
 // Bytes returns the exact size of the facet slabs and int32 blocks the arena
 // retains, used or not: what it keeps for the next construction.

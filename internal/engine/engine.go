@@ -16,9 +16,17 @@
 //     ridge gets its partner and forks the chain, lines 20-22 of Algorithm
 //     3), facet life-cycle counters, error/abort propagation, and the
 //     per-worker arena + scratch-buffer lifetime discipline.
+//   - The scaffold owns the construction lifecycle (reuse.go): one Reuse,
+//     which a kernel's Reuse embeds, holds the arenas, the worker pool,
+//     Seq's buckets, the recorder and the point store; rewinds them at the
+//     start of each construction (Begin); and walks the arenas once
+//     afterwards, tallying depths and handing each created facet to the
+//     kernel (Walk).
 //   - The kernel owns geometry: facet and ridge representation, pivot
 //     lookup, facet construction with exact conflict filtering (the
-//     float-filter fast path included), and fresh-ridge enumeration.
+//     float-filter fast path included), fresh-ridge enumeration, its base
+//     hull, and what it reads from the created facets (the alive hull and
+//     its closure check).
 //
 // Par and Rounds run the same ProcessRidge step (driver.step) on the same
 // substrate: one sched.Executor per Pool, with one arena per worker. Par
@@ -70,10 +78,9 @@ type Kernel[FV any, R any] interface {
 	// surviving neighbor. It sets the facet's dependence depth and filters
 	// its conflict list per line 16 of Algorithm 3. The facet and its
 	// published slices come from the arena a, which is the only record of
-	// it: the kernel collects the created facets, and their counts, by
-	// walking its arenas once the construction has quiesced
-	// (Arena.AppendFacets). An error reports degenerate input and aborts the
-	// construction.
+	// it: the created facets, and their counts, are read back by one walk
+	// of the arenas once the construction has quiesced (Reuse.Walk). An
+	// error reports degenerate input and aborts the construction.
 	NewFacet(a *Arena[FV], r R, p int32, t1, t2 *FV) (*FV, error)
 	// FreshRidges appends to buf the ridges of t that contain the pivot —
 	// every ridge of t except r itself (line 20) — and returns the extended
@@ -102,26 +109,29 @@ type Table[FV any, R any] interface {
 	Meet(r R, f *FV) (*FV, error)
 }
 
-// Config assembles one parallel construction: kernel, ridge table, and the
-// shared stats recorder (the same Recorder instance the kernel counts
-// visibility tests on).
+// Config assembles one construction under any schedule: the kernel, the
+// scaffold it runs on, and the plug of its schedule.
 type Config[FV any, R any] struct {
 	Kernel Kernel[FV, R]
-	Table  Table[FV, R]
-	Rec    *hullstats.Recorder
+	// Reuse is the scaffold, rewound by the caller (Reuse.Begin): Par and
+	// Rounds run on its pool, Seq carves from its Arena and keeps its pivot
+	// buckets in it, and every schedule counts on its Rec, which the kernel
+	// counts visibility tests on. The caller reads the created facets back
+	// from its arenas (Reuse.Walk).
+	Reuse *Reuse[FV, R]
+	// Table is the ridge table of Par and Rounds; Geom is the adjacency
+	// geometry of Seq. Each schedule ignores the other's.
+	Table Table[FV, R]
+	Geom  SeqGeometry[FV, R]
 	// Workers is the work-stealing executor's pool width, for Par and
 	// Rounds alike (<= 0 selects GOMAXPROCS). The speedup harness pins it per
 	// run so scaling curves do not depend on the ambient GOMAXPROCS.
 	Workers int
 	// Ctx, when non-nil, cancels the construction cooperatively: chains
-	// check it at ridge-step granularity and the run returns ctx.Err() with
-	// the pool quiesced. nil means no cancellation.
+	// check it at ridge-step granularity, and Seq at insertion granularity,
+	// and the run returns ctx.Err() with the pool quiesced. nil means no
+	// cancellation.
 	Ctx context.Context
-	// Pool is the substrate the construction runs on: its workers, and the
-	// per-worker arenas every created facet comes from. The caller owns the
-	// pool's lifecycle (Reset between uses, Close at the end) and reads the
-	// created facets back from its arenas (Pool.AppendFacets).
-	Pool *Pool[FV, R]
 	// Inject arms deterministic fault injection (tests only; nil in
 	// production — every hook is nil-safe).
 	Inject *faultinject.Injector
@@ -235,6 +245,20 @@ func (d *driver[FV, R]) step(a *Arena[FV], tk Task[FV, R], ridges []R, fork func
 	return Task[FV, R]{T1: t, R: tk.R, T2: tk.T2}, ridges, true
 }
 
+// Schedule names the schedule a construction runs under. All three create
+// the same facets (Theorem 5.5); only the order of the steps differs.
+type Schedule uint8
+
+const (
+	// SchedSeq is the sequential Algorithm 2 loop (Seq).
+	SchedSeq Schedule = iota
+	// SchedPar is Algorithm 3 under the asynchronous fork-join schedule (Par).
+	SchedPar
+	// SchedRounds is Algorithm 3 under the round-synchronous schedule
+	// (Rounds).
+	SchedRounds
+)
+
 // Par runs Algorithm 3 under the asynchronous fork-join schedule (the
 // binary-forking model of Theorem 5.5) over the initial ridge tasks, on the
 // work-stealing executor: each task loops its chain to the end, and forks
@@ -280,8 +304,8 @@ func Rounds[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
 	return run(cfg, seed, observe, true)
 }
 
-// run mounts one Par or Rounds construction on cfg.Pool and returns its
-// failure as Par documents.
+// run mounts one Par or Rounds construction on the scaffold's pool and
+// returns its failure as Par documents.
 func run[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
 	observe func(EventKind, int32, *FV, *FV), rounds bool) ([]int, error) {
 
@@ -290,9 +314,9 @@ func run[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
 			return nil, err
 		}
 	}
-	d := &driver[FV, R]{k: cfg.Kernel, tbl: cfg.Table, rec: cfg.Rec, inj: cfg.Inject, observe: observe}
+	d := &driver[FV, R]{k: cfg.Kernel, tbl: cfg.Table, rec: &cfg.Reuse.Rec, inj: cfg.Inject, observe: observe}
 	stop := watch(cfg.Ctx, &d.failure)
-	widths, perr := cfg.Pool.run(d, cfg.Workers, seed, rounds)
+	widths, perr := cfg.Reuse.pool.run(d, cfg.Workers, seed, rounds)
 	stop()
 	if perr != nil {
 		d.fail(perr) // first recorded failure wins; a panic only if nothing else

@@ -4,14 +4,14 @@ import "parhull/internal/sched"
 
 // Pool is the parallel substrate of Par and Rounds: the work-stealing
 // executor, one arena and one fresh-ridge buffer per worker, and the
-// per-worker fork closures. A kernel's Reuse owns one: the public
+// per-worker fork closures. The scaffold (Reuse) owns one: the public
 // parhull.Builder retains it across constructions, so the steady-state cost
 // of a parallel construction is the work itself, not the scaffolding, and a
 // one-shot construction runs on a fresh Reuse that it closes on return.
 //
 // A Pool is single-owner: at most one construction may run on it at a time,
-// and Reset/Close must not overlap a construction. The zero value is not
-// ready; use NewPool.
+// and Reset/Close must not overlap a construction. The zero value is ready:
+// the workers and arenas are created by the first construction.
 type Pool[FV any, R any] struct {
 	workers   int
 	arenas    []Arena[FV]
@@ -28,10 +28,6 @@ type Pool[FV any, R any] struct {
 	// mutex of the first fork.
 	cur *driver[FV, R]
 }
-
-// NewPool returns an empty Pool; the worker pool and arenas are created
-// lazily by the first construction.
-func NewPool[FV any, R any]() *Pool[FV, R] { return &Pool[FV, R]{} }
 
 // ensure (re)builds the executor for the requested width. Reusing the pool at
 // the same width re-arms the parked workers; a width change retires the old
@@ -111,16 +107,6 @@ func (p *Pool[FV, R]) Reset() {
 	for i := range p.arenas {
 		p.arenas[i].Reset()
 	}
-}
-
-// AppendFacets appends the facets of every worker arena to dst, in worker
-// order (see Arena.AppendFacets): every facet the constructions since the
-// last Reset created on the pool.
-func (p *Pool[FV, R]) AppendFacets(dst []*FV) []*FV {
-	for i := range p.arenas {
-		dst = p.arenas[i].AppendFacets(dst)
-	}
-	return dst
 }
 
 // Bytes returns the exact size of the facet slabs and int32 blocks the

@@ -1,11 +1,6 @@
 package engine
 
-import (
-	"context"
-
-	"parhull/internal/faultinject"
-	"parhull/internal/hullstats"
-)
+import "parhull/internal/faultinject"
 
 // SeqGeometry supplies the geometry-specific pieces of the sequential
 // Algorithm 2 loop that are not already in the Kernel: the pivot buckets are
@@ -29,34 +24,11 @@ type SeqGeometry[FV any, R any] interface {
 	Register(f *FV)
 }
 
-// SeqConfig assembles one sequential construction: kernel, geometry, the
-// stats recorder the kernel counts on, and the optional retained state of a
-// reusing owner.
-type SeqConfig[FV any, R any] struct {
-	Kernel Kernel[FV, R]
-	Geom   SeqGeometry[FV, R]
-	Rec    *hullstats.Recorder
-	// Ctx, when non-nil, cancels the loop cooperatively at insertion
-	// granularity (the sequential analogue of the ridge-step checks in
-	// Par/Rounds).
-	Ctx context.Context
-	// Inject arms deterministic fault injection at the same boundary (nil in
-	// production).
-	Inject *faultinject.Injector
-	// Arena supplies every created facet and its published slices, in
-	// creation order, so walking it (Arena.AppendFacets) lists them in that
-	// order.
-	Arena *Arena[FV]
-	// Scratch, when non-nil, retains the pivot buckets and per-step buffers
-	// across constructions; nil builds them per call.
-	Scratch *SeqScratch[FV, R]
-}
-
-// SeqScratch is the working state of Seq: the pivot buckets and the
-// per-step buffers. The zero value is ready; every buffer is grow-only. The
-// hull-size series Seq returns is backed by it, so it stays valid only until
-// the next construction on the same scratch.
-type SeqScratch[FV any, R any] struct {
+// seqScratch is the working state of Seq, kept in the scaffold: the pivot
+// buckets and the per-step buffers. The zero value is ready; every buffer is
+// grow-only. The hull-size series Seq returns is backed by it, so it stays
+// valid only until the next construction on the same scaffold.
+type seqScratch[FV any, R any] struct {
 	// Pivot buckets as intrusive lists over registration ids: head[p] and
 	// tail[p] are the first and last facet registered with pivot p (-1 when
 	// empty), next[id] the facet after id in its bucket, facets[id] the
@@ -72,7 +44,7 @@ type SeqScratch[FV any, R any] struct {
 }
 
 // reset empties the buckets for a construction over n points.
-func (s *SeqScratch[FV, R]) reset(n int32) {
+func (s *seqScratch[FV, R]) reset(n int32) {
 	if int32(cap(s.head)) < n {
 		s.head = make([]int32, n)
 		s.tail = make([]int32, n)
@@ -87,7 +59,7 @@ func (s *SeqScratch[FV, R]) reset(n int32) {
 
 // add appends f to the bucket of its pivot p (facets with an empty conflict
 // list are never visible again and are not registered).
-func (s *SeqScratch[FV, R]) add(p int32, f *FV) {
+func (s *seqScratch[FV, R]) add(p int32, f *FV) {
 	if p == NoPivot {
 		return
 	}
@@ -103,7 +75,10 @@ func (s *SeqScratch[FV, R]) add(p int32, f *FV) {
 }
 
 // Seq runs the sequential randomized incremental method — Algorithm 2 —
-// inserting points base..n-1 in index order over the given base facets. Its
+// inserting points base..n-1 in index order over the given base facets, on
+// the scaffold cfg.Reuse: every created facet comes from its Arena, in
+// creation order, so Reuse.Walk lists them in that order. It reads Kernel,
+// Geom, Ctx (checked once per insertion) and Inject from cfg. Its
 // plane-side tests are exactly the conflict filters: the same multiset
 // Algorithm 3 performs (asserted by the cross-engine tests of both kernels).
 //
@@ -122,12 +97,9 @@ func (s *SeqScratch[FV, R]) add(p int32, f *FV) {
 // baseSizes seeds the per-step hull-size series for the base prefix; the
 // returned slice extends it with the facet count after each insertion (the
 // |T(Y_i)| of the Theorem 3.1 bound).
-func Seq[FV any, R any](cfg SeqConfig[FV, R], facets []*FV, n int32, baseSizes []int) ([]int, error) {
-	k, g, a := cfg.Kernel, cfg.Geom, cfg.Arena
-	s := cfg.Scratch
-	if s == nil {
-		s = new(SeqScratch[FV, R])
-	}
+func Seq[FV any, R any](cfg Config[FV, R], facets []*FV, n int32, baseSizes []int) ([]int, error) {
+	k, g, ru := cfg.Kernel, cfg.Geom, cfg.Reuse
+	a, s := &ru.Arena, &ru.loop
 	s.reset(n)
 	for _, f := range facets {
 		g.Register(f)
@@ -171,7 +143,7 @@ func Seq[FV any, R any](cfg SeqConfig[FV, R], facets []*FV, n int32, baseSizes [
 		}
 		// Line 11: H <- H \ R.
 		for _, f := range s.vis {
-			cfg.Rec.Replaced(k.Kill(f))
+			ru.Rec.Replaced(k.Kill(f))
 		}
 		for _, t := range s.created {
 			g.Register(t)

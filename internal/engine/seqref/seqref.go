@@ -17,9 +17,9 @@ import (
 )
 
 // Seq is engine.Seq over the point->facet conflict graph. conf returns a
-// facet's ascending conflict list. cfg.Scratch is ignored; cfg.Arena is
-// used exactly as engine.Seq uses it.
-func Seq[FV any, R any](cfg engine.SeqConfig[FV, R], conf func(*FV) []int32,
+// facet's ascending conflict list. It carves from the scaffold's Arena and
+// counts on its Rec exactly as engine.Seq does, and keeps its own buckets.
+func Seq[FV any, R any](cfg engine.Config[FV, R], conf func(*FV) []int32,
 	facets []*FV, n int32, baseSizes []int) ([]int, error) {
 
 	k, g := cfg.Kernel, cfg.Geom
@@ -63,14 +63,14 @@ func Seq[FV any, R any](cfg engine.SeqConfig[FV, R], conf func(*FV) []int32,
 		}
 		created = created[:0]
 		for _, tk := range tasks {
-			t, err := k.NewFacet(cfg.Arena, tk.R, i, tk.T1, tk.T2)
+			t, err := k.NewFacet(&cfg.Reuse.Arena, tk.R, i, tk.T1, tk.T2)
 			if err != nil {
 				return nil, err
 			}
 			created = append(created, t)
 		}
 		for _, f := range vis {
-			cfg.Rec.Replaced(k.Kill(f))
+			cfg.Reuse.Rec.Replaced(k.Kill(f))
 		}
 		for _, t := range created {
 			g.Register(t)

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"parhull/internal/conflict"
-	"parhull/internal/conmap"
-)
+import "parhull/internal/conmap"
 
 // shardedPresizeCap bounds the pre-size of the growable sharded map. A
 // ridge waits in the map only until its second facet arrives, so the map
@@ -64,26 +61,4 @@ type ConmapTable[FV any] struct {
 // Meet implements Table.
 func (t ConmapTable[FV]) Meet(r []int32, f *FV) (*FV, error) {
 	return t.M.Meet(conmap.MakeKey(r), f)
-}
-
-// MergeFilterFused implements line 16 of Algorithm 3 (and line 9 of
-// Algorithm 2): C(t) = { v in C(t1) ∪ C(t2) : flt keeps v }, excluding the
-// new point p, where flt is the kernel's batch visibility filter against the
-// new facet (see conflict.Filter for the contract). One FilterMerge pass
-// walks both conflict lists and classifies each candidate as it is merged.
-// Lists at least grain long (0 selects conflict.DefaultGrain) filter in
-// parallel pieces; shorter lists — the steady state — filter through the
-// arena's scratch, and every result compacts into arena memory, with no pool
-// round-trip and no per-facet allocation. flt is a type parameter so kernels
-// pass their concrete filter without interface boxing. The output and the
-// multiset of visibility tests are identical on every path.
-func MergeFilterFused[FV any, F conflict.Filter](a *Arena[FV], c1, c2 []int32, p int32, flt F, grain int) []int32 {
-	g := grain
-	if g <= 0 {
-		g = conflict.DefaultGrain
-	}
-	if len(c1)+len(c2) < g {
-		return conflict.MergeFilterFusedScratch(&a.Scratch, c1, c2, p, flt, a.Alloc)
-	}
-	return conflict.MergeFilterFused(c1, c2, p, flt, grain, a.Alloc)
 }

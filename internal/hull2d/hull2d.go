@@ -11,8 +11,12 @@
 // randomized bounds), perform identical plane-side tests through exact
 // predicates, and create the identical set of facets (asserted by tests) —
 // only the schedule differs, exactly as Section 5.2 describes. Seq, Par, and
-// Rounds all take (pts, *Options), and one Reuse carries the retained state
-// of every schedule across constructions.
+// Rounds all take (pts, *Options) and run one construction path (run), and
+// one Reuse carries the retained state of every schedule across
+// constructions. The construction lifecycle — the arenas, the worker pool,
+// the rewind, and the walk that reads the created facets back — is the
+// engine's scaffold (engine.Reuse), which Reuse embeds; this package keeps
+// only the geometry.
 //
 // Visibility hot path: a new edge's line (normal and offset, three
 // subtractions and a dot product) is computed once, into the creating
@@ -131,30 +135,36 @@ func (f *Facet) String() string { return fmt.Sprintf("%d->%d", f.A, f.B) }
 // hullstats.Stats for field semantics.
 type Stats = hullstats.Stats
 
-// Result is the output of a hull construction.
+// Result is the output of a hull construction. It is valid until the next
+// construction on the same Reuse.
 type Result struct {
 	// Vertices lists the hull vertex indices in counterclockwise order,
 	// starting from the smallest index.
 	Vertices []int32
 	// Facets holds the surviving (alive) edges, in the same cyclic order.
 	Facets []*Facet
-	// Created holds every facet ever created, in creation order (sequential
-	// engine) or an arbitrary order (parallel engines): the walk of the
-	// construction's arenas, which are the only record of them. Used to
-	// compare the facet sets across engines and to export the dependence
-	// graph.
-	Created []*Facet
 	// HullSizes (sequential engine only) records |T(Y_i)| — the hull size
 	// after each insertion step — used to evaluate the Theorem 3.1 bound.
 	HullSizes []int
 	Stats     Stats
+
+	ru *Reuse
 }
+
+// Created lists every facet ever created, in creation order (sequential
+// engine) or an arbitrary order (parallel engines): the walk of the
+// construction's arenas, which are the only record of them. The list is made
+// on each call, sized once from the arenas' facet counts, so a construction
+// nobody asks pays for none. It compares the facet sets across engines and
+// exports the dependence graph.
+func (r *Result) Created() []*Facet { return r.ru.Created() }
 
 // EdgeSet returns the multiset of created edges as canonical [2]int32 pairs
 // (A, B as created, which is deterministic) mapped to multiplicity.
 func (r *Result) EdgeSet() map[[2]int32]int {
-	m := make(map[[2]int32]int, len(r.Created))
-	for _, f := range r.Created {
+	created := r.Created()
+	m := make(map[[2]int32]int, len(created))
+	for _, f := range created {
 		m[[2]int32{f.A, f.B}]++
 	}
 	return m
@@ -179,7 +189,7 @@ type engine struct {
 	trace   *Trace // optional (rounds engine)
 	traceMu sync.Mutex
 
-	// ru is the Reuse that owns this engine; initialHull, collectResult,
+	// ru is the Reuse that holds this engine; initialHull, collectResult,
 	// and the vertex-slot table draw their arena and buffers from it.
 	ru *Reuse
 }
@@ -234,25 +244,13 @@ func (e *engine) newFacet(a *arena, r, p int32, t1, t2 *Facet) *Facet {
 	} else {
 		f.A, f.B = p, r
 	}
-	f.Depth = 1 + max32(t1.Depth, t2.Depth)
-	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, e.initPlane(a, f))
+	f.Depth = 1 + max(t1.Depth, t2.Depth)
+	// Line 16 of Algorithm 3 (and line 9 of Algorithm 2), with this kernel's
+	// exact visibility predicate for the new edge as the filter: merge and
+	// classification in one pass, serially through the arena's scratch below
+	// the grain, and the result compacted into the arena.
+	f.Conf = conflict.MergeFilterFused(&a.Scratch, t1.Conf, t2.Conf, p, e.filter(e.initPlane(a, f)), e.grain, a.Alloc)
 	return f
-}
-
-// mergeFilter implements line 16 of Algorithm 3 (and line 9 of Algorithm 2)
-// through the driver's shared grain/arena discipline
-// (engine.MergeFilterFused), with this kernel's exact visibility predicate
-// for the edge in slot s as the filter: merge and classification in one
-// pass.
-func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, s *eng.PlaneSlot) []int32 {
-	return eng.MergeFilterFused(a, c1, c2, p, e.filter(s), e.grain)
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // initialHull validates the base polygon (the first e.base points, which
@@ -269,7 +267,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	// and its own arena — the initial conflict lists are the largest slices
 	// of the whole run.
 	ru := e.ru
-	a := ru.arena
+	a := &ru.Arena
 	if cap(ru.order) < e.base {
 		ru.order = make([]int32, e.base)
 	}
@@ -310,42 +308,45 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	return facets, nil
 }
 
-// collectResult reads the construction back from its arenas: the Reuse's
-// own, which holds the base polygon (and under Seq every facet, in creation
-// order), then the pool's worker arenas. One pass over that walk tallies
-// every created facet by depth and links the alive edges by their tails;
-// then the alive edges must form one closed CCW cycle.
-func (e *engine) collectResult(rounds int) (*Result, error) {
-	e.rec.SampleHeap()
+// collectResult reads the construction back from its arenas: one walk of the
+// scaffold (engine.Reuse.Walk) tallies every created facet by depth and
+// hands it here, where the alive edges are linked by their tails; then the
+// alive edges must form one closed CCW cycle. The result carries the round
+// widths of Rounds and the hull sizes of Seq (nil under the other
+// schedules).
+func (e *engine) collectResult(widths, sizes []int) (*Result, error) {
 	ru := e.ru
-	ru.created = ru.pool.AppendFacets(ru.arena.AppendFacets(ru.created[:0]))
 	if cap(ru.next) < len(e.pts) {
 		ru.next = make([]*Facet, len(e.pts))
 	}
 	next := ru.next[:len(e.pts)]
 	ru.next = next
 	clear(next)
-	ru.depths.Reset()
 	var start int32 = math.MaxInt32
 	alive := 0
-	for _, f := range ru.created {
-		ru.depths.Add(f.Depth)
-		if !f.Alive() {
-			continue
+	var err error
+	depths := ru.Walk(func(f *Facet) int32 { return f.Depth }, func(slab []Facet) {
+		for i := range slab {
+			f := &slab[i]
+			if !f.Alive() || err != nil {
+				continue
+			}
+			if next[f.A] != nil {
+				err = fmt.Errorf("hull2d: two alive edges leave vertex %d", f.A)
+				continue
+			}
+			alive++
+			next[f.A] = f
+			start = min(start, f.A)
 		}
-		alive++
-		if next[f.A] != nil {
-			return nil, fmt.Errorf("hull2d: two alive edges leave vertex %d", f.A)
-		}
-		next[f.A] = f
-		if f.A < start {
-			start = f.A
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if alive < 3 {
 		return nil, fmt.Errorf("hull2d: only %d alive edges", alive)
 	}
-	ru.res = Result{Created: ru.created, Facets: ru.facets[:0], Vertices: ru.vertices[:0]}
+	ru.res = Result{Facets: ru.facets[:0], Vertices: ru.vertices[:0], HullSizes: sizes, ru: ru}
 	res := &ru.res
 	at := start
 	for steps := 0; steps < alive; steps++ {
@@ -361,7 +362,8 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 	if at != start {
 		return nil, fmt.Errorf("hull2d: alive edges form a path or multiple cycles, not one cycle")
 	}
-	res.Stats = e.rec.Snapshot(rounds, alive, ru.depths)
+	res.Stats = e.rec.Snapshot(len(widths), alive, depths)
+	res.Stats.RoundWidths = widths
 	// Capture the (possibly regrown) backings so the next construction
 	// reuses them at full capacity.
 	ru.facets = res.Facets

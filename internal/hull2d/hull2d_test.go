@@ -195,7 +195,7 @@ func TestAliveIffEmptyConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range res.Created {
+	for _, f := range res.Created() {
 		if f.Alive() != (len(f.Conf) == 0) {
 			t.Fatalf("facet %v: alive=%v |C|=%d", f, f.Alive(), len(f.Conf))
 		}
@@ -210,7 +210,7 @@ func TestConflictListInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range res.Created {
+	for _, f := range res.Created() {
 		for i, v := range f.Conf {
 			if v == f.A || v == f.B {
 				t.Fatalf("facet %v conflicts with its own endpoint", f)
@@ -357,7 +357,7 @@ func TestKillAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	dead := int64(0)
-	for _, f := range res.Created {
+	for _, f := range res.Created() {
 		if !f.Alive() {
 			dead++
 		}
@@ -365,7 +365,7 @@ func TestKillAccounting(t *testing.T) {
 	if got := res.Stats.Replaced + res.Stats.Buried; got != dead {
 		t.Fatalf("replaced+buried = %d, dead facets = %d", got, dead)
 	}
-	if res.Stats.FacetsCreated != int64(len(res.Created)) {
-		t.Fatalf("created counter %d vs slice %d", res.Stats.FacetsCreated, len(res.Created))
+	if created := res.Created(); res.Stats.FacetsCreated != int64(len(created)) {
+		t.Fatalf("created counter %d vs slice %d", res.Stats.FacetsCreated, len(created))
 	}
 }

@@ -118,36 +118,6 @@ func (s conmapSlots) Meet(v int32, f *Facet) (*Facet, error) {
 	return s.m.Meet(s.e.key1(v), f)
 }
 
-// config assembles the driver configuration for a Par or Rounds
-// construction on e.
-func (o *Options) config(e *engine) eng.Config[Facet, int32] {
-	return eng.Config[Facet, int32]{
-		Kernel:  kernel{e: e},
-		Table:   o.ridgeSlots(e),
-		Rec:     e.rec,
-		Workers: o.Workers,
-		Ctx:     o.Ctx,
-		Inject:  o.Inject,
-		Pool:    o.Reuse.pool,
-	}
-}
-
-// start validates pts and returns o.Reuse's engine for a construction under
-// o, with its base polygon built. grain is the schedule's conflict-filter
-// grain.
-func (o *Options) start(pts []geom.Point, grain int) (*engine, []*Facet, error) {
-	if err := geom.ValidateCloud(pts, 2); err != nil {
-		return nil, nil, err
-	}
-	e := engineFor(o.Reuse, pts, o.base(), !o.NoCounters, grain, o.NoPlaneCache)
-	e.inj = o.Inject
-	facets, err := e.initialHull()
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, facets, nil
-}
-
 // initialTasks yields one task per ridge (shared endpoint) of the base
 // polygon.
 func initialTasks(facets []*Facet, fork func(eng.Task[Facet, int32])) {
@@ -162,46 +132,68 @@ func initialTasks(facets []*Facet, fork func(eng.Task[Facet, int32])) {
 // binary-forking-model execution of Theorem 5.5, run by the generic driver in
 // internal/engine on the work-stealing executor.
 func Par(pts []geom.Point, opt *Options) (*Result, error) {
-	res, _, err := run(pts, opt, false)
-	return res, err
+	return noTrace(run(pts, opt, eng.SchedPar))
 }
 
-// run is the path Par and Rounds share: start the construction (on a fresh
-// Reuse, closed on return, when opt has none), sample the heap, run the
-// schedule (engine.Par, or engine.Rounds when rounds is set, with the trace
-// observer when opt.Trace asks for one) over the base polygon's ridges, and
-// collect the result.
-func run(pts []geom.Point, opt *Options, rounds bool) (*Result, *Trace, error) {
+// noTrace drops the trace of a schedule that records none.
+func noTrace(res *Result, _ *Trace, err error) (*Result, error) { return res, err }
+
+// run is the one construction path of Seq, Par and Rounds: validate pts,
+// rewind the Reuse (a fresh one, closed on return, when opt has none), build
+// the base polygon, run schedule s over it — engine.Seq on the hull cycle, or
+// engine.Par or engine.Rounds (with the trace observer when opt.Trace asks
+// for one) on the ridge table — and collect the result.
+func run(pts []geom.Point, opt *Options, s eng.Schedule) (*Result, *Trace, error) {
 	o := opt.or()
 	if o.Reuse == nil {
 		o.Reuse = NewReuse()
 		defer o.Reuse.Close()
 	}
-	e, facets, err := o.start(pts, o.FilterGrain)
+	if err := geom.ValidateCloud(pts, 2); err != nil {
+		return nil, nil, err
+	}
+	ru, grain := o.Reuse, o.FilterGrain
+	if s == eng.SchedSeq {
+		grain = 0
+	}
+	e := engineFor(ru, pts, o.base(), !o.NoCounters, grain, o.NoPlaneCache)
+	e.inj = o.Inject
+	facets, err := e.initialHull()
 	if err != nil {
 		return nil, nil, err
 	}
 	e.rec.SampleHeap()
-	cfg := o.config(e)
-	seed := func(fork func(eng.Task[Facet, int32])) { initialTasks(facets, fork) }
-	var widths []int
-	if rounds {
-		var observe func(eng.EventKind, int32, *Facet, *Facet)
-		if o.Trace {
-			e.trace = &Trace{}
-			observe = e.observe
+	cfg := eng.Config[Facet, int32]{Kernel: kernel{e: e}, Reuse: &ru.Reuse, Workers: o.Workers, Ctx: o.Ctx, Inject: o.Inject}
+	var widths, sizes []int
+	if s == eng.SchedSeq {
+		cfg.Geom = ru.geom.reset(len(pts))
+		// The base polygon is given, not built incrementally, so |T(Y_{i+1})|
+		// is approximate over the base prefix; exact from there on.
+		base := make([]int, e.base)
+		for i := range base {
+			base[i] = min(i+1, e.base)
 		}
-		widths, err = eng.Rounds(cfg, seed, observe)
+		sizes, err = seqLoop(cfg, facets, int32(len(pts)), base)
 	} else {
-		err = eng.Par(cfg, seed)
+		cfg.Table = o.ridgeSlots(e)
+		seed := func(fork func(eng.Task[Facet, int32])) { initialTasks(facets, fork) }
+		if s == eng.SchedRounds {
+			var observe func(eng.EventKind, int32, *Facet, *Facet)
+			if o.Trace {
+				e.trace = &Trace{}
+				observe = e.observe
+			}
+			widths, err = eng.Rounds(cfg, seed, observe)
+		} else {
+			err = eng.Par(cfg, seed)
+		}
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := e.collectResult(len(widths))
+	res, err := e.collectResult(widths, sizes)
 	if err != nil {
 		return nil, nil, err
 	}
-	res.Stats.RoundWidths = widths
 	return res, e.trace, nil
 }

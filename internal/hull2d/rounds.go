@@ -69,4 +69,6 @@ func (e *engine) observe(kind eng.EventKind, round int32, a, b *Facet) {
 // Figure 1 narrative.
 //
 // The returned Result additionally carries a Trace when opt.Trace is set.
-func Rounds(pts []geom.Point, opt *Options) (*Result, *Trace, error) { return run(pts, opt, true) }
+func Rounds(pts []geom.Point, opt *Options) (*Result, *Trace, error) {
+	return run(pts, opt, eng.SchedRounds)
+}

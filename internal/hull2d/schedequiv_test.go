@@ -16,7 +16,7 @@ import (
 // the identical edge multiset, hull, visibility-test count, created count,
 // and depth histogram (so also maximum depth) on fixed seeds — the schedule
 // and the arena backing the memory are the only differences. Every run's
-// creation stats must also agree with its own Result.Created, the walk of
+// creation stats must also agree with its own Result.Created(), the walk of
 // its arenas they are read from.
 func TestParSchedEquivalence(t *testing.T) {
 	leakcheck.Check(t)
@@ -30,14 +30,14 @@ func TestParSchedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s seq: %v", name, err)
 		}
-		sameCreationRecord(t, name+" seq", len(ref.Created), ref.Stats)
+		sameCreationRecord(t, name+" seq", len(ref.Created()), ref.Stats)
 		want := ref.EdgeSet()
 		check := func(sched string, r *Result, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, sched, err)
 			}
-			sameCreationRecord(t, name+" "+sched, len(r.Created), r.Stats)
+			sameCreationRecord(t, name+" "+sched, len(r.Created()), r.Stats)
 			if got, want := fmt.Sprint(r.Vertices), fmt.Sprint(ref.Vertices); got != want {
 				t.Fatalf("%s %s: vertices %s, seq %s", name, sched, got, want)
 			}
@@ -75,7 +75,7 @@ func TestParSchedEquivalence(t *testing.T) {
 }
 
 // sameCreationRecord requires a run's creation stats to describe its own
-// created edges: len(Result.Created) == FacetsCreated == ΣDepthHist, with
+// created edges: len(Result.Created()) == FacetsCreated == ΣDepthHist, with
 // MaxDepth the histogram's last bin, which is occupied.
 func sameCreationRecord(t *testing.T, label string, created int, s Stats) {
 	t.Helper()

@@ -14,7 +14,7 @@ import (
 // internal/engine — inserting points in the order given. Its plane-side
 // tests are exactly the conflict-list constructions, the same multiset of
 // tests Algorithm 3 performs (this equality is asserted by tests).
-// Result.Created is in creation order.
+// Result.Created lists its edges in creation order.
 //
 // The facets it creates carry the same dependence depths as the parallel
 // engines: the depth of a facet built on boundary ridge r between visible
@@ -25,36 +25,7 @@ import (
 // (nil is the default). Without a Reuse it runs on a fresh one, so its
 // facets and conflict lists come from one arena either way.
 func Seq(pts []geom.Point, opt *Options) (*Result, error) {
-	o := opt.or()
-	if o.Reuse == nil {
-		o.Reuse = NewReuse()
-	}
-	e, facets, err := o.start(pts, 0)
-	if err != nil {
-		return nil, err
-	}
-	ru := o.Reuse
-	g := &ru.geom
-	g.reset(len(pts))
-	cfg := eng.SeqConfig[Facet, int32]{
-		Ctx: o.Ctx, Inject: o.Inject, Kernel: kernel{e: e}, Geom: g, Rec: e.rec,
-		Arena: ru.arena, Scratch: &ru.loop,
-	}
-	// baseSizes[i] approximates |T(Y_{i+1})| for the base prefix (the base
-	// polygon is given, not built incrementally); exact from here on.
-	baseSizes := make([]int, e.base)
-	for i := range baseSizes {
-		baseSizes[i] = min(i+1, e.base)
-	}
-	hullSizes, err := seqLoop(cfg, facets, int32(len(pts)), baseSizes)
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.collectResult(0)
-	if err == nil {
-		res.HullSizes = hullSizes
-	}
-	return res, err
+	return noTrace(run(pts, opt, eng.SchedSeq))
 }
 
 // SeqCtx is Seq with cooperative cancellation, optional fault injection
@@ -76,14 +47,15 @@ type seqGeom struct {
 }
 
 // reset sizes and empties the cycle arrays for n points, reusing their
-// backing arrays.
-func (g *seqGeom) reset(n int) {
+// backing arrays, and returns g.
+func (g *seqGeom) reset(n int) *seqGeom {
 	if cap(g.next) < n {
 		g.next, g.prev = make([]*Facet, n), make([]*Facet, n)
 	}
 	g.next, g.prev = g.next[:n], g.prev[:n]
 	clear(g.next)
 	clear(g.prev)
+	return g
 }
 
 // MarkVisible implements engine.SeqGeometry: membership in the visible set is

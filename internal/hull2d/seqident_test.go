@@ -15,7 +15,7 @@ import (
 func withOracle(fn func()) {
 	saved := seqLoop
 	defer func() { seqLoop = saved }()
-	seqLoop = func(cfg eng.SeqConfig[Facet, int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
+	seqLoop = func(cfg eng.Config[Facet, int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
 		return seqref.Seq(cfg, func(f *Facet) []int32 { return f.Conf }, facets, n, baseSizes)
 	}
 	fn()
@@ -39,7 +39,7 @@ func traceOf(res *Result, err error) seqTrace {
 		fallbacks: res.Stats.ExactFallbacks,
 		replaced:  res.Stats.Replaced,
 	}
-	for _, f := range res.Created {
+	for _, f := range res.Created() {
 		tr.created = append(tr.created, [2]int32{f.A, f.B})
 	}
 	return tr
@@ -69,7 +69,7 @@ func sameTrace(t *testing.T, label string, got, want seqTrace) {
 // the same created edge sequence, hull sizes, counters, and error, on
 // general-position and degenerate clouds — on a fresh Reuse and, twice in a
 // row, on one retained Reuse that runs Par between the Seq calls.
-// Result.Created is the walk of the Reuse's own arena and then its pool's
+// Result.Created() lists the walk of the Reuse's own arena and then its pool's
 // worker arenas, so the Seq calls check that Seq finds the worker arenas Par
 // filled empty, which keeps its walk in creation order.
 func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {

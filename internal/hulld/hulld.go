@@ -12,8 +12,12 @@
 // common hyperplane among those touching the hull (Section 6's corner
 // configuration space, in package corner, lifts this restriction for 3D).
 //
-// All three schedules (Seq, Par, Rounds) take (pts, *Options), and one
-// Reuse carries the retained state of every schedule across constructions.
+// All three schedules (Seq, Par, Rounds) take (pts, *Options) and run one
+// construction path (run), and one Reuse carries the retained state of
+// every schedule across constructions. The construction lifecycle — the
+// arenas, the worker pool, the rewind, and the walk that reads the created
+// facets back — is the engine's scaffold (engine.Reuse), which Reuse
+// embeds; this package keeps only the geometry.
 //
 // Lifted mode (Options.Lift) runs 2D Delaunay triangulation as
 // the lower hull of the points lifted onto the paraboloid z = x²+y² at d=3:
@@ -161,27 +165,34 @@ func (f *Facet) Key() string { return ridgeString(f.Verts) }
 // Stats aggregates instrumentation; see hullstats.Stats.
 type Stats = hullstats.Stats
 
-// Result is the output of a hull construction.
+// Result is the output of a hull construction. It is valid until the next
+// construction on the same Reuse.
 type Result struct {
 	// Facets holds the surviving facets of the hull.
 	Facets []*Facet
 	// Vertices holds the sorted indices of points on the hull.
 	Vertices []int32
-	// Created holds every facet ever created, in creation order (Seq) or
-	// an arbitrary order (Par, Rounds): the walk of the construction's
-	// arenas, which are the only record of them.
-	Created []*Facet
 	// HullSizes (sequential engine only) records the facet count of the
 	// hull after each insertion step, for the Theorem 3.1 bound.
 	HullSizes []int
 	Stats     Stats
+
+	ru *Reuse
 }
+
+// Created lists every facet the construction created, in creation order
+// (Seq) or an arbitrary order (Par, Rounds): the walk of the construction's
+// arenas, which are the only record of them. The list is made on each call,
+// sized once from the arenas' facet counts, so a construction nobody asks
+// pays for none.
+func (r *Result) Created() []*Facet { return r.ru.Created() }
 
 // FacetSet returns the multiset of created facets keyed by sorted vertex
 // tuple.
 func (r *Result) FacetSet() map[string]int {
-	m := make(map[string]int, len(r.Created))
-	for _, f := range r.Created {
+	created := r.Created()
+	m := make(map[string]int, len(created))
+	for _, f := range created {
 		m[f.Key()]++
 	}
 	return m
@@ -254,7 +265,7 @@ type engine struct {
 	rec     *hullstats.Recorder
 	inj     *faultinject.Injector // batch-scan fault site (nil in production)
 
-	// ru is the Reuse that owns this engine; initialHull and collectResult
+	// ru is the Reuse that holds this engine; initialHull and collectResult
 	// draw their arena and buffers from it.
 	ru *Reuse
 }
@@ -450,24 +461,14 @@ func (e *engine) newFacet(a *arena, r []int32, p int32, t1, t2 *Facet) (*Facet, 
 	if err != nil {
 		return nil, err
 	}
-	f.Depth = 1 + max32(t1.Depth, t2.Depth)
-	f.Conf = e.mergeFilter(a, t1.Conf, t2.Conf, p, sl)
+	f.Depth = 1 + max(t1.Depth, t2.Depth)
+	// Merge the two ascending conflict lists, drop p, and keep the points
+	// visible from the facet in slot sl: merge and classification in one
+	// pass, never materializing the candidate run, serially through the
+	// arena's scratch below the grain, and the result compacted into the
+	// arena.
+	f.Conf = conflict.MergeFilterFused(&a.Scratch, t1.Conf, t2.Conf, p, e.filter(sl), e.grain, a.Alloc)
 	return f, nil
-}
-
-// mergeFilter merges the two ascending conflict lists, drops p, and keeps
-// the points visible from the facet in slot sl, through the driver's shared
-// grain/arena discipline (engine.MergeFilterFused): merge and classification
-// in one pass, never materializing the candidate run.
-func (e *engine) mergeFilter(a *arena, c1, c2 []int32, p int32, sl *eng.PlaneSlot) []int32 {
-	return eng.MergeFilterFused(a, c1, c2, p, e.filter(sl), e.grain)
-}
-
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // initialHull builds the simplex on the first d+1 points and the conflict
@@ -489,7 +490,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 	// largest slices of the whole run, so recycling them matters as much as
 	// the per-facet arena discipline.
 	ru := e.ru
-	a := ru.arena
+	a := &ru.Arena
 	if cap(ru.base) < d+1 {
 		ru.base = make([]geom.Point, d+1)
 	}
@@ -550,24 +551,23 @@ func ridgeWithout(a *arena, f *Facet, q int32) []int32 {
 	return r
 }
 
-// collectResult reads the construction back from its arenas: the Reuse's
-// own, which holds the base facets (and under Seq every facet, in creation
-// order), then the pool's worker arenas. One pass over that walk gathers the
-// alive facets and tallies every created facet by depth; then the alive
-// facets must form a closed pseudomanifold (checkClosed).
-func (e *engine) collectResult(rounds int) (*Result, error) {
-	e.rec.SampleHeap()
+// collectResult reads the construction back from its arenas: one walk of the
+// scaffold (engine.Reuse.Walk) tallies every created facet by depth and
+// hands it here, where the alive facets are gathered; then the alive facets
+// must form a closed pseudomanifold (checkClosed), and their vertices are
+// marked. The result carries the round widths of Rounds and the hull sizes
+// of Seq (nil under the other schedules).
+func (e *engine) collectResult(widths, sizes []int) (*Result, error) {
 	ru := e.ru
-	ru.created = ru.pool.AppendFacets(ru.arena.AppendFacets(ru.created[:0]))
-	ru.res = Result{Created: ru.created, Facets: ru.facets[:0], Vertices: ru.vertices[:0]}
+	ru.res = Result{Facets: ru.facets[:0], Vertices: ru.vertices[:0], HullSizes: sizes, ru: ru}
 	res := &ru.res
-	ru.depths.Reset()
-	for _, f := range res.Created {
-		ru.depths.Add(f.Depth)
-		if f.Alive() {
-			res.Facets = append(res.Facets, f)
+	depths := ru.Walk(func(f *Facet) int32 { return f.Depth }, func(slab []Facet) {
+		for i := range slab {
+			if f := &slab[i]; f.Alive() {
+				res.Facets = append(res.Facets, f)
+			}
 		}
-	}
+	})
 	if len(res.Facets) < e.d+1 {
 		return nil, fmt.Errorf("hulld: only %d alive facets (want >= %d)", len(res.Facets), e.d+1)
 	}
@@ -590,7 +590,8 @@ func (e *engine) collectResult(rounds int) (*Result, error) {
 			res.Vertices = append(res.Vertices, int32(v))
 		}
 	}
-	res.Stats = e.rec.Snapshot(rounds, len(res.Facets), ru.depths)
+	res.Stats = e.rec.Snapshot(len(widths), len(res.Facets), depths)
+	res.Stats.RoundWidths = widths
 	// Capture the (possibly regrown) backings so the next construction
 	// reuses them at full capacity.
 	ru.facets = res.Facets

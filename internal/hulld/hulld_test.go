@@ -144,7 +144,7 @@ func TestAliveIffEmptyConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range res.Created {
+	for _, f := range res.Created() {
 		if f.Alive() != (len(f.Conf) == 0) {
 			t.Fatalf("facet %v: alive=%v |C|=%d", f, f.Alive(), len(f.Conf))
 		}
@@ -322,9 +322,9 @@ func TestRunGenericMatchesEngine(t *testing.T) {
 		// configurations the canonical engine never builds (Algorithm 1 is
 		// under-specified about which support set to use); it must still
 		// cover everything the engine created, and not by much more.
-		if len(gen.Added) < len(res.Created) || len(gen.Added) > 2*len(res.Created) {
+		if len(gen.Added) < len(res.Created()) || len(gen.Added) > 2*len(res.Created()) {
 			t.Fatalf("d=%d: Algorithm 1 added %d configs, engine created %d facets",
-				d, len(gen.Added), len(res.Created))
+				d, len(gen.Added), len(res.Created()))
 		}
 		// The alive configurations must be exactly the hull facets.
 		hull := res.FacetSet()

@@ -93,7 +93,7 @@ func TestLiftedFilterMatchesExactInCircle(t *testing.T) {
 		t.Fatal(err)
 	}
 	certified, fallbacks := 0, 0
-	for _, f := range res.Created {
+	for _, f := range res.Created() {
 		probe := e.slotOf(t, f)
 		if !probe.Valid() {
 			t.Fatalf("facet %v has no cached plane", f.Verts)

@@ -64,41 +64,6 @@ func (o *Options) or() Options {
 	return *o
 }
 
-// config assembles the driver configuration for a Par or Rounds
-// construction on e.
-func (o *Options) config(e *engine, n int) eng.Config[Facet, []int32] {
-	m := o.Map
-	if m == nil {
-		m = conmap.NewShardedMap[*Facet](eng.DefaultMapCapacity(n, e.d))
-	}
-	return eng.Config[Facet, []int32]{
-		Kernel:  kernel{e: e},
-		Table:   eng.ConmapTable[Facet]{M: m},
-		Rec:     e.rec,
-		Workers: o.Workers,
-		Ctx:     o.Ctx,
-		Inject:  o.Inject,
-		Pool:    o.Reuse.pool,
-	}
-}
-
-// start validates pts and returns o.Reuse's engine for a construction under
-// o, with its base facets built. grain is the schedule's conflict-filter
-// grain.
-func (o *Options) start(pts []geom.Point, grain int) (*engine, []*Facet, error) {
-	d, err := validate(pts, o.Lift)
-	if err != nil {
-		return nil, nil, err
-	}
-	e := engineFor(o.Reuse, pts, o.Lift, d, !o.NoCounters, grain, o.NoPlaneCache)
-	e.inj = o.Inject
-	facets, err := e.initialHull()
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, facets, nil
-}
-
 // initialTasks yields one task per ridge of the initial simplex: the ridge
 // omitting vertices {i, j} is shared by the facets omitting i and omitting j.
 func initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
@@ -118,38 +83,63 @@ func initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
 // Par computes the d-dimensional convex hull with the parallel incremental
 // Algorithm 3 under the asynchronous fork-join schedule (Theorem 5.5), run by
 // the generic driver in internal/engine on the work-stealing executor.
-func Par(pts []geom.Point, opt *Options) (*Result, error) { return run(pts, opt, false) }
+func Par(pts []geom.Point, opt *Options) (*Result, error) { return run(pts, opt, eng.SchedPar) }
 
-// run is the path Par and Rounds share: start the construction (on a fresh
-// Reuse, closed on return, when opt has none), sample the heap, run the
-// schedule (engine.Par, or engine.Rounds when rounds is set) over the base
-// simplex's ridges, and collect the result.
-func run(pts []geom.Point, opt *Options, rounds bool) (*Result, error) {
+// run is the one construction path of Seq, Par and Rounds: validate pts,
+// rewind the Reuse (a fresh one, closed on return, when opt has none), build
+// the base simplex, run schedule s over it — engine.Seq on the ridge-adjacency
+// geometry, or engine.Par or engine.Rounds on the ridge table — and collect
+// the result.
+func run(pts []geom.Point, opt *Options, s eng.Schedule) (*Result, error) {
 	o := opt.or()
 	if o.Reuse == nil {
 		o.Reuse = NewReuse()
 		defer o.Reuse.Close()
 	}
-	e, facets, err := o.start(pts, o.FilterGrain)
+	d, err := validate(pts, o.Lift)
+	if err != nil {
+		return nil, err
+	}
+	ru, grain := o.Reuse, o.FilterGrain
+	if s == eng.SchedSeq {
+		grain = 0
+	}
+	e := engineFor(ru, pts, o.Lift, d, !o.NoCounters, grain, o.NoPlaneCache)
+	e.inj = o.Inject
+	facets, err := e.initialHull()
 	if err != nil {
 		return nil, err
 	}
 	e.rec.SampleHeap()
-	cfg := o.config(e, len(pts))
-	seed := func(fork func(eng.Task[Facet, []int32])) { initialTasks(e.d, facets, fork) }
-	var widths []int
-	if rounds {
-		widths, err = eng.Rounds(cfg, seed, nil)
+	cfg := eng.Config[Facet, []int32]{Kernel: kernel{e: e}, Reuse: &ru.Reuse, Workers: o.Workers, Ctx: o.Ctx, Inject: o.Inject}
+	var widths, sizes []int
+	if s == eng.SchedSeq {
+		cfg.Geom = ru.geom.reset(&ru.Arena)
+		// The base simplex is given, not built incrementally, so the hull
+		// sizes of the base prefix are approximate; exact from there on.
+		base := make([]int, d+1)
+		for i := range base {
+			base[i] = min(i+2, d+1)
+		}
+		sizes, err = seqLoop(cfg, facets, int32(len(pts)), base)
+		if err == nil && ru.geom.crowded {
+			err = errCrowded
+		}
 	} else {
-		err = eng.Par(cfg, seed)
+		m := o.Map
+		if m == nil {
+			m = conmap.NewShardedMap[*Facet](eng.DefaultMapCapacity(len(pts), d))
+		}
+		cfg.Table = eng.ConmapTable[Facet]{M: m}
+		seed := func(fork func(eng.Task[Facet, []int32])) { initialTasks(d, facets, fork) }
+		if s == eng.SchedRounds {
+			widths, err = eng.Rounds(cfg, seed, nil)
+		} else {
+			err = eng.Par(cfg, seed)
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.collectResult(len(widths))
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.RoundWidths = widths
-	return res, nil
+	return e.collectResult(widths, sizes)
 }

@@ -17,7 +17,7 @@ import (
 // produce the identical facet multiset, vertex set, visibility-test count,
 // created count, and depth histogram (so also maximum depth) on fixed seeds
 // — only the order (and the arena backing the memory) differs. Every run's
-// creation stats must also agree with its own Result.Created, the walk of
+// creation stats must also agree with its own Result.Created(), the walk of
 // its arenas they are read from.
 func TestParSchedEquivalence(t *testing.T) {
 	leakcheck.Check(t)
@@ -36,13 +36,13 @@ func TestParSchedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("d=%d %s seq: %v", d, name, err)
 			}
-			sameCreationRecord(t, fmt.Sprintf("d=%d %s seq", d, name), len(ref.Created), ref.Stats)
+			sameCreationRecord(t, fmt.Sprintf("d=%d %s seq", d, name), len(ref.Created()), ref.Stats)
 			check := func(sched string, r *Result, err error) {
 				t.Helper()
 				if err != nil {
 					t.Fatalf("d=%d %s %s: %v", d, name, sched, err)
 				}
-				sameCreationRecord(t, fmt.Sprintf("d=%d %s %s", d, name, sched), len(r.Created), r.Stats)
+				sameCreationRecord(t, fmt.Sprintf("d=%d %s %s", d, name, sched), len(r.Created()), r.Stats)
 				if got, want := fmt.Sprint(r.Vertices), fmt.Sprint(ref.Vertices); got != want {
 					t.Fatalf("d=%d %s %s: vertices %s, seq %s", d, name, sched, got, want)
 				}
@@ -74,7 +74,7 @@ func TestParSchedEquivalence(t *testing.T) {
 }
 
 // sameCreationRecord requires a run's creation stats to describe its own
-// created facets: len(Result.Created) == FacetsCreated == ΣDepthHist, with
+// created facets: len(Result.Created()) == FacetsCreated == ΣDepthHist, with
 // MaxDepth the histogram's last bin, which is occupied.
 func sameCreationRecord(t *testing.T, label string, created int, s Stats) {
 	t.Helper()

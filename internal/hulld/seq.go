@@ -13,50 +13,12 @@ import (
 // incremental method — Algorithm 2, run by the generic loop in
 // internal/engine — inserting points in the order given. As in hull2d, its
 // plane-side tests are exactly the conflict filters — the same multiset
-// Algorithm 3 performs. Result.Created is in creation order.
+// Algorithm 3 performs. Result.Created lists its facets in creation order.
 //
 // Seq reads Ctx, Inject, NoCounters, NoPlaneCache, Lift, and Reuse from opt
 // (nil is the default). Without a Reuse it runs on a fresh one, so its
 // facets and conflict lists come from one arena either way.
-func Seq(pts []geom.Point, opt *Options) (*Result, error) {
-	o := opt.or()
-	if o.Reuse == nil {
-		o.Reuse = NewReuse()
-	}
-	e, facets, err := o.start(pts, 0)
-	if err != nil {
-		return nil, err
-	}
-	ru, d := o.Reuse, e.d
-	g := &ru.geom
-	if g.adj == nil {
-		g.adj = map[ridgeMapKey][2]*Facet{}
-	}
-	clear(g.adj)
-	g.a, g.crowded = ru.arena, false
-	cfg := eng.SeqConfig[Facet, []int32]{
-		Ctx: o.Ctx, Inject: o.Inject, Kernel: kernel{e: e}, Geom: g, Rec: e.rec,
-		Arena: ru.arena, Scratch: &ru.loop,
-	}
-	// baseSizes[i] approximates the hull size over the base prefix (the base
-	// simplex is given, not built incrementally); exact from here on.
-	baseSizes := make([]int, d+1)
-	for i := range baseSizes {
-		baseSizes[i] = min(i+2, d+1)
-	}
-	hullSizes, err := seqLoop(cfg, facets, int32(len(pts)), baseSizes)
-	if err == nil && g.crowded {
-		err = errCrowded
-	}
-	if err != nil {
-		return nil, err
-	}
-	res, err := e.collectResult(0)
-	if err == nil {
-		res.HullSizes = hullSizes
-	}
-	return res, err
-}
+func Seq(pts []geom.Point, opt *Options) (*Result, error) { return run(pts, opt, eng.SchedSeq) }
 
 // SeqCtx is Seq with cooperative cancellation, optional fault injection
 // (nil in production), and the plane-cache ablation switch as arguments. It
@@ -75,6 +37,17 @@ type seqGeom struct {
 	adj     map[ridgeMapKey][2]*Facet
 	a       *arena // carves the boundary-ridge slices
 	crowded bool
+}
+
+// reset empties the map for a construction whose boundary ridges carve from
+// a, and returns g.
+func (g *seqGeom) reset(a *arena) *seqGeom {
+	if g.adj == nil {
+		g.adj = map[ridgeMapKey][2]*Facet{}
+	}
+	clear(g.adj)
+	g.a, g.crowded = a, false
+	return g
 }
 
 // MarkVisible implements engine.SeqGeometry: membership is tracked by

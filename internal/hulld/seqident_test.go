@@ -16,7 +16,7 @@ import (
 func withOracle(fn func()) {
 	saved := seqLoop
 	defer func() { seqLoop = saved }()
-	seqLoop = func(cfg eng.SeqConfig[Facet, []int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
+	seqLoop = func(cfg eng.Config[Facet, []int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
 		return seqref.Seq(cfg, func(f *Facet) []int32 { return f.Conf }, facets, n, baseSizes)
 	}
 	fn()
@@ -40,7 +40,7 @@ func traceOf(res *Result, err error) seqTrace {
 		fallbacks: res.Stats.ExactFallbacks,
 		replaced:  res.Stats.Replaced,
 	}
-	for _, f := range res.Created {
+	for _, f := range res.Created() {
 		tr.created = append(tr.created, slices.Clone(f.Verts))
 	}
 	return tr
@@ -75,7 +75,7 @@ func sameTrace(t *testing.T, label string, got, want seqTrace) {
 // facet sequence, hull sizes, counters, and error, on general-position and
 // degenerate clouds in d = 2..5 and lifted from 2D — on a fresh Reuse and,
 // twice in a row, on one retained Reuse that runs Par between the Seq
-// calls. Result.Created is the walk of the Reuse's own arena and then its
+// calls. Result.Created() lists the walk of the Reuse's own arena and then its
 // pool's worker arenas, so the Seq calls check that Seq finds the worker
 // arenas Par filled empty, which keeps its walk in creation order. Only the
 // loop is swapped; both runs
@@ -125,7 +125,7 @@ func TestSeqPivotBucketsMatchConflictGraph(t *testing.T) {
 // Reuse must clear the flag for the next construction.
 func TestSeqGeomCrowdedRidge(t *testing.T) {
 	pts := seqref.Clouds(3, 50, 3)[0].Pts
-	crowd := func(cfg eng.SeqConfig[Facet, []int32], facets []*Facet) {
+	crowd := func(cfg eng.Config[Facet, []int32], facets []*Facet) {
 		for _, f := range facets {
 			cfg.Geom.Register(f)
 		}
@@ -134,7 +134,7 @@ func TestSeqGeomCrowdedRidge(t *testing.T) {
 
 	ru := NewReuse()
 	saved := seqLoop
-	seqLoop = func(cfg eng.SeqConfig[Facet, []int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
+	seqLoop = func(cfg eng.Config[Facet, []int32], facets []*Facet, n int32, baseSizes []int) ([]int, error) {
 		crowd(cfg, facets)
 		_, err := cfg.Geom.Boundary(facets[:1], 1, nil)
 		if !errors.Is(err, ErrDegenerate) {
