@@ -25,7 +25,7 @@ func BenchmarkDepth2D(b *testing.B) {
 			var depth int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := hull2d.Par(pts, &hull2d.Options{NoCounters: true})
+				res, err := hull2d.Par(pts, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -44,7 +44,7 @@ func BenchmarkDepth3D(b *testing.B) {
 			var depth int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := hulld.Par(pts, &hulld.Options{NoCounters: true})
+				res, err := hulld.Par(pts, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -65,7 +65,7 @@ func BenchmarkRounds2D(b *testing.B) {
 			var rounds int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, _, err := hull2d.Rounds(pts, &hull2d.Options{NoCounters: true})
+				res, _, err := hull2d.Rounds(pts, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -140,21 +140,21 @@ func BenchmarkHull2D(b *testing.B) {
 		pts := workloadFor(cfg.name, cfg.n)
 		b.Run(cfg.name+"/seq", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hull2d.Seq(pts, &hull2d.Options{NoCounters: true}); err != nil {
+				if _, err := hull2d.Seq(pts, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(cfg.name+"/par", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := hull2d.Par(pts, &hull2d.Options{NoCounters: true}); err != nil {
+				if _, err := hull2d.Par(pts, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(cfg.name+"/rounds", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := hull2d.Rounds(pts, &hull2d.Options{NoCounters: true}); err != nil {
+				if _, _, err := hull2d.Rounds(pts, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -179,14 +179,14 @@ func BenchmarkHull3D(b *testing.B) {
 	pts := pointgen.OnSphere(pointgen.NewRNG(6), 20000, 3)
 	b.Run("seq", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hulld.Seq(pts, &hulld.Options{NoCounters: true}); err != nil {
+			if _, err := hulld.Seq(pts, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("par", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := hulld.Par(pts, &hulld.Options{NoCounters: true}); err != nil {
+			if _, err := hulld.Par(pts, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -197,7 +197,7 @@ func BenchmarkHull3D(b *testing.B) {
 	b.Run("ball100k/steal", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := hulld.Par(ball, &hulld.Options{NoCounters: true}); err != nil {
+			if _, err := hulld.Par(ball, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -211,7 +211,7 @@ func BenchmarkHalfspaceDual(b *testing.B) {
 	var depth int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := parhull.HalfspaceIntersection(normals, &parhull.Options{NoCounters: true})
+		res, err := parhull.HalfspaceIntersection(normals, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -249,7 +249,7 @@ func BenchmarkHull2DMapKinds(b *testing.B) {
 	}{{"vertexslots", parhull.MapSharded}, {"cas", parhull.MapCAS}, {"tas", parhull.MapTAS}} {
 		b.Run(mk.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := parhull.Hull2D(pts, &parhull.Options{Map: mk.kind, NoCounters: true})
+				_, err := parhull.Hull2D(pts, &parhull.Options{Map: mk.kind})
 				if err != nil {
 					b.Fatal(err)
 				}

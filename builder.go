@@ -2,6 +2,7 @@ package parhull
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"parhull/internal/conmap"
@@ -98,18 +99,27 @@ func (b *Builder) Close() {
 	b.ru2.Close()
 }
 
-// start checks the Builder and its options, then returns pts in insertion
-// order — shuffled into the retained buffers when Options.Shuffle is set —
-// with the order that maps engine indices back to caller indices (nil when
-// pts is used as given). Position p of the shuffled input holds original
-// point order[p] (see mapBack), so no inverse permutation is needed.
-func (b *Builder) start(pts []Point) ([]Point, []int, error) {
+// start checks the Builder, its options and pts, a cloud of dimension d,
+// then returns pts in insertion order — shuffled into the retained buffers
+// when Options.Shuffle is set — with the order that maps engine indices back
+// to caller indices (nil when pts is used as given). Position p of the
+// shuffled input holds original point order[p] (see mapBack), so no inverse
+// permutation is needed. The points are validated once, here, in the
+// caller's order: an error names the caller's index, and the scan reads pts
+// sequentially. Empty input passes, for the construction to report as
+// degenerate.
+func (b *Builder) start(pts []Point, d int) ([]Point, []int, error) {
 	if b.closed {
 		return nil, nil, errBuilderClosed
 	}
 	o := b.opt
 	if err := o.validate(); err != nil {
 		return nil, nil, err
+	}
+	if len(pts) > 0 {
+		if err := geom.ValidateCloud(pts, d); err != nil {
+			return nil, nil, wrapErr(err)
+		}
 	}
 	if !o.Shuffle {
 		return pts, nil, nil
@@ -119,15 +129,13 @@ func (b *Builder) start(pts []Point) ([]Point, []int, error) {
 	return b.work, b.order, nil
 }
 
-// maybePreHull is Options.maybePreHull on the Builder's retained pre-hull
+// maybePreHull runs the pre-hull reduction that Options.PreHull selects over
+// work, which start has validated, on the Builder's retained pre-hull
 // scratch and composition buffers.
-func (b *Builder) maybePreHull(work []Point, order []int, d int) ([]Point, []int, int, int, error) {
+func (b *Builder) maybePreHull(work []Point, order []int) ([]Point, []int, int, int, error) {
 	o := b.opt
-	if o.PreHull == PreHullOff || d < 2 || len(work) == 0 {
+	if o.PreHull == PreHullOff || len(work) == 0 {
 		return work, order, 0, 0, nil
-	}
-	if err := geom.ValidateCloud(work, d); err != nil {
-		return nil, nil, 0, 0, err
 	}
 	if o.PreHull == PreHullAuto && !o.preHullWorthIt(work, &b.ph) {
 		return work, order, 0, 0, nil
@@ -162,15 +170,15 @@ func (b *Builder) maybePreHull(work []Point, order []int, d int) ([]Point, []int
 // Builder type for the recycling contract.
 func (b *Builder) Build(pts []Point) (out *HullDResult, err error) {
 	defer guard(&err)
-	work, order, err := b.start(pts)
-	if err != nil {
-		return nil, err
-	}
 	d := 0
 	if len(pts) > 0 {
 		d = len(pts[0])
 	}
-	work, order, phBlocks, phKept, err := b.maybePreHull(work, order, d)
+	work, order, err := b.start(pts, d)
+	if err != nil {
+		return nil, err
+	}
+	work, order, phBlocks, phKept, err := b.maybePreHull(work, order)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -236,11 +244,11 @@ func (b *Builder) Build3D(pts []Point) (*HullDResult, error) {
 // recycling contract.
 func (b *Builder) Build2D(pts []Point) (out *Hull2DResult, err error) {
 	defer guard(&err)
-	work, order, err := b.start(pts)
+	work, order, err := b.start(pts, 2)
 	if err != nil {
 		return nil, err
 	}
-	work, order, phBlocks, phKept, err := b.maybePreHull(work, order, 2)
+	work, order, phBlocks, phKept, err := b.maybePreHull(work, order)
 	if err != nil {
 		return nil, wrapErr(err)
 	}
@@ -267,7 +275,9 @@ func (b *Builder) Build2D(pts []Point) (out *Hull2DResult, err error) {
 // dispatch, behind Build, Delaunay (which passes the 2D points whose lifts
 // work holds), and so HullD, Hull3D, and HalfspaceIntersection. Par and
 // Rounds climb the capacity degradation ladder over the Builder's retained
-// ridge tables; the ladder's record lands in Stats.
+// ridge tables; the ladder's record lands in Stats. The kernel's DepthHist
+// is its Reuse's, so the one in the returned Stats is a copy the caller
+// owns.
 func (b *Builder) runD(work, lift []Point) (*hulld.Result, error) {
 	o := b.opt
 	d := 0
@@ -285,7 +295,6 @@ func (b *Builder) runD(work, lift []Point) (*hulld.Result, error) {
 			ho := &hulld.Options{
 				Map:         m,
 				Workers:     o.Workers,
-				NoCounters:  o.NoCounters,
 				FilterGrain: o.FilterGrain,
 				Ctx:         o.Context,
 				Inject:      o.inject,
@@ -305,6 +314,7 @@ func (b *Builder) runD(work, lift []Point) (*hulld.Result, error) {
 	}
 	res.Stats.CapacityRetries = retries
 	res.Stats.MapFallback = fellBack
+	res.Stats.DepthHist = slices.Clone(res.Stats.DepthHist)
 	return res, nil
 }
 
@@ -322,7 +332,6 @@ func (b *Builder) run2D(work []Point) (*hull2d.Result, error) {
 			ho := &hull2d.Options{
 				Map:         m,
 				Workers:     o.Workers,
-				NoCounters:  o.NoCounters,
 				FilterGrain: o.FilterGrain,
 				Ctx:         o.Context,
 				Inject:      o.inject,
@@ -342,6 +351,7 @@ func (b *Builder) run2D(work []Point) (*hull2d.Result, error) {
 	}
 	res.Stats.CapacityRetries = retries
 	res.Stats.MapFallback = fellBack
+	res.Stats.DepthHist = slices.Clone(res.Stats.DepthHist)
 	return res, nil
 }
 
@@ -349,9 +359,11 @@ func (b *Builder) run2D(work []Point) (*hull2d.Result, error) {
 // its next Build in arenas — the facet slabs and int32 blocks every facet,
 // vertex tuple, ridge and conflict list is carved from — and in ridge tables
 // (slot arrays; the 2D vertex-slot table included). Point, pre-hull and
-// output buffers are not counted. Unlike Stats.PeakBytes it samples nothing,
-// so on one input, schedule and worker count it is the same after every
-// warm Build.
+// output buffers are not counted. Stats.PeakBytes counts, of the same
+// structures, what one construction used, with its point store; after the
+// first Build of a Builder on one worker, the two differ by exactly the
+// point store's coordinates. On one input, schedule and worker count
+// RetainedBytes is the same after every warm Build.
 func (b *Builder) RetainedBytes() int64 {
 	return b.ruD.Bytes() + b.ru2.Bytes() + b.mapsD.bytes() + b.maps2.bytes()
 }

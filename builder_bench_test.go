@@ -5,12 +5,12 @@ import (
 )
 
 // BenchmarkBuilderSteadyState measures the steady-state cost of a reused
-// Builder on the headline perf workload (3d-ball-100k, counters off, direct
-// path) — the allocs/op here is the number the CI reuse gate bounds. The
-// first Build (pool construction, high-water growth) runs outside the timer.
+// Builder on the headline perf workload (3d-ball-100k, direct path) — the
+// allocs/op here is the number the CI reuse gate bounds. The first Build
+// (pool construction, high-water growth) runs outside the timer.
 func BenchmarkBuilderSteadyState(b *testing.B) {
 	pts := RandomPoints(100_000, 3, 42)
-	bld := NewBuilder(&Options{NoCounters: true, PreHull: PreHullOff})
+	bld := NewBuilder(&Options{PreHull: PreHullOff})
 	defer bld.Close()
 	if _, err := bld.Build(pts); err != nil {
 		b.Fatal(err)
@@ -51,7 +51,7 @@ func BenchmarkHullDOneShot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := HullD(pts, &Options{NoCounters: true, PreHull: PreHullOff}); err != nil {
+		if _, err := HullD(pts, &Options{PreHull: PreHullOff}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -306,3 +306,72 @@ func TestBuilderCanceledBuildRidgeTable(t *testing.T) {
 		})
 	}
 }
+
+// TestPeakBytesAccount pins Stats.PeakBytes as an exact account of the
+// construction's own structures, and counting as always on. On a fresh
+// Builder with one worker and no pre-hull, the first build's arenas and
+// ridge table are all the Builder retains, so under every engine and ridge
+// table its PeakBytes is RetainedBytes after it plus the point store's
+// coordinates, and a second build of the same input reports the same
+// PeakBytes. Build, Build2D and Delaunay report PeakBytes and visibility
+// tests under every engine.
+func TestPeakBytesAccount(t *testing.T) {
+	ball := RandomPoints(3000, 3, 8)
+	disk := RandomPoints(3000, 2, 9)
+	routes := []struct {
+		name  string
+		pts   []Point
+		build func(*Builder, []Point) (Stats, error)
+	}{
+		{"Build", ball, func(b *Builder, p []Point) (Stats, error) {
+			r, err := b.Build(p)
+			if err != nil {
+				return Stats{}, err
+			}
+			return r.Stats, nil
+		}},
+		{"Build2D", disk, func(b *Builder, p []Point) (Stats, error) {
+			r, err := b.Build2D(p)
+			if err != nil {
+				return Stats{}, err
+			}
+			return r.Stats, nil
+		}},
+	}
+	for _, e := range []Engine{EngineSequential, EngineParallel, EngineRounds} {
+		for _, m := range []MapKind{MapSharded, MapCAS, MapTAS} {
+			for _, r := range routes {
+				label := fmt.Sprintf("%s engine %d map %d", r.name, e, m)
+				b := NewBuilder(&Options{Engine: e, Map: m, PreHull: PreHullOff, Workers: 1})
+				cold, err := r.build(b, r.pts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				coords := int64(8 * len(r.pts) * len(r.pts[0]))
+				if want := b.RetainedBytes() + coords; cold.PeakBytes != want {
+					t.Errorf("%s: cold PeakBytes %d, want RetainedBytes %d + coordinates %d = %d",
+						label, cold.PeakBytes, b.RetainedBytes(), coords, want)
+				}
+				if cold.VisibilityTests <= 0 {
+					t.Errorf("%s: VisibilityTests %d, want > 0", label, cold.VisibilityTests)
+				}
+				warm, err := r.build(b, r.pts)
+				if err != nil {
+					t.Fatalf("%s, warm: %v", label, err)
+				}
+				if warm.PeakBytes != cold.PeakBytes {
+					t.Errorf("%s: warm PeakBytes %d, cold %d", label, warm.PeakBytes, cold.PeakBytes)
+				}
+				b.Close()
+			}
+		}
+		res, err := Delaunay(disk[:500], &Options{Engine: e, Shuffle: true, Seed: 1})
+		if err != nil {
+			t.Fatalf("Delaunay engine %d: %v", e, err)
+		}
+		if res.Stats.PeakBytes <= 0 || res.Stats.VisibilityTests <= 0 {
+			t.Errorf("Delaunay engine %d: PeakBytes %d, VisibilityTests %d, want both > 0",
+				e, res.Stats.PeakBytes, res.Stats.VisibilityTests)
+		}
+	}
+}

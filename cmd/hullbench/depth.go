@@ -28,13 +28,13 @@ func workload(dist string, seed int64, n, d int) []geom.Point {
 func runPar(dist string, seed int64, n, d int) (int, int, error) {
 	pts := workload(dist, seed, n, d)
 	if d == 2 {
-		res, err := hull2d.Par(pts, &hull2d.Options{NoCounters: true})
+		res, err := hull2d.Par(pts, nil)
 		if err != nil {
 			return 0, 0, err
 		}
 		return res.Stats.MaxDepth, res.Stats.HullSize, nil
 	}
-	res, err := hulld.Par(pts, &hulld.Options{NoCounters: true})
+	res, err := hulld.Par(pts, nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -152,14 +152,14 @@ func expRounds() {
 				var rounds, depth int
 				var widths []int
 				if cfg.d == 2 {
-					res, _, err := hull2d.Rounds(pts, &hull2d.Options{NoCounters: true})
+					res, _, err := hull2d.Rounds(pts, nil)
 					if err != nil {
 						fmt.Println("error:", err)
 						return
 					}
 					rounds, depth, widths = res.Stats.Rounds, res.Stats.MaxDepth, res.Stats.RoundWidths
 				} else {
-					res, err := hulld.Rounds(pts, &hulld.Options{NoCounters: true})
+					res, err := hulld.Rounds(pts, nil)
 					if err != nil {
 						fmt.Println("error:", err)
 						return

@@ -182,7 +182,7 @@ func expHalfspace() {
 	for _, cfg := range []struct{ d, n int }{{2, 10000}, {3, 10000}} {
 		n := sz(cfg.n)
 		nm := genNormals(int64(60+cfg.d), n, cfg.d)
-		res, err := parhull.HalfspaceIntersection(nm, &parhull.Options{NoCounters: true, PreHull: parhull.PreHullOff})
+		res, err := parhull.HalfspaceIntersection(nm, &parhull.Options{PreHull: parhull.PreHullOff})
 		if err != nil {
 			fmt.Println("error:", err)
 			return

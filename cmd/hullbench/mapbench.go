@@ -52,7 +52,7 @@ func expMap() {
 		{"vertex slots (2D MapSharded)", nil},
 	} {
 		start := time.Now()
-		res, err := hull2d.Par(pts, &hull2d.Options{Map: mk.m, NoCounters: true})
+		res, err := hull2d.Par(pts, &hull2d.Options{Map: mk.m})
 		if err != nil {
 			fmt.Println("error:", err)
 			return

@@ -37,8 +37,9 @@ type perfEntry struct {
 	Facets      int     `json:"facets"`
 	Depth       int     `json:"depth"`
 	Rounds      int     `json:"rounds"`
-	// PeakBytes is the sampled peak live-heap growth of one counted run of
-	// the workload (Stats.PeakBytes; 0 in rows measured with counters off).
+	// PeakBytes is the exact size of what one run of the workload's
+	// construction holds when it ends (Stats.PeakBytes); 0 in rows that do
+	// not record it.
 	PeakBytes int64 `json:"peak_bytes,omitempty"`
 	// RetainedBytes is the exact size of the arenas and ridge tables a warm
 	// Builder keeps for its next build (Builder.RetainedBytes), set on the
@@ -121,9 +122,9 @@ func expPerf() {
 			for i := 0; i < b.N; i++ {
 				var err error
 				if wl.dim == 2 {
-					_, err = hull2d.Par(wl.pts, &hull2d.Options{NoCounters: true})
+					_, err = hull2d.Par(wl.pts, nil)
 				} else {
-					_, err = hulld.Par(wl.pts, &hulld.Options{NoCounters: true})
+					_, err = hulld.Par(wl.pts, nil)
 				}
 				if err != nil {
 					b.Fatal(err)

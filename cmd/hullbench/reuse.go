@@ -50,9 +50,9 @@ type reuseRow struct {
 // expReuse — Builder reuse: the first Build on a parhull.Builder pays for the
 // worker pool, arenas, ridge table, and output buffers; every later Build
 // recycles them, under every schedule. This experiment measures both phases
-// on the headline perf workload (3d-ball-100k, counters off, direct path —
-// the same configuration as the perf export's steal row), appends the rows
-// to BENCH_parhull.json, and acts as the CI allocation gate: a steady-state
+// on the headline perf workload (3d-ball-100k, direct path — the same
+// configuration as the perf export's steal row), appends the rows to
+// BENCH_parhull.json, and acts as the CI allocation gate: a steady-state
 // allocs/op above -reuse-gate under the parallel engine (reuse-steady), the
 // sequential one (reuse-steady-seq) or the rounds one (reuse-steady-rounds)
 // fails the run, so a pooling regression (a buffer silently dropped from the
@@ -72,7 +72,7 @@ type reuseRow struct {
 func expReuse() {
 	pts := pointgen.Shuffled(pointgen.NewRNG(41), pointgen.UniformBall(pointgen.NewRNG(41), sz(100000), 3))
 	direct := func(e parhull.Engine) *parhull.Options {
-		return &parhull.Options{Engine: e, NoCounters: true, PreHull: parhull.PreHullOff, Workers: 1}
+		return &parhull.Options{Engine: e, PreHull: parhull.PreHullOff, Workers: 1}
 	}
 
 	opt := direct(parhull.EngineParallel)

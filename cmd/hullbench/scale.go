@@ -21,10 +21,10 @@ var hugeScale = flag.Bool("huge", false,
 // BENCH_parhull.json replaces exactly these rows.
 var scaleWorkloads = []string{"3d-ball-10m", "3d-ball-100m"}
 
-// expScale — the large-n rows (DESIGN.md §4.7): one counted run each of
-// 3d-ball-10m (and 3d-ball-100m behind -huge) with counters on, recording
-// ns/op, allocs, and the sampled live-heap peak — the evidence that the
-// grow-only arenas hold at 1e7+. The rows land in BENCH_parhull.json.
+// expScale — the large-n rows (DESIGN.md §4.7): one run each of
+// 3d-ball-10m (and 3d-ball-100m behind -huge), recording ns/op, allocs, and
+// the bytes the construction holds (Stats.PeakBytes) — the evidence that
+// the grow-only arenas hold at 1e7+. The rows land in BENCH_parhull.json.
 func expScale() {
 	w := table()
 	fmt.Fprintln(w, "workload\tsched\tns/op\tallocs/op\tB/op\tfacets\tdepth\tpeakB")

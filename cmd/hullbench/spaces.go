@@ -95,7 +95,7 @@ func expSpaces() {
 	bseq := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := parhull.Delaunay(pts, &parhull.Options{NoCounters: true, Workers: 1}); err != nil {
+			if _, err := parhull.Delaunay(pts, &parhull.Options{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -105,7 +105,7 @@ func expSpaces() {
 	bpar := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := parhull.Delaunay(pts, &parhull.Options{NoCounters: true}); err != nil {
+			if _, err := parhull.Delaunay(pts, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -107,7 +107,7 @@ func expSpeedup() {
 
 	run := func(wl workload, p int, prehull bool) (float64, int, error) {
 		runtime.GOMAXPROCS(p)
-		opt := &parhull.Options{Workers: p, NoCounters: true, PreHull: parhull.PreHullOff}
+		opt := &parhull.Options{Workers: p, PreHull: parhull.PreHullOff}
 		if prehull {
 			opt.PreHull = parhull.PreHullOn
 		}

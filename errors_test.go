@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,6 +223,52 @@ func TestBadOptionValidation(t *testing.T) {
 	}
 	if _, err := Hull3D(pts2, nil); !errors.Is(err, ErrBadOption) {
 		t.Errorf("Hull3D on 2D points: want ErrBadOption")
+	}
+}
+
+// TestErrorsNameCallerIndexUnderShuffle pins that a bad point is reported by
+// its index in the caller's slice when Options.Shuffle reorders the
+// insertion: a NaN coordinate and a point of the wrong dimension at caller
+// index k are "point k" from HullD and Hull2D, with and without the
+// pre-hull, and from Delaunay.
+func TestErrorsNameCallerIndexUnderShuffle(t *testing.T) {
+	const k = 5
+	for _, c := range []struct {
+		name string
+		n, d int
+		run  func([]Point) error
+	}{
+		{"HullD", 20000, 3, func(p []Point) error { _, err := HullD(p, &Options{Shuffle: true, Seed: 3}); return err }},
+		{"HullD/PreHullOff", 20000, 3, func(p []Point) error {
+			_, err := HullD(p, &Options{Shuffle: true, Seed: 3, PreHull: PreHullOff})
+			return err
+		}},
+		{"Hull2D", 20000, 2, func(p []Point) error { _, err := Hull2D(p, &Options{Shuffle: true, Seed: 3}); return err }},
+		{"Hull2D/PreHullOff", 20000, 2, func(p []Point) error {
+			_, err := Hull2D(p, &Options{Shuffle: true, Seed: 3, PreHull: PreHullOff})
+			return err
+		}},
+		{"Delaunay", 2000, 2, func(p []Point) error { _, err := Delaunay(p, &Options{Shuffle: true, Seed: 3}); return err }},
+	} {
+		nan := make(Point, c.d)
+		nan[c.d-1] = math.NaN()
+		for _, bad := range []struct {
+			kind, sentinel string
+			p              Point
+			msg            string
+		}{
+			{"NaN", "ErrBadCoordinate", nan, fmt.Sprintf("point %d:", k)},
+			{"dimension", "ErrBadOption", make(Point, c.d+1), fmt.Sprintf("point %d has dimension", k)},
+		} {
+			pts := RandomPoints(c.n, c.d, 1)
+			pts[k] = bad.p
+			err := c.run(pts)
+			label := c.name + " " + bad.kind
+			wantExactly(t, label, err, bad.sentinel)
+			if !strings.Contains(err.Error(), bad.msg) {
+				t.Errorf("%s: %q does not name caller index %d", label, err, k)
+			}
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 func main() {
 	const n = 200_000
 	pts := parhull.RandomSpherePoints(n, 2, 13)
-	opt := &parhull.Options{Shuffle: true, Seed: 5, NoCounters: true}
+	opt := &parhull.Options{Shuffle: true, Seed: 5}
 
 	// Structural parallelism first: rounds and depth do not depend on the
 	// machine.

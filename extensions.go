@@ -39,11 +39,11 @@ type HalfspaceResult struct {
 // half-spaces {x : normals[i]·x <= 1} by duality (Section 7): it builds the
 // convex hull of the normal vectors exactly as HullD does, then dualizes
 // each hull facet back to a vertex. Engine, Map (with the degradation
-// ladder), PreHull, Shuffle, Workers, FilterGrain, NoCounters, and Context
-// therefore apply as in HullD, and Stats is the hull's. The intersection
-// must be bounded, i.e. the normals must positively span R^d (the origin
-// strictly inside their hull) — prepend HalfspaceBoundingSimplex to
-// guarantee it; unbounded input returns ErrDegenerate.
+// ladder), PreHull, Shuffle, Workers, FilterGrain, and Context therefore
+// apply as in HullD, and Stats is the hull's. The intersection must be
+// bounded, i.e. the normals must positively span R^d (the origin strictly
+// inside their hull) — prepend HalfspaceBoundingSimplex to guarantee it;
+// unbounded input returns ErrDegenerate.
 func HalfspaceIntersection(normals []Point, opt *Options) (out *HalfspaceResult, err error) {
 	defer guard(&err)
 	res, err := HullD(normals, opt)
@@ -239,16 +239,16 @@ type DelaunayResult struct {
 // Stats.Rounds/RoundWidths report the dependence structure) — and all
 // three produce the identical triangle set. Points are inserted in input
 // order unless Options.Shuffle is set (which the O(log n) depth guarantee
-// assumes). Map (with the degradation ladder), Workers, FilterGrain,
-// NoCounters, and Context apply; the pre-hull reduction does not (a
-// Delaunay triangulation keeps interior points). Stats counts the lifted
-// hull, whose given base simplex is the bounding triangle and the first
-// point, and HullSize is the number of triangles.
+// assumes). Map (with the degradation ladder), Workers, FilterGrain, and
+// Context apply; the pre-hull reduction does not (a Delaunay triangulation
+// keeps interior points). Stats counts the lifted hull, whose given base
+// simplex is the bounding triangle and the first point, and HullSize is the
+// number of triangles.
 func Delaunay(pts []Point, opt *Options) (out *DelaunayResult, err error) {
 	defer guard(&err)
 	b := NewBuilder(opt)
 	defer b.Close()
-	work, order, err := b.start(pts)
+	work, order, err := b.start(pts, 2)
 	if err != nil {
 		return nil, err
 	}

@@ -88,7 +88,7 @@ func newRowKernel(rng *rand.Rand, stride, npts int) rowKernel {
 			k.n[i] = 2*rng.Float64() - 1
 		}
 	}
-	k.rec = hullstats.NewRecorder(true)
+	k.rec = new(hullstats.Recorder)
 	return k
 }
 

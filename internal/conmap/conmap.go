@@ -147,6 +147,9 @@ type RidgeMap[V comparable] interface {
 	// fixed tables) means the handshake could not be performed and the
 	// construction must abort; the partner is then meaningless.
 	Meet(k Key, v V) (V, error)
+	// Bytes returns the exact size of the table's slots (for the sharded
+	// map, its slot arrays and long-key columns).
+	Bytes() int64
 }
 
 // roundCapacity returns the smallest power of two >= 2*expected (minimum 8),

@@ -94,7 +94,7 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 	all := append(pts[:n:n], bound[:]...)
 	b0, b1, b2 := int32(n), int32(n+1), int32(n+2)
 
-	rec := hullstats.NewRecorder(true)
+	var rec hullstats.Recorder
 	var created []*Triangle // every triangle, in creation order
 
 	// inCircle counts a conflict test; triangle verts are CCW so InCircle
@@ -214,7 +214,7 @@ func Triangulate(pts []geom.Point) (*Result, error) {
 		}
 		return false
 	})
-	res.Stats = rec.Snapshot(0, len(res.Triangles), depths)
+	res.Stats = rec.Snapshot(0, len(res.Triangles), depths, nil)
 	return res, nil
 }
 

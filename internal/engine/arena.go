@@ -140,10 +140,17 @@ func (a *Arena[FV]) Len() int { return a.usedSlabs*arenaFacetSlab - len(a.facets
 
 // Bytes returns the exact size of the facet slabs and int32 blocks the arena
 // retains, used or not: what it keeps for the next construction.
-func (a *Arena[FV]) Bytes() int64 {
+func (a *Arena[FV]) Bytes() int64 { return a.bytes(len(a.slabs), a.blocks) }
+
+// usedBytes is Bytes over the slabs and blocks the construction since the
+// last Reset took from, each counted whole.
+func (a *Arena[FV]) usedBytes() int64 { return a.bytes(a.usedSlabs, a.blocks[:a.usedBlocks]) }
+
+// bytes returns the size of the first slabs facet slabs and of blocks.
+func (a *Arena[FV]) bytes(slabs int, blocks [][]int32) int64 {
 	var zero FV
-	n := int64(len(a.slabs)) * arenaFacetSlab * int64(unsafe.Sizeof(zero))
-	for _, b := range a.blocks {
+	n := int64(slabs) * arenaFacetSlab * int64(unsafe.Sizeof(zero))
+	for _, b := range blocks {
 		n += 4 * int64(len(b))
 	}
 	return n

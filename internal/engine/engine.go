@@ -107,6 +107,9 @@ type Table[FV any, R any] interface {
 	// tables — aborts the construction; the caller climbs the degradation
 	// ladder.
 	Meet(r R, f *FV) (*FV, error)
+	// Bytes returns the exact size of the table's slots, which Reuse.Walk
+	// counts into Stats.PeakBytes.
+	Bytes() int64
 }
 
 // Config assembles one construction under any schedule: the kernel, the
@@ -315,6 +318,7 @@ func run[FV any, R any](cfg Config[FV, R], seed func(fork func(Task[FV, R])),
 		}
 	}
 	d := &driver[FV, R]{k: cfg.Kernel, tbl: cfg.Table, rec: &cfg.Reuse.Rec, inj: cfg.Inject, observe: observe}
+	cfg.Reuse.table = cfg.Table
 	stop := watch(cfg.Ctx, &d.failure)
 	widths, perr := cfg.Reuse.pool.run(d, cfg.Workers, seed, rounds)
 	stop()

@@ -19,7 +19,9 @@ import (
 //     points (Store).
 //
 // Its arenas are the only record of the facets a construction creates: Walk
-// reads them back once, and Created lists them on request.
+// reads them back once, and Created lists them on request. Walk also counts
+// the bytes the construction holds, which Snapshot reports with the
+// recorder's counters.
 //
 // A Reuse serializes constructions, one at a time of any schedule. Begin
 // starts each one by rewinding the last, so an aborted or panicked
@@ -34,36 +36,48 @@ type Reuse[FV any, R any] struct {
 	Arena Arena[FV]
 	Store geom.PointStore
 
-	pool   Pool[FV, R]
-	loop   seqScratch[FV, R]
+	pool Pool[FV, R]
+	loop seqScratch[FV, R]
+
+	// table is the ridge table of the Par or Rounds construction (nil under
+	// Seq), which Walk counts; depths and bytes are what Walk read back, and
+	// hist is the DepthHist storage Snapshot reuses.
+	table  Table[FV, R]
 	depths hullstats.Depths
+	bytes  int64
+	hist   []int
 }
 
 // Begin rewinds the scaffold for a construction over pts, whatever ran on it
 // before. It empties the pool's arenas as well as its own, so a Seq walk
-// lists its facets in creation order; it resets the recorder (counters
-// selects visibility-test counting), loads the point store and takes the
-// heap baseline.
-func (r *Reuse[FV, R]) Begin(pts []geom.Point, counters bool) {
+// lists its facets in creation order; it resets the recorder and loads the
+// point store.
+func (r *Reuse[FV, R]) Begin(pts []geom.Point) {
 	if r.Arena.Alloc == nil {
 		r.Arena.init()
 	}
 	r.Reset()
-	r.Rec.Reset(counters)
+	r.Rec.Reset()
 	r.Store.Load(pts)
-	r.Rec.MarkHeapBase()
+	r.table = nil
 }
 
 // Walk hands every facet the construction created to visit, once, in the
 // order of the record — the scaffold's own arena first, then the pool's
 // worker arenas in worker order — a slab at a time, after tallying each
-// facet of the slab by its depth. It samples the heap first, and returns
-// the tally for Recorder.Snapshot. It reads only the arenas, so it must run
-// after the construction has quiesced.
-func (r *Reuse[FV, R]) Walk(depth func(*FV) int32, visit func(slab []FV)) hullstats.Depths {
-	r.Rec.SampleHeap()
+// facet of the slab by its depth. On the way it adds up the bytes the
+// construction holds: the slabs and blocks each arena took from, the point
+// store's coordinates and the ridge table's slots. It reads only the
+// arenas, so it must run after the construction has quiesced; Snapshot
+// then reports what it found.
+func (r *Reuse[FV, R]) Walk(depth func(*FV) int32, visit func(slab []FV)) {
 	r.depths.Reset()
+	r.bytes = 8 * int64(len(r.Store.Coords()))
+	if r.table != nil {
+		r.bytes += r.table.Bytes()
+	}
 	walk := func(a *Arena[FV]) {
+		r.bytes += a.usedBytes()
 		for i := 0; i < a.usedSlabs; i++ {
 			s := a.used(i)
 			for j := range s {
@@ -76,7 +90,16 @@ func (r *Reuse[FV, R]) Walk(depth func(*FV) int32, visit func(slab []FV)) hullst
 	for i := range r.pool.arenas {
 		walk(&r.pool.arenas[i])
 	}
-	return r.depths
+}
+
+// Snapshot assembles the Stats of the construction Walk read back: the
+// recorder's counters, the depth tally and, as PeakBytes, the bytes Walk
+// counted. Its DepthHist is the scaffold's, valid until the next Snapshot.
+func (r *Reuse[FV, R]) Snapshot(rounds, hullSize int) hullstats.Stats {
+	s := r.Rec.Snapshot(rounds, hullSize, r.depths, r.hist)
+	r.hist = s.DepthHist
+	s.PeakBytes = r.bytes
+	return s
 }
 
 // Created lists every facet the construction created, in Walk's order. The

@@ -62,3 +62,6 @@ type ConmapTable[FV any] struct {
 func (t ConmapTable[FV]) Meet(r []int32, f *FV) (*FV, error) {
 	return t.M.Meet(conmap.MakeKey(r), f)
 }
+
+// Bytes implements Table.
+func (t ConmapTable[FV]) Bytes() int64 { return t.M.Bytes() }

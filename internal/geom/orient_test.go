@@ -231,8 +231,11 @@ func TestPointOps(t *testing.T) {
 	if p.Norm2() != 14 {
 		t.Errorf("Norm2: %v", p.Norm2())
 	}
-	if c := Centroid([]Point{pt(0, 0), pt(2, 4)}); !c.Equal(pt(1, 2)) {
+	if c := CentroidInto(nil, []Point{pt(0, 0), pt(2, 4)}); !c.Equal(pt(1, 2)) {
 		t.Errorf("Centroid: %v", c)
+	}
+	if buf := (Point{9, 9, 9}); !CentroidInto(buf, []Point{pt(0, 0), pt(2, 4)}).Equal(pt(1, 2)) || buf[0] != 1 {
+		t.Errorf("CentroidInto does not overwrite dst's storage: %v", buf)
 	}
 	if !pt(1, 2).Finite() || pt(math.NaN(), 0).Finite() || pt(math.Inf(1), 0).Finite() {
 		t.Error("Finite misclassifies")

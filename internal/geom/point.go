@@ -117,11 +117,16 @@ func (p Point) String() string {
 	return s + ")"
 }
 
-// Centroid returns the arithmetic mean of pts, which must be non-empty and
-// share a dimension.
-func Centroid(pts []Point) Point {
+// CentroidInto writes the arithmetic mean of pts, which must be non-empty
+// and share a dimension, into dst's storage (grown as needed) and returns
+// it.
+func CentroidInto(dst Point, pts []Point) Point {
 	d := len(pts[0])
-	c := make(Point, d)
+	if cap(dst) < d {
+		dst = make(Point, d)
+	}
+	c := dst[:d]
+	clear(c)
 	for _, p := range pts {
 		for i := 0; i < d; i++ {
 			c[i] += p[i]

@@ -121,7 +121,7 @@ func mergeCases(lo, n int32) []struct {
 // sparse, and empty candidate lists.
 func TestBatchFilterMatchesClosure(t *testing.T) {
 	pts := filterTestPoints()
-	e := engineFor(NewReuse(), pts, 3, true, 0, false)
+	e := engineFor(NewReuse(), pts, 3, 0, false)
 	facets, err := e.initialHull()
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 // and absent, and against an empty list.
 func TestFilterMergeMatchesPointwise(t *testing.T) {
 	pts := filterTestPoints()
-	e := engineFor(NewReuse(), pts, 3, true, 0, false)
+	e := engineFor(NewReuse(), pts, 3, 0, false)
 	facets, err := e.initialHull()
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 // candidate and still match the pointwise path.
 func TestBatchFilterNoPlaneCache(t *testing.T) {
 	pts := filterTestPoints()
-	e := engineFor(NewReuse(), pts, 3, true, 0, true)
+	e := engineFor(NewReuse(), pts, 3, 0, true)
 	facets, err := e.initialHull()
 	if err != nil {
 		t.Fatal(err)

@@ -325,7 +325,7 @@ func (e *engine) collectResult(widths, sizes []int) (*Result, error) {
 	var start int32 = math.MaxInt32
 	alive := 0
 	var err error
-	depths := ru.Walk(func(f *Facet) int32 { return f.Depth }, func(slab []Facet) {
+	ru.Walk(func(f *Facet) int32 { return f.Depth }, func(slab []Facet) {
 		for i := range slab {
 			f := &slab[i]
 			if !f.Alive() || err != nil {
@@ -362,7 +362,7 @@ func (e *engine) collectResult(widths, sizes []int) (*Result, error) {
 	if at != start {
 		return nil, fmt.Errorf("hull2d: alive edges form a path or multiple cycles, not one cycle")
 	}
-	res.Stats = e.rec.Snapshot(len(widths), alive, depths)
+	res.Stats = ru.Snapshot(len(widths), alive)
 	res.Stats.RoundWidths = widths
 	// Capture the (possibly regrown) backings so the next construction
 	// reuses them at full capacity.

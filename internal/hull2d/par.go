@@ -12,9 +12,9 @@ import (
 
 // Options configures a construction under any of the three schedules. The
 // zero value (or a nil *Options) is the default: a base triangle, the
-// vertex-slot ridge table, GOMAXPROCS workers, counters and the line cache
-// on, a fresh Reuse. Seq ignores Map, Workers, FilterGrain, and Trace;
-// Par ignores Trace.
+// vertex-slot ridge table, GOMAXPROCS workers, the line cache on, a fresh
+// Reuse. Every construction counts its work into Result.Stats. Seq ignores
+// Map, Workers, FilterGrain, and Trace; Par ignores Trace.
 type Options struct {
 	// Base is the size of the pre-built initial hull (default 3). With
 	// Base > 3 the first Base points must be a strictly convex CCW polygon;
@@ -30,8 +30,6 @@ type Options struct {
 	// for any width (Theorem 5.5; asserted by TestParSchedEquivalence and
 	// TestRoundsWidthInvariance) — only the schedule changes.
 	Workers int
-	// NoCounters disables visibility-test counting (for pure-speed runs).
-	NoCounters bool
 	// FilterGrain sets the list size above which conflict filtering runs in
 	// parallel chunks (0 = default; very large forces the serial path).
 	// The output and the multiset of plane-side tests are identical either
@@ -107,6 +105,9 @@ func (m *vertexSlots) Meet(v int32, f *Facet) (*Facet, error) {
 	return m.slots[v].Load(), nil
 }
 
+// Bytes implements engine.Table: one pointer-sized slot per vertex.
+func (m *vertexSlots) Bytes() int64 { return 8 * int64(len(m.slots)) }
+
 // conmapSlots adapts a generic conmap.RidgeMap to the vertex-id table.
 type conmapSlots struct {
 	m conmap.RidgeMap[*Facet]
@@ -117,6 +118,9 @@ type conmapSlots struct {
 func (s conmapSlots) Meet(v int32, f *Facet) (*Facet, error) {
 	return s.m.Meet(s.e.key1(v), f)
 }
+
+// Bytes implements engine.Table.
+func (s conmapSlots) Bytes() int64 { return s.m.Bytes() }
 
 // initialTasks yields one task per ridge (shared endpoint) of the base
 // polygon.
@@ -156,24 +160,23 @@ func run(pts []geom.Point, opt *Options, s eng.Schedule) (*Result, *Trace, error
 	if s == eng.SchedSeq {
 		grain = 0
 	}
-	e := engineFor(ru, pts, o.base(), !o.NoCounters, grain, o.NoPlaneCache)
+	e := engineFor(ru, pts, o.base(), grain, o.NoPlaneCache)
 	e.inj = o.Inject
 	facets, err := e.initialHull()
 	if err != nil {
 		return nil, nil, err
 	}
-	e.rec.SampleHeap()
 	cfg := eng.Config[Facet, int32]{Kernel: kernel{e: e}, Reuse: &ru.Reuse, Workers: o.Workers, Ctx: o.Ctx, Inject: o.Inject}
 	var widths, sizes []int
 	if s == eng.SchedSeq {
 		cfg.Geom = ru.geom.reset(len(pts))
 		// The base polygon is given, not built incrementally, so |T(Y_{i+1})|
 		// is approximate over the base prefix; exact from there on.
-		base := make([]int, e.base)
-		for i := range base {
-			base[i] = min(i+1, e.base)
+		ru.baseSizes = ru.baseSizes[:0]
+		for i := range e.base {
+			ru.baseSizes = append(ru.baseSizes, min(i+1, e.base))
 		}
-		sizes, err = seqLoop(cfg, facets, int32(len(pts)), base)
+		sizes, err = seqLoop(cfg, facets, int32(len(pts)), ru.baseSizes)
 	} else {
 		cfg.Table = o.ridgeSlots(e)
 		seed := func(fork func(eng.Task[Facet, int32])) { initialTasks(facets, fork) }

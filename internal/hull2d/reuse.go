@@ -11,10 +11,10 @@ import (
 // only record of the created facets), the work-stealing pool Par and Rounds
 // run on, Seq's pivot buckets, the recorder and the point store, with their
 // rewind, Close and Reset. Beside it this kernel keeps only its geometry:
-// the engine, Seq's hull-cycle arrays, the base polygon, the vertex-slot
-// ridge table, and the result's buffers (the cycle links, the alive edges
-// and the vertices). Without a Reuse in Options, each schedule runs on a
-// fresh one.
+// the engine, Seq's hull-cycle arrays, the base polygon with its hull sizes,
+// the vertex-slot ridge table, and the result's buffers (the cycle links,
+// the alive edges and the vertices). Without a Reuse in Options, each
+// schedule runs on a fresh one.
 //
 // Contract: a Reuse serializes constructions (one at a time, of any
 // schedule), and each invalidates the previous Result obtained through it.
@@ -25,13 +25,14 @@ type Reuse struct {
 	e    engine
 	geom seqGeom
 
-	order    []int32
-	inits    []*Facet
-	next     []*Facet
-	facets   []*Facet
-	vertices []int32
-	slots    vertexSlots
-	res      Result
+	order     []int32
+	inits     []*Facet
+	baseSizes []int
+	next      []*Facet
+	facets    []*Facet
+	vertices  []int32
+	slots     vertexSlots
+	res       Result
 }
 
 // NewReuse returns an empty Reuse; all pooled state is created lazily by the
@@ -49,8 +50,8 @@ func (ru *Reuse) Bytes() int64 { return ru.Reuse.Bytes() + 8*int64(cap(ru.slots.
 
 // engineFor rewinds ru for a construction over pts (engine.Reuse.Begin) and
 // returns its engine, loaded for that construction.
-func engineFor(ru *Reuse, pts []geom.Point, base int, counters bool, grain int, noPlane bool) *engine {
-	ru.Begin(pts, counters)
+func engineFor(ru *Reuse, pts []geom.Point, base int, grain int, noPlane bool) *engine {
+	ru.Begin(pts)
 	e := &ru.e
 	e.pts = pts
 	e.base = base

@@ -64,7 +64,7 @@ func TestReuseRoundsAllocations(t *testing.T) {
 	pts := pointgen.OnCircle(pointgen.NewRNG(23), 20000)
 	ru := NewReuse()
 	defer ru.Close()
-	opt := &Options{Reuse: ru, NoCounters: true}
+	opt := &Options{Reuse: ru}
 	var rounds int
 	build := func() {
 		r, _, err := Rounds(pts, opt)

@@ -21,7 +21,7 @@ import (
 // facet t1 and surviving facet t2 is 1 + max(depth(t1), depth(t2)), which is
 // precisely the configuration dependence graph of Definition 4.1.
 //
-// Seq reads Base, Ctx, Inject, NoCounters, NoPlaneCache, and Reuse from opt
+// Seq reads Base, Ctx, Inject, NoPlaneCache, and Reuse from opt
 // (nil is the default). Without a Reuse it runs on a fresh one, so its
 // facets and conflict lists come from one arena either way.
 func Seq(pts []geom.Point, opt *Options) (*Result, error) {

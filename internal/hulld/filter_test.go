@@ -161,7 +161,7 @@ func TestBatchFilterMatchesClosure(t *testing.T) {
 		return s
 	}
 	pts := filterCloud(3)
-	plain := engineFor(NewReuse(), pts, nil, 3, true, 0, false)
+	plain := engineFor(NewReuse(), pts, nil, 3, 0, false)
 	facets, err := plain.initialHull()
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 	}
 	var inputs []input
 	for _, d := range []int{2, 3, 4} {
-		e := engineFor(NewReuse(), filterCloud(d), nil, d, true, 0, false)
+		e := engineFor(NewReuse(), filterCloud(d), nil, d, 0, false)
 		facets, err := e.initialHull()
 		if err != nil {
 			t.Fatalf("d=%d: %v", d, err)
@@ -264,7 +264,7 @@ func TestFilterMergeMatchesPointwise(t *testing.T) {
 func TestBatchFilterNoPlaneCache(t *testing.T) {
 	for _, d := range []int{2, 3} {
 		pts := filterCloud(d)
-		e := engineFor(NewReuse(), pts, nil, d, true, 0, true)
+		e := engineFor(NewReuse(), pts, nil, d, 0, true)
 		facets, err := e.initialHull()
 		if err != nil {
 			t.Fatal(err)

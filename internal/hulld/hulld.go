@@ -507,7 +507,7 @@ func (e *engine) initialHull() ([]*Facet, error) {
 		if geom.OrientSimplex(base[:d], base[d]) == 0 {
 			return nil, fmt.Errorf("%w: first %d points are affinely dependent", ErrDegenerate, d+1)
 		}
-		e.interior = geom.Centroid(base)
+		e.interior = geom.CentroidInto(e.interior, base)
 	}
 
 	// One base facet at a time, in omit order: make it, check it, and filter
@@ -561,7 +561,7 @@ func (e *engine) collectResult(widths, sizes []int) (*Result, error) {
 	ru := e.ru
 	ru.res = Result{Facets: ru.facets[:0], Vertices: ru.vertices[:0], HullSizes: sizes, ru: ru}
 	res := &ru.res
-	depths := ru.Walk(func(f *Facet) int32 { return f.Depth }, func(slab []Facet) {
+	ru.Walk(func(f *Facet) int32 { return f.Depth }, func(slab []Facet) {
 		for i := range slab {
 			if f := &slab[i]; f.Alive() {
 				res.Facets = append(res.Facets, f)
@@ -590,7 +590,7 @@ func (e *engine) collectResult(widths, sizes []int) (*Result, error) {
 			res.Vertices = append(res.Vertices, int32(v))
 		}
 	}
-	res.Stats = e.rec.Snapshot(len(widths), len(res.Facets), depths)
+	res.Stats = ru.Snapshot(len(widths), len(res.Facets))
 	res.Stats.RoundWidths = widths
 	// Capture the (possibly regrown) backings so the next construction
 	// reuses them at full capacity.

@@ -27,7 +27,7 @@ func workloads(seed int64, n, d int) map[string][]geom.Point {
 // sign of the base simplex's centroid, the interior point the engine uses.
 func verifyHull(t *testing.T, pts []geom.Point, res *Result) {
 	t.Helper()
-	interior := geom.Centroid(pts[:len(pts[0])+1])
+	interior := geom.CentroidInto(nil, pts[:len(pts[0])+1])
 	for _, f := range res.Facets {
 		vp := make([]geom.Point, len(f.Verts))
 		for i, u := range f.Verts {

@@ -66,7 +66,7 @@ func liftedFilterCloud() (lifted, plane []geom.Point) {
 func liftedFilterFacets(t *testing.T) (*engine, []*Facet) {
 	t.Helper()
 	lifted, plane := liftedFilterCloud()
-	e := engineFor(NewReuse(), lifted, plane, 3, true, 0, false)
+	e := engineFor(NewReuse(), lifted, plane, 3, 0, false)
 	facets, err := e.initialHull()
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func liftedFilterFacets(t *testing.T) (*engine, []*Facet) {
 // answer everywhere.
 func TestLiftedFilterMatchesExactInCircle(t *testing.T) {
 	lifted, plane := liftedCloud(pointgen.Clustered(pointgen.NewRNG(13), 300, 2, 5, 1e-3))
-	e := engineFor(NewReuse(), lifted, plane, 3, false, 0, false)
+	e := engineFor(NewReuse(), lifted, plane, 3, 0, false)
 	res, err := Par(lifted, &Options{Lift: plane})
 	if err != nil {
 		t.Fatal(err)

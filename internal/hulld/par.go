@@ -11,8 +11,9 @@ import (
 
 // Options configures a construction under any of the three schedules. The
 // zero value (or a nil *Options) is the default: the sharded ridge map,
-// GOMAXPROCS workers, counters and the plane cache on, a fresh Reuse.
-// Seq ignores Map, Workers, and FilterGrain.
+// GOMAXPROCS workers, the plane cache on, a fresh Reuse. Every construction
+// counts its work into Result.Stats. Seq ignores Map, Workers, and
+// FilterGrain.
 type Options struct {
 	// Map is the ridge multimap M of Algorithm 3 (nil selects the growable
 	// sharded map; install conmap.NewCASMap/NewTASMap for the paper's
@@ -24,8 +25,6 @@ type Options struct {
 	// (Theorem 5.5; asserted by TestParSchedEquivalence and
 	// TestRoundsWidthInvariance) — only the schedule changes.
 	Workers int
-	// NoCounters disables visibility-test counting.
-	NoCounters bool
 	// FilterGrain sets the list size above which conflict filtering runs in
 	// parallel chunks (0 = default; very large forces the serial path).
 	FilterGrain int
@@ -66,16 +65,23 @@ func (o *Options) or() Options {
 
 // initialTasks yields one task per ridge of the initial simplex: the ridge
 // omitting vertices {i, j} is shared by the facets omitting i and omitting j.
-func initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
+// The ridges are carved from one retained buffer of the Reuse, sized for all
+// of them before the first is handed out.
+func (ru *Reuse) initialTasks(d int, facets []*Facet, fork func(eng.Task[Facet, []int32])) {
+	if need := (d + 1) * d / 2 * (d - 1); cap(ru.ridges) < need {
+		ru.ridges = make([]int32, 0, need)
+	}
+	rs := ru.ridges[:0]
 	for i := 0; i <= d; i++ {
 		for j := i + 1; j <= d; j++ {
-			r := make([]int32, 0, d-1)
+			r := rs[len(rs):len(rs)]
 			for v := 0; v <= d; v++ {
 				if v != i && v != j {
 					r = append(r, int32(v))
 				}
 			}
-			fork(eng.Task[Facet, []int32]{T1: facets[i], R: r, T2: facets[j]})
+			rs = rs[:len(rs)+len(r)]
+			fork(eng.Task[Facet, []int32]{T1: facets[i], R: r[:len(r):len(r)], T2: facets[j]})
 		}
 	}
 }
@@ -104,24 +110,23 @@ func run(pts []geom.Point, opt *Options, s eng.Schedule) (*Result, error) {
 	if s == eng.SchedSeq {
 		grain = 0
 	}
-	e := engineFor(ru, pts, o.Lift, d, !o.NoCounters, grain, o.NoPlaneCache)
+	e := engineFor(ru, pts, o.Lift, d, grain, o.NoPlaneCache)
 	e.inj = o.Inject
 	facets, err := e.initialHull()
 	if err != nil {
 		return nil, err
 	}
-	e.rec.SampleHeap()
 	cfg := eng.Config[Facet, []int32]{Kernel: kernel{e: e}, Reuse: &ru.Reuse, Workers: o.Workers, Ctx: o.Ctx, Inject: o.Inject}
 	var widths, sizes []int
 	if s == eng.SchedSeq {
 		cfg.Geom = ru.geom.reset(&ru.Arena)
 		// The base simplex is given, not built incrementally, so the hull
 		// sizes of the base prefix are approximate; exact from there on.
-		base := make([]int, d+1)
-		for i := range base {
-			base[i] = min(i+2, d+1)
+		ru.baseSizes = ru.baseSizes[:0]
+		for i := range d + 1 {
+			ru.baseSizes = append(ru.baseSizes, min(i+2, d+1))
 		}
-		sizes, err = seqLoop(cfg, facets, int32(len(pts)), base)
+		sizes, err = seqLoop(cfg, facets, int32(len(pts)), ru.baseSizes)
 		if err == nil && ru.geom.crowded {
 			err = errCrowded
 		}
@@ -131,7 +136,7 @@ func run(pts []geom.Point, opt *Options, s eng.Schedule) (*Result, error) {
 			m = conmap.NewShardedMap[*Facet](eng.DefaultMapCapacity(len(pts), d))
 		}
 		cfg.Table = eng.ConmapTable[Facet]{M: m}
-		seed := func(fork func(eng.Task[Facet, []int32])) { initialTasks(d, facets, fork) }
+		seed := func(fork func(eng.Task[Facet, []int32])) { ru.initialTasks(d, facets, fork) }
 		if s == eng.SchedRounds {
 			widths, err = eng.Rounds(cfg, seed, nil)
 		} else {

@@ -11,13 +11,13 @@ import (
 // only record of the created facets), the work-stealing pool Par and Rounds
 // run on, Seq's pivot buckets, the recorder and the point store, with their
 // rewind, Close, Reset and Bytes. Beside it this kernel keeps only its
-// geometry: the engine, Seq's ridge-adjacency map, the base simplex, and
-// the result's buffers (the alive facets, the vertex marks and the rows of
-// the closure check). Passing the same Reuse via Options.Reuse to Seq, Par,
-// or Rounds makes repeated constructions recycle essentially everything they
-// allocate; without one, each schedule runs on a fresh Reuse. It is the
-// internal half of the public parhull.Builder; the pre-hull keeps one per
-// executor worker for its block sub-hulls.
+// geometry: the engine, Seq's ridge-adjacency map, the base simplex with its
+// ridges and hull sizes, and the result's buffers (the alive facets, the
+// vertex marks and the rows of the closure check). Passing the same Reuse via Options.Reuse
+// to Seq, Par, or Rounds makes repeated constructions recycle essentially
+// everything they allocate; without one, each schedule runs on a fresh
+// Reuse. It is the internal half of the public parhull.Builder; the
+// pre-hull keeps one per executor worker for its block sub-hulls.
 //
 // Contract: a Reuse serializes constructions (one at a time, of any
 // schedule), and each invalidates the previous Result obtained through it —
@@ -29,13 +29,15 @@ type Reuse struct {
 	e    engine
 	geom seqGeom
 
-	base     []geom.Point
-	inits    []*Facet
-	facets   []*Facet
-	vertices []int32
-	inHull   []bool
-	closure  closure
-	res      Result
+	base      []geom.Point
+	baseSizes []int
+	ridges    []int32
+	inits     []*Facet
+	facets    []*Facet
+	vertices  []int32
+	inHull    []bool
+	closure   closure
+	res       Result
 }
 
 // NewReuse returns an empty Reuse; all pooled state is created lazily by the
@@ -49,13 +51,13 @@ func NewReuse() *Reuse {
 // engineFor rewinds ru for a construction over pts (engine.Reuse.Begin) and
 // returns its engine, loaded for that construction. A non-nil lift selects
 // lifted mode.
-func engineFor(ru *Reuse, pts, lift []geom.Point, d int, counters bool, grain int, noPlane bool) *engine {
-	ru.Begin(pts, counters)
+func engineFor(ru *Reuse, pts, lift []geom.Point, d int, grain int, noPlane bool) *engine {
+	ru.Begin(pts)
 	e := &ru.e
 	e.pts = pts
 	e.d = d
 	e.grain = grain
-	e.interior = nil
+	e.interior = e.interior[:0]
 	e.lift = lift
 	e.setPlaneEps(noPlane)
 	return e

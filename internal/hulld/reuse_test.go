@@ -111,7 +111,7 @@ func TestReuseRoundsAllocations(t *testing.T) {
 	ru := NewReuse()
 	defer ru.Close()
 	m := conmap.NewShardedMap[*Facet](eng.DefaultMapCapacity(len(pts), 3))
-	opt := &Options{Reuse: ru, Map: m, NoCounters: true}
+	opt := &Options{Reuse: ru, Map: m}
 	var rounds int
 	build := func() {
 		m.Reset()

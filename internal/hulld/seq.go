@@ -15,7 +15,7 @@ import (
 // plane-side tests are exactly the conflict filters — the same multiset
 // Algorithm 3 performs. Result.Created lists its facets in creation order.
 //
-// Seq reads Ctx, Inject, NoCounters, NoPlaneCache, Lift, and Reuse from opt
+// Seq reads Ctx, Inject, NoPlaneCache, Lift, and Reuse from opt
 // (nil is the default). Without a Reuse it runs on a fresh one, so its
 // facets and conflict lists come from one arena either way.
 func Seq(pts []geom.Point, opt *Options) (*Result, error) { return run(pts, opt, eng.SchedSeq) }

@@ -5,7 +5,6 @@
 package hullstats
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"parhull/internal/stats"
@@ -61,14 +60,14 @@ type Stats struct {
 	// All other counters describe the main construction only — the block
 	// sub-hulls' visibility tests and facets are not included.
 	PreHullBlocks, PreHullKept int
-	// PeakBytes is the peak live-heap growth observed during the
-	// construction, in bytes: the maximum of (heap in use - heap in use at
-	// construction start) over the recorder's sample points (construction
-	// start, after the initial hull, and at result collection). It is a
-	// sampled watermark, not an exact accounting — allocations freed between
-	// samples are invisible — but it tracks the dominant contributors (point
-	// store, conflict lists, ridge table) closely, which is what the
-	// n=1e7-1e8 memory-budget planning needs. 0 when counters are disabled.
+	// PeakBytes is the exact size, in bytes, of what the construction's own
+	// structures hold when it ends: the facet slabs and int32 blocks its
+	// arenas took from (each counted whole), its point store's coordinates
+	// and, under Par and Rounds, its ridge table's slots. It is read from
+	// those structures, not sampled from the heap, so builds of one input on
+	// one worker read the same every time. Memory outside the construction
+	// (the caller's points and output, the pre-hull's buffers) is not
+	// counted.
 	PeakBytes int64
 }
 
@@ -92,103 +91,38 @@ func (h *Depths) Reset() { *h = (*h)[:0] }
 
 // Recorder accumulates the concurrent counters of Stats: visibility tests,
 // facet deaths and finalized ridges. The created facets are not counted
-// here; Snapshot takes their Depths tally. The zero value is NOT ready; use
-// NewRecorder. A Recorder with nil VTests counts facet deaths but not
-// visibility tests.
+// here; Snapshot takes their Depths tally. The zero value is ready: its
+// counters are held by value, so a Recorder embedded in retained state
+// costs no allocation.
 type Recorder struct {
-	// VTests counts plane-side tests; nil disables counting. Fallbacks
-	// counts the subset the cached-plane filter could not certify (decided
-	// by the exact predicate instead); it is nil exactly when VTests is.
-	// The filter-certified count is not tracked on the hot path: the plane
-	// cache is all-or-nothing per engine (a single static threshold covers
-	// the whole point cloud), so Snapshot derives PlaneCacheHits as
-	// VisibilityTests - ExactFallbacks when SetPlaneCache(true) was called.
-	VTests    *stats.ShardedCounter
-	Fallbacks *stats.ShardedCounter
+	// VTests counts plane-side tests. Fallbacks counts the subset the
+	// cached-plane filter could not certify (decided by the exact predicate
+	// instead). The filter-certified count is not tracked on the hot path:
+	// the plane cache is all-or-nothing per engine (a single static
+	// threshold covers the whole point cloud), so Snapshot derives
+	// PlaneCacheHits as VisibilityTests - ExactFallbacks when
+	// SetPlaneCache(true) was called.
+	VTests    stats.ShardedCounter
+	Fallbacks stats.ShardedCounter
 
 	planeOn bool
 
 	repl, buried, final atomic.Int64
-
-	// Heap watermark sampling (see Stats.PeakBytes). Written only by the
-	// construction's driving goroutine at quiescent points, so plain fields
-	// suffice. Sampling is skipped entirely when counters are off —
-	// runtime.ReadMemStats stops the world briefly.
-	baseHeap  uint64
-	peakBytes int64
-}
-
-// NewRecorder returns a Recorder; counters enables visibility-test counting.
-func NewRecorder(counters bool) *Recorder {
-	r := &Recorder{}
-	if counters {
-		r.VTests = stats.NewShardedCounter(64)
-		r.Fallbacks = stats.NewShardedCounter(64)
-	}
-	return r
 }
 
 // SetPlaneCache records whether the engine runs with the cached-plane fast
 // path enabled; call once before construction starts (not thread-safe).
 func (r *Recorder) SetPlaneCache(on bool) { r.planeOn = on }
 
-// Counting reports whether visibility-test counting (and heap sampling) is
-// enabled.
-func (r *Recorder) Counting() bool { return r.VTests != nil }
-
-// MarkHeapBase samples the current live heap as the construction's
-// baseline. Call once at construction start, from the driving goroutine.
-// No-op when counters are disabled.
-func (r *Recorder) MarkHeapBase() {
-	if r.VTests == nil {
-		return
-	}
-	r.baseHeap = heapInUse()
-	r.peakBytes = 0
-}
-
-// SampleHeap raises the peak watermark to the current live-heap growth over
-// the baseline. Call from the driving goroutine at quiescent points. No-op
-// when counters are disabled.
-func (r *Recorder) SampleHeap() {
-	if r.VTests == nil {
-		return
-	}
-	if h := heapInUse(); h > r.baseHeap {
-		if d := int64(h - r.baseHeap); d > r.peakBytes {
-			r.peakBytes = d
-		}
-	}
-}
-
-func heapInUse() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapInuse
-}
-
-// Reset rewinds the recorder for the next construction, keeping the counter
-// shards allocated. counters re-selects whether visibility tests are counted
-// (the sharded counters are created or dropped only when the setting
-// changes). Not thread-safe; call between constructions.
-func (r *Recorder) Reset(counters bool) {
-	if counters != (r.VTests != nil) {
-		if counters {
-			r.VTests = stats.NewShardedCounter(64)
-			r.Fallbacks = stats.NewShardedCounter(64)
-		} else {
-			r.VTests, r.Fallbacks = nil, nil
-		}
-	} else {
-		r.VTests.Reset()
-		r.Fallbacks.Reset()
-	}
+// Reset rewinds the recorder for the next construction. Not thread-safe;
+// call between constructions.
+func (r *Recorder) Reset() {
+	r.VTests.Reset()
+	r.Fallbacks.Reset()
 	r.planeOn = false
 	r.repl.Store(0)
 	r.buried.Store(0)
 	r.final.Store(0)
-	r.baseHeap = 0
-	r.peakBytes = 0
 }
 
 // Replaced records a facet death by replacement (first kill only: callers
@@ -209,9 +143,12 @@ func (r *Recorder) Buried(first bool) {
 // Finalized records a ridge chain ending with both conflict sets empty.
 func (r *Recorder) Finalized() { r.final.Add(1) }
 
-// Snapshot assembles the Stats, with FacetsCreated, MaxDepth and a fresh
-// copy of DepthHist taken from the created facets' depth tally.
-func (r *Recorder) Snapshot(rounds, hullSize int, depths Depths) Stats {
+// Snapshot assembles the Stats, with FacetsCreated, MaxDepth and DepthHist
+// taken from the created facets' depth tally. DepthHist is a copy of the
+// tally into hist's storage, grown as needed: a caller that passes nil gets
+// a fresh slice, and one that passes the DepthHist of its last Snapshot
+// reuses that slice's storage.
+func (r *Recorder) Snapshot(rounds, hullSize int, depths Depths, hist []int) Stats {
 	s := Stats{
 		VisibilityTests: r.VTests.Load(),
 		ExactFallbacks:  r.Fallbacks.Load(),
@@ -221,13 +158,14 @@ func (r *Recorder) Snapshot(rounds, hullSize int, depths Depths) Stats {
 		MaxDepth:        max(len(depths)-1, 0),
 		Rounds:          rounds,
 		HullSize:        hullSize,
-		DepthHist:       make([]int, max(len(depths), 1)),
-		PeakBytes:       r.peakBytes,
+		DepthHist:       append(hist[:0], depths...),
+	}
+	if len(depths) == 0 {
+		s.DepthHist = append(s.DepthHist, 0)
 	}
 	if r.planeOn {
 		s.PlaneCacheHits = s.VisibilityTests - s.ExactFallbacks
 	}
-	copy(s.DepthHist, depths)
 	for _, c := range depths {
 		s.FacetsCreated += int64(c)
 	}

@@ -165,13 +165,12 @@ func (s *Scratch) ensureWorkers(nw int) {
 }
 
 // hull2D runs the 2D sequential kernel over pts on the worker's retained
-// engine, with visibility-test counting off; the Result is valid until the
-// worker's next sub-hull.
+// engine; the Result is valid until the worker's next sub-hull.
 func (w *seqWorker) hull2D(cfg Config, pts []geom.Point) (*hull2d.Result, error) {
 	if w.hull2 == nil {
 		w.hull2 = hull2d.NewReuse()
 	}
-	w.opt2 = hull2d.Options{NoCounters: true, Ctx: cfg.Ctx, Inject: cfg.Inject, Reuse: w.hull2}
+	w.opt2 = hull2d.Options{Ctx: cfg.Ctx, Inject: cfg.Inject, Reuse: w.hull2}
 	return hull2d.Seq(pts, &w.opt2)
 }
 
@@ -180,7 +179,7 @@ func (w *seqWorker) hullND(cfg Config, pts []geom.Point) (*hulld.Result, error) 
 	if w.hullD == nil {
 		w.hullD = hulld.NewReuse()
 	}
-	w.optD = hulld.Options{NoCounters: true, Ctx: cfg.Ctx, Inject: cfg.Inject, Reuse: w.hullD}
+	w.optD = hulld.Options{Ctx: cfg.Ctx, Inject: cfg.Inject, Reuse: w.hullD}
 	return hulld.Seq(pts, &w.optD)
 }
 

@@ -105,7 +105,8 @@ const (
 )
 
 // Options configures a construction. The zero value is a good default:
-// parallel engine, sharded map, no shuffle, counters on.
+// parallel engine, sharded map, no shuffle. Every construction counts its
+// work into Stats.
 type Options struct {
 	// Engine selects the schedule (default EngineParallel).
 	Engine Engine
@@ -123,8 +124,6 @@ type Options struct {
 	Shuffle bool
 	// Seed drives Shuffle (same seed, same order).
 	Seed int64
-	// NoCounters disables visibility-test counting for pure-speed runs.
-	NoCounters bool
 	// FilterGrain sets the conflict-list size above which conflict filtering
 	// runs in parallel chunks (0 = default; a very large value forces the
 	// serial path — the A1 ablation). The hull output and the multiset of

@@ -12,7 +12,7 @@ import (
 )
 
 // TestHull2DEnginesAgree checks every engine against Graham's scan, and
-// that NoCounters switches visibility-test counting off on every engine.
+// that every engine counts its visibility tests.
 func TestHull2DEnginesAgree(t *testing.T) {
 	pts := RandomPoints(500, 2, 1)
 	var got [][]int
@@ -24,13 +24,8 @@ func TestHull2DEnginesAgree(t *testing.T) {
 		vs := append([]int(nil), res.Vertices...)
 		sort.Ints(vs)
 		got = append(got, vs)
-		quiet, err := Hull2D(pts, &Options{Engine: eng, Shuffle: true, Seed: 7, NoCounters: true})
-		if err != nil {
-			t.Fatalf("engine %d, NoCounters: %v", eng, err)
-		}
-		if res.Stats.VisibilityTests == 0 || quiet.Stats.VisibilityTests != 0 {
-			t.Errorf("engine %d: VisibilityTests = %d counted, %d with NoCounters (want > 0, 0)",
-				eng, res.Stats.VisibilityTests, quiet.Stats.VisibilityTests)
+		if res.Stats.VisibilityTests == 0 {
+			t.Errorf("engine %d: VisibilityTests = 0, want > 0", eng)
 		}
 	}
 	oracle := baseline.GrahamScan(pts)
@@ -89,16 +84,6 @@ func TestHull3DAndMapKinds(t *testing.T) {
 	}
 	if _, err := Hull3D(RandomPoints(10, 2, 5), nil); err == nil {
 		t.Fatal("Hull3D accepted 2D points")
-	}
-	ball := RandomPoints(300, 3, 6)
-	for _, e := range []Engine{EngineSequential, EngineParallel, EngineRounds} {
-		res, err := HullD(ball, &Options{Engine: e, NoCounters: true})
-		if err != nil {
-			t.Fatalf("engine %d, NoCounters: %v", e, err)
-		}
-		if res.Stats.VisibilityTests != 0 {
-			t.Errorf("engine %d: VisibilityTests = %d with NoCounters, want 0", e, res.Stats.VisibilityTests)
-		}
 	}
 }
 
