@@ -2,6 +2,7 @@ package parhull
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 
@@ -51,7 +52,9 @@ type Builder struct {
 	mapsD mapCache[*hulld.Facet]
 	maps2 mapCache[*hull2d.Facet]
 
-	// shuffle and pre-hull buffers, grow-only.
+	// shuffle and pre-hull buffers, grow-only, and the shuffle's generator,
+	// re-seeded per build.
+	rng     *rand.Rand
 	order   []int
 	work    []Point
 	phOrder []int
@@ -97,6 +100,7 @@ func (b *Builder) Close() {
 	b.closed = true
 	b.ruD.Close()
 	b.ru2.Close()
+	b.ph.Close()
 }
 
 // start checks the Builder, its options and pts, a cloud of dimension d,
@@ -124,7 +128,14 @@ func (b *Builder) start(pts []Point, d int) ([]Point, []int, error) {
 	if !o.Shuffle {
 		return pts, nil, nil
 	}
-	b.order = pointgen.PermInto(pointgen.NewRNG(o.Seed), len(pts), b.order)
+	// Seed resets the generator to the stream pointgen.NewRNG(o.Seed)
+	// starts, so the permutation is that of a fresh generator.
+	if b.rng == nil {
+		b.rng = pointgen.NewRNG(o.Seed)
+	} else {
+		b.rng.Seed(o.Seed)
+	}
+	b.order = pointgen.PermInto(b.rng, len(pts), b.order)
 	b.work = pointgen.ApplyPermInto(pts, b.order, b.work)
 	return b.work, b.order, nil
 }

@@ -230,7 +230,8 @@ func TestBadOptionValidation(t *testing.T) {
 // its index in the caller's slice when Options.Shuffle reorders the
 // insertion: a NaN coordinate and a point of the wrong dimension at caller
 // index k are "point k" from HullD and Hull2D, with and without the
-// pre-hull, and from Delaunay.
+// pre-hull, and from Delaunay; a duplicate pair is "duplicate points i and
+// j" from Delaunay.
 func TestErrorsNameCallerIndexUnderShuffle(t *testing.T) {
 	const k = 5
 	for _, c := range []struct {
@@ -268,6 +269,18 @@ func TestErrorsNameCallerIndexUnderShuffle(t *testing.T) {
 			if !strings.Contains(err.Error(), bad.msg) {
 				t.Errorf("%s: %q does not name caller index %d", label, err, k)
 			}
+		}
+	}
+
+	// A duplicate pair is named by both caller indices, shuffled or not.
+	pts := RandomPoints(2000, 2, 1)
+	pts[7] = pts[3].Clone()
+	for _, shuffle := range []bool{false, true} {
+		_, err := Delaunay(pts, &Options{Shuffle: shuffle, Seed: 3})
+		label := fmt.Sprintf("Delaunay duplicate (Shuffle %v)", shuffle)
+		wantExactly(t, label, err, "ErrDegenerate")
+		if !strings.Contains(err.Error(), "duplicate points 3 and 7") {
+			t.Errorf("%s: %q does not name caller indices 3 and 7", label, err)
 		}
 	}
 }

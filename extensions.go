@@ -254,6 +254,11 @@ func Delaunay(pts []Point, opt *Options) (out *DelaunayResult, err error) {
 	}
 	plane, lifted, err := delaunay.Lift(work)
 	if err != nil {
+		var dup *delaunay.DuplicateError
+		if order != nil && errors.As(err, &dup) {
+			i, j := order[dup.I], order[dup.J]
+			err = &delaunay.DuplicateError{I: min(i, j), J: max(i, j)}
+		}
 		return nil, wrapErr(err)
 	}
 	res, err := b.runD(lifted, plane)

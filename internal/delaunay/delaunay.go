@@ -42,6 +42,18 @@ import (
 // point, NaN coordinates, or exact duplicates).
 var ErrDegenerate = errors.New("delaunay: degenerate input")
 
+// DuplicateError reports two input points with equal coordinates by their
+// indices, I < J. It matches ErrDegenerate under errors.Is, and a caller
+// that reordered the input maps the indices back to its own.
+type DuplicateError struct{ I, J int }
+
+func (e *DuplicateError) Error() string {
+	return fmt.Sprintf("%v: duplicate points %d and %d", ErrDegenerate, e.I, e.J)
+}
+
+// Unwrap returns ErrDegenerate.
+func (e *DuplicateError) Unwrap() error { return ErrDegenerate }
+
 // Triangle is one triangle of Triangulate's evolving triangulation.
 // Immutable after creation except for liveness.
 type Triangle struct {
@@ -270,7 +282,7 @@ func validateAndBound(pts []geom.Point) ([3]geom.Point, error) {
 	for i, p := range pts {
 		k := [2]float64{p[0], p[1]}
 		if j, dup := seen[k]; dup {
-			return [3]geom.Point{}, fmt.Errorf("%w: duplicate points %d and %d", ErrDegenerate, j, i)
+			return [3]geom.Point{}, &DuplicateError{I: j, J: i}
 		}
 		seen[k] = i
 	}

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // ZOrderPerm returns a permutation of {0, ..., len(pts)-1} that orders the
 // points along the Morton (Z-order) curve of their bounding box: each
@@ -21,55 +18,60 @@ import (
 // comparison; callers that need a typed error for NaN/Inf validate the cloud
 // first (the engines do).
 func ZOrderPerm(pts []Point) []int32 {
-	perm, _ := ZOrderPermInto(nil, nil, pts)
+	perm, _ := ZOrderPermInto(new(ZOrder), pts)
 	return perm
 }
 
-// ZOrderPermInto is ZOrderPerm writing the permutation into perm and the
-// Morton keys into keys, reusing their backing arrays when large enough. It
-// returns both (possibly regrown) buffers so a caller can retain them.
-func ZOrderPermInto(perm []int32, keys []uint64, pts []Point) ([]int32, []uint64) {
-	n := len(pts)
-	perm = slices.Grow(perm[:0], n)[:n]
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if n == 0 || len(pts[0]) == 0 {
-		return perm, keys
-	}
-	d := len(pts[0])
-	bits := 63 / d
-	if bits < 1 {
-		bits = 1
-	}
-	lo, hi := bounds(pts, d)
-	keys = slices.Grow(keys[:0], n)[:n]
-	max := float64(uint64(1)<<uint(bits) - 1)
-	q := make([]uint64, d)
-	for i, p := range pts {
-		for j := 0; j < d; j++ {
-			q[j] = quantize(p[j], lo[j], hi[j], max)
-		}
-		keys[i] = interleave(q, bits)
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	return perm, keys
+// Radix sort geometry: zPasses digits of zRadix bits cover the 63-bit keys.
+const (
+	zRadix  = 11
+	zPasses = (63 + zRadix - 1) / zRadix
+	zMask   = 1<<zRadix - 1
+)
+
+// ZOrder is the retained state of ZOrderPermInto: the permutation and the
+// keys it returns, the radix sort's second permutation buffer and digit
+// counts, the bounding box, and the bit-spreading table of the last
+// dimension above 3. The zero value is ready; every buffer is grow-only.
+type ZOrder struct {
+	perm, tmp []int32
+	keys      []uint64
+	count     []int32
+	lo, hi    []float64
+	spread    [256]uint64
+	spreadD   int
 }
 
-// bounds returns the per-dimension min and max over the cloud, ignoring
-// non-finite coordinates (NaN comparisons are false, so they never move the
-// running bounds off their finite seed).
-func bounds(pts []Point, d int) (lo, hi []float64) {
-	lo = make([]float64, d)
-	hi = make([]float64, d)
-	for j := 0; j < d; j++ {
-		lo[j], hi[j] = pts[0][j], pts[0][j]
+// ZOrderPermInto is ZOrderPerm on the retained buffers of z. It returns the
+// permutation and the Morton key of every point (keys[i] belongs to
+// pts[i]); both stay valid until the next call on z. It runs in linear
+// time: the keys interleave by magic-bit masks (d = 2, 3) or a byte table
+// (other d), and the permutation is an LSD radix sort by key, which is
+// stable, so tied keys keep index order as the definition asks.
+func ZOrderPermInto(z *ZOrder, pts []Point) ([]int32, []uint64) {
+	n := len(pts)
+	z.perm = slices.Grow(z.perm[:0], n)[:n]
+	for i := range z.perm {
+		z.perm[i] = int32(i)
 	}
+	if n == 0 || len(pts[0]) == 0 {
+		return z.perm, z.keys[:0]
+	}
+	d := len(pts[0])
+	z.keys = slices.Grow(z.keys[:0], n)[:n]
+	z.bounds(pts, d)
+	z.interleave(pts, d)
+	z.sort()
+	return z.perm, z.keys
+}
+
+// bounds sets z.lo and z.hi to the per-dimension min and max over the
+// cloud, ignoring non-finite coordinates (NaN comparisons are false, so they
+// never move the running bounds off their finite seed).
+func (z *ZOrder) bounds(pts []Point, d int) {
+	z.lo = append(z.lo[:0], pts[0][:d]...)
+	z.hi = append(z.hi[:0], pts[0][:d]...)
+	lo, hi := z.lo, z.hi
 	for _, p := range pts {
 		for j := 0; j < d; j++ {
 			if p[j] < lo[j] {
@@ -80,7 +82,115 @@ func bounds(pts []Point, d int) (lo, hi []float64) {
 			}
 		}
 	}
-	return lo, hi
+}
+
+// interleave fills z.keys with the Morton keys: bit b of dimension j lands
+// at position b*d + (d-1-j) from the low end, i.e. the key cycles through
+// the dimensions from the highest quantized bit down. So the key is the OR
+// over j of spread_d(q_j) << (d-1-j), where spread_d moves bit b to b*d.
+func (z *ZOrder) interleave(pts []Point, d int) {
+	bits := 63 / d
+	if bits < 1 {
+		bits = 1
+	}
+	max := float64(uint64(1)<<uint(bits) - 1)
+	lo, hi, keys := z.lo, z.hi, z.keys
+	switch d {
+	case 2:
+		for i, p := range pts {
+			keys[i] = spread2(quantize(p[0], lo[0], hi[0], max))<<1 |
+				spread2(quantize(p[1], lo[1], hi[1], max))
+		}
+	case 3:
+		for i, p := range pts {
+			keys[i] = spread3(quantize(p[0], lo[0], hi[0], max))<<2 |
+				spread3(quantize(p[1], lo[1], hi[1], max))<<1 |
+				spread3(quantize(p[2], lo[2], hi[2], max))
+		}
+	default:
+		if z.spreadD != d {
+			for v := range z.spread {
+				var s uint64
+				for b := 0; b < 8; b++ {
+					s |= uint64(v>>b&1) << uint(b*d)
+				}
+				z.spread[v] = s
+			}
+			z.spreadD = d
+		}
+		nbytes := (bits + 7) / 8
+		for i, p := range pts {
+			var key uint64
+			for j := 0; j < d; j++ {
+				q := quantize(p[j], lo[j], hi[j], max)
+				var s uint64
+				for m := 0; m < nbytes; m++ {
+					s |= z.spread[q>>uint(8*m)&0xff] << uint(8*m*d)
+				}
+				key |= s << uint(d-1-j)
+			}
+			keys[i] = key
+		}
+	}
+}
+
+// sort orders z.perm (the identity on entry) by z.keys with an LSD radix
+// sort over zPasses digits. The counts of every digit come from one
+// sequential pass over the keys; a digit that every key shares is skipped.
+// Each pass is a stable scatter between z.perm and z.tmp, which swap roles,
+// so the sorted order ends in z.perm either way.
+func (z *ZOrder) sort() {
+	n := len(z.perm)
+	keys := z.keys
+	z.tmp = slices.Grow(z.tmp[:0], n)[:n]
+	z.count = slices.Grow(z.count[:0], zPasses<<zRadix)[:zPasses<<zRadix]
+	clear(z.count)
+	for _, k := range keys {
+		for p := 0; p < zPasses; p++ {
+			z.count[p<<zRadix|int(k>>uint(p*zRadix)&zMask)]++
+		}
+	}
+	for p := 0; p < zPasses; p++ {
+		shift := uint(p * zRadix)
+		c := z.count[p<<zRadix : (p+1)<<zRadix]
+		if int(c[keys[0]>>shift&zMask]) == n {
+			continue
+		}
+		var sum int32
+		for i, v := range c {
+			c[i] = sum
+			sum += v
+		}
+		dst := z.tmp
+		for _, v := range z.perm {
+			dig := keys[v] >> shift & zMask
+			dst[c[dig]] = v
+			c[dig]++
+		}
+		z.perm, z.tmp = dst, z.perm
+	}
+}
+
+// spread2 moves bit b of a value below 2^32 to bit 2b.
+func spread2(x uint64) uint64 {
+	x &= 0xffffffff
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	x = (x | x<<8) & 0x00ff00ff00ff00ff
+	x = (x | x<<4) & 0x0f0f0f0f0f0f0f0f
+	x = (x | x<<2) & 0x3333333333333333
+	x = (x | x<<1) & 0x5555555555555555
+	return x
+}
+
+// spread3 moves bit b of a value below 2^21 to bit 3b.
+func spread3(x uint64) uint64 {
+	x &= 0x1fffff
+	x = (x | x<<32) & 0x1f00000000ffff
+	x = (x | x<<16) & 0x1f0000ff0000ff
+	x = (x | x<<8) & 0x100f00f00f00f00f
+	x = (x | x<<4) & 0x10c30c30c30c30c3
+	x = (x | x<<2) & 0x1249249249249249
+	return x
 }
 
 // quantize maps v in [lo, hi] onto an integer cell in [0, max]. A collapsed
@@ -98,17 +208,4 @@ func quantize(v, lo, hi, max float64) uint64 {
 		t = max
 	}
 	return uint64(t)
-}
-
-// interleave builds the Morton key: bit b of dimension j lands at position
-// b*d + (d-1-j) from the low end, i.e. the key cycles through the dimensions
-// from the highest quantized bit down.
-func interleave(q []uint64, bits int) uint64 {
-	var key uint64
-	for b := bits - 1; b >= 0; b-- {
-		for _, qj := range q {
-			key = key<<1 | (qj>>uint(b))&1
-		}
-	}
-	return key
 }

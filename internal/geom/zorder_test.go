@@ -2,6 +2,9 @@ package geom
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -129,4 +132,104 @@ func grid3(k int) []Point {
 		}
 	}
 	return pts
+}
+
+// zorderReference is the definition ZOrderPermInto must reproduce: each
+// key interleaved bit by bit, then a comparison sort by (key, index).
+func zorderReference(pts []Point) ([]int32, []uint64) {
+	n := len(pts)
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	if n == 0 {
+		return perm, nil
+	}
+	d := len(pts[0])
+	bits := 63 / d
+	if bits < 1 {
+		bits = 1
+	}
+	lo, hi := append(Point(nil), pts[0]...), append(Point(nil), pts[0]...)
+	for _, p := range pts {
+		for j := 0; j < d; j++ {
+			if p[j] < lo[j] {
+				lo[j] = p[j]
+			}
+			if p[j] > hi[j] {
+				hi[j] = p[j]
+			}
+		}
+	}
+	max := float64(uint64(1)<<uint(bits) - 1)
+	keys := make([]uint64, n)
+	q := make([]uint64, d)
+	for i, p := range pts {
+		for j := 0; j < d; j++ {
+			q[j] = quantize(p[j], lo[j], hi[j], max)
+		}
+		var key uint64
+		for b := bits - 1; b >= 0; b-- {
+			for _, qj := range q {
+				key = key<<1 | (qj>>uint(b))&1
+			}
+		}
+		keys[i] = key
+	}
+	sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
+	return perm, keys
+}
+
+// TestZOrderMatchesReference checks that the magic-bit and table
+// interleaves and the radix sort return exactly the reference permutation
+// and keys: d = 2..6, clouds with tied keys (repeated points, and more
+// points than Morton cells along a short axis), a collapsed axis, and NaN
+// coordinates, on one retained ZOrder reused across every cloud.
+func TestZOrderMatchesReference(t *testing.T) {
+	var z ZOrder
+	rng := rand.New(rand.NewSource(31))
+	for d := 2; d <= 6; d++ {
+		clouds := map[string][]Point{}
+		random := make([]Point, 5000)
+		for i := range random {
+			random[i] = randPt(rng, d)
+		}
+		clouds["random"] = random
+		tied := make([]Point, 3000)
+		for i := range tied {
+			tied[i] = randPt(rng, d)
+			if i%3 != 0 {
+				tied[i] = tied[i/3*3].Clone() // triples of one point
+			}
+			tied[i][0] = float64(i % 7) // seven values on axis 0
+		}
+		clouds["tied"] = tied
+		flat := make([]Point, 2000)
+		for i := range flat {
+			flat[i] = randPt(rng, d)
+			flat[i][d-1] = 4.5 // a collapsed axis
+		}
+		clouds["collapsed"] = flat
+		nan := make([]Point, 2000)
+		for i := range nan {
+			nan[i] = randPt(rng, d)
+			if i%5 == 0 {
+				nan[i][i%d] = math.NaN()
+			}
+		}
+		clouds["nan"] = nan
+		nan0 := append([]Point{make(Point, d)}, random[:1000]...)
+		nan0[0][0] = math.NaN() // a NaN in the bounds seed
+		clouds["nan-first"] = nan0
+		for name, pts := range clouds {
+			wantPerm, wantKeys := zorderReference(pts)
+			perm, keys := ZOrderPermInto(&z, pts)
+			if !slices.Equal(keys, wantKeys) {
+				t.Fatalf("d=%d %s: keys differ from the reference", d, name)
+			}
+			if !slices.Equal(perm, wantPerm) {
+				t.Fatalf("d=%d %s: permutation differs from the reference", d, name)
+			}
+		}
+	}
 }

@@ -32,6 +32,7 @@ func sameReduction(t *testing.T, label string, got, want *Reduction) {
 func TestReduceScratchReuse(t *testing.T) {
 	leakcheck.Check(t)
 	var s Scratch
+	defer s.Close()
 	i := 0
 	sizes := map[int][]int{2: {3000, cullMinN + 1000}, 3: {3000, cullMinN + 1000}, 4: {3000}}
 	for _, d := range []int{2, 3, 4} {
@@ -69,8 +70,9 @@ func TestReduceScratchReuse(t *testing.T) {
 	}
 }
 
-// TestCullScan3MatchesGeneric checks that the inlined d = 3 cull loop and the
-// generic Plane.Eval loop produce the same keep mask, point for point.
+// TestCullScan3MatchesGeneric checks that the inlined d = 3 cull query and
+// the generic one (the same cell, then Plane.Eval over its planes) produce
+// the same keep mask, point for point.
 func TestCullScan3MatchesGeneric(t *testing.T) {
 	n := cullMinN + 4000
 	rng := pointgen.NewRNG(21)
@@ -82,7 +84,7 @@ func TestCullScan3MatchesGeneric(t *testing.T) {
 	for name, pts := range clouds {
 		t.Run(name, func(t *testing.T) {
 			var c cullState
-			ok, err := c.build(pts, 3, Config{}, &seqWorker{})
+			ok, err := c.build(pts[:cullSampleFor(n)], 3, Config{}, &seqWorker{})
 			if err != nil || !ok {
 				t.Fatalf("cull skipped (ok=%v, err=%v)", ok, err)
 			}
@@ -90,7 +92,7 @@ func TestCullScan3MatchesGeneric(t *testing.T) {
 				t.Fatalf("%d flat rows for %d planes", len(c.rows), len(c.planes))
 			}
 			generic, inlined := make([]bool, n), make([]bool, n)
-			kg := c.scanPlanes(pts, 0, n, generic)
+			kg := c.scanCells(pts, 0, n, generic)
 			k3 := c.scan3(pts, 0, n, inlined)
 			if kg != k3 || !slices.Equal(generic, inlined) {
 				t.Fatalf("keep masks differ: generic kept %d, d=3 loop kept %d", kg, k3)
@@ -99,5 +101,41 @@ func TestCullScan3MatchesGeneric(t *testing.T) {
 				t.Fatalf("degenerate comparison: kept %d of %d", kg, n)
 			}
 		})
+	}
+}
+
+// TestReduceWarmAllocs pins the allocations of a warm Reduce on a retained
+// Scratch, with one and two workers: the executor and its deques, the cull
+// planes and cell index, the Z-order buffers, every list and the Reduction
+// itself are retained, so a repeat call allocates nothing. With two
+// workers the schedule differs from call to call and now and then
+// allocates a short-lived object, so the count is an average over 20
+// calls. Under the race detector sync.Pool drops some of the sub-hulls'
+// pooled scratch, so the count is logged, not pinned.
+func TestReduceWarmAllocs(t *testing.T) {
+	leakcheck.Check(t)
+	pts := shuffledBall(43, cullMinN+8000, 3)
+	for _, workers := range []int{1, 2} {
+		var s Scratch
+		cfg := Config{Workers: workers, ZOrder: true, Scratch: &s}
+		var red *Reduction
+		reduce := func() {
+			var err error
+			if red, err = Reduce(pts, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 3 {
+			reduce()
+		}
+		allocs := testing.AllocsPerRun(20, reduce)
+		s.Close()
+		if red.Culled == 0 || red.Blocks < 2 {
+			t.Fatalf("workers=%d: culled %d, %d blocks: both stages must run", workers, red.Culled, red.Blocks)
+		}
+		t.Logf("workers=%d: %.0f allocations per warm Reduce", workers, allocs)
+		if allocs != 0 && !raceEnabled {
+			t.Errorf("workers=%d: a warm Reduce made %.0f allocations, want 0", workers, allocs)
+		}
 	}
 }
