@@ -135,24 +135,22 @@ func (z *ZOrder) interleave(pts []Point, d int) {
 }
 
 // sort orders z.perm (the identity on entry) by z.keys with an LSD radix
-// sort over zPasses digits. The counts of every digit come from one
-// sequential pass over the keys; a digit that every key shares is skipped.
-// Each pass is a stable scatter between z.perm and z.tmp, which swap roles,
-// so the sorted order ends in z.perm either way.
+// sort over zPasses digits. Each pass counts its digit in a sequential pass
+// over the keys, into one table the passes share; a digit that every key
+// shares is skipped. Each pass is a stable scatter between z.perm and
+// z.tmp, which swap roles, so the sorted order ends in z.perm either way.
 func (z *ZOrder) sort() {
 	n := len(z.perm)
 	keys := z.keys
 	z.tmp = slices.Grow(z.tmp[:0], n)[:n]
-	z.count = slices.Grow(z.count[:0], zPasses<<zRadix)[:zPasses<<zRadix]
-	clear(z.count)
-	for _, k := range keys {
-		for p := 0; p < zPasses; p++ {
-			z.count[p<<zRadix|int(k>>uint(p*zRadix)&zMask)]++
-		}
-	}
+	z.count = slices.Grow(z.count[:0], 1<<zRadix)[:1<<zRadix]
+	c := z.count
 	for p := 0; p < zPasses; p++ {
 		shift := uint(p * zRadix)
-		c := z.count[p<<zRadix : (p+1)<<zRadix]
+		clear(c)
+		for _, k := range keys {
+			c[k>>shift&zMask]++
+		}
 		if int(c[keys[0]>>shift&zMask]) == n {
 			continue
 		}

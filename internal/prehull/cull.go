@@ -14,8 +14,11 @@ const (
 	// stage-1 interior cull (cullSampleFor). A larger sample leaves fewer
 	// survivors; the cell index keeps its per-point cost flat in the sample
 	// hull's size h, so only the sample hull and the index grow with it.
+	// The cap stays at 8192 because the sequential kernel's conflict filter
+	// forks sched.ParallelFor over 8,192 points or more, which a larger
+	// sample hull would nest inside Reduce (EXPERIMENTS A15).
 	cullSampleMin = 2048
-	cullSampleMax = 16384
+	cullSampleMax = 8192
 	// cullMinN disables the cull below this input size — with few points
 	// per sample-hull facet the scan cannot pay for itself.
 	cullMinN = 8 * cullSampleMin
@@ -53,10 +56,19 @@ func cullSampleFor(n int) int {
 // cullState is stage 1's certified plane set and its direction index,
 // rebuilt per call into retained buffers.
 //
-// The index is a cube map around the centroid c. A direction u = x - c
-// belongs to face (k, sign u_k), where k is the axis of the largest |u_k|,
-// and within the face to cell floor((u_j/|u_k| + 1) K/2) along every other
-// axis j: 2d faces of K^(d-1) cells. Cell C lists every sample facet whose
+// Directions from the sample centroid c are measured in scaled coordinates:
+// u = S(x - c), where S multiplies axis j by the power of two nearest the
+// ratio of the sample's widest extent around c to its extent along j, so a
+// flat cloud looks round and its facet caps stay small (a round cloud gets
+// S = 1). A linear map takes the cone of directions through a facet to the
+// cone through its image, so everything below holds in the scaled
+// coordinates as it does in the plain ones; and a power of two scales
+// exactly, so a scaled direction rounds as a plain one does.
+//
+// The index is a cube map around c. A direction u belongs to face
+// (k, sign u_k), where k is the axis of the largest |u_k|, and within the
+// face to cell floor((u_j/|u_k| + 1) K/2) along every other axis j: 2d
+// faces of K^(d-1) cells. Cell C lists every sample facet whose
 // cap meets C's cap, where a facet's cap is the smallest-angle cap around
 // the mean of its vertex directions that holds them all, widened by
 // capMargin, and C's cap is the cap around its center direction that holds
@@ -65,15 +77,18 @@ func cullSampleFor(n int) int {
 // f) has f in C's list by the triangle inequality on the sphere.
 //
 // That is what makes the query sound: the ray from c through a point x
-// leaves the sample hull through the facet f whose cone holds x - c, and
-// along that ray x is strictly inside the hull exactly when it is strictly
-// under f's plane. So a point every plane of its cell certifies strictly
-// interior is strictly interior, and the scan tests a point against its
-// cell's planes only. When no cap fits — no inscribed sphere, which keeps
-// points near c (whose direction is undefined) out of the query, or a
-// facet cap of 90° or more — the index is one cell that lists every plane.
+// leaves the sample hull through the facet f whose cone holds x - c (and
+// whose scaled cone holds u), and along that ray x is strictly inside the
+// hull exactly when it is strictly under f's plane. So a point every plane
+// of its cell certifies strictly interior is strictly interior, and the
+// scan tests a point against its cell's planes only. When no cap fits — no
+// inscribed sphere, which keeps points near c (whose direction is
+// undefined) out of the query, or a facet cap of 90° or more — the index
+// is one cell that lists every plane, and cullInterior hulls the smallest
+// sample instead.
 type cullState struct {
 	centroid []float64
+	scale    []float64 // S, per axis
 	box      []float64 // per-axis max |coordinate| over the sample
 	vp       []geom.Point
 	// planes are the sample hull's facet planes, oriented so the sample
@@ -82,7 +97,7 @@ type cullState struct {
 	planes []geom.Plane
 	rows   [][4]float64
 	eps    float64 // static certification threshold over the sample box
-	r2     float64 // squared certified inscribed-sphere radius (0 = none)
+	r2     float64 // squared certified inscribed-sphere radius of S(x - c) (0 = none)
 
 	// The cell index: k cells per axis on each face (0 = one cell), and
 	// cell c's planes list[start[c]:start[c+1]].
@@ -91,12 +106,11 @@ type cullState struct {
 	start []int32
 	list  []int32
 
-	// Index build state: facet caps (center, radius) and the (cell, plane)
-	// pairs, per call; the face-local cell caps of the last (d, k), kept
-	// while those stay the same.
+	// Index build state: facet caps (center, radius), per call; the
+	// face-local cell caps of the last (d, k), kept while those stay the
+	// same.
 	capCtr []float64
 	capRad []float64
-	pairs  [][2]int32
 	cells  cellCaps
 }
 
@@ -128,7 +142,14 @@ func (s *Scratch) cullInterior(pts []geom.Point, nw int) ([]int32, error) {
 		return nil, nil
 	}
 	c := &s.cull
-	if ok, err := c.build(pts[:cullSampleFor(n)], d, s.cfg, &s.workers[0]); !ok || err != nil {
+	m := cullSampleFor(n)
+	ok, err := c.build(pts[:m], d, s.cfg, &s.workers[0])
+	if ok && c.k == 0 && m > cullSampleMin {
+		// No cell index: a point pays one evaluation per sample facet, and
+		// the smallest sample has the fewest.
+		ok, err = c.build(pts[:cullSampleMin], d, s.cfg, &s.workers[0])
+	}
+	if !ok || err != nil {
 		return nil, err
 	}
 
@@ -230,12 +251,28 @@ func (c *cullState) build(sample []geom.Point, d int, cfg Config, w *seqWorker) 
 	for j := range centroid {
 		centroid[j] /= float64(len(sample))
 	}
+	c.scale = slices.Grow(c.scale[:0], d)[:d]
+	clear(c.scale)
+	for _, p := range sample {
+		for j := 0; j < d; j++ {
+			c.scale[j] = max(c.scale[j], math.Abs(p[j]-centroid[j]))
+		}
+	}
+	widest := slices.Max(c.scale)
+	for j, e := range c.scale {
+		sj := math.Ldexp(1, int(math.Round(math.Log2(widest/e))))
+		if e == 0 || !(sj > 0) || math.IsInf(sj, 0) {
+			sj = 1 // no usable extent along j
+		}
+		c.scale[j] = sj
+	}
 	// While orienting, accumulate the inscribed-sphere radius around the
-	// centroid: r = min over facets of (certified clearance / ||N||). Any
-	// point within 0.999·r of the centroid satisfies Eval < -Eps on every
-	// plane (Cauchy-Schwarz on the exact linear form, with the Eps margin
-	// absorbing the evaluation error and the 0.1% shrink absorbing the
-	// rounding of the distance and norm computations themselves), so the
+	// centroid in scaled coordinates: r = min over facets of (certified
+	// clearance / ||N'||), where N'_j = N_j / S_j is the plane's normal
+	// over u = S(x - c). Any point with |u| < 0.999·r satisfies Eval < -Eps
+	// on every plane (Cauchy-Schwarz on the exact linear form, with the Eps
+	// margin absorbing the evaluation error and the 0.1% shrink absorbing
+	// the rounding of the distance and norm computations themselves), so the
 	// common deep-interior case costs one squared distance instead of a
 	// cell lookup and its plane evaluations.
 	c.vp = slices.Grow(c.vp[:0], d)[:d]
@@ -261,7 +298,8 @@ func (c *cullState) build(sample []geom.Point, d int, cfg Config, w *seqWorker) 
 		}
 		norm := 0.0
 		for j := 0; j < d; j++ {
-			norm += pl.N[j] * pl.N[j]
+			nj := pl.N[j] / c.scale[j]
+			norm += nj * nj
 		}
 		norm = math.Sqrt(norm)
 		if clear := -pl.Eval(centroid) - eps; norm > 0 && clear/norm < rIn {
@@ -305,16 +343,36 @@ func (c *cullState) index(sample []geom.Point, fverts []int32, d int) {
 		perFace *= k
 	}
 
-	// Collect the (cell, plane) pairs face by face. The cells of face
-	// (ax, s) whose caps can meet facet f's lie in a box of indices: such
-	// a cell's center lies within reach (f's radius plus the largest cell
-	// radius) of f's center, and along each other axis j the directions
-	// within reach project into the (ax, j) plane within a bounded angle
-	// of f's center (bounds). Each cell of the box then gets the exact cap
-	// test.
+	// Two walks over the (cell, plane) pairs: the first counts each cell's
+	// planes, the second places them, in facet order within a cell. start
+	// [cell] is the fill cursor until every pair is placed; it ends at the
+	// cell's end, which is the next cell's start.
+	cells := 2 * d * perFace
+	c.start = slices.Grow(c.start[:0], cells+1)[:cells+1]
+	clear(c.start)
+	c.eachPair(h, d, k, perFace, func(cell, f int32) { c.start[cell+1]++ })
+	for i := 1; i <= cells; i++ {
+		c.start[i] += c.start[i-1]
+	}
+	c.list = slices.Grow(c.list[:0], int(c.start[cells]))[:c.start[cells]]
+	c.eachPair(h, d, k, perFace, func(cell, f int32) {
+		c.list[c.start[cell]] = f
+		c.start[cell]++
+	})
+	copy(c.start[1:], c.start[:cells])
+	c.start[0] = 0
+}
+
+// eachPair calls emit for every (cell, plane) pair of the index, face by
+// face for each plane f in order. The cells of face (ax, s) whose caps can
+// meet facet f's lie in a box of indices: such a cell's center lies within
+// reach (f's radius plus the largest cell radius) of f's center, and along
+// each other axis j the directions within reach project into the (ax, j)
+// plane within a bounded angle of f's center (bounds). Each cell of the
+// box then gets the exact cap test.
+func (c *cullState) eachPair(h, d, k, perFace int, emit func(cell, f int32)) {
 	var lo, hi, idx [geom.MaxPlaneDim]int
 	var axes [geom.MaxPlaneDim]int
-	c.pairs = c.pairs[:0]
 	for f := range h {
 		a := c.capCtr[f*d : (f+1)*d]
 		cosF, sinF := math.Cos(c.capRad[f]), math.Sin(c.capRad[f])
@@ -357,7 +415,7 @@ func (c *cullState) index(sample []geom.Point, fverts []int32, d int) {
 				}
 				// angle(center_C, center_f) <= rad_C + rad_f, as cosines.
 				if dot*c.cells.inv[cell] >= c.cells.cos[cell]*cosF-c.cells.sin[cell]*sinF {
-					c.pairs = append(c.pairs, [2]int32{int32(face*perFace + cell), int32(f)})
+					emit(int32(face*perFace+cell), int32(f))
 				}
 				l := nl - 1
 				for l >= 0 && idx[l] == hi[l] {
@@ -371,31 +429,11 @@ func (c *cullState) index(sample []geom.Point, fverts []int32, d int) {
 			}
 		}
 	}
-
-	// Counting sort of the pairs by cell; planes stay in facet order.
-	cells := 2 * d * perFace
-	c.start = slices.Grow(c.start[:0], cells+1)[:cells+1]
-	clear(c.start)
-	for _, p := range c.pairs {
-		c.start[p[0]+1]++
-	}
-	for i := 1; i <= cells; i++ {
-		c.start[i] += c.start[i-1]
-	}
-	c.list = slices.Grow(c.list[:0], len(c.pairs))[:len(c.pairs)]
-	for _, p := range c.pairs {
-		// start[cell] is the fill cursor until every pair is placed; it
-		// ends at the cell's end, which is the next cell's start.
-		c.list[c.start[p[0]]] = p[1]
-		c.start[p[0]]++
-	}
-	copy(c.start[1:], c.start[:cells])
-	c.start[0] = 0
 }
 
 // facetCaps sets every facet's cap: the center is the normalized sum of
-// its unit vertex directions from the centroid, the radius the largest
-// angle to one of them, plus capMargin. It reports false when a cap
+// its unit scaled vertex directions from the centroid, the radius the
+// largest angle to one of them, plus capMargin. It reports false when a cap
 // reaches 90° (or cannot be normalized), so no cap fits.
 func (c *cullState) facetCaps(sample []geom.Point, fverts []int32, d int) bool {
 	h := len(c.planes)
@@ -408,7 +446,7 @@ func (c *cullState) facetCaps(sample []geom.Point, fverts []int32, d int) bool {
 		for i, v := range fverts[f*d : (f+1)*d] {
 			p := sample[v]
 			for j := range d {
-				dirs[i][j] = p[j] - c.centroid[j]
+				dirs[i][j] = (p[j] - c.centroid[j]) * c.scale[j]
 			}
 			if !unit(dirs[i][:d]) {
 				return false
@@ -548,14 +586,14 @@ func (c *cullState) scan(pts []geom.Point, lo, hi int, keepMask []bool) int {
 // scanCells is the scan for any dimension: the inscribed sphere, the
 // sample box, then one Plane.Eval per plane of the point's cell.
 func (c *cullState) scanCells(pts []geom.Point, lo, hi int, keepMask []bool) int {
-	d, centroid, box, negEps := len(c.centroid), c.centroid, c.box, -c.eps
+	d, centroid, scale, box, negEps := len(c.centroid), c.centroid, c.scale, c.box, -c.eps
 	var u [geom.MaxPlaneDim]float64
 	kept := 0
 	for i := lo; i < hi; i++ {
 		x := pts[i]
 		dist2 := 0.0
 		for j := 0; j < d; j++ {
-			dx := x[j] - centroid[j]
+			dx := (x[j] - centroid[j]) * scale[j]
 			u[j] = dx
 			dist2 += dx * dx
 		}
@@ -610,6 +648,7 @@ func (c *cullState) scanCells(pts []geom.Point, lo, hi int, keepMask []bool) int
 // so the keep mask is bit-identical.
 func (c *cullState) scan3(pts []geom.Point, lo, hi int, keepMask []bool) int {
 	c0, c1, c2 := c.centroid[0], c.centroid[1], c.centroid[2]
+	s0, s1, s2 := c.scale[0], c.scale[1], c.scale[2]
 	b0, b1, b2 := c.box[0], c.box[1], c.box[2]
 	r2, negEps := c.r2, -c.eps
 	k, halfK := c.k, c.halfK
@@ -618,7 +657,7 @@ func (c *cullState) scan3(pts []geom.Point, lo, hi int, keepMask []bool) int {
 	for i := lo; i < hi; i++ {
 		x := pts[i]
 		x0, x1, x2 := x[0], x[1], x[2]
-		dx0, dx1, dx2 := x0-c0, x1-c1, x2-c2
+		dx0, dx1, dx2 := (x0-c0)*s0, (x1-c1)*s1, (x2-c2)*s2
 		if dx0*dx0+dx1*dx1+dx2*dx2 < r2 {
 			continue // certified deep interior
 		}

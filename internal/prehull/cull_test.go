@@ -18,12 +18,7 @@ func (c *cullState) scanAllPlanes(pts []geom.Point, keepMask []bool) int {
 	d := len(c.centroid)
 	kept := 0
 	for i, x := range pts {
-		dist2 := 0.0
-		for j := 0; j < d; j++ {
-			dx := x[j] - c.centroid[j]
-			dist2 += dx * dx
-		}
-		if dist2 < c.r2 {
+		if c.scaled(x).Norm2() < c.r2 {
 			continue
 		}
 		keep := false
@@ -41,6 +36,15 @@ func (c *cullState) scanAllPlanes(pts []geom.Point, keepMask []bool) int {
 	return kept
 }
 
+// scaled returns the scaled direction S(x - c) of x.
+func (c *cullState) scaled(x geom.Point) geom.Point {
+	u := make(geom.Point, len(c.centroid))
+	for j := range u {
+		u[j] = (x[j] - c.centroid[j]) * c.scale[j]
+	}
+	return u
+}
+
 // buildCull builds the cull state of sample, returning it with the sample
 // hull's facet tuples, or nil when the cull skips the sample.
 func buildCull(t *testing.T, sample []geom.Point, d int) (*cullState, []int32) {
@@ -56,18 +60,20 @@ func buildCull(t *testing.T, sample []geom.Point, d int) (*cullState, []int32) {
 	return c, slices.Clone(w.fverts)
 }
 
-// plantAt returns the point x with x_j - c_j == u_j exactly in float64,
-// nudging a coordinate by a few ulps when the plain sum rounds, or false
-// when no nudge lands on u_j.
-func plantAt(c, u []float64) (geom.Point, bool) {
-	x := make(geom.Point, len(c))
-	for j := range c {
-		x[j] = c[j] + u[j]
-		for step := 0; x[j]-c[j] != u[j]; step++ {
+// plantAt returns the point x whose scaled direction S(x - c) is u exactly
+// in float64, nudging a coordinate by a few ulps when the plain sum rounds,
+// or false when no nudge lands on u_j. S is a power of two per axis, so
+// x_j - c_j must be exactly u_j / S_j.
+func plantAt(c *cullState, u []float64) (geom.Point, bool) {
+	x := make(geom.Point, len(u))
+	for j, cj := range c.centroid {
+		v := u[j] / c.scale[j]
+		x[j] = cj + v
+		for step := 0; x[j]-cj != v; step++ {
 			if step == 8 {
 				return nil, false
 			}
-			if x[j]-c[j] < u[j] {
+			if x[j]-cj < v {
 				x[j] = math.Nextafter(x[j], math.Inf(1))
 			} else {
 				x[j] = math.Nextafter(x[j], math.Inf(-1))
@@ -77,8 +83,8 @@ func plantAt(c, u []float64) (geom.Point, bool) {
 	return x, true
 }
 
-// plantTies returns points whose direction from the centroid ties two or
-// more axes for the largest |u_j| — on the cube map's face edges and
+// plantTies returns points whose scaled direction from the centroid ties
+// two or more axes for the largest |u_j| — on the cube map's face edges and
 // corners — and points on the cell edges inside face (axis 0, +), at
 // distances from just outside the inscribed sphere to well beyond it.
 func plantTies(c *cullState) (pts []geom.Point, ties int) {
@@ -103,7 +109,7 @@ func plantTies(c *cullState) (pts []geom.Point, ties int) {
 			for j := range u {
 				u[j] *= rho
 			}
-			if x, ok := plantAt(c.centroid, u); ok {
+			if x, ok := plantAt(c, u); ok {
 				pts = append(pts, x)
 				ties++
 			}
@@ -120,7 +126,7 @@ func plantTies(c *cullState) (pts []geom.Point, ties int) {
 			for j := range u {
 				u[j] *= rho
 			}
-			if x, ok := plantAt(c.centroid, u); ok {
+			if x, ok := plantAt(c, u); ok {
 				pts = append(pts, x)
 			}
 		}
@@ -128,13 +134,16 @@ func plantTies(c *cullState) (pts []geom.Point, ties int) {
 	return pts, ties
 }
 
-// grid rounds v to a multiple of the ulp of the box's largest coordinate,
-// so that centroid + v lands on v exactly after plantAt's nudges even where
-// the coordinates are large.
+// grid rounds the scaled offset v to a multiple of S_j times the ulp of
+// the box's coordinates along every axis j, so that plantAt lands on ±v
+// exactly along every axis even where the coordinates are large.
 func grid(c *cullState, v float64) float64 {
-	m := slices.Max(c.box) + 2*math.Abs(v)
-	ulp := math.Nextafter(m, math.Inf(1)) - m
-	return math.Round(v/ulp) * ulp
+	q := 0.0
+	for j, b := range c.box {
+		m := b + 2*math.Abs(v)/c.scale[j]
+		q = max(q, (math.Nextafter(m, math.Inf(1))-m)*c.scale[j])
+	}
+	return math.Round(v/q) * q
 }
 
 // plantOnFacets returns the sample hull's vertices, which lie exactly on
@@ -210,9 +219,10 @@ func checkDropsInterior(t *testing.T, label string, c *cullState, sample []geom.
 // exact predicate, and that its keep set is a subset of the all-planes
 // oracle's: d = 2, 3 and 4; ball, clustered, anisotropic and shifted
 // clouds; plus planted points on the cube map's face edges, corners and
-// cell edges, and on the sample facets themselves. The density gate skips
-// boundary-heavy samples (the 4D ball among them), so each dimension must
-// have at least one cloud whose cull runs on a cell index.
+// cell edges, and on the sample facets themselves. The cull skips some
+// samples (the 3D and 4D shifted balls), so each dimension must have at
+// least one cloud whose cull runs on a cell index; the anisotropic cloud,
+// flat along the axes, must run on one in every dimension.
 func TestCullDropsOnlyInterior(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		n := 12000
@@ -246,6 +256,8 @@ func TestCullDropsOnlyInterior(t *testing.T) {
 				}
 				if c.k > 0 {
 					indexed++
+				} else if name == "anisotropic" {
+					t.Fatal("no cell index for an axis-aligned flat cloud: the scaled caps should fit")
 				}
 				ties, nties := plantTies(c)
 				pts := slices.Concat(cloud, ties, plantOnFacets(sample, fverts, d))
@@ -266,11 +278,7 @@ func TestCullDropsOnlyInterior(t *testing.T) {
 				// inscribed sphere.
 				cellDropped := 0
 				for i, x := range ties {
-					u := make([]float64, d)
-					for j := range u {
-						u[j] = x[j] - c.centroid[j]
-					}
-					if !keep[len(cloud)+i] && geom.Point(u).Norm2() >= c.r2 {
+					if !keep[len(cloud)+i] && c.scaled(x).Norm2() >= c.r2 {
 						cellDropped++
 					}
 				}
@@ -310,5 +318,42 @@ func TestCullIndexMatchesAllPlanes(t *testing.T) {
 				t.Fatalf("n=%d seed=%d: the cell index keeps %d points, the all-planes loop %d", n, seed, k, ko)
 			}
 		}
+	}
+}
+
+// TestCullFallbackUsesSmallestSample checks the sample rule's fallback:
+// when the sample cullSampleFor picks has no cell index — here a flat cloud
+// turned off the axes, which the per-axis scaling cannot round — Reduce
+// culls with the cullSampleMin prefix, whose planes are fewer, and drops
+// exactly what the all-planes loop over that prefix's hull drops.
+func TestCullFallbackUsesSmallestSample(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a sizing rule over 4e5 points, not a concurrency property")
+	}
+	n := 400_000
+	pts := pointgen.Anisotropic(pointgen.NewRNG(7), n, 3, 0.02)
+	ca, sa, cb, sb := math.Cos(0.5), math.Sin(0.5), math.Cos(0.7), math.Sin(0.7)
+	for _, p := range pts {
+		x, y, z := p[0], p[1], p[2]
+		x, y = ca*x-sa*y, sa*x+ca*y
+		y, z = cb*y-sb*z, sb*y+cb*z
+		p[0], p[1], p[2] = x, y, z
+	}
+	m := cullSampleFor(n)
+	if c, _ := buildCull(t, pts[:m], 3); m <= cullSampleMin || c == nil || c.k != 0 {
+		t.Fatalf("the %d-point sample does not exercise the fallback", m)
+	}
+	small, _ := buildCull(t, pts[:cullSampleMin], 3)
+	kept := small.scanAllPlanes(pts, make([]bool, n))
+
+	var s Scratch
+	defer s.Close()
+	red, err := Reduce(pts, Config{Workers: 2, Scratch: &s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.cull.planes) != len(small.planes) || red.Culled != n-kept {
+		t.Fatalf("culled %d with %d planes; the %d-point sample culls %d with %d planes",
+			red.Culled, len(s.cull.planes), cullSampleMin, n-kept, len(small.planes))
 	}
 }

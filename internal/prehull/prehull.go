@@ -5,7 +5,7 @@
 // facets as a direct run — the pre-hull changes how much work reaches the
 // engine, never what it outputs.
 //
-// Stage 1 (interior cull): build the hull of a prefix sample (2048 to 16384
+// Stage 1 (interior cull): build the hull of a prefix sample (2048 to 8192
 // points, by n) with the existing sequential kernel, orient each sample
 // facet's cached hyperplane (geom.NewFacetPlane) against the sample
 // centroid, and drop every point the static float filter certifies
@@ -20,7 +20,10 @@
 // size): deep-interior points fall inside a certified inscribed sphere, and
 // every other point is tested only against the few facets its direction
 // from the centroid can leave the sample hull through, listed per cell of a
-// cube map (cull.go).
+// cube map (cull.go). Directions are scaled per axis by powers of two, so
+// a cloud flat along the axes gets an index too; where none fits (a cloud
+// flat off the axes, say), every point is tested against every plane of a
+// 2048-point sample.
 //
 // Stage 2 (block sub-hulls): split the survivors into contiguous blocks,
 // compute each block's hull with the sequential kernel — blocks in parallel
@@ -109,13 +112,18 @@ type Config struct {
 	// calls: the executor and one retained sequential engine per worker,
 	// the cull planes and cell index, the Z-order buffers, and every index
 	// list. Each call invalidates the Reduction (and gathered cloud) of the
-	// previous call that used the same Scratch. nil runs on a fresh Scratch.
+	// previous call that used the same Scratch, and the caller must Close
+	// it when done (see Scratch). nil runs on a fresh Scratch, which Reduce
+	// closes itself.
 	Scratch *Scratch
 }
 
 // Scratch holds the retained state of Config.Scratch. All buffers are
 // grow-only; the zero value is ready to use. A Scratch that ran a Reduce
-// holds parked executor workers until Close.
+// must be closed: its executor's workers stay parked until Close, and they
+// reference the Scratch, so an unclosed Scratch is never garbage-collected
+// and keeps every buffer it grew (the keep mask, the Z-order and block
+// buffers, the per-worker sub-hull engines).
 type Scratch struct {
 	// Stage 1.
 	keepMask []bool
@@ -217,8 +225,9 @@ func (s *Scratch) fail(err error) {
 	s.failed.Store(true)
 }
 
-// Close retires the executor's workers. The Scratch stays usable: the next
-// Reduce starts a new pool.
+// Close retires the executor's workers, which lets the Scratch be
+// garbage-collected. The Scratch stays usable: the next Reduce starts a
+// new pool.
 func (s *Scratch) Close() {
 	if s.x != nil {
 		s.x.Close()
